@@ -1,5 +1,4 @@
-//! Criterion benches of the NLS solvers (the `NLS` task), including the
-//! BPP column-grouping ablation.
+//! Criterion benches of the NLS solvers (the `NLS` task).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nmf_matrix::rng::Fill;
@@ -40,37 +39,5 @@ fn bench_solvers(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_bpp_grouping(c: &mut Criterion) {
-    let mut g = c.benchmark_group("bpp_grouping");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(1));
-    let (r, k) = (2048usize, 32usize);
-    let (gr, ctb) = instance(r, k, 21);
-    g.bench_function("grouped", |b| {
-        let mut solver = Bpp {
-            group_columns: true,
-            ..Bpp::default()
-        };
-        b.iter(|| {
-            let mut x = Mat::zeros(r, k);
-            solver.update(&gr, &ctb, &mut x);
-            x
-        })
-    });
-    g.bench_function("rowwise", |b| {
-        let mut solver = Bpp {
-            group_columns: false,
-            ..Bpp::default()
-        };
-        b.iter(|| {
-            let mut x = Mat::zeros(r, k);
-            solver.update(&gr, &ctb, &mut x);
-            x
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_solvers, bench_bpp_grouping);
+criterion_group!(benches, bench_solvers);
 criterion_main!(benches);

@@ -941,7 +941,13 @@ pub struct AnlsEngine<S: CommScheme, D: AnlsData> {
     /// This rank's slice of `H`, stored transposed.
     ht_local: Mat,
     norm_a_sq: f64,
+    /// Records of the iterations run through [`step`](Self::step), for
+    /// callers driving the engine directly. [`EngineDyn::step_dyn`]
+    /// hands each record to its caller instead, so an engine inside a
+    /// session retains none.
     iters: Vec<IterRecord>,
+    /// Objective after the latest iteration (`‖A‖²` before the first).
+    objective: f64,
     /// Every objective this run has produced, including (after a
     /// [`restore_convergence_state`](Self::restore_convergence_state))
     /// those of the run being resumed — the windowed policy's look-back.
@@ -1000,6 +1006,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
             ht_local: ht0,
             norm_a_sq,
             iters: Vec::with_capacity(config.max_iters),
+            objective: norm_a_sq,
             obj_history: Vec::with_capacity(config.max_iters),
             prev_obj: f64::INFINITY,
             first_obj: None,
@@ -1149,6 +1156,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
         });
         self.comm_base = now;
         self.iterations_done += 1;
+        self.objective = objective;
         self.obj_history.push(objective);
 
         let f0 = *self
@@ -1208,7 +1216,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
     /// Objective after the latest iteration (`‖A‖²` before the first —
     /// the objective of the all-zero factorization).
     pub fn objective(&self) -> f64 {
-        self.iters.last().map_or(self.norm_a_sq, |r| r.objective)
+        self.objective
     }
 
     /// Why the engine last decided to stop, if it has.
@@ -1305,19 +1313,19 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
 /// worker builds its concrete `AnlsEngine<S, D>` in its own frame and
 /// serves it through this trait, and the controller never learns which
 /// of the three schemes is running. Every method forwards to the
-/// inherent `AnlsEngine` method of the same name ([`step_dyn`] clones
-/// the record instead of borrowing it, the one signature change object
-/// safety forces).
+/// inherent `AnlsEngine` method of the same name, except [`step_dyn`],
+/// which moves the iteration's record out to the caller: the session
+/// keeps one aggregated record per iteration, and a second copy per
+/// rank would make a long run's memory grow `p + 1` times as fast.
 ///
 /// [`step_dyn`]: EngineDyn::step_dyn
 pub trait EngineDyn {
-    /// One ANLS outer iteration; returns an owned copy of its record.
+    /// One ANLS outer iteration; returns its record, which the engine
+    /// does not keep.
     fn step_dyn(&mut self) -> IterRecord;
     /// The current iterates: this rank's `W` slice and transposed `H`
     /// slice.
     fn factors(&self) -> (&Mat, &Mat);
-    /// Per-iteration records so far.
-    fn records(&self) -> &[IterRecord];
     /// Iterations executed so far (including restored ones).
     fn iterations(&self) -> usize;
     /// Objective after the latest iteration (`‖A‖²` before the first).
@@ -1339,15 +1347,12 @@ pub trait EngineDyn {
 
 impl<S: CommScheme, D: AnlsData> EngineDyn for AnlsEngine<S, D> {
     fn step_dyn(&mut self) -> IterRecord {
-        AnlsEngine::step(self).clone()
+        AnlsEngine::step(self);
+        self.iters.pop().expect("step just pushed a record")
     }
 
     fn factors(&self) -> (&Mat, &Mat) {
         AnlsEngine::factors(self)
-    }
-
-    fn records(&self) -> &[IterRecord] {
-        AnlsEngine::records(self)
     }
 
     fn iterations(&self) -> usize {
@@ -1404,12 +1409,33 @@ mod tests {
         let rec = boxed.step_dyn();
         assert!(rec.objective.is_finite());
         assert_eq!(boxed.iterations(), 1);
-        assert_eq!(boxed.records().len(), 1);
+        assert_eq!(boxed.objective(), rec.objective);
         let (w, ht) = boxed.factors();
         assert_eq!(w.shape(), (18, 2));
         assert_eq!(ht.shape(), (12, 2));
         let st = boxed.convergence_state();
         assert_eq!(st.iterations_done, 1);
+    }
+
+    #[test]
+    fn session_driven_engine_retains_no_records() {
+        // What a `Model` stores per step: one aggregated record, plus
+        // one objective per rank for the windowed policy's look-back.
+        let per_step_at_p4 = std::mem::size_of::<IterRecord>() + 4 * std::mem::size_of::<f64>();
+        assert!(per_step_at_p4 <= 1024, "{per_step_at_p4} bytes per step");
+
+        let input = Input::Dense(Mat::uniform(18, 12, 3));
+        let config = NmfConfig::new(2).with_max_iters(3).with_seed(8);
+        let w0 = crate::config::init_w(18, 2, config.seed);
+        let ht0 = crate::config::init_ht(12, 2, config.seed);
+        let mut engine = AnlsEngine::new(LocalScheme::new(18, 12), &input, &config, w0, ht0);
+        let direct = engine.step().objective;
+        assert_eq!(engine.records().len(), 1);
+        let moved = engine.step_dyn();
+        assert!(moved.objective <= direct);
+        assert_eq!(engine.records().len(), 1, "step_dyn hands its record over");
+        assert_eq!(engine.objective(), moved.objective);
+        assert_eq!(engine.iterations(), 2);
     }
 
     #[test]

@@ -7,26 +7,40 @@
 //! virtual interconnect, which is outside the compute path — with a few
 //! allocations of amortized channel block storage).
 //!
-//! HALS/MU are used as the NLS solvers here because their scratch usage
-//! is shape-static; BPP is also workspace-backed but its per-group
-//! buffer pool can legitimately grow on an iteration whose pivoting
-//! discovers more distinct passive sets than any before it, which would
-//! make an exact-equality assertion data-dependent.
+//! All three shape-static solvers are covered: HALS and MU work in
+//! place, and BPP's scratch (sort keys, the `k×k` factor, the
+//! right-hand-side chunk) is sized by the problem shape alone, never by
+//! how many distinct passive sets an iteration happens to produce.
 
 use hpc_nmf::prelude::*;
 use hpc_nmf::seq::nmf_seq;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's share of `ALLOCATIONS`: the sequential driver runs
+    /// on the calling thread, so its exact-equality test reads this and
+    /// is not disturbed by the test harness allocating on its own
+    /// threads meanwhile. (Const-initialized, no destructor: safe to
+    /// touch from inside the allocator.)
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,11 +65,20 @@ fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Allocations by every thread of the process while `f` runs.
 fn count<T>(f: impl FnOnce() -> T) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
     drop(out);
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations by the calling thread while `f` runs.
+fn count_on_this_thread<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    let out = f();
+    drop(out);
+    THREAD_ALLOCATIONS.with(Cell::get) - before
 }
 
 fn run_seq(iters: usize, solver: SolverKind) -> u64 {
@@ -64,13 +87,16 @@ fn run_seq(iters: usize, solver: SolverKind) -> u64 {
         .with_max_iters(iters)
         .with_solver(solver)
         .with_seed(3);
-    count(|| nmf_seq(&input, &config))
+    count_on_this_thread(|| nmf_seq(&input, &config))
 }
 
 #[test]
 fn sequential_steady_state_iterations_allocate_nothing() {
     let _guard = serial_guard();
-    for solver in [SolverKind::Hals, SolverKind::Mu] {
+    for solver in [SolverKind::Hals, SolverKind::Mu, SolverKind::Bpp] {
+        // Warm once: the first run on a thread pays lazy initialization
+        // (kernel dispatch, thread-local packing scratch).
+        let _ = run_seq(2, solver);
         let base = run_seq(2, solver);
         let more = run_seq(6, solver);
         assert_eq!(
@@ -81,11 +107,11 @@ fn sequential_steady_state_iterations_allocate_nothing() {
     }
 }
 
-fn run_hpc(iters: usize) -> u64 {
+fn run_hpc(iters: usize, solver: SolverKind) -> u64 {
     let input = Input::Dense(Mat::uniform(40, 32, 19));
     let config = NmfConfig::new(4)
         .with_max_iters(iters)
-        .with_solver(SolverKind::Hals)
+        .with_solver(solver)
         .with_seed(7);
     count(|| factorize(&input, 4, Algo::Hpc2D, &config))
 }
@@ -93,29 +119,43 @@ fn run_hpc(iters: usize) -> u64 {
 #[test]
 fn hpc_per_iteration_allocations_are_exactly_the_transport() {
     let _guard = serial_guard();
-    // Warm once (thread-spawn and lazy-init costs of the first run).
-    let _ = run_hpc(2);
-    let a2 = run_hpc(2);
-    let a4 = run_hpc(4);
-    let a6 = run_hpc(6);
-    let d1 = a4 - a2;
-    let d2 = a6 - a4;
-    // The per-iteration delta is the transport traffic (boxed message
-    // payloads). It is *nearly* constant — the channel's internal block
-    // storage amortizes one allocation per ~32 messages, so consecutive
-    // deltas can differ by a few block allocations, but never by
-    // anything matrix-shaped.
-    let spread = d1.abs_diff(d2);
-    assert!(
-        spread <= 16,
-        "per-iteration allocation delta varies too much ({d1} vs {d2}) — \
-         something in the iteration loop allocates beyond the message transport"
+    let mut per_iteration = Vec::new();
+    for solver in [SolverKind::Hals, SolverKind::Mu, SolverKind::Bpp] {
+        // Warm once (thread-spawn and lazy-init costs of the first run).
+        let _ = run_hpc(2, solver);
+        let a2 = run_hpc(2, solver);
+        let a4 = run_hpc(4, solver);
+        let a6 = run_hpc(6, solver);
+        let d1 = a4 - a2;
+        let d2 = a6 - a4;
+        // The per-iteration delta is the transport traffic (boxed message
+        // payloads). It is *nearly* constant — the channel's internal block
+        // storage amortizes one allocation per ~32 messages, so consecutive
+        // deltas can differ by a few block allocations, but never by
+        // anything matrix-shaped.
+        let spread = d1.abs_diff(d2);
+        assert!(
+            spread <= 16,
+            "{solver:?}: per-iteration allocation delta varies too much ({d1} vs {d2}) — \
+             something in the iteration loop allocates beyond the message transport"
+        );
+        // Sanity: the per-iteration count is a few dozen boxed messages for
+        // 4 ranks, not matrix-sized churn.
+        assert!(
+            d1 / 2 < 400,
+            "{solver:?}: per-iteration allocation count {} is too high to be transport-only",
+            d1 / 2
+        );
+        per_iteration.push(d1 / 2);
+    }
+    // The transport does not know which solver runs between its
+    // messages: every solver pays the same per-iteration constant.
+    let (lo, hi) = (
+        per_iteration.iter().min().expect("three solvers"),
+        per_iteration.iter().max().expect("three solvers"),
     );
-    // Sanity: the per-iteration count is a few dozen boxed messages for
-    // 4 ranks, not matrix-sized churn.
     assert!(
-        d1 / 2 < 400,
-        "per-iteration allocation count {} is too high to be transport-only",
-        d1 / 2
+        hi - lo <= 8,
+        "per-iteration allocations differ by solver: {per_iteration:?} (HALS, MU, BPP)"
     );
 }

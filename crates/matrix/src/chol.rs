@@ -101,31 +101,65 @@ const NC: usize = 8;
 pub fn cholesky_solve_in_place(l: &Mat, b: &mut Mat) {
     assert_eq!(l.nrows(), l.ncols());
     assert_eq!(l.nrows(), b.nrows(), "rhs row count mismatch");
-    let n = l.nrows();
-    let r = b.ncols();
+    let (n, r) = b.shape();
+    cholesky_solve_slices(l.as_slice(), n, n, b.as_mut_slice(), r);
+}
+
+/// [`cholesky_solve_in_place`] on raw storage, for callers that keep the
+/// factor and the right-hand sides in fixed buffers larger than the
+/// system at hand (BPP factorizes every passive set into one `k×k`
+/// buffer): `l` holds the `n×n` lower factor with row stride `ldl`, `x`
+/// the `n×r` right-hand sides, row-major with stride `r`. Each column is
+/// solved with the same operation order whatever `r` is, so the result
+/// does not depend on how columns are batched.
+pub fn cholesky_solve_slices(l: &[f64], ldl: usize, n: usize, x: &mut [f64], r: usize) {
+    assert!(ldl >= n, "factor stride shorter than its rows");
     if n == 0 || r == 0 {
         return;
+    }
+    assert!(l.len() >= (n - 1) * ldl + n, "factor storage too short");
+    assert_eq!(x.len(), n * r, "rhs storage does not match n×r");
+    if r == 1 {
+        return solve_single(l, ldl, n, x);
     }
     let mut c0 = 0;
     while c0 < r {
         let nc = NC.min(r - c0);
         if nc == NC {
-            solve_sweep_full(l, b, c0);
+            solve_sweep_full(l, ldl, n, x, r, c0);
         } else {
-            solve_sweep_edge(l, b, c0, nc);
+            solve_sweep_edge(l, ldl, n, x, r, c0, nc);
         }
         c0 += NC;
     }
 }
 
+/// The single-column solve: the sweeps below with a scalar accumulator
+/// (a one-wide [`solve_sweep_edge`] pays its runtime-width inner loops
+/// on every `(i, k)` pair).
+fn solve_single(l: &[f64], ldl: usize, n: usize, x: &mut [f64]) {
+    for i in 0..n {
+        let li = &l[i * ldl..i * ldl + i + 1];
+        let mut acc = x[i];
+        for (&lik, &v) in li[..i].iter().zip(&x[..i]) {
+            acc -= lik * v;
+        }
+        x[i] = acc / li[i];
+    }
+    for i in (0..n).rev() {
+        let mut acc = x[i];
+        for k in i + 1..n {
+            acc -= l[k * ldl + i] * x[k];
+        }
+        x[i] = acc / l[i * ldl + i];
+    }
+}
+
 /// One full `NC`-column forward+backward sweep starting at column `c0`.
-fn solve_sweep_full(l: &Mat, b: &mut Mat, c0: usize) {
-    let n = l.nrows();
-    let ldx = b.ncols();
-    let x = b.as_mut_slice();
+fn solve_sweep_full(l: &[f64], ldl: usize, n: usize, x: &mut [f64], ldx: usize, c0: usize) {
     // Forward substitution: L·Y = B.
     for i in 0..n {
-        let li = l.row(i);
+        let li = &l[i * ldl..i * ldl + i + 1];
         let mut acc: [f64; NC] = x[i * ldx + c0..i * ldx + c0 + NC]
             .try_into()
             .expect("NC-wide block");
@@ -146,13 +180,13 @@ fn solve_sweep_full(l: &Mat, b: &mut Mat, c0: usize) {
             .try_into()
             .expect("NC-wide block");
         for k in i + 1..n {
-            let lki = l.row(k)[i];
+            let lki = l[k * ldl + i];
             let xk = &x[k * ldx + c0..k * ldx + c0 + NC];
             for (a, &v) in acc.iter_mut().zip(xk) {
                 *a -= lki * v;
             }
         }
-        let d = l.row(i)[i];
+        let d = l[i * ldl + i];
         for (dst, a) in x[i * ldx + c0..i * ldx + c0 + NC].iter_mut().zip(acc) {
             *dst = a / d;
         }
@@ -161,13 +195,19 @@ fn solve_sweep_full(l: &Mat, b: &mut Mat, c0: usize) {
 
 /// Remainder sweep for the final `nc < NC` columns (same algorithm with
 /// a runtime-width accumulator prefix).
-fn solve_sweep_edge(l: &Mat, b: &mut Mat, c0: usize, nc: usize) {
-    let n = l.nrows();
-    let ldx = b.ncols();
-    let x = b.as_mut_slice();
+#[allow(clippy::too_many_arguments)]
+fn solve_sweep_edge(
+    l: &[f64],
+    ldl: usize,
+    n: usize,
+    x: &mut [f64],
+    ldx: usize,
+    c0: usize,
+    nc: usize,
+) {
     let mut acc = [0.0f64; NC];
     for i in 0..n {
-        let li = l.row(i);
+        let li = &l[i * ldl..i * ldl + i + 1];
         acc[..nc].copy_from_slice(&x[i * ldx + c0..i * ldx + c0 + nc]);
         for (k, &lik) in li[..i].iter().enumerate() {
             let xk = &x[k * ldx + c0..k * ldx + c0 + nc];
@@ -183,13 +223,13 @@ fn solve_sweep_edge(l: &Mat, b: &mut Mat, c0: usize, nc: usize) {
     for i in (0..n).rev() {
         acc[..nc].copy_from_slice(&x[i * ldx + c0..i * ldx + c0 + nc]);
         for k in i + 1..n {
-            let lki = l.row(k)[i];
+            let lki = l[k * ldl + i];
             let xk = &x[k * ldx + c0..k * ldx + c0 + nc];
             for (a, &v) in acc[..nc].iter_mut().zip(xk) {
                 *a -= lki * v;
             }
         }
-        let d = l.row(i)[i];
+        let d = l[i * ldl + i];
         for (dst, &a) in x[i * ldx + c0..i * ldx + c0 + nc].iter_mut().zip(&acc) {
             *dst = a / d;
         }
@@ -334,6 +374,29 @@ mod tests {
                 percol.as_slice(),
                 "batched vs per-column diverge at r={r}"
             );
+        }
+    }
+
+    #[test]
+    fn strided_factor_solve_matches_dense_factor() {
+        // The factor embedded in a wider buffer (BPP's fixed k×k storage)
+        // solves to the same bits as the tight one, at widths covering
+        // the single-column path, the edge sweep and full sweeps.
+        let n = 9;
+        let ldl = 13;
+        let a = spd(n, 51);
+        let l = cholesky(&a).unwrap();
+        let mut wide = vec![f64::NAN; n * ldl];
+        for i in 0..n {
+            wide[i * ldl..i * ldl + i + 1].copy_from_slice(&l.row(i)[..i + 1]);
+        }
+        for r in [1usize, 2, 7, 8, 19] {
+            let b = Mat::gaussian(n, r, 60 + r as u64);
+            let mut tight = b.clone();
+            cholesky_solve_percol_in_place(&l, &mut tight);
+            let mut strided = b.clone();
+            cholesky_solve_slices(&wide, ldl, n, strided.as_mut_slice(), r);
+            assert_eq!(strided.as_slice(), tight.as_slice(), "r={r}");
         }
     }
 

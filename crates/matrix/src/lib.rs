@@ -40,7 +40,7 @@ pub mod simd;
 
 pub use chol::{
     cholesky, cholesky_into, cholesky_solve, cholesky_solve_in_place,
-    cholesky_solve_percol_in_place, solve_spd, CholError,
+    cholesky_solve_percol_in_place, cholesky_solve_slices, solve_spd, CholError,
 };
 pub use gemm::{
     matmul, matmul_blocked_into, matmul_ikj, matmul_ikj_into, matmul_into, matmul_packed_into,

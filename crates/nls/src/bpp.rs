@@ -16,33 +16,65 @@
 //! the infeasibility count stops decreasing, which guarantees finite
 //! termination.
 //!
-//! Multi-right-hand-side optimization: rows whose passive sets coincide
-//! are solved together, so each distinct `G_FF` is factorized exactly
-//! once per exchange round. The paper attributes BPP's practicality for
-//! NMF precisely to this regime (`k ≪ min(m,n)`, thousands of RHS, few
-//! distinct supports after the first iterations).
+//! ## Cost follows the pivoting rows and their distinct prefixes
+//!
+//! The paper attributes BPP's practicality for NMF to rows sharing a
+//! passive set being solved with one factorization (`k ≪ min(m,n)`,
+//! thousands of right-hand sides, few distinct supports). On sparse
+//! power-law inputs that premise fails — most passive sets occur once —
+//! so nothing here is paid per *group*:
+//!
+//! * an exchange round visits only the rows still pivoting (a pending
+//!   list kept in row order);
+//! * rows are grouped by sorting `(bit-reversed passive mask, row)`
+//!   pairs, so equal masks are adjacent and neighbouring masks agree on
+//!   their low variable indices;
+//! * `G_FF = L·Lᵀ` is factorized row by row (Cholesky–Banachiewicz)
+//!   straight from `gram` into one `k×k` buffer. Row `a` of `L` depends
+//!   only on the free indices `0..=a`, so the leading rows two
+//!   consecutive masks have in common are kept, not recomputed — the
+//!   same bits either way;
+//! * groups of fewer than `BATCH_MIN_ROWS` (4) rows are substituted one
+//!   row at a time, larger ones through the 8-wide batched sweeps, in
+//!   chunks of `RHS_CHUNK` (64) columns. The selection is by the group's
+//!   row count and does not change any row's result.
+//!
+//! `docs/kernels.md` ("BPP") has the arguments in full.
 //!
 //! ## Workspace reuse
 //!
-//! The solver is called once per factor per outer ANLS iteration with
-//! identical shapes, so all pivoting state lives in a solver-held
-//! [`BppScratch`]: the dual matrix `y`, the per-row pivot states, the
-//! passive-set grouping index (a `HashMap` plus a pool of row-index
-//! vectors whose allocations are recycled), and the per-group `G_FF` /
-//! RHS / factor buffers. After the first call nothing in the hot path
-//! allocates except pathological support churn that outgrows a buffer's
-//! retained capacity.
+//! The solver is called once per factor per outer ANLS iteration, so all
+//! pivoting state lives in a solver-held [`BppScratch`] whose buffers are
+//! sized by the shape `(r, k)` alone: the dual matrix, the incoming
+//! iterate kept for the monotonicity guard, the per-row pivot states, the
+//! pending list, the sort keys, the `k×k` factor and the right-hand-side
+//! chunk. Once a solver has seen its largest shape, `solve` allocates
+//! only in the semidefinite fallback (a passive set whose `G_FF` is not
+//! positive definite goes through the shifted [`solve_spd`], which
+//! allocates its operands) — counted in [`BppStats`].
 
-use crate::NlsSolver;
-use nmf_matrix::{cholesky_into, cholesky_solve_in_place, solve_spd, Mat};
-use std::collections::HashMap;
+use crate::{objective_rows, NlsSolver};
+use nmf_matrix::{cholesky_solve_slices, solve_spd, Mat};
+
+/// Groups with at least this many rows take the batched (8-wide)
+/// substitution; smaller ones are substituted row by row, which skips
+/// the strided gather of a right-hand-side block that would hold one to
+/// three columns.
+const BATCH_MIN_ROWS: usize = 4;
+
+/// Right-hand-side columns solved per batched call: a multiple of the
+/// sweep width, small enough that the `k×RHS_CHUNK` block stays in L1/L2
+/// and that the buffer's size does not depend on the data.
+const RHS_CHUNK: usize = 64;
+
+/// How many sorted entries ahead of the run being solved the `Cᵀb`, `x`
+/// and `y` rows are prefetched: a row solve is about a microsecond of
+/// dependent arithmetic, which covers a memory round trip several times.
+const PREFETCH_ROWS: usize = 4;
 
 /// Block-principal-pivoting solver.
 #[derive(Clone, Debug)]
 pub struct Bpp {
-    /// Solve rows sharing a passive set with one factorization
-    /// (ablation switch; `true` is the paper's configuration).
-    pub group_columns: bool,
     /// Safety cap on exchange rounds; `3k` + slack always suffices in
     /// practice, and the cap guards against cycling under severe
     /// ill-conditioning.
@@ -52,19 +84,37 @@ pub struct Bpp {
     pub backup_budget: u32,
     /// Reused solver state (buffers only — carries no information
     /// between calls). Public so struct-update construction
-    /// (`Bpp { group_columns: .., ..Bpp::default() }`) keeps working.
+    /// (`Bpp { max_rounds: .., ..Bpp::default() }`) keeps working.
     pub scratch: BppScratch,
 }
 
 impl Default for Bpp {
     fn default() -> Self {
         Bpp {
-            group_columns: true,
             max_rounds: 1000,
             backup_budget: 3,
             scratch: BppScratch::default(),
         }
     }
+}
+
+/// What the last [`Bpp::solve`] did, counted without allocating.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BppStats {
+    /// Exchange rounds that solved at least one row.
+    pub rounds: u64,
+    /// Distinct passive sets solved, summed over rounds.
+    pub groups: u64,
+    /// Single-row passive-set solves, summed over rounds.
+    pub row_solves: u64,
+    /// Rows of Cholesky factors computed.
+    pub factor_rows_computed: u64,
+    /// Rows of Cholesky factors kept from the previous passive set.
+    pub factor_rows_reused: u64,
+    /// 1 when the monotonicity guard kept the incoming iterate.
+    pub guard_fallbacks: u64,
+    /// Passive sets whose `G_FF` was not positive definite.
+    pub semidefinite_fallbacks: u64,
 }
 
 /// Per-row pivoting state.
@@ -76,7 +126,6 @@ struct RowState {
     best_infeasible: u32,
     /// Remaining full-exchange moves before the backup rule engages (α).
     budget: u32,
-    done: bool,
 }
 
 /// Reusable buffers held by a [`Bpp`] solver across calls (see the
@@ -84,28 +133,35 @@ struct RowState {
 #[derive(Clone, Debug, Default)]
 pub struct BppScratch {
     /// Dual matrix `y = G·x − Cᵀb` (r×k).
-    y: Mat,
+    y: Vec<f64>,
     /// Incoming iterate, kept for the monotonicity guard (r×k).
-    x_prev: Mat,
+    x_prev: Vec<f64>,
     states: Vec<RowState>,
-    /// Passive-set mask → index into `group_rows`.
-    group_of: HashMap<u128, usize>,
-    /// Row-index pools, one per active group; allocations recycled.
-    group_rows: Vec<Vec<usize>>,
-    group_masks: Vec<u128>,
-    n_groups: usize,
-    /// Per-group solve buffers.
-    support: SupportScratch,
+    /// Rows still pivoting, ascending.
+    pending: Vec<u32>,
+    /// `(bit-reversed passive mask, row)` of every pending row; sorted,
+    /// equal masks are runs and neighbouring runs share low indices.
+    keys: Vec<(u128, u32)>,
+    /// `gram` transposed (k×k), so the dual update reads `gram[j][f]` for
+    /// all `j` as one contiguous row per free index `f`.
+    gram_t: Vec<f64>,
+    factor: Factor,
+    /// Right-hand sides / solutions of one chunk (`f×nc`, row-major).
+    rhs: Vec<f64>,
+    stats: BppStats,
 }
 
-/// Buffers for one passive-set solve (`G_FF`, its factor, the stacked
-/// right-hand sides, the free-index list).
+/// The Cholesky factor of the most recent `G_FF`, in a `k×k` buffer with
+/// row stride `k`, remembered so the next passive set can keep the rows
+/// it shares.
 #[derive(Clone, Debug, Default)]
-struct SupportScratch {
+struct Factor {
+    l: Vec<f64>,
+    /// Free indices of the current passive set, ascending.
     free: Vec<usize>,
-    gff: Mat,
-    factor: Mat,
-    rhs: Mat,
+    /// Passive set the leading `rows` rows of `l` were computed for.
+    mask: u128,
+    rows: usize,
 }
 
 impl NlsSolver for Bpp {
@@ -127,33 +183,65 @@ impl Bpp {
     /// plain BPP can terminate at a point *worse* than the incoming
     /// iterate. Like production ANLS codes, we guard monotonicity: if the
     /// fresh solve does not improve the (nonnegative, feasible) incoming
-    /// `x`, the incoming iterate is kept.
+    /// `x`, the incoming iterate is kept. Both objectives are evaluated
+    /// in place ([`nls_objective`](crate::nls_objective)'s row kernel).
     pub fn solve(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
-        let (r, k) = x.shape();
-        self.scratch.x_prev.resize(r, k);
-        self.scratch.x_prev.copy_from(x);
-        self.solve_cold(gram, ctb, x);
-        if self.scratch.x_prev.all_nonnegative() {
-            let f_new = crate::nls_objective(gram, ctb, x);
-            let f_in = crate::nls_objective(gram, ctb, &self.scratch.x_prev);
-            if f_new > f_in {
-                x.copy_from(&self.scratch.x_prev);
-            }
-        }
-    }
-
-    /// The raw cold-start pivoting loop, without the monotonicity guard.
-    fn solve_cold(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
         let k = gram.nrows();
         assert_eq!(gram.ncols(), k, "gram must be square");
         assert!(k <= 128, "BPP implementation supports k <= 128");
         assert_eq!(x.shape(), ctb.shape(), "x and ctb must have equal shapes");
         assert_eq!(x.ncols(), k, "x must have k columns");
         let r = x.nrows();
+        assert!(u32::try_from(r).is_ok(), "BPP row indices are 32-bit");
+        self.scratch.stats = BppStats::default();
         if r == 0 || k == 0 {
             return;
         }
+        self.scratch.fit(r, k);
+        self.scratch.x_prev[..r * k].copy_from_slice(x.as_slice());
+        self.pivot(gram, ctb, x);
         let scr = &mut self.scratch;
+        let x_prev = &scr.x_prev[..r * k];
+        if x_prev.iter().all(|&v| v >= 0.0) {
+            let f_new = objective_rows(gram, ctb.as_slice(), x.as_slice());
+            let f_in = objective_rows(gram, ctb.as_slice(), x_prev);
+            if f_new > f_in {
+                x.as_mut_slice().copy_from_slice(x_prev);
+                scr.stats.guard_fallbacks = 1;
+            }
+        }
+    }
+
+    /// Counts from the most recent [`solve`](Self::solve) /
+    /// [`update`](NlsSolver::update).
+    pub fn last_stats(&self) -> BppStats {
+        self.scratch.stats
+    }
+
+    /// The raw cold-start pivoting loop, without the monotonicity guard.
+    fn pivot(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
+        let (r, k) = x.shape();
+        let (max_rounds, backup_budget) = (self.max_rounds, self.backup_budget);
+        let BppScratch {
+            y,
+            states,
+            pending,
+            keys,
+            gram_t,
+            factor,
+            rhs,
+            stats,
+            ..
+        } = &mut self.scratch;
+        let y = &mut y[..r * k];
+        let gram_t = &mut gram_t[..k * k];
+        for (j, col) in gram_t.chunks_exact_mut(k).enumerate() {
+            for (i, v) in col.iter_mut().enumerate() {
+                *v = gram[(i, j)];
+            }
+        }
+        // Factor rows left by an earlier call belong to another `gram`.
+        factor.rows = 0;
 
         // Initial partition: x = 0, y = −Cᵀb, all variables active.
         // (Kim & Park's standard cold start; warm starting from the
@@ -161,50 +249,34 @@ impl Bpp {
         // trajectories, which would break the paper's same-computations
         // initialization guarantee, so we keep the cold start.)
         x.as_mut_slice().fill(0.0);
-        scr.y.resize(r, k);
-        for (yv, &cv) in scr.y.as_mut_slice().iter_mut().zip(ctb.as_slice()) {
+        for (yv, &cv) in y.iter_mut().zip(ctb.as_slice()) {
             *yv = -cv;
         }
-
-        scr.states.clear();
-        scr.states.extend((0..r).map(|_| RowState {
+        states.clear();
+        states.extend((0..r).map(|_| RowState {
             passive: 0,
             best_infeasible: k as u32 + 1,
-            budget: self.backup_budget,
-            done: false,
+            budget: backup_budget,
         }));
+        pending.clear();
+        pending.extend(0..r as u32);
 
-        for _round in 0..self.max_rounds {
-            // Phase 1: per-row infeasibility detection and set exchange.
-            let mut any_pending = false;
-            for i in 0..r {
-                let st = &mut scr.states[i];
-                if st.done {
-                    continue;
-                }
-                let mut infeasible: u128 = 0;
-                let xi = x.row(i);
-                let yi = scr.y.row(i);
-                for j in 0..k {
-                    let bit = 1u128 << j;
-                    let bad = if st.passive & bit != 0 {
-                        xi[j] < 0.0
-                    } else {
-                        yi[j] < 0.0
-                    };
-                    if bad {
-                        infeasible |= bit;
-                    }
-                }
+        for _round in 0..max_rounds {
+            // Phase 1: infeasibility detection and set exchange on the
+            // rows still pivoting; a row with no infeasible variable is
+            // finished and leaves the list.
+            keys.clear();
+            pending.retain(|&row| {
+                let i = row as usize;
+                let infeasible = infeasible_mask(x.row(i), &y[i * k..(i + 1) * k]);
                 if infeasible == 0 {
-                    st.done = true;
-                    continue;
+                    return false;
                 }
-                any_pending = true;
+                let st = &mut states[i];
                 let count = infeasible.count_ones();
                 if count < st.best_infeasible {
                     st.best_infeasible = count;
-                    st.budget = self.backup_budget;
+                    st.budget = backup_budget;
                     st.passive ^= infeasible;
                 } else if st.budget > 0 {
                     st.budget -= 1;
@@ -214,54 +286,54 @@ impl Bpp {
                     let top = 127 - infeasible.leading_zeros();
                     st.passive ^= 1u128 << top;
                 }
-            }
-            if !any_pending {
+                keys.push((st.passive.reverse_bits(), row));
+                true
+            });
+            if keys.is_empty() {
                 return;
             }
+            stats.rounds += 1;
+            stats.row_solves += keys.len() as u64;
 
             // Phase 2: solve the unconstrained systems on the passive
-            // sets and refresh x, y.
-            if self.group_columns {
-                // Group rows by passive set, recycling the row-index
-                // vectors and the map's buckets.
-                scr.group_of.clear();
-                scr.n_groups = 0;
-                for (i, st) in scr.states.iter().enumerate() {
-                    if st.done {
-                        continue;
-                    }
-                    let gi = *scr.group_of.entry(st.passive).or_insert_with(|| {
-                        let gi = scr.n_groups;
-                        scr.n_groups += 1;
-                        if scr.group_rows.len() < scr.n_groups {
-                            scr.group_rows.push(Vec::new());
-                            scr.group_masks.push(0);
-                        }
-                        scr.group_rows[gi].clear();
-                        scr.group_masks[gi] = st.passive;
-                        gi
-                    });
-                    scr.group_rows[gi].push(i);
+            // sets, one run of equal keys at a time, and refresh x, y.
+            keys.sort_unstable();
+            let (mut start, mut fetched) = (0, 0);
+            while start < keys.len() {
+                let key = keys[start].0;
+                let end = start + keys[start..].iter().take_while(|e| e.0 == key).count();
+                // Sorted by mask, rows come in no memory order and most
+                // runs are one row long: start the loads of the rows a
+                // few entries ahead while this run is being solved.
+                let ahead = (end + PREFETCH_ROWS).min(keys.len());
+                for &(_, row) in &keys[fetched.max(end)..ahead] {
+                    let at = row as usize * k..(row as usize + 1) * k;
+                    prefetch(&ctb.as_slice()[at.clone()]);
+                    prefetch(&x.as_slice()[at.clone()]);
+                    prefetch(&y[at]);
                 }
-                for gi in 0..scr.n_groups {
-                    solve_support(
+                fetched = ahead;
+                stats.groups += 1;
+                let positive_definite = factor.refactor(gram, key.reverse_bits(), stats);
+                let step = if end - start >= BATCH_MIN_ROWS {
+                    RHS_CHUNK
+                } else {
+                    1
+                };
+                for rows in keys[start..end].chunks(step) {
+                    solve_rows(
                         gram,
                         ctb,
                         x,
-                        &mut scr.y,
-                        scr.group_masks[gi],
-                        &scr.group_rows[gi],
-                        &mut scr.support,
+                        y,
+                        gram_t,
+                        factor,
+                        positive_definite,
+                        rows,
+                        rhs,
                     );
                 }
-            } else {
-                // One factorization per row (ablation baseline).
-                for i in 0..r {
-                    if !scr.states[i].done {
-                        let mask = scr.states[i].passive;
-                        solve_support(gram, ctb, x, &mut scr.y, mask, &[i], &mut scr.support);
-                    }
-                }
+                start = end;
             }
         }
         // Round cap hit: keep the best-effort solution but make it
@@ -271,80 +343,183 @@ impl Bpp {
     }
 }
 
-/// Solves rows `rows` (all sharing passive set `mask`) and updates
-/// their `x` and `y` rows, using the caller's scratch buffers.
-fn solve_support(
+/// Starts loading `row`'s cache lines without waiting for them.
+#[inline]
+fn prefetch(row: &[f64]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in row.chunks(8) {
+        // SAFETY: prefetch has no memory effects, and the address is
+        // inside the live slice `row`.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch(line.as_ptr() as *const i8, _MM_HINT_T0);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
+impl BppScratch {
+    /// Grows the buffers to hold an `r×k` problem (never shrinks, so a
+    /// solver alternating between two shapes settles after one of each).
+    fn fit(&mut self, r: usize, k: usize) {
+        fn at_least(v: &mut Vec<f64>, n: usize) {
+            if v.len() < n {
+                v.resize(n, 0.0);
+            }
+        }
+        at_least(&mut self.y, r * k);
+        at_least(&mut self.x_prev, r * k);
+        at_least(&mut self.gram_t, k * k);
+        at_least(&mut self.factor.l, k * k);
+        at_least(&mut self.rhs, k * RHS_CHUNK);
+        // `states` and `pending` are refilled to exactly `r` entries per
+        // call; these two fill as the data dictates, so size them here.
+        self.keys.clear();
+        self.keys.reserve(r);
+        self.factor.free.clear();
+        self.factor.free.reserve(k);
+    }
+}
+
+/// Bit `j` set ⇔ variable `j` is infeasible: negative `x` on the passive
+/// set or negative `y` on the active set. `x` is exactly zero on the
+/// active set and `y` exactly zero on the passive set (both are written
+/// that way by every solve), so one test per variable covers both
+/// without consulting the passive mask. The comparison is `< 0.0`, not
+/// the sign bit: `y = −Cᵀb` holds `-0.0` wherever `Cᵀb` is zero.
+fn infeasible_mask(xi: &[f64], yi: &[f64]) -> u128 {
+    let mut mask = 0u128;
+    for (word, (xw, yw)) in xi.chunks(64).zip(yi.chunks(64)).enumerate() {
+        let mut bits = 0u64;
+        for (j, (&xv, &yv)) in xw.iter().zip(yw).enumerate() {
+            bits |= u64::from((xv < 0.0) | (yv < 0.0)) << j;
+        }
+        mask |= u128::from(bits) << (64 * word);
+    }
+    mask
+}
+
+impl Factor {
+    /// Makes `l` the Cholesky factor of `G_FF` for passive set `mask`,
+    /// keeping the leading rows shared with the previous set. Returns
+    /// `false` when `G_FF` is not positive definite; the rows before the
+    /// failing pivot stay valid for the next set.
+    ///
+    /// Row-oriented (Cholesky–Banachiewicz): entry `(a, b)` is
+    /// `(G[f_a][f_b] − Σ_{t<b} L[a][t]·L[b][t]) / L[b][b]`, summed in the
+    /// same order as the column-oriented textbook form, so the factor —
+    /// and the pivot at which a semidefinite `G_FF` fails — are
+    /// bit-identical to it. Row `a` reads only rows `≤ a`, which is why
+    /// a shared prefix of free indices means shared rows.
+    // `!(d > 0.0)` is deliberate: it also catches NaN pivots.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn refactor(&mut self, gram: &Mat, mask: u128, stats: &mut BppStats) -> bool {
+        let k = gram.nrows();
+        // Variables below the lowest differing bit are shared.
+        let shared_vars = (self.mask ^ mask).trailing_zeros();
+        let shared_rows = match 1u128.checked_shl(shared_vars) {
+            Some(bit) => (mask & (bit - 1)).count_ones() as usize,
+            None => usize::MAX,
+        };
+        let keep = self.rows.min(shared_rows);
+        self.mask = mask;
+        self.free.clear();
+        let mut left = mask;
+        while left != 0 {
+            self.free.push(left.trailing_zeros() as usize);
+            left &= left - 1;
+        }
+        let f = self.free.len();
+        stats.factor_rows_reused += keep as u64;
+        for a in keep..f {
+            let ga = gram.row(self.free[a]);
+            let (done, la) = self.l[..(a + 1) * k].split_at_mut(a * k);
+            for b in 0..a {
+                let lb = &done[b * k..b * k + b + 1];
+                let mut s = ga[self.free[b]];
+                for (&lat, &lbt) in la[..b].iter().zip(lb) {
+                    s -= lat * lbt;
+                }
+                la[b] = s / lb[b];
+            }
+            let mut d = ga[self.free[a]];
+            for &lat in &la[..a] {
+                d -= lat * lat;
+            }
+            if !(d > 0.0) {
+                self.rows = a;
+                stats.factor_rows_computed += (a - keep) as u64;
+                stats.semidefinite_fallbacks += 1;
+                return false;
+            }
+            la[a] = d.sqrt();
+        }
+        self.rows = f;
+        stats.factor_rows_computed += (f - keep) as u64;
+        true
+    }
+}
+
+/// Solves `rows` (all sharing the passive set held by `factor`) and
+/// updates their `x` and `y` rows.
+#[allow(clippy::too_many_arguments)]
+fn solve_rows(
     gram: &Mat,
     ctb: &Mat,
     x: &mut Mat,
-    y: &mut Mat,
-    mask: u128,
-    rows: &[usize],
-    scr: &mut SupportScratch,
+    y: &mut [f64],
+    gram_t: &[f64],
+    factor: &Factor,
+    positive_definite: bool,
+    rows: &[(u128, u32)],
+    rhs: &mut [f64],
 ) {
     let k = gram.nrows();
-    scr.free.clear();
-    scr.free
-        .extend((0..k).filter(|&j| mask & (1u128 << j) != 0));
-    let free = &scr.free;
+    let free = &factor.free[..];
     let f = free.len();
-
-    if f == 0 {
-        // Entirely active: x = 0, y = −Cᵀb.
-        for &i in rows {
-            x.row_mut(i).fill(0.0);
-            let yi = y.row_mut(i);
-            for (j, v) in yi.iter_mut().enumerate() {
-                *v = -ctb[(i, j)];
-            }
-        }
-        return;
-    }
-
-    // G_FF and the stacked right-hand sides (one column per row).
-    scr.gff.resize(f, f);
-    for (a, &ja) in free.iter().enumerate() {
-        for (b, &jb) in free.iter().enumerate() {
-            scr.gff[(a, b)] = gram[(ja, jb)];
-        }
-    }
-    scr.rhs.resize(f, rows.len());
-    for (col, &i) in rows.iter().enumerate() {
+    let nc = rows.len();
+    let sol = &mut rhs[..f * nc];
+    for (col, &(_, row)) in rows.iter().enumerate() {
+        let bi = ctb.row(row as usize);
         for (a, &ja) in free.iter().enumerate() {
-            scr.rhs[(a, col)] = ctb[(i, ja)];
+            sol[a * nc + col] = bi[ja];
         }
     }
-    // Factor and solve in place: `rhs` holds the solution afterwards.
-    match cholesky_into(&scr.gff, &mut scr.factor) {
-        Ok(()) => cholesky_solve_in_place(&scr.factor, &mut scr.rhs),
-        Err(_) => {
-            // Semidefinite fallback (rare): shifted solve, allocating.
-            let sol = solve_spd(&scr.gff, &scr.rhs).unwrap_or_else(|_| Mat::zeros(f, rows.len()));
-            scr.rhs.copy_from(&sol);
+    if positive_definite {
+        cholesky_solve_slices(&factor.l, k, f, sol, nc);
+    } else {
+        // Semidefinite fallback (rare): shifted solve, allocating.
+        let gff = Mat::from_fn(f, f, |a, b| gram[(free[a], free[b])]);
+        let b = Mat::from_vec(f, nc, sol.to_vec());
+        match solve_spd(&gff, &b) {
+            Ok(shifted) => sol.copy_from_slice(shifted.as_slice()),
+            Err(_) => sol.fill(0.0),
         }
     }
-    let sol = &scr.rhs;
 
-    for (col, &i) in rows.iter().enumerate() {
+    for (col, &(_, row)) in rows.iter().enumerate() {
+        let i = row as usize;
         // x_F = solution, x elsewhere = 0.
         let xi = x.row_mut(i);
         xi.fill(0.0);
         for (a, &ja) in free.iter().enumerate() {
-            xi[ja] = sol[(a, col)];
+            xi[ja] = sol[a * nc + col];
         }
-        // y = G·x − Cᵀb on the active set; exactly 0 on F.
-        let yi = y.row_mut(i);
-        for j in 0..k {
-            if mask & (1u128 << j) != 0 {
-                yi[j] = 0.0;
-            } else {
-                let mut v = -ctb[(i, j)];
-                let grow = gram.row(j);
-                for (a, &ja) in free.iter().enumerate() {
-                    v += grow[ja] * sol[(a, col)];
-                }
-                yi[j] = v;
+        // y = G·x − Cᵀb, accumulated over the free indices in ascending
+        // order for every variable at once; exactly 0 on F.
+        let yi = &mut y[i * k..(i + 1) * k];
+        for (v, &c) in yi.iter_mut().zip(ctb.row(i)) {
+            *v = -c;
+        }
+        for (a, &ja) in free.iter().enumerate() {
+            let xa = sol[a * nc + col];
+            for (v, &g) in yi.iter_mut().zip(&gram_t[ja * k..(ja + 1) * k]) {
+                *v += g * xa;
             }
+        }
+        for &ja in free {
+            yi[ja] = 0.0;
         }
     }
 }
@@ -413,42 +588,85 @@ mod tests {
     }
 
     #[test]
-    fn grouping_matches_rowwise() {
-        let (g, ctb) = instance(8, 50, 11);
-        let mut x_grouped = Mat::zeros(50, 8);
-        let mut x_rowwise = Mat::zeros(50, 8);
-        Bpp {
-            group_columns: true,
-            ..Bpp::default()
-        }
-        .solve(&g, &ctb, &mut x_grouped);
-        Bpp {
-            group_columns: false,
-            ..Bpp::default()
-        }
-        .solve(&g, &ctb, &mut x_rowwise);
-        assert!(x_grouped.max_abs_diff(&x_rowwise) < 1e-9);
-    }
-
-    #[test]
     fn reused_solver_matches_fresh_solver() {
         // One solver instance reused across many calls (the driver
-        // pattern) must produce the same results as a fresh solver per
-        // call — scratch carries no state between calls.
+        // pattern: W-shaped and H-shaped problems alternate, and here `k`
+        // changes too) must produce the same results as a fresh solver
+        // per call — scratch carries no state between calls. In
+        // particular the factor rows left by one call, for another Gram
+        // matrix or another `k`-stride, are never taken for a prefix of
+        // the next call's first passive set.
         let mut reused = Bpp::default();
-        for seed in 0..12 {
-            let k = 3 + (seed as usize % 6);
-            let r = 5 + (seed as usize % 17);
+        for seed in 0..24 {
+            let k = [3, 8, 5, 8, 17, 4][seed as usize % 6];
+            let r = if seed % 2 == 0 {
+                5 + seed as usize
+            } else {
+                90 - seed as usize
+            };
             let (g, ctb) = instance(k, r, 300 + seed);
             let mut x_reused = Mat::zeros(r, k);
             reused.solve(&g, &ctb, &mut x_reused);
+            let mut fresh = Bpp::default();
             let mut x_fresh = Mat::zeros(r, k);
-            Bpp::default().solve(&g, &ctb, &mut x_fresh);
+            fresh.solve(&g, &ctb, &mut x_fresh);
             assert_eq!(
                 x_reused, x_fresh,
                 "seed {seed}: reused-scratch solve diverged from fresh solve"
             );
+            assert_eq!(reused.last_stats(), fresh.last_stats(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn stats_count_groups_and_prefix_reuse_on_power_law_rows() {
+        // Power-law-sparse right-hand sides: most rows have a handful of
+        // positive entries, concentrated on low indices, so passive sets
+        // are many, small, mostly unique — and share leading indices.
+        let k = 32;
+        let r = 1500;
+        let (g, _) = instance(k, 1, 77);
+        let mut ctb = Mat::uniform(r, k, 78);
+        for i in 0..r {
+            let keep = 1 + (r / (i + 1)).min(k - 1);
+            for j in 0..k {
+                let v = ctb[(i, j)];
+                let hit = ((i * 31 + j * 17) % (j + 2)) == 0 && j < keep + 8;
+                ctb[(i, j)] = if hit { 5.0 * v } else { -v };
+            }
+        }
+        let mut solver = Bpp::default();
+        let mut x = Mat::zeros(r, k);
+        solver.solve(&g, &ctb, &mut x);
+        let st = solver.last_stats();
+        assert!(st.rounds >= 1);
+        assert!(st.groups >= 1 && st.groups <= st.row_solves, "{st:?}");
+        assert!(st.row_solves >= r as u64 / 2, "{st:?}");
+        assert!(st.factor_rows_reused > 0, "{st:?}");
+        assert!(st.factor_rows_computed > 0, "{st:?}");
+        assert_eq!(st.semidefinite_fallbacks, 0, "{st:?}");
+        assert_eq!(st.guard_fallbacks, 0, "{st:?}");
+        // Counts are per call, not cumulative.
+        solver.solve(&g, &ctb, &mut x);
+        assert_eq!(solver.last_stats(), st);
+    }
+
+    #[test]
+    fn guard_keeps_a_better_incoming_iterate() {
+        let (g, ctb) = instance(6, 20, 41);
+        let mut x = Mat::zeros(20, 6);
+        Bpp::default().solve(&g, &ctb, &mut x);
+        let optimum = x.clone();
+        // With no exchange rounds allowed the pivoting loop returns the
+        // all-zero start, which the optimum handed in beats.
+        let mut capped = Bpp {
+            max_rounds: 0,
+            ..Bpp::default()
+        };
+        capped.solve(&g, &ctb, &mut x);
+        assert_eq!(x, optimum);
+        assert_eq!(capped.last_stats().guard_fallbacks, 1);
+        assert_eq!(capped.last_stats().rounds, 0);
     }
 
     #[test]

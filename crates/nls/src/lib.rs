@@ -36,10 +36,11 @@ pub mod hals;
 pub mod mu;
 pub mod reference;
 
+use nmf_matrix::gemm::{dot, dot4};
 use nmf_matrix::Mat;
 
 pub use active_set::ActiveSet;
-pub use bpp::Bpp;
+pub use bpp::{Bpp, BppStats};
 pub use hals::Hals;
 pub use mu::Mu;
 
@@ -47,7 +48,7 @@ pub use mu::Mu;
 /// `minimize Σᵢ ‖xᵢ‖²_G − 2·xᵢᵀ·CtBᵢ  subject to X ≥ 0`.
 ///
 /// `update` takes `&mut self` so solvers can keep reusable workspaces
-/// (pivot states, grouping tables, factor buffers) across the one-call-
+/// (pivot states, sort keys, factor buffers) across the one-call-
 /// per-factor-per-iteration pattern of the ANLS drivers — the scratch is
 /// buffer reuse only and must never carry *information* between calls
 /// (every call's result is a pure function of `gram`, `ctb`, and `x`).
@@ -99,18 +100,51 @@ impl SolverKind {
 
 /// The (shifted) objective `Σᵢ xᵢᵀ·G·xᵢ − 2·xᵢᵀ·bᵢ`; differs from
 /// `Σ‖Cxᵢ−bᵢ‖²` by the constant `Σ‖bᵢ‖²`, so it orders solutions
-/// identically. Used by tests to verify monotonicity and optimality.
+/// identically. Used by BPP's monotonicity guard and by tests to verify
+/// monotonicity and optimality. Allocates nothing.
 pub fn nls_objective(gram: &Mat, ctb: &Mat, x: &Mat) -> f64 {
     assert_eq!(x.shape(), ctb.shape());
     assert_eq!(gram.nrows(), x.ncols());
-    let xg = nmf_matrix::matmul_tb(x, gram); // r×k, row i = G·xᵢ (G symmetric)
+    objective_rows(gram, ctb.as_slice(), x.as_slice())
+}
+
+/// [`nls_objective`] over row-major `r×k` slices.
+///
+/// The value is the one the dense form `X·Gᵀ` ([`nmf_matrix::matmul_tb`])
+/// followed by a running sum over `(i, j)` produces, bit for bit, for
+/// finite inputs: each `(G·xᵢ)ⱼ` comes from the same dispatched
+/// [`dot4`]/[`dot`] call that product makes, and the terms enter the sum
+/// in the same order. Only the work is skipped where `xᵢⱼ = 0` makes the
+/// term a signed zero, which leaves a running sum that started at `+0.0`
+/// unchanged — so the cost follows the nonzeros of `x` (a quarter-row of
+/// `G` per four-column block holding one).
+pub(crate) fn objective_rows(gram: &Mat, ctb: &[f64], x: &[f64]) -> f64 {
+    let k = gram.nrows();
+    if k == 0 {
+        return 0.0;
+    }
+    let k4 = k - k % 4;
     let mut obj = 0.0;
-    for i in 0..x.nrows() {
-        let xi = x.row(i);
-        let gxi = xg.row(i);
-        let bi = ctb.row(i);
-        for j in 0..x.ncols() {
-            obj += xi[j] * gxi[j] - 2.0 * xi[j] * bi[j];
+    for (xi, bi) in x.chunks_exact(k).zip(ctb.chunks_exact(k)) {
+        for j in (0..k4).step_by(4) {
+            if xi[j..j + 4].iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            let (s0, s1, s2, s3) = dot4(
+                xi,
+                gram.row(j),
+                gram.row(j + 1),
+                gram.row(j + 2),
+                gram.row(j + 3),
+            );
+            for (jj, s) in (j..).zip([s0, s1, s2, s3]) {
+                obj += xi[jj] * s - 2.0 * xi[jj] * bi[jj];
+            }
+        }
+        for jj in k4..k {
+            if xi[jj] != 0.0 {
+                obj += xi[jj] * dot(xi, gram.row(jj)) - 2.0 * xi[jj] * bi[jj];
+            }
         }
     }
     obj
@@ -143,6 +177,33 @@ mod tests {
         }
         let shifted = nls_objective(&g, &ctb, &x) + b.fro_norm_sq();
         assert!((direct - shifted).abs() < 1e-9 * direct.max(1.0));
+    }
+
+    #[test]
+    fn objective_equals_dense_form_bit_for_bit() {
+        // Widths on both sides of the dispatched dot products' SIMD
+        // threshold (32) and with every `k % 4` tail; `x` sparse enough
+        // that whole four-column blocks and whole rows are skipped.
+        for k in [1usize, 3, 4, 8, 31, 32, 33, 64, 65, 127] {
+            let r = 37;
+            let c = Mat::gaussian(2 * k + 3, k, k as u64);
+            let g = gram(&c);
+            let ctb = Mat::gaussian(r, k, 100 + k as u64);
+            let mut x = Mat::uniform(r, k, 200 + k as u64);
+            for (at, v) in x.as_mut_slice().iter_mut().enumerate() {
+                if (at * 7 + at / k) % 5 != 0 || (at / k) % 6 == 0 {
+                    *v = 0.0;
+                }
+            }
+            let xg = nmf_matrix::matmul_tb(&x, &g);
+            let mut dense = 0.0;
+            for i in 0..r {
+                for j in 0..k {
+                    dense += x[(i, j)] * xg[(i, j)] - 2.0 * x[(i, j)] * ctb[(i, j)];
+                }
+            }
+            assert_eq!(nls_objective(&g, &ctb, &x), dense, "k = {k}");
+        }
     }
 
     #[test]

@@ -85,10 +85,28 @@ pub struct OpStats {
     pub inflight: Duration,
 }
 
+/// [`OpStats`] as stored: the three durations as whole nanoseconds in a
+/// `u64` (584 years), half the size of a `Duration` each. One
+/// [`CommStats`] is kept per iteration of every run, so its size is
+/// what a long run's records cost.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Counters {
+    messages: u64,
+    words: u64,
+    posts: u64,
+    time_ns: u64,
+    overlap_ns: u64,
+    inflight_ns: u64,
+}
+
+fn nanos(t: Duration) -> u64 {
+    u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// All counters for one rank.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CommStats {
-    per_op: [OpStats; 8],
+    per_op: [Counters; 8],
 }
 
 impl CommStats {
@@ -103,7 +121,7 @@ impl CommStats {
     }
 
     pub(crate) fn record_time(&mut self, op: Op, t: Duration) {
-        self.per_op[op.idx()].time += t;
+        self.per_op[op.idx()].time_ns += nanos(t);
     }
 
     /// Charges one split-phase post.
@@ -115,13 +133,21 @@ impl CommStats {
     /// window, `inflight` the full post-begin→wait-end span.
     pub(crate) fn record_split_wait(&mut self, op: Op, overlap: Duration, inflight: Duration) {
         let s = &mut self.per_op[op.idx()];
-        s.overlap += overlap;
-        s.inflight += inflight;
+        s.overlap_ns += nanos(overlap);
+        s.inflight_ns += nanos(inflight);
     }
 
     /// Counters for one operation class.
     pub fn op(&self, op: Op) -> OpStats {
-        self.per_op[op.idx()]
+        let s = &self.per_op[op.idx()];
+        OpStats {
+            messages: s.messages,
+            words: s.words,
+            time: Duration::from_nanos(s.time_ns),
+            posts: s.posts,
+            overlap: Duration::from_nanos(s.overlap_ns),
+            inflight: Duration::from_nanos(s.inflight_ns),
+        }
     }
 
     /// Total messages sent by this rank.
@@ -136,7 +162,7 @@ impl CommStats {
 
     /// Total time in communication.
     pub fn total_time(&self) -> Duration {
-        self.per_op.iter().map(|s| s.time).sum()
+        Duration::from_nanos(self.per_op.iter().map(|s| s.time_ns).sum())
     }
 
     /// Accumulates `other` into `self` (for summing across ranks or
@@ -145,10 +171,10 @@ impl CommStats {
         for (a, b) in self.per_op.iter_mut().zip(&other.per_op) {
             a.messages += b.messages;
             a.words += b.words;
-            a.time += b.time;
             a.posts += b.posts;
-            a.overlap += b.overlap;
-            a.inflight += b.inflight;
+            a.time_ns += b.time_ns;
+            a.overlap_ns += b.overlap_ns;
+            a.inflight_ns += b.inflight_ns;
         }
     }
 
@@ -158,10 +184,10 @@ impl CommStats {
         for (a, b) in self.per_op.iter_mut().zip(&other.per_op) {
             a.messages = a.messages.max(b.messages);
             a.words = a.words.max(b.words);
-            a.time = a.time.max(b.time);
             a.posts = a.posts.max(b.posts);
-            a.overlap = a.overlap.max(b.overlap);
-            a.inflight = a.inflight.max(b.inflight);
+            a.time_ns = a.time_ns.max(b.time_ns);
+            a.overlap_ns = a.overlap_ns.max(b.overlap_ns);
+            a.inflight_ns = a.inflight_ns.max(b.inflight_ns);
         }
     }
 
@@ -170,17 +196,13 @@ impl CommStats {
     /// counters.
     pub fn delta_since(&self, earlier: &CommStats) -> CommStats {
         let mut out = CommStats::new();
-        for (i, o) in out.per_op.iter_mut().enumerate() {
-            o.messages = self.per_op[i].messages - earlier.per_op[i].messages;
-            o.words = self.per_op[i].words - earlier.per_op[i].words;
-            o.time = self.per_op[i].time.saturating_sub(earlier.per_op[i].time);
-            o.posts = self.per_op[i].posts - earlier.per_op[i].posts;
-            o.overlap = self.per_op[i]
-                .overlap
-                .saturating_sub(earlier.per_op[i].overlap);
-            o.inflight = self.per_op[i]
-                .inflight
-                .saturating_sub(earlier.per_op[i].inflight);
+        for ((o, now), then) in out.per_op.iter_mut().zip(&self.per_op).zip(&earlier.per_op) {
+            o.messages = now.messages - then.messages;
+            o.words = now.words - then.words;
+            o.posts = now.posts - then.posts;
+            o.time_ns = now.time_ns.saturating_sub(then.time_ns);
+            o.overlap_ns = now.overlap_ns.saturating_sub(then.overlap_ns);
+            o.inflight_ns = now.inflight_ns.saturating_sub(then.inflight_ns);
         }
         out
     }
@@ -188,7 +210,7 @@ impl CommStats {
     /// Total wall-clock of compute hidden behind in-flight split-phase
     /// collectives (sum of post→wait windows across ops).
     pub fn total_overlap(&self) -> Duration {
-        self.per_op.iter().map(|s| s.overlap).sum()
+        Duration::from_nanos(self.per_op.iter().map(|s| s.overlap_ns).sum())
     }
 
     /// Total split-phase posts across ops.
@@ -227,6 +249,27 @@ mod tests {
         let mut back = snapshot.clone();
         back.merge(&d);
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn durations_round_trip_through_the_compact_counters() {
+        let mut s = CommStats::new();
+        s.record_time(Op::AllGather, Duration::from_nanos(1_500));
+        s.record_time(Op::AllGather, Duration::from_micros(2));
+        s.record_post(Op::AllGather);
+        s.record_split_wait(
+            Op::AllGather,
+            Duration::from_nanos(7),
+            Duration::from_secs(3),
+        );
+        let op = s.op(Op::AllGather);
+        assert_eq!(op.time, Duration::from_nanos(3_500));
+        assert_eq!(op.overlap, Duration::from_nanos(7));
+        assert_eq!(op.inflight, Duration::from_secs(3));
+        assert_eq!(s.total_time(), Duration::from_nanos(3_500));
+        assert_eq!(s.total_overlap(), Duration::from_nanos(7));
+        // One record per iteration per run: keep it small.
+        assert!(std::mem::size_of::<CommStats>() <= 384);
     }
 
     #[test]
