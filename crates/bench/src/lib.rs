@@ -1,7 +1,8 @@
-//! Shared infrastructure for the experiment binaries and Criterion
-//! benches that regenerate the paper's tables and figures.
+//! Shared infrastructure for the experiment binaries that regenerate
+//! the paper's tables and figures. (Timing harnesses live in
+//! `benchmark/`, not here.)
 //!
-//! Two complementary modes, documented in `EXPERIMENTS.md`:
+//! Two complementary modes:
 //!
 //! * **measured** — real multithreaded runs of the actual drivers on
 //!   scaled-down datasets (this machine cannot hold 600 cores or a

@@ -52,7 +52,7 @@ use crate::regrid::GlobalFactors;
 use crate::session::factor_layouts;
 use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -346,99 +346,24 @@ pub struct CheckpointSummary {
 /// than an error, so an operator can still see what the damaged file
 /// claimed to be; a header that itself fails to parse is an error.
 pub fn inspect_checkpoint(path: &Path) -> Result<CheckpointSummary, NmfError> {
-    let io = |source| NmfError::Io {
-        path: path.to_path_buf(),
-        source,
-    };
-    let corrupt = |reason: String| NmfError::Corrupt {
-        path: path.to_path_buf(),
-        reason,
-    };
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .map_err(io)?
-        .read_to_end(&mut bytes)
-        .map_err(io)?;
-    summarize(&bytes).map_err(|e| match e {
-        DecodeError::Corrupt(reason) => corrupt(reason),
-        DecodeError::Version(found) => NmfError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            found,
-            supported: FORMAT_VERSION,
-        },
-        DecodeError::Fingerprint { expected, found } => {
-            NmfError::FingerprintMismatch { expected, found }
-        }
-        DecodeError::Shape {
-            field,
-            expected,
-            found,
-        } => NmfError::CheckpointMismatch {
-            field,
-            expected,
-            found,
-        },
-    })
+    summarize(&read_file(path)?).map_err(|e| e.at(path))
 }
 
 fn summarize(bytes: &[u8]) -> Result<CheckpointSummary, DecodeError> {
-    let corrupt = |s: &str| DecodeError::Corrupt(s.to_string());
-    if bytes.len() < MAGIC.len() + 4 {
-        return Err(corrupt("file shorter than the header"));
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(corrupt("bad magic (not an NMF checkpoint)"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if !(1..=FORMAT_VERSION).contains(&version) {
-        return Err(DecodeError::Version(version));
-    }
-    if bytes.len() < 8 + 4 + 8 + 8 {
-        return Err(corrupt("truncated before the meta block"));
-    }
-    let body_len = bytes.len() - 8;
-    let stored_sum = u64::from_le_bytes(bytes[body_len..].try_into().expect("8 bytes"));
-    let checksum_ok = fnv1a(&bytes[..body_len]) == stored_sum;
+    let env = open_envelope(bytes)?;
+    let Header {
+        meta,
+        fingerprint,
+        state,
+        mut r,
+    } = read_header(env.body)?;
 
-    let mut r = Cursor {
-        bytes: &bytes[..body_len],
-        pos: 12,
-    };
-    let meta_len = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    let meta_bytes = r.take(meta_len).map_err(DecodeError::Corrupt)?.to_vec();
-    let mut mr = Cursor {
-        bytes: &meta_bytes,
-        pos: 0,
-    };
-    let meta = CheckpointMeta::decode(&mut mr).map_err(DecodeError::Corrupt)?;
-    let stored_fp = r.u64().map_err(DecodeError::Corrupt)?;
-    let actual_fp = fnv1a(&meta_bytes);
-    if stored_fp != actual_fp {
-        return Err(DecodeError::Fingerprint {
-            expected: actual_fp,
-            found: stored_fp,
-        });
-    }
-
-    let objective = r.f64().map_err(DecodeError::Corrupt)?;
-    let _first = r.opt_f64().map_err(DecodeError::Corrupt)?;
-    let iterations_done = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    let hist_len = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    if hist_len > body_len {
-        return Err(corrupt("objective history longer than the file"));
-    }
-    r.take(8 * hist_len).map_err(DecodeError::Corrupt)?;
-    let elapsed = Duration::from_nanos(r.u64().map_err(DecodeError::Corrupt)?);
-
-    let (w_shape, ht_shape, factor_blocks) = if version == 1 {
+    let (w_shape, ht_shape, factor_blocks) = if env.version == 1 {
         let w = r.skip_mat().map_err(DecodeError::Corrupt)?;
         let ht = r.skip_mat().map_err(DecodeError::Corrupt)?;
         (w, ht, 1)
     } else {
-        let nblocks = r.u64().map_err(DecodeError::Corrupt)? as usize;
-        if nblocks == 0 || nblocks > r.remaining() / 16 {
-            return Err(corrupt("factor section claims more blocks than fit"));
-        }
+        let nblocks = read_block_count(&mut r)?;
         // Accumulate the assembled totals from the block headers alone:
         // the W parts (then the Hᵀ parts) tile their global matrix, so
         // the row counts sum to m (then n).
@@ -454,16 +379,16 @@ fn summarize(bytes: &[u8]) -> Result<CheckpointSummary, DecodeError> {
     };
 
     Ok(CheckpointSummary {
-        version,
+        version: env.version,
         meta,
-        fingerprint: stored_fp,
-        iterations_done,
-        objective,
-        elapsed,
+        fingerprint,
+        iterations_done: state.iterations_done,
+        objective: state.prev_objective,
+        elapsed: state.elapsed,
         w_shape,
         ht_shape,
         factor_blocks,
-        checksum_ok,
+        checksum_ok: env.checksum_ok,
         file_bytes: bytes.len(),
     })
 }
@@ -471,38 +396,13 @@ fn summarize(bytes: &[u8]) -> Result<CheckpointSummary, DecodeError> {
 /// Reads and validates a checkpoint from `path`: magic, version, config
 /// fingerprint, internal shape consistency, and whole-file checksum.
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, NmfError> {
-    let io = |source| NmfError::Io {
+    decode(&read_file(path)?, path).map_err(|e| e.at(path))
+}
+
+fn read_file(path: &Path) -> Result<Vec<u8>, NmfError> {
+    std::fs::read(path).map_err(|source| NmfError::Io {
         path: path.to_path_buf(),
         source,
-    };
-    let corrupt = |reason: String| NmfError::Corrupt {
-        path: path.to_path_buf(),
-        reason,
-    };
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .map_err(io)?
-        .read_to_end(&mut bytes)
-        .map_err(io)?;
-    decode(&bytes, path).map_err(|e| match e {
-        DecodeError::Corrupt(reason) => corrupt(reason),
-        DecodeError::Version(found) => NmfError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            found,
-            supported: FORMAT_VERSION,
-        },
-        DecodeError::Fingerprint { expected, found } => {
-            NmfError::FingerprintMismatch { expected, found }
-        }
-        DecodeError::Shape {
-            field,
-            expected,
-            found,
-        } => NmfError::CheckpointMismatch {
-            field,
-            expected,
-            found,
-        },
     })
 }
 
@@ -570,7 +470,43 @@ enum DecodeError {
     },
 }
 
-fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
+impl DecodeError {
+    /// The caller-facing error for a failure decoding the file at `path`.
+    fn at(self, path: &Path) -> NmfError {
+        let path = path.to_path_buf();
+        match self {
+            DecodeError::Corrupt(reason) => NmfError::Corrupt { path, reason },
+            DecodeError::Version(found) => NmfError::UnsupportedVersion {
+                path,
+                found,
+                supported: FORMAT_VERSION,
+            },
+            DecodeError::Fingerprint { expected, found } => {
+                NmfError::FingerprintMismatch { expected, found }
+            }
+            DecodeError::Shape {
+                field,
+                expected,
+                found,
+            } => NmfError::CheckpointMismatch {
+                field,
+                expected,
+                found,
+            },
+        }
+    }
+}
+
+/// The outer frame of a checkpoint file: `body` is every byte before
+/// the trailing checksum. A failed checksum is reported, not judged —
+/// the full reader rejects it, the summary passes it on.
+struct Envelope<'a> {
+    version: u32,
+    body: &'a [u8],
+    checksum_ok: bool,
+}
+
+fn open_envelope(bytes: &[u8]) -> Result<Envelope<'_>, DecodeError> {
     let corrupt = |s: &str| DecodeError::Corrupt(s.to_string());
     if bytes.len() < MAGIC.len() + 4 {
         return Err(corrupt("file shorter than the header"));
@@ -587,33 +523,43 @@ fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
     if bytes.len() < 8 + 4 + 8 {
         return Err(corrupt("truncated before the meta block"));
     }
-    let body_len = bytes.len() - 8;
-    let stored_sum = u64::from_le_bytes(bytes[body_len..].try_into().expect("8 bytes"));
-    if fnv1a(&bytes[..body_len]) != stored_sum {
-        return Err(corrupt(
-            "checksum mismatch (the file was truncated or altered)",
-        ));
-    }
+    let (body, stored_sum) = bytes.split_at(bytes.len() - 8);
+    let stored_sum = u64::from_le_bytes(stored_sum.try_into().expect("8 bytes"));
+    Ok(Envelope {
+        version,
+        body,
+        checksum_ok: fnv1a(body) == stored_sum,
+    })
+}
 
+/// Everything between the version word and the factor section, with the
+/// cursor `r` left at the factor section's first byte.
+struct Header<'a> {
+    meta: CheckpointMeta,
+    /// The stored config fingerprint (verified against the meta block).
+    fingerprint: u64,
+    state: ConvergenceState,
+    r: Cursor<'a>,
+}
+
+fn read_header(body: &[u8]) -> Result<Header<'_>, DecodeError> {
     let mut r = Cursor {
-        bytes: &bytes[..body_len],
+        bytes: body,
         pos: 12,
     };
     let meta_len = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    let meta_start = r.pos;
-    let meta_bytes = r.take(meta_len).map_err(DecodeError::Corrupt)?.to_vec();
+    let meta_bytes = r.take(meta_len).map_err(DecodeError::Corrupt)?;
     let mut mr = Cursor {
-        bytes: &meta_bytes,
+        bytes: meta_bytes,
         pos: 0,
     };
     let meta = CheckpointMeta::decode(&mut mr).map_err(DecodeError::Corrupt)?;
-    debug_assert_eq!(meta_start + meta_len, r.pos);
-    let stored_fp = r.u64().map_err(DecodeError::Corrupt)?;
-    let actual_fp = fnv1a(&meta_bytes);
-    if stored_fp != actual_fp {
+    let fingerprint = r.u64().map_err(DecodeError::Corrupt)?;
+    let actual_fp = fnv1a(meta_bytes);
+    if fingerprint != actual_fp {
         return Err(DecodeError::Fingerprint {
             expected: actual_fp,
-            found: stored_fp,
+            found: fingerprint,
         });
     }
 
@@ -621,18 +567,58 @@ fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
     let first_objective = r.opt_f64().map_err(DecodeError::Corrupt)?;
     let iterations_done = r.u64().map_err(DecodeError::Corrupt)? as usize;
     let hist_len = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    if hist_len > body_len {
-        return Err(corrupt("objective history longer than the file"));
+    if hist_len > r.remaining() / 8 {
+        return Err(DecodeError::Corrupt(
+            "objective history longer than the file".to_string(),
+        ));
     }
     let mut objective_history = Vec::with_capacity(hist_len);
     for _ in 0..hist_len {
         objective_history.push(r.f64().map_err(DecodeError::Corrupt)?);
     }
     let elapsed = Duration::from_nanos(r.u64().map_err(DecodeError::Corrupt)?);
+    Ok(Header {
+        meta,
+        fingerprint,
+        state: ConvergenceState {
+            prev_objective,
+            first_objective,
+            iterations_done,
+            objective_history,
+            elapsed,
+        },
+        r,
+    })
+}
+
+/// The v2 factor section's block count, bounded by the bytes actually
+/// present (each block has a 16-byte header) *before* anything is sized
+/// by it, so a crafted header cannot force a giant allocation.
+fn read_block_count(r: &mut Cursor<'_>) -> Result<usize, DecodeError> {
+    let nblocks = r.u64().map_err(DecodeError::Corrupt)? as usize;
+    if nblocks == 0 || nblocks > r.remaining() / 16 {
+        return Err(DecodeError::Corrupt(
+            "factor section claims more blocks than fit".to_string(),
+        ));
+    }
+    Ok(nblocks)
+}
+
+fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
+    let corrupt = |s: &str| DecodeError::Corrupt(s.to_string());
+    let env = open_envelope(bytes)?;
+    if !env.checksum_ok {
+        return Err(corrupt(
+            "checksum mismatch (the file was truncated or altered)",
+        ));
+    }
+    let Header {
+        meta, state, mut r, ..
+    } = read_header(env.body)?;
 
     let (m, n, k) = (meta.m, meta.n, meta.config.k);
     let (w, ht) =
-        if version == 1 {
+        if env.version == 1 {
             // v1: one assembled W, one assembled Hᵀ.
             let w = r.mat().map_err(DecodeError::Corrupt)?;
             let ht = r.mat().map_err(DecodeError::Corrupt)?;
@@ -653,13 +639,8 @@ fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
             (w, ht)
         } else {
             // v2: per-rank blocks, reassembled through the regrid
-            // globalizer. The block count is bounded by the bytes actually
-            // present *before* the layout vector is sized, so a crafted
-            // header cannot force a giant allocation.
-            let nblocks = r.u64().map_err(DecodeError::Corrupt)? as usize;
-            if nblocks == 0 || nblocks > r.remaining() / 16 {
-                return Err(corrupt("factor section claims more blocks than fit"));
-            }
+            // globalizer.
+            let nblocks = read_block_count(&mut r)?;
             if nblocks != meta.ranks {
                 return Err(DecodeError::Shape {
                     field: "factor blocks",
@@ -691,22 +672,11 @@ fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
                 })?;
             (global.w, global.ht)
         };
-    if r.pos != body_len {
+    if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after the factor blocks"));
     }
 
-    Ok(Checkpoint {
-        meta,
-        state: ConvergenceState {
-            prev_objective,
-            first_objective,
-            iterations_done,
-            objective_history,
-            elapsed,
-        },
-        w,
-        ht,
-    })
+    Ok(Checkpoint { meta, state, w, ht })
 }
 
 /* ---- byte-level helpers ---- */
@@ -797,7 +767,9 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn mat(&mut self) -> Result<Mat, String> {
+    /// Reads a factor block's header and borrows its payload bytes:
+    /// `(rows, cols, 8·rows·cols bytes)`. No allocation.
+    fn mat_raw(&mut self) -> Result<(usize, usize, &'a [u8]), String> {
         let nr = self.u64()? as usize;
         let nc = self.u64()? as usize;
         // Bound the claimed extent by the bytes actually present before
@@ -813,30 +785,22 @@ impl<'a> Cursor<'a> {
                     self.remaining()
                 )
             })?;
-        let raw = self.take(8 * words)?;
-        let mut data = Vec::with_capacity(words);
-        for chunk in raw.chunks_exact(8) {
-            data.push(f64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-        }
-        Ok(Mat::from_vec(nr, nc, data))
+        Ok((nr, nc, self.take(8 * words)?))
     }
 
-    /// Reads a factor block's header and skips its payload (same bounds
-    /// checks as [`mat`](Self::mat), no allocation). Returns the shape.
+    /// Reads a factor block's header and skips its payload. Returns the
+    /// shape.
     fn skip_mat(&mut self) -> Result<(usize, usize), String> {
-        let nr = self.u64()? as usize;
-        let nc = self.u64()? as usize;
-        let words = nr
-            .checked_mul(nc)
-            .filter(|&w| w <= self.remaining() / 8)
-            .ok_or_else(|| {
-                format!(
-                    "factor block claims {nr}x{nc} values but only {} bytes remain",
-                    self.remaining()
-                )
-            })?;
-        self.take(8 * words)?;
-        Ok((nr, nc))
+        self.mat_raw().map(|(nr, nc, _payload)| (nr, nc))
+    }
+
+    fn mat(&mut self) -> Result<Mat, String> {
+        let (nr, nc, raw) = self.mat_raw()?;
+        let data = raw
+            .chunks_exact(8)
+            .map(|chunk| f64::from_le_bytes(chunk.try_into().expect("8 bytes")))
+            .collect();
+        Ok(Mat::from_vec(nr, nc, data))
     }
 }
 

@@ -54,7 +54,6 @@ use crate::config::{
 use crate::dist::{Dist1D, Part};
 use crate::grid::Grid;
 use crate::input::{Input, LocalMat};
-use crate::naive::RankNmfOutput;
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
 use nmf_matrix::Mat;
@@ -376,10 +375,16 @@ impl CommScheme for LocalScheme {
     }
 }
 
-/// Algorithm 2 (Naive-Parallel): 1D distributions of both factors, an
-/// all-gather of the *entire* other factor before each solve, and a
-/// redundant Gram on every rank — the `O((m+n)k)`-word baseline the
-/// paper improves on.
+/// Naive-Parallel-NMF (Algorithm 2): the Fairbanks et al. baseline.
+///
+/// The data matrix is stored **twice** — once in row blocks `Aᵢ`
+/// (`m/p × n`) and once in column blocks `Aʲ` (`m × n/p`, see
+/// [`SplitBlocks`]) — and each alternating solve is preceded by an
+/// all-gather of the *entire* other factor matrix. Each rank then
+/// computes the `k×k` Gram matrix redundantly. Per iteration this costs
+/// `O((m+n)k)` communicated words (versus HPC-NMF's `O(√(mnk²/p))`) and
+/// `(m+n)k²` redundant Gram flops — the three drawbacks the paper lists
+/// at the end of §4.3.
 pub struct Replicated1D<'c> {
     comm: &'c Comm,
     /// Global factor-row distributions (`W` rows / `H` columns).
@@ -492,13 +497,42 @@ impl CommScheme for Replicated1D<'_> {
     }
 }
 
-/// Algorithm 3 (HPC-NMF): the data matrix lives once as `pr × pc`
-/// blocks; per factor and per iteration the scheme performs exactly one
-/// `k×k` Gram all-reduce, one all-gather along the grid dimension that
-/// shares the factor block, and one reduce-scatter back to the 1D factor
-/// distribution — the communication-optimal schedule of the paper's
-/// Table 2. A `pr×1` grid degenerates to the 1D variant prescribed for
-/// tall-and-skinny inputs.
+/// HPC-NMF (Algorithm 3): the paper's communication-optimal algorithm.
+///
+/// The data matrix is distributed once, as `pr × pc` blocks `Aᵢⱼ`; the
+/// factors live in 1D distributions (`W` row-wise, `H` column-wise) with
+/// each grid row/column collectively owning one block. Per iteration and
+/// per factor, the algorithm performs exactly one all-reduce (`k×k` Gram),
+/// one all-gather (assembling the factor block along the grid dimension
+/// that shares it), and one reduce-scatter (summing the local matrix
+/// products and slicing the result back to the 1D distribution) — giving
+/// the `O(√(mnk²/p))`-word, `O(log p)`-message costs of Table 2. A
+/// `pr×1` grid degenerates to the 1D variant prescribed for
+/// tall-and-skinny inputs. The scheme's methods carry the paper's
+/// Algorithm 3 line-number comments.
+///
+/// # Performance notes: the zero-allocation iteration loop
+///
+/// The steady-state loop performs **no heap allocations in the compute
+/// path**. Three mechanisms combine to achieve that:
+///
+/// 1. every per-iteration matrix — Grams, assembled factor blocks, `MM`
+///    products, reduce-scatter outputs — lives in an [`IterWorkspace`]
+///    allocated once before the loop and overwritten in place each
+///    iteration ([`nmf_matrix::matmul_into`], `gram_into`,
+///    `mm_a_ht_into`, …);
+/// 2. the collectives are the `_into` variants
+///    ([`Comm::all_reduce_into`](nmf_vmpi::Comm::all_reduce_into) & co.),
+///    which write into those workspace buffers and draw their own round
+///    staging from a per-rank arena inside the communicator;
+/// 3. the NLS solvers hold their pivoting state and factorization
+///    buffers in solver-owned scratch reused across iterations.
+///
+/// What still allocates: the one-time setup (sub-communicators, counts,
+/// workspace), the per-iteration `IterRecord` bookkeeping pushed onto the
+/// result vector (instrumentation, reserved up front), and the message
+/// boxes inside the channel transport (the "interconnect" — a real MPI
+/// would hand those to the NIC).
 pub struct Grid2D<'c> {
     world: &'c Comm,
     /// Spans this grid row (`pc` ranks, ordered by column index).
@@ -920,6 +954,21 @@ pub struct ConvergenceState {
     /// Wall-clock time consumed so far, accumulated across resumes
     /// (counted against the policy's budget).
     pub elapsed: Duration,
+}
+
+/// Per-rank output of a parallel run ([`AnlsEngine::into_rank_output`]).
+#[derive(Debug)]
+pub struct RankNmfOutput {
+    /// This rank's rows of `W`.
+    pub w_local: Mat,
+    /// This rank's columns of `H`, stored transposed.
+    pub ht_local: Mat,
+    /// Final objective `‖A − WH‖²_F` (identical on every rank).
+    pub objective: f64,
+    /// Why the run stopped (identical on every rank).
+    pub stop: StopReason,
+    /// Per-iteration records for this rank.
+    pub iters: Vec<IterRecord>,
 }
 
 /// The step-wise ANLS iteration core shared by all three algorithms.

@@ -94,9 +94,7 @@ pub mod engine;
 pub mod error;
 pub mod grid;
 pub mod harness;
-pub mod hpc;
 pub mod input;
-pub mod naive;
 pub mod regrid;
 pub mod seq;
 pub mod session;

@@ -5,17 +5,38 @@
 //! reference (the paper's §6.1.3 same-computations protocol).
 
 use hpc_nmf::dist::Dist1D;
-use hpc_nmf::hpc::{hpc_nmf_rank, hpc_nmf_rank_with_workspace};
+use hpc_nmf::engine::RankNmfOutput;
 use hpc_nmf::prelude::*;
 use hpc_nmf::seq::nmf_seq;
 use hpc_nmf::workspace::IterWorkspace;
-use hpc_nmf::{factorize_from, init_ht, init_w};
+use hpc_nmf::{factorize_from, init_ht, init_w, AnlsEngine, Grid2D, LocalMat};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
-use nmf_vmpi::universe;
+use nmf_vmpi::{universe, Comm};
 
 fn test_input(m: usize, n: usize, seed: u64) -> Input {
     Input::Dense(Mat::uniform(m, n, seed))
+}
+
+/// One rank of Algorithm 3 run to completion through `ws`, which is
+/// handed back (resized to fit) for the next factorization.
+#[allow(clippy::too_many_arguments)]
+fn run_rank(
+    comm: &Comm,
+    grid: Grid,
+    dims: (usize, usize),
+    local: &LocalMat,
+    w0: Mat,
+    ht0: Mat,
+    config: &NmfConfig,
+    ws: &mut IterWorkspace,
+) -> RankNmfOutput {
+    let scheme = Grid2D::new(comm, grid, dims, config.k).with_overlap(config.overlap);
+    let mut engine = AnlsEngine::with_workspace(scheme, local, config, w0, ht0, std::mem::take(ws));
+    engine.run();
+    let (out, ws_back) = engine.into_rank_output_and_workspace();
+    *ws = ws_back;
+    out
 }
 
 /// Runs HPC-NMF on `p` ranks, handing each rank a workspace produced by
@@ -42,19 +63,26 @@ fn run_hpc_with_ws(
         let hpart = sub_cols.part(i);
         let w0_local = w0.rows_block(rows.offset + wpart.offset, wpart.len);
         let ht0_local = ht0.rows_block(cols.offset + hpart.offset, hpart.len);
-        let out = match make_ws() {
-            Some(mut ws) => hpc_nmf_rank_with_workspace(
-                comm,
-                grid,
-                (m, n),
-                &local,
-                w0_local,
-                ht0_local,
-                config,
-                &mut ws,
-            ),
-            None => hpc_nmf_rank(comm, grid, (m, n), &local, w0_local, ht0_local, config),
-        };
+        // No caller-held workspace: one pre-sized for this rank's shapes.
+        let mut ws = make_ws().unwrap_or_else(|| {
+            IterWorkspace::for_hpc(
+                local.nrows(),
+                local.ncols(),
+                w0_local.nrows(),
+                ht0_local.nrows(),
+                config.k,
+            )
+        });
+        let out = run_rank(
+            comm,
+            grid,
+            (m, n),
+            &local,
+            w0_local,
+            ht0_local,
+            config,
+            &mut ws,
+        );
         (out.w_local, out.ht_local, out.objective)
     })
     .into_iter()
@@ -120,7 +148,7 @@ fn workspace_reused_across_two_factorizations_is_pure() {
         let w0_local = w0.rows_block(rows.offset + wpart.offset, wpart.len);
         let ht0_local = ht0.rows_block(cols.offset + hpart.offset, hpart.len);
         let mut ws = IterWorkspace::default();
-        let _first = hpc_nmf_rank_with_workspace(
+        let _first = run_rank(
             comm,
             grid,
             (m, n),
@@ -130,7 +158,7 @@ fn workspace_reused_across_two_factorizations_is_pure() {
             &config,
             &mut ws,
         );
-        hpc_nmf_rank_with_workspace(
+        run_rank(
             comm,
             grid,
             (m, n),

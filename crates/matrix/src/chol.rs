@@ -96,8 +96,7 @@ const NC: usize = 8;
 /// `NC = 8`-wide blocks, each forward/backward sweep keeping its block of
 /// partial solutions in a register accumulator — every `X` row is read
 /// once and written once per sweep, instead of once per `(i, k)` pair
-/// as in the column-at-a-time form (retained as
-/// [`cholesky_solve_percol_in_place`], the benchmark baseline).
+/// as in the column-at-a-time form (the tests' bit-exact reference).
 pub fn cholesky_solve_in_place(l: &Mat, b: &mut Mat) {
     assert_eq!(l.nrows(), l.ncols());
     assert_eq!(l.nrows(), b.nrows(), "rhs row count mismatch");
@@ -236,34 +235,6 @@ fn solve_sweep_edge(
     }
 }
 
-/// Column-at-a-time `L·Lᵀ·X = B` solve: the pre-batching implementation,
-/// retained as the baseline the `chol_solve` Criterion group measures
-/// [`cholesky_solve_in_place`] against. Produces bit-identical results
-/// (the per-column reduction order is unchanged by the batching).
-pub fn cholesky_solve_percol_in_place(l: &Mat, b: &mut Mat) {
-    assert_eq!(l.nrows(), l.ncols());
-    assert_eq!(l.nrows(), b.nrows(), "rhs row count mismatch");
-    let n = l.nrows();
-    let r = b.ncols();
-    let x = b;
-    for c in 0..r {
-        for i in 0..n {
-            let mut s = x[(i, c)];
-            for k in 0..i {
-                s -= l[(i, k)] * x[(k, c)];
-            }
-            x[(i, c)] = s / l[(i, i)];
-        }
-        for i in (0..n).rev() {
-            let mut s = x[(i, c)];
-            for k in i + 1..n {
-                s -= l[(k, i)] * x[(k, c)];
-            }
-            x[(i, c)] = s / l[(i, i)];
-        }
-    }
-}
-
 /// Solves the SPD system `A·X = B`.
 ///
 /// If `A` is only semidefinite (Cholesky breakdown), retries with
@@ -309,6 +280,32 @@ mod tests {
             g[(i, i)] += 1.0;
         }
         g
+    }
+
+    /// Column-at-a-time `L·Lᵀ·X = B` solve: the bit-exact reference for
+    /// the batched sweeps (batching reorders nothing within a column).
+    fn cholesky_solve_percol_in_place(l: &Mat, b: &mut Mat) {
+        assert_eq!(l.nrows(), l.ncols());
+        assert_eq!(l.nrows(), b.nrows(), "rhs row count mismatch");
+        let n = l.nrows();
+        let r = b.ncols();
+        let x = b;
+        for c in 0..r {
+            for i in 0..n {
+                let mut s = x[(i, c)];
+                for k in 0..i {
+                    s -= l[(i, k)] * x[(k, c)];
+                }
+                x[(i, c)] = s / l[(i, i)];
+            }
+            for i in (0..n).rev() {
+                let mut s = x[(i, c)];
+                for k in i + 1..n {
+                    s -= l[(k, i)] * x[(k, c)];
+                }
+                x[(i, c)] = s / l[(i, i)];
+            }
+        }
     }
 
     #[test]

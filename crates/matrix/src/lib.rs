@@ -9,8 +9,7 @@
 //!   and in-place arithmetic;
 //! * [`gemm`] — packed GotoBLAS-style matrix-multiply kernels in all
 //!   transpose combinations used by the algorithms (`A·B`, `Aᵀ·B`,
-//!   `A·Bᵀ`), with optional rayon parallelism for standalone
-//!   (non-rank-parallel) use;
+//!   `A·Bᵀ`), all serial — a rank is a thread, as in the paper;
 //! * [`simd`] — the runtime-dispatched `MR×NR` register microkernels
 //!   (AVX2+FMA 6×8 with a portable scalar 4×8 fallback, chosen once per
 //!   process; `NMF_FORCE_SCALAR=1` pins the fallback);
@@ -39,13 +38,12 @@ pub mod rng;
 pub mod simd;
 
 pub use chol::{
-    cholesky, cholesky_into, cholesky_solve, cholesky_solve_in_place,
-    cholesky_solve_percol_in_place, cholesky_solve_slices, solve_spd, CholError,
+    cholesky, cholesky_into, cholesky_solve, cholesky_solve_in_place, cholesky_solve_slices,
+    solve_spd, CholError,
 };
 pub use gemm::{
-    matmul, matmul_blocked_into, matmul_ikj, matmul_ikj_into, matmul_into, matmul_packed_into,
-    matmul_packed_scratch_into, matmul_par, matmul_par_into, matmul_ta, matmul_ta_blocked_into,
-    matmul_ta_into, matmul_tb, matmul_tb_into,
+    matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_ta, matmul_ta_into,
+    matmul_tb, matmul_tb_into,
 };
 pub use gram::{gram, gram_into, outer_gram, outer_gram_into};
 pub use mat::Mat;

@@ -11,9 +11,8 @@
 
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{
-    matmul_blocked_into, matmul_ikj_into, matmul_into, matmul_packed_into,
-    matmul_packed_scratch_into, matmul_par_into, matmul_ta_blocked_into, matmul_ta_into,
-    matmul_tb_into, Mat, PackedPanels,
+    matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_ta_into, matmul_tb_into,
+    Mat, PackedPanels,
 };
 use proptest::prelude::*;
 
@@ -69,15 +68,6 @@ proptest! {
         matmul_into(&a, &b, &mut c);
         prop_assert!(c.max_abs_diff(&expect) < tol, "dispatched {m}x{kdim}x{n}");
 
-        matmul_blocked_into(&a, &b, &mut c);
-        prop_assert!(c.max_abs_diff(&expect) < tol, "blocked {m}x{kdim}x{n}");
-
-        matmul_ikj_into(&a, &b, &mut c);
-        prop_assert!(c.max_abs_diff(&expect) < tol, "ikj {m}x{kdim}x{n}");
-
-        matmul_par_into(&a, &b, &mut c);
-        prop_assert!(c.max_abs_diff(&expect) < tol, "par {m}x{kdim}x{n}");
-
         let p = PackedPanels::pack(&a);
         matmul_packed_into(&p, &b, &mut c);
         prop_assert!(c.max_abs_diff(&expect) < tol, "prepacked {m}x{kdim}x{n}");
@@ -108,9 +98,6 @@ proptest! {
         let mut c = Mat::zeros(m, n);
         matmul_ta_into(&a, &b, &mut c);
         prop_assert!(c.max_abs_diff(&expect) < tol, "ta dispatched {m}x{inner}x{n}");
-
-        matmul_ta_blocked_into(&a, &b, &mut c);
-        prop_assert!(c.max_abs_diff(&expect) < tol, "ta blocked {m}x{inner}x{n}");
 
         let p = PackedPanels::pack_transposed(&a);
         matmul_packed_into(&p, &b, &mut c);

@@ -20,9 +20,10 @@
 //! per quantum — the same as a tenant with a single job — so every
 //! tenant's completed-steps share stays within a constant factor of
 //! fair share while it has runnable work (asserted by
-//! `tests/fairness.rs`). Models are stepped one at a time, so each
-//! engine iteration gets the whole rayon-style thread pool instead of
-//! fighting every other tenant for cores mid-GEMM.
+//! `tests/fairness.rs`). Models are stepped one at a time, so the only
+//! runnable threads during an engine iteration are that model's ranks
+//! (a rank is a thread; the kernels inside it are serial) — tenants do
+//! not fight each other for cores mid-GEMM.
 
 use crate::protocol::JobPhase;
 use crate::registry::{build_model, build_resume_model, model_done, Registry};

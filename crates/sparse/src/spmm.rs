@@ -19,7 +19,6 @@ use crate::csc::CscView;
 use crate::csr::Csr;
 use nmf_matrix::gemm::axpy;
 use nmf_matrix::Mat;
-use rayon::prelude::*;
 
 /// `V = A·Bᵀ` where `A` is `m×n` sparse and `Bt` is `n×k` dense
 /// (i.e. `B` is `k×n`). Output is `m×k`.
@@ -199,23 +198,13 @@ fn accumulate_segment(
 
 /// Target footprint of one row panel's `W` slice: half of the probed
 /// L2 (leaving room for the output rows and index streams), or half of
-/// a typical 2 MiB L2 when the probe is unavailable, or the
-/// `NMF_CSC_PANEL_BYTES` environment override verbatim. Resolved once.
+/// a typical 2 MiB L2 when the probe is unavailable. Resolved once.
 /// Panel height only regroups the accumulation — identical `axpy`s in
-/// identical order — so this is a pure tuning knob; every float is
-/// unchanged under any value (the bit-identity property tests run
-/// regardless of what this returns).
+/// identical order — so every float is unchanged under any value (the
+/// bit-identity property tests run regardless of what this returns).
 fn csc_panel_bytes() -> usize {
     static TARGET: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *TARGET.get_or_init(|| {
-        if let Some(v) = std::env::var("NMF_CSC_PANEL_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            return v;
-        }
-        cache_bytes("index2").map_or(1 << 20, |l2| (l2 / 2).max(4 << 10))
-    })
+    *TARGET.get_or_init(|| cache_bytes("index2").map_or(1 << 20, |l2| (l2 / 2).max(4 << 10)))
 }
 
 /// How many nonzeros ahead the CSC kernel prefetches its two gathered
@@ -244,8 +233,8 @@ pub fn spmm_at_dense_csc(a: &Csr, csc: &CscView, w: &Mat) -> Mat {
 /// traversal wins once `Y` outgrows the last-level cache, because it
 /// writes each output row with locality (panel-hoisted into an L1
 /// accumulator) while its gathers stay panel-local. The crossover is
-/// therefore the LLC size, probed from sysfs with an `NMF_CSC_MIN_OUT_BYTES`
-/// override for machines where the probe is unavailable or wrong.
+/// therefore the LLC size, probed from sysfs (32 MiB when the probe is
+/// unavailable).
 pub fn spmm_at_dense_auto_into(a: &Csr, csc: &CscView, w: &Mat, y: &mut Mat) {
     if csc_chosen(a.ncols(), w.ncols()) {
         spmm_at_dense_csc_into(a, csc, w, y);
@@ -262,25 +251,17 @@ pub fn spmm_at_dense_auto(a: &Csr, csc: &CscView, w: &Mat) -> Mat {
 }
 
 /// Whether [`spmm_at_dense_auto_into`] routes an `n×k` output to the
-/// CSC forward kernel. Exposed so benches can report the routing.
+/// CSC forward kernel. Exposed so `benchmark/` can report the routing.
 pub fn csc_chosen(n: usize, k: usize) -> bool {
     n.saturating_mul(k).saturating_mul(8) > csc_min_out_bytes()
 }
 
 /// Output size above which the forward kernel is preferred: the
-/// last-level cache size (sysfs), or 32 MiB when unreadable, or the
-/// `NMF_CSC_MIN_OUT_BYTES` environment override. Resolved once.
+/// last-level cache size (sysfs), or 32 MiB when unreadable. Resolved
+/// once.
 fn csc_min_out_bytes() -> usize {
     static THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        if let Some(v) = std::env::var("NMF_CSC_MIN_OUT_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            return v;
-        }
-        llc_bytes().unwrap_or(32 << 20)
-    })
+    *THRESHOLD.get_or_init(|| llc_bytes().unwrap_or(32 << 20))
 }
 
 /// Size of the largest cache level reported for cpu0, if readable.
@@ -300,109 +281,6 @@ fn cache_bytes(index: &str) -> Option<usize> {
         _ => (text, 1),
     };
     digits.parse::<usize>().ok().map(|v| v * mult)
-}
-
-/// Rayon row-parallel `V = A·Bᵀ` for the standalone (sequential-baseline)
-/// path: output rows are independent, so `V` is split into one contiguous
-/// row stripe per worker thread and each stripe runs the serial kernel.
-/// The distributed ranks use the serial kernels — each virtual-MPI rank
-/// is already an OS thread.
-pub fn spmm_dense_t_par(a: &Csr, bt: &Mat) -> Mat {
-    let mut v = Mat::zeros(a.nrows(), bt.ncols());
-    spmm_dense_t_par_into(a, bt, &mut v);
-    v
-}
-
-/// Row-parallel `V = A·Bᵀ` into caller-owned `v` (overwritten).
-pub fn spmm_dense_t_par_into(a: &Csr, bt: &Mat, v: &mut Mat) {
-    assert_eq!(
-        a.ncols(),
-        bt.nrows(),
-        "spmm_dense_t inner dimension mismatch"
-    );
-    assert_eq!(
-        v.shape(),
-        (a.nrows(), bt.ncols()),
-        "spmm_dense_t output shape mismatch"
-    );
-    let k = bt.ncols();
-    if k == 0 {
-        return;
-    }
-    let stripe = a.nrows().div_ceil(rayon::current_num_threads()).max(1);
-    v.as_mut_slice()
-        .par_chunks_mut(stripe * k)
-        .enumerate()
-        .for_each(|(ci, vchunk)| {
-            vchunk.fill(0.0);
-            let r0 = ci * stripe;
-            let rows = vchunk.len() / k;
-            for local in 0..rows {
-                let (cols, vals) = a.row(r0 + local);
-                let vrow = &mut vchunk[local * k..(local + 1) * k];
-                for (&j, &x) in cols.iter().zip(vals) {
-                    axpy(x, bt.row(j), vrow);
-                }
-            }
-        });
-}
-
-/// Rayon-parallel `Y = Aᵀ·W` for the standalone path.
-///
-/// The transpose product scatters along columns, so rows of `Y` cannot be
-/// partitioned directly from CSR. Each worker instead reduces a
-/// contiguous stripe of `A`'s rows into a private `n×k` accumulator, and
-/// the accumulators are summed (itself column-parallel) at the end —
-/// the standard row-split + private-accumulator SpMMᵀ scheme. Worth it
-/// only when `nnz·k` dominates `threads·n·k`; callers on a hot serial
-/// path should prefer [`spmm_at_dense`].
-pub fn spmm_at_dense_par(a: &Csr, w: &Mat) -> Mat {
-    assert_eq!(
-        a.nrows(),
-        w.nrows(),
-        "spmm_at_dense inner dimension mismatch"
-    );
-    let n = a.ncols();
-    let k = w.ncols();
-    let threads = rayon::current_num_threads();
-    let stripe = a.nrows().div_ceil(threads).max(1);
-    let nstripes = a.nrows().div_ceil(stripe).max(1);
-    // Private accumulators, one per stripe, built in parallel.
-    let partials: Vec<Mat> = (0..nstripes)
-        .into_par_iter()
-        .map(|si| {
-            let mut y = Mat::zeros(n, k);
-            let r0 = si * stripe;
-            let r1 = ((si + 1) * stripe).min(a.nrows());
-            let ym = y.as_mut_slice();
-            for i in r0..r1 {
-                let (cols, vals) = a.row(i);
-                let wrow = w.row(i);
-                for (&j, &x) in cols.iter().zip(vals) {
-                    axpy(x, wrow, &mut ym[j * k..(j + 1) * k]);
-                }
-            }
-            y
-        })
-        .collect();
-    // Sum the partials, parallel over row stripes of Y.
-    let mut y = Mat::zeros(n, k);
-    if k > 0 && n > 0 {
-        let ystripe = n.div_ceil(threads).max(1);
-        y.as_mut_slice()
-            .par_chunks_mut(ystripe * k)
-            .enumerate()
-            .for_each(|(ci, ychunk)| {
-                let off = ci * ystripe * k;
-                for p in &partials {
-                    let src = &p.as_slice()[off..off + ychunk.len()];
-                    for (yv, sv) in ychunk.iter_mut().zip(src) {
-                        *yv += sv;
-                    }
-                }
-            });
-    }
-    y
 }
 
 #[cfg(test)]
@@ -473,42 +351,5 @@ mod tests {
         let mut v = Mat::filled(6, 2, f64::NAN);
         spmm_dense_t_into(&a, &ht, &mut v);
         assert!(v.all_finite());
-    }
-
-    #[test]
-    fn parallel_kernels_match_serial() {
-        for &(m, n, k) in &[
-            (53usize, 47usize, 5usize),
-            (200, 160, 16),
-            (3, 2, 1),
-            (17, 300, 8),
-        ] {
-            let a = random_sparse(m, n, (m + n) as u64);
-            let bt = Mat::uniform(n, k, 71);
-            let serial = spmm_dense_t(&a, &bt);
-            assert!(
-                spmm_dense_t_par(&a, &bt).max_abs_diff(&serial) < 1e-12,
-                "spmm_dense_t_par diverged at {m}x{n}x{k}"
-            );
-            let mut v = Mat::filled(m, k, f64::NAN);
-            spmm_dense_t_par_into(&a, &bt, &mut v);
-            assert!(v.max_abs_diff(&serial) < 1e-12);
-
-            let w = Mat::uniform(m, k, 72);
-            let serial_t = spmm_at_dense(&a, &w);
-            assert!(
-                spmm_at_dense_par(&a, &w).max_abs_diff(&serial_t) < 1e-12,
-                "spmm_at_dense_par diverged at {m}x{n}x{k}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_kernels_handle_empty() {
-        let a = Csr::empty(5, 7);
-        let ht = Mat::uniform(7, 3, 73);
-        assert_eq!(spmm_dense_t_par(&a, &ht), Mat::zeros(5, 3));
-        let w = Mat::uniform(5, 3, 74);
-        assert_eq!(spmm_at_dense_par(&a, &w), Mat::zeros(7, 3));
     }
 }

@@ -87,13 +87,14 @@ fn grid_run(
 fn overlapped_and_sync_factors_are_bit_identical() {
     let input = test_input(37, 29, 3);
     let cfg = config();
-    // Pow2, prime, degenerate-1D, and ragged non-pow2 grids.
+    // Pow2, prime, degenerate-1D, ragged non-pow2, and 16-rank grids.
     for grid in [
         Grid::new(2, 2),
         Grid::new(1, 3),
         Grid::new(4, 1),
         Grid::new(3, 2),
         Grid::new(2, 3),
+        Grid::new(4, 4),
     ] {
         let sync = grid_run(&input, grid, &cfg, ITERS, false, 0, false);
         let ovl = grid_run(&input, grid, &cfg, ITERS, true, 0, true);
