@@ -38,9 +38,9 @@
 //! split-phase posts and overlap/in-flight seconds) for scripted
 //! benchmarking and model selection.
 //!
-//! `--no-overlap` disables the split-phase schedule of the HPC scheme
-//! (see `docs/comm-overlap.md`), forcing fully synchronous collectives —
-//! the baseline for measuring what overlap buys.
+//! The HPC scheme always runs its split-phase schedule (see
+//! `docs/comm-overlap.md`); what overlap buys is measured by
+//! `benchmark/`, which times every collective both ways on each run.
 //!
 //! Argument handling is `Result`-based: every problem found is
 //! accumulated and reported once (as [`NmfError::InvalidArgs`]) together
@@ -70,7 +70,6 @@ struct Args {
     solver: Option<SolverKind>,
     seed: Option<u64>,
     json: bool,
-    no_overlap: bool,
     mmap: bool,
     out: Option<PathBuf>,
     checkpoint: Option<PathBuf>,
@@ -89,8 +88,7 @@ impl Args {
         let mut c = NmfConfig::new(k)
             .with_max_iters(self.iters.unwrap_or(20))
             .with_solver(self.solver.unwrap_or(SolverKind::Bpp))
-            .with_seed(self.seed.unwrap_or(42))
-            .with_overlap(!self.no_overlap);
+            .with_seed(self.seed.unwrap_or(42));
         if let Some(t) = self.tol {
             c = c.with_tol(t);
         }
@@ -181,7 +179,6 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
                     parse_num(val("--seed", &mut errors), "--seed", &mut errors).map(|s| s as u64)
             }
             "--json" => args.json = true,
-            "--no-overlap" => args.no_overlap = true,
             "--mmap" => args.mmap = true,
             "--out" => args.out = val("--out", &mut errors).map(PathBuf::from),
             "--checkpoint" => args.checkpoint = val("--checkpoint", &mut errors).map(PathBuf::from),
@@ -780,7 +777,6 @@ fn print_json(input: &SharedInput, model: &Model, stop: StopReason, wall: Durati
         config.solver,
         config.seed
     ));
-    s.push_str(&format!("\"overlap\":{},", config.overlap));
     s.push_str(&format!(
         "\"iterations\":{},\"total_iterations\":{},\"stop\":\"{}\",\"wall_seconds\":{:.6},\"objective\":{},\"rel_error\":{},",
         model.records().len(),
@@ -858,15 +854,6 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("unknown solver")));
         assert!(errs.iter().any(|e| e.contains("unknown algorithm")));
         assert!(errs.iter().any(|e| e.contains("--checkpoint-every")));
-    }
-
-    #[test]
-    fn no_overlap_flag_disables_overlap_in_config() {
-        let args = parse_args(&argv("--dataset dsyn --no-overlap")).expect("valid");
-        assert!(args.no_overlap);
-        assert!(!args.config(10).overlap);
-        let args = parse_args(&argv("--dataset dsyn")).expect("valid");
-        assert!(args.config(10).overlap, "overlap defaults on");
     }
 
     #[test]

@@ -176,11 +176,6 @@ pub struct NmfConfig {
     pub l2_w: f64,
     /// Frobenius (L2) regularization `λ_H‖H‖²_F` on the right factor.
     pub l2_h: f64,
-    /// Whether distributed schemes may overlap communication with
-    /// compute via split-phase collectives (default: true). Affects only
-    /// the schedule, never the words on the wire or the factor
-    /// trajectory; must agree across ranks.
-    pub overlap: bool,
 }
 
 impl NmfConfig {
@@ -194,7 +189,6 @@ impl NmfConfig {
             seed: 0x5eed,
             l2_w: 0.0,
             l2_h: 0.0,
-            overlap: true,
         }
     }
 
@@ -234,13 +228,6 @@ impl NmfConfig {
 
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables communication/compute overlap in distributed
-    /// schemes (see [`NmfConfig::overlap`]).
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
         self
     }
 

@@ -175,12 +175,16 @@ pub enum RhsSource {
 }
 
 /// A communication layout for the ANLS iteration: everything that
-/// distinguishes Algorithms 1–3 from each other. Methods are invoked by
-/// [`AnlsEngine::step`] in a fixed order — W-side Gram, W-side gather,
-/// (engine MM), W-side scatter, (engine solve), then the H-side mirror,
-/// then the objective reduction — and each implementation performs its
-/// collectives inside the matching hook so the on-wire schedule is
-/// exactly the paper's algorithm.
+/// distinguishes Algorithms 1–3 from each other. [`AnlsEngine::step`]
+/// drives the iteration through post/wait pairs in a fixed order — post
+/// H gather, post `HHᵀ` reduction, wait H gather, (engine MM), post W
+/// scatter, wait `HHᵀ`, wait W scatter, (engine solve), then the H-side
+/// mirror, then the objective reduction — so a scheme can put a
+/// collective in flight at the post hook and run the next local product
+/// before completing it at the wait hook. A scheme without split-phase
+/// collectives does its Gram reduction whole at the post hook and
+/// everything else at the wait hook; hooks it has no work for keep the
+/// empty default.
 ///
 /// Compute performed inside a hook (the Gram products) is timed into the
 /// caller's [`TaskTimes`]; communication is accounted separately by the
@@ -199,64 +203,19 @@ pub trait CommScheme {
     /// Sums a scalar across ranks (the `‖A‖²` setup reduction).
     fn reduce_scalar(&self, x: f64) -> f64;
 
-    /// Leaves the *global* Gram `HHᵀ` in `ws.gram_solve`, un-ridged.
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes);
-
-    /// Assembles the `Hᵀ` block the local `A·Hᵀ` needs (into
-    /// `ws.ht_gather`) and says where to read it.
-    fn gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource;
-
-    /// Reduces `ws.mm_w` to this rank's right-hand side for the `W`
-    /// solve and says where it landed.
-    fn reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource;
-
-    /// Leaves the *global* Gram `WᵀW` in `ws.gram_w`, un-ridged (it is
-    /// also read by the objective).
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes);
-
-    /// Assembles the `W` block the local `Aᵀ·W` needs (into
-    /// `ws.w_gather`) and says where to read it.
-    fn gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource;
-
-    /// Reduces `ws.mm_h` to this rank's right-hand side for the `H`
-    /// solve and says where it landed.
-    fn reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource;
-
-    /// Sums the objective terms (and, when present, the wall-clock
-    /// budget flag) across ranks, in place.
-    fn reduce_objective_terms(&self, terms: &mut [f64]);
-
-    /// Snapshot of this rank's cumulative communication counters.
-    fn comm_stats(&self) -> CommStats;
-
-    // ------------------------------------------------------------------
-    // Split-phase variants
-    //
-    // The engine drives the iteration through these post/wait pairs so an
-    // overlapping scheme can put a collective in flight and run the next
-    // local product before completing it. The defaults collapse to the
-    // synchronous hooks — the Gram reduction runs whole at its post site,
-    // gathers and scatters run whole at their wait site — so LocalScheme
-    // and Replicated1D (and any scheme that doesn't override) execute the
-    // exact schedule they always did.
-    // ------------------------------------------------------------------
-
-    /// Puts the H-assembly gather in flight (no-op for synchronous
-    /// schemes; the work happens in [`wait_gather_h`](Self::wait_gather_h)).
+    /// Puts the gather assembling the `Hᵀ` block the local `A·Hᵀ` needs
+    /// in flight.
     fn post_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) {
         let _ = (ws, ht_local);
     }
 
-    /// Completes the H-assembly gather posted by `post_gather_h`.
-    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
-        self.gather_h(ws, ht_local)
-    }
+    /// Completes the H assembly (into `ws.ht_gather`) and says where to
+    /// read the block.
+    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource;
 
-    /// Puts the `HHᵀ` reduction in flight (synchronous schemes do the
-    /// whole reduction here).
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
-        self.reduce_gram_h(ws, ht_local, tt);
-    }
+    /// Starts the reduction that leaves the *global* Gram `HHᵀ`,
+    /// un-ridged, in `ws.gram_solve`.
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes);
 
     /// Completes the `HHᵀ` reduction into `ws.gram_solve`.
     fn wait_reduce_gram_h(&self, ws: &mut IterWorkspace) {
@@ -268,25 +227,23 @@ pub trait CommScheme {
         let _ = ws;
     }
 
-    /// Completes the W-side reduce-scatter.
-    fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
-        self.reduce_scatter_w(ws)
-    }
+    /// Reduces `ws.mm_w` to this rank's right-hand side for the `W`
+    /// solve and says where it landed.
+    fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource;
 
-    /// Puts the W-assembly gather in flight.
+    /// Puts the gather assembling the `W` block the local `Aᵀ·W` needs
+    /// in flight.
     fn post_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) {
         let _ = (ws, w_local);
     }
 
-    /// Completes the W-assembly gather posted by `post_gather_w`.
-    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
-        self.gather_w(ws, w_local)
-    }
+    /// Completes the W assembly (into `ws.w_gather`) and says where to
+    /// read the block.
+    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource;
 
-    /// Puts the `WᵀW` reduction in flight (computes the local Gram first).
-    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
-        self.reduce_gram_w(ws, w_local, tt);
-    }
+    /// Starts the reduction that leaves the *global* Gram `WᵀW`,
+    /// un-ridged, in `ws.gram_w` (it is also read by the objective).
+    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes);
 
     /// Completes the `WᵀW` reduction into `ws.gram_w`.
     fn wait_reduce_gram_w(&self, ws: &mut IterWorkspace) {
@@ -298,17 +255,23 @@ pub trait CommScheme {
         let _ = ws;
     }
 
-    /// Completes the H-side reduce-scatter.
-    fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
-        self.reduce_scatter_h(ws)
-    }
+    /// Reduces `ws.mm_h` to this rank's right-hand side for the `H`
+    /// solve and says where it landed.
+    fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource;
+
+    /// Sums the objective terms (and, when present, the wall-clock
+    /// budget flag) across ranks, in place.
+    fn reduce_objective_terms(&self, terms: &mut [f64]);
+
+    /// Snapshot of this rank's cumulative communication counters.
+    fn comm_stats(&self) -> CommStats;
 
     /// Whether the engine may post the *next* iteration's H-side
     /// collectives (`post_gather_h` / `post_reduce_gram_h`) before this
     /// iteration's objective reduction, letting them ride its wake
-    /// chain. Only meaningful for genuinely split-phase schemes — the
-    /// defaults execute work at the post site, which must not move
-    /// across the iteration boundary — so this defaults to `false`.
+    /// chain. Only a scheme whose post hooks return with the collective
+    /// still in flight may say yes: work executed at the post site must
+    /// not move across the iteration boundary.
     fn prefetch_across_iterations(&self) -> bool {
         false
     }
@@ -338,7 +301,11 @@ impl CommScheme for LocalScheme {
         x
     }
 
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
+    fn wait_gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
+        FactorSource::Local
+    }
+
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
         // HHᵀ goes straight into the solve buffer; nothing reads the
         // un-ridged Gram later.
         let t0 = Instant::now();
@@ -346,25 +313,21 @@ impl CommScheme for LocalScheme {
         tt.gram += t0.elapsed();
     }
 
-    fn gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
-        FactorSource::Local
-    }
-
-    fn reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn wait_reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
         RhsSource::Mm
     }
 
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
+    fn wait_gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
+        FactorSource::Local
+    }
+
+    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
         let t0 = Instant::now();
         gram_into(w_local, &mut ws.gram_w);
         tt.gram += t0.elapsed();
     }
 
-    fn gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
-        FactorSource::Local
-    }
-
-    fn reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn wait_reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
         RhsSource::Mm
     }
 
@@ -442,7 +405,7 @@ impl CommScheme for Replicated1D<'_> {
         self.comm.all_reduce_scalar(x)
     }
 
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
         // Line 3: collect the whole of H on each processor, then the
         // redundant Gram — every rank computes HHᵀ itself, straight into
         // the solve buffer.
@@ -456,19 +419,19 @@ impl CommScheme for Replicated1D<'_> {
         tt.gram += t0.elapsed();
     }
 
-    fn gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
-        // Already assembled by `reduce_gram_h` (the gather feeds both the
-        // Gram and the MM in Algorithm 2).
+    fn wait_gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
+        // Already assembled by `post_reduce_gram_h` (the gather feeds
+        // both the Gram and the MM in Algorithm 2).
         FactorSource::Gathered
     }
 
-    fn reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn wait_reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
         // Aᵢ is a full row block, so AᵢHᵀ already is this rank's
         // right-hand side.
         RhsSource::Mm
     }
 
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
+    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
         // Line 5: collect the whole of W, then the redundant Gram.
         self.comm.all_gatherv_into(
             w_local.as_slice(),
@@ -480,11 +443,11 @@ impl CommScheme for Replicated1D<'_> {
         tt.gram += t0.elapsed();
     }
 
-    fn gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
+    fn wait_gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
         FactorSource::Gathered
     }
 
-    fn reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn wait_reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
         RhsSource::Mm
     }
 
@@ -521,9 +484,10 @@ impl CommScheme for Replicated1D<'_> {
 ///    allocated once before the loop and overwritten in place each
 ///    iteration ([`nmf_matrix::matmul_into`], `gram_into`,
 ///    `mm_a_ht_into`, …);
-/// 2. the collectives are the `_into` variants
-///    ([`Comm::all_reduce_into`](nmf_vmpi::Comm::all_reduce_into) & co.),
-///    which write into those workspace buffers and draw their own round
+/// 2. the collectives are the `post_*`/`wait` and `_into` forms
+///    ([`Comm::post_all_reduce`](nmf_vmpi::Comm::post_all_reduce),
+///    [`Comm::all_reduce_into`](nmf_vmpi::Comm::all_reduce_into) & co.),
+///    which complete into those workspace buffers and draw their round
 ///    staging from a per-rank arena inside the communicator;
 /// 3. the NLS solvers hold their pivoting state and factorization
 ///    buffers in solver-owned scratch reused across iterations.
@@ -549,28 +513,31 @@ pub struct Grid2D<'c> {
     w_counts: Vec<usize>,
     h_counts: Vec<usize>,
     k: usize,
-    /// Whether to run the split-phase (post/wait) schedule. When false,
-    /// every hook falls back to its synchronous sibling — same words,
-    /// same tags, no overlap.
+    /// Whether collectives go in flight at their post hook. When false
+    /// every slot stays empty and each collective runs whole at its wait
+    /// hook — same words, same tags, no overlap.
     overlap: bool,
-    /// The collectives currently in flight. Interior mutability because
-    /// the `CommScheme` hooks take `&self`; at most one op per slot is
-    /// pending at any point of the fixed step schedule.
-    pending: RefCell<PendingGrid>,
+    /// The collectives currently in flight, indexed by [`Slot`]; all
+    /// empty when overlap is disabled. Interior mutability because the
+    /// `CommScheme` hooks take `&self`.
+    pending: RefCell<[Option<PendingOp>; Slot::COUNT]>,
 }
 
-/// In-flight split-phase collectives of one [`Grid2D`] step. Slot names
-/// follow the hook that posts into them; `wait_*` drains the slot (or
-/// falls back to the synchronous path when the slot is empty, i.e.
-/// overlap is disabled).
-#[derive(Default)]
-struct PendingGrid {
-    gram_h: Option<PendingOp>,
-    gather_h: Option<PendingOp>,
-    rs_w: Option<PendingOp>,
-    gram_w: Option<PendingOp>,
-    gather_w: Option<PendingOp>,
-    rs_h: Option<PendingOp>,
+/// The schedule points of a [`Grid2D`] step that can hold a collective
+/// in flight, in the order the step posts them.
+#[derive(Clone, Copy)]
+enum Slot {
+    GatherH,
+    GramH,
+    ScatterW,
+    GatherW,
+    GramW,
+    ScatterH,
+    Objective,
+}
+
+impl Slot {
+    const COUNT: usize = Slot::Objective as usize + 1;
 }
 
 impl<'c> Grid2D<'c> {
@@ -615,40 +582,48 @@ impl<'c> Grid2D<'c> {
             h_counts: sub_cols.lens_scaled(k),
             k,
             overlap: true,
-            pending: RefCell::new(PendingGrid::default()),
+            pending: RefCell::default(),
         }
     }
 
     /// Enables or disables the split-phase overlapped schedule
-    /// (default: enabled). Must agree across ranks — the schedule is
-    /// part of the collective call sequence.
+    /// (default: enabled). Disabled, the scheme is the synchronous
+    /// reference `tests/overlap_equivalence.rs` compares against. Must
+    /// agree across ranks — the schedule is part of the collective call
+    /// sequence.
     #[must_use]
     pub fn with_overlap(mut self, overlap: bool) -> Self {
         self.overlap = overlap;
         self
     }
 
-    /// Whether this scheme runs the overlapped schedule.
-    pub fn overlap(&self) -> bool {
-        self.overlap
+    /// The one place that chooses the schedule: overlapped, `post` puts
+    /// its collective in flight in `slot`; otherwise the slot stays empty
+    /// and [`complete`](Self::complete) runs the collective whole.
+    fn post(&self, slot: Slot, post: impl FnOnce() -> PendingOp) {
+        if self.overlap {
+            let op = post();
+            self.pending.borrow_mut()[slot as usize] = Some(op);
+        }
     }
 
-    /// Completes `op` into `out`, opportunistically advancing the
-    /// in-flight op in the `sibling` slot whenever this wait would park.
-    /// When ranks are oversubscribed onto few cores this batches all
-    /// arrived rounds of both collectives into one thread activation
-    /// instead of waking once per round of one op.
-    fn wait_driving(
-        &self,
-        op: PendingOp,
-        out: &mut [f64],
-        sibling: fn(&mut PendingGrid) -> &mut Option<PendingOp>,
-    ) {
-        op.wait_with(out, || {
-            if let Some(other) = sibling(&mut self.pending.borrow_mut()).as_mut() {
-                other.try_progress();
-            }
-        });
+    /// Completes the collective of `slot` into `out`. An in-flight op is
+    /// taken out of its slot and waited, advancing every *other*
+    /// in-flight op whenever the wait would park: with ranks
+    /// oversubscribed onto few cores that batches all arrived rounds of
+    /// all pending collectives into one thread activation instead of
+    /// waking once per round of one op. An empty slot runs `sync`, the
+    /// same collective's synchronous form.
+    fn complete(&self, slot: Slot, out: &mut [f64], sync: impl FnOnce(&mut [f64])) {
+        let taken = self.pending.borrow_mut()[slot as usize].take();
+        match taken {
+            Some(op) => op.wait_with(out, || {
+                for other in self.pending.borrow_mut().iter_mut().flatten() {
+                    other.try_progress();
+                }
+            }),
+            None => sync(out),
+        }
     }
 
     /// Expected shape of this rank's `Aᵢⱼ` block.
@@ -689,87 +664,126 @@ impl CommScheme for Grid2D<'_> {
         self.world.all_reduce_scalar(x)
     }
 
-    fn reduce_gram_h(&self, ws: &mut IterWorkspace, _ht_local: &Mat, _tt: &mut TaskTimes) {
-        // Line 4: HHᵀ = Σᵢⱼ Uᵢⱼ, all-reduce across all ranks — straight
-        // into the solve buffer. The local Gram was computed by `prime`
-        // (first iteration) or by the previous objective evaluation.
-        ws.gram_solve.copy_from(&ws.gram_local);
-        self.world.all_reduce_into(ws.gram_solve.as_mut_slice());
-    }
+    // Per-communicator collective order is the same with and without
+    // overlap (world: Gram-H, Gram-W, objective; column: gather-H,
+    // scatter-H; row: scatter-W, gather-W), so tags, words, and messages
+    // on the wire are exactly the same — only the *schedule* changes:
+    // overlapped, each collective is posted as soon as its operand
+    // exists and waited only when its result is consumed, letting the
+    // local MM products run inside the communication windows.
 
-    fn gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
+    fn post_gather_h(&self, _ws: &mut IterWorkspace, ht_local: &Mat) {
         // Line 5: assemble Hⱼ (as Hⱼᵀ, n/pc × k) via all-gather across
         // the processor column.
-        self.col_comm.all_gatherv_into(
-            ht_local.as_slice(),
-            &self.h_counts,
-            ws.ht_gather.as_mut_slice(),
-        );
+        self.post(Slot::GatherH, || {
+            self.col_comm
+                .post_all_gatherv(ht_local.as_slice(), &self.h_counts)
+        });
+    }
+
+    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
+        self.complete(Slot::GatherH, ws.ht_gather.as_mut_slice(), |out| {
+            self.col_comm
+                .all_gatherv_into(ht_local.as_slice(), &self.h_counts, out)
+        });
         FactorSource::Gathered
     }
 
-    fn reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
+    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, _ht_local: &Mat, _tt: &mut TaskTimes) {
+        // Line 4: HHᵀ = Σᵢⱼ Uᵢⱼ, all-reduce across all ranks. The local
+        // Gram is already in `gram_local` (`prime` on the first
+        // iteration, the previous objective evaluation afterwards) and
+        // is not written again before the wait.
+        self.post(Slot::GramH, || {
+            self.world.post_all_reduce(ws.gram_local.as_slice())
+        });
+    }
+
+    fn wait_reduce_gram_h(&self, ws: &mut IterWorkspace) {
+        // Straight into the solve buffer.
+        self.complete(Slot::GramH, ws.gram_solve.as_mut_slice(), |out| {
+            out.copy_from_slice(ws.gram_local.as_slice());
+            self.world.all_reduce_into(out);
+        });
+    }
+
+    fn post_reduce_scatter_w(&self, ws: &mut IterWorkspace) {
         // Line 7: (AHᵀ)ᵢ via reduce-scatter across the processor row;
         // this rank keeps ((AHᵀ)ᵢ)ⱼ (m/p × k).
-        self.row_comm.reduce_scatter_into(
-            ws.mm_w.as_slice(),
-            &self.w_counts,
-            ws.aht.as_mut_slice(),
-        );
+        self.post(Slot::ScatterW, || {
+            self.row_comm
+                .post_reduce_scatter(ws.mm_w.as_slice(), &self.w_counts)
+        });
+    }
+
+    fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
+        self.complete(Slot::ScatterW, ws.aht.as_mut_slice(), |out| {
+            self.row_comm
+                .reduce_scatter_into(ws.mm_w.as_slice(), &self.w_counts, out)
+        });
         RhsSource::Scattered
     }
 
-    fn reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
+    fn post_gather_w(&self, _ws: &mut IterWorkspace, w_local: &Mat) {
+        // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
+        // processor row.
+        self.post(Slot::GatherW, || {
+            self.row_comm
+                .post_all_gatherv(w_local.as_slice(), &self.w_counts)
+        });
+    }
+
+    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
+        self.complete(Slot::GatherW, ws.w_gather.as_mut_slice(), |out| {
+            self.row_comm
+                .all_gatherv_into(w_local.as_slice(), &self.w_counts, out)
+        });
+        FactorSource::Gathered
+    }
+
+    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
         // Line 9: Xᵢⱼ = (Wᵢ)ⱼᵀ(Wᵢ)ⱼ; line 10: WᵀW all-reduce.
         let t0 = Instant::now();
         gram_into(w_local, &mut ws.gram_local);
         tt.gram += t0.elapsed();
-        ws.gram_w.copy_from(&ws.gram_local);
-        self.world.all_reduce_into(ws.gram_w.as_mut_slice());
+        self.post(Slot::GramW, || {
+            self.world.post_all_reduce(ws.gram_local.as_slice())
+        });
     }
 
-    fn gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
-        // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
-        // processor row.
-        self.row_comm.all_gatherv_into(
-            w_local.as_slice(),
-            &self.w_counts,
-            ws.w_gather.as_mut_slice(),
-        );
-        FactorSource::Gathered
+    fn wait_reduce_gram_w(&self, ws: &mut IterWorkspace) {
+        self.complete(Slot::GramW, ws.gram_w.as_mut_slice(), |out| {
+            out.copy_from_slice(ws.gram_local.as_slice());
+            self.world.all_reduce_into(out);
+        });
     }
 
-    fn reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
+    fn post_reduce_scatter_h(&self, ws: &mut IterWorkspace) {
         // Line 13: (WᵀA)ⱼ via reduce-scatter across the processor
         // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed).
-        self.col_comm.reduce_scatter_into(
-            ws.mm_h.as_slice(),
-            &self.h_counts,
-            ws.wta.as_mut_slice(),
-        );
+        self.post(Slot::ScatterH, || {
+            self.col_comm
+                .post_reduce_scatter(ws.mm_h.as_slice(), &self.h_counts)
+        });
+    }
+
+    fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
+        self.complete(Slot::ScatterH, ws.wta.as_mut_slice(), |out| {
+            self.col_comm
+                .reduce_scatter_into(ws.mm_h.as_slice(), &self.h_counts, out)
+        });
         RhsSource::Scattered
     }
 
     fn reduce_objective_terms(&self, terms: &mut [f64]) {
-        if self.overlap {
-            // Same algorithm, words, and tags as the synchronous
-            // all-reduce, but driven through the split-phase machinery so
-            // every park of this latency-bound reduction also advances
-            // the prefetched next-iteration collectives (see the engine's
-            // cross-iteration prefetch).
-            let op = self.world.post_all_reduce(terms);
-            op.wait_with(terms, || {
-                let mut p = self.pending.borrow_mut();
-                if let Some(other) = p.gather_h.as_mut() {
-                    other.try_progress();
-                }
-                if let Some(other) = p.gram_h.as_mut() {
-                    other.try_progress();
-                }
-            });
-        } else {
-            self.world.all_reduce_into(terms);
-        }
+        // Posted and completed back to back: every park of this
+        // latency-bound reduction also advances the prefetched
+        // next-iteration collectives (see the engine's cross-iteration
+        // prefetch).
+        self.post(Slot::Objective, || self.world.post_all_reduce(terms));
+        self.complete(Slot::Objective, terms, |out| {
+            self.world.all_reduce_into(out)
+        });
     }
 
     fn comm_stats(&self) -> CommStats {
@@ -778,132 +792,6 @@ impl CommScheme for Grid2D<'_> {
 
     fn prefetch_across_iterations(&self) -> bool {
         self.overlap
-    }
-
-    // --- Split-phase overrides: the overlapped Algorithm 3 schedule ---
-    //
-    // Per-communicator collective order is identical to the synchronous
-    // path (world: Gram-H, Gram-W, objective; column: gather-H,
-    // scatter-H; row: scatter-W, gather-W), so tags, words, and messages
-    // on the wire are exactly the same — only the *schedule* changes:
-    // each collective is posted as soon as its operand exists and waited
-    // only when its result is consumed, letting the local MM products run
-    // inside the communication windows.
-
-    fn post_gather_h(&self, _ws: &mut IterWorkspace, ht_local: &Mat) {
-        if self.overlap {
-            self.pending.borrow_mut().gather_h = Some(
-                self.col_comm
-                    .post_all_gatherv(ht_local.as_slice(), &self.h_counts),
-            );
-        }
-    }
-
-    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
-        let taken = self.pending.borrow_mut().gather_h.take();
-        match taken {
-            Some(op) => {
-                self.wait_driving(op, ws.ht_gather.as_mut_slice(), |p| &mut p.gram_h);
-                FactorSource::Gathered
-            }
-            None => self.gather_h(ws, ht_local),
-        }
-    }
-
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
-        if self.overlap {
-            // The local Gram is already in `gram_local` (prime / previous
-            // objective); the all-reduce completes into `gram_solve` at
-            // wait time, matching the synchronous copy-then-reduce.
-            self.pending.borrow_mut().gram_h =
-                Some(self.world.post_all_reduce(ws.gram_local.as_slice()));
-        } else {
-            self.reduce_gram_h(ws, ht_local, tt);
-        }
-    }
-
-    fn wait_reduce_gram_h(&self, ws: &mut IterWorkspace) {
-        let taken = self.pending.borrow_mut().gram_h.take();
-        if let Some(op) = taken {
-            self.wait_driving(op, ws.gram_solve.as_mut_slice(), |p| &mut p.rs_w);
-        }
-    }
-
-    fn post_reduce_scatter_w(&self, ws: &mut IterWorkspace) {
-        if self.overlap {
-            self.pending.borrow_mut().rs_w = Some(
-                self.row_comm
-                    .post_reduce_scatter(ws.mm_w.as_slice(), &self.w_counts),
-            );
-        }
-    }
-
-    fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
-        match self.pending.borrow_mut().rs_w.take() {
-            Some(op) => {
-                op.wait(ws.aht.as_mut_slice());
-                RhsSource::Scattered
-            }
-            None => self.reduce_scatter_w(ws),
-        }
-    }
-
-    fn post_gather_w(&self, _ws: &mut IterWorkspace, w_local: &Mat) {
-        if self.overlap {
-            self.pending.borrow_mut().gather_w = Some(
-                self.row_comm
-                    .post_all_gatherv(w_local.as_slice(), &self.w_counts),
-            );
-        }
-    }
-
-    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
-        let taken = self.pending.borrow_mut().gather_w.take();
-        match taken {
-            Some(op) => {
-                self.wait_driving(op, ws.w_gather.as_mut_slice(), |p| &mut p.gram_w);
-                FactorSource::Gathered
-            }
-            None => self.gather_w(ws, w_local),
-        }
-    }
-
-    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
-        if self.overlap {
-            let t0 = Instant::now();
-            gram_into(w_local, &mut ws.gram_local);
-            tt.gram += t0.elapsed();
-            self.pending.borrow_mut().gram_w =
-                Some(self.world.post_all_reduce(ws.gram_local.as_slice()));
-        } else {
-            self.reduce_gram_w(ws, w_local, tt);
-        }
-    }
-
-    fn wait_reduce_gram_w(&self, ws: &mut IterWorkspace) {
-        let taken = self.pending.borrow_mut().gram_w.take();
-        if let Some(op) = taken {
-            self.wait_driving(op, ws.gram_w.as_mut_slice(), |p| &mut p.rs_h);
-        }
-    }
-
-    fn post_reduce_scatter_h(&self, ws: &mut IterWorkspace) {
-        if self.overlap {
-            self.pending.borrow_mut().rs_h = Some(
-                self.col_comm
-                    .post_reduce_scatter(ws.mm_h.as_slice(), &self.h_counts),
-            );
-        }
-    }
-
-    fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
-        match self.pending.borrow_mut().rs_h.take() {
-            Some(op) => {
-                op.wait(ws.wta.as_mut_slice());
-                RhsSource::Scattered
-            }
-            None => self.reduce_scatter_h(ws),
-        }
     }
 }
 
@@ -917,18 +805,7 @@ impl Drop for Grid2D<'_> {
             // Peers may be gone; PendingOp's own Drop copes with this.
             return;
         }
-        let mut p = self.pending.borrow_mut();
-        for op in [
-            p.gram_h.take(),
-            p.gather_h.take(),
-            p.rs_w.take(),
-            p.gram_w.take(),
-            p.gather_w.take(),
-            p.rs_h.take(),
-        ]
-        .into_iter()
-        .flatten()
-        {
+        for op in self.pending.get_mut().iter_mut().filter_map(Option::take) {
             op.discard();
         }
     }
@@ -956,7 +833,8 @@ pub struct ConvergenceState {
     pub elapsed: Duration,
 }
 
-/// Per-rank output of a parallel run ([`AnlsEngine::into_rank_output`]).
+/// Per-rank output of a parallel run
+/// ([`AnlsEngine::into_rank_output_and_workspace`]).
 #[derive(Debug)]
 pub struct RankNmfOutput {
     /// This rank's rows of `W`.
@@ -1085,8 +963,9 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
          * Split-phase schedule: the H gather and the HHᵀ reduction go in
          * flight first, then the local A·Hᵀ product runs while the Gram
          * all-reduce is still on the wire; the W reduce-scatter is posted
-         * the moment its operand exists. Synchronous schemes fall through
-         * the default hooks and execute the classic ordered schedule. */
+         * the moment its operand exists. A scheme without split-phase
+         * collectives does each one whole inside one hook of the pair
+         * and so executes the classic ordered schedule. */
         if self.prefetched {
             // The previous step already put this iteration's H gather
             // and Gram reduction on the wire (see the prefetch below).
@@ -1183,7 +1062,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
          * every rank the all-reduce wakes also drains the prefetched
          * rounds, instead of starting them cold next step. Gated to
          * split-phase schemes (`prefetch_across_iterations`) because the
-         * default hooks execute work at the post site, and to iterations
+         * others execute work at the post site, and to iterations
          * that are certain to happen so the total op count — which the
          * exact communication-cost accounting pins — is unchanged. */
         if self.scheme.prefetch_across_iterations()
@@ -1327,11 +1206,6 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
             iters: self.iters,
         };
         (out, std::mem::take(&mut self.ws))
-    }
-
-    /// Finishes a per-rank run.
-    pub fn into_rank_output(self) -> RankNmfOutput {
-        self.into_rank_output_and_workspace().0
     }
 
     /// Finishes a run whose factors are global (i.e. [`LocalScheme`]):

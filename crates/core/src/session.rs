@@ -666,7 +666,7 @@ fn build_engine<'a>(
             ws,
         )),
         (Spec::Hpc(grid), RankData::Single(a)) => Box::new(AnlsEngine::with_workspace(
-            Grid2D::new(comm, grid, dims, config.k).with_overlap(config.overlap),
+            Grid2D::new(comm, grid, dims, config.k),
             a.as_ref(),
             config,
             w0,

@@ -107,55 +107,59 @@ fn sequential_steady_state_iterations_allocate_nothing() {
     }
 }
 
-fn run_hpc(iters: usize, solver: SolverKind) -> u64 {
+fn run_parallel(algo: Algo, p: usize, iters: usize, solver: SolverKind) -> u64 {
     let input = Input::Dense(Mat::uniform(40, 32, 19));
     let config = NmfConfig::new(4)
         .with_max_iters(iters)
         .with_solver(solver)
         .with_seed(7);
-    count(|| factorize(&input, 4, Algo::Hpc2D, &config))
+    count(|| factorize(&input, p, algo, &config))
 }
 
 #[test]
 fn hpc_per_iteration_allocations_are_exactly_the_transport() {
     let _guard = serial_guard();
-    let mut per_iteration = Vec::new();
-    for solver in [SolverKind::Hals, SolverKind::Mu, SolverKind::Bpp] {
-        // Warm once (thread-spawn and lazy-init costs of the first run).
-        let _ = run_hpc(2, solver);
-        let a2 = run_hpc(2, solver);
-        let a4 = run_hpc(4, solver);
-        let a6 = run_hpc(6, solver);
-        let d1 = a4 - a2;
-        let d2 = a6 - a4;
-        // The per-iteration delta is the transport traffic (boxed message
-        // payloads). It is *nearly* constant — the channel's internal block
-        // storage amortizes one allocation per ~32 messages, so consecutive
-        // deltas can differ by a few block allocations, but never by
-        // anything matrix-shaped.
-        let spread = d1.abs_diff(d2);
-        assert!(
-            spread <= 16,
-            "{solver:?}: per-iteration allocation delta varies too much ({d1} vs {d2}) — \
-             something in the iteration loop allocates beyond the message transport"
+    // Naive on 3 ranks splits 40 and 32 rows raggedly, so its all-gathers
+    // run the machines with `Counts::Var` and the arena's index tables.
+    for (algo, p) in [(Algo::Hpc2D, 4), (Algo::Naive, 3)] {
+        let mut per_iteration = Vec::new();
+        for solver in [SolverKind::Hals, SolverKind::Mu, SolverKind::Bpp] {
+            // Warm once (thread-spawn and lazy-init costs of the first run).
+            let _ = run_parallel(algo, p, 2, solver);
+            let a2 = run_parallel(algo, p, 2, solver);
+            let a4 = run_parallel(algo, p, 4, solver);
+            let a6 = run_parallel(algo, p, 6, solver);
+            let d1 = a4 - a2;
+            let d2 = a6 - a4;
+            // The per-iteration delta is the transport traffic (boxed message
+            // payloads). It is *nearly* constant — the channel's internal block
+            // storage amortizes one allocation per ~32 messages, so consecutive
+            // deltas can differ by a few block allocations, but never by
+            // anything matrix-shaped.
+            let spread = d1.abs_diff(d2);
+            assert!(
+                spread <= 16,
+                "{algo:?} {solver:?}: per-iteration allocation delta varies too much ({d1} vs {d2}) — \
+                 something in the iteration loop allocates beyond the message transport"
+            );
+            // Sanity: the per-iteration count is a few dozen boxed messages for
+            // 4 ranks, not matrix-sized churn.
+            assert!(
+                d1 / 2 < 400,
+                "{algo:?} {solver:?}: per-iteration allocation count {} is too high to be transport-only",
+                d1 / 2
+            );
+            per_iteration.push(d1 / 2);
+        }
+        // The transport does not know which solver runs between its
+        // messages: every solver pays the same per-iteration constant.
+        let (lo, hi) = (
+            per_iteration.iter().min().expect("three solvers"),
+            per_iteration.iter().max().expect("three solvers"),
         );
-        // Sanity: the per-iteration count is a few dozen boxed messages for
-        // 4 ranks, not matrix-sized churn.
         assert!(
-            d1 / 2 < 400,
-            "{solver:?}: per-iteration allocation count {} is too high to be transport-only",
-            d1 / 2
+            hi - lo <= 8,
+            "{algo:?}: per-iteration allocations differ by solver: {per_iteration:?} (HALS, MU, BPP)"
         );
-        per_iteration.push(d1 / 2);
     }
-    // The transport does not know which solver runs between its
-    // messages: every solver pays the same per-iteration constant.
-    let (lo, hi) = (
-        per_iteration.iter().min().expect("three solvers"),
-        per_iteration.iter().max().expect("three solvers"),
-    );
-    assert!(
-        hi - lo <= 8,
-        "per-iteration allocations differ by solver: {per_iteration:?} (HALS, MU, BPP)"
-    );
 }

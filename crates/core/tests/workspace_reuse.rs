@@ -31,7 +31,7 @@ fn run_rank(
     config: &NmfConfig,
     ws: &mut IterWorkspace,
 ) -> RankNmfOutput {
-    let scheme = Grid2D::new(comm, grid, dims, config.k).with_overlap(config.overlap);
+    let scheme = Grid2D::new(comm, grid, dims, config.k);
     let mut engine = AnlsEngine::with_workspace(scheme, local, config, w0, ht0, std::mem::take(ws));
     engine.run();
     let (out, ws_back) = engine.into_rank_output_and_workspace();

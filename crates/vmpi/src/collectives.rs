@@ -2,7 +2,9 @@
 //!
 //! Implemented *from point-to-point messages* with the classic algorithms
 //! whose costs the paper quotes in §2.3 (following Chan et al. and
-//! Thakur/Rabenseifner/Gropp):
+//! Thakur/Rabenseifner/Gropp). The first three are the resumable machines
+//! of [`pending`](crate::pending), which the calls here run to completion
+//! on the spot; the rest are plain loops in this file:
 //!
 //! * **all-gather** — Bruck's algorithm: `⌈log₂ p⌉` rounds,
 //!   `((p−1)/p)·n` words per rank. Handles any `p` and per-rank block
@@ -28,21 +30,22 @@
 //! The hot collectives come in two forms: allocating (`all_reduce`,
 //! `all_gatherv`, `reduce_scatter`) and caller-owned-output `_into`
 //! variants (`all_reduce_into`, `all_gather_into`, `all_gatherv_into`,
-//! `reduce_scatter_into`). The `_into` variants, combined with the
-//! communicator's staging arena (see `comm::Arena`), perform **zero heap
-//! allocations in steady state**: Bruck's rotated block buffer, the
-//! halving accumulator, and all prefix-sum tables are checked out of the
-//! arena and returned, retaining their capacity between calls. The NMF
-//! iteration loops call only the `_into` forms. (Message payloads
-//! crossing the channel transport are still boxed by the transport — that
-//! is the virtual interconnect, not the compute path.)
+//! `reduce_scatter_into`). The `_into` variants perform **zero heap
+//! allocations in steady state**: the machine they run checks Bruck's
+//! rotated block buffer, the halving accumulator, and all prefix-sum
+//! tables out of the communicator's staging arena (see `comm::Arena`)
+//! and returns them, retaining their capacity between calls. The NMF
+//! iteration loops call only the `_into` and `post_*` forms. (Message
+//! payloads crossing the channel transport are still boxed by the
+//! transport — that is the virtual interconnect, not the compute path.)
 //!
-//! Equal-block collectives (`all_gather`, `all_gather_into`, and the
-//! segment layout inside `all_reduce` when `p | n`) use a constant-space
-//! `Counts::Eq` descriptor instead of materializing a `vec![len; p]`
-//! per call.
+//! Equal-block collectives (`all_gather`, `all_gather_into`, any `v`
+//! call whose counts happen to be uniform, and the segment layout inside
+//! `all_reduce` when `p | n`) use a constant-space `Counts::Eq`
+//! descriptor instead of a prefix table.
 
 use crate::comm::{Comm, Kind};
+use crate::pending::Machine;
 use crate::stats::Op;
 
 /// `⌈log₂ p⌉` (0 for p ≤ 1); the latency factor of every collective here.
@@ -103,7 +106,7 @@ impl Counts<'_> {
 /// Rotated-block prefix offsets for Bruck's all-gather: `at(t)` is the
 /// number of words in rotated blocks `0..t`. Equal blocks need no table —
 /// the offset is just `t · len` — which is what makes the equal-counts
-/// fast path worthwhile for the split-phase gatherv on uniform grids.
+/// fast path worthwhile for the gatherv on uniform grids.
 pub(crate) enum RotOff {
     Eq(usize),
     /// Prefix table checked out of the communicator arena.
@@ -173,6 +176,13 @@ pub(crate) fn unrotate(rot: &[f64], rot_off: &RotOff, p: usize, r: usize, out: &
 }
 
 impl Comm {
+    /// The synchronous form of a machine-backed collective: builds the
+    /// machine, runs it to completion and unstages into `out`, all
+    /// charged to `op`'s timer.
+    fn run_sync(&self, op: Op, out: &mut [f64], machine: impl FnOnce() -> Machine) {
+        self.timed(op, || machine().run_into(&self.core, op, out));
+    }
+
     // ------------------------------------------------------------------
     // all-gather
     // ------------------------------------------------------------------
@@ -188,9 +198,13 @@ impl Comm {
     /// Equal-block all-gather into caller-owned `out`
     /// (`send.len() * size()` words, blocks in rank order).
     pub fn all_gather_into(&self, send: &[f64], out: &mut [f64]) {
-        let seq = self.next_seq();
-        self.timed(Op::AllGather, || {
-            self.bruck_all_gatherv_into(send, Counts::Eq(send.len()), out, seq, Op::AllGather)
+        assert_eq!(
+            out.len(),
+            send.len() * self.size(),
+            "all-gather output length mismatch"
+        );
+        self.run_sync(Op::AllGather, out, || {
+            Machine::gather(self, send, Counts::Eq(send.len()))
         });
     }
 
@@ -213,78 +227,14 @@ impl Comm {
             self.size(),
             "counts must have one entry per rank"
         );
-        let seq = self.next_seq();
-        self.timed(Op::AllGather, || {
-            self.bruck_all_gatherv_into(send, Counts::detect(counts), out, seq, Op::AllGather)
-        });
-    }
-
-    /// Bruck all-gather over point-to-point exchanges. `⌈log₂ p⌉` rounds;
-    /// in round `t` a rank ships the `min(2ᵗ, p−2ᵗ)` blocks it holds.
-    ///
-    /// Blocks are staged in *rotated* order (position `t` holds the block
-    /// of rank `(r+t) mod p`): the initial block and every received run
-    /// of blocks append contiguously, so each round's send is a prefix of
-    /// the staging buffer and the only data movement beyond the wire is
-    /// the final unrotation into `out`. The staging buffer and the
-    /// rotated prefix table come from the communicator arena.
-    pub(crate) fn bruck_all_gatherv_into(
-        &self,
-        send: &[f64],
-        counts: Counts<'_>,
-        out: &mut [f64],
-        seq: u64,
-        op: Op,
-    ) {
-        let p = self.size();
-        let r = self.rank();
-        assert_eq!(
-            counts.get(r),
-            send.len(),
-            "my block length disagrees with counts"
-        );
         assert_eq!(
             out.len(),
-            counts.total(p),
+            counts.iter().sum::<usize>(),
             "all-gather output length mismatch"
         );
-        if p == 1 {
-            out.copy_from_slice(send);
-            return;
-        }
-
-        // rot_off.at(t) = words of rotated blocks 0..t; rotated block t is
-        // the block of rank (r + t) mod p. Equal counts need no table.
-        let rot_off = RotOff::build(&self.core, counts, p);
-
-        let mut rot = self.take_buf();
-        rot.reserve(rot_off.at(p));
-        rot.extend_from_slice(send);
-
-        let mut have = 1usize;
-        let mut round = 0u64;
-        while have < p {
-            let cnt = have.min(p - have);
-            let dst = (r + p - have) % p;
-            let src = (r + have) % p;
-            let tag = self.tag(Kind::AllGather, (seq << 6) | round);
-            // Ship rotated blocks [0, cnt): a contiguous prefix. Receive
-            // the blocks of ranks src..src+cnt — rotated positions
-            // have..have+cnt — which append contiguously.
-            let data = self.exchange(dst, src, tag, &rot[..rot_off.at(cnt)], op);
-            assert_eq!(
-                data.len(),
-                rot_off.at(have + cnt) - rot_off.at(have),
-                "all-gather round payload length mismatch"
-            );
-            rot.extend_from_slice(&data);
-            have += cnt;
-            round += 1;
-        }
-
-        unrotate(&rot, &rot_off, p, r, out);
-        self.put_buf(rot);
-        rot_off.release(&self.core);
+        self.run_sync(Op::AllGather, out, || {
+            Machine::gather(self, send, Counts::detect(counts))
+        });
     }
 
     // ------------------------------------------------------------------
@@ -308,125 +258,14 @@ impl Comm {
             self.size(),
             "counts must have one entry per rank"
         );
-        let seq = self.next_seq();
-        self.timed(Op::ReduceScatter, || {
-            self.halving_reduce_scatter_into(data, Counts::Var(counts), out, seq, Op::ReduceScatter)
-        });
-    }
-
-    pub(crate) fn halving_reduce_scatter_into(
-        &self,
-        data: &[f64],
-        counts: Counts<'_>,
-        out: &mut [f64],
-        seq: u64,
-        op: Op,
-    ) {
-        let p = self.size();
-        let r = self.rank();
-        assert_eq!(
-            data.len(),
-            counts.total(p),
-            "data length must equal sum of counts"
-        );
         assert_eq!(
             out.len(),
-            counts.get(r),
+            counts[self.rank()],
             "reduce-scatter output length mismatch"
         );
-        if p == 1 {
-            out.copy_from_slice(data);
-            return;
-        }
-        let t = |round: u64| self.tag(Kind::ReduceScatter, (seq << 6) | round);
-
-        // off[i] = start of rank i's segment in `data`.
-        let mut off = self.take_idx();
-        prefix_sums_into(p, &mut off, |i| counts.get(i));
-
-        let pof2 = prev_pow2(p);
-        let rem = p - pof2;
-        let mut buf = self.take_buf();
-        buf.extend_from_slice(data);
-
-        // Fold: the first 2·rem ranks pair up; evens ship their whole
-        // vector to their odd neighbour and drop out of the halving.
-        let newrank: Option<usize> = if r < 2 * rem {
-            if r.is_multiple_of(2) {
-                self.send_op(r + 1, t(0), &buf, op);
-                None
-            } else {
-                let other = self.recv_op(r - 1, t(0));
-                add_into(&mut buf, &other);
-                Some(r / 2)
-            }
-        } else {
-            Some(r - rem)
-        };
-
-        // Virtual chunk v aggregates the real chunks of the rank(s) that
-        // fold onto surviving rank v: {2v, 2v+1} for v < rem, {v + rem}
-        // otherwise. Virtual chunks are contiguous in `buf`; voff is
-        // their prefix-sum table.
-        let mut voff = self.take_idx();
-        prefix_sums_into(pof2, &mut voff, |v| {
-            if v < rem {
-                counts.get(2 * v) + counts.get(2 * v + 1)
-            } else {
-                counts.get(v + rem)
-            }
+        self.run_sync(Op::ReduceScatter, out, || {
+            Machine::scatter(self, data, Counts::detect(counts))
         });
-        let real_of = |nr: usize| if nr < rem { 2 * nr + 1 } else { nr + rem };
-
-        match newrank {
-            Some(nr) => {
-                let (mut lo, mut hi) = (0usize, pof2);
-                let mut dist = pof2 / 2;
-                let mut round = 1u64;
-                while dist >= 1 {
-                    let mid = lo + dist;
-                    let partner = real_of(nr ^ dist);
-                    if nr < mid {
-                        let recv = self.exchange(
-                            partner,
-                            partner,
-                            t(round),
-                            &buf[voff[mid]..voff[hi]],
-                            op,
-                        );
-                        add_into(&mut buf[voff[lo]..voff[mid]], &recv);
-                        hi = mid;
-                    } else {
-                        let recv = self.exchange(
-                            partner,
-                            partner,
-                            t(round),
-                            &buf[voff[lo]..voff[mid]],
-                            op,
-                        );
-                        add_into(&mut buf[voff[mid]..voff[hi]], &recv);
-                        lo = mid;
-                    }
-                    dist /= 2;
-                    round += 1;
-                }
-                debug_assert_eq!(lo, nr);
-                debug_assert_eq!(hi, nr + 1);
-                if nr < rem {
-                    // My virtual chunk covers real ranks 2nr (my folded
-                    // partner) and 2nr+1 (me). Ship the partner's segment
-                    // back.
-                    self.send_op(2 * nr, t(40), &buf[off[2 * nr]..off[2 * nr + 1]], op);
-                    out.copy_from_slice(&buf[off[2 * nr + 1]..off[2 * nr + 2]]);
-                } else {
-                    out.copy_from_slice(&buf[off[nr + rem]..off[nr + rem + 1]]);
-                }
-            }
-            None => out.copy_from_slice(&self.recv_op(r + 1, t(40))),
-        }
-        self.put_buf(buf);
-        self.put_idx(voff);
-        self.put_idx(off);
     }
 
     /// Ring reduce-scatter (ablation alternative): `p−1` rounds, same
@@ -481,34 +320,10 @@ impl Comm {
     /// element-wise sum across ranks. Zero allocations in steady state
     /// (scratch comes from the communicator arena).
     pub fn all_reduce_into(&self, data: &mut [f64]) {
-        let p = self.size();
-        let seq = self.next_seq();
+        // `run_sync` spelled out: `data` is staged by `reduce` before it
+        // is borrowed again as the output.
         self.timed(Op::AllReduce, || {
-            if p == 1 {
-                return;
-            }
-            let n = data.len();
-            let base = n / p;
-            let extra = n % p;
-            let mut seg = self.take_buf();
-            if extra == 0 {
-                // Equal-segment fast path: no counts table at all.
-                let counts = Counts::Eq(base);
-                seg.resize(base, 0.0);
-                self.halving_reduce_scatter_into(data, counts, &mut seg, seq, Op::AllReduce);
-                let seq2 = self.next_seq();
-                self.bruck_all_gatherv_into(&seg, counts, data, seq2, Op::AllReduce);
-            } else {
-                let mut cvec = self.take_idx();
-                cvec.extend((0..p).map(|r| base + usize::from(r < extra)));
-                let counts = Counts::Var(&cvec);
-                seg.resize(cvec[self.rank()], 0.0);
-                self.halving_reduce_scatter_into(data, counts, &mut seg, seq, Op::AllReduce);
-                let seq2 = self.next_seq();
-                self.bruck_all_gatherv_into(&seg, counts, data, seq2, Op::AllReduce);
-                self.put_idx(cvec);
-            }
-            self.put_buf(seg);
+            Machine::reduce(self, data).run_into(&self.core, Op::AllReduce, data)
         });
     }
 

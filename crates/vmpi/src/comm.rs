@@ -1,5 +1,7 @@
 //! Communicators: rank identity, point-to-point messaging, and splitting.
 
+use crate::collectives::Counts;
+use crate::pending::Machine;
 use crate::stats::{CommStats, Op};
 use crate::transport::Endpoints;
 use std::cell::{Cell, RefCell};
@@ -188,28 +190,6 @@ impl Comm {
         self.core.stats.borrow().clone()
     }
 
-    /// Checks a reusable `f64` staging buffer out of the arena (empty,
-    /// with whatever capacity past calls built up).
-    pub(crate) fn take_buf(&self) -> Vec<f64> {
-        self.core.take_buf()
-    }
-
-    /// Returns a staging buffer to the arena for reuse.
-    pub(crate) fn put_buf(&self, v: Vec<f64>) {
-        self.core.put_buf(v)
-    }
-
-    /// Checks a reusable `usize` scratch table (offsets, counts) out of
-    /// the arena.
-    pub(crate) fn take_idx(&self) -> Vec<usize> {
-        self.core.take_idx()
-    }
-
-    /// Returns a scratch table to the arena for reuse.
-    pub(crate) fn put_idx(&self, v: Vec<usize>) {
-        self.core.put_idx(v)
-    }
-
     pub(crate) fn tag(&self, kind: Kind, seq: u64) -> u64 {
         self.core.tag(kind, seq)
     }
@@ -279,16 +259,9 @@ impl Comm {
     pub fn split(&self, color: usize, key: usize) -> Comm {
         // Exchange (color, key) via an internal all-gather so every rank
         // can compute every group deterministically.
-        let seq = self.next_seq();
         let mine = [color as f64, key as f64];
         let mut gathered = vec![0.0; 2 * self.size()];
-        self.bruck_all_gatherv_into(
-            &mine,
-            crate::collectives::Counts::Eq(2),
-            &mut gathered,
-            seq,
-            Op::P2p,
-        );
+        Machine::gather(self, &mine, Counts::Eq(2)).run_into(&self.core, Op::P2p, &mut gathered);
         let child_index = self.children.get();
         self.children.set(child_index + 1);
 

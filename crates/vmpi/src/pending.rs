@@ -1,16 +1,26 @@
-//! Split-phase (nonblocking) collectives: `post_*` / [`PendingOp::wait`].
+//! The three hot collectives as resumable state machines, and the
+//! split-phase (nonblocking) API over them: `post_*` / [`PendingOp::wait`].
 //!
-//! A posted collective runs the *same* algorithm as its synchronous
-//! counterpart — Bruck all-gather, recursive-halving reduce-scatter,
-//! Rabenseifner all-reduce — with identical tags, message counts, and
-//! word counts, so the exact communication-cost accounting is unchanged.
-//! What changes is the schedule: `post_*` stages the caller's input into
-//! arena buffers, issues every send that does not depend on an unreceived
-//! message (at minimum the whole first round), drains whatever replies
-//! already arrived, and returns a [`PendingOp`]. The caller then computes
-//! while peers' messages accumulate in the transport; `wait(out)` drives
-//! the remaining rounds to completion and unstages the result into the
-//! caller-owned output.
+//! Bruck all-gather, recursive-halving reduce-scatter and Rabenseifner
+//! all-reduce are each written once, here, as a machine that can suspend
+//! between messages. A machine's `step` takes a *budget* of parking
+//! receives; who supplies the budget decides the schedule, never the
+//! tags, messages, or words:
+//!
+//! * the synchronous `_into` calls in [`collectives`](crate::collectives)
+//!   step with an unlimited budget inside the call and unstage at once —
+//!   no [`PendingOp`], no post counted, no stash window opened;
+//! * `post_*` steps with budget 0: it stages the caller's input into
+//!   arena buffers, issues every send that does not depend on an
+//!   unreceived message (at minimum the whole first round), drains
+//!   whatever replies already arrived, and returns a [`PendingOp`];
+//! * `wait(out)` alternates budget 0 and budget 1 so it can advance
+//!   sibling ops between parks, then unstages the result into the
+//!   caller-owned output;
+//! * `discard` steps with an unlimited budget and drops the result.
+//!
+//! Between `post_*` and `wait` the caller computes while peers' messages
+//! accumulate in the transport.
 //!
 //! Progress happens only inside `post_*` and `wait` — there is no
 //! progress thread. That is enough to overlap, because every send is
@@ -68,7 +78,7 @@ impl OwnedCounts {
 /// or returns `None` so the machine can suspend. Driving with budget 0
 /// is pure opportunistic progress; [`PendingOp::wait_with`] drives with
 /// budget 1 per round-trip so it can advance *sibling* ops between
-/// parks.
+/// parks; an unlimited budget is the blocking collective.
 fn fetch(core: &CommCore, src: usize, tag: u64, budget: &mut usize) -> Option<Box<[f64]>> {
     if let Some(msg) = core.try_recv_op(src, tag) {
         return Some(msg);
@@ -84,9 +94,15 @@ fn fetch(core: &CommCore, src: usize, tag: u64, budget: &mut usize) -> Option<Bo
 // Bruck all-gather machine
 // ----------------------------------------------------------------------
 
-/// In-flight Bruck all-gather: identical rounds to
-/// [`Comm::all_gatherv_into`], suspended between messages.
-struct AgMachine {
+/// Bruck all-gather over point-to-point messages. `⌈log₂ p⌉` rounds; in
+/// round `t` a rank ships the `min(2ᵗ, p−2ᵗ)` blocks it holds.
+///
+/// Blocks are staged in *rotated* order (position `t` holds the block of
+/// rank `(r+t) mod p`): the initial block and every received run of
+/// blocks append contiguously, so each round's send is a prefix of the
+/// staging buffer and the only data movement beyond the wire is the
+/// final unrotation into the output.
+pub(crate) struct AgMachine {
     /// Rotated staging (arena): initial block + every received run.
     rot: Vec<f64>,
     rot_off: RotOff,
@@ -196,9 +212,15 @@ enum RsPhase {
     Done { start: usize, len: usize },
 }
 
-/// In-flight recursive-halving reduce-scatter: identical message flow to
-/// [`Comm::reduce_scatter_into`], suspended between messages.
-struct RsMachine {
+/// Recursive-halving reduce-scatter with a fold step for
+/// non-power-of-two `p`: the first `2·rem` ranks pair up, evens ship
+/// their whole vector to their odd neighbour and drop out of the
+/// halving, and get their finished segment back at the end.
+///
+/// Virtual chunk `v` aggregates the real chunks of the rank(s) that fold
+/// onto surviving rank `v`: `{2v, 2v+1}` for `v < rem`, `{v + rem}`
+/// otherwise. Virtual chunks are contiguous in `buf`.
+pub(crate) struct RsMachine {
     /// Accumulator (arena): a staged copy of the caller's input.
     buf: Vec<f64>,
     /// Real segment offsets, `off[i]` = start of rank `i`'s segment.
@@ -427,9 +449,10 @@ enum ArStage {
     Ag(AgMachine),
 }
 
-/// In-flight Rabenseifner all-reduce: the reduce-scatter machine chained
-/// into the all-gather machine, matching [`Comm::all_reduce_into`].
-struct ArMachine {
+/// Rabenseifner all-reduce: the reduce-scatter machine over near-equal
+/// segments chained into the all-gather machine over the same layout.
+/// `p | n` needs no counts table at all.
+pub(crate) struct ArMachine {
     counts: OwnedCounts,
     stage: ArStage,
     seq_ag: u64,
@@ -520,13 +543,35 @@ impl ArMachine {
 // The public handle
 // ----------------------------------------------------------------------
 
-enum Machine {
+/// One in-flight collective. Both entry styles build it here: `post_*`
+/// wraps it in a [`PendingOp`], the synchronous `_into` calls
+/// [`run_into`](Machine::run_into) it on the spot.
+pub(crate) enum Machine {
     Gather(AgMachine),
     Scatter(RsMachine),
     Reduce(ArMachine),
 }
 
 impl Machine {
+    /// Bruck all-gather of `send` over `comm`, consuming its next
+    /// sequence number.
+    pub(crate) fn gather(comm: &Comm, send: &[f64], counts: Counts<'_>) -> Machine {
+        Machine::Gather(AgMachine::new(&comm.core, send, counts, comm.next_seq()))
+    }
+
+    /// Recursive-halving reduce-scatter of `data` over `comm`, consuming
+    /// its next sequence number.
+    pub(crate) fn scatter(comm: &Comm, data: &[f64], counts: Counts<'_>) -> Machine {
+        Machine::Scatter(RsMachine::new(&comm.core, data, counts, comm.next_seq()))
+    }
+
+    /// Rabenseifner all-reduce of `data` over `comm`, consuming two
+    /// sequence numbers (one per pipeline stage).
+    pub(crate) fn reduce(comm: &Comm, data: &[f64]) -> Machine {
+        let (seq_rs, seq_ag) = (comm.next_seq(), comm.next_seq());
+        Machine::Reduce(ArMachine::new(&comm.core, data, seq_rs, seq_ag))
+    }
+
     fn step(&mut self, core: &CommCore, op: Op, budget: &mut usize) -> bool {
         match self {
             Machine::Gather(m) => m.step(core, op, budget),
@@ -543,12 +588,27 @@ impl Machine {
         }
     }
 
-    /// Completes the collective (blocking) and releases staging without
-    /// producing output — the [`PendingOp::discard`] path.
-    fn run_out(mut self, core: &CommCore, op: Op) {
+    /// Drives every remaining round, parking on each message that has
+    /// not arrived yet.
+    fn run_to_completion(&mut self, core: &CommCore, op: Op) {
         let mut unlimited = usize::MAX;
         let done = self.step(core, op, &mut unlimited);
         debug_assert!(done);
+    }
+
+    /// The synchronous collective: runs the machine to completion and
+    /// unstages the result into `out`. No [`PendingOp`] exists, so the
+    /// endpoint's in-flight count stays where it was and nothing is
+    /// recorded as a post.
+    pub(crate) fn run_into(mut self, core: &CommCore, op: Op, out: &mut [f64]) {
+        self.run_to_completion(core, op);
+        self.finish_into(core, out);
+    }
+
+    /// Completes the collective (blocking) and releases staging without
+    /// producing output — the [`PendingOp::discard`] path.
+    fn run_out(mut self, core: &CommCore, op: Op) {
+        self.run_to_completion(core, op);
         match self {
             Machine::Gather(m) => m.abandon(core),
             Machine::Scatter(m) => m.abandon(core),
@@ -604,6 +664,12 @@ impl PendingOp {
             }
         }
         machine.finish_into(&self.core, out);
+        self.retire(wait_begin);
+    }
+
+    /// Retires a completed op: stops the stash window and charges the
+    /// wait time and the overlap / in-flight spans.
+    fn retire(&self, wait_begin: Instant) {
         self.core.ep.pending_dec();
         let wait_end = Instant::now();
         let mut stats = self.core.stats.borrow_mut();
@@ -638,15 +704,7 @@ impl PendingOp {
             .take()
             .expect("PendingOp::discard on an already-waited op");
         machine.run_out(&self.core, self.op);
-        self.core.ep.pending_dec();
-        let wait_end = Instant::now();
-        let mut stats = self.core.stats.borrow_mut();
-        stats.record_time(self.op, wait_end - wait_begin);
-        stats.record_split_wait(
-            self.op,
-            wait_begin.saturating_duration_since(self.post_end),
-            wait_end.saturating_duration_since(self.post_begin),
-        );
+        self.retire(wait_begin);
     }
 }
 
@@ -678,11 +736,8 @@ impl Comm {
             "counts must have one entry per rank"
         );
         let post_begin = Instant::now();
-        let seq = self.next_seq();
-        let core = self.core.clone();
-        core.ep.pending_inc();
-        let machine = Machine::Gather(AgMachine::new(&core, send, Counts::detect(counts), seq));
-        finish_post(core, Op::AllGather, machine, post_begin)
+        let machine = Machine::gather(self, send, Counts::detect(counts));
+        finish_post(self.core.clone(), Op::AllGather, machine, post_begin)
     }
 
     /// Posts a reduce-scatter (same contract as
@@ -695,11 +750,8 @@ impl Comm {
             "counts must have one entry per rank"
         );
         let post_begin = Instant::now();
-        let seq = self.next_seq();
-        let core = self.core.clone();
-        core.ep.pending_inc();
-        let machine = Machine::Scatter(RsMachine::new(&core, data, Counts::detect(counts), seq));
-        finish_post(core, Op::ReduceScatter, machine, post_begin)
+        let machine = Machine::scatter(self, data, Counts::detect(counts));
+        finish_post(self.core.clone(), Op::ReduceScatter, machine, post_begin)
     }
 
     /// Posts an all-reduce (element-wise sum, same result as
@@ -707,22 +759,14 @@ impl Comm {
     /// `data.len()`. `data` is staged and free for reuse on return.
     pub fn post_all_reduce(&self, data: &[f64]) -> PendingOp {
         let post_begin = Instant::now();
-        let seq = self.next_seq();
-        // Mirror the synchronous path's sequence consumption: p == 1 uses
-        // one number, the reduce-scatter + all-gather pipeline two.
-        let seq_ag = if self.size() > 1 {
-            self.next_seq()
-        } else {
-            seq
-        };
-        let core = self.core.clone();
-        core.ep.pending_inc();
-        let machine = Machine::Reduce(ArMachine::new(&core, data, seq, seq_ag));
-        finish_post(core, Op::AllReduce, machine, post_begin)
+        let machine = Machine::reduce(self, data);
+        finish_post(self.core.clone(), Op::AllReduce, machine, post_begin)
     }
 }
 
 fn finish_post(core: CommCore, op: Op, mut machine: Machine, post_begin: Instant) -> PendingOp {
+    // From here on a peer may run ahead of this op: mismatched tags stash.
+    core.ep.pending_inc();
     // Eager progress: issue the first round's sends (and any further
     // rounds whose inputs already arrived) before returning to compute.
     machine.step(&core, op, &mut 0);

@@ -17,7 +17,9 @@
 //! at least one posted op is outstanding, a tag-mismatched message is set
 //! aside instead of panicking, and every receive checks the stash before
 //! the channel. With no posted op outstanding a mismatch is still the
-//! fail-fast protocol error it always was.
+//! fail-fast protocol error it always was — which covers every
+//! synchronous collective: it runs the same machine as a posted one but
+//! never raises the in-flight count.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::cell::{Cell, RefCell};
@@ -59,9 +61,8 @@ impl Endpoints {
                 receivers[dst].push(rx);
             }
         }
-        // receivers[dst][src] currently appended in src-major order for a
-        // fixed dst? No: loop order pushes (src, dst) into receivers[dst]
-        // as src ascends — index = src. Correct.
+        // `src` ascends in the outer loop, so receivers[dst] is indexed by
+        // source rank, as senders[src] is by destination.
         senders
             .into_iter()
             .zip(receivers)

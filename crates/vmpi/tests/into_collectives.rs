@@ -4,11 +4,54 @@
 //! reference, for power-of-two and odd rank counts alike, and repeated
 //! calls through the same communicator (exercising arena reuse) must not
 //! corrupt results.
+//!
+//! The synchronous forms run the same machines as `post_*` but without a
+//! `PendingOp`: each case also checks that the `_into` call left no
+//! split-phase trace in the counters and sent exactly the words and
+//! messages a `post_*().wait()` of the same input sends.
 
 use nmf_vmpi::universe::run;
+use nmf_vmpi::{Comm, Op};
+use std::time::Duration;
 
 fn payload(rank: usize, i: usize, salt: usize) -> f64 {
     (rank * 131 + i * 7 + salt) as f64 * 0.5 - 3.0
+}
+
+/// Runs `sync` — a synchronous collective charged to `op`, on a
+/// communicator that has posted nothing yet — then `posted`, a
+/// `post_*().wait()` of the same input.
+fn assert_sync_bypasses_split_phase(
+    comm: &Comm,
+    op: Op,
+    sync: impl FnOnce(),
+    posted: impl FnOnce(),
+) {
+    let before = comm.stats().op(op);
+    sync();
+    let mid = comm.stats().op(op);
+    assert_eq!(
+        mid.posts,
+        0,
+        "{}: synchronous call recorded a post",
+        op.name()
+    );
+    assert_eq!(mid.overlap, Duration::ZERO, "{}: overlap window", op.name());
+    assert_eq!(
+        mid.inflight,
+        Duration::ZERO,
+        "{}: in-flight span",
+        op.name()
+    );
+    posted();
+    let after = comm.stats().op(op);
+    assert_eq!(after.posts, 1);
+    assert_eq!(
+        (mid.words - before.words, mid.messages - before.messages),
+        (after.words - mid.words, after.messages - mid.messages),
+        "{}: synchronous and posted forms sent different traffic",
+        op.name()
+    );
 }
 
 #[test]
@@ -21,8 +64,15 @@ fn all_reduce_into_matches_allocating_and_reference() {
             let results = run(p, move |comm| {
                 let data: Vec<f64> = (0..n).map(|i| payload(comm.rank(), i, 1)).collect();
                 let alloc = comm.all_reduce(&data);
-                let mut inplace = data;
-                comm.all_reduce_into(&mut inplace);
+                let mut inplace = data.clone();
+                let mut posted = vec![0.0; n];
+                assert_sync_bypasses_split_phase(
+                    comm,
+                    Op::AllReduce,
+                    || comm.all_reduce_into(&mut inplace),
+                    || comm.post_all_reduce(&data).wait(&mut posted),
+                );
+                assert_eq!(posted, inplace, "posted all-reduce diverged");
                 (alloc, inplace)
             });
             for r in results {
@@ -54,7 +104,14 @@ fn all_gather_into_matches_gatherv_and_concat() {
             let counts = vec![len; comm.size()];
             let v = comm.all_gatherv(&mine, &counts);
             let mut v_into = vec![0.0; len * comm.size()];
-            comm.all_gatherv_into(&mine, &counts, &mut v_into);
+            let mut posted = vec![0.0; len * comm.size()];
+            assert_sync_bypasses_split_phase(
+                comm,
+                Op::AllGather,
+                || comm.all_gatherv_into(&mine, &counts, &mut v_into),
+                || comm.post_all_gatherv(&mine, &counts).wait(&mut posted),
+            );
+            assert_eq!(posted, v_into, "posted all-gather diverged");
             (eq, eq_into, v, v_into)
         });
         for r in results {
@@ -80,7 +137,14 @@ fn all_gatherv_into_handles_ragged_counts() {
             let me = comm.rank();
             let mine: Vec<f64> = (0..counts2[me]).map(|i| payload(me, i, 3)).collect();
             let mut out = vec![0.0; counts2.iter().sum()];
-            comm.all_gatherv_into(&mine, &counts2, &mut out);
+            let mut posted = vec![0.0; out.len()];
+            assert_sync_bypasses_split_phase(
+                comm,
+                Op::AllGather,
+                || comm.all_gatherv_into(&mine, &counts2, &mut out),
+                || comm.post_all_gatherv(&mine, &counts2).wait(&mut posted),
+            );
+            assert_eq!(posted, out, "posted ragged all-gather diverged");
             out
         });
         for r in results {
@@ -106,7 +170,14 @@ fn reduce_scatter_into_matches_allocating_and_reference() {
             let data: Vec<f64> = (0..n).map(|i| payload(comm.rank(), i, 4)).collect();
             let alloc = comm.reduce_scatter(&data, &counts2);
             let mut into = vec![0.0; counts2[comm.rank()]];
-            comm.reduce_scatter_into(&data, &counts2, &mut into);
+            let mut posted = vec![0.0; into.len()];
+            assert_sync_bypasses_split_phase(
+                comm,
+                Op::ReduceScatter,
+                || comm.reduce_scatter_into(&data, &counts2, &mut into),
+                || comm.post_reduce_scatter(&data, &counts2).wait(&mut posted),
+            );
+            assert_eq!(posted, into, "posted reduce-scatter diverged");
             (alloc, into)
         });
         for r in results {

@@ -269,7 +269,6 @@ fn disk_checkpoint_resume_through_overlapped_schedule_all_schemes() {
         let path = tmp_ckpt(tag);
         mid.save(&path).expect("checkpoint write");
         let mut resumed = Model::load(&path, &input).expect("checkpoint read");
-        assert!(resumed.config().overlap, "overlap defaults on after load");
         for _ in 0..(ITERS - brk) {
             resumed.step();
         }
