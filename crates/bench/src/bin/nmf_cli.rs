@@ -34,9 +34,11 @@
 //!
 //! `--json` replaces the human-readable report with one JSON object per
 //! fitted rank on stdout (objective, iterations, stop reason, per-task
-//! compute times, per-collective communication words/messages plus
-//! split-phase posts and overlap/in-flight seconds) for scripted
-//! benchmarking and model selection.
+//! compute times — totals, and per iteration the slowest and the fastest
+//! rank — per-collective communication words/messages plus split-phase
+//! posts and overlap/in-flight seconds, and `balance`: how the input was
+//! dealt and what each rank holds) for scripted benchmarking and model
+//! selection.
 //!
 //! The HPC scheme always runs its split-phase schedule (see
 //! `docs/comm-overlap.md`); what overlap buys is measured by
@@ -46,8 +48,8 @@
 //! accumulated and reported once (as [`NmfError::InvalidArgs`]) together
 //! with the usage text, instead of exiting at the first bad flag.
 
-use hpc_nmf::inspect_checkpoint;
 use hpc_nmf::prelude::*;
+use hpc_nmf::{inspect_checkpoint, DimBalance, RankLoad, ShardKey};
 
 use nmf_data::DatasetKind;
 use nmf_vmpi::Op;
@@ -706,12 +708,26 @@ fn drive_and_report(
     if args.json {
         print_json(input, model, stop, wall);
     } else {
-        print_human(model, stop, wall);
+        print_human(input, model, stop, wall);
     }
     Ok(())
 }
 
-fn print_human(model: &Model, stop: StopReason, wall: Duration) {
+/// What each rank of `model` holds of `input` (the sharding is cached:
+/// the model was built from it).
+fn rank_loads(input: &SharedInput, model: &Model) -> Vec<RankLoad> {
+    let grid = model.grid();
+    input.rank_loads(match model.algo() {
+        Algo::Sequential => ShardKey::Seq,
+        Algo::Naive => ShardKey::Naive { p: model.ranks() },
+        _ => ShardKey::Grid {
+            pr: grid.pr,
+            pc: grid.pc,
+        },
+    })
+}
+
+fn print_human(input: &SharedInput, model: &Model, stop: StopReason, wall: Duration) {
     let iters = model.records().len();
     println!(
         "\n{} iterations in {:.2?} ({:.4} s/iter), stopped: {}",
@@ -722,6 +738,28 @@ fn print_human(model: &Model, stop: StopReason, wall: Duration) {
     );
     println!("relative error: {:.6}", model.rel_error());
     println!("objective:      {:.6e}", model.objective());
+    let balance = input.balance();
+    let dim = |d: Option<DimBalance>| match d {
+        Some(d) if d.relabelled => format!("skew {:.3} (relabelled)", d.skew),
+        Some(d) => format!("skew {:.3}", d.skew),
+        None => "not examined".to_string(),
+    };
+    let loads = rank_loads(input, model);
+    let range = |count: fn(&RankLoad) -> usize| {
+        let (lo, hi) = loads
+            .iter()
+            .map(count)
+            .fold((usize::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
+        format!("{lo}..{hi}")
+    };
+    println!(
+        "balance:        rows {}, cols {}; per rank: nnz {}, non-empty rows {}, cols {}",
+        dim(balance.rows),
+        dim(balance.cols),
+        range(|l| l.nnz),
+        range(|l| l.non_empty_rows),
+        range(|l| l.non_empty_cols)
+    );
     let comm = model.total_comm();
     if comm.total_messages() > 0 {
         println!("\ncommunication (all ranks):");
@@ -799,7 +837,45 @@ fn print_json(input: &SharedInput, model: &Model, stop: StopReason, wall: Durati
         }
         s.push_str(&jnum(rec.objective));
     }
-    s.push_str("],\"comm\":{");
+    // Per iteration and task, the slowest and the fastest rank: their
+    // ratio is what the fast rank spends waiting in the next collective.
+    s.push_str("],\"compute_per_iteration\":[");
+    for (i, rec) in model.records().iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let (hi, lo) = (&rec.compute, &rec.compute_min);
+        s.push_str(&format!(
+            "{{\"mm_max\":{:.6},\"mm_min\":{:.6},\"nls_max\":{:.6},\"nls_min\":{:.6},\
+             \"gram_max\":{:.6},\"gram_min\":{:.6}}}",
+            hi.mm.as_secs_f64(),
+            lo.mm.as_secs_f64(),
+            hi.nls.as_secs_f64(),
+            lo.nls.as_secs_f64(),
+            hi.gram.as_secs_f64(),
+            lo.gram.as_secs_f64()
+        ));
+    }
+    let balance = input.balance();
+    let dim = |d: Option<DimBalance>| match d {
+        Some(d) => format!("{{\"skew\":{:.6},\"relabelled\":{}}}", d.skew, d.relabelled),
+        None => "null".to_string(),
+    };
+    s.push_str(&format!(
+        "],\"balance\":{{\"rows\":{},\"cols\":{},\"ranks\":[",
+        dim(balance.rows),
+        dim(balance.cols)
+    ));
+    for (i, load) in rank_loads(input, model).iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&format!(
+            "{{\"nnz\":{},\"non_empty_rows\":{},\"non_empty_cols\":{}}}",
+            load.nnz, load.non_empty_rows, load.non_empty_cols
+        ));
+    }
+    s.push_str("]},\"comm\":{");
     for (i, op) in [Op::AllGather, Op::ReduceScatter, Op::AllReduce, Op::P2p]
         .into_iter()
         .enumerate()

@@ -295,6 +295,15 @@ impl TaskTimes {
             gram: self.gram.max(other.gram),
         }
     }
+
+    /// Component-wise minimum (the fastest rank per task).
+    pub fn min(&self, other: &TaskTimes) -> TaskTimes {
+        TaskTimes {
+            mm: self.mm.min(other.mm),
+            nls: self.nls.min(other.nls),
+            gram: self.gram.min(other.gram),
+        }
+    }
 }
 
 /// One outer iteration's record on one rank.
@@ -302,8 +311,14 @@ impl TaskTimes {
 pub struct IterRecord {
     /// Objective `‖A − WH‖²_F` after this iteration's `H` update.
     pub objective: f64,
-    /// Local computation breakdown.
+    /// Local computation breakdown; aggregated across ranks
+    /// ([`crate::session::Model::step`]) it is the slowest rank per task.
     pub compute: TaskTimes,
+    /// The fastest rank per task (equal to `compute` on a single rank).
+    /// `compute.nls / compute_min.nls` is how long the fastest rank
+    /// waits, inside the next collective, for the slowest to finish its
+    /// solves — the first-order measure of load imbalance.
+    pub compute_min: TaskTimes,
     /// Communication this iteration (words/messages/time per collective).
     pub comm: CommStats,
 }
@@ -479,6 +494,9 @@ mod tests {
         let m = a.max(&b);
         assert_eq!(m.mm, Duration::from_millis(3));
         assert_eq!(m.nls, Duration::from_millis(5));
+        let lo = a.min(&b);
+        assert_eq!(lo.mm, Duration::from_millis(1));
+        assert_eq!(lo.nls, Duration::from_millis(1));
         let mut s = a;
         s.merge(&b);
         assert_eq!(s.total(), Duration::from_millis(14));

@@ -1080,6 +1080,7 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
         self.iters.push(IterRecord {
             objective,
             compute: tt,
+            compute_min: tt,
             comm: now.delta_since(&self.comm_base),
         });
         self.comm_base = now;

@@ -4,6 +4,15 @@
 //! the two matrix-multiply kernels (`A·Hᵀ` and `Aᵀ·W`) are the only
 //! operations that touch the data matrix, exactly as in the paper
 //! ("the data matrix itself is never communicated").
+//!
+//! The input also owns one decision: the **order in which its rows and
+//! columns are dealt to ranks** (`Dealing`). Every scheme hands rank
+//! `r` a run of consecutive indices, which is an equal share of the work
+//! only when nonzeros are spread evenly over the index range. A sparse
+//! input whose heavy rows or columns come first (a crawl-ordered web
+//! graph) is therefore relabelled once, before blocks are cut from it;
+//! [`crate::session::Model`] undoes the relabelling where factor rows
+//! enter and leave the ranks, so nothing above the model sees it.
 
 use crate::workspace::SessionPack;
 use nmf_matrix::{
@@ -134,6 +143,143 @@ impl Input {
             Input::Sparse(a) => spmm_at_dense_into(a, w, out),
         }
     }
+}
+
+/// How one dimension of an input was dealt (see [`Balance`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DimBalance {
+    /// [`nmf_sparse::Skew::d`] of the dimension's nonzero counts: 0 is
+    /// uniform, 1 is everything at one end ([`Csr::row_skew`],
+    /// [`Csr::col_skew`]).
+    pub skew: f64,
+    /// Whether the skew tripped [`nmf_sparse::Skew::is_skewed`], so the
+    /// dimension is dealt in a balanced order instead of index order.
+    pub relabelled: bool,
+}
+
+/// The dealing decision of an input, per dimension: `None` for a
+/// dimension that is never examined (dense inputs, mmap-backed files) and
+/// always dealt in index order.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Balance {
+    pub rows: Option<DimBalance>,
+    pub cols: Option<DimBalance>,
+}
+
+/// The order in which an input's rows and columns are dealt to ranks: per
+/// dimension either index order (`None`) or a permutation `order`
+/// (position → original index) under which every run of consecutive
+/// positions holds an equal share of the dimension's nonzeros.
+///
+/// A pure function of the matrix ([`Dealing::of`]) — never of the rank
+/// count, grid, algorithm or solver — so every sharding of one input, a
+/// resume after a restart and a regrid all see the same order.
+#[derive(Debug, Default)]
+pub(crate) struct Dealing {
+    rows: Option<Vec<usize>>,
+    cols: Option<Vec<usize>>,
+    /// [`nmf_sparse::Skew::d`] of rows and columns; `None` when not
+    /// examined.
+    skew: Option<(f64, f64)>,
+}
+
+impl Dealing {
+    /// Decides how `input` is dealt. Dense inputs are not examined; a
+    /// sparse input costs one pass over its row pointers and a bounded
+    /// one over its column indices ([`Csr::col_skew`]), plus the orders
+    /// themselves for dimensions that trip
+    /// [`nmf_sparse::Skew::is_skewed`].
+    pub(crate) fn of(input: &Input) -> Dealing {
+        let Input::Sparse(a) = input else {
+            return Dealing::default();
+        };
+        let (row_skew, col_skew) = (a.row_skew(), a.col_skew());
+        Dealing {
+            rows: row_skew
+                .is_skewed()
+                .then(|| balanced_order(&a.row_degrees())),
+            cols: col_skew
+                .is_skewed()
+                .then(|| balanced_order(&a.col_degrees())),
+            skew: Some((row_skew.d, col_skew.d)),
+        }
+    }
+
+    /// Row order (position → original row), `None` for index order.
+    pub(crate) fn rows(&self) -> Option<&[usize]> {
+        self.rows.as_deref()
+    }
+
+    /// Column order (position → original column), `None` for index order.
+    pub(crate) fn cols(&self) -> Option<&[usize]> {
+        self.cols.as_deref()
+    }
+
+    /// The matrix blocks are cut from, when it is not `input` itself.
+    pub(crate) fn relabel(&self, input: &Input) -> Option<Input> {
+        match input {
+            Input::Sparse(a) if self.rows.is_some() || self.cols.is_some() => {
+                Some(Input::Sparse(a.relabelled(self.rows(), self.cols())))
+            }
+            _ => None,
+        }
+    }
+
+    pub(crate) fn balance(&self) -> Balance {
+        let dim = |skew, order: &Option<Vec<usize>>| DimBalance {
+            skew,
+            relabelled: order.is_some(),
+        };
+        Balance {
+            rows: self.skew.map(|(d, _)| dim(d, &self.rows)),
+            cols: self.skew.map(|(_, d)| dim(d, &self.cols)),
+        }
+    }
+}
+
+/// A permutation of `0..counts.len()` (position → index) under which any
+/// split of the positions into `p` equal consecutive runs gives each run
+/// an equal share of the counts — for every `p` at once, which is what
+/// lets one order serve every sharding.
+///
+/// Indices are ranked by count, heaviest first (a stable counting sort),
+/// and dealt by halving: of every two consecutive ranks one goes to each
+/// half of the positions, of every two that went to the same half one to
+/// each of its quarters, and so on. Which half receives the heavier of a
+/// pair alternates in the Thue–Morse pattern (the parity of the rank's
+/// set bits), so that advantage cancels instead of adding up. In closed
+/// form the position holding rank `r` has, as its `j`-th leading bit,
+/// the parity of `r >> j`; read backwards, position `q` holds rank
+/// `x ^ (x >> 1)` with `x` the bit-reversal of `q`. A run of `1/p` of
+/// the positions then receives every `p`-th rank (exactly when `p` is a
+/// power of two, to within a few ranks otherwise) and so the same mix of
+/// heavy, light and empty indices, which balances nonzeros (the `MM`
+/// work) and non-empty rows (the NLS work) together.
+fn balanced_order(counts: &[usize]) -> Vec<usize> {
+    let len = counts.len();
+    let max = counts.iter().copied().max().unwrap_or(0);
+    let mut next = vec![0usize; max + 2];
+    for &c in counts {
+        next[max - c + 1] += 1;
+    }
+    for b in 0..=max {
+        next[b + 1] += next[b];
+    }
+    let mut ranked = vec![0usize; len];
+    for (i, &c) in counts.iter().enumerate() {
+        ranked[next[max - c]] = i;
+        next[max - c] += 1;
+    }
+    let bits = len.next_power_of_two().trailing_zeros();
+    if bits == 0 {
+        return ranked;
+    }
+    (0..1usize << bits)
+        .map(|position| position.reverse_bits() >> (usize::BITS - bits))
+        .map(|x| x ^ (x >> 1))
+        .filter(|&rank| rank < len)
+        .map(|rank| ranked[rank])
+        .collect()
 }
 
 /// One rank's block of the input matrix. Sparse blocks carry both the
@@ -309,6 +455,79 @@ mod tests {
                 assert!(d.max_abs_diff(&sp.csr().to_dense()) < 1e-15);
             }
             _ => panic!("unexpected block variants"),
+        }
+    }
+
+    #[test]
+    fn balanced_order_is_a_permutation_that_balances_every_split() {
+        for len in [0usize, 1, 2, 7, 64, 1000] {
+            // Heavy head (count ~ 1/√i), a third of the indices empty.
+            let counts: Vec<usize> = (0..len)
+                .map(|i| {
+                    if i % 3 == 2 {
+                        0
+                    } else {
+                        2000 / ((i + 1) as f64).sqrt() as usize
+                    }
+                })
+                .collect();
+            let order = balanced_order(&counts);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..len).collect::<Vec<_>>(), "len {len}");
+            if len < 1000 {
+                continue;
+            }
+            let total: usize = counts.iter().sum();
+            let non_empty = counts.iter().filter(|&&c| c > 0).count();
+            for p in [2usize, 3, 4, 5, 8] {
+                for q in 0..p {
+                    let run = &order[q * len / p..(q + 1) * len / p];
+                    let share: usize = run.iter().map(|&i| counts[i]).sum();
+                    let filled = run.iter().filter(|&&i| counts[i] > 0).count();
+                    // No run is off by more than the heaviest index (2000
+                    // of ~80,000) or a handful of non-empty ones.
+                    assert!(
+                        share.abs_diff(total / p) <= 2000,
+                        "p={p} run {q}: {share} of {total}"
+                    );
+                    assert!(
+                        filled.abs_diff(non_empty / p) <= 4,
+                        "p={p} run {q}: {filled} of {non_empty} non-empty"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dealing_examines_sparse_inputs_only_and_relabels_skewed_ones() {
+        use nmf_sparse::gen::{chung_lu_power_law, erdos_renyi};
+        let dense = Dealing::of(&Input::Dense(Mat::uniform(9, 7, 1)));
+        assert_eq!(dense.balance(), Balance::default());
+        assert!(dense.rows().is_none() && dense.cols().is_none());
+
+        let er = Input::Sparse(erdos_renyi(300, 200, 0.05, 3));
+        let even = Dealing::of(&er);
+        assert!(even.rows().is_none() && even.cols().is_none());
+        assert!(even.relabel(&er).is_none());
+        let b = even.balance();
+        assert!(!b.rows.unwrap().relabelled && b.rows.unwrap().skew < 0.1);
+
+        let graph = chung_lu_power_law(400, 1600, 2.1, 5);
+        let input = Input::Sparse(graph.clone());
+        let skewed = Dealing::of(&input);
+        let (rows, cols) = (skewed.rows().unwrap(), skewed.cols().unwrap());
+        let b = skewed.balance();
+        assert!(b.rows.unwrap().relabelled && b.cols.unwrap().relabelled);
+        assert!(b.rows.unwrap().skew > 0.3 && b.cols.unwrap().skew > 0.3);
+        let Some(Input::Sparse(dealt)) = skewed.relabel(&input) else {
+            panic!("a skewed sparse input is relabelled");
+        };
+        for (p, &i) in rows.iter().enumerate() {
+            for (q, &j) in cols.iter().enumerate() {
+                assert_eq!(dealt.get(p, q), graph.get(i, j));
+            }
         }
     }
 

@@ -113,10 +113,10 @@ pub use engine::{
 pub use error::NmfError;
 pub use grid::Grid;
 pub use harness::{factorize, factorize_from, total_comm, Algo};
-pub use input::{Input, LocalMat};
+pub use input::{Balance, DimBalance, Input, LocalMat};
 pub use regrid::{fitting_grids, GlobalFactors, RegridTarget};
 pub use session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};
-pub use shared::{ShardKey, SharedInput};
+pub use shared::{RankLoad, ShardKey, SharedInput};
 pub use workspace::IterWorkspace;
 
 /// Everything needed for typical use.

@@ -65,7 +65,7 @@ use crate::engine::{
 use crate::error::{grid_fits, NmfError};
 use crate::grid::Grid;
 use crate::harness::Algo;
-use crate::input::Input;
+use crate::input::{Dealing, Input};
 use crate::regrid::RegridTarget;
 use crate::shared::{extract_rank_data, RankData, ShardKey, SharedInput};
 use crate::workspace::IterWorkspace;
@@ -103,22 +103,50 @@ impl InputSource<'_> {
         }
     }
 
-    /// The per-rank blocks for `key`: freshly extracted for a whole
-    /// matrix, served from (and populated into) the sharding cache for
-    /// a shared input.
-    fn rank_data(&self, key: ShardKey) -> Arc<Vec<RankData>> {
+    /// The order the input is dealt in and the per-rank blocks for
+    /// `key` cut in that order: decided and freshly extracted for a whole
+    /// matrix (through a relabelled copy when it is skewed), served from
+    /// the shared input — which decided once, when it was made — and its
+    /// sharding cache otherwise. Both arms decide with [`Dealing::of`],
+    /// so they deal one matrix identically.
+    fn deal(&self, key: ShardKey) -> (Arc<Dealing>, Arc<Vec<RankData>>) {
         match self {
             InputSource::Whole(input) => {
                 let (m, n) = input.shape();
-                Arc::new(extract_rank_data(
-                    &|r0, c0, nr, nc| input.block(r0, c0, nr, nc),
-                    key,
-                    m,
-                    n,
-                ))
+                let dealing = Dealing::of(input);
+                let relabelled = dealing.relabel(input);
+                let dealt = relabelled.as_ref().unwrap_or(input);
+                let blocks =
+                    extract_rank_data(&|r0, c0, nr, nc| dealt.block(r0, c0, nr, nc), key, m, n);
+                (Arc::new(dealing), Arc::new(blocks))
             }
-            InputSource::Shared(shared) => shared.rank_data(key),
+            InputSource::Shared(shared) => (Arc::clone(shared.dealing()), shared.rank_data(key)),
         }
+    }
+}
+
+/// Rows `part` of a global factor as a rank receives them: positions
+/// `part` of the dealt order, which in index order (`None`) is the
+/// contiguous block itself.
+fn dealt_rows(global: &Mat, order: Option<&[usize]>, part: Part) -> Mat {
+    let Some(order) = order else {
+        return global.rows_block(part.offset, part.len);
+    };
+    let mut rows = Vec::with_capacity(part.len * global.ncols());
+    for &g in &order[part.offset..part.end()] {
+        rows.extend_from_slice(global.row(g));
+    }
+    Mat::from_vec(part.len, global.ncols(), rows)
+}
+
+/// The inverse of [`dealt_rows`]: puts a rank's factor rows back where
+/// they belong in the global factor.
+fn undeal_rows(global: &mut Mat, order: Option<&[usize]>, part: Part, local: &Mat) {
+    let Some(order) = order else {
+        return global.set_block(part.offset, 0, local);
+    };
+    for (i, &g) in order[part.offset..part.end()].iter().enumerate() {
+        global.row_mut(g).copy_from_slice(local.row(i));
     }
 }
 
@@ -539,6 +567,14 @@ pub(crate) struct RankLayout {
 /// starts), snapshot reassembly, the versioned checkpoint factor
 /// section, and the regrid globalizer — all four must agree on these
 /// offsets for resume to be bit-identical.
+///
+/// The offsets are *positions in the order the input is dealt in*. For
+/// an input dealt in index order a position is the global row itself.
+/// For a relabelled one the input's [`Dealing`] sits between the two,
+/// and only the first two users cross it ([`dealt_rows`] on the way into
+/// the ranks, [`undeal_rows`] on the way out): checkpoints and the regrid
+/// globalizer slice factors that are already back in original row order,
+/// so files never depend on how an input was dealt.
 pub(crate) fn factor_layouts(
     algo: Algo,
     grid: Grid,
@@ -786,6 +822,9 @@ pub struct Model {
     grid: Grid,
     ranks: usize,
     layout: Vec<RankLayout>,
+    /// The order the input's rows and columns were dealt in: what sits
+    /// between `layout` positions and global factor rows.
+    dealing: Arc<Dealing>,
     workers: Vec<WorkerHandle>,
     handles: Vec<JoinHandle<()>>,
     /// Aggregated per-iteration records (critical-path compute, merged
@@ -830,7 +869,7 @@ impl Model {
         // One sharding for the whole universe: a shared input serves
         // (or fills) its cache, a whole input extracts fresh. Either
         // way each worker receives cheap `Arc` clones of its blocks.
-        let rank_data = input.rank_data(spec.shard_key(ranks));
+        let (dealing, rank_data) = input.deal(spec.shard_key(ranks));
         debug_assert_eq!(rank_data.len(), ranks);
 
         let mut workers = Vec::with_capacity(ranks);
@@ -838,8 +877,8 @@ impl Model {
         for (r, seat) in seats(ranks).into_iter().enumerate() {
             let data = rank_data[r].clone();
             let lay = layout[r];
-            let w0_local = w0.rows_block(lay.w.offset, lay.w.len);
-            let ht0_local = ht0.rows_block(lay.ht.offset, lay.ht.len);
+            let w0_local = dealt_rows(&w0, dealing.rows(), lay.w);
+            let ht0_local = dealt_rows(&ht0, dealing.cols(), lay.ht);
             let (cmd_tx, cmd_rx) = mpsc::channel();
             let (reply_tx, reply_rx) = mpsc::channel();
             let st = resume.clone();
@@ -876,6 +915,7 @@ impl Model {
             grid,
             ranks,
             layout,
+            dealing,
             workers,
             handles,
             records: Vec::new(),
@@ -909,8 +949,9 @@ impl Model {
     }
 
     /// Executes exactly one collective ANLS outer iteration and returns
-    /// its aggregated record (critical-path compute times across ranks,
-    /// merged communication counters).
+    /// its aggregated record (critical-path compute times across ranks
+    /// with the fastest rank's beside them, merged communication
+    /// counters).
     ///
     /// Like [`AnlsEngine::step`], this ignores `max_iters` and any
     /// previously reached stop condition — stepping past a stop is
@@ -937,6 +978,7 @@ impl Model {
                     );
                     debug_assert_eq!(stop, s, "stop decision must agree across ranks");
                     a.compute = a.compute.max(&rec.compute);
+                    a.compute_min = a.compute_min.min(&rec.compute_min);
                     a.comm.max_merge(&rec.comm);
                 }
             }
@@ -1221,8 +1263,8 @@ impl Model {
                 r,
                 Cmd::Reinit(Box::new(ReinitMsg {
                     config,
-                    w0: w0.rows_block(lay.w.offset, lay.w.len),
-                    ht0: ht0.rows_block(lay.ht.offset, lay.ht.len),
+                    w0: dealt_rows(&w0, self.dealing.rows(), lay.w),
+                    ht0: dealt_rows(&ht0, self.dealing.cols(), lay.ht),
                     state: None,
                 })),
             );
@@ -1322,8 +1364,8 @@ impl Model {
             else {
                 panic!("protocol mismatch from session worker {r}");
             };
-            w_full.set_block(self.layout[r].w.offset, 0, &w);
-            ht_full.set_block(self.layout[r].ht.offset, 0, &ht);
+            undeal_rows(&mut w_full, self.dealing.rows(), self.layout[r].w, &w);
+            undeal_rows(&mut ht_full, self.dealing.cols(), self.layout[r].ht, &ht);
             // The numeric state is identical on every rank (it derives
             // from all-reduced objectives); the wall clock is not — take
             // the slowest rank's, the conservative budget accounting.

@@ -43,18 +43,34 @@
 //! plus one panel window — the dense whole is never materialized, and
 //! the extracted blocks are bit-identical to what the resident path
 //! produces.
+//!
+//! ## Balanced dealing
+//!
+//! A resident sparse input whose nonzeros crowd one end of its row or
+//! column range is relabelled once, in [`SharedInput::new`], into an
+//! order under which every run of consecutive indices holds an equal
+//! share of them (`Dealing` in [`crate::input`]; the original matrix is
+//! dropped). Blocks are cut from the relabelled matrix, so the cache,
+//! the three communication schemes and the word counts see an ordinary
+//! input; [`Model`](crate::session::Model) maps factor rows back to
+//! original indices at its boundary, so callers do too.
+//! [`SharedInput::balance`] reports the decision and
+//! [`SharedInput::rank_loads`] what each rank of a sharding ends up
+//! holding. Dense inputs, unskewed sparse inputs and mmap-backed files
+//! are dealt in index order.
 
 use crate::dist::Dist1D;
 use crate::error::NmfError;
 use crate::grid::Grid;
-use crate::input::{Input, LocalMat};
-use crate::session::hpc_rank_layout;
+use crate::harness::Algo;
+use crate::input::{Balance, Dealing, Input, LocalMat};
+use crate::session::{factor_layouts, hpc_rank_layout};
 use nmf_sparse::io::{MmError, MmapCsr, DEFAULT_PANEL_BYTES};
 use nmf_sparse::{Csr, SpBlock};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One rank's share of the input matrix. Cloning is cheap — blocks are
 /// behind `Arc`s — which is what lets a cached sharding fan out to any
@@ -90,9 +106,40 @@ pub enum ShardKey {
     Grid { pr: usize, pc: usize },
 }
 
+impl ShardKey {
+    /// The `(algo, grid, ranks)` triple whose factor slicing this
+    /// sharding serves (see [`factor_layouts`]).
+    fn scheme(self) -> (Algo, Grid, usize) {
+        match self {
+            ShardKey::Seq => (Algo::Sequential, Grid::new(1, 1), 1),
+            ShardKey::Naive { p } => (Algo::Naive, Grid::one_dimensional(p), p),
+            ShardKey::Grid { pr, pc } => {
+                let grid = Grid::new(pr, pc);
+                (Algo::HpcGrid(grid), grid, pr * pc)
+            }
+        }
+    }
+}
+
+/// What one rank of a sharding holds: the cost drivers of its share of
+/// an iteration, in exact counts. Equal across ranks means no rank waits
+/// for another inside a collective.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankLoad {
+    /// Stored entries of the rank's block(s) of `A` — the `MM` work.
+    pub nnz: usize,
+    /// Rows of the rank's `W` slice that hold at least one entry of `A`
+    /// — the row solves of its `W` update that are not trivially zero.
+    pub non_empty_rows: usize,
+    /// Columns of the rank's `H` slice that hold at least one entry —
+    /// likewise for its `H` update.
+    pub non_empty_cols: usize,
+}
+
 /// The matrix behind a [`SharedInput`].
 enum Source {
-    /// Fully resident, dense or sparse.
+    /// Fully resident, dense or sparse; relabelled when its [`Dealing`]
+    /// says so.
     Resident(Input),
     /// An `NMFS` file, read in bounded row-panel windows.
     Mmap(MmapCsr),
@@ -107,21 +154,29 @@ pub struct SharedInput {
     m: usize,
     n: usize,
     norm_a_sq: f64,
+    /// The order `source` is dealt in (index order for mmap sources).
+    dealing: Arc<Dealing>,
     cache: Mutex<HashMap<ShardKey, Arc<Vec<RankData>>>>,
     /// How many distinct shardings have been extracted (cache misses).
     extractions: AtomicUsize,
 }
 
 impl SharedInput {
-    /// Wraps a resident input matrix.
+    /// Wraps a resident input matrix. A sparse input is examined for
+    /// skew here and, when skewed, relabelled (see the [module
+    /// docs](self#balanced-dealing)); `‖A‖²_F` is summed in the storage
+    /// order it arrived in.
     pub fn new(input: Input) -> SharedInput {
         let (m, n) = input.shape();
         let norm_a_sq = input.fro_norm_sq();
+        let dealing = Dealing::of(&input);
+        let relabelled = dealing.relabel(&input);
         SharedInput {
-            source: Source::Resident(input),
+            source: Source::Resident(relabelled.unwrap_or(input)),
             m,
             n,
             norm_a_sq,
+            dealing: Arc::new(dealing),
             cache: Mutex::new(HashMap::new()),
             extractions: AtomicUsize::new(0),
         }
@@ -131,6 +186,12 @@ impl SharedInput {
     /// for panel-streamed sharding. Only the header and row pointers
     /// stay mapped; `‖A‖²_F` is computed here with one bounded streaming
     /// pass (bit-identical to the resident sum).
+    ///
+    /// An mmap-backed input is always dealt in file order: block
+    /// extraction streams contiguous row panels, and a relabelled deal
+    /// would need every panel routed to every block of a sharding. A
+    /// skewed file therefore shards unevenly where the same matrix,
+    /// resident, would not; the factors agree either way.
     pub fn open_mmap(path: impl AsRef<Path>) -> Result<SharedInput, NmfError> {
         let path = path.as_ref();
         let wrap = |e: MmError| match e {
@@ -151,6 +212,7 @@ impl SharedInput {
             m,
             n,
             norm_a_sq,
+            dealing: Arc::new(Dealing::default()),
             cache: Mutex::new(HashMap::new()),
             extractions: AtomicUsize::new(0),
         })
@@ -205,7 +267,77 @@ impl SharedInput {
 
     /// Shardings currently cached.
     pub fn cached_shardings(&self) -> usize {
-        self.cache.lock().expect("shard cache poisoned").len()
+        self.cache().len()
+    }
+
+    /// The shard cache. The map is only ever changed by inserting a
+    /// finished sharding or by clearing it, so it is consistent even if
+    /// an extraction panicked while holding the lock (a failed panel read
+    /// of a truncated NMFS file): a poisoned lock is recovered, and one
+    /// failed extraction does not take the dataset away from every other
+    /// tenant.
+    fn cache(&self) -> MutexGuard<'_, HashMap<ShardKey, Arc<Vec<RankData>>>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The order this input's rows and columns are dealt in.
+    pub(crate) fn dealing(&self) -> &Arc<Dealing> {
+        &self.dealing
+    }
+
+    /// How this input is dealt, per dimension: its skew and whether it
+    /// was relabelled for it.
+    pub fn balance(&self) -> Balance {
+        self.dealing.balance()
+    }
+
+    /// What each rank of sharding `key` holds (extracting the sharding if
+    /// it is not cached yet).
+    pub fn rank_loads(&self, key: ShardKey) -> Vec<RankLoad> {
+        let (m, n) = (self.m, self.n);
+        let set = self.rank_data(key);
+        // Which rows and columns of `A` hold an entry, from the blocks.
+        let (mut row_hit, mut col_hit) = (vec![false; m], vec![false; n]);
+        let mut mark = |block: &LocalMat, r0: usize, c0: usize| match block {
+            LocalMat::Dense(a) => {
+                row_hit[r0..r0 + a.nrows()].fill(true);
+                col_hit[c0..c0 + a.ncols()].fill(true);
+            }
+            LocalMat::Sparse(a) => {
+                for (i, w) in a.csr().indptr().windows(2).enumerate() {
+                    row_hit[r0 + i] |= w[1] > w[0];
+                }
+                for &j in a.csr().indices() {
+                    col_hit[c0 + j] = true;
+                }
+            }
+        };
+        let (algo, grid, ranks) = key.scheme();
+        let layouts = factor_layouts(algo, grid, ranks, m, n);
+        for (r, (data, lay)) in set.iter().zip(&layouts).enumerate() {
+            match data {
+                RankData::Single(a) => {
+                    let block = hpc_rank_layout(grid, m, n, r);
+                    mark(a, block.rows.offset, block.cols.offset);
+                }
+                RankData::Split { row, col } => {
+                    mark(row, lay.w.offset, 0);
+                    mark(col, 0, lay.ht.offset);
+                }
+            }
+        }
+        let count = |hit: &[bool]| hit.iter().filter(|&&h| h).count();
+        set.iter()
+            .zip(&layouts)
+            .map(|(data, lay)| RankLoad {
+                nnz: match data {
+                    RankData::Single(a) => a.nnz(),
+                    RankData::Split { row, col } => row.nnz() + col.nnz(),
+                },
+                non_empty_rows: count(&row_hit[lay.w.offset..lay.w.end()]),
+                non_empty_cols: count(&col_hit[lay.ht.offset..lay.ht.end()]),
+            })
+            .collect()
     }
 
     /// Resident heap bytes held by this input: the source matrix (0 for
@@ -220,7 +352,7 @@ impl SharedInput {
             }
             Source::Mmap(_) => 0,
         };
-        let cache = self.cache.lock().expect("shard cache poisoned");
+        let cache = self.cache();
         source
             + cache
                 .values()
@@ -232,7 +364,7 @@ impl SharedInput {
     /// The per-rank blocks for `key`, extracting them on first request
     /// and serving the cached `Arc` afterwards.
     pub(crate) fn rank_data(&self, key: ShardKey) -> Arc<Vec<RankData>> {
-        let mut cache = self.cache.lock().expect("shard cache poisoned");
+        let mut cache = self.cache();
         if let Some(hit) = cache.get(&key) {
             return Arc::clone(hit);
         }
@@ -250,7 +382,7 @@ impl SharedInput {
     /// Drops all cached shardings (the blocks themselves survive as
     /// long as live models hold their `Arc`s).
     pub fn clear_cache(&self) {
-        self.cache.lock().expect("shard cache poisoned").clear();
+        self.cache().clear();
     }
 
     /// Extracts one block from the source, streaming row panels when
@@ -410,6 +542,85 @@ mod tests {
         }
         assert!(mapped.resident_bytes() > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_panicking_extraction_does_not_poison_the_cache() {
+        let shared = Arc::new(SharedInput::new(Input::Sparse(erdos_renyi(20, 20, 0.2, 1))));
+        // Zero ranks trips `Dist1D`'s assertion inside the extraction,
+        // while `rank_data` holds the cache lock.
+        let doomed = Arc::clone(&shared);
+        let crashed = std::thread::spawn(move || {
+            doomed.rank_data(ShardKey::Naive { p: 0 });
+        })
+        .join();
+        assert!(crashed.is_err(), "the extraction must have panicked");
+
+        let tenant = Arc::clone(&shared);
+        let blocks = std::thread::spawn(move || tenant.rank_data(ShardKey::Grid { pr: 2, pc: 2 }))
+            .join()
+            .expect("the cache serves other threads after a failed extraction");
+        assert_eq!(blocks.len(), 4);
+        assert_eq!(shared.cached_shardings(), 1);
+        assert!(shared.resident_bytes() > 0);
+        shared.clear_cache();
+        assert_eq!(shared.cached_shardings(), 0);
+    }
+
+    #[test]
+    fn rank_loads_count_what_each_rank_holds() {
+        use nmf_sparse::Coo;
+        // Rows 0 and 3 and columns 1, 2 and 5 hold entries.
+        let mut coo = Coo::new(4, 6);
+        for (i, j) in [(0, 1), (0, 2), (3, 2), (3, 5)] {
+            coo.push(i, j, 1.0);
+        }
+        let shared = SharedInput::new(Input::Sparse(coo.to_csr()));
+        assert_eq!(
+            shared.rank_loads(ShardKey::Seq),
+            [RankLoad {
+                nnz: 4,
+                non_empty_rows: 2,
+                non_empty_cols: 3
+            }]
+        );
+        // 2x2 grid: W slices are single rows, H slices are columns
+        // {0}, {1,2} (grid column 0, split over 2 grid rows: 2+1) ...
+        let loads = shared.rank_loads(ShardKey::Grid { pr: 2, pc: 2 });
+        assert_eq!(
+            loads.iter().map(|l| l.nnz).collect::<Vec<_>>(),
+            [2, 0, 1, 1]
+        );
+        assert_eq!(
+            loads.iter().map(|l| l.non_empty_rows).sum::<usize>(),
+            2,
+            "W slices partition the rows"
+        );
+        assert_eq!(
+            loads.iter().map(|l| l.non_empty_cols).sum::<usize>(),
+            3,
+            "H slices partition the columns"
+        );
+        let naive = shared.rank_loads(ShardKey::Naive { p: 2 });
+        assert_eq!(
+            naive.iter().map(|l| l.nnz).collect::<Vec<_>>(),
+            [2 + 3, 2 + 1]
+        );
+        assert_eq!(
+            naive.iter().map(|l| l.non_empty_rows).collect::<Vec<_>>(),
+            [1, 1]
+        );
+        assert_eq!(
+            naive.iter().map(|l| l.non_empty_cols).collect::<Vec<_>>(),
+            [2, 1]
+        );
+        // Dense inputs hold an entry everywhere.
+        let dense = SharedInput::new(Input::Dense(Mat::uniform(4, 6, 1)));
+        assert!(dense
+            .rank_loads(ShardKey::Grid { pr: 2, pc: 1 })
+            .iter()
+            .all(|l| l.nnz == 12 && l.non_empty_rows == 2 && l.non_empty_cols == 3));
+        assert_eq!(dense.balance(), Balance::default());
     }
 
     #[test]

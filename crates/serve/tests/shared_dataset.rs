@@ -4,6 +4,8 @@
 //! factor-byte quota keeps rejecting exactly as before.
 
 use hpc_nmf::harness::Algo;
+use hpc_nmf::{Input, Nmf, SharedInput};
+use nmf_data::DatasetKind;
 use nmf_nls::SolverKind;
 use nmf_serve::{
     JobSource, JobSpec, Registry, Scheduler, SchedulerConfig, ServeError, TenantQuota,
@@ -85,4 +87,58 @@ fn factor_byte_quota_still_rejects_regardless_of_sharing() {
     reg.submit("erin", dataset_spec(7, 50)).expect("admit");
     sched.run_quantum(&mut reg);
     assert_eq!(reg.cached_datasets(), 1);
+}
+
+/// A served power-law dataset is dealt to ranks in a balanced order (see
+/// `docs/sharded-input.md`), and the `Factors` reply is still in
+/// original row order: it equals a local run of the same spec, and that
+/// of the input's dense twin, which is never relabelled.
+#[test]
+fn served_factors_of_a_relabelled_dataset_are_in_original_order() {
+    let spec = JobSpec {
+        source: JobSource::Dataset {
+            kind: "webbase".into(),
+            scale: 2000,
+            seed: 5,
+        },
+        k: 3,
+        ranks: 2,
+        algo: Algo::Hpc2D,
+        solver: SolverKind::Bpp,
+        max_iters: 5,
+        seed: 5,
+        tol: None,
+    };
+    let mut reg = Registry::new(TenantQuota::default(), 4);
+    let (job, _) = reg.submit("alice", spec).expect("admit");
+    let mut sched = Scheduler::new(SchedulerConfig { grant_steps: 5 });
+    while reg.has_runnable_work() {
+        sched.run_quantum(&mut reg);
+    }
+    let (w, h) = reg.factors("alice", job).expect("factors");
+
+    let input = DatasetKind::Webbase.build(2000, 5).input;
+    let balance = SharedInput::new(input.clone()).balance();
+    assert!(balance.rows.is_some_and(|d| d.relabelled), "{balance:?}");
+    let Input::Sparse(a) = &input else {
+        panic!("webbase is sparse");
+    };
+    let twin = Input::Dense(a.to_dense());
+    for (what, local) in [("the same input", &input), ("its dense twin", &twin)] {
+        let mut model = Nmf::on(local)
+            .rank(3)
+            .ranks(2)
+            .algo(Algo::Hpc2D)
+            .solver(SolverKind::Bpp)
+            .max_iters(5)
+            .seed(5)
+            .build()
+            .expect("valid request");
+        model.run();
+        let (lw, lh) = model.factors();
+        assert!(
+            w.max_abs_diff(&lw) <= 1e-9 && h.max_abs_diff(&lh) <= 1e-9,
+            "served factors differ from a local run on {what}"
+        );
+    }
 }

@@ -6,7 +6,11 @@
 //! * [`chung_lu_power_law`] stands in for the webbase-2001 crawl graph: a
 //!   directed graph whose in/out degree sequences follow a power law, the
 //!   regime that makes per-row work highly imbalanced (the load-imbalance
-//!   effect the paper's §7 discusses).
+//!   effect the paper's §7 discusses). Node weights fall with the node
+//!   index, as in a crawl that reaches the hubs first, so the nonzeros
+//!   crowd the head of both index ranges ([`crate::Skew`] measures 0.5
+//!   and more): the input the core crate's balanced dealing exists for
+//!   (`docs/sharded-input.md`).
 //! * [`banded`] is a deterministic structured generator used by tests.
 
 use crate::coo::Coo;

@@ -22,7 +22,7 @@ pub mod spmm;
 
 pub use coo::Coo;
 pub use csc::{CscView, SpBlock};
-pub use csr::Csr;
+pub use csr::{Csr, Skew};
 pub use spmm::{
     csc_chosen, spmm_at_dense, spmm_at_dense_auto, spmm_at_dense_auto_into, spmm_at_dense_csc,
     spmm_at_dense_csc_into, spmm_at_dense_into, spmm_dense_t, spmm_dense_t_into,

@@ -16,6 +16,7 @@ use hpc_nmf::seq::nmf_seq_from;
 use hpc_nmf::{init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
+use nmf_sparse::gen::chung_lu_power_law;
 use nmf_vmpi::universe;
 use std::path::PathBuf;
 
@@ -781,4 +782,132 @@ fn windowed_policy_resume_stops_at_same_iteration() {
         total,
         "windowed stop must land on the same global iteration after resume"
     );
+}
+
+/* ------------------------------------------------------------------ *
+ * Relabelled inputs
+ *
+ * A skewed sparse input is dealt to ranks in a balanced order, not in
+ * index order (docs/sharded-input.md, "Balanced dealing"). Checkpoints
+ * hold factors in original row order whatever the dealing, so every
+ * property above must hold unchanged on such an input — through either
+ * input arm, which decide the dealing with one function.
+ */
+
+/// A power-law digraph whose heavy nodes come first: its rows and
+/// columns are both relabelled.
+fn power_law_input() -> Input {
+    Input::Sparse(chung_lu_power_law(240, 1400, 2.1, 17))
+}
+
+#[test]
+fn relabelled_input_resumes_bit_identically_through_either_input_arm() {
+    let input = power_law_input();
+    let shared = SharedInput::new(input.clone());
+    assert!(shared.balance().rows.is_some_and(|d| d.relabelled));
+    let cfg = config();
+    let on_shared = |algo, p| {
+        Nmf::on_shared(&shared)
+            .config(cfg)
+            .algo(algo)
+            .ranks(p)
+            .build()
+            .expect("valid session")
+    };
+    for (tag, algo, p) in [
+        ("seq", Algo::Sequential, 1),
+        ("naive", Algo::Naive, 3),
+        ("hpc2d", Algo::Hpc2D, 4),
+        ("hpcgrid", Algo::HpcGrid(Grid::new(3, 2)), 6),
+    ] {
+        let mut full = session(&input, algo, p, &cfg);
+        for _ in 0..TOTAL {
+            full.step();
+        }
+        let (wf, hf) = full.factors();
+        let tail: Vec<f64> = full.records()[BREAK_AT..]
+            .iter()
+            .map(|r| r.objective)
+            .collect();
+
+        // Written through one arm, resumed under the other, both ways.
+        for written_whole in [true, false] {
+            let mut first = if written_whole {
+                session(&input, algo, p, &cfg)
+            } else {
+                on_shared(algo, p)
+            };
+            for _ in 0..BREAK_AT {
+                first.step();
+            }
+            let path = tmp_ckpt(&format!("relabelled_{tag}_{written_whole}"));
+            first.save(&path).expect("checkpoint writes");
+            drop(first);
+
+            let mut resumed = if written_whole {
+                Model::load_shared(&path, &shared)
+            } else {
+                Model::load(&path, &input)
+            }
+            .expect("checkpoint loads");
+            assert_eq!(resumed.iterations(), BREAK_AT);
+            for _ in 0..(TOTAL - BREAK_AT) {
+                resumed.step();
+            }
+            let (wr, hr) = resumed.factors();
+            assert_eq!(wf, wr, "{tag}: W diverged after a disk round-trip");
+            assert_eq!(hf, hr, "{tag}: H diverged after a disk round-trip");
+            let rtail: Vec<f64> = resumed.records().iter().map(|r| r.objective).collect();
+            assert_eq!(tail, rtail, "{tag}: objective trajectory diverged");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
+#[test]
+fn regrid_of_a_relabelled_input_globalizes_bit_identically() {
+    let input = power_law_input();
+    let cfg = config();
+    let mut full = session(&input, Algo::Sequential, 1, &cfg);
+    for _ in 0..TOTAL {
+        full.step();
+    }
+    let obj_full = full.objective();
+    for (stag, algo, p) in [
+        ("seq", Algo::Sequential, 1),
+        ("hpc1d-4", Algo::Hpc1D, 4),
+        ("grid2x2", Algo::HpcGrid(Grid::new(2, 2)), 4),
+    ] {
+        let mut src = session(&input, algo, p, &cfg);
+        for _ in 0..BREAK_AT {
+            src.step();
+        }
+        let (w_src, h_src) = src.factors();
+        let path = tmp_ckpt(&format!("regrid_relabelled_{stag}"));
+        src.save(&path).expect("checkpoint writes");
+        drop(src);
+
+        // The file holds the factors in original row order.
+        let ck = read_checkpoint(&path).expect("checkpoint reads");
+        assert_eq!(ck.w, w_src, "{stag}: globalized W differs");
+        assert_eq!(ck.ht.transpose(), h_src, "{stag}: globalized H differs");
+
+        for (ttag, target) in [
+            ("seq", RegridTarget::new().algo(Algo::Sequential)),
+            ("hpc1d-2", RegridTarget::new().algo(Algo::Hpc1D).ranks(2)),
+            ("grid1x4", RegridTarget::new().grid(Grid::new(1, 4))),
+        ] {
+            let mut resumed = Model::load_regrid(&path, &input, target)
+                .unwrap_or_else(|e| panic!("{stag}->{ttag}: {e}"));
+            let (w_r, h_r) = resumed.factors();
+            assert_eq!(w_r, w_src, "{stag}->{ttag}: resharded W lost bits");
+            assert_eq!(h_r, h_src, "{stag}->{ttag}: resharded H lost bits");
+            for _ in 0..(TOTAL - BREAK_AT) {
+                resumed.step();
+            }
+            let rel = ((resumed.objective() - obj_full) / obj_full).abs();
+            assert!(rel < 1e-8, "{stag}->{ttag}: objective off by {rel:e}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

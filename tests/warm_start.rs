@@ -6,6 +6,7 @@ use hpc_nmf::prelude::*;
 use hpc_nmf::{factorize_from, init_ht};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{matmul, Mat};
+use nmf_sparse::gen::chung_lu_power_law;
 
 /// A "video" whose background drifts slightly between two windows.
 fn window(m: usize, n: usize, k: usize, drift: f64, seed: u64) -> Input {
@@ -79,4 +80,48 @@ fn warm_start_validates_shapes() {
         Mat::zeros(5, 3),
         Mat::zeros(15, 3),
     );
+}
+
+/// Warm starts and refits hand the model factors in original row order.
+/// On a skewed sparse input — dealt to ranks in a balanced order, see
+/// `docs/sharded-input.md` — they must reach the ranks through that
+/// order: restarting from a finished run's factors reproduces the run's
+/// next step, and a refit at a new `k` equals a fresh build at that `k`.
+#[test]
+fn warm_start_and_refit_cross_a_relabelled_input() {
+    let input = Input::Sparse(chung_lu_power_law(240, 1400, 2.1, 17));
+    assert!(SharedInput::new(input.clone())
+        .balance()
+        .cols
+        .is_some_and(|d| d.relabelled));
+    let build = |k: usize| {
+        Nmf::on(&input)
+            .config(NmfConfig::new(k).with_max_iters(5).with_seed(3))
+            .algo(Algo::Hpc2D)
+            .ranks(4)
+    };
+
+    let mut run = build(4).build().expect("valid request");
+    for _ in 0..4 {
+        run.step();
+    }
+    let (w, h) = run.factors();
+    let next = run.step().objective;
+    let mut warm = build(4)
+        .warm_start(w, h.transpose())
+        .build()
+        .expect("valid warm start");
+    let resumed = warm.step().objective;
+    assert!(
+        (resumed - next).abs() <= 1e-9 * next.abs(),
+        "warm start reached {resumed}, the run it continues {next}"
+    );
+
+    run.refit(NmfConfig::new(6).with_max_iters(5).with_seed(3))
+        .expect("refit");
+    run.run();
+    let mut fresh = build(6).build().expect("valid request");
+    fresh.run();
+    assert_eq!(run.factors().0, fresh.factors().0, "refit W differs");
+    assert_eq!(run.factors().1, fresh.factors().1, "refit H differs");
 }
