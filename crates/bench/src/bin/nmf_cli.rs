@@ -122,14 +122,9 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
             }
             "--algo" => {
                 if let Some(v) = val("--algo", &mut errors) {
-                    match v.as_str() {
-                        "seq" => args.algo = Some(Algo::Sequential),
-                        "naive" => args.algo = Some(Algo::Naive),
-                        "hpc1d" => args.algo = Some(Algo::Hpc1D),
-                        "hpc2d" => args.algo = Some(Algo::Hpc2D),
-                        other => errors.push(format!(
-                            "unknown algorithm '{other}' (expected seq | naive | hpc1d | hpc2d)"
-                        )),
+                    match v.parse() {
+                        Ok(algo) => args.algo = Some(algo),
+                        Err(e) => errors.push(e),
                     }
                 }
             }
@@ -165,14 +160,9 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
             }
             "--solver" => {
                 if let Some(v) = val("--solver", &mut errors) {
-                    match v.as_str() {
-                        "bpp" => args.solver = Some(SolverKind::Bpp),
-                        "mu" => args.solver = Some(SolverKind::Mu),
-                        "hals" => args.solver = Some(SolverKind::Hals),
-                        "activeset" => args.solver = Some(SolverKind::ActiveSet),
-                        other => errors.push(format!(
-                            "unknown solver '{other}' (expected bpp | mu | hals | activeset)"
-                        )),
+                    match v.parse() {
+                        Ok(solver) => args.solver = Some(solver),
+                        Err(e) => errors.push(e),
                     }
                 }
             }
@@ -241,12 +231,8 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
     if args.mmap && args.input.is_none() {
         errors.push("--mmap needs --input FILE.nmfs (an NMFS binary, see `convert`)".into());
     }
-    if let Some(ds) = &args.dataset {
-        if !matches!(ds.as_str(), "dsyn" | "ssyn" | "video" | "webbase") {
-            errors.push(format!(
-                "unknown dataset '{ds}' (expected dsyn | ssyn | video | webbase)"
-            ));
-        }
+    if let Some(Err(e)) = args.dataset.as_deref().map(DatasetKind::from_name) {
+        errors.push(e);
     }
 
     if errors.is_empty() {
@@ -365,18 +351,10 @@ fn load_resident(args: &Args) -> Result<Input, NmfError> {
             reason: format!("Matrix Market parse error: {e}"),
         })
     } else {
-        let kind = match args.dataset.as_deref() {
-            Some("dsyn") => DatasetKind::Dsyn,
-            Some("ssyn") | None => DatasetKind::Ssyn,
-            Some("video") => DatasetKind::Video,
-            Some("webbase") => DatasetKind::Webbase,
-            Some(other) => {
-                // parse_args validated this; defensive fallback.
-                return Err(NmfError::InvalidArgs {
-                    errors: vec![format!("unknown dataset '{other}'")],
-                });
-            }
-        };
+        // `parse_args` validated the name; a failure here is reported
+        // the same way.
+        let kind = DatasetKind::from_name(args.dataset.as_deref().unwrap_or("ssyn"))
+            .map_err(|e| NmfError::InvalidArgs { errors: vec![e] })?;
         Ok(kind
             .build(args.scale.unwrap_or(200), args.seed.unwrap_or(42))
             .input)

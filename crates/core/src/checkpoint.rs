@@ -10,12 +10,17 @@
 //! checkpoint continues the **bit-identical** trajectory of the
 //! uninterrupted run, on any machine with the same float semantics.
 //!
-//! ## Format (version 2; version 1 still readable)
+//! ## Format (version 2)
 //!
 //! All multi-byte values are **little-endian**; floats are IEEE-754
-//! `f64` bit patterns (written with `to_le_bytes`, so `NaN`/`±inf`
-//! round-trip exactly). See `docs/checkpoint-format.md` for the
-//! byte-level layout. In outline:
+//! `f64` bit patterns (so `NaN`/`±inf` round-trip exactly) — the
+//! [`crate::wire`] vocabulary, shared with the serve protocol. The
+//! header's records are each declared **once**, as the field lists
+//! below ([`CheckpointMeta`], [`ConvergenceState`]), and every byte of a
+//! file is read through the one bounded [`Reader`], so a length or
+//! extent field cannot send the decoder past the bytes actually
+//! present. See `docs/checkpoint-format.md` for the byte-level layout.
+//! In outline:
 //!
 //! ```text
 //! magic "NMFCKPT\0" | version u32 | meta | fingerprint u64
@@ -23,13 +28,14 @@
 //!   | Hᵀ blocks (rank order) | checksum u64
 //! ```
 //!
-//! Version 2 stores the factors as **per-rank blocks** in the exact
-//! layout [`crate::session`]'s `factor_layouts` assigns (version 1
-//! stored one assembled `W` and one `Hᵀ`). The decoded [`Checkpoint`]
-//! still presents assembled factors — reading a v2 file reassembles the
-//! blocks through the [`crate::regrid`] globalizer, the same path that
-//! lets a checkpoint taken on one grid resume on another (see
-//! `docs/elasticity.md`).
+//! The factors are stored as **per-rank blocks** in the exact layout
+//! [`crate::session`]'s `factor_layouts` assigns. The decoded
+//! [`Checkpoint`] presents assembled factors — reading a file
+//! reassembles the blocks through the [`crate::regrid`] globalizer, the
+//! same path that lets a checkpoint taken on one grid resume on another
+//! (see `docs/elasticity.md`). One version in, one out: a file of any
+//! other version (including the retired version 1, which stored one
+//! assembled pair) is [`NmfError::UnsupportedVersion`].
 //!
 //! Two integrity fields guard two failure classes:
 //!
@@ -43,13 +49,14 @@
 //! Writes go through a sibling temp file + rename, so a crash mid-write
 //! leaves the previous checkpoint intact rather than a torn file.
 
-use crate::config::{ConvergencePolicy, NmfConfig};
+use crate::config::{Algo, ConvergencePolicy, NmfConfig};
 use crate::engine::ConvergenceState;
 use crate::error::NmfError;
 use crate::grid::Grid;
-use crate::harness::Algo;
 use crate::regrid::GlobalFactors;
 use crate::session::factor_layouts;
+use crate::wire::{self, put_f64s, Reader, Wire};
+use crate::{choice, record};
 use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
 use std::io::Write;
@@ -58,9 +65,10 @@ use std::time::Duration;
 
 /// File magic: identifies the format before any parsing.
 const MAGIC: &[u8; 8] = b"NMFCKPT\0";
-/// The format version this build writes. Readers accept every version
-/// from 1 up to this.
+/// The format version this build writes, and the only one it reads.
 pub const FORMAT_VERSION: u32 = 2;
+/// Magic plus version word: what precedes the meta block.
+const HEADER_LEN: usize = MAGIC.len() + 4;
 
 /// Everything about the run a checkpoint captures besides the factors
 /// and convergence state: the problem shape and the full configuration
@@ -84,9 +92,7 @@ impl CheckpointMeta {
     /// FNV-1a fingerprint of the serialized configuration — equal iff
     /// two checkpoints describe the same problem and run configuration.
     pub fn fingerprint(&self) -> u64 {
-        let mut buf = Vec::with_capacity(128);
-        self.encode(&mut buf);
-        fnv1a(&buf)
+        fnv1a(&wire::encode(self))
     }
 
     /// The **relaxed** compatibility check of the regrid/elasticity
@@ -113,133 +119,110 @@ impl CheckpointMeta {
         }
         Ok(())
     }
+}
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.m as u64);
-        put_u64(out, self.n as u64);
-        put_u64(out, self.ranks as u64);
-        let (algo_tag, grid) = match self.algo {
-            Algo::Sequential => (0u32, self.grid),
-            Algo::Naive => (1, self.grid),
-            Algo::Hpc1D => (2, self.grid),
-            Algo::Hpc2D => (3, self.grid),
-            Algo::HpcGrid(g) => (4, g),
-        };
-        put_u32(out, algo_tag);
-        put_u64(out, grid.pr as u64);
-        put_u64(out, grid.pc as u64);
-        let c = &self.config;
-        put_u64(out, c.k as u64);
-        put_u64(out, c.max_iters as u64);
-        put_u32(
-            out,
-            match c.solver {
-                SolverKind::Bpp => 0,
-                SolverKind::Mu => 1,
-                SolverKind::Hals => 2,
-                SolverKind::ActiveSet => 3,
-            },
-        );
-        put_u64(out, c.seed);
-        put_f64(out, c.l2_w);
-        put_f64(out, c.l2_h);
-        put_opt_f64(out, c.tol);
-        match c.convergence {
+// The meta block (what the fingerprint covers). The v2 header stores
+// the two enum tags 32 bits wide, and always the grid actually used,
+// whichever variant asked for it.
+record!(CheckpointMeta as meta => {
+    m: usize = meta.m,
+    n: usize = meta.n,
+    ranks: usize = meta.ranks,
+    algo: u32 = u32::from(meta.algo.tag()),
+    grid: Grid = match meta.algo { Algo::HpcGrid(g) => g, _ => meta.grid },
+    k: usize = meta.config.k,
+    max_iters: usize = meta.config.max_iters,
+    solver: u32 = u32::from(meta.config.solver.tag()),
+    seed: u64 = meta.config.seed,
+    l2_w: f64 = meta.config.l2_w,
+    l2_h: f64 = meta.config.l2_h,
+    tol: Option<f64> = meta.config.tol,
+    convergence: StoredPolicy = StoredPolicy(meta.config.convergence),
+} => {
+    let narrow = |tag: u32, what: &str| {
+        u8::try_from(tag).map_err(|_| format!("unknown {what} tag {tag}"))
+    };
+    let algo = Algo::from_tag(narrow(algo, "algorithm")?, grid.pr, grid.pc)?;
+    let solver = SolverKind::from_tag(narrow(solver, "solver")?)
+        .ok_or_else(|| format!("unknown solver tag {solver}"))?;
+    // The factor section is sliced by this triple: refuse one that does
+    // not describe a grid of `ranks` ranks before anything is sized by it.
+    let fits = match algo {
+        Algo::Sequential => ranks == 1,
+        Algo::Naive => ranks >= 1,
+        _ => grid.pr.checked_mul(grid.pc) == Some(ranks),
+    };
+    if !fits {
+        return Err(format!(
+            "{} on {ranks} ranks contradicts grid {}x{}",
+            algo.name(),
+            grid.pr,
+            grid.pc
+        ));
+    }
+    let config = NmfConfig {
+        k,
+        max_iters,
+        tol,
+        convergence: convergence.0,
+        solver,
+        seed,
+        l2_w,
+        l2_h,
+    };
+    Ok(CheckpointMeta { m, n, ranks, algo, grid, config })
+});
+
+record!(Grid as g => { pr: usize = g.pr, pc: usize = g.pc } => {
+    if pr == 0 || pc == 0 {
+        Err(format!("invalid grid {pr}x{pc}"))
+    } else {
+        Ok(Grid::new(pr, pc))
+    }
+});
+
+choice!(ConvergencePolicy: u8, "policy" {
+    1 => MaxIters,
+    2 => RelTol { tol },
+    3 => WindowedBudget { window, tol, budget },
+});
+
+/// `config.convergence` as stored: one tag byte flattens the `Option`
+/// and the enum — `0` is `None`, anything else is the policy's own tag.
+struct StoredPolicy(Option<ConvergencePolicy>);
+
+impl Wire for StoredPolicy {
+    fn put(&self, out: &mut Vec<u8>) {
+        match &self.0 {
             None => out.push(0),
-            Some(ConvergencePolicy::MaxIters) => out.push(1),
-            Some(ConvergencePolicy::RelTol { tol }) => {
-                out.push(2);
-                put_f64(out, tol);
-            }
-            Some(ConvergencePolicy::WindowedBudget {
-                window,
-                tol,
-                budget,
-            }) => {
-                out.push(3);
-                put_u64(out, window as u64);
-                put_f64(out, tol);
-                match budget {
-                    None => out.push(0),
-                    Some(b) => {
-                        out.push(1);
-                        put_u64(out, b.as_nanos().min(u128::from(u64::MAX)) as u64);
-                    }
-                }
-            }
+            Some(policy) => policy.put(out),
         }
     }
-
-    fn decode(r: &mut Cursor<'_>) -> Result<CheckpointMeta, String> {
-        let m = r.u64()? as usize;
-        let n = r.u64()? as usize;
-        let ranks = r.u64()? as usize;
-        let algo_tag = r.u32()?;
-        let pr = r.u64()? as usize;
-        let pc = r.u64()? as usize;
-        if pr == 0 || pc == 0 {
-            return Err(format!("invalid grid {pr}x{pc}"));
+    fn get(r: &mut Reader<'_>) -> Result<Self, wire::Error> {
+        let mut probe = r.clone();
+        if u8::get(&mut probe)? == 0 {
+            *r = probe;
+            return Ok(StoredPolicy(None));
         }
-        let grid = Grid::new(pr, pc);
-        let algo = match algo_tag {
-            0 => Algo::Sequential,
-            1 => Algo::Naive,
-            2 => Algo::Hpc1D,
-            3 => Algo::Hpc2D,
-            4 => Algo::HpcGrid(grid),
-            t => return Err(format!("unknown algorithm tag {t}")),
-        };
-        let k = r.u64()? as usize;
-        let max_iters = r.u64()? as usize;
-        let solver = match r.u32()? {
-            0 => SolverKind::Bpp,
-            1 => SolverKind::Mu,
-            2 => SolverKind::Hals,
-            3 => SolverKind::ActiveSet,
-            t => return Err(format!("unknown solver tag {t}")),
-        };
-        let seed = r.u64()?;
-        let l2_w = r.f64()?;
-        let l2_h = r.f64()?;
-        let tol = r.opt_f64()?;
-        let convergence = match r.u8()? {
-            0 => None,
-            1 => Some(ConvergencePolicy::MaxIters),
-            2 => Some(ConvergencePolicy::RelTol { tol: r.f64()? }),
-            3 => {
-                let window = r.u64()? as usize;
-                let wtol = r.f64()?;
-                let budget = match r.u8()? {
-                    0 => None,
-                    1 => Some(Duration::from_nanos(r.u64()?)),
-                    t => return Err(format!("unknown budget flag {t}")),
-                };
-                Some(ConvergencePolicy::WindowedBudget {
-                    window,
-                    tol: wtol,
-                    budget,
-                })
-            }
-            t => return Err(format!("unknown policy tag {t}")),
-        };
-        let mut config = NmfConfig::new(k);
-        config.max_iters = max_iters;
-        config.solver = solver;
-        config.seed = seed;
-        config.l2_w = l2_w;
-        config.l2_h = l2_h;
-        config.tol = tol;
-        config.convergence = convergence;
-        Ok(CheckpointMeta {
-            m,
-            n,
-            ranks,
-            algo,
-            grid,
-            config,
-        })
+        ConvergencePolicy::get(r).map(|policy| StoredPolicy(Some(policy)))
     }
 }
+
+// Elapsed time and the policy's budget: whole nanoseconds as `u64`
+// (saturating: 584 years).
+record!(Duration as d => { nanos: u64 = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX) } => {
+    Ok(Duration::from_nanos(nanos))
+});
+
+// Follows the fingerprint; the history's length is bounded by the bytes
+// present like any other `f64` array.
+record!(ConvergenceState {
+    prev_objective,
+    first_objective,
+    iterations_done,
+    objective_history,
+    elapsed,
+});
 
 /// A parsed checkpoint: metadata, convergence state, and the assembled
 /// global factors (`w` is `m×k`; `ht` is `n×k`, `H` transposed).
@@ -324,11 +307,10 @@ pub struct CheckpointSummary {
     pub elapsed: Duration,
     /// Assembled shapes of the stored factors (`W`, then `Hᵀ`), from
     /// the block headers only — the payloads are skipped, not decoded.
-    /// (A v2 file stores per-rank blocks; these are their totals.)
+    /// (The file stores per-rank blocks; these are their totals.)
     pub w_shape: (usize, usize),
     pub ht_shape: (usize, usize),
-    /// Per-rank factor blocks in the file (1 for a v1 file's single
-    /// assembled pair; the rank count for v2).
+    /// Per-rank factor blocks in the file (the rank count).
     pub factor_blocks: usize,
     /// Whether the whole-file checksum verified. `false` means the
     /// payload is damaged even though the header still parsed; a full
@@ -358,35 +340,29 @@ fn summarize(bytes: &[u8]) -> Result<CheckpointSummary, DecodeError> {
         mut r,
     } = read_header(env.body)?;
 
-    let (w_shape, ht_shape, factor_blocks) = if env.version == 1 {
-        let w = r.skip_mat().map_err(DecodeError::Corrupt)?;
-        let ht = r.skip_mat().map_err(DecodeError::Corrupt)?;
-        (w, ht, 1)
-    } else {
-        let nblocks = read_block_count(&mut r)?;
-        // Accumulate the assembled totals from the block headers alone:
-        // the W parts (then the Hᵀ parts) tile their global matrix, so
-        // the row counts sum to m (then n).
-        let mut totals = [(0usize, 0usize); 2];
-        for t in &mut totals {
-            for _ in 0..nblocks {
-                let (nr, nc) = r.skip_mat().map_err(DecodeError::Corrupt)?;
-                t.0 += nr;
-                t.1 = t.1.max(nc);
-            }
+    let factor_blocks = read_block_count(&mut r)?;
+    // Accumulate the assembled totals from the block headers alone: the
+    // W parts (then the Hᵀ parts) tile their global matrix, so the row
+    // counts sum to m (then n).
+    let mut totals = [(0usize, 0usize); 2];
+    for t in &mut totals {
+        for _ in 0..factor_blocks {
+            let Extent { nr, nc } = skip_block(&mut r)?;
+            t.0 = (t.0.checked_add(nr))
+                .ok_or_else(|| r.fail("factor block rows overflow their total"))?;
+            t.1 = t.1.max(nc);
         }
-        (totals[0], totals[1], nblocks)
-    };
+    }
 
     Ok(CheckpointSummary {
-        version: env.version,
+        version: FORMAT_VERSION,
         meta,
         fingerprint,
         iterations_done: state.iterations_done,
         objective: state.prev_objective,
         elapsed: state.elapsed,
-        w_shape,
-        ht_shape,
+        w_shape: totals[0],
+        ht_shape: totals[1],
         factor_blocks,
         checksum_ok: env.checksum_ok,
         file_bytes: bytes.len(),
@@ -416,43 +392,29 @@ fn encode(ck: &Checkpoint) -> Vec<u8> {
     );
     let mut out = Vec::with_capacity(256 + 8 * (ck.w.len() + ck.ht.len()));
     out.extend_from_slice(MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
+    FORMAT_VERSION.put(&mut out);
 
-    let mut meta = Vec::with_capacity(128);
-    ck.meta.encode(&mut meta);
-    put_u64(&mut out, meta.len() as u64);
+    let meta = wire::encode(&ck.meta);
+    meta.len().put(&mut out);
     out.extend_from_slice(&meta);
-    put_u64(&mut out, fnv1a(&meta));
+    fnv1a(&meta).put(&mut out);
+    ck.state.put(&mut out);
 
-    let st = &ck.state;
-    put_f64(&mut out, st.prev_objective);
-    put_opt_f64(&mut out, st.first_objective);
-    put_u64(&mut out, st.iterations_done as u64);
-    put_u64(&mut out, st.objective_history.len() as u64);
-    for &x in &st.objective_history {
-        put_f64(&mut out, x);
-    }
-    put_u64(
-        &mut out,
-        st.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-    );
-
-    // Factor section (v2): the assembled factors sliced into the exact
+    // Factor section: the assembled factors sliced into the exact
     // per-rank blocks the run distributes — W blocks in rank order,
     // then Hᵀ blocks. Slicing here and reassembling on read are both
     // plain row copies at `factor_layouts` offsets, so the round trip
     // is bit-exact.
     let layouts = factor_layouts(ck.meta.algo, ck.meta.grid, ck.meta.ranks, m, n);
-    put_u64(&mut out, layouts.len() as u64);
+    layouts.len().put(&mut out);
     for lay in &layouts {
-        put_mat(&mut out, &ck.w.rows_block(lay.w.offset, lay.w.len));
+        put_block(&mut out, &ck.w, lay.w.offset, lay.w.len);
     }
     for lay in &layouts {
-        put_mat(&mut out, &ck.ht.rows_block(lay.ht.offset, lay.ht.len));
+        put_block(&mut out, &ck.ht, lay.ht.offset, lay.ht.len);
     }
 
-    let sum = fnv1a(&out);
-    put_u64(&mut out, sum);
+    fnv1a(&out).put(&mut out);
     out
 }
 
@@ -468,6 +430,12 @@ enum DecodeError {
         expected: usize,
         found: usize,
     },
+}
+
+impl From<wire::Error> for DecodeError {
+    fn from(e: wire::Error) -> Self {
+        DecodeError::Corrupt(e.to_string())
+    }
 }
 
 impl DecodeError {
@@ -501,60 +469,52 @@ impl DecodeError {
 /// the trailing checksum. A failed checksum is reported, not judged —
 /// the full reader rejects it, the summary passes it on.
 struct Envelope<'a> {
-    version: u32,
     body: &'a [u8],
     checksum_ok: bool,
 }
 
 fn open_envelope(bytes: &[u8]) -> Result<Envelope<'_>, DecodeError> {
     let corrupt = |s: &str| DecodeError::Corrupt(s.to_string());
-    if bytes.len() < MAGIC.len() + 4 {
+    if bytes.len() < HEADER_LEN {
         return Err(corrupt("file shorter than the header"));
     }
-    if &bytes[..8] != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(corrupt("bad magic (not an NMF checkpoint)"));
     }
     // Version is checked before the checksum so a reader can say
-    // "written by a newer format" instead of "corrupt".
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if !(1..=FORMAT_VERSION).contains(&version) {
+    // "written by another format version" instead of "corrupt".
+    let version = u32::get(&mut r)?;
+    if version != FORMAT_VERSION {
         return Err(DecodeError::Version(version));
     }
-    if bytes.len() < 8 + 4 + 8 {
+    if r.remaining() < 8 {
         return Err(corrupt("truncated before the meta block"));
     }
     let (body, stored_sum) = bytes.split_at(bytes.len() - 8);
-    let stored_sum = u64::from_le_bytes(stored_sum.try_into().expect("8 bytes"));
     Ok(Envelope {
-        version,
         body,
-        checksum_ok: fnv1a(body) == stored_sum,
+        checksum_ok: fnv1a(body) == wire::decode::<u64>(stored_sum)?,
     })
 }
 
 /// Everything between the version word and the factor section, with the
-/// cursor `r` left at the factor section's first byte.
+/// reader `r` left at the factor section's first byte.
 struct Header<'a> {
     meta: CheckpointMeta,
     /// The stored config fingerprint (verified against the meta block).
     fingerprint: u64,
     state: ConvergenceState,
-    r: Cursor<'a>,
+    r: Reader<'a>,
 }
 
 fn read_header(body: &[u8]) -> Result<Header<'_>, DecodeError> {
-    let mut r = Cursor {
-        bytes: body,
-        pos: 12,
-    };
-    let meta_len = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    let meta_bytes = r.take(meta_len).map_err(DecodeError::Corrupt)?;
-    let mut mr = Cursor {
-        bytes: meta_bytes,
-        pos: 0,
-    };
-    let meta = CheckpointMeta::decode(&mut mr).map_err(DecodeError::Corrupt)?;
-    let fingerprint = r.u64().map_err(DecodeError::Corrupt)?;
+    let mut r = Reader::new(body);
+    r.take(HEADER_LEN)?; // magic and version: `open_envelope` checked them
+    let meta_len = usize::get(&mut r)?;
+    let meta_bytes = r.take(meta_len)?;
+    let meta = wire::decode(meta_bytes)?;
+    let fingerprint = u64::get(&mut r)?;
     let actual_fp = fnv1a(meta_bytes);
     if fingerprint != actual_fp {
         return Err(DecodeError::Fingerprint {
@@ -562,40 +522,20 @@ fn read_header(body: &[u8]) -> Result<Header<'_>, DecodeError> {
             found: fingerprint,
         });
     }
-
-    let prev_objective = r.f64().map_err(DecodeError::Corrupt)?;
-    let first_objective = r.opt_f64().map_err(DecodeError::Corrupt)?;
-    let iterations_done = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    let hist_len = r.u64().map_err(DecodeError::Corrupt)? as usize;
-    if hist_len > r.remaining() / 8 {
-        return Err(DecodeError::Corrupt(
-            "objective history longer than the file".to_string(),
-        ));
-    }
-    let mut objective_history = Vec::with_capacity(hist_len);
-    for _ in 0..hist_len {
-        objective_history.push(r.f64().map_err(DecodeError::Corrupt)?);
-    }
-    let elapsed = Duration::from_nanos(r.u64().map_err(DecodeError::Corrupt)?);
+    let state = ConvergenceState::get(&mut r)?;
     Ok(Header {
         meta,
         fingerprint,
-        state: ConvergenceState {
-            prev_objective,
-            first_objective,
-            iterations_done,
-            objective_history,
-            elapsed,
-        },
+        state,
         r,
     })
 }
 
-/// The v2 factor section's block count, bounded by the bytes actually
+/// The factor section's block count, bounded by the bytes actually
 /// present (each block has a 16-byte header) *before* anything is sized
 /// by it, so a crafted header cannot force a giant allocation.
-fn read_block_count(r: &mut Cursor<'_>) -> Result<usize, DecodeError> {
-    let nblocks = r.u64().map_err(DecodeError::Corrupt)? as usize;
+fn read_block_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+    let nblocks = usize::get(r)?;
     if nblocks == 0 || nblocks > r.remaining() / 16 {
         return Err(DecodeError::Corrupt(
             "factor section claims more blocks than fit".to_string(),
@@ -616,192 +556,78 @@ fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
         meta, state, mut r, ..
     } = read_header(env.body)?;
 
+    // Per-rank blocks, reassembled through the regrid globalizer.
     let (m, n, k) = (meta.m, meta.n, meta.config.k);
-    let (w, ht) =
-        if env.version == 1 {
-            // v1: one assembled W, one assembled Hᵀ.
-            let w = r.mat().map_err(DecodeError::Corrupt)?;
-            let ht = r.mat().map_err(DecodeError::Corrupt)?;
-            for (field, expected, found) in [
-                ("W rows", m, w.nrows()),
-                ("W cols", k, w.ncols()),
-                ("H^T rows", n, ht.nrows()),
-                ("H^T cols", k, ht.ncols()),
-            ] {
-                if expected != found {
-                    return Err(DecodeError::Shape {
-                        field,
-                        expected,
-                        found,
-                    });
-                }
+    let nblocks = read_block_count(&mut r)?;
+    if nblocks != meta.ranks {
+        return Err(DecodeError::Shape {
+            field: "factor blocks",
+            expected: meta.ranks,
+            found: nblocks,
+        });
+    }
+    // One layout per rank: the meta block's own decoding vouches that
+    // `(algo, grid, ranks)` describe one grid.
+    let layouts = factor_layouts(meta.algo, meta.grid, meta.ranks, m, n);
+    let mut blocks =
+        || -> Result<Vec<Mat>, wire::Error> { (0..nblocks).map(|_| get_block(&mut r)).collect() };
+    let (w_blocks, ht_blocks) = (blocks()?, blocks()?);
+    r.finish()?;
+    let global =
+        GlobalFactors::assemble(m, n, k, &layouts, &w_blocks, &ht_blocks).map_err(|e| {
+            DecodeError::Shape {
+                field: e.field,
+                expected: e.expected,
+                found: e.found,
             }
-            (w, ht)
-        } else {
-            // v2: per-rank blocks, reassembled through the regrid
-            // globalizer.
-            let nblocks = read_block_count(&mut r)?;
-            if nblocks != meta.ranks {
-                return Err(DecodeError::Shape {
-                    field: "factor blocks",
-                    expected: meta.ranks,
-                    found: nblocks,
-                });
-            }
-            let layouts = factor_layouts(meta.algo, meta.grid, meta.ranks, m, n);
-            if layouts.len() != nblocks {
-                return Err(DecodeError::Shape {
-                    field: "factor blocks",
-                    expected: layouts.len(),
-                    found: nblocks,
-                });
-            }
-            let mut w_blocks = Vec::with_capacity(nblocks);
-            for _ in 0..nblocks {
-                w_blocks.push(r.mat().map_err(DecodeError::Corrupt)?);
-            }
-            let mut ht_blocks = Vec::with_capacity(nblocks);
-            for _ in 0..nblocks {
-                ht_blocks.push(r.mat().map_err(DecodeError::Corrupt)?);
-            }
-            let global = GlobalFactors::assemble(m, n, k, &layouts, &w_blocks, &ht_blocks)
-                .map_err(|e| DecodeError::Shape {
-                    field: e.field,
-                    expected: e.expected,
-                    found: e.found,
-                })?;
-            (global.w, global.ht)
-        };
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes after the factor blocks"));
-    }
+        })?;
 
-    Ok(Checkpoint { meta, state, w, ht })
+    Ok(Checkpoint {
+        meta,
+        state,
+        w: global.w,
+        ht: global.ht,
+    })
 }
 
-/* ---- byte-level helpers ---- */
+/* ---- factor blocks: `u64 rows | u64 cols | rows·cols f64s` ---- */
 
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
+struct Extent {
+    nr: usize,
+    nc: usize,
 }
 
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
+record!(Extent { nr, nc });
+
+/// Rows `[offset, offset + len)` of `mat` as one block, the payload
+/// straight from the matrix's row-major storage.
+fn put_block(out: &mut Vec<u8>, mat: &Mat, offset: usize, len: usize) {
+    let nc = mat.ncols();
+    Extent { nr: len, nc }.put(out);
+    put_f64s(out, &mat.as_slice()[offset * nc..(offset + len) * nc]);
 }
 
-fn put_f64(out: &mut Vec<u8>, x: f64) {
-    out.extend_from_slice(&x.to_le_bytes());
+/// A block's extent and its value count. The product is checked, and
+/// the reader bounds it by the bytes actually present before anything
+/// is sized by it — so a crafted extent (with a re-stamped checksum) is
+/// corrupt, not an overflow panic or an absurd reservation.
+fn block_extent(r: &mut Reader<'_>) -> Result<(Extent, usize), wire::Error> {
+    let ext = Extent::get(r)?;
+    let words = (ext.nr.checked_mul(ext.nc))
+        .ok_or_else(|| r.fail(format!("factor block claims {}x{} values", ext.nr, ext.nc)))?;
+    Ok((ext, words))
 }
 
-fn put_opt_f64(out: &mut Vec<u8>, x: Option<f64>) {
-    match x {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
-    }
+/// Reads a block's extent and skips its payload: no allocation.
+fn skip_block(r: &mut Reader<'_>) -> Result<Extent, wire::Error> {
+    let (ext, words) = block_extent(r)?;
+    r.f64_bytes(words)?;
+    Ok(ext)
 }
 
-fn put_mat(out: &mut Vec<u8>, m: &Mat) {
-    put_u64(out, m.nrows() as u64);
-    put_u64(out, m.ncols() as u64);
-    for &x in m.as_slice() {
-        put_f64(out, x);
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Bytes not yet consumed.
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        // Compare against `remaining` (never `pos + n`, which a crafted
-        // length field could overflow).
-        if n > self.remaining() {
-            return Err(format!(
-                "truncated: needed {n} bytes at offset {}, file body has {}",
-                self.pos,
-                self.bytes.len()
-            ));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            t => Err(format!("unknown option flag {t}")),
-        }
-    }
-
-    /// Reads a factor block's header and borrows its payload bytes:
-    /// `(rows, cols, 8·rows·cols bytes)`. No allocation.
-    fn mat_raw(&mut self) -> Result<(usize, usize, &'a [u8]), String> {
-        let nr = self.u64()? as usize;
-        let nc = self.u64()? as usize;
-        // Bound the claimed extent by the bytes actually present before
-        // any multiplication or allocation, so a crafted header (with a
-        // re-stamped checksum) is rejected as corrupt rather than
-        // panicking on overflow or an absurd Vec reservation.
-        let words = nr
-            .checked_mul(nc)
-            .filter(|&w| w <= self.remaining() / 8)
-            .ok_or_else(|| {
-                format!(
-                    "factor block claims {nr}x{nc} values but only {} bytes remain",
-                    self.remaining()
-                )
-            })?;
-        Ok((nr, nc, self.take(8 * words)?))
-    }
-
-    /// Reads a factor block's header and skips its payload. Returns the
-    /// shape.
-    fn skip_mat(&mut self) -> Result<(usize, usize), String> {
-        self.mat_raw().map(|(nr, nc, _payload)| (nr, nc))
-    }
-
-    fn mat(&mut self) -> Result<Mat, String> {
-        let (nr, nc, raw) = self.mat_raw()?;
-        let data = raw
-            .chunks_exact(8)
-            .map(|chunk| f64::from_le_bytes(chunk.try_into().expect("8 bytes")))
-            .collect();
-        Ok(Mat::from_vec(nr, nc, data))
-    }
+fn get_block(r: &mut Reader<'_>) -> Result<Mat, wire::Error> {
+    let (Extent { nr, nc }, words) = block_extent(r)?;
+    Ok(Mat::from_vec(nr, nc, r.f64s(words)?))
 }
 
 /// 64-bit FNV-1a over `bytes`.
@@ -912,50 +738,26 @@ mod tests {
         ));
     }
 
-    /// The old single-assembled-pair encoding, kept verbatim so v1
-    /// files written by earlier builds stay readable.
-    fn encode_v1(ck: &Checkpoint) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, 1);
-        let mut meta = Vec::with_capacity(128);
-        ck.meta.encode(&mut meta);
-        put_u64(&mut out, meta.len() as u64);
-        out.extend_from_slice(&meta);
-        put_u64(&mut out, fnv1a(&meta));
-        let st = &ck.state;
-        put_f64(&mut out, st.prev_objective);
-        put_opt_f64(&mut out, st.first_objective);
-        put_u64(&mut out, st.iterations_done as u64);
-        put_u64(&mut out, st.objective_history.len() as u64);
-        for &x in &st.objective_history {
-            put_f64(&mut out, x);
-        }
-        put_u64(
-            &mut out,
-            st.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        put_mat(&mut out, &ck.w);
-        put_mat(&mut out, &ck.ht);
-        let sum = fnv1a(&out);
-        put_u64(&mut out, sum);
-        out
-    }
-
     #[test]
-    fn version_1_files_stay_readable() {
-        let ck = sample();
-        let bytes = encode_v1(&ck);
-        let back = decode(&bytes, Path::new("mem")).ok().expect("v1 decodes");
-        assert_eq!(back.w, ck.w);
-        assert_eq!(back.ht, ck.ht);
-        assert_eq!(back.state, ck.state);
-        let s = summarize(&bytes).ok().expect("v1 summarizes");
-        assert_eq!(s.version, 1);
-        assert_eq!(s.factor_blocks, 1);
-        assert_eq!(s.w_shape, (12, 3));
-        assert_eq!(s.ht_shape, (9, 3));
-        assert!(s.checksum_ok);
+    fn version_1_files_are_refused_with_a_typed_error() {
+        // Nothing writes version 1 any more and nothing reads it: the
+        // version word alone decides, before the checksum is looked at.
+        let mut bytes = MAGIC.to_vec();
+        1u32.put(&mut bytes);
+        bytes.extend_from_slice(&[0; 64]);
+        assert!(matches!(
+            decode(&bytes, Path::new("mem")),
+            Err(DecodeError::Version(1))
+        ));
+        assert!(matches!(summarize(&bytes), Err(DecodeError::Version(1))));
+        assert!(matches!(
+            DecodeError::Version(1).at(Path::new("old.ckpt")),
+            NmfError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+                ..
+            }
+        ));
     }
 
     #[test]

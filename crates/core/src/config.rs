@@ -1,10 +1,113 @@
 //! Configuration and result types shared by all NMF drivers.
 
+use crate::grid::Grid;
 use nmf_matrix::rng::random_factor;
 use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
 use nmf_vmpi::CommStats;
 use std::time::Duration;
+
+/// Which parallel algorithm (and grid) to run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Algo {
+    /// Single-process ANLS (Algorithm 1); ignores `p`.
+    Sequential,
+    /// Naive-Parallel-NMF (Algorithm 2) on `p` ranks.
+    Naive,
+    /// HPC-NMF (Algorithm 3) with a 1D grid (`pr = p, pc = 1`).
+    Hpc1D,
+    /// HPC-NMF with the communication-optimal 2D grid for the input
+    /// shape ([`Grid::optimal`]).
+    Hpc2D,
+    /// HPC-NMF with an explicit grid.
+    HpcGrid(Grid),
+}
+
+impl Algo {
+    /// Grid used for `p` ranks on an `m×n` input.
+    pub fn grid(&self, m: usize, n: usize, p: usize) -> Grid {
+        match self {
+            Algo::Sequential => Grid::new(1, 1),
+            Algo::Naive | Algo::Hpc1D => Grid::one_dimensional(p),
+            Algo::Hpc2D => Grid::optimal(m, n, p),
+            Algo::HpcGrid(g) => {
+                assert_eq!(g.size(), p, "explicit grid must have p ranks");
+                *g
+            }
+        }
+    }
+
+    pub fn name(&self) -> &'static str {
+        match self {
+            Algo::Sequential => "Sequential",
+            Algo::Naive => "Naive",
+            Algo::Hpc1D => "HPC-NMF-1D",
+            Algo::Hpc2D => "HPC-NMF-2D",
+            Algo::HpcGrid(_) => "HPC-NMF-grid",
+        }
+    }
+
+    /// The variant's stable numeric tag in every byte format that names
+    /// an algorithm (serve frames, checkpoints): never renumber.
+    pub fn tag(&self) -> u8 {
+        match self {
+            Algo::Sequential => 0,
+            Algo::Naive => 1,
+            Algo::Hpc1D => 2,
+            Algo::Hpc2D => 3,
+            Algo::HpcGrid(_) => 4,
+        }
+    }
+
+    /// The inverse of [`tag`](Self::tag). `pr × pc` is what the
+    /// explicit-grid variant carries; the other tags ignore it (frames
+    /// send zeros there).
+    pub fn from_tag(tag: u8, pr: usize, pc: usize) -> Result<Algo, String> {
+        match tag {
+            0 => Ok(Algo::Sequential),
+            1 => Ok(Algo::Naive),
+            2 => Ok(Algo::Hpc1D),
+            3 => Ok(Algo::Hpc2D),
+            4 if pr == 0 || pc == 0 => Err(format!("invalid grid {pr}x{pc}")),
+            4 => Ok(Algo::HpcGrid(Grid::new(pr, pc))),
+            t => Err(format!("unknown algorithm tag {t}")),
+        }
+    }
+}
+
+impl std::str::FromStr for Algo {
+    type Err = String;
+
+    /// The names command lines use (an explicit grid has no name: it is
+    /// `hpc2d` plus a grid flag).
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s {
+            "seq" => Algo::Sequential,
+            "naive" => Algo::Naive,
+            "hpc1d" => Algo::Hpc1D,
+            "hpc2d" => Algo::Hpc2D,
+            _ => {
+                return Err(format!(
+                    "unknown algorithm '{s}' (expected seq | naive | hpc1d | hpc2d)"
+                ))
+            }
+        })
+    }
+}
+
+// How the two run-configuration enums travel as values of their own
+// (serve frames): one tag byte; an algorithm is followed by `u64 pr |
+// u64 pc`. The v2 checkpoint header predates this and stores the same
+// tags 32 bits wide — see `checkpoint.rs`.
+crate::record!(Algo as a => {
+    tag: u8 = a.tag(),
+    pr: usize = match a { Algo::HpcGrid(g) => g.pr, _ => 0 },
+    pc: usize = match a { Algo::HpcGrid(g) => g.pc, _ => 0 },
+} => Algo::from_tag(tag, pr, pc));
+
+crate::record!(SolverKind as s => { tag: u8 = s.tag() } => {
+    SolverKind::from_tag(tag).ok_or_else(|| format!("unknown solver tag {tag}"))
+});
 
 /// Why a factorization stopped iterating.
 ///

@@ -38,7 +38,7 @@ pub enum NmfError {
     },
     /// Zero virtual ranks requested.
     NoRanks,
-    /// [`Algo::Sequential`](crate::harness::Algo::Sequential) on more
+    /// [`Algo::Sequential`](crate::config::Algo::Sequential) on more
     /// than one rank.
     SequentialRanks { ranks: usize },
     /// A 1D algorithm was given more ranks than the shorter matrix

@@ -10,54 +10,12 @@
 //! invalid requests as [`NmfError`](crate::error::NmfError) values
 //! instead of this wrapper's historical panics.
 
-use crate::config::{NmfConfig, NmfOutput};
-use crate::grid::Grid;
+use crate::config::{Algo, NmfConfig, NmfOutput};
 use crate::input::Input;
 use crate::session::Nmf;
 
 use nmf_matrix::Mat;
 use nmf_vmpi::CommStats;
-
-/// Which parallel algorithm (and grid) to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    /// Single-process ANLS (Algorithm 1); ignores `p`.
-    Sequential,
-    /// Naive-Parallel-NMF (Algorithm 2) on `p` ranks.
-    Naive,
-    /// HPC-NMF (Algorithm 3) with a 1D grid (`pr = p, pc = 1`).
-    Hpc1D,
-    /// HPC-NMF with the communication-optimal 2D grid for the input
-    /// shape ([`Grid::optimal`]).
-    Hpc2D,
-    /// HPC-NMF with an explicit grid.
-    HpcGrid(Grid),
-}
-
-impl Algo {
-    /// Grid used for `p` ranks on an `m×n` input.
-    pub fn grid(&self, m: usize, n: usize, p: usize) -> Grid {
-        match self {
-            Algo::Sequential => Grid::new(1, 1),
-            Algo::Naive | Algo::Hpc1D => Grid::one_dimensional(p),
-            Algo::Hpc2D => Grid::optimal(m, n, p),
-            Algo::HpcGrid(g) => {
-                assert_eq!(g.size(), p, "explicit grid must have p ranks");
-                *g
-            }
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Sequential => "Sequential",
-            Algo::Naive => "Naive",
-            Algo::Hpc1D => "HPC-NMF-1D",
-            Algo::Hpc2D => "HPC-NMF-2D",
-            Algo::HpcGrid(_) => "HPC-NMF-grid",
-        }
-    }
-}
 
 /// Runs `algo` on `p` ranks over `input` and returns assembled factors
 /// plus per-rank instrumentation.

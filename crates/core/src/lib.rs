@@ -99,20 +99,22 @@ pub mod regrid;
 pub mod seq;
 pub mod session;
 pub mod shared;
+pub mod wire;
 pub mod workspace;
 
 pub use checkpoint::{
     inspect_checkpoint, write_checkpoint_rotated, Checkpoint, CheckpointMeta, CheckpointSummary,
 };
 pub use config::{
-    init_ht, init_w, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason, TaskTimes,
+    init_ht, init_w, Algo, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason,
+    TaskTimes,
 };
 pub use engine::{
     AnlsEngine, CommScheme, ConvergenceState, EngineDyn, Grid2D, LocalScheme, Replicated1D,
 };
 pub use error::NmfError;
 pub use grid::Grid;
-pub use harness::{factorize, factorize_from, total_comm, Algo};
+pub use harness::{factorize, factorize_from, total_comm};
 pub use input::{Balance, DimBalance, Input, LocalMat};
 pub use regrid::{fitting_grids, GlobalFactors, RegridTarget};
 pub use session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};
@@ -121,10 +123,10 @@ pub use workspace::IterWorkspace;
 
 /// Everything needed for typical use.
 pub mod prelude {
-    pub use crate::config::{ConvergencePolicy, NmfConfig, NmfOutput, StopReason};
+    pub use crate::config::{Algo, ConvergencePolicy, NmfConfig, NmfOutput, StopReason};
     pub use crate::error::NmfError;
     pub use crate::grid::Grid;
-    pub use crate::harness::{factorize, Algo};
+    pub use crate::harness::factorize;
     pub use crate::input::Input;
     pub use crate::regrid::{fitting_grids, RegridTarget};
     pub use crate::session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};

@@ -36,9 +36,9 @@
 //! `nmf_cli checkpoints inspect` report).
 
 use crate::checkpoint::CheckpointMeta;
+use crate::config::Algo;
 use crate::error::grid_fits;
 use crate::grid::Grid;
-use crate::harness::Algo;
 use crate::session::RankLayout;
 use nmf_matrix::Mat;
 
@@ -63,9 +63,10 @@ pub(crate) struct BlockShapeMismatch {
 impl GlobalFactors {
     /// Reassembles the global factors from per-rank blocks laid out by
     /// `layouts` (one entry per block, `factor_layouts` order). Each
-    /// block's shape is verified against its layout slice before any
-    /// copy; the slices of a layout tile the global matrices exactly,
-    /// so assembly is a permutation of rows — bit-exact.
+    /// block's shape is verified against its layout slice before
+    /// anything is allocated; the slices of a layout tile the global
+    /// matrices exactly, so assembly is a permutation of rows —
+    /// bit-exact.
     pub(crate) fn assemble(
         m: usize,
         n: usize,
@@ -76,9 +77,10 @@ impl GlobalFactors {
     ) -> Result<GlobalFactors, BlockShapeMismatch> {
         debug_assert_eq!(layouts.len(), w_blocks.len());
         debug_assert_eq!(layouts.len(), ht_blocks.len());
-        let mut w = Mat::zeros(m, k);
-        let mut ht = Mat::zeros(n, k);
-        for (lay, (wb, hb)) in layouts.iter().zip(w_blocks.iter().zip(ht_blocks)) {
+        let parts = || layouts.iter().zip(w_blocks.iter().zip(ht_blocks));
+        // Every shape first, so `m`, `n` and `k` (a file's claims) size
+        // nothing until the blocks actually present vouch for them.
+        for (lay, (wb, hb)) in parts() {
             for (field, expected, found) in [
                 ("W block rows", lay.w.len, wb.nrows()),
                 ("W block cols", k, wb.ncols()),
@@ -93,6 +95,10 @@ impl GlobalFactors {
                     });
                 }
             }
+        }
+        let mut w = Mat::zeros(m, k);
+        let mut ht = Mat::zeros(n, k);
+        for (lay, (wb, hb)) in parts() {
             w.set_block(lay.w.offset, 0, wb);
             ht.set_block(lay.ht.offset, 0, hb);
         }

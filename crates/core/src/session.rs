@@ -56,7 +56,8 @@ use crate::checkpoint::{
     read_checkpoint, write_checkpoint, write_checkpoint_rotated, Checkpoint, CheckpointMeta,
 };
 use crate::config::{
-    init_ht, init_w, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason, TaskTimes,
+    init_ht, init_w, Algo, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason,
+    TaskTimes,
 };
 use crate::dist::{Dist1D, Part};
 use crate::engine::{
@@ -64,7 +65,6 @@ use crate::engine::{
 };
 use crate::error::{grid_fits, NmfError};
 use crate::grid::Grid;
-use crate::harness::Algo;
 use crate::input::{Dealing, Input};
 use crate::regrid::RegridTarget;
 use crate::shared::{extract_rank_data, RankData, ShardKey, SharedInput};

@@ -59,10 +59,10 @@
 //! holding. Dense inputs, unskewed sparse inputs and mmap-backed files
 //! are dealt in index order.
 
+use crate::config::Algo;
 use crate::dist::Dist1D;
 use crate::error::NmfError;
 use crate::grid::Grid;
-use crate::harness::Algo;
 use crate::input::{Balance, Dealing, Input, LocalMat};
 use crate::session::{factor_layouts, hpc_rank_layout};
 use nmf_sparse::io::{MmError, MmapCsr, DEFAULT_PANEL_BYTES};

@@ -126,8 +126,7 @@ impl IterWorkspace {
 
     /// In-place (re)sizing for one rank of the naive driver: `m×n`
     /// global dims, `rows`/`cols` this rank's row-block height and
-    /// column-block width. Used by both [`for_naive`](Self::for_naive)
-    /// and the engine's `Replicated1D`.
+    /// column-block width (the engine's `Replicated1D`).
     pub fn size_for_naive(&mut self, m: usize, n: usize, rows: usize, cols: usize, k: usize) {
         self.size_grams(k);
         self.ht_gather.resize(n, k);
@@ -139,8 +138,7 @@ impl IterWorkspace {
     /// In-place (re)sizing for one rank of HPC-NMF:
     /// `block_rows`/`block_cols` the local `Aᵢⱼ` dimensions,
     /// `w_rows`/`ht_rows` the heights of this rank's 1D factor slices
-    /// (`(Wᵢ)ⱼ` and `(Hⱼ)ᵢ`). Used by both [`for_hpc`](Self::for_hpc)
-    /// and the engine's `Grid2D`.
+    /// (`(Wᵢ)ⱼ` and `(Hⱼ)ᵢ`) — the engine's `Grid2D`.
     pub fn size_for_hpc(
         &mut self,
         block_rows: usize,
@@ -164,29 +162,6 @@ impl IterWorkspace {
         ws.size_for_seq(m, n, k);
         ws
     }
-
-    /// Workspace for one rank of the naive driver: `m×n` global dims,
-    /// `rows`/`cols` this rank's row-block height and column-block width.
-    pub fn for_naive(m: usize, n: usize, rows: usize, cols: usize, k: usize) -> Self {
-        let mut ws = Self::default();
-        ws.size_for_naive(m, n, rows, cols, k);
-        ws
-    }
-
-    /// Workspace for one rank of HPC-NMF: `block_rows`/`block_cols` the
-    /// local `Aᵢⱼ` dimensions, `w_rows`/`ht_rows` the heights of this
-    /// rank's 1D factor slices (`(Wᵢ)ⱼ` and `(Hⱼ)ᵢ`).
-    pub fn for_hpc(
-        block_rows: usize,
-        block_cols: usize,
-        w_rows: usize,
-        ht_rows: usize,
-        k: usize,
-    ) -> Self {
-        let mut ws = Self::default();
-        ws.size_for_hpc(block_rows, block_cols, w_rows, ht_rows, k);
-        ws
-    }
 }
 
 #[cfg(test)]
@@ -201,13 +176,15 @@ mod tests {
         assert_eq!(seq.ht_gather.shape(), (0, 0));
         assert_eq!(seq.aht.shape(), (0, 0));
 
-        let naive = IterWorkspace::for_naive(10, 8, 5, 4, 3);
+        let mut naive = IterWorkspace::default();
+        naive.size_for_naive(10, 8, 5, 4, 3);
         assert_eq!(naive.ht_gather.shape(), (8, 3));
         assert_eq!(naive.w_gather.shape(), (10, 3));
         assert_eq!(naive.mm_w.shape(), (5, 3));
         assert_eq!(naive.mm_h.shape(), (4, 3));
 
-        let hpc = IterWorkspace::for_hpc(6, 5, 3, 2, 4);
+        let mut hpc = IterWorkspace::default();
+        hpc.size_for_hpc(6, 5, 3, 2, 4);
         assert_eq!(hpc.ht_gather.shape(), (5, 4));
         assert_eq!(hpc.w_gather.shape(), (6, 4));
         assert_eq!(hpc.mm_w.shape(), (6, 4));

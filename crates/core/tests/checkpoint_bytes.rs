@@ -1,0 +1,326 @@
+//! The checkpoint format against bytes it did not write.
+//!
+//! * **Golden**: `golden/v2_hpc2d_p2.ckpt` was written by the build
+//!   before the codec moved onto [`hpc_nmf::wire`] and is committed
+//!   unedited; this build must write the same value to the same bytes,
+//!   read it back equal, and compute the same fingerprint (files in the
+//!   field carry theirs).
+//! * **Fuzz**: arbitrary bytes, and the golden file under byte flips,
+//!   truncation and hostile length fields (checksum and fingerprint
+//!   re-stamped so the damage reaches the parser), go through
+//!   `inspect_checkpoint` and `read_checkpoint`. Neither may panic, and
+//!   — measured with a counting allocator — neither may ask for more
+//!   than `4·len + 4 KiB`: a length field sizes nothing until the bytes
+//!   present vouch for it.
+
+use hpc_nmf::checkpoint::{read_checkpoint, write_checkpoint};
+use hpc_nmf::{
+    inspect_checkpoint, Algo, Checkpoint, CheckpointMeta, ConvergencePolicy, ConvergenceState,
+    Grid, NmfConfig, NmfError,
+};
+use nmf_matrix::Mat;
+use nmf_nls::SolverKind;
+use proptest::collection::vec;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+const GOLDEN: &[u8] = include_bytes!("golden/v2_hpc2d_p2.ckpt");
+const GOLDEN_FINGERPRINT: u64 = 0x4017_2b6b_0458_8b04;
+
+/* ---- bytes requested by the calling thread ---- */
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Const-initialized, no destructor: safe to touch inside the allocator.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    let _ = REQUESTED.try_with(|c| c.set(c.get() + bytes));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = REQUESTED.with(Cell::get);
+    let out = f();
+    (out, REQUESTED.with(Cell::get) - before)
+}
+
+/* ---- the golden value ---- */
+
+fn golden_checkpoint() -> Checkpoint {
+    let (m, n, k, ranks) = (6, 5, 2, 2);
+    Checkpoint {
+        meta: CheckpointMeta {
+            m,
+            n,
+            ranks,
+            algo: Algo::Hpc2D,
+            grid: Grid::optimal(m, n, ranks),
+            config: NmfConfig::new(k)
+                .with_max_iters(9)
+                .with_solver(SolverKind::Hals)
+                .with_seed(77)
+                .with_l2(0.5, 0.25)
+                .with_tol(1e-6)
+                .with_convergence(ConvergencePolicy::WindowedBudget {
+                    window: 3,
+                    tol: 1e-9,
+                    budget: Some(Duration::from_secs(3600)),
+                }),
+        },
+        state: ConvergenceState {
+            prev_objective: 10.5,
+            first_objective: Some(40.0),
+            iterations_done: 3,
+            objective_history: vec![40.0, 20.25, 10.5],
+            elapsed: Duration::from_nanos(1_234_567_891),
+        },
+        w: Mat::from_vec(m, k, (0..m * k).map(|i| i as f64 * 0.25).collect()),
+        ht: Mat::from_vec(n, k, (0..n * k).map(|i| 3.0 - i as f64 * 0.125).collect()),
+    }
+}
+
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("nmf-ckpt-bytes-{}-{name}", std::process::id()))
+}
+
+#[test]
+fn golden_checkpoint_reads_and_rewrites_byte_for_byte() {
+    let expect = golden_checkpoint();
+    let path = scratch("golden");
+    std::fs::write(&path, GOLDEN).expect("stage the golden file");
+
+    let back = read_checkpoint(&path).expect("the parent's file decodes");
+    assert_eq!(back.w, expect.w);
+    assert_eq!(back.ht, expect.ht);
+    assert_eq!(back.state, expect.state);
+    let (meta, want) = (&back.meta, &expect.meta);
+    assert_eq!(
+        (meta.m, meta.n, meta.ranks, meta.algo, meta.grid),
+        (want.m, want.n, want.ranks, want.algo, Grid::new(2, 1))
+    );
+    let (c, w) = (&meta.config, &want.config);
+    assert_eq!(
+        (c.k, c.max_iters, c.solver, c.seed, c.l2_w, c.l2_h, c.tol),
+        (w.k, w.max_iters, w.solver, w.seed, w.l2_w, w.l2_h, w.tol)
+    );
+    assert_eq!(c.convergence, w.convergence);
+    assert_eq!(meta.fingerprint(), GOLDEN_FINGERPRINT);
+    assert_eq!(want.fingerprint(), GOLDEN_FINGERPRINT);
+
+    let summary = inspect_checkpoint(&path).expect("summarizes");
+    assert_eq!(summary.fingerprint, GOLDEN_FINGERPRINT);
+    assert_eq!((summary.version, summary.factor_blocks), (2, 2));
+    assert_eq!((summary.w_shape, summary.ht_shape), ((6, 2), (5, 2)));
+    assert!(summary.checksum_ok);
+    assert_eq!(summary.file_bytes, GOLDEN.len());
+
+    // Both the value built here and the one just decoded write the
+    // parent's bytes.
+    for ck in [&expect, &back] {
+        write_checkpoint(&path, ck).expect("writes");
+        assert_eq!(std::fs::read(&path).expect("reads"), GOLDEN);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/* ---- fuzz ---- */
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn u64_at(bytes: &[u8], pos: usize) -> Option<u64> {
+    let raw = bytes.get(pos..pos.checked_add(8)?)?;
+    Some(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+}
+
+/// Re-stamps the config fingerprint (when the meta length field still
+/// points inside the file) and the trailing checksum, so a mutation is
+/// judged by the parser, not by the two hashes in front of it.
+fn restamp(bytes: &mut [u8]) {
+    let len = bytes.len();
+    if let Some(meta_len) = u64_at(bytes, 12).and_then(|l| usize::try_from(l).ok()) {
+        let fp_at = 20usize.saturating_add(meta_len);
+        if fp_at.saturating_add(16) <= len {
+            let fp = fnv1a(&bytes[20..fp_at]);
+            bytes[fp_at..fp_at + 8].copy_from_slice(&fp.to_le_bytes());
+        }
+    }
+    if len >= 20 {
+        let sum = fnv1a(&bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+    }
+}
+
+/// Runs both readers over `bytes` (staged at `path`). `Ok` or a typed
+/// error, never a panic; bounded allocation either way.
+fn both_readers_survive(bytes: &[u8], path: &Path) {
+    std::fs::write(path, bytes).expect("stage");
+    let budget = 4 * bytes.len() + 4096;
+    let (summary, asked) = requested_by(|| inspect_checkpoint(path));
+    assert!(
+        asked <= budget,
+        "inspect asked for {asked} bytes of {budget}"
+    );
+    let (full, asked) = requested_by(|| read_checkpoint(path));
+    assert!(asked <= budget, "read asked for {asked} bytes of {budget}");
+    for err in [summary.as_ref().err(), full.as_ref().err()]
+        .into_iter()
+        .flatten()
+    {
+        assert!(
+            matches!(
+                err,
+                NmfError::Corrupt { .. }
+                    | NmfError::UnsupportedVersion { .. }
+                    | NmfError::FingerprintMismatch { .. }
+                    | NmfError::CheckpointMismatch { .. }
+            ),
+            "undeclared failure: {err}"
+        );
+    }
+    if let Ok(ck) = full {
+        // Whatever decodes is internally consistent enough to re-encode.
+        let (m, n, k) = (ck.meta.m, ck.meta.n, ck.meta.config.k);
+        assert_eq!((ck.w.shape(), ck.ht.shape()), ((m, k), (n, k)));
+    }
+}
+
+/// Offsets of the golden file's length and extent fields: meta length,
+/// objective-history length, block count, then each block's rows/cols.
+fn golden_length_fields() -> Vec<usize> {
+    let history = 12 + 8 + 123 + 8 + 8 + 9 + 8;
+    let nblocks = history + 8 + 3 * 8 + 8;
+    let mut fields = vec![12, history, nblocks];
+    let mut at = nblocks + 8;
+    for rows in [3, 3, 3, 2] {
+        fields.extend([at, at + 8]);
+        at += 16 + 8 * rows * 2;
+    }
+    assert_eq!(at + 8, GOLDEN.len(), "the block walk ends at the checksum");
+    fields
+}
+
+#[test]
+fn fuzz_hostile_length_fields_named_cases() {
+    let path = scratch("named");
+    let fields = golden_length_fields();
+    assert_eq!(u64_at(GOLDEN, fields[1]), Some(3), "history length");
+    assert_eq!(u64_at(GOLDEN, fields[2]), Some(2), "block count");
+    for &at in &fields {
+        let remaining = (GOLDEN.len() - at - 8) as u64;
+        for hostile in [
+            u64::MAX,
+            1 << 60,
+            1 << 32,
+            remaining + 1,
+            remaining / 8 + 1,
+            0,
+        ] {
+            let mut bytes = GOLDEN.to_vec();
+            bytes[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            restamp(&mut bytes);
+            both_readers_survive(&bytes, &path);
+        }
+    }
+    // Found by this suite: a meta block claiming a shape its blocks do
+    // not back (`m = 2^40`), a grid that is not `ranks` ranks, and block
+    // rows that overflow their running total — each sized or indexed
+    // something before any byte vouched for it.
+    for (at, value) in [
+        (20usize, 1u64 << 40), // m
+        (20 + 16, 1 << 40),    // ranks
+        (20 + 28, 1 << 40),    // grid pr
+        (20 + 28, 1),          // grid 1x1 on 2 ranks
+        (20 + 24, 0),          // algo tag → Sequential on 2 ranks
+        (fields[3], u64::MAX), // W block 0 rows …
+        (fields[3] + 8, 0),    // … with zero columns
+    ] {
+        let mut bytes = GOLDEN.to_vec();
+        let width = if at == 20 + 24 { 4 } else { 8 };
+        bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        restamp(&mut bytes);
+        both_readers_survive(&bytes, &path);
+    }
+    let mut both = GOLDEN.to_vec();
+    for at in [fields[3], fields[5]] {
+        both[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        both[at + 8..at + 16].copy_from_slice(&0u64.to_le_bytes());
+    }
+    restamp(&mut both);
+    both_readers_survive(&both, &path);
+    std::fs::remove_file(&path).ok();
+}
+
+proptest! {
+    #[test]
+    fn fuzz_arbitrary_bytes_never_panic_or_over_allocate(
+        raw in vec(0u16..256, 0..600),
+        framed in 0usize..3,
+    ) {
+        let mut bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+        // A third raw, a third behind a valid magic and version, a third
+        // also carrying a valid checksum.
+        if framed >= 1 {
+            bytes.splice(..0, GOLDEN[..12].iter().copied());
+            if framed == 2 {
+                bytes.extend_from_slice(&[0; 8]);
+                restamp(&mut bytes);
+            }
+        }
+        both_readers_survive(&bytes, &scratch("arbitrary"));
+    }
+
+    #[test]
+    fn fuzz_mutated_golden_checkpoint_never_panics_or_over_allocates(
+        flips in vec(0usize..GOLDEN.len(), 0..5),
+        masks in vec(1u16..256, 4),
+        cut in 0usize..2 * GOLDEN.len(),
+        field in 0usize..22,
+        hostile in 0usize..4,
+        stamp in 0usize..4,
+    ) {
+        let mut bytes = GOLDEN.to_vec();
+        for (at, mask) in flips.iter().zip(&masks) {
+            bytes[*at] ^= *mask as u8;
+        }
+        // Half the cases also overwrite one length or extent field.
+        let fields = golden_length_fields();
+        if let Some(&at) = fields.get(field) {
+            let remaining = (bytes.len() - at - 8) as u64;
+            let value = [u64::MAX, 1 << 60, remaining + 1, remaining / 8 + 1][hostile];
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        // Half are truncated somewhere.
+        bytes.truncate(cut.min(bytes.len()).max(1));
+        // Most are re-stamped; the rest test the hashes themselves.
+        if stamp > 0 {
+            restamp(&mut bytes);
+        }
+        both_readers_survive(&bytes, &scratch("mutated"));
+    }
+}

@@ -65,13 +65,15 @@ fn run_hpc_with_ws(
         let ht0_local = ht0.rows_block(cols.offset + hpart.offset, hpart.len);
         // No caller-held workspace: one pre-sized for this rank's shapes.
         let mut ws = make_ws().unwrap_or_else(|| {
-            IterWorkspace::for_hpc(
+            let mut ws = IterWorkspace::default();
+            ws.size_for_hpc(
                 local.nrows(),
                 local.ncols(),
                 w0_local.nrows(),
                 ht0_local.nrows(),
                 config.k,
-            )
+            );
+            ws
         });
         let out = run_rank(
             comm,

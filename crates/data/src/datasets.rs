@@ -39,6 +39,22 @@ impl DatasetKind {
         }
     }
 
+    /// The dataset a command line or a served job names, in lowercase.
+    /// The error is the message to show whoever named it.
+    pub fn from_name(name: &str) -> Result<DatasetKind, String> {
+        Ok(match name {
+            "dsyn" => DatasetKind::Dsyn,
+            "ssyn" => DatasetKind::Ssyn,
+            "video" => DatasetKind::Video,
+            "webbase" => DatasetKind::Webbase,
+            _ => {
+                return Err(format!(
+                    "unknown dataset '{name}' (expected dsyn | ssyn | video | webbase)"
+                ))
+            }
+        })
+    }
+
     /// The dimensions used in the paper's experiments.
     pub fn paper_dims(self) -> (usize, usize) {
         match self {
@@ -62,14 +78,20 @@ impl DatasetKind {
         matches!(self, DatasetKind::Ssyn | DatasetKind::Webbase)
     }
 
+    /// The shape [`build`](Self::build) produces at `scale`: each paper
+    /// dimension divided by it (a `scale` of 0 reads as 1), floor 8.
+    pub fn scaled_dims(self, scale: usize) -> (usize, usize) {
+        let (pm, pn) = self.paper_dims();
+        let scale = scale.max(1);
+        ((pm / scale).max(8), (pn / scale).max(8))
+    }
+
     /// Builds the dataset with each paper dimension divided by `scale`
     /// (`scale = 1` is paper scale — only sensible for the sparse sets
     /// on one machine). Deterministic in `seed`.
     pub fn build(self, scale: usize, seed: u64) -> Dataset {
         assert!(scale >= 1);
-        let (pm, pn) = self.paper_dims();
-        let m = (pm / scale).max(8);
-        let n = (pn / scale).max(8);
+        let (m, n) = self.scaled_dims(scale);
         let input = match self {
             DatasetKind::Dsyn => Input::Dense(dsyn(m, n, seed)),
             DatasetKind::Ssyn => {
@@ -147,6 +169,26 @@ fn video(m: usize, n_frames: usize, seed: u64) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_and_scaled_dims_agree_with_build() {
+        for kind in DatasetKind::ALL {
+            let name = kind.name().to_lowercase();
+            assert_eq!(DatasetKind::from_name(&name), Ok(kind));
+        }
+        assert!(DatasetKind::from_name("SSYN").is_err());
+        assert!(DatasetKind::from_name("nope")
+            .unwrap_err()
+            .contains("webbase"));
+        assert_eq!(DatasetKind::Ssyn.scaled_dims(400), (432, 288));
+        assert_eq!(
+            DatasetKind::Ssyn.scaled_dims(0),
+            DatasetKind::Ssyn.paper_dims()
+        );
+        assert_eq!(DatasetKind::Video.scaled_dims(1_000_000), (8, 8));
+        let built = DatasetKind::Dsyn.build(1000, 1).input.shape();
+        assert_eq!(built, DatasetKind::Dsyn.scaled_dims(1000));
+    }
 
     #[test]
     fn paper_dims_are_exact() {

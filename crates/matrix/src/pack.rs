@@ -124,14 +124,8 @@ impl PackedPanels {
     /// Pack the `m×kdim` matrix `a` into panels (row `i` of the packed
     /// operand is row `i` of `a`).
     pub fn pack_into(&mut self, a: &Mat) {
-        self.pack_slice_into(a.as_slice(), a.nrows(), a.ncols());
-    }
-
-    /// Slice form of [`pack_into`](PackedPanels::pack_into): `a` is an
-    /// `m×kdim` row-major slice (row stride `kdim`). Used by the
-    /// row-parallel GEMM to pack per-thread row stripes directly.
-    pub fn pack_slice_into(&mut self, a: &[f64], m: usize, kdim: usize) {
-        debug_assert_eq!(a.len(), m * kdim);
+        let (m, kdim) = a.shape();
+        let a = a.as_slice();
         let rows_padded = self.reset(m, kdim);
         if self.data.is_empty() {
             return;

@@ -67,16 +67,19 @@ pub trait NlsSolver {
 /// The solver menu exposed by the NMF drivers (paper §4: "the parallel
 /// algorithm ... can be easily extended for other algorithms such as MU
 /// and HALS").
+///
+/// The discriminants are the solver's stable **tag** in every byte
+/// format that names one (serve frames, checkpoints): never renumber.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
     /// Block principal pivoting (exact NLS solve per outer iteration).
-    Bpp,
+    Bpp = 0,
     /// Multiplicative update.
-    Mu,
+    Mu = 1,
     /// Hierarchical alternating least squares.
-    Hals,
+    Hals = 2,
     /// Lawson–Hanson active set (exact, single-variable exchanges).
-    ActiveSet,
+    ActiveSet = 3,
 }
 
 impl SolverKind {
@@ -96,6 +99,35 @@ impl SolverKind {
         SolverKind::Hals,
         SolverKind::ActiveSet,
     ];
+
+    /// The stable numeric tag (see the enum's note).
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The solver with that [`tag`](Self::tag), if any.
+    pub fn from_tag(tag: u8) -> Option<SolverKind> {
+        Self::ALL.into_iter().find(|s| s.tag() == tag)
+    }
+}
+
+impl std::str::FromStr for SolverKind {
+    type Err = String;
+
+    /// The names command lines use.
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s {
+            "bpp" => SolverKind::Bpp,
+            "mu" => SolverKind::Mu,
+            "hals" => SolverKind::Hals,
+            "activeset" => SolverKind::ActiveSet,
+            _ => {
+                return Err(format!(
+                    "unknown solver '{s}' (expected bpp | mu | hals | activeset)"
+                ))
+            }
+        })
+    }
 }
 
 /// The (shifted) objective `Σᵢ xᵢᵀ·G·xᵢ − 2·xᵢᵀ·bᵢ`; differs from

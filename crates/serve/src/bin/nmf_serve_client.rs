@@ -63,7 +63,7 @@ fn default_spec() -> JobSpec {
         },
         k: 8,
         ranks: 2,
-        algo: hpc_nmf::harness::Algo::Hpc2D,
+        algo: hpc_nmf::Algo::Hpc2D,
         solver: nmf_nls::SolverKind::Bpp,
         max_iters: 10,
         seed: 42,
@@ -160,28 +160,18 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
             }
             "--algo" => {
                 if let Some(v) = val("--algo", &mut errors) {
-                    match v.as_str() {
-                        "seq" => spec.algo = hpc_nmf::harness::Algo::Sequential,
-                        "naive" => spec.algo = hpc_nmf::harness::Algo::Naive,
-                        "hpc1d" => spec.algo = hpc_nmf::harness::Algo::Hpc1D,
-                        "hpc2d" => spec.algo = hpc_nmf::harness::Algo::Hpc2D,
-                        other => errors.push(format!(
-                            "unknown algorithm '{other}' (expected seq | naive | hpc1d | hpc2d)"
-                        )),
+                    match v.parse() {
+                        Ok(algo) => spec.algo = algo,
+                        Err(e) => errors.push(e),
                     }
                     algo_set = true;
                 }
             }
             "--solver" => {
                 if let Some(v) = val("--solver", &mut errors) {
-                    match v.as_str() {
-                        "bpp" => spec.solver = nmf_nls::SolverKind::Bpp,
-                        "mu" => spec.solver = nmf_nls::SolverKind::Mu,
-                        "hals" => spec.solver = nmf_nls::SolverKind::Hals,
-                        "activeset" => spec.solver = nmf_nls::SolverKind::ActiveSet,
-                        other => errors.push(format!(
-                            "unknown solver '{other}' (expected bpp | mu | hals | activeset)"
-                        )),
+                    match v.parse() {
+                        Ok(solver) => spec.solver = solver,
+                        Err(e) => errors.push(e),
                     }
                 }
             }
@@ -421,7 +411,7 @@ fn smoke(endpoint: &Endpoint) -> Result<(), ServeError> {
                 };
                 spec.k = 4;
                 spec.ranks = 1;
-                spec.algo = hpc_nmf::harness::Algo::Sequential;
+                spec.algo = hpc_nmf::Algo::Sequential;
                 spec.max_iters = 4;
                 let mut client = Client::new(endpoint.connect()?);
                 let job = client.submit(&tenant, &spec)?;

@@ -7,9 +7,9 @@
 //! concurrent tenants, as the load generator does.
 
 use crate::error::ServeError;
-use crate::protocol::{JobSource, JobSpec, JobStatus, Request, Response, TenantReport};
+use crate::protocol::{JobSource, JobSpec, JobStatus, Request, Response, ResumeSpec, TenantReport};
 use crate::transport::Transport;
-use hpc_nmf::harness::Algo;
+use hpc_nmf::Algo;
 use nmf_matrix::Mat;
 use std::time::{Duration, Instant};
 
@@ -76,11 +76,13 @@ impl Client {
     ) -> Result<(u64, bool), ServeError> {
         match self.call(&Request::Resume {
             tenant: tenant.to_string(),
-            ckpt: ckpt.to_string(),
-            source: source.clone(),
-            ranks,
-            algo,
-            max_iters,
+            spec: ResumeSpec {
+                ckpt: ckpt.to_string(),
+                source: source.clone(),
+                ranks,
+                algo,
+                max_iters,
+            },
         })? {
             Response::Submitted { job, queued } => Ok((job, queued)),
             resp => Err(unexpected(resp)),
@@ -134,8 +136,14 @@ impl Client {
                 hn,
                 h,
             } => {
-                let (wm, wk, hk, hn) = (wm as usize, wk as usize, hk as usize, hn as usize);
-                if w.len() != wm * wk || h.len() != hk * hn {
+                // The shapes are the peer's claims: narrow and multiply
+                // them checked before they size a matrix.
+                let extent = |rows: u64, cols: u64, values: &[f64]| {
+                    let (rows, cols) = (usize::try_from(rows).ok()?, usize::try_from(cols).ok()?);
+                    (rows.checked_mul(cols) == Some(values.len())).then_some((rows, cols))
+                };
+                let (Some((wm, wk)), Some((hk, hn))) = (extent(wm, wk, &w), extent(hk, hn, &h))
+                else {
                     return Err(ServeError::BadFrame {
                         reason: format!(
                             "factor payload sizes do not match shapes: W {wm}x{wk} with {} \
@@ -144,7 +152,7 @@ impl Client {
                             h.len()
                         ),
                     });
-                }
+                };
                 Ok((Mat::from_vec(wm, wk, w), Mat::from_vec(hk, hn, h)))
             }
             resp => Err(unexpected(resp)),

@@ -10,47 +10,42 @@
 
 use std::fmt;
 
-/// Stable numeric error codes carried in `Response::Error` frames.
-/// Codes are part of the wire protocol: never reuse a retired value.
+/// Stable error codes carried in `Response::Error` frames. The numbers
+/// in the table under the enum are part of the wire protocol: never
+/// reuse a retired value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u32)]
 pub enum ErrorCode {
     /// The tenant is at its concurrent-job **and** queued-job limits.
-    QuotaJobs = 1,
+    QuotaJobs,
     /// Admitting the job would exceed the tenant's resident-factor-byte
     /// quota.
-    QuotaBytes = 2,
+    QuotaBytes,
     /// The named tenant has never submitted anything.
-    UnknownTenant = 3,
+    UnknownTenant,
     /// The named job does not exist (or was cancelled and released).
-    UnknownJob = 4,
+    UnknownJob,
     /// The job is still queued: it has no model yet, so factors /
     /// checkpoints cannot be produced.
-    NotStarted = 5,
+    NotStarted,
     /// The job's model failed validation at build time (the embedded
     /// message is the underlying `NmfError`).
-    BuildFailed = 6,
+    BuildFailed,
     /// The request frame did not decode.
-    BadRequest = 7,
+    BadRequest,
     /// Anything else that went wrong server-side.
-    Internal = 8,
+    Internal,
 }
 
-impl ErrorCode {
-    pub fn from_u32(x: u32) -> Option<ErrorCode> {
-        Some(match x {
-            1 => ErrorCode::QuotaJobs,
-            2 => ErrorCode::QuotaBytes,
-            3 => ErrorCode::UnknownTenant,
-            4 => ErrorCode::UnknownJob,
-            5 => ErrorCode::NotStarted,
-            6 => ErrorCode::BuildFailed,
-            7 => ErrorCode::BadRequest,
-            8 => ErrorCode::Internal,
-            _ => return None,
-        })
-    }
-}
+hpc_nmf::choice!(ErrorCode: u32, "error code" {
+    1 => QuotaJobs,
+    2 => QuotaBytes,
+    3 => UnknownTenant,
+    4 => UnknownJob,
+    5 => NotStarted,
+    6 => BuildFailed,
+    7 => BadRequest,
+    8 => Internal,
+});
 
 /// Why a serving-layer operation failed.
 #[derive(Debug)]
@@ -176,6 +171,15 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io { source } => Some(source),
             _ => None,
+        }
+    }
+}
+
+/// A frame the one decoder refused (see `hpc_nmf::wire`).
+impl From<hpc_nmf::wire::Error> for ServeError {
+    fn from(e: hpc_nmf::wire::Error) -> Self {
+        ServeError::BadFrame {
+            reason: e.to_string(),
         }
     }
 }

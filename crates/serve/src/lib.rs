@@ -25,7 +25,7 @@
 //!
 //! ```no_run
 //! use nmf_serve::prelude::*;
-//! # use hpc_nmf::harness::Algo;
+//! # use hpc_nmf::Algo;
 //! # use nmf_nls::SolverKind;
 //!
 //! let (listener, connector) = channel_listener();
@@ -60,10 +60,10 @@ pub mod transport;
 pub use client::Client;
 pub use error::{ErrorCode, ServeError};
 pub use protocol::{
-    JobPhase, JobSource, JobSpec, JobStatus, Request, Response, TenantReport, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    JobPhase, JobSource, JobSpec, JobStatus, Request, Response, ResumeSpec, TenantReport,
+    MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-pub use registry::{Registry, ResumeSpec, TenantQuota};
+pub use registry::{Registry, TenantQuota};
 pub use scheduler::{QuantumReport, Scheduler, SchedulerConfig};
 pub use server::{ServeStats, Server, ServerConfig, ShutdownHandle};
 pub use transport::{

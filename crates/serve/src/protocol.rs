@@ -1,7 +1,15 @@
-//! The client↔server wire protocol: length-prefixed frames around a
-//! hand-rolled binary encoding (the container pulls no serde, and the
-//! checkpoint format already set the house style: little-endian scalars,
-//! IEEE-754 `f64` bit patterns, tag bytes for enums).
+//! The client↔server wire protocol: length-prefixed frames around the
+//! binary encoding of [`hpc_nmf::wire`] (the container pulls no serde;
+//! the house style — little-endian scalars, IEEE-754 `f64` bit patterns,
+//! tag bytes for enums — is the checkpoint format's, and so is the
+//! codec). This module declares the message types and, once per type,
+//! the order their fields travel in; there is no hand-written encoder
+//! or decoder to keep in step with it. Every frame is decoded through
+//! the one bounded [`wire::Reader`]: a truncated frame, an unknown tag
+//! or flag, a non-UTF-8 string, a count or extent the bytes present do
+//! not back, and trailing bytes are each a
+//! [`ServeError::BadFrame`] naming the offset — never a panic or an
+//! allocation sized by the sender.
 //!
 //! ## Framing
 //!
@@ -14,6 +22,18 @@
 //! [`MAX_FRAME_BYTES`] are rejected before allocation on both sides, so
 //! a corrupt or hostile length prefix cannot OOM either end.
 //!
+//! ## Layout
+//!
+//! The `record!` / `choice!` line under each type *is* its byte layout,
+//! in order, for both directions: a `choice!` is a tag table (the tag
+//! travels first), a `record!` a field list. Field encodings follow
+//! from the field types: `u64`/`f64`/`u32` little-endian, `usize` as
+//! `u64`, `bool` one byte, `String` a `u32` length plus UTF-8, `Option`
+//! a flag byte, `Vec<f64>` a `u64` count plus the values; `Algo` is
+//! `u8 tag | u64 pr | u64 pc` (zeros unless the grid is explicit) and
+//! `SolverKind` one tag byte, both declared beside `Algo` in
+//! `hpc_nmf::config`. `docs/serving.md` spells the bytes out.
+//!
 //! ## Conversation
 //!
 //! The protocol is strict request/response: a client sends one request
@@ -25,8 +45,8 @@
 //! durable state lives in checkpoints, not the server process).
 
 use crate::error::{ErrorCode, ServeError};
-use hpc_nmf::harness::Algo;
-use hpc_nmf::Grid;
+use hpc_nmf::{choice, record, wire, Algo};
+use nmf_data::DatasetKind;
 use nmf_nls::SolverKind;
 
 /// Protocol version, checked implicitly by frame shape (bump on any
@@ -56,25 +76,38 @@ pub enum JobSource {
     File { path: String },
 }
 
+choice!(JobSource: u8, "job-source" {
+    0 => Dataset { kind, scale, seed },
+    1 => Dense { m, n, data },
+    2 => File { path },
+}; JobSource::check);
+
 impl JobSource {
-    /// The input shape this source will produce (mirrors
-    /// `DatasetKind::build`'s scaling, floor 8). `None` when the shape
+    /// The input shape this source will produce. `None` when the shape
     /// is only known server-side (`File` sources carry it in the NMFS
-    /// header, read at admission).
+    /// header, read at admission) or the dataset name is unknown.
     pub fn shape(&self) -> Option<(usize, usize)> {
         match self {
             JobSource::Dense { m, n, .. } => Some((*m, *n)),
             JobSource::File { .. } => None,
             JobSource::Dataset { kind, scale, .. } => {
-                let (pm, pn) = match kind.as_str() {
-                    "dsyn" | "ssyn" => (172_800, 115_200),
-                    "video" => (1_013_400, 2_400),
-                    "webbase" => (1_000_005, 1_000_005),
-                    _ => return None,
-                };
-                let s = (*scale).max(1);
-                Some(((pm / s).max(8), (pn / s).max(8)))
+                Some(DatasetKind::from_name(kind).ok()?.scaled_dims(*scale))
             }
+        }
+    }
+
+    /// What decoding (and admission, for a spec that never was a frame)
+    /// guarantees of a source: an inline matrix carries exactly `m·n`
+    /// values (the product checked — `m` and `n` are the sender's).
+    pub(crate) fn check(&self) -> Result<(), String> {
+        match self {
+            JobSource::Dense { m, n, data } if m.checked_mul(*n) != Some(data.len()) => {
+                Err(format!(
+                    "dense source claims {m}x{n} but carries {} values",
+                    data.len()
+                ))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -96,16 +129,63 @@ pub struct JobSpec {
     pub tol: Option<f64>,
 }
 
+record!(JobSpec {
+    source,
+    k,
+    ranks,
+    algo,
+    solver,
+    max_iters,
+    seed,
+    tol
+});
+
 impl JobSpec {
     /// The resident-factor-byte footprint this job will hold once built:
-    /// `8·(m+n)·k` (the admission-control currency, matching
-    /// `Model::factor_bytes`). `None` if the source names an unknown
-    /// dataset — admission rejects those as a build failure later.
+    /// `8·(m+n)·k`, saturating. `None` if the source's shape is not
+    /// known from the spec alone (a `File`, an unknown dataset).
     pub fn projected_factor_bytes(&self) -> Option<usize> {
         let (m, n) = self.source.shape()?;
-        Some(8 * (m + n) * self.k)
+        Some(projected_factor_bytes(m, n, self.k))
     }
 }
+
+/// `8·(m+n)·k`, the admission-control currency (it matches
+/// `Model::factor_bytes`). The three numbers are a client's or a file's
+/// claims, so the arithmetic saturates: a projection that does not fit
+/// in `usize` is over every quota, and is refused as such.
+pub(crate) fn projected_factor_bytes(m: usize, n: usize, k: usize) -> usize {
+    m.saturating_add(n).saturating_mul(k).saturating_mul(8)
+}
+
+/// Everything a resume admission carries to its deferred build: the
+/// server-side checkpoint, the data source to resume against, and the
+/// regrid overrides — requests, clamped to server policy, not demands.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ResumeSpec {
+    /// Server-side checkpoint path (typically written by `Checkpoint`).
+    pub ckpt: String,
+    /// The data matrix to resume against.
+    pub source: JobSource,
+    /// Target rank count (`None` = recorded count). Clamped to the
+    /// server's per-job rank cap at admission, not rejected — elastic
+    /// resume exists precisely so a job can continue on a server with a
+    /// different capacity than the one that wrote the checkpoint.
+    pub ranks: Option<usize>,
+    /// Target algorithm (`None` = recorded one, degraded to `Hpc2D` if
+    /// the rank count changed under a pinned grid).
+    pub algo: Option<Algo>,
+    /// Fresh iteration budget (`None` = recorded cap).
+    pub max_iters: Option<usize>,
+}
+
+record!(ResumeSpec {
+    ckpt,
+    source,
+    ranks,
+    algo,
+    max_iters
+});
 
 /// The lifecycle phase of a job, as reported by `Status`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,6 +202,14 @@ pub enum JobPhase {
     /// The deferred model build failed (see `error`).
     Failed,
 }
+
+choice!(JobPhase: u8, "phase" {
+    0 => Queued,
+    1 => Running,
+    2 => Finished,
+    3 => Cancelled,
+    4 => Failed,
+});
 
 impl JobPhase {
     pub fn as_str(self) -> &'static str {
@@ -156,6 +244,18 @@ pub struct JobStatus {
     pub resident_bytes: u64,
 }
 
+record!(JobStatus {
+    job,
+    phase,
+    iterations,
+    max_iters,
+    objective,
+    rel_error,
+    stop,
+    error,
+    resident_bytes,
+});
+
 /// Per-tenant accounting, for dashboards and fairness checks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantReport {
@@ -172,6 +272,17 @@ pub struct TenantReport {
     /// over one dataset do not double it.
     pub shared_input_bytes: u64,
 }
+
+record!(TenantReport {
+    tenant,
+    steps_completed,
+    jobs_submitted,
+    jobs_finished,
+    active_jobs,
+    queued_jobs,
+    resident_bytes,
+    shared_input_bytes,
+});
 
 /// Client → server messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -199,24 +310,20 @@ pub enum Request {
     /// Admit a job that continues from a server-side checkpoint file
     /// instead of a fresh random init. The server reads the checkpoint
     /// header for admission (shape, k) and regrids the stored factors
-    /// onto whatever rank count / algorithm it assigns — the overrides
-    /// below are requests, clamped to server policy, not demands.
-    Resume {
-        tenant: String,
-        /// Server-side checkpoint path (written by `Checkpoint`).
-        ckpt: String,
-        /// The data matrix to resume against.
-        source: JobSource,
-        /// Target rank count; `None` lets the server pick (recorded
-        /// count, clamped to its per-job rank cap).
-        ranks: Option<usize>,
-        /// Target algorithm; `None` replays the recorded one (degraded
-        /// to `Hpc2D` if the rank count changed under a pinned grid).
-        algo: Option<Algo>,
-        /// Fresh iteration budget; `None` keeps the recorded cap.
-        max_iters: Option<usize>,
-    },
+    /// onto whatever rank count / algorithm it assigns.
+    Resume { tenant: String, spec: ResumeSpec },
 }
+
+choice!(Request: u8, "request" {
+    1 => Submit { tenant, spec },
+    2 => Status { tenant, job },
+    3 => Factors { tenant, job },
+    4 => Cancel { tenant, job },
+    5 => Checkpoint { tenant, job, path },
+    6 => TenantStats { tenant },
+    7 => Shutdown,
+    8 => Resume { tenant, spec },
+});
 
 /// Server → client messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -253,616 +360,42 @@ pub enum Response {
     },
 }
 
-/* ---- message tags ---- */
-
-const REQ_SUBMIT: u8 = 1;
-const REQ_STATUS: u8 = 2;
-const REQ_FACTORS: u8 = 3;
-const REQ_CANCEL: u8 = 4;
-const REQ_CHECKPOINT: u8 = 5;
-const REQ_TENANT_STATS: u8 = 6;
-const REQ_SHUTDOWN: u8 = 7;
-const REQ_RESUME: u8 = 8;
-
-const RESP_SUBMITTED: u8 = 1;
-const RESP_STATUS: u8 = 2;
-const RESP_FACTORS: u8 = 3;
-const RESP_CANCELLED: u8 = 4;
-const RESP_CHECKPOINTED: u8 = 5;
-const RESP_TENANT_STATS: u8 = 6;
-const RESP_SHUTTING_DOWN: u8 = 7;
-const RESP_ERROR: u8 = 8;
-
-/* ---- encoding ---- */
-
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, x: f64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_f64(out, x);
-    }
-}
-
-fn put_algo(out: &mut Vec<u8>, algo: Algo) {
-    match algo {
-        Algo::Sequential => {
-            out.push(0);
-            put_u64(out, 0);
-            put_u64(out, 0);
-        }
-        Algo::Naive => {
-            out.push(1);
-            put_u64(out, 0);
-            put_u64(out, 0);
-        }
-        Algo::Hpc1D => {
-            out.push(2);
-            put_u64(out, 0);
-            put_u64(out, 0);
-        }
-        Algo::Hpc2D => {
-            out.push(3);
-            put_u64(out, 0);
-            put_u64(out, 0);
-        }
-        Algo::HpcGrid(g) => {
-            out.push(4);
-            put_u64(out, g.pr as u64);
-            put_u64(out, g.pc as u64);
-        }
-    }
-}
-
-fn put_source(out: &mut Vec<u8>, source: &JobSource) {
-    match source {
-        JobSource::Dataset { kind, scale, seed } => {
-            out.push(0);
-            put_str(out, kind);
-            put_u64(out, *scale as u64);
-            put_u64(out, *seed);
-        }
-        JobSource::Dense { m, n, data } => {
-            out.push(1);
-            put_u64(out, *m as u64);
-            put_u64(out, *n as u64);
-            put_f64s(out, data);
-        }
-        JobSource::File { path } => {
-            out.push(2);
-            put_str(out, path);
-        }
-    }
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, x: Option<u64>) {
-    match x {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_u64(out, x);
-        }
-    }
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &JobSpec) {
-    put_source(out, &spec.source);
-    put_u64(out, spec.k as u64);
-    put_u64(out, spec.ranks as u64);
-    put_algo(out, spec.algo);
-    out.push(match spec.solver {
-        SolverKind::Bpp => 0,
-        SolverKind::Mu => 1,
-        SolverKind::Hals => 2,
-        SolverKind::ActiveSet => 3,
-    });
-    put_u64(out, spec.max_iters as u64);
-    put_u64(out, spec.seed);
-    match spec.tol {
-        None => out.push(0),
-        Some(t) => {
-            out.push(1);
-            put_f64(out, t);
-        }
-    }
-}
-
-/* ---- decoding ---- */
-
-struct Wire<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Wire<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        if n > self.remaining() {
-            return Err(ServeError::BadFrame {
-                reason: format!(
-                    "truncated: needed {n} bytes at offset {}, frame has {}",
-                    self.pos,
-                    self.bytes.len()
-                ),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, ServeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn string(&mut self) -> Result<String, ServeError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| ServeError::BadFrame {
-            reason: "string field is not UTF-8".into(),
-        })
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, ServeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string()?)),
-            t => Err(ServeError::BadFrame {
-                reason: format!("unknown option flag {t}"),
-            }),
-        }
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, ServeError> {
-        let len = self.u64()? as usize;
-        if len > self.remaining() / 8 {
-            return Err(ServeError::BadFrame {
-                reason: format!(
-                    "float array claims {len} values but only {} bytes remain",
-                    self.remaining()
-                ),
-            });
-        }
-        let raw = self.take(8 * len)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-            .collect())
-    }
-
-    fn algo(&mut self) -> Result<Algo, ServeError> {
-        let tag = self.u8()?;
-        let pr = self.u64()? as usize;
-        let pc = self.u64()? as usize;
-        Ok(match tag {
-            0 => Algo::Sequential,
-            1 => Algo::Naive,
-            2 => Algo::Hpc1D,
-            3 => Algo::Hpc2D,
-            4 => {
-                if pr == 0 || pc == 0 {
-                    return Err(ServeError::BadFrame {
-                        reason: format!("invalid grid {pr}x{pc}"),
-                    });
-                }
-                Algo::HpcGrid(Grid::new(pr, pc))
-            }
-            t => {
-                return Err(ServeError::BadFrame {
-                    reason: format!("unknown algo tag {t}"),
-                })
-            }
-        })
-    }
-
-    fn source(&mut self) -> Result<JobSource, ServeError> {
-        Ok(match self.u8()? {
-            0 => JobSource::Dataset {
-                kind: self.string()?,
-                scale: self.u64()? as usize,
-                seed: self.u64()?,
-            },
-            1 => {
-                let m = self.u64()? as usize;
-                let n = self.u64()? as usize;
-                let data = self.f64s()?;
-                if data.len() != m * n {
-                    return Err(ServeError::BadFrame {
-                        reason: format!(
-                            "dense source claims {m}x{n} but carries {} values",
-                            data.len()
-                        ),
-                    });
-                }
-                JobSource::Dense { m, n, data }
-            }
-            2 => JobSource::File {
-                path: self.string()?,
-            },
-            t => {
-                return Err(ServeError::BadFrame {
-                    reason: format!("unknown job-source tag {t}"),
-                })
-            }
-        })
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, ServeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(ServeError::BadFrame {
-                reason: format!("unknown option flag {t}"),
-            }),
-        }
-    }
-
-    fn opt_algo(&mut self) -> Result<Option<Algo>, ServeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.algo()?)),
-            t => Err(ServeError::BadFrame {
-                reason: format!("unknown option flag {t}"),
-            }),
-        }
-    }
-
-    fn spec(&mut self) -> Result<JobSpec, ServeError> {
-        let source = self.source()?;
-        let k = self.u64()? as usize;
-        let ranks = self.u64()? as usize;
-        let algo = self.algo()?;
-        let solver = match self.u8()? {
-            0 => SolverKind::Bpp,
-            1 => SolverKind::Mu,
-            2 => SolverKind::Hals,
-            3 => SolverKind::ActiveSet,
-            t => {
-                return Err(ServeError::BadFrame {
-                    reason: format!("unknown solver tag {t}"),
-                })
-            }
-        };
-        let max_iters = self.u64()? as usize;
-        let seed = self.u64()?;
-        let tol = match self.u8()? {
-            0 => None,
-            1 => Some(self.f64()?),
-            t => {
-                return Err(ServeError::BadFrame {
-                    reason: format!("unknown tol flag {t}"),
-                })
-            }
-        };
-        Ok(JobSpec {
-            source,
-            k,
-            ranks,
-            algo,
-            solver,
-            max_iters,
-            seed,
-            tol,
-        })
-    }
-
-    fn done(&self) -> Result<(), ServeError> {
-        if self.pos != self.bytes.len() {
-            return Err(ServeError::BadFrame {
-                reason: format!(
-                    "{} trailing bytes after the message",
-                    self.bytes.len() - self.pos
-                ),
-            });
-        }
-        Ok(())
-    }
-}
+choice!(Response: u8, "response" {
+    1 => Submitted { job, queued },
+    2 => Status(status),
+    3 => Factors { wm, wk, w, hk, hn, h },
+    4 => Cancelled { job },
+    5 => Checkpointed { job, path },
+    6 => TenantStats(report),
+    7 => ShuttingDown,
+    8 => Error { code, message },
+});
 
 impl Request {
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        match self {
-            Request::Submit { tenant, spec } => {
-                out.push(REQ_SUBMIT);
-                put_str(&mut out, tenant);
-                put_spec(&mut out, spec);
-            }
-            Request::Status { tenant, job } => {
-                out.push(REQ_STATUS);
-                put_str(&mut out, tenant);
-                put_u64(&mut out, *job);
-            }
-            Request::Factors { tenant, job } => {
-                out.push(REQ_FACTORS);
-                put_str(&mut out, tenant);
-                put_u64(&mut out, *job);
-            }
-            Request::Cancel { tenant, job } => {
-                out.push(REQ_CANCEL);
-                put_str(&mut out, tenant);
-                put_u64(&mut out, *job);
-            }
-            Request::Checkpoint { tenant, job, path } => {
-                out.push(REQ_CHECKPOINT);
-                put_str(&mut out, tenant);
-                put_u64(&mut out, *job);
-                put_str(&mut out, path);
-            }
-            Request::TenantStats { tenant } => {
-                out.push(REQ_TENANT_STATS);
-                put_str(&mut out, tenant);
-            }
-            Request::Shutdown => out.push(REQ_SHUTDOWN),
-            Request::Resume {
-                tenant,
-                ckpt,
-                source,
-                ranks,
-                algo,
-                max_iters,
-            } => {
-                out.push(REQ_RESUME);
-                put_str(&mut out, tenant);
-                put_str(&mut out, ckpt);
-                put_source(&mut out, source);
-                put_opt_u64(&mut out, ranks.map(|r| r as u64));
-                match algo {
-                    None => out.push(0),
-                    Some(a) => {
-                        out.push(1);
-                        put_algo(&mut out, *a);
-                    }
-                }
-                put_opt_u64(&mut out, max_iters.map(|r| r as u64));
-            }
-        }
-        out
+        wire::encode(self)
     }
 
     pub fn decode(frame: &[u8]) -> Result<Request, ServeError> {
-        let mut w = Wire {
-            bytes: frame,
-            pos: 0,
-        };
-        let req = match w.u8()? {
-            REQ_SUBMIT => Request::Submit {
-                tenant: w.string()?,
-                spec: w.spec()?,
-            },
-            REQ_STATUS => Request::Status {
-                tenant: w.string()?,
-                job: w.u64()?,
-            },
-            REQ_FACTORS => Request::Factors {
-                tenant: w.string()?,
-                job: w.u64()?,
-            },
-            REQ_CANCEL => Request::Cancel {
-                tenant: w.string()?,
-                job: w.u64()?,
-            },
-            REQ_CHECKPOINT => Request::Checkpoint {
-                tenant: w.string()?,
-                job: w.u64()?,
-                path: w.string()?,
-            },
-            REQ_TENANT_STATS => Request::TenantStats {
-                tenant: w.string()?,
-            },
-            REQ_SHUTDOWN => Request::Shutdown,
-            REQ_RESUME => Request::Resume {
-                tenant: w.string()?,
-                ckpt: w.string()?,
-                source: w.source()?,
-                ranks: w.opt_u64()?.map(|r| r as usize),
-                algo: w.opt_algo()?,
-                max_iters: w.opt_u64()?.map(|r| r as usize),
-            },
-            t => {
-                return Err(ServeError::BadFrame {
-                    reason: format!("unknown request tag {t}"),
-                })
-            }
-        };
-        w.done()?;
-        Ok(req)
+        Ok(wire::decode(frame)?)
     }
 }
 
 impl Response {
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        match self {
-            Response::Submitted { job, queued } => {
-                out.push(RESP_SUBMITTED);
-                put_u64(&mut out, *job);
-                out.push(u8::from(*queued));
-            }
-            Response::Status(st) => {
-                out.push(RESP_STATUS);
-                put_u64(&mut out, st.job);
-                out.push(match st.phase {
-                    JobPhase::Queued => 0,
-                    JobPhase::Running => 1,
-                    JobPhase::Finished => 2,
-                    JobPhase::Cancelled => 3,
-                    JobPhase::Failed => 4,
-                });
-                put_u64(&mut out, st.iterations);
-                put_u64(&mut out, st.max_iters);
-                put_f64(&mut out, st.objective);
-                put_f64(&mut out, st.rel_error);
-                put_opt_str(&mut out, &st.stop);
-                put_opt_str(&mut out, &st.error);
-                put_u64(&mut out, st.resident_bytes);
-            }
-            Response::Factors {
-                wm,
-                wk,
-                w,
-                hk,
-                hn,
-                h,
-            } => {
-                out.push(RESP_FACTORS);
-                put_u64(&mut out, *wm);
-                put_u64(&mut out, *wk);
-                put_f64s(&mut out, w);
-                put_u64(&mut out, *hk);
-                put_u64(&mut out, *hn);
-                put_f64s(&mut out, h);
-            }
-            Response::Cancelled { job } => {
-                out.push(RESP_CANCELLED);
-                put_u64(&mut out, *job);
-            }
-            Response::Checkpointed { job, path } => {
-                out.push(RESP_CHECKPOINTED);
-                put_u64(&mut out, *job);
-                put_str(&mut out, path);
-            }
-            Response::TenantStats(t) => {
-                out.push(RESP_TENANT_STATS);
-                put_str(&mut out, &t.tenant);
-                put_u64(&mut out, t.steps_completed);
-                put_u64(&mut out, t.jobs_submitted);
-                put_u64(&mut out, t.jobs_finished);
-                put_u64(&mut out, t.active_jobs);
-                put_u64(&mut out, t.queued_jobs);
-                put_u64(&mut out, t.resident_bytes);
-                put_u64(&mut out, t.shared_input_bytes);
-            }
-            Response::ShuttingDown => out.push(RESP_SHUTTING_DOWN),
-            Response::Error { code, message } => {
-                out.push(RESP_ERROR);
-                put_u32(&mut out, *code as u32);
-                put_str(&mut out, message);
-            }
-        }
-        out
+        wire::encode(self)
     }
 
     pub fn decode(frame: &[u8]) -> Result<Response, ServeError> {
-        let mut w = Wire {
-            bytes: frame,
-            pos: 0,
-        };
-        let resp = match w.u8()? {
-            RESP_SUBMITTED => Response::Submitted {
-                job: w.u64()?,
-                queued: w.u8()? != 0,
-            },
-            RESP_STATUS => Response::Status(JobStatus {
-                job: w.u64()?,
-                phase: match w.u8()? {
-                    0 => JobPhase::Queued,
-                    1 => JobPhase::Running,
-                    2 => JobPhase::Finished,
-                    3 => JobPhase::Cancelled,
-                    4 => JobPhase::Failed,
-                    t => {
-                        return Err(ServeError::BadFrame {
-                            reason: format!("unknown phase tag {t}"),
-                        })
-                    }
-                },
-                iterations: w.u64()?,
-                max_iters: w.u64()?,
-                objective: w.f64()?,
-                rel_error: w.f64()?,
-                stop: w.opt_string()?,
-                error: w.opt_string()?,
-                resident_bytes: w.u64()?,
-            }),
-            RESP_FACTORS => Response::Factors {
-                wm: w.u64()?,
-                wk: w.u64()?,
-                w: w.f64s()?,
-                hk: w.u64()?,
-                hn: w.u64()?,
-                h: w.f64s()?,
-            },
-            RESP_CANCELLED => Response::Cancelled { job: w.u64()? },
-            RESP_CHECKPOINTED => Response::Checkpointed {
-                job: w.u64()?,
-                path: w.string()?,
-            },
-            RESP_TENANT_STATS => Response::TenantStats(TenantReport {
-                tenant: w.string()?,
-                steps_completed: w.u64()?,
-                jobs_submitted: w.u64()?,
-                jobs_finished: w.u64()?,
-                active_jobs: w.u64()?,
-                queued_jobs: w.u64()?,
-                resident_bytes: w.u64()?,
-                shared_input_bytes: w.u64()?,
-            }),
-            RESP_SHUTTING_DOWN => Response::ShuttingDown,
-            RESP_ERROR => {
-                let code = w.u32()?;
-                let message = w.string()?;
-                Response::Error {
-                    code: ErrorCode::from_u32(code).ok_or_else(|| ServeError::BadFrame {
-                        reason: format!("unknown error code {code}"),
-                    })?,
-                    message,
-                }
-            }
-            t => {
-                return Err(ServeError::BadFrame {
-                    reason: format!("unknown response tag {t}"),
-                })
-            }
-        };
-        w.done()?;
-        Ok(resp)
+        Ok(wire::decode(frame)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpc_nmf::wire::Wire;
+    use hpc_nmf::Grid;
 
     fn specs() -> Vec<JobSpec> {
         vec![
@@ -957,25 +490,29 @@ mod tests {
         });
         reqs.push(Request::Resume {
             tenant: "acme".into(),
-            ckpt: "/tmp/j1.ckpt".into(),
-            source: JobSource::File {
-                path: "/data/a.nmfs".into(),
+            spec: ResumeSpec {
+                ckpt: "/tmp/j1.ckpt".into(),
+                source: JobSource::File {
+                    path: "/data/a.nmfs".into(),
+                },
+                ranks: Some(2),
+                algo: Some(Algo::HpcGrid(Grid::new(2, 1))),
+                max_iters: Some(40),
             },
-            ranks: Some(2),
-            algo: Some(Algo::HpcGrid(Grid::new(2, 1))),
-            max_iters: Some(40),
         });
         reqs.push(Request::Resume {
             tenant: "acme".into(),
-            ckpt: "ckpt/only.ckpt".into(),
-            source: JobSource::Dataset {
-                kind: "ssyn".into(),
-                scale: 400,
-                seed: 7,
+            spec: ResumeSpec {
+                ckpt: "ckpt/only.ckpt".into(),
+                source: JobSource::Dataset {
+                    kind: "ssyn".into(),
+                    scale: 400,
+                    seed: 7,
+                },
+                ranks: None,
+                algo: None,
+                max_iters: None,
             },
-            ranks: None,
-            algo: None,
-            max_iters: None,
         });
         for req in reqs {
             let bytes = req.encode();
@@ -1079,14 +616,37 @@ mod tests {
     fn absurd_float_array_is_rejected_before_allocation() {
         // A dense submit whose array length field claims 2^60 values.
         let mut out = Vec::new();
-        out.push(super::REQ_SUBMIT);
-        put_str(&mut out, "t");
+        out.push(1); // Submit
+        String::from("t").put(&mut out);
         out.push(1); // dense source
-        put_u64(&mut out, 4);
-        put_u64(&mut out, 4);
-        put_u64(&mut out, 1 << 60); // array length
+        4u64.put(&mut out);
+        4u64.put(&mut out);
+        (1u64 << 60).put(&mut out); // array length
         let err = Request::decode(&out).expect_err("rejected");
         assert!(matches!(err, ServeError::BadFrame { .. }), "{err}");
+    }
+
+    #[test]
+    fn dense_extent_is_multiplied_checked() {
+        // `m = n = 2^32` wraps to 0 in an unchecked product, which an
+        // empty array would then "match".
+        let mut out = vec![1];
+        String::from("t").put(&mut out);
+        out.push(1); // dense source
+        (1u64 << 32).put(&mut out);
+        (1u64 << 32).put(&mut out);
+        0u64.put(&mut out); // array length
+        let err = Request::decode(&out).expect_err("rejected");
+        assert!(matches!(err, ServeError::BadFrame { .. }), "{err}");
+        assert!(err.to_string().contains("dense source claims"), "{err}");
+    }
+
+    #[test]
+    fn projection_saturates_instead_of_wrapping() {
+        let mut spec = specs().swap_remove(1); // 2x3 dense
+        spec.k = 1 << 61; // 8·(2+3)·2^61 wraps to 0
+        assert_eq!(spec.projected_factor_bytes(), Some(usize::MAX));
+        assert_eq!(projected_factor_bytes(usize::MAX, 1, 1), usize::MAX);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! queued/running jobs and releases finished ones.
 
 use crate::error::ServeError;
-use crate::protocol::{JobPhase, JobSource, JobSpec, JobStatus, TenantReport};
+use crate::protocol::{
+    projected_factor_bytes, JobPhase, JobSource, JobSpec, JobStatus, ResumeSpec, TenantReport,
+};
 use hpc_nmf::checkpoint::read_checkpoint;
-use hpc_nmf::harness::Algo;
 use hpc_nmf::input::Input;
 use hpc_nmf::inspect_checkpoint;
 use hpc_nmf::prelude::*;
@@ -69,27 +70,6 @@ impl Default for TenantQuota {
             steps_per_quantum: 16,
         }
     }
-}
-
-/// Everything a resume admission carries to its deferred build: the
-/// server-side checkpoint, the data source to resume against, and the
-/// (already policy-clamped) regrid overrides.
-#[derive(Clone, Debug)]
-pub struct ResumeSpec {
-    /// Server-side checkpoint path (typically written by `Checkpoint`).
-    pub ckpt: String,
-    /// The data matrix to resume against.
-    pub source: JobSource,
-    /// Target rank count (`None` = recorded count). Clamped to the
-    /// server's per-job rank cap at admission, not rejected — elastic
-    /// resume exists precisely so a job can continue on a server with a
-    /// different capacity than the one that wrote the checkpoint.
-    pub ranks: Option<usize>,
-    /// Target algorithm (`None` = recorded one, degraded to `Hpc2D` if
-    /// the rank count changed under a pinned grid).
-    pub algo: Option<Algo>,
-    /// Fresh iteration budget (`None` = recorded cap).
-    pub max_iters: Option<usize>,
 }
 
 /// One tenant job: a live model, or a spec waiting to become one.
@@ -219,31 +199,8 @@ impl Registry {
                 ),
             });
         }
-        let projected = match spec.projected_factor_bytes() {
-            Some(p) => p,
-            // File sources carry their shape in the NMFS header, not on
-            // the wire: peek it by opening (and caching) the mmap —
-            // cheap, no data pages are touched.
-            None if matches!(spec.source, JobSource::File { .. }) => {
-                let JobSource::File { path } = &spec.source else {
-                    unreachable!()
-                };
-                let shared = self.open_file_source(path)?;
-                let (m, n) = shared.shape();
-                8 * (m + n) * spec.k
-            }
-            None => {
-                return Err(ServeError::BuildFailed {
-                    job: 0,
-                    reason: match &spec.source {
-                        JobSource::Dataset { kind, .. } => format!(
-                            "unknown dataset '{kind}' (expected dsyn | ssyn | video | webbase)"
-                        ),
-                        _ => "unresolvable job source".to_string(),
-                    },
-                })
-            }
-        };
+        let (m, n) = self.source_shape(&spec.source)?;
+        let projected = projected_factor_bytes(m, n, spec.k);
         let max_iters = spec.max_iters as u64;
         self.admit(tenant, projected, Some(spec), None, max_iters)
     }
@@ -269,31 +226,43 @@ impl Registry {
             });
         }
         let (m, n, k) = (summary.meta.m, summary.meta.n, summary.meta.config.k);
-        // When the source already knows its shape (inline dense, named
-        // dataset, or a File we can header-peek), reject a mismatch at
-        // admission instead of burning a promotion on it.
-        let source_shape = match &rs.source {
-            JobSource::File { path } => Some(self.open_file_source(path)?.shape()),
-            other => other.shape(),
-        };
-        if let Some((sm, sn)) = source_shape {
-            if (sm, sn) != (m, n) {
-                return Err(ServeError::BuildFailed {
-                    job: 0,
-                    reason: format!(
-                        "checkpoint {} records a {m}x{n} problem but the source is {sm}x{sn}",
-                        rs.ckpt
-                    ),
-                });
-            }
+        // Reject a mismatch at admission instead of burning a promotion
+        // on it.
+        let (sm, sn) = self.source_shape(&rs.source)?;
+        if (sm, sn) != (m, n) {
+            return Err(ServeError::BuildFailed {
+                job: 0,
+                reason: format!(
+                    "checkpoint {} records a {m}x{n} problem but the source is {sm}x{sn}",
+                    rs.ckpt
+                ),
+            });
         }
         // Clamp, don't reject: the whole point of elastic resume is
         // continuing on a server with different capacity.
         let requested = rs.ranks.unwrap_or(summary.meta.ranks).max(1);
         rs.ranks = Some(requested.min(self.max_ranks_per_job));
-        let projected = 8 * (m + n) * k;
+        let projected = projected_factor_bytes(m, n, k);
         let max_iters = rs.max_iters.unwrap_or(summary.meta.config.max_iters) as u64;
         self.admit(tenant, projected, None, Some(rs), max_iters)
+    }
+
+    /// The shape `source` will produce, or the typed rejection for one
+    /// that names nothing this server can build.
+    fn source_shape(&mut self, source: &JobSource) -> Result<(usize, usize), ServeError> {
+        let shape = match source {
+            // A decoded frame has passed this check already; a spec
+            // handed in by an embedding process has not.
+            JobSource::Dense { m, n, .. } => source.check().map(|()| (*m, *n)),
+            JobSource::Dataset { kind, scale, .. } => {
+                DatasetKind::from_name(kind).map(|kind| kind.scaled_dims(*scale))
+            }
+            // File sources carry their shape in the NMFS header, not on
+            // the wire: peek it by opening (and caching) the mmap —
+            // cheap, no data pages are touched.
+            JobSource::File { path } => return Ok(self.open_file_source(path)?.shape()),
+        };
+        shape.map_err(|reason| ServeError::BuildFailed { job: 0, reason })
     }
 
     /// Opens (or fetches from the cache) an NMFS file source as a
@@ -330,7 +299,7 @@ impl Registry {
             .or_insert_with(|| Tenant::new(default_quota));
 
         let resident = t.resident_bytes();
-        if resident + projected > t.quota.max_resident_bytes {
+        if resident.saturating_add(projected) > t.quota.max_resident_bytes {
             return Err(ServeError::QuotaBytes {
                 tenant: tenant.to_string(),
                 resident,
@@ -515,25 +484,11 @@ pub(crate) fn model_done(j: &Job) -> bool {
 /// Builds the input matrix a job source describes.
 pub(crate) fn build_input(source: &JobSource) -> Result<Input, String> {
     match source {
-        JobSource::Dense { m, n, data } => {
-            if data.len() != m * n {
-                return Err(format!(
-                    "dense source claims {m}x{n} but carries {} values",
-                    data.len()
-                ));
-            }
-            Ok(Input::Dense(Mat::from_vec(*m, *n, data.clone())))
-        }
-        JobSource::Dataset { kind, scale, seed } => {
-            let kind = match kind.as_str() {
-                "dsyn" => DatasetKind::Dsyn,
-                "ssyn" => DatasetKind::Ssyn,
-                "video" => DatasetKind::Video,
-                "webbase" => DatasetKind::Webbase,
-                other => return Err(format!("unknown dataset '{other}'")),
-            };
-            Ok(kind.build((*scale).max(1), *seed).input)
-        }
+        // `m·n == data.len()`: checked by the frame decoder and at admission.
+        JobSource::Dense { m, n, data } => Ok(Input::Dense(Mat::from_vec(*m, *n, data.clone()))),
+        JobSource::Dataset { kind, scale, seed } => Ok(DatasetKind::from_name(kind)?
+            .build((*scale).max(1), *seed)
+            .input),
         JobSource::File { path } => Err(format!(
             "file source {path} resolves through the shared mmap cache, not an inline input"
         )),
@@ -632,7 +587,6 @@ pub(crate) fn build_resume_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpc_nmf::harness::Algo;
     use nmf_nls::SolverKind;
 
     pub(crate) fn tiny_spec(m: usize, n: usize, k: usize, iters: usize) -> JobSpec {
@@ -702,6 +656,38 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_projection_is_over_quota_not_a_wrapped_zero() {
+        // `8·(2+3)·2^61` wraps to 0: unchecked, that is an overflow
+        // panic on the serve core thread in a debug build and a job
+        // that walks through the byte quota in release.
+        use crate::protocol::Request;
+        let frame = Request::Submit {
+            tenant: "acme".into(),
+            spec: JobSpec {
+                k: 1 << 61,
+                ..tiny_spec(2, 3, 2, 4)
+            },
+        }
+        .encode();
+        let Ok(Request::Submit { tenant, spec }) = Request::decode(&frame) else {
+            panic!("own encoding decodes")
+        };
+        let mut reg = Registry::new(TenantQuota::default(), 16);
+        reg.submit(&tenant, tiny_spec(12, 8, 2, 4)).expect("fits");
+        let err = reg.submit(&tenant, spec).expect_err("refused");
+        assert!(
+            matches!(
+                err,
+                ServeError::QuotaBytes {
+                    requested: usize::MAX,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn rank_cap_and_unknown_dataset_are_typed_rejections() {
         let mut reg = Registry::new(TenantQuota::default(), 4);
         let mut spec = tiny_spec(12, 8, 2, 4);
@@ -722,6 +708,14 @@ mod tests {
             )
             .expect_err("unknown dataset");
         assert!(err.to_string().contains("unknown dataset"), "{err}");
+        // An inline matrix that never was a frame is checked here, not
+        // by `Mat::from_vec` on the scheduler's time.
+        let mut short = tiny_spec(12, 8, 2, 4);
+        if let JobSource::Dense { data, .. } = &mut short.source {
+            data.pop();
+        }
+        let err = reg.submit("acme", short).expect_err("short array");
+        assert!(matches!(err, ServeError::BuildFailed { .. }), "{err}");
     }
 
     #[test]

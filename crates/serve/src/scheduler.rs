@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::protocol::{JobSource, JobSpec};
     use crate::registry::TenantQuota;
-    use hpc_nmf::harness::Algo;
+    use hpc_nmf::Algo;
     use nmf_nls::SolverKind;
 
     fn spec(iters: usize) -> JobSpec {

@@ -197,10 +197,10 @@ impl Server {
                 Ok((w, h)) => Response::Factors {
                     wm: w.nrows() as u64,
                     wk: w.ncols() as u64,
-                    w: w.as_slice().to_vec(),
+                    w: w.into_vec(),
                     hk: h.nrows() as u64,
                     hn: h.ncols() as u64,
-                    h: h.as_slice().to_vec(),
+                    h: h.into_vec(),
                 },
                 Err(e) => error_response(&e),
             },
@@ -219,26 +219,10 @@ impl Server {
                 Err(e) => error_response(&e),
             },
             Request::Shutdown => Response::ShuttingDown,
-            Request::Resume {
-                tenant,
-                ckpt,
-                source,
-                ranks,
-                algo,
-                max_iters,
-            } => {
-                let rs = crate::registry::ResumeSpec {
-                    ckpt,
-                    source,
-                    ranks,
-                    algo,
-                    max_iters,
-                };
-                match self.registry.submit_resume(&tenant, rs) {
-                    Ok((job, queued)) => Response::Submitted { job, queued },
-                    Err(e) => error_response(&e),
-                }
-            }
+            Request::Resume { tenant, spec } => match self.registry.submit_resume(&tenant, spec) {
+                Ok((job, queued)) => Response::Submitted { job, queued },
+                Err(e) => error_response(&e),
+            },
         }
     }
 }
@@ -339,7 +323,7 @@ mod tests {
     use crate::client::Client;
     use crate::protocol::{JobPhase, JobSource, JobSpec};
     use crate::transport::channel_listener;
-    use hpc_nmf::harness::Algo;
+    use hpc_nmf::Algo;
     use nmf_nls::SolverKind;
 
     fn spec(iters: usize, seed: u64) -> JobSpec {

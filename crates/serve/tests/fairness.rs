@@ -1,7 +1,7 @@
 //! Fairness and quota enforcement of the serving scheduler, measured at
 //! the registry level where step accounting is exact and deterministic.
 
-use hpc_nmf::harness::Algo;
+use hpc_nmf::Algo;
 use nmf_nls::SolverKind;
 use nmf_serve::{
     JobPhase, JobSource, JobSpec, Registry, Scheduler, SchedulerConfig, ServeError, TenantQuota,

@@ -3,7 +3,7 @@
 //! policy, scheme, or transport — admitted under the tenant's quota
 //! like any other submission (`docs/elasticity.md`).
 
-use hpc_nmf::harness::Algo;
+use hpc_nmf::Algo;
 use nmf_serve::prelude::*;
 use std::path::PathBuf;
 

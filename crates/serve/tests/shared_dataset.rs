@@ -3,7 +3,7 @@
 //! once server-wide, never doubled per tenant — while the per-tenant
 //! factor-byte quota keeps rejecting exactly as before.
 
-use hpc_nmf::harness::Algo;
+use hpc_nmf::Algo;
 use hpc_nmf::{Input, Nmf, SharedInput};
 use nmf_data::DatasetKind;
 use nmf_nls::SolverKind;

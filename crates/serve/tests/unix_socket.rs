@@ -20,7 +20,7 @@ fn small_spec(seed: u64) -> JobSpec {
         },
         k: 3,
         ranks: 1,
-        algo: hpc_nmf::harness::Algo::Sequential,
+        algo: hpc_nmf::Algo::Sequential,
         solver: nmf_nls::SolverKind::Bpp,
         max_iters: 5,
         seed,

@@ -1,7 +1,7 @@
 //! Point-to-point message transport between ranks.
 //!
-//! A `p × p` mesh of unbounded crossbeam channels, one per ordered pair of
-//! ranks. Because each pair has a dedicated FIFO channel and every rank
+//! A `p × p` mesh of unbounded `std::sync::mpsc` channels, one per ordered
+//! pair of ranks. Because each pair has a dedicated FIFO channel and every rank
 //! executes the same (deterministic) program, message matching needs no
 //! wildcard receives: a receive names its source, and the tag carried by
 //! each message is *asserted*, not searched for — a mismatch is a protocol
@@ -21,8 +21,8 @@
 //! synchronous collective: it runs the same machine as a posted one but
 //! never raises the in-flight count.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::cell::{Cell, RefCell};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
 /// A single message: an opaque tag (encodes communicator, operation kind,
 /// and sequence number) plus a payload of `f64` words.
@@ -56,7 +56,7 @@ impl Endpoints {
         #[allow(clippy::needless_range_loop)] // index pair mirrors the mesh layout
         for src in 0..p {
             for dst in 0..p {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 senders[src].push(tx);
                 receivers[dst].push(rx);
             }

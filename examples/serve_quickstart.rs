@@ -22,7 +22,7 @@ fn job(seed: u64, iters: usize) -> JobSpec {
         },
         k: 6,
         ranks: 2,
-        algo: hpc_nmf::harness::Algo::Hpc2D,
+        algo: hpc_nmf::Algo::Hpc2D,
         solver: nmf_nls::SolverKind::Bpp,
         max_iters: iters,
         seed,

@@ -99,18 +99,41 @@ fn naive_all_gather_words_match_formula() {
 
 #[test]
 fn messages_are_logarithmic_in_p() {
-    let (m, n, k) = (128, 96, 4);
-    for p in [4usize, 16] {
-        let out = run(m, n, k, p, Algo::Hpc2D, 2);
+    // Two power-of-two grids, a tall-skinny input whose optimal grid is
+    // 1D (m/p > n), and a rank count that is not a power of two (the
+    // collectives' fold steps).
+    let iters = 2;
+    for (m, n, k, p) in [
+        (128, 96, 4, 4),
+        (128, 96, 4, 16),
+        (2048, 32, 4, 8),
+        (240, 160, 8, 12),
+    ] {
+        let out = run(m, n, k, p, Algo::Hpc2D, iters);
+        let grid = Algo::Hpc2D.grid(m, n, p);
+        assert_eq!(grid.pc == 1, m / p > n, "{m}x{n} on {p}: grid {grid:?}");
+        // Table 2's words per iteration: two all-gathers and two
+        // reduce-scatters of the factor slices, two k² all-reduces.
+        let (pf, kf) = (p as f64, k as f64);
+        let slices = ((grid.pr - 1) * n * k + (grid.pc - 1) * m * k) as f64 / pf;
+        let analytic = 2.0 * slices + 4.0 * (pf - 1.0) / pf * kf * kf;
         for s in &out.rank_comm {
             let msgs = s.total_messages();
             // 6 collectives/iter (+objective+setup), each O(log p) with a
             // small constant: bound messages by 40·log2(p)+40 per iter.
             let lg = (p as f64).log2().ceil() as u64;
-            let bound = (40 * lg + 40) * 2;
+            let bound = (40 * lg + 40) * iters as u64;
             assert!(
                 msgs <= bound,
                 "p={p}: {msgs} messages exceeds O(log p) bound {bound}"
+            );
+            // Exact on power-of-two grids with divisible dims; the
+            // objective all-reduce, uneven blocks and fold steps stay
+            // within a third of it.
+            let ratio = s.total_words() as f64 / iters as f64 / analytic;
+            assert!(
+                (0.65..1.35).contains(&ratio),
+                "p={p}: {ratio:.3} of Table 2's words per iteration"
             );
         }
     }
