@@ -49,7 +49,7 @@
 //! with the usage text, instead of exiting at the first bad flag.
 
 use hpc_nmf::prelude::*;
-use hpc_nmf::{inspect_checkpoint, DimBalance, RankLoad, ShardKey};
+use hpc_nmf::{inspect_checkpoint, DimBalance, RankLoad};
 
 use nmf_data::DatasetKind;
 use nmf_vmpi::Op;
@@ -691,20 +691,6 @@ fn drive_and_report(
     Ok(())
 }
 
-/// What each rank of `model` holds of `input` (the sharding is cached:
-/// the model was built from it).
-fn rank_loads(input: &SharedInput, model: &Model) -> Vec<RankLoad> {
-    let grid = model.grid();
-    input.rank_loads(match model.algo() {
-        Algo::Sequential => ShardKey::Seq,
-        Algo::Naive => ShardKey::Naive { p: model.ranks() },
-        _ => ShardKey::Grid {
-            pr: grid.pr,
-            pc: grid.pc,
-        },
-    })
-}
-
 fn print_human(input: &SharedInput, model: &Model, stop: StopReason, wall: Duration) {
     let iters = model.records().len();
     println!(
@@ -722,7 +708,9 @@ fn print_human(input: &SharedInput, model: &Model, stop: StopReason, wall: Durat
         Some(d) => format!("skew {:.3}", d.skew),
         None => "not examined".to_string(),
     };
-    let loads = rank_loads(input, model);
+    // What each rank holds (the sharding is cached: the model was built
+    // from it).
+    let loads = input.rank_loads(model.shard_key());
     let range = |count: fn(&RankLoad) -> usize| {
         let (lo, hi) = loads
             .iter()
@@ -844,7 +832,7 @@ fn print_json(input: &SharedInput, model: &Model, stop: StopReason, wall: Durati
         dim(balance.rows),
         dim(balance.cols)
     ));
-    for (i, load) in rank_loads(input, model).iter().enumerate() {
+    for (i, load) in input.rank_loads(model.shard_key()).iter().enumerate() {
         if i > 0 {
             s.push(',');
         }

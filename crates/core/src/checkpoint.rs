@@ -29,7 +29,7 @@
 //! ```
 //!
 //! The factors are stored as **per-rank blocks** in the exact layout
-//! [`crate::session`]'s `factor_layouts` assigns. The decoded
+//! [`ShardKey::layouts`] assigns the run. The decoded
 //! [`Checkpoint`] presents assembled factors — reading a file
 //! reassembles the blocks through the [`crate::regrid`] globalizer, the
 //! same path that lets a checkpoint taken on one grid resume on another
@@ -50,11 +50,11 @@
 //! leaves the previous checkpoint intact rather than a torn file.
 
 use crate::config::{Algo, ConvergencePolicy, NmfConfig};
+use crate::dist::{RankLayout, ShardKey};
 use crate::engine::ConvergenceState;
 use crate::error::NmfError;
 use crate::grid::Grid;
 use crate::regrid::GlobalFactors;
-use crate::session::factor_layouts;
 use crate::wire::{self, put_f64s, Reader, Wire};
 use crate::{choice, record};
 use nmf_matrix::Mat;
@@ -89,6 +89,12 @@ pub struct CheckpointMeta {
 }
 
 impl CheckpointMeta {
+    /// What each rank of the recorded run owns: the slicing of the
+    /// factor section.
+    fn layouts(&self) -> Vec<RankLayout> {
+        ShardKey::of(self.algo, self.grid, self.ranks).layouts(self.m, self.n)
+    }
+
     /// FNV-1a fingerprint of the serialized configuration — equal iff
     /// two checkpoints describe the same problem and run configuration.
     pub fn fingerprint(&self) -> u64 {
@@ -403,9 +409,9 @@ fn encode(ck: &Checkpoint) -> Vec<u8> {
     // Factor section: the assembled factors sliced into the exact
     // per-rank blocks the run distributes — W blocks in rank order,
     // then Hᵀ blocks. Slicing here and reassembling on read are both
-    // plain row copies at `factor_layouts` offsets, so the round trip
-    // is bit-exact.
-    let layouts = factor_layouts(ck.meta.algo, ck.meta.grid, ck.meta.ranks, m, n);
+    // plain row copies at the same offsets, so the round trip is
+    // bit-exact.
+    let layouts = ck.meta.layouts();
     layouts.len().put(&mut out);
     for lay in &layouts {
         put_block(&mut out, &ck.w, lay.w.offset, lay.w.len);
@@ -568,7 +574,7 @@ fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
     }
     // One layout per rank: the meta block's own decoding vouches that
     // `(algo, grid, ranks)` describe one grid.
-    let layouts = factor_layouts(meta.algo, meta.grid, meta.ranks, m, n);
+    let layouts = meta.layouts();
     let mut blocks =
         || -> Result<Vec<Mat>, wire::Error> { (0..nblocks).map(|_| get_block(&mut r)).collect() };
     let (w_blocks, ht_blocks) = (blocks()?, blocks()?);

@@ -9,11 +9,16 @@
 //! Gram-identity objective — exists exactly once ([`AnlsEngine::step`]),
 //! and the three algorithms are three implementations of [`CommScheme`]:
 //!
-//! | Scheme | Paper | Communication |
-//! |---|---|---|
-//! | [`LocalScheme`] | Algorithm 1 | none |
-//! | [`Replicated1D`] | Algorithm 2 | all-gather whole factors, redundant Grams |
-//! | [`Grid2D`] | Algorithm 3 | Gram all-reduce + grid-dimension all-gather + reduce-scatter |
+//! | Scheme | Paper | Sharding | Communication |
+//! |---|---|---|---|
+//! | [`LocalScheme`] | Algorithm 1 | [`ShardKey::Seq`] | none |
+//! | [`Replicated1D`] | Algorithm 2 | [`ShardKey::Naive`] | all-gather whole factors, redundant Grams |
+//! | [`Grid2D`] | Algorithm 3 | [`ShardKey::Grid`] | Gram all-reduce + grid-dimension all-gather + reduce-scatter |
+//!
+//! The scheme is the engine's only generic: the data matrix under it is
+//! always a [`SplitBlocks`], the pair of rank-local blocks the two `MM`
+//! products read (one block twice, except under Algorithm 2), cut at the
+//! extents of [`ShardKey::layout`], which also size the schemes' buffers.
 //!
 //! Because the arithmetic is shared, the engine preserves the two
 //! hard-won properties of the drivers it replaced: **bit-identical
@@ -51,9 +56,9 @@
 use crate::config::{
     apply_ridge, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason, TaskTimes,
 };
-use crate::dist::{Dist1D, Part};
+use crate::dist::{Dist1D, RankLayout, ShardKey};
 use crate::grid::Grid;
-use crate::input::{Input, LocalMat};
+use crate::input::LocalMat;
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
 use nmf_matrix::Mat;
@@ -62,94 +67,56 @@ use nmf_vmpi::{Comm, CommStats, PendingOp};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-/// The data-matrix kernels an ANLS iteration needs. The data matrix
-/// enters the algorithm only through these two products (plus its norm),
-/// exactly as in the paper ("the data matrix itself is never
-/// communicated"); implementations exist for the global [`Input`]
-/// (sequential), a single distributed block [`LocalMat`] (HPC-NMF), and
-/// the doubly-stored [`SplitBlocks`] of the naive algorithm.
-pub trait AnlsData {
-    /// Packs this rank's dense data into microkernel-ready panels
-    /// ([`SessionPack`]) — called once at engine construction, so every
-    /// iteration's `MM` products skip left-operand packing entirely.
-    /// Sparse implementations clear the pack. Must also pre-size the
-    /// pack's tile scratch for `·×k` right operands so steady-state
-    /// iterations (including the first) allocate nothing.
-    fn pack_session(&self, pack: &mut SessionPack, k: usize);
-    /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into `out`,
-    /// reading the session-packed panels when present.
-    fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat);
-    /// Local `Aᵀ·W`, into `out` (stored transposed, `·×k`), reading the
-    /// session-packed transpose panels when present.
-    fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat);
-    /// This rank's contribution to `‖A‖²_F`, each entry counted exactly
-    /// once across all ranks.
-    fn norm_sq_contrib(&self) -> f64;
-}
-
-impl AnlsData for &Input {
-    fn pack_session(&self, pack: &mut SessionPack, k: usize) {
-        Input::pack_session(self, pack, k);
-    }
-
-    fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
-        Input::mm_a_ht_packed_into(self, pack, ht, out);
-    }
-
-    fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
-        Input::mm_at_w_packed_into(self, pack, w, out);
-    }
-
-    fn norm_sq_contrib(&self) -> f64 {
-        self.fro_norm_sq()
-    }
-}
-
-impl AnlsData for &LocalMat {
-    fn pack_session(&self, pack: &mut SessionPack, k: usize) {
-        self.pack_a_into(&mut pack.a);
-        self.pack_at_into(&mut pack.at);
-        pack.reserve_scratch(k);
-    }
-
-    fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
-        LocalMat::mm_a_ht_packed_into(self, &pack.a, ht, out, &mut pack.bpack);
-    }
-
-    fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
-        LocalMat::mm_at_w_packed_into(self, &pack.at, w, out, &mut pack.bpack);
-    }
-
-    fn norm_sq_contrib(&self) -> f64 {
-        self.fro_norm_sq()
-    }
-}
-
-/// Algorithm 2's doubled storage: the row block `Aᵢ` feeds `A·Hᵀ`, the
-/// column block `Aʲ` feeds `Aᵀ·W`. The norm contribution comes from the
-/// column blocks alone so each entry is counted once.
+/// The data matrix as one rank sees it. It enters the algorithm only
+/// through two products (plus its norm), exactly as in the paper ("the
+/// data matrix itself is never communicated"): the row block feeds
+/// `A·Hᵀ`, the column block feeds `Aᵀ·W`. They are Algorithm 2's doubled
+/// storage — the row stripe `Aᵢ` and the column stripe `Aʲ` — and under
+/// Algorithms 1 and 3 the same block twice (`From<&LocalMat>`).
+#[derive(Clone, Copy)]
 pub struct SplitBlocks<'a> {
     pub row_block: &'a LocalMat,
     pub col_block: &'a LocalMat,
 }
 
-impl AnlsData for SplitBlocks<'_> {
+impl<'a> From<&'a LocalMat> for SplitBlocks<'a> {
+    fn from(block: &'a LocalMat) -> Self {
+        SplitBlocks {
+            row_block: block,
+            col_block: block,
+        }
+    }
+}
+
+impl SplitBlocks<'_> {
+    /// Packs this rank's dense data into microkernel-ready panels
+    /// ([`SessionPack`]) — called once at engine construction, so every
+    /// iteration's `MM` products skip left-operand packing entirely.
+    /// Sparse blocks clear the pack. Also pre-sizes the pack's tile
+    /// scratch for `·×k` right operands so steady-state iterations
+    /// (including the first) allocate nothing.
     fn pack_session(&self, pack: &mut SessionPack, k: usize) {
         self.row_block.pack_a_into(&mut pack.a);
         self.col_block.pack_at_into(&mut pack.at);
         pack.reserve_scratch(k);
     }
 
+    /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into `out`,
+    /// reading the session-packed panels when present.
     fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
         self.row_block
             .mm_a_ht_packed_into(&pack.a, ht, out, &mut pack.bpack);
     }
 
+    /// Local `Aᵀ·W`, into `out` (stored transposed, `·×k`), reading the
+    /// session-packed transpose panels when present.
     fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
         self.col_block
             .mm_at_w_packed_into(&pack.at, w, out, &mut pack.bpack);
     }
 
+    /// This rank's contribution to `‖A‖²_F`: the column block's alone,
+    /// so each entry is counted exactly once across all ranks.
     fn norm_sq_contrib(&self) -> f64 {
         self.col_block.fro_norm_sq()
     }
@@ -350,9 +317,8 @@ impl CommScheme for LocalScheme {
 /// at the end of §4.3.
 pub struct Replicated1D<'c> {
     comm: &'c Comm,
-    /// Global factor-row distributions (`W` rows / `H` columns).
-    dist_m: Dist1D,
-    dist_n: Dist1D,
+    dims: (usize, usize),
+    lay: RankLayout,
     /// All-gather counts (words) for the two factors.
     w_counts: Vec<usize>,
     h_counts: Vec<usize>,
@@ -364,41 +330,22 @@ impl<'c> Replicated1D<'c> {
     pub fn new(comm: &'c Comm, dims: (usize, usize), k: usize) -> Self {
         let (m, n) = dims;
         let p = comm.size();
-        let dist_m = Dist1D::new(m, p);
-        let dist_n = Dist1D::new(n, p);
-        let w_counts = dist_m.lens_scaled(k);
-        let h_counts = dist_n.lens_scaled(k);
         Replicated1D {
             comm,
-            dist_m,
-            dist_n,
-            w_counts,
-            h_counts,
+            dims,
+            lay: ShardKey::Naive { p }.layout(m, n, comm.rank()),
+            w_counts: Dist1D::new(m, p).lens_scaled(k),
+            h_counts: Dist1D::new(n, p).lens_scaled(k),
             k,
         }
-    }
-
-    /// This rank's slice of the global `W` rows.
-    pub fn w_part(&self) -> Part {
-        self.dist_m.part(self.comm.rank())
-    }
-
-    /// This rank's slice of the global `H` columns.
-    pub fn ht_part(&self) -> Part {
-        self.dist_n.part(self.comm.rank())
     }
 }
 
 impl CommScheme for Replicated1D<'_> {
     fn size_workspace(&self, ws: &mut IterWorkspace, k: usize) {
         debug_assert_eq!(k, self.k);
-        ws.size_for_naive(
-            self.dist_m.total(),
-            self.dist_n.total(),
-            self.w_part().len,
-            self.ht_part().len,
-            k,
-        );
+        let (m, n) = self.dims;
+        ws.size_for_naive(m, n, self.lay.w.len, self.lay.ht.len, k);
     }
 
     fn reduce_scalar(&self, x: f64) -> f64 {
@@ -503,12 +450,8 @@ pub struct Grid2D<'c> {
     row_comm: Comm,
     /// Spans this grid column (`pr` ranks, ordered by row index).
     col_comm: Comm,
-    /// This rank's `Aᵢⱼ` block extent.
-    rows: Part,
-    cols: Part,
-    /// This rank's 1D factor slices *within* its block.
-    w_sub: Part,
-    ht_sub: Part,
+    /// This rank's `Aᵢⱼ` block extent and 1D factor slices.
+    lay: RankLayout,
     /// Reduce-scatter / all-gather counts along the grid row / column.
     w_counts: Vec<usize>,
     h_counts: Vec<usize>,
@@ -560,26 +503,21 @@ impl<'c> Grid2D<'c> {
         debug_assert_eq!(row_comm.size(), grid.pc);
         debug_assert_eq!(col_comm.size(), grid.pr);
 
-        // Distributions: A's rows over grid rows, A's columns over grid
-        // columns; within a block, W's rows over the grid row's members
-        // and H's columns over the grid column's members.
-        let dist_m = Dist1D::new(m, grid.pr);
-        let dist_n = Dist1D::new(n, grid.pc);
-        let rows = dist_m.part(gi);
-        let cols = dist_n.part(gj);
-        let sub_rows = Dist1D::new(rows.len, grid.pc);
-        let sub_cols = Dist1D::new(cols.len, grid.pr);
+        let key = ShardKey::Grid {
+            pr: grid.pr,
+            pc: grid.pc,
+        };
+        let lay = key.layout(m, n, comm.rank());
 
         Grid2D {
             world: comm,
             row_comm,
             col_comm,
-            rows,
-            cols,
-            w_sub: sub_rows.part(gj),
-            ht_sub: sub_cols.part(gi),
-            w_counts: sub_rows.lens_scaled(k),
-            h_counts: sub_cols.lens_scaled(k),
+            lay,
+            // Per peer: the block's W rows over the grid row's members,
+            // its H columns over the grid column's members.
+            w_counts: Dist1D::new(lay.rows.len, grid.pc).lens_scaled(k),
+            h_counts: Dist1D::new(lay.cols.len, grid.pr).lens_scaled(k),
             k,
             overlap: true,
             pending: RefCell::default(),
@@ -628,30 +566,25 @@ impl<'c> Grid2D<'c> {
 
     /// Expected shape of this rank's `Aᵢⱼ` block.
     pub fn block_shape(&self) -> (usize, usize) {
-        (self.rows.len, self.cols.len)
+        (self.lay.rows.len, self.lay.cols.len)
     }
 
     /// Expected shape of this rank's `(Wᵢ)ⱼ` slice.
     pub fn w_shape(&self) -> (usize, usize) {
-        (self.w_sub.len, self.k)
+        (self.lay.w.len, self.k)
     }
 
     /// Expected shape of this rank's `(Hⱼ)ᵢ` slice (stored transposed).
     pub fn ht_shape(&self) -> (usize, usize) {
-        (self.ht_sub.len, self.k)
+        (self.lay.ht.len, self.k)
     }
 }
 
 impl CommScheme for Grid2D<'_> {
     fn size_workspace(&self, ws: &mut IterWorkspace, k: usize) {
         debug_assert_eq!(k, self.k);
-        ws.size_for_hpc(
-            self.rows.len,
-            self.cols.len,
-            self.w_sub.len,
-            self.ht_sub.len,
-            k,
-        );
+        let lay = &self.lay;
+        ws.size_for_hpc(lay.rows.len, lay.cols.len, lay.w.len, lay.ht.len, k);
     }
 
     fn prime(&self, ws: &mut IterWorkspace, ht_local: &Mat) {
@@ -853,12 +786,12 @@ pub struct RankNmfOutput {
 ///
 /// Owns the factor iterates, the [`IterWorkspace`], the NLS solver and
 /// its scratch, and the convergence bookkeeping; is generic over the
-/// communication layout ([`CommScheme`]) and the data kernels
-/// ([`AnlsData`]). See the [module docs](crate::engine) for the design
-/// and the step-wise API.
-pub struct AnlsEngine<S: CommScheme, D: AnlsData> {
+/// communication layout ([`CommScheme`]) and borrows the rank's blocks
+/// of the data matrix ([`SplitBlocks`]). See the [module
+/// docs](crate::engine) for the design and the step-wise API.
+pub struct AnlsEngine<'a, S: CommScheme> {
     scheme: S,
-    data: D,
+    data: SplitBlocks<'a>,
     config: NmfConfig,
     policy: ConvergencePolicy,
     solver: Box<dyn NlsSolver + Send>,
@@ -893,11 +826,18 @@ pub struct AnlsEngine<S: CommScheme, D: AnlsData> {
     prefetched: bool,
 }
 
-impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
-    /// Builds an engine from initial factors: `w0` is this rank's `W`
-    /// slice, `ht0` its (transposed) `H` slice. Collective over the
-    /// scheme's communicator (it all-reduces `‖A‖²`).
-    pub fn new(scheme: S, data: D, config: &NmfConfig, w0: Mat, ht0: Mat) -> Self {
+impl<'a, S: CommScheme> AnlsEngine<'a, S> {
+    /// Builds an engine from this rank's block of `A` (or its two
+    /// stripes) and initial factors: `w0` is its `W` slice, `ht0` its
+    /// (transposed) `H` slice. Collective over the scheme's communicator
+    /// (it all-reduces `‖A‖²`).
+    pub fn new(
+        scheme: S,
+        data: impl Into<SplitBlocks<'a>>,
+        config: &NmfConfig,
+        w0: Mat,
+        ht0: Mat,
+    ) -> Self {
         Self::with_workspace(scheme, data, config, w0, ht0, IterWorkspace::default())
     }
 
@@ -907,12 +847,13 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
     /// [`into_rank_output_and_workspace`](Self::into_rank_output_and_workspace).
     pub fn with_workspace(
         scheme: S,
-        data: D,
+        data: impl Into<SplitBlocks<'a>>,
         config: &NmfConfig,
         w0: Mat,
         ht0: Mat,
         mut ws: IterWorkspace,
     ) -> Self {
+        let data = data.into();
         scheme.size_workspace(&mut ws, config.k);
         // Once-per-session operand packing: dense data is laid into
         // microkernel panels here, and every iteration's MM below reads
@@ -1228,13 +1169,13 @@ impl<S: CommScheme, D: AnlsData> AnlsEngine<S, D> {
 }
 
 /// The object-safe face of [`AnlsEngine`]: everything the session layer
-/// needs from an engine, with the `CommScheme`/`AnlsData` generics
-/// erased behind a `Box<dyn EngineDyn>`.
+/// needs from an engine, with the `CommScheme` generic erased behind a
+/// `Box<dyn EngineDyn>`.
 ///
 /// The generic engine is the right tool *inside* one rank's stack frame,
 /// where the scheme can borrow the communicator and the data blocks. A
 /// long-lived handle cannot name those lifetimes — so each session
-/// worker builds its concrete `AnlsEngine<S, D>` in its own frame and
+/// worker builds its concrete `AnlsEngine<S>` in its own frame and
 /// serves it through this trait, and the controller never learns which
 /// of the three schemes is running. Every method forwards to the
 /// inherent `AnlsEngine` method of the same name, except [`step_dyn`],
@@ -1269,7 +1210,7 @@ pub trait EngineDyn {
     fn take_workspace(&mut self) -> IterWorkspace;
 }
 
-impl<S: CommScheme, D: AnlsData> EngineDyn for AnlsEngine<S, D> {
+impl<S: CommScheme> EngineDyn for AnlsEngine<'_, S> {
     fn step_dyn(&mut self) -> IterRecord {
         AnlsEngine::step(self);
         self.iters.pop().expect("step just pushed a record")
@@ -1315,11 +1256,12 @@ impl<S: CommScheme, D: AnlsData> EngineDyn for AnlsEngine<S, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::input::Input;
     use nmf_matrix::rng::Fill;
 
     #[test]
     fn engine_dyn_erases_the_scheme() {
-        let input = Input::Dense(Mat::uniform(18, 12, 3));
+        let input = Input::Dense(Mat::uniform(18, 12, 3)).block(0, 0, 18, 12);
         let config = NmfConfig::new(2).with_max_iters(3).with_seed(8);
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
@@ -1346,9 +1288,9 @@ mod tests {
         // What a `Model` stores per step: one aggregated record, plus
         // one objective per rank for the windowed policy's look-back.
         let per_step_at_p4 = std::mem::size_of::<IterRecord>() + 4 * std::mem::size_of::<f64>();
-        assert!(per_step_at_p4 <= 1024, "{per_step_at_p4} bytes per step");
+        assert!(per_step_at_p4 <= 512, "{per_step_at_p4} bytes per step");
 
-        let input = Input::Dense(Mat::uniform(18, 12, 3));
+        let input = Input::Dense(Mat::uniform(18, 12, 3)).block(0, 0, 18, 12);
         let config = NmfConfig::new(2).with_max_iters(3).with_seed(8);
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
@@ -1364,7 +1306,7 @@ mod tests {
 
     #[test]
     fn local_scheme_runs_and_reports() {
-        let input = Input::Dense(Mat::uniform(20, 14, 5));
+        let input = Input::Dense(Mat::uniform(20, 14, 5)).block(0, 0, 20, 14);
         let config = NmfConfig::new(3).with_max_iters(4).with_seed(2);
         let w0 = crate::config::init_w(20, 3, config.seed);
         let ht0 = crate::config::init_ht(14, 3, config.seed);
@@ -1385,7 +1327,7 @@ mod tests {
 
     #[test]
     fn observer_sees_every_iteration() {
-        let input = Input::Dense(Mat::uniform(16, 12, 9));
+        let input = Input::Dense(Mat::uniform(16, 12, 9)).block(0, 0, 16, 12);
         let config = NmfConfig::new(2).with_max_iters(5).with_seed(3);
         let w0 = crate::config::init_w(16, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
@@ -1402,7 +1344,7 @@ mod tests {
 
     #[test]
     fn budget_zero_stops_after_one_iteration() {
-        let input = Input::Dense(Mat::uniform(18, 12, 4));
+        let input = Input::Dense(Mat::uniform(18, 12, 4)).block(0, 0, 18, 12);
         let config = NmfConfig::new(2).with_max_iters(50).with_convergence(
             ConvergencePolicy::WindowedBudget {
                 window: 5,
@@ -1424,7 +1366,7 @@ mod tests {
 
     #[test]
     fn infinite_window_tolerance_stops_at_window_plus_one() {
-        let input = Input::Dense(Mat::uniform(18, 12, 4));
+        let input = Input::Dense(Mat::uniform(18, 12, 4)).block(0, 0, 18, 12);
         let config = NmfConfig::new(2).with_max_iters(50).with_convergence(
             ConvergencePolicy::WindowedBudget {
                 window: 3,
@@ -1446,7 +1388,7 @@ mod tests {
 
     #[test]
     fn convergence_state_round_trips() {
-        let input = Input::Dense(Mat::uniform(16, 10, 6));
+        let input = Input::Dense(Mat::uniform(16, 10, 6)).block(0, 0, 16, 10);
         let config = NmfConfig::new(2).with_max_iters(6).with_seed(4);
         let w0 = crate::config::init_w(16, 2, config.seed);
         let ht0 = crate::config::init_ht(10, 2, config.seed);

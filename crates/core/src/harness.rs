@@ -1,14 +1,23 @@
-//! Batch front-end: run any algorithm to completion on a shared input.
+//! Batch front-end: run any algorithm to completion on a whole input.
 //!
-//! Since the session API landed, this module is a thin compatibility
-//! wrapper: [`factorize`] builds a [`Model`](crate::session::Model)
-//! through [`Nmf`](crate::session::Nmf::on), runs it to its stopping
+//! The one batch wrapper over the session: [`factorize`] builds a
+//! [`Model`](crate::session::Model) through
+//! [`Nmf::on`](crate::session::Nmf::on), runs it to its stopping
 //! condition, and assembles the classic [`NmfOutput`]. One-shot
-//! factorization is now a specialization of the resumable session, not
-//! the other way around — new code should prefer
+//! factorization is a specialization of the resumable session, not the
+//! other way around — new code should prefer
 //! [`Nmf::on(..)`](crate::session::Nmf::on) directly, which reports
 //! invalid requests as [`NmfError`](crate::error::NmfError) values
 //! instead of this wrapper's historical panics.
+//!
+//! `algo` picks the paper's algorithm — [`Algo::Sequential`] is
+//! Algorithm 1 (the single-process reference), [`Algo::Naive`]
+//! Algorithm 2, the `Hpc*` variants Algorithm 3 — and all three start
+//! from the same seeded initialization and run the same engine, so every
+//! parallel run must reproduce the sequential run's iterates to
+//! floating-point reassociation tolerance: the core correctness property
+//! of the reproduction, mirroring the paper's §6.1.3 protocol
+//! (`tests/parallel_vs_sequential.rs`).
 
 use crate::config::{Algo, NmfConfig, NmfOutput};
 use crate::input::Input;
@@ -29,8 +38,9 @@ pub fn factorize(input: &Input, p: usize, algo: Algo, config: &NmfConfig) -> Nmf
 /// Like [`factorize`], but starting from explicit factors (warm start):
 /// `w0` is `m×k` and `ht0` is `n×k` (`H` transposed, row `j` = column
 /// `j` of `H`). Use this to refine a factorization after the data
-/// changes incrementally — e.g. appending frames to the video matrix —
-/// instead of re-solving from a random initialization.
+/// changes incrementally — e.g. appending frames to the video matrix
+/// (the paper's §6.1.1 scenario) — instead of re-solving from a random
+/// initialization.
 pub fn factorize_from(
     input: &Input,
     p: usize,
@@ -68,4 +78,140 @@ pub fn total_comm(out: &NmfOutput) -> CommStats {
         total.merge(s);
     }
     total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{init_ht, init_w};
+    use crate::engine::{AnlsEngine, LocalScheme};
+    use nmf_matrix::ops::dense_relative_error;
+    use nmf_matrix::rng::Fill;
+    use nmf_matrix::{matmul, Mat};
+    use nmf_nls::SolverKind;
+    use nmf_sparse::gen::erdos_renyi;
+
+    fn sequential(input: &Input, config: &NmfConfig) -> NmfOutput {
+        factorize(input, 1, Algo::Sequential, config)
+    }
+
+    fn low_rank_input(m: usize, n: usize, k: usize, seed: u64) -> Input {
+        let w = Mat::uniform(m, k, seed);
+        let h = Mat::uniform(k, n, seed + 1);
+        Input::Dense(matmul(&w, &h))
+    }
+
+    #[test]
+    fn recovers_exact_low_rank_structure() {
+        // A has exact nonnegative rank 4; BPP-ANLS should drive the
+        // relative error near zero.
+        let input = low_rank_input(40, 30, 4, 81);
+        let out = sequential(&input, &NmfConfig::new(4).with_max_iters(50).with_seed(3));
+        // ANLS converges to a stationary point, not necessarily the
+        // global optimum; <1% on exact rank-4 data demonstrates the
+        // structure is recovered (the initial error is ~30%).
+        assert!(
+            out.rel_error < 1e-2,
+            "rel_error {} too large",
+            out.rel_error
+        );
+        assert!(out.w.all_nonnegative());
+        assert!(out.h.all_nonnegative());
+        if let Input::Dense(a) = &input {
+            let direct = dense_relative_error(a, &out.w, &out.h);
+            assert!(
+                (direct - out.rel_error).abs() < 1e-6 + 0.05 * direct,
+                "Gram-identity error {} vs direct {}",
+                out.rel_error,
+                direct
+            );
+        }
+    }
+
+    #[test]
+    fn objective_decreases_for_every_solver() {
+        let input = low_rank_input(25, 20, 3, 82);
+        for solver in SolverKind::ALL {
+            let out = sequential(
+                &input,
+                &NmfConfig::new(5)
+                    .with_solver(solver)
+                    .with_max_iters(15)
+                    .with_seed(4),
+            );
+            let hist = out.history();
+            for win in hist.windows(2) {
+                assert!(
+                    win[1] <= win[0] * (1.0 + 1e-9) + 1e-9,
+                    "{solver:?} objective increased: {win:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_input_works() {
+        let a = erdos_renyi(60, 50, 0.1, 83);
+        let out = sequential(&Input::Sparse(a), &NmfConfig::new(6).with_max_iters(10));
+        assert!(out.rel_error < 1.0);
+        assert!(out.w.all_nonnegative() && out.h.all_nonnegative());
+        assert_eq!(out.w.shape(), (60, 6));
+        assert_eq!(out.h.shape(), (6, 50));
+    }
+
+    #[test]
+    fn tolerance_stops_early() {
+        let input = low_rank_input(30, 25, 3, 84);
+        let out = sequential(
+            &input,
+            &NmfConfig::new(3).with_max_iters(200).with_tol(1e-6),
+        );
+        assert!(out.iterations < 200, "tolerance should trigger early exit");
+    }
+
+    #[test]
+    fn same_seed_same_result() {
+        let input = low_rank_input(20, 15, 3, 85);
+        let a = sequential(&input, &NmfConfig::new(4).with_max_iters(5).with_seed(7));
+        let b = sequential(&input, &NmfConfig::new(4).with_max_iters(5).with_seed(7));
+        assert_eq!(a.w, b.w);
+        assert_eq!(a.h, b.h);
+    }
+
+    #[test]
+    fn sequential_session_is_the_local_engine_on_the_whole_block() {
+        // `Algo::Sequential` through the session (a rank thread, a
+        // sharding of one block) is, bit for bit, Algorithm 1's engine
+        // driven directly on the whole matrix as one block.
+        let inputs = [
+            Input::Dense(Mat::uniform(57, 41, 91)),
+            Input::Sparse(erdos_renyi(83, 61, 0.12, 92)),
+        ];
+        for input in &inputs {
+            let (m, n) = input.shape();
+            let block = input.block(0, 0, m, n);
+            for solver in SolverKind::ALL {
+                let config = NmfConfig::new(5)
+                    .with_solver(solver)
+                    .with_max_iters(6)
+                    .with_seed(9);
+                let session = factorize(input, 1, Algo::Sequential, &config);
+                let mut engine = AnlsEngine::new(
+                    LocalScheme::new(m, n),
+                    &block,
+                    &config,
+                    init_w(m, config.k, config.seed),
+                    init_ht(n, config.k, config.seed),
+                );
+                engine.run();
+                let direct = engine.into_output();
+                assert_eq!(session.w, direct.w, "{solver:?} W");
+                assert_eq!(session.h, direct.h, "{solver:?} H");
+                let bits = |out: &NmfOutput| -> Vec<u64> {
+                    out.history().iter().map(|o| o.to_bits()).collect()
+                };
+                assert_eq!(bits(&session), bits(&direct), "{solver:?} objectives");
+            }
+        }
+    }
 }

@@ -14,13 +14,11 @@
 //! [`crate::session::Model`] undoes the relabelling where factor rows
 //! enter and leave the ranks, so nothing above the model sees it.
 
-use crate::workspace::SessionPack;
 use nmf_matrix::{
     matmul, matmul_into, matmul_packed_scratch_into, matmul_ta, matmul_ta_into, Mat, PackedPanels,
 };
 use nmf_sparse::{
-    spmm_at_dense, spmm_at_dense_auto, spmm_at_dense_auto_into, spmm_at_dense_into, spmm_dense_t,
-    spmm_dense_t_into, Csr, SpBlock,
+    spmm_at_dense, spmm_at_dense_auto_into, spmm_dense_t, spmm_dense_t_into, Csr, SpBlock,
 };
 
 /// A whole input matrix (held by the test/benchmark harness; in a real
@@ -85,62 +83,11 @@ impl Input {
         }
     }
 
-    /// `A·Hᵀ` into caller-owned `out` (the workspace path).
-    pub fn mm_a_ht_into(&self, ht: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) => matmul_into(a, ht, out),
-            Input::Sparse(a) => spmm_dense_t_into(a, ht, out),
-        }
-    }
-
     /// `Aᵀ·W` (`n×k`) for `w` of shape `m×k`.
     pub fn mm_at_w(&self, w: &Mat) -> Mat {
         match self {
             Input::Dense(a) => matmul_ta(a, w),
             Input::Sparse(a) => spmm_at_dense(a, w),
-        }
-    }
-
-    /// `Aᵀ·W` into caller-owned `out` (the workspace path).
-    pub fn mm_at_w_into(&self, w: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) => matmul_ta_into(a, w, out),
-            Input::Sparse(a) => spmm_at_dense_into(a, w, out),
-        }
-    }
-
-    /// Builds the once-per-session [`SessionPack`]: dense inputs pack
-    /// both operand forms (`A` and `Aᵀ`) into microkernel panels and
-    /// pre-size the tile scratch for `·×k` right operands; sparse inputs
-    /// clear the pack (their `MM` kernels read the CSR directly).
-    pub fn pack_session(&self, pack: &mut SessionPack, k: usize) {
-        match self {
-            Input::Dense(a) => {
-                pack.a.pack_into(a);
-                pack.at.pack_transposed_into(a);
-            }
-            Input::Sparse(_) => pack.clear(),
-        }
-        pack.reserve_scratch(k);
-    }
-
-    /// [`mm_a_ht_into`](Input::mm_a_ht_into) reading the session-packed
-    /// `A` panels when present (falls back to pack-per-call if not).
-    pub fn mm_a_ht_packed_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) if pack.a.is_empty() => matmul_into(a, ht, out),
-            Input::Dense(_) => matmul_packed_scratch_into(&pack.a, ht, out, &mut pack.bpack),
-            Input::Sparse(a) => spmm_dense_t_into(a, ht, out),
-        }
-    }
-
-    /// [`mm_at_w_into`](Input::mm_at_w_into) reading the session-packed
-    /// `Aᵀ` panels when present (falls back to pack-per-call if not).
-    pub fn mm_at_w_packed_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
-        match self {
-            Input::Dense(a) if pack.at.is_empty() => matmul_ta_into(a, w, out),
-            Input::Dense(_) => matmul_packed_scratch_into(&pack.at, w, out, &mut pack.bpack),
-            Input::Sparse(a) => spmm_at_dense_into(a, w, out),
         }
     }
 }
@@ -322,41 +269,6 @@ impl LocalMat {
         }
     }
 
-    /// Local `A_loc·Hᵀ` (the `MM` task of the `W` update).
-    pub fn mm_a_ht(&self, ht: &Mat) -> Mat {
-        match self {
-            LocalMat::Dense(a) => matmul(a, ht),
-            LocalMat::Sparse(a) => spmm_dense_t(a.csr(), ht),
-        }
-    }
-
-    /// Local `A_loc·Hᵀ` into caller-owned `out` (the workspace path).
-    pub fn mm_a_ht_into(&self, ht: &Mat, out: &mut Mat) {
-        match self {
-            LocalMat::Dense(a) => matmul_into(a, ht, out),
-            LocalMat::Sparse(a) => spmm_dense_t_into(a.csr(), ht, out),
-        }
-    }
-
-    /// Local `A_locᵀ·W` (the `MM` task of the `H` update).
-    pub fn mm_at_w(&self, w: &Mat) -> Mat {
-        match self {
-            LocalMat::Dense(a) => matmul_ta(a, w),
-            LocalMat::Sparse(a) => spmm_at_dense_auto(a.csr(), a.csc(), w),
-        }
-    }
-
-    /// Local `A_locᵀ·W` into caller-owned `out` (the workspace path).
-    /// Sparse blocks dispatch by output size: column-forward off the
-    /// block's CSC view when `n_loc·k` outgrows the last-level cache,
-    /// the CSR transposed pass (bit-identical) otherwise.
-    pub fn mm_at_w_into(&self, w: &Mat, out: &mut Mat) {
-        match self {
-            LocalMat::Dense(a) => matmul_ta_into(a, w, out),
-            LocalMat::Sparse(a) => spmm_at_dense_auto_into(a.csr(), a.csc(), w, out),
-        }
-    }
-
     /// Packs this block into left-operand panels for `A_loc·Hᵀ` (dense;
     /// sparse blocks clear `p` — the CSR kernels need no packing).
     pub fn pack_a_into(&self, p: &mut PackedPanels) {
@@ -375,8 +287,9 @@ impl LocalMat {
         }
     }
 
-    /// [`mm_a_ht_into`](LocalMat::mm_a_ht_into) reading session-packed
-    /// panels when present (falls back to pack-per-call if not).
+    /// Local `A_loc·Hᵀ` (the `MM` task of the `W` update) into
+    /// caller-owned `out`, reading session-packed panels when present
+    /// (falls back to pack-per-call if not).
     pub fn mm_a_ht_packed_into(
         &self,
         p: &PackedPanels,
@@ -391,8 +304,12 @@ impl LocalMat {
         }
     }
 
-    /// [`mm_at_w_into`](LocalMat::mm_at_w_into) reading session-packed
-    /// transpose panels when present (falls back to pack-per-call if not).
+    /// Local `A_locᵀ·W` (the `MM` task of the `H` update) into
+    /// caller-owned `out`, reading session-packed transpose panels when
+    /// present (falls back to pack-per-call if not). Sparse blocks
+    /// dispatch by output size: column-forward off the block's CSC view
+    /// when `n_loc·k` outgrows the last-level cache, the CSR transposed
+    /// pass (bit-identical) otherwise.
     pub fn mm_at_w_packed_into(
         &self,
         p: &PackedPanels,

@@ -78,14 +78,16 @@
 //! [`engine::AnlsEngine`]: the ANLS loop body exists once, and the
 //! algorithms differ only in their [`engine::CommScheme`] implementation
 //! ([`engine::LocalScheme`] / [`engine::Replicated1D`] /
-//! [`engine::Grid2D`]). The [`Model`] erases those generics behind the
-//! object-safe [`engine::EngineDyn`] and owns the virtual-MPI universe
-//! (one thread per rank), so a handle outlives any borrow of the
-//! communicators.
+//! [`engine::Grid2D`]) and in how `A`, `W` and `H` are dealt to ranks —
+//! a [`ShardKey`], whose [`layout`](ShardKey::layout) is the one place
+//! that says what rank `r` owns ([`dist`]). The [`Model`] erases the
+//! scheme generic behind the object-safe [`engine::EngineDyn`] and owns
+//! the virtual-MPI universe (one thread per rank), so a handle outlives
+//! any borrow of the communicators.
 //!
-//! The classic batch entry point [`harness::factorize`] remains as a
-//! compatibility wrapper over the session (it panics on invalid input
-//! where the builder returns [`NmfError`]).
+//! The classic batch entry point [`harness::factorize`] remains as the
+//! one batch wrapper over the session (it panics on invalid input where
+//! the builder returns [`NmfError`]).
 
 pub mod checkpoint;
 pub mod config;
@@ -96,7 +98,6 @@ pub mod grid;
 pub mod harness;
 pub mod input;
 pub mod regrid;
-pub mod seq;
 pub mod session;
 pub mod shared;
 pub mod wire;
@@ -109,6 +110,7 @@ pub use config::{
     init_ht, init_w, Algo, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason,
     TaskTimes,
 };
+pub use dist::ShardKey;
 pub use engine::{
     AnlsEngine, CommScheme, ConvergenceState, EngineDyn, Grid2D, LocalScheme, Replicated1D,
 };
@@ -118,7 +120,7 @@ pub use harness::{factorize, factorize_from, total_comm};
 pub use input::{Balance, DimBalance, Input, LocalMat};
 pub use regrid::{fitting_grids, GlobalFactors, RegridTarget};
 pub use session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};
-pub use shared::{RankLoad, ShardKey, SharedInput};
+pub use shared::{RankLoad, SharedInput};
 pub use workspace::IterWorkspace;
 
 /// Everything needed for typical use.

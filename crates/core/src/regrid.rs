@@ -11,10 +11,10 @@
 //! The flow has two halves, both exact row copies:
 //!
 //! 1. **Globalize** — a v2 checkpoint stores one factor block per rank
-//!    in `factor_layouts` order; `GlobalFactors::assemble` places each
-//!    block at its global row offset, reconstructing the assembled
-//!    `W` (`m×k`) and `Hᵀ` (`n×k`) bit-for-bit (the blocks were sliced
-//!    from those exact matrices).
+//!    in [`ShardKey::layouts`](crate::dist::ShardKey::layouts) order;
+//!    `GlobalFactors::assemble` places each block at its global row
+//!    offset, reconstructing the assembled `W` (`m×k`) and `Hᵀ` (`n×k`)
+//!    bit-for-bit (the blocks were sliced from those exact matrices).
 //! 2. **Reshard** — the session builder's warm start scatters the
 //!    assembled factors along the *target* `(algo, grid, ranks)` layout,
 //!    and the input blocks come from the ordinary [`crate::shared`]
@@ -37,9 +37,9 @@
 
 use crate::checkpoint::CheckpointMeta;
 use crate::config::Algo;
+use crate::dist::RankLayout;
 use crate::error::grid_fits;
 use crate::grid::Grid;
-use crate::session::RankLayout;
 use nmf_matrix::Mat;
 
 /// Assembled global factors: `w` is `m×k`, `ht` is `n×k` (`H`
@@ -62,7 +62,7 @@ pub(crate) struct BlockShapeMismatch {
 
 impl GlobalFactors {
     /// Reassembles the global factors from per-rank blocks laid out by
-    /// `layouts` (one entry per block, `factor_layouts` order). Each
+    /// `layouts` (one entry per block, rank order). Each
     /// block's shape is verified against its layout slice before
     /// anything is allocated; the slices of a layout tile the global
     /// matrices exactly, so assembly is a permutation of rows —
@@ -197,7 +197,7 @@ pub fn fitting_grids(m: usize, n: usize, ranks: usize) -> Vec<Grid> {
 mod tests {
     use super::*;
     use crate::config::NmfConfig;
-    use crate::session::factor_layouts;
+    use crate::dist::ShardKey;
     use nmf_matrix::rng::Fill;
 
     fn meta(algo: Algo, grid: Grid, ranks: usize) -> CheckpointMeta {
@@ -222,7 +222,7 @@ mod tests {
             (Algo::Hpc2D, Grid::new(2, 2), 4),
             (Algo::HpcGrid(Grid::new(1, 4)), Grid::new(1, 4), 4),
         ] {
-            let layouts = factor_layouts(algo, grid, ranks, m, n);
+            let layouts = ShardKey::of(algo, grid, ranks).layouts(m, n);
             let w_blocks: Vec<Mat> = layouts
                 .iter()
                 .map(|l| w.rows_block(l.w.offset, l.w.len))
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn assemble_rejects_a_block_of_the_wrong_shape() {
         let (m, n, k) = (8, 6, 2);
-        let layouts = factor_layouts(Algo::Naive, Grid::one_dimensional(2), 2, m, n);
+        let layouts = ShardKey::Naive { p: 2 }.layouts(m, n);
         let w_blocks = vec![Mat::zeros(4, k), Mat::zeros(3, k)]; // second too short
         let ht_blocks = vec![Mat::zeros(3, k), Mat::zeros(3, k)];
         let err = GlobalFactors::assemble(m, n, k, &layouts, &w_blocks, &ht_blocks)

@@ -29,18 +29,19 @@
 //!
 //! ## How the generics disappear
 //!
-//! The iteration core is `AnlsEngine<S: CommScheme, D: AnlsData>`, whose
-//! scheme borrows a rank-local communicator and whose data borrows
+//! The iteration core is `AnlsEngine<'a, S: CommScheme>`, whose scheme
+//! borrows a rank-local communicator and whose data is a borrowed pair of
 //! rank-local matrix blocks — lifetimes a long-lived handle cannot name.
 //! The session inverts the ownership: [`Model`] owns a virtual-MPI
 //! universe ([`nmf_vmpi::universe::seats`]) and one OS thread per rank;
 //! each worker thread owns its communicator and its data block(s),
-//! builds the concrete engine *in its own stack frame*, and serves it
-//! through the object-safe [`EngineDyn`] — so the controller speaks one
-//! protocol regardless of which of the three communication schemes is
-//! running. Iterations remain collective: every command is broadcast to
-//! all ranks and their replies are aggregated exactly as the batch
-//! harness aggregated per-rank results.
+//! builds the concrete engine *in its own stack frame* — the scheme its
+//! [`ShardKey`] names — and serves it through the object-safe
+//! [`EngineDyn`], so the controller speaks one protocol regardless of
+//! which of the three communication schemes is running. Iterations
+//! remain collective: every command is broadcast to all ranks and their
+//! replies are aggregated exactly as the batch harness aggregated
+//! per-rank results.
 //!
 //! ## Pause, persist, resume
 //!
@@ -59,7 +60,7 @@ use crate::config::{
     init_ht, init_w, Algo, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason,
     TaskTimes,
 };
-use crate::dist::{Dist1D, Part};
+use crate::dist::{Part, RankLayout, ShardKey};
 use crate::engine::{
     AnlsEngine, ConvergenceState, EngineDyn, Grid2D, LocalScheme, Replicated1D, SplitBlocks,
 };
@@ -67,7 +68,7 @@ use crate::error::{grid_fits, NmfError};
 use crate::grid::Grid;
 use crate::input::{Dealing, Input};
 use crate::regrid::RegridTarget;
-use crate::shared::{extract_rank_data, RankData, ShardKey, SharedInput};
+use crate::shared::{extract_rank_data, RankData, SharedInput};
 use crate::workspace::IterWorkspace;
 use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
@@ -551,85 +552,6 @@ fn validate_run(
     }
 }
 
-/// Where one rank's factor slices live in the global matrices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct RankLayout {
-    /// Global `W`-row slice.
-    pub(crate) w: Part,
-    /// Global `H`-column slice (rows of `Hᵀ`).
-    pub(crate) ht: Part,
-}
-
-/// The factor slicing a `(algo, grid, ranks)` triple induces on the
-/// global `W` (`m×k`) and `Hᵀ` (`n×k`) matrices, one entry per rank.
-///
-/// The single source of truth shared by session spawn (scattering warm
-/// starts), snapshot reassembly, the versioned checkpoint factor
-/// section, and the regrid globalizer — all four must agree on these
-/// offsets for resume to be bit-identical.
-///
-/// The offsets are *positions in the order the input is dealt in*. For
-/// an input dealt in index order a position is the global row itself.
-/// For a relabelled one the input's [`Dealing`] sits between the two,
-/// and only the first two users cross it ([`dealt_rows`] on the way into
-/// the ranks, [`undeal_rows`] on the way out): checkpoints and the regrid
-/// globalizer slice factors that are already back in original row order,
-/// so files never depend on how an input was dealt.
-pub(crate) fn factor_layouts(
-    algo: Algo,
-    grid: Grid,
-    ranks: usize,
-    m: usize,
-    n: usize,
-) -> Vec<RankLayout> {
-    match algo {
-        Algo::Sequential => vec![RankLayout {
-            w: Part { offset: 0, len: m },
-            ht: Part { offset: 0, len: n },
-        }],
-        Algo::Naive => {
-            let dist_m = Dist1D::new(m, ranks);
-            let dist_n = Dist1D::new(n, ranks);
-            (0..ranks)
-                .map(|r| RankLayout {
-                    w: dist_m.part(r),
-                    ht: dist_n.part(r),
-                })
-                .collect()
-        }
-        Algo::Hpc1D | Algo::Hpc2D | Algo::HpcGrid(_) => (0..ranks)
-            .map(|r| {
-                let lay = hpc_rank_layout(grid, m, n, r);
-                RankLayout {
-                    w: lay.w,
-                    ht: lay.ht,
-                }
-            })
-            .collect(),
-    }
-}
-
-/// Which scheme a worker should build (the data blocks already encode
-/// the distribution).
-#[derive(Clone, Copy, Debug)]
-enum Spec {
-    Seq,
-    Naive,
-    Hpc(Grid),
-}
-
-impl Spec {
-    /// The sharding this scheme needs for `ranks` ranks (the
-    /// [`SharedInput`] cache key).
-    fn shard_key(&self, ranks: usize) -> ShardKey {
-        match self {
-            Spec::Seq => ShardKey::Seq,
-            Spec::Naive => ShardKey::Naive { p: ranks },
-            Spec::Hpc(g) => ShardKey::Grid { pr: g.pr, pc: g.pc },
-        }
-    }
-}
-
 /// Controller → worker commands. Every command is answered by exactly
 /// one [`Reply`]; `Shutdown` ends the worker.
 enum Cmd {
@@ -639,12 +561,13 @@ enum Cmd {
     /// just want instrumentation.
     Stats,
     SetPolicy(ConvergencePolicy),
-    Reinit(Box<ReinitMsg>),
+    Reinit(Box<EngineInit>),
     Shutdown,
 }
 
-/// Payload of [`Cmd::Reinit`] (boxed to keep the command enum small).
-struct ReinitMsg {
+/// What a rank's engine starts from: a worker's first build and the
+/// payload of [`Cmd::Reinit`] (boxed to keep the command enum small).
+struct EngineInit {
     config: NmfConfig,
     w0: Mat,
     ht0: Mat,
@@ -667,81 +590,73 @@ enum Reply {
     Ack,
 }
 
-/// Builds the concrete engine for one rank, erasing the scheme/data
-/// generics. Collective when the scheme is (communicator splits, the
-/// `‖A‖²` all-reduce), so every rank must call it in the same sequence.
-#[allow(clippy::too_many_arguments)]
+/// Builds the concrete engine for one rank — the scheme `key` names over
+/// the blocks `key` dealt — erasing the scheme generic. Collective when
+/// the scheme is (communicator splits, the `‖A‖²` all-reduce), so every
+/// rank must call it in the same sequence.
 fn build_engine<'a>(
     comm: &'a Comm,
-    spec: Spec,
+    key: ShardKey,
     dims: (usize, usize),
     data: &'a RankData,
-    config: &NmfConfig,
-    w0: Mat,
-    ht0: Mat,
+    init: EngineInit,
     ws: IterWorkspace,
 ) -> Box<dyn EngineDyn + 'a> {
-    match (spec, data) {
-        (Spec::Seq, RankData::Single(a)) => Box::new(AnlsEngine::with_workspace(
+    let EngineInit {
+        config,
+        w0,
+        ht0,
+        state,
+    } = init;
+    let blocks = SplitBlocks {
+        row_block: &data.row,
+        col_block: &data.col,
+    };
+    let mut engine: Box<dyn EngineDyn + 'a> = match key {
+        ShardKey::Seq => Box::new(AnlsEngine::with_workspace(
             LocalScheme::new(dims.0, dims.1),
-            a.as_ref(),
-            config,
+            blocks,
+            &config,
             w0,
             ht0,
             ws,
         )),
-        (Spec::Naive, RankData::Split { row, col }) => Box::new(AnlsEngine::with_workspace(
+        ShardKey::Naive { .. } => Box::new(AnlsEngine::with_workspace(
             Replicated1D::new(comm, dims, config.k),
-            SplitBlocks {
-                row_block: row.as_ref(),
-                col_block: col.as_ref(),
-            },
-            config,
+            blocks,
+            &config,
             w0,
             ht0,
             ws,
         )),
-        (Spec::Hpc(grid), RankData::Single(a)) => Box::new(AnlsEngine::with_workspace(
-            Grid2D::new(comm, grid, dims, config.k),
-            a.as_ref(),
-            config,
+        ShardKey::Grid { pr, pc } => Box::new(AnlsEngine::with_workspace(
+            Grid2D::new(comm, Grid::new(pr, pc), dims, config.k),
+            blocks,
+            &config,
             w0,
             ht0,
             ws,
         )),
-        _ => unreachable!("scheme spec does not match the data distribution"),
+    };
+    if let Some(st) = state {
+        engine.restore_convergence_state(st);
     }
+    engine
 }
 
 /// One rank's service loop: owns the communicator and data blocks for
 /// the lifetime of the session, rebuilding the engine only on `Reinit`.
-#[allow(clippy::too_many_arguments)]
 fn worker(
     seat: Seat,
-    spec: Spec,
+    key: ShardKey,
     dims: (usize, usize),
     data: RankData,
-    config: NmfConfig,
-    w0: Mat,
-    ht0: Mat,
-    resume: Option<ConvergenceState>,
+    init: EngineInit,
     rx: mpsc::Receiver<Cmd>,
     tx: mpsc::Sender<Reply>,
 ) {
     let comm = seat.into_comm();
-    let mut engine = build_engine(
-        &comm,
-        spec,
-        dims,
-        &data,
-        &config,
-        w0,
-        ht0,
-        IterWorkspace::default(),
-    );
-    if let Some(st) = resume {
-        engine.restore_convergence_state(st);
-    }
+    let mut engine = build_engine(&comm, key, dims, &data, init, IterWorkspace::default());
     while let Ok(cmd) = rx.recv() {
         let reply = match cmd {
             Cmd::Step => {
@@ -765,18 +680,9 @@ fn worker(
                 engine.set_policy(p);
                 Reply::Ack
             }
-            Cmd::Reinit(msg) => {
-                let ReinitMsg {
-                    config,
-                    w0,
-                    ht0,
-                    state,
-                } = *msg;
+            Cmd::Reinit(init) => {
                 let ws = engine.take_workspace();
-                engine = build_engine(&comm, spec, dims, &data, &config, w0, ht0, ws);
-                if let Some(st) = state {
-                    engine.restore_convergence_state(st);
-                }
+                engine = build_engine(&comm, key, dims, &data, *init, ws);
                 Reply::Ack
             }
             Cmd::Shutdown => return,
@@ -820,10 +726,16 @@ pub struct Model {
     config: NmfConfig,
     algo: Algo,
     grid: Grid,
-    ranks: usize,
+    /// The distribution this session runs on and what each rank owns
+    /// under it.
+    key: ShardKey,
     layout: Vec<RankLayout>,
     /// The order the input's rows and columns were dealt in: what sits
-    /// between `layout` positions and global factor rows.
+    /// between `layout` positions and global factor rows. Only
+    /// [`dealt_rows`] (into the ranks) and [`undeal_rows`] (out of them)
+    /// cross it: checkpoints and the regrid globalizer slice factors that
+    /// are already back in original row order, so files never depend on
+    /// how an input was dealt.
     dealing: Arc<Dealing>,
     workers: Vec<WorkerHandle>,
     handles: Vec<JoinHandle<()>>,
@@ -852,12 +764,8 @@ impl Model {
     ) -> Model {
         let (m, n) = input.shape();
         let norm_a_sq = input.fro_norm_sq();
-        let spec = match algo {
-            Algo::Sequential => Spec::Seq,
-            Algo::Naive => Spec::Naive,
-            _ => Spec::Hpc(grid),
-        };
-        let layout = factor_layouts(algo, grid, ranks, m, n);
+        let key = ShardKey::of(algo, grid, ranks);
+        let layout = key.layouts(m, n);
 
         let base_iterations = resume.as_ref().map_or(0, |s| s.iterations_done);
         let initial_objective = resume
@@ -869,7 +777,7 @@ impl Model {
         // One sharding for the whole universe: a shared input serves
         // (or fills) its cache, a whole input extracts fresh. Either
         // way each worker receives cheap `Arc` clones of its blocks.
-        let (dealing, rank_data) = input.deal(spec.shard_key(ranks));
+        let (dealing, rank_data) = input.deal(key);
         debug_assert_eq!(rank_data.len(), ranks);
 
         let mut workers = Vec::with_capacity(ranks);
@@ -877,27 +785,17 @@ impl Model {
         for (r, seat) in seats(ranks).into_iter().enumerate() {
             let data = rank_data[r].clone();
             let lay = layout[r];
-            let w0_local = dealt_rows(&w0, dealing.rows(), lay.w);
-            let ht0_local = dealt_rows(&ht0, dealing.cols(), lay.ht);
+            let init = EngineInit {
+                config,
+                w0: dealt_rows(&w0, dealing.rows(), lay.w),
+                ht0: dealt_rows(&ht0, dealing.cols(), lay.ht),
+                state: resume.clone(),
+            };
             let (cmd_tx, cmd_rx) = mpsc::channel();
             let (reply_tx, reply_rx) = mpsc::channel();
-            let st = resume.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("nmf-session-rank-{r}"))
-                .spawn(move || {
-                    worker(
-                        seat,
-                        spec,
-                        (m, n),
-                        data,
-                        config,
-                        w0_local,
-                        ht0_local,
-                        st,
-                        cmd_rx,
-                        reply_tx,
-                    )
-                })
+                .spawn(move || worker(seat, key, (m, n), data, init, cmd_rx, reply_tx))
                 .expect("failed to spawn session rank thread");
             workers.push(WorkerHandle {
                 cmd: cmd_tx,
@@ -913,7 +811,7 @@ impl Model {
             config,
             algo,
             grid,
-            ranks,
+            key,
             layout,
             dealing,
             workers,
@@ -1130,7 +1028,14 @@ impl Model {
 
     /// The number of virtual ranks (and worker threads) this model owns.
     pub fn ranks(&self) -> usize {
-        self.ranks
+        self.key.ranks()
+    }
+
+    /// The distribution this session runs on — the key its blocks sit
+    /// under in a [`SharedInput`]'s cache
+    /// ([`SharedInput::rank_loads`] reports what each rank holds).
+    pub fn shard_key(&self) -> ShardKey {
+        self.key
     }
 
     /// The input shape `(m, n)`.
@@ -1235,7 +1140,7 @@ impl Model {
         CheckpointMeta {
             m: self.m,
             n: self.n,
-            ranks: self.ranks,
+            ranks: self.ranks(),
             algo: self.algo,
             grid: self.grid,
             config: self.config,
@@ -1253,7 +1158,7 @@ impl Model {
             self.n,
             self.algo,
             Some(self.grid),
-            self.ranks,
+            self.ranks(),
             &config,
         )?;
         let w0 = init_w(self.m, config.k, config.seed);
@@ -1261,7 +1166,7 @@ impl Model {
         for (r, lay) in self.layout.iter().enumerate() {
             self.send(
                 r,
-                Cmd::Reinit(Box::new(ReinitMsg {
+                Cmd::Reinit(Box::new(EngineInit {
                     config,
                     w0: dealt_rows(&w0, self.dealing.rows(), lay.w),
                     ht0: dealt_rows(&ht0, self.dealing.cols(), lay.ht),
@@ -1388,7 +1293,7 @@ impl std::fmt::Debug for Model {
             .field("k", &self.config.k)
             .field("algo", &self.algo)
             .field("grid", &self.grid)
-            .field("ranks", &self.ranks)
+            .field("ranks", &self.ranks())
             .field("iterations", &self.iterations())
             .field("stop", &self.stop)
             .finish_non_exhaustive()
@@ -1403,39 +1308,6 @@ impl Drop for Model {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// One HPC rank's pieces in global coordinates: its `Aᵢⱼ` block extent
-/// and its 1D factor slices. The single source of truth for the offset
-/// arithmetic shared by block extraction (at spawn) and factor
-/// reassembly (at snapshot).
-pub(crate) struct HpcRankLayout {
-    pub rows: Part,
-    pub cols: Part,
-    pub w: Part,
-    pub ht: Part,
-}
-
-pub(crate) fn hpc_rank_layout(grid: Grid, m: usize, n: usize, rank: usize) -> HpcRankLayout {
-    let dist_m = Dist1D::new(m, grid.pr);
-    let dist_n = Dist1D::new(n, grid.pc);
-    let (i, j) = grid.coords(rank);
-    let rows = dist_m.part(i);
-    let cols = dist_n.part(j);
-    let wpart = Dist1D::new(rows.len, grid.pc).part(j);
-    let hpart = Dist1D::new(cols.len, grid.pr).part(i);
-    HpcRankLayout {
-        rows,
-        cols,
-        w: Part {
-            offset: rows.offset + wpart.offset,
-            len: wpart.len,
-        },
-        ht: Part {
-            offset: cols.offset + hpart.offset,
-            len: hpart.len,
-        },
     }
 }
 

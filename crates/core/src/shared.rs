@@ -59,12 +59,9 @@
 //! holding. Dense inputs, unskewed sparse inputs and mmap-backed files
 //! are dealt in index order.
 
-use crate::config::Algo;
-use crate::dist::Dist1D;
+use crate::dist::{Part, ShardKey};
 use crate::error::NmfError;
-use crate::grid::Grid;
 use crate::input::{Balance, Dealing, Input, LocalMat};
-use crate::session::{factor_layouts, hpc_rank_layout};
 use nmf_sparse::io::{MmError, MmapCsr, DEFAULT_PANEL_BYTES};
 use nmf_sparse::{Csr, SpBlock};
 use std::collections::HashMap;
@@ -72,52 +69,31 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// One rank's share of the input matrix. Cloning is cheap — blocks are
-/// behind `Arc`s — which is what lets a cached sharding fan out to any
-/// number of builds.
+/// One rank's share of the input matrix: the block its `A·Hᵀ` reads and
+/// the block its `Aᵀ·W` reads. They are one block (the same `Arc`) except
+/// under [`ShardKey::Naive`], which stores `A` twice, as row stripes and
+/// as column stripes. Cloning is cheap — blocks are behind `Arc`s — which
+/// is what lets a cached sharding fan out to any number of builds.
 #[derive(Clone)]
-pub(crate) enum RankData {
-    /// One 2D (or whole-matrix) block.
-    Single(Arc<LocalMat>),
-    /// The naive algorithm's doubly-stored 1D stripes.
-    Split {
-        row: Arc<LocalMat>,
-        col: Arc<LocalMat>,
-    },
+pub(crate) struct RankData {
+    pub(crate) row: Arc<LocalMat>,
+    pub(crate) col: Arc<LocalMat>,
 }
 
 impl RankData {
-    fn resident_bytes(&self) -> usize {
-        match self {
-            RankData::Single(a) => a.resident_bytes(),
-            RankData::Split { row, col } => row.resident_bytes() + col.resident_bytes(),
-        }
+    /// Whether this rank holds `A` twice (two stripes, not one block).
+    fn is_split(&self) -> bool {
+        !Arc::ptr_eq(&self.row, &self.col)
     }
-}
 
-/// How the input is dealt onto ranks — the cache key of a sharding.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ShardKey {
-    /// The whole matrix on a single rank (sequential).
-    Seq,
-    /// 1D row stripes plus 1D column stripes over `p` ranks (naive).
-    Naive { p: usize },
-    /// 2D blocks on a `pr × pc` grid (MPI-FAUN).
-    Grid { pr: usize, pc: usize },
-}
+    /// The distinct blocks held.
+    fn blocks(&self) -> impl Iterator<Item = &LocalMat> {
+        let col = self.is_split().then_some(self.col.as_ref());
+        std::iter::once(self.row.as_ref()).chain(col)
+    }
 
-impl ShardKey {
-    /// The `(algo, grid, ranks)` triple whose factor slicing this
-    /// sharding serves (see [`factor_layouts`]).
-    fn scheme(self) -> (Algo, Grid, usize) {
-        match self {
-            ShardKey::Seq => (Algo::Sequential, Grid::new(1, 1), 1),
-            ShardKey::Naive { p } => (Algo::Naive, Grid::one_dimensional(p), p),
-            ShardKey::Grid { pr, pc } => {
-                let grid = Grid::new(pr, pc);
-                (Algo::HpcGrid(grid), grid, pr * pc)
-            }
-        }
+    fn resident_bytes(&self) -> usize {
+        self.blocks().map(LocalMat::resident_bytes).sum()
     }
 }
 
@@ -312,28 +288,19 @@ impl SharedInput {
                 }
             }
         };
-        let (algo, grid, ranks) = key.scheme();
-        let layouts = factor_layouts(algo, grid, ranks, m, n);
-        for (r, (data, lay)) in set.iter().zip(&layouts).enumerate() {
-            match data {
-                RankData::Single(a) => {
-                    let block = hpc_rank_layout(grid, m, n, r);
-                    mark(a, block.rows.offset, block.cols.offset);
-                }
-                RankData::Split { row, col } => {
-                    mark(row, lay.w.offset, 0);
-                    mark(col, 0, lay.ht.offset);
-                }
+        let layouts = key.layouts(m, n);
+        for (data, lay) in set.iter().zip(&layouts) {
+            let (row_side, col_side) = key.blocks(lay, m, n);
+            let extents = std::iter::once(row_side).chain(col_side);
+            for (block, (rows, cols)) in data.blocks().zip(extents) {
+                mark(block, rows.offset, cols.offset);
             }
         }
         let count = |hit: &[bool]| hit.iter().filter(|&&h| h).count();
         set.iter()
             .zip(&layouts)
             .map(|(data, lay)| RankLoad {
-                nnz: match data {
-                    RankData::Single(a) => a.nnz(),
-                    RankData::Split { row, col } => row.nnz() + col.nnz(),
-                },
+                nnz: data.blocks().map(LocalMat::nnz).sum(),
                 non_empty_rows: count(&row_hit[lay.w.offset..lay.w.end()]),
                 non_empty_cols: count(&col_hit[lay.ht.offset..lay.ht.end()]),
             })
@@ -406,47 +373,27 @@ impl std::fmt::Debug for SharedInput {
     }
 }
 
-/// Extracts the per-rank block set for a distribution shape, pulling
-/// blocks through `block` (which hides resident vs mmap sourcing). The
-/// single source of truth for which block every rank owns — the session
-/// uses the same function whether or not the input is shared.
+/// Extracts the per-rank block set of a sharding, pulling blocks through
+/// `block` (which hides resident vs mmap sourcing) at the extents
+/// [`ShardKey::layouts`] gives — the session uses the same function
+/// whether or not the input is shared.
 pub(crate) fn extract_rank_data(
     block: &dyn Fn(usize, usize, usize, usize) -> LocalMat,
     key: ShardKey,
     m: usize,
     n: usize,
 ) -> Vec<RankData> {
-    match key {
-        ShardKey::Seq => vec![RankData::Single(Arc::new(block(0, 0, m, n)))],
-        ShardKey::Naive { p } => {
-            let dist_m = Dist1D::new(m, p);
-            let dist_n = Dist1D::new(n, p);
-            (0..p)
-                .map(|r| {
-                    let rows = dist_m.part(r);
-                    let cols = dist_n.part(r);
-                    RankData::Split {
-                        row: Arc::new(block(rows.offset, 0, rows.len, n)),
-                        col: Arc::new(block(0, cols.offset, m, cols.len)),
-                    }
-                })
-                .collect()
-        }
-        ShardKey::Grid { pr, pc } => {
-            let grid = Grid::new(pr, pc);
-            (0..pr * pc)
-                .map(|r| {
-                    let lay = hpc_rank_layout(grid, m, n, r);
-                    RankData::Single(Arc::new(block(
-                        lay.rows.offset,
-                        lay.cols.offset,
-                        lay.rows.len,
-                        lay.cols.len,
-                    )))
-                })
-                .collect()
-        }
-    }
+    let cut =
+        |(rows, cols): (Part, Part)| Arc::new(block(rows.offset, cols.offset, rows.len, cols.len));
+    key.layouts(m, n)
+        .iter()
+        .map(|lay| {
+            let (row_side, col_side) = key.blocks(lay, m, n);
+            let row = cut(row_side);
+            let col = col_side.map_or_else(|| Arc::clone(&row), cut);
+            RankData { row, col }
+        })
+        .collect()
 }
 
 /// `Csr::block` semantics over an mmap-backed file, streaming bounded
@@ -492,10 +439,8 @@ mod tests {
         assert_eq!(shared.extractions(), 1);
         // Same Arc'd blocks, not equal copies.
         for (x, y) in a.iter().zip(b.iter()) {
-            match (x, y) {
-                (RankData::Single(p), RankData::Single(q)) => assert!(Arc::ptr_eq(p, q)),
-                _ => panic!("grid sharding must be Single blocks"),
-            }
+            assert!(!x.is_split(), "a grid rank holds one block");
+            assert!(Arc::ptr_eq(&x.row, &y.row) && Arc::ptr_eq(&x.col, &y.col));
         }
         shared.rank_data(ShardKey::Seq);
         assert_eq!(shared.extractions(), 2);
@@ -525,19 +470,9 @@ mod tests {
             let ms = mapped.rank_data(key);
             assert_eq!(rs.len(), ms.len());
             for (x, y) in rs.iter().zip(ms.iter()) {
-                match (x, y) {
-                    (RankData::Single(p), RankData::Single(q)) => {
-                        assert_eq!(block_of(p).csr(), block_of(q).csr());
-                    }
-                    (
-                        RankData::Split { row: r1, col: c1 },
-                        RankData::Split { row: r2, col: c2 },
-                    ) => {
-                        assert_eq!(block_of(r1).csr(), block_of(r2).csr());
-                        assert_eq!(block_of(c1).csr(), block_of(c2).csr());
-                    }
-                    _ => panic!("sharding variants must agree"),
-                }
+                assert_eq!(x.is_split(), y.is_split(), "sharding shapes must agree");
+                assert_eq!(block_of(&x.row).csr(), block_of(&y.row).csr());
+                assert_eq!(block_of(&x.col).csr(), block_of(&y.col).csr());
             }
         }
         assert!(mapped.resident_bytes() > 0);
@@ -545,9 +480,38 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nmfs_files_are_corrupt_not_a_panic() {
+        // The inputs of `nmf_sparse::io`'s
+        // `hostile_headers_and_row_pointers_are_parse_errors`: a row count
+        // whose section size wraps, row pointers that run backwards, and
+        // sections the file does not hold.
+        let image = |counts: [u64; 3], indptr: &[u64], entries: usize| {
+            let mut bytes = b"NMFS\x01\0\0\0".to_vec();
+            for x in counts.iter().chain(indptr) {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+            bytes.resize(bytes.len() + 16 * entries, 0);
+            bytes
+        };
+        let path = std::env::temp_dir().join(format!("nmf-hostile-{}.nmfs", std::process::id()));
+        for bytes in [
+            image([(1 << 61) - 1, 4, 0], &[], 0),
+            image([2, 4, 2], &[0, 5, 2], 2),
+            image([1 << 37, 4, 0], &[0], 0),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                SharedInput::open_mmap(&path),
+                Err(NmfError::Corrupt { .. })
+            ));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn a_panicking_extraction_does_not_poison_the_cache() {
         let shared = Arc::new(SharedInput::new(Input::Sparse(erdos_renyi(20, 20, 0.2, 1))));
-        // Zero ranks trips `Dist1D`'s assertion inside the extraction,
+        // Zero ranks trips `ShardKey::layouts`' assertion inside the extraction,
         // while `rank_data` holds the cache lock.
         let doomed = Arc::clone(&shared);
         let crashed = std::thread::spawn(move || {

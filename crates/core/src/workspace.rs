@@ -21,9 +21,9 @@ use nmf_matrix::{Mat, PackedPanels};
 ///
 /// ANLS structure: the data matrix `A` never changes across iterations,
 /// so its microkernel panels (`a`, feeding `A·Hᵀ`) and its transpose's
-/// (`at`, feeding `Aᵀ·W`) are built **once** at engine construction by
-/// [`AnlsData::pack_session`](crate::engine::AnlsData::pack_session) and
-/// every iteration's `MM` reads only packed panels. Sparse inputs leave
+/// (`at`, feeding `Aᵀ·W`) are built **once**, at engine construction
+/// ([`AnlsEngine::with_workspace`](crate::engine::AnlsEngine::with_workspace)),
+/// and every iteration's `MM` reads only packed panels. Sparse inputs leave
 /// both panel sets empty (their `MM` kernels walk the CSR directly).
 ///
 /// `bpack` is the right-operand tile scratch, pre-sized by
@@ -46,12 +46,6 @@ impl SessionPack {
     /// Whether no operand is packed (sparse input, or never primed).
     pub fn is_empty(&self) -> bool {
         self.a.is_empty() && self.at.is_empty()
-    }
-
-    /// Drop any packed operands (retains allocations for reuse).
-    pub fn clear(&mut self) {
-        self.a.clear();
-        self.at.clear();
     }
 
     /// Grow `bpack` to the bound both packed products need for a `·×k`

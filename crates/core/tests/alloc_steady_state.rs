@@ -12,8 +12,9 @@
 //! right-hand-side chunk) is sized by the problem shape alone, never by
 //! how many distinct passive sets an iteration happens to produce.
 
+use hpc_nmf::engine::{AnlsEngine, LocalScheme};
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq;
+use hpc_nmf::{init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,12 +83,20 @@ fn count_on_this_thread<T>(f: impl FnOnce() -> T) -> u64 {
 }
 
 fn run_seq(iters: usize, solver: SolverKind) -> u64 {
-    let input = Input::Dense(Mat::uniform(48, 36, 11));
+    let (m, n) = (48, 36);
+    let block = Input::Dense(Mat::uniform(m, n, 11)).block(0, 0, m, n);
     let config = NmfConfig::new(5)
         .with_max_iters(iters)
         .with_solver(solver)
         .with_seed(3);
-    count_on_this_thread(|| nmf_seq(&input, &config))
+    // Algorithm 1's engine, built and run on this thread (a `Model`
+    // would run it on a rank thread of its own).
+    count_on_this_thread(|| {
+        let (w0, ht0) = (init_w(m, 5, 3), init_ht(n, 5, 3));
+        let mut engine = AnlsEngine::new(LocalScheme::new(m, n), &block, &config, w0, ht0);
+        engine.run();
+        engine.into_output()
+    })
 }
 
 #[test]

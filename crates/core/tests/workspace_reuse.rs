@@ -7,7 +7,6 @@
 use hpc_nmf::dist::Dist1D;
 use hpc_nmf::engine::RankNmfOutput;
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq;
 use hpc_nmf::workspace::IterWorkspace;
 use hpc_nmf::{factorize_from, init_ht, init_w, AnlsEngine, Grid2D, LocalMat};
 use nmf_matrix::rng::Fill;
@@ -197,7 +196,7 @@ fn hpc_workspace_path_matches_sequential_reference() {
     ] {
         let input = test_input(m, n, (m * n) as u64);
         let config = NmfConfig::new(3).with_max_iters(3).with_seed(7);
-        let seq = nmf_seq(&input, &config);
+        let seq = factorize(&input, 1, Algo::Sequential, &config);
         let par = factorize_from(
             &input,
             p,
@@ -225,7 +224,7 @@ fn sparse_input_workspace_path_matches_sequential() {
     let a = erdos_renyi(40, 30, 0.15, 77);
     let input = Input::Sparse(a);
     let config = NmfConfig::new(4).with_max_iters(3).with_seed(21);
-    let seq = nmf_seq(&input, &config);
+    let seq = factorize(&input, 1, Algo::Sequential, &config);
     let par = factorize(&input, 4, Algo::Hpc2D, &config);
     assert!(par.w.max_abs_diff(&seq.w) < 1e-8, "sparse W diverged");
     assert!(par.h.max_abs_diff(&seq.h) < 1e-8, "sparse H diverged");

@@ -269,14 +269,52 @@ pub const NMFS_VERSION: u32 = 1;
 /// Header bytes: magic, version, then `nrows`/`ncols`/`nnz` as `u64`.
 const NMFS_HEADER_LEN: usize = 32;
 
-/// Byte offset of the `indices` section for a matrix with `nrows` rows.
+/// Byte offset of the `indices` section for a matrix with `nrows` rows
+/// (counts [`nmfs_file_len`] accepted: the sum cannot wrap).
 fn nmfs_indices_off(nrows: usize) -> u64 {
     NMFS_HEADER_LEN as u64 + 8 * (nrows as u64 + 1)
 }
 
-/// Byte offset of the `values` section.
+/// Byte offset of the `values` section (likewise).
 fn nmfs_values_off(nrows: usize, nnz: usize) -> u64 {
     nmfs_indices_off(nrows) + 8 * nnz as u64
+}
+
+/// Total bytes of an `NMFS` file holding `nrows` rows and `nnz` entries.
+/// The counts come from a header nobody has vouched for yet: ones whose
+/// sections do not fit in a `u64` of bytes are corrupt, where unchecked
+/// sums would wrap and walk past every later length check.
+fn nmfs_file_len(nrows: usize, nnz: usize) -> Result<u64, MmError> {
+    let len = || {
+        let words = (nnz as u64)
+            .checked_mul(2)?
+            .checked_add(nrows as u64)?
+            .checked_add(1)?;
+        words.checked_mul(8)?.checked_add(NMFS_HEADER_LEN as u64)
+    };
+    len().ok_or_else(|| parse_err(format!("NMFS header claims {nrows} rows and {nnz} entries")))
+}
+
+/// Row pointers of a file must start at 0, never decrease and end at
+/// `nnz`: every row is then a range inside the `indices` and `values`
+/// sections.
+fn check_indptr(ptrs: impl IntoIterator<Item = u64>, nnz: usize) -> Result<(), MmError> {
+    let span = || parse_err("NMFS indptr does not span [0, nnz]");
+    let mut ptrs = ptrs.into_iter();
+    if ptrs.next() != Some(0) {
+        return Err(span());
+    }
+    let mut prev = 0;
+    for (row, p) in ptrs.enumerate() {
+        if p < prev {
+            return Err(parse_err(format!("NMFS indptr decreases at row {row}")));
+        }
+        prev = p;
+    }
+    if prev != nnz as u64 {
+        return Err(span());
+    }
+    Ok(())
 }
 
 /// Writes `m` in the `NMFS` binary CSR container.
@@ -326,14 +364,32 @@ pub fn read_csr_binary(reader: impl Read) -> Result<Csr, MmError> {
     let mut head = [0u8; NMFS_HEADER_LEN];
     r.read_exact(&mut head)?;
     let (nrows, ncols, nnz) = parse_nmfs_header(&head)?;
-    let mut read_u64s = |n: usize| -> Result<Vec<u64>, MmError> {
-        let mut buf = vec![0u8; 8 * n];
-        r.read_exact(&mut buf)?;
+    nmfs_file_len(nrows, nnz)?;
+    // Each section is read through `take`: its buffer grows with the
+    // bytes that arrive, never to a size the header merely claims.
+    let mut read_u64s = |n: usize, what: &str| -> Result<Vec<u64>, MmError> {
+        let want = 8 * n as u64;
+        let mut buf = Vec::new();
+        r.by_ref().take(want).read_to_end(&mut buf)?;
+        if buf.len() as u64 != want {
+            return Err(parse_err(format!(
+                "NMFS file truncated: {what} holds {} bytes, expected {want}",
+                buf.len()
+            )));
+        }
         Ok((0..n).map(|i| le_u64(&buf, 8 * i)).collect())
     };
-    let indptr: Vec<usize> = read_u64s(nrows + 1)?.iter().map(|&x| x as usize).collect();
-    let indices: Vec<usize> = read_u64s(nnz)?.iter().map(|&x| x as usize).collect();
-    let values: Vec<f64> = read_u64s(nnz)?.iter().map(|&x| f64::from_bits(x)).collect();
+    let indptr = read_u64s(nrows + 1, "indptr")?;
+    check_indptr(indptr.iter().copied(), nnz)?;
+    let indptr: Vec<usize> = indptr.iter().map(|&x| x as usize).collect();
+    let indices: Vec<usize> = read_u64s(nnz, "indices")?
+        .iter()
+        .map(|&x| x as usize)
+        .collect();
+    let values: Vec<f64> = read_u64s(nnz, "values")?
+        .iter()
+        .map(|&x| f64::from_bits(x))
+        .collect();
     Ok(Csr::from_parts(nrows, ncols, indptr, indices, values))
 }
 
@@ -468,14 +524,14 @@ impl MmapCsr {
         let mut head = [0u8; NMFS_HEADER_LEN];
         (&file).read_exact(&mut head)?;
         let (nrows, ncols, nnz) = parse_nmfs_header(&head)?;
-        let expect = nmfs_values_off(nrows, nnz) + 8 * nnz as u64;
+        let expect = nmfs_file_len(nrows, nnz)?;
         let actual = file.metadata()?.len();
         if actual != expect {
             return Err(parse_err(format!(
                 "NMFS file truncated: {actual} bytes, expected {expect}"
             )));
         }
-        let head = MapWindow::map(&file, 0, NMFS_HEADER_LEN + 8 * (nrows + 1))?;
+        let head = MapWindow::map(&file, 0, nmfs_indices_off(nrows) as usize)?;
         let m = MmapCsr {
             file,
             nrows,
@@ -483,9 +539,9 @@ impl MmapCsr {
             nnz,
             head,
         };
-        if m.indptr(0) != 0 || m.indptr(nrows) != nnz {
-            return Err(parse_err("NMFS indptr does not span [0, nnz]"));
-        }
+        // One pass over the mapped row pointers: `panel` slices the other
+        // two sections by them.
+        check_indptr((0..=nrows).map(|i| m.indptr(i) as u64), nnz)?;
         Ok(m)
     }
 
@@ -809,6 +865,45 @@ mod tests {
         bytes.truncate(bytes.len() - 8);
         std::fs::write(&path, &bytes).unwrap();
         assert!(MmapCsr::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An `NMFS` image with a header and row pointers of the caller's
+    /// choosing, the other two sections zero-filled to `nnz` entries.
+    fn nmfs_bytes(nrows: u64, ncols: u64, nnz: u64, indptr: &[u64], entries: usize) -> Vec<u8> {
+        let mut bytes = NMFS_MAGIC.to_vec();
+        bytes.extend_from_slice(&NMFS_VERSION.to_le_bytes());
+        for x in [nrows, ncols, nnz].iter().chain(indptr) {
+            bytes.extend_from_slice(&x.to_le_bytes());
+        }
+        bytes.resize(bytes.len() + 16 * entries, 0);
+        bytes
+    }
+
+    #[test]
+    fn hostile_headers_and_row_pointers_are_parse_errors() {
+        let path = tmp_nmfs("hostile");
+        for (what, bytes) in [
+            // 8·(nrows+1) wraps to 0, so the file "is" its 32-byte header.
+            (
+                "row count that wraps",
+                nmfs_bytes((1 << 61) - 1, 4, 0, &[], 0),
+            ),
+            // Sized correctly, but row 0 would span [0, 5) of 2 entries.
+            ("decreasing indptr", nmfs_bytes(2, 4, 2, &[0, 5, 2], 2)),
+            // A terabyte of row pointers claimed by 40 bytes of file.
+            ("sections not present", nmfs_bytes(1 << 37, 4, 0, &[0], 0)),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(MmapCsr::open(&path), Err(MmError::Parse(_))),
+                "mmap: {what}"
+            );
+            assert!(
+                matches!(read_csr_binary(bytes.as_slice()), Err(MmError::Parse(_))),
+                "resident: {what}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -4,7 +4,7 @@
 //! whose costs the paper quotes in §2.3 (following Chan et al. and
 //! Thakur/Rabenseifner/Gropp). The first three are the resumable machines
 //! of [`pending`](crate::pending), which the calls here run to completion
-//! on the spot; the rest are plain loops in this file:
+//! on the spot; the barrier is a plain loop in this file:
 //!
 //! * **all-gather** — Bruck's algorithm: `⌈log₂ p⌉` rounds,
 //!   `((p−1)/p)·n` words per rank. Handles any `p` and per-rank block
@@ -13,13 +13,8 @@
 //!   non-power-of-two `p`: `⌈log₂ p⌉ (+2)` rounds, `((p−1)/p)·n` words
 //!   plus the same number of additions.
 //! * **all-reduce** — Rabenseifner's algorithm: a reduce-scatter followed
-//!   by an all-gather, `2·⌈log₂ p⌉` rounds and `2·((p−1)/p)·n` words. A
-//!   binomial-tree variant ([`Comm::all_reduce_tree`]) is provided for the
-//!   latency/bandwidth ablation.
-//! * **broadcast / reduce** — binomial trees (`⌈log₂ p⌉` rounds).
+//!   by an all-gather, `2·⌈log₂ p⌉` rounds and `2·((p−1)/p)·n` words.
 //! * **barrier** — dissemination (`⌈log₂ p⌉` rounds of empty messages).
-//! * **gather / scatter** — direct (used only outside the iteration loop,
-//!   for dataset distribution and result collection).
 //!
 //! Every payload word and message is recorded in the rank's
 //! [`CommStats`](crate::stats::CommStats) so tests can compare counted
@@ -268,42 +263,6 @@ impl Comm {
         });
     }
 
-    /// Ring reduce-scatter (ablation alternative): `p−1` rounds, same
-    /// bandwidth as recursive halving but `Θ(p)` latency.
-    ///
-    /// Segments travel rightward around the ring accumulating partial
-    /// sums; segment `s` starts at rank `s+1` and arrives, complete, at
-    /// rank `s` on the final round.
-    pub fn reduce_scatter_ring(&self, data: &[f64], counts: &[usize]) -> Vec<f64> {
-        let p = self.size();
-        let r = self.rank();
-        assert_eq!(counts.len(), p);
-        let mut off = Vec::with_capacity(p + 1);
-        prefix_sums_into(p, &mut off, |i| counts[i]);
-        assert_eq!(data.len(), *off.last().unwrap());
-        let seq = self.next_seq();
-        self.timed(Op::ReduceScatter, || {
-            if p == 1 {
-                return data.to_vec();
-            }
-            let dst = (r + 1) % p;
-            let src = (r + p - 1) % p;
-            let seg = |s: usize| &data[off[s]..off[s + 1]];
-            // Round t: send the running sum of segment (r−t−1), receive
-            // segment (r−t−2) from the left and fold in my contribution.
-            let mut acc: Vec<f64> = seg((r + p - 1) % p).to_vec();
-            for t in 0..p - 1 {
-                let tag = self.tag(Kind::ReduceScatter, (seq << 6) | t as u64);
-                let incoming = self.exchange(dst, src, tag, &acc, Op::ReduceScatter);
-                let recv_seg = (r + 2 * p - t - 2) % p;
-                acc = seg(recv_seg).to_vec();
-                add_into(&mut acc, &incoming);
-            }
-            // After p−1 rounds acc is my own segment, fully reduced.
-            acc
-        })
-    }
-
     // ------------------------------------------------------------------
     // all-reduce
     // ------------------------------------------------------------------
@@ -327,134 +286,11 @@ impl Comm {
         });
     }
 
-    /// All-reduce via binomial-tree reduce to rank 0 plus binomial
-    /// broadcast (ablation alternative: lower latency for tiny payloads,
-    /// double the bandwidth term and a serialized root).
-    pub fn all_reduce_tree(&self, data: &[f64]) -> Vec<f64> {
-        let p = self.size();
-        let r = self.rank();
-        let seq = self.next_seq();
-        self.timed(Op::AllReduce, || {
-            if p == 1 {
-                return data.to_vec();
-            }
-            let t = |round: u64| self.tag(Kind::AllReduce, (seq << 6) | round);
-            let mut buf = data.to_vec();
-            // Binomial reduce toward rank 0.
-            let mut dist = 1usize;
-            while dist < p {
-                if r & dist != 0 {
-                    self.send_op(
-                        r - dist,
-                        t(dist.trailing_zeros() as u64),
-                        &buf,
-                        Op::AllReduce,
-                    );
-                    break;
-                } else if r + dist < p {
-                    let other = self.recv_op(r + dist, t(dist.trailing_zeros() as u64));
-                    add_into(&mut buf, &other);
-                }
-                dist <<= 1;
-            }
-            // Binomial broadcast from rank 0.
-            self.binomial_bcast(0, buf, seq, Op::AllReduce)
-        })
-    }
-
     /// Convenience: all-reduce of one scalar.
     pub fn all_reduce_scalar(&self, x: f64) -> f64 {
         let mut v = [x];
         self.all_reduce_into(&mut v);
         v[0]
-    }
-
-    // ------------------------------------------------------------------
-    // broadcast / gather / scatter / barrier
-    // ------------------------------------------------------------------
-
-    /// Broadcast `data` from `root` (non-roots pass anything, e.g. `&[]`).
-    pub fn broadcast(&self, root: usize, data: &[f64]) -> Vec<f64> {
-        let seq = self.next_seq();
-        self.timed(Op::Broadcast, || {
-            self.binomial_bcast(root, data.to_vec(), seq, Op::Broadcast)
-        })
-    }
-
-    fn binomial_bcast(&self, root: usize, data: Vec<f64>, seq: u64, op: Op) -> Vec<f64> {
-        let p = self.size();
-        if p == 1 {
-            return data;
-        }
-        let r = self.rank();
-        let vr = (r + p - root) % p;
-        let t = |round: u64| self.tag(Kind::Broadcast, (seq << 6) | 32 | round);
-        let mut buf = data;
-        let mut dist = 1usize;
-        let mut round = 0u64;
-        while dist < p {
-            if vr < dist {
-                if vr + dist < p {
-                    let dst = (vr + dist + root) % p;
-                    self.send_op(dst, t(round), &buf, op);
-                }
-            } else if vr < 2 * dist {
-                let src = (vr - dist + root) % p;
-                buf = self.recv_op(src, t(round)).into_vec();
-            }
-            dist <<= 1;
-            round += 1;
-        }
-        buf
-    }
-
-    /// Gathers every rank's `send` at `root`; returns `Some(blocks)` in
-    /// rank order at the root, `None` elsewhere. Direct sends (used
-    /// outside the iteration loop only).
-    pub fn gather(&self, root: usize, send: &[f64]) -> Option<Vec<Vec<f64>>> {
-        let p = self.size();
-        let r = self.rank();
-        let seq = self.next_seq();
-        self.timed(Op::Gather, || {
-            let tag = self.tag(Kind::Gather, seq << 6);
-            if r == root {
-                let mut out = Vec::with_capacity(p);
-                for src in 0..p {
-                    if src == root {
-                        out.push(send.to_vec());
-                    } else {
-                        out.push(self.recv_op(src, tag).into_vec());
-                    }
-                }
-                Some(out)
-            } else {
-                self.send_op(root, tag, send, Op::Gather);
-                None
-            }
-        })
-    }
-
-    /// Scatters `chunks[i]` from `root` to rank `i`; returns this rank's
-    /// chunk. Non-roots pass `None`.
-    pub fn scatter(&self, root: usize, chunks: Option<&[Vec<f64>]>) -> Vec<f64> {
-        let p = self.size();
-        let r = self.rank();
-        let seq = self.next_seq();
-        self.timed(Op::Scatter, || {
-            let tag = self.tag(Kind::Scatter, seq << 6);
-            if r == root {
-                let chunks = chunks.expect("root must supply scatter chunks");
-                assert_eq!(chunks.len(), p, "scatter needs one chunk per rank");
-                for (dst, chunk) in chunks.iter().enumerate() {
-                    if dst != root {
-                        self.send_op(dst, tag, chunk, Op::Scatter);
-                    }
-                }
-                chunks[root].clone()
-            } else {
-                self.recv_op(root, tag).into_vec()
-            }
-        })
     }
 
     /// Dissemination barrier: `⌈log₂ p⌉` rounds of empty messages; no

@@ -13,12 +13,8 @@ use std::time::Instant;
 pub(crate) enum Kind {
     P2p = 1,
     Barrier = 2,
-    Broadcast = 3,
-    Gather = 4,
-    Scatter = 5,
     AllGather = 6,
     ReduceScatter = 7,
-    AllReduce = 8,
 }
 
 /// Reusable staging buffers for the collective algorithms.

@@ -6,8 +6,8 @@
 //! exchange messages over dedicated FIFO channels, and all collectives
 //! are built from those point-to-point messages using the same classic
 //! algorithms (Bruck all-gather, recursive-halving reduce-scatter,
-//! Rabenseifner all-reduce, binomial broadcast, dissemination barrier)
-//! whose cost expressions the paper quotes in §2.3.
+//! Rabenseifner all-reduce, dissemination barrier) whose cost
+//! expressions the paper quotes in §2.3.
 //!
 //! Two properties make it a faithful stand-in for the paper's purposes:
 //!

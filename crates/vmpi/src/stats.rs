@@ -16,21 +16,15 @@ use std::time::Duration;
 pub enum Op {
     P2p,
     Barrier,
-    Broadcast,
-    Gather,
-    Scatter,
     AllGather,
     ReduceScatter,
     AllReduce,
 }
 
 impl Op {
-    pub const ALL: [Op; 8] = [
+    pub const ALL: [Op; 5] = [
         Op::P2p,
         Op::Barrier,
-        Op::Broadcast,
-        Op::Gather,
-        Op::Scatter,
         Op::AllGather,
         Op::ReduceScatter,
         Op::AllReduce,
@@ -41,12 +35,9 @@ impl Op {
         match self {
             Op::P2p => 0,
             Op::Barrier => 1,
-            Op::Broadcast => 2,
-            Op::Gather => 3,
-            Op::Scatter => 4,
-            Op::AllGather => 5,
-            Op::ReduceScatter => 6,
-            Op::AllReduce => 7,
+            Op::AllGather => 2,
+            Op::ReduceScatter => 3,
+            Op::AllReduce => 4,
         }
     }
 
@@ -54,9 +45,6 @@ impl Op {
         match self {
             Op::P2p => "p2p",
             Op::Barrier => "barrier",
-            Op::Broadcast => "bcast",
-            Op::Gather => "gather",
-            Op::Scatter => "scatter",
             Op::AllGather => "all-gather",
             Op::ReduceScatter => "reduce-scatter",
             Op::AllReduce => "all-reduce",
@@ -106,7 +94,7 @@ fn nanos(t: Duration) -> u64 {
 /// All counters for one rank.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CommStats {
-    per_op: [Counters; 8],
+    per_op: [Counters; Op::ALL.len()],
 }
 
 impl CommStats {
@@ -277,6 +265,6 @@ mod tests {
         let mut names: Vec<_> = Op::ALL.iter().map(|o| o.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 8);
+        assert_eq!(names.len(), Op::ALL.len());
     }
 }

@@ -75,21 +75,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn broadcast_delivers_root_payload(
-        p in 1usize..9,
-        root_pick in 0usize..9,
-        data in vec(-1e6f64..1e6, 0..20),
-    ) {
-        let root = root_pick % p;
-        let data2 = data.clone();
-        let results = run(p, move |comm| {
-            let mine = if comm.rank() == root { data2.clone() } else { vec![] };
-            comm.broadcast(root, &mine)
-        });
-        for r in results {
-            prop_assert_eq!(&r.result, &data);
-        }
-    }
 }

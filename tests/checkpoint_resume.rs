@@ -12,8 +12,7 @@ use hpc_nmf::checkpoint::read_checkpoint;
 use hpc_nmf::dist::Dist1D;
 use hpc_nmf::engine::{AnlsEngine, Grid2D, LocalScheme, Replicated1D, SplitBlocks};
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq_from;
-use hpc_nmf::{init_ht, init_w};
+use hpc_nmf::{factorize_from, init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use nmf_sparse::gen::chung_lu_power_law;
@@ -35,6 +34,7 @@ fn config() -> NmfConfig {
 fn sequential_checkpoint_resume_is_bit_identical() {
     let input = test_input(33, 26, 5);
     let (m, n) = input.shape();
+    let block = input.block(0, 0, m, n);
     let cfg = config();
     let w0 = init_w(m, cfg.k, cfg.seed);
     let ht0 = init_ht(n, cfg.k, cfg.seed);
@@ -42,7 +42,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     // Uninterrupted run.
     let mut full = AnlsEngine::new(
         LocalScheme::new(m, n),
-        &input,
+        &block,
         &cfg,
         w0.clone(),
         ht0.clone(),
@@ -52,7 +52,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     }
 
     // Interrupted at BREAK_AT: export factors, resume in a fresh engine.
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
     for _ in 0..BREAK_AT {
         first.step();
     }
@@ -61,7 +61,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
     drop(first);
 
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     for _ in 0..(TOTAL - BREAK_AT) {
         resumed.step();
@@ -84,12 +84,13 @@ fn sequential_checkpoint_resume_is_bit_identical() {
 fn stepped_engine_matches_run_to_completion_driver() {
     let input = test_input(28, 21, 9);
     let (m, n) = input.shape();
+    let block = input.block(0, 0, m, n);
     let cfg = config();
     let w0 = init_w(m, cfg.k, cfg.seed);
     let ht0 = init_ht(n, cfg.k, cfg.seed);
 
-    let driver = nmf_seq_from(&input, &cfg, w0.clone(), ht0.clone());
-    let mut engine = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    let driver = factorize_from(&input, 1, Algo::Sequential, &cfg, w0.clone(), ht0.clone());
+    let mut engine = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
     for _ in 0..TOTAL {
         engine.step();
     }
@@ -251,6 +252,7 @@ fn resume_preserves_early_stop_decisions() {
     // the same global iteration as the uninterrupted one.
     let input = test_input(30, 22, 17);
     let (m, n) = input.shape();
+    let block = input.block(0, 0, m, n);
     let cfg = NmfConfig::new(3)
         .with_max_iters(100)
         .with_tol(1e-7)
@@ -260,7 +262,7 @@ fn resume_preserves_early_stop_decisions() {
 
     let mut full = AnlsEngine::new(
         LocalScheme::new(m, n),
-        &input,
+        &block,
         &cfg,
         w0.clone(),
         ht0.clone(),
@@ -277,14 +279,14 @@ fn resume_preserves_early_stop_decisions() {
     );
 
     let brk = total / 2;
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
     for _ in 0..brk {
         first.step();
     }
     let state = first.convergence_state();
     let (w_ck, ht_ck) = first.factors();
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     let reason_resumed = resumed.run();
     assert_eq!(reason_resumed, reason_full);
@@ -738,6 +740,7 @@ fn windowed_policy_resume_stops_at_same_iteration() {
     // the checkpoint boundary.
     let input = test_input(32, 24, 19);
     let (m, n) = input.shape();
+    let block = input.block(0, 0, m, n);
     let cfg = NmfConfig::new(3)
         .with_max_iters(80)
         .with_seed(5)
@@ -751,7 +754,7 @@ fn windowed_policy_resume_stops_at_same_iteration() {
 
     let mut full = AnlsEngine::new(
         LocalScheme::new(m, n),
-        &input,
+        &block,
         &cfg,
         w0.clone(),
         ht0.clone(),
@@ -766,14 +769,14 @@ fn windowed_policy_resume_stops_at_same_iteration() {
     // Break one iteration before the stop, so the window straddles the
     // checkpoint.
     let brk = total - 1;
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
     for _ in 0..brk {
         first.step();
     }
     let state = first.convergence_state();
     let (w_ck, ht_ck) = first.factors();
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &input, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     let reason_resumed = resumed.run();
     assert_eq!(reason_resumed, reason_full);

@@ -4,7 +4,6 @@
 //! factors must agree to floating-point-reassociation tolerance.
 
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{matmul, Mat};
 use nmf_sparse::gen::{banded, erdos_renyi};
@@ -25,7 +24,7 @@ fn dense_input(m: usize, n: usize, k: usize, seed: u64) -> Input {
 }
 
 fn assert_matches_sequential(input: &Input, p: usize, algo: Algo, config: &NmfConfig) {
-    let seq = nmf_seq(input, config);
+    let seq = factorize(input, 1, Algo::Sequential, config);
     let par = factorize(input, p, algo, config);
     let dw = par.w.max_abs_diff(&seq.w);
     let dh = par.h.max_abs_diff(&seq.h);
@@ -159,7 +158,7 @@ fn factors_are_nonnegative_and_shaped() {
 fn tolerance_early_exit_is_consistent_across_ranks() {
     let input = dense_input(30, 24, 3, 14);
     let config = NmfConfig::new(3).with_max_iters(100).with_tol(1e-7);
-    let seq = nmf_seq(&input, &config);
+    let seq = factorize(&input, 1, Algo::Sequential, &config);
     let par = factorize(&input, 4, Algo::Hpc2D, &config);
     assert_eq!(
         seq.iterations, par.iterations,

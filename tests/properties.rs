@@ -4,7 +4,6 @@
 
 use hpc_nmf::dist::Dist1D;
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use proptest::prelude::*;
@@ -64,7 +63,7 @@ proptest! {
         let k = 3usize.min(m.min(n));
         let input = Input::Dense(Mat::uniform(m, n, seed));
         let config = NmfConfig::new(k).with_max_iters(3).with_seed(seed);
-        let seq = nmf_seq(&input, &config);
+        let seq = factorize(&input, 1, Algo::Sequential, &config);
         let par = factorize(&input, p, Algo::Hpc2D, &config);
         prop_assert!(
             par.w.max_abs_diff(&seq.w) < 1e-8 && par.h.max_abs_diff(&seq.h) < 1e-8,

@@ -1,7 +1,6 @@
 //! Tests for the L2 (Frobenius) regularization extension.
 
 use hpc_nmf::prelude::*;
-use hpc_nmf::seq::nmf_seq;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 
@@ -12,8 +11,18 @@ fn input(seed: u64) -> Input {
 #[test]
 fn ridge_shrinks_factor_norms() {
     let a = input(1);
-    let base = nmf_seq(&a, &NmfConfig::new(4).with_max_iters(15));
-    let reg = nmf_seq(&a, &NmfConfig::new(4).with_max_iters(15).with_l2(5.0, 5.0));
+    let base = factorize(
+        &a,
+        1,
+        Algo::Sequential,
+        &NmfConfig::new(4).with_max_iters(15),
+    );
+    let reg = factorize(
+        &a,
+        1,
+        Algo::Sequential,
+        &NmfConfig::new(4).with_max_iters(15).with_l2(5.0, 5.0),
+    );
     // The unregularized problem is scale-indifferent between the factors
     // (any c·W, H/c keeps the fit), so a single factor's norm need not
     // shrink — ANLS happens to park most of the scale in W. What ridge
@@ -32,8 +41,18 @@ fn ridge_shrinks_factor_norms() {
 #[test]
 fn zero_ridge_is_identity() {
     let a = input(2);
-    let base = nmf_seq(&a, &NmfConfig::new(3).with_max_iters(5));
-    let reg = nmf_seq(&a, &NmfConfig::new(3).with_max_iters(5).with_l2(0.0, 0.0));
+    let base = factorize(
+        &a,
+        1,
+        Algo::Sequential,
+        &NmfConfig::new(3).with_max_iters(5),
+    );
+    let reg = factorize(
+        &a,
+        1,
+        Algo::Sequential,
+        &NmfConfig::new(3).with_max_iters(5).with_l2(0.0, 0.0),
+    );
     assert_eq!(base.w, reg.w);
     assert_eq!(base.h, reg.h);
 }
@@ -42,7 +61,7 @@ fn zero_ridge_is_identity() {
 fn regularized_parallel_matches_sequential() {
     let a = input(3);
     let config = NmfConfig::new(3).with_max_iters(5).with_l2(0.5, 0.25);
-    let seq = nmf_seq(&a, &config);
+    let seq = factorize(&a, 1, Algo::Sequential, &config);
     for (p, algo) in [
         (4usize, Algo::Hpc2D),
         (6, Algo::Hpc2D),
@@ -63,8 +82,10 @@ fn regularized_parallel_matches_sequential() {
 fn regularization_works_with_every_solver() {
     let a = input(4);
     for solver in SolverKind::ALL {
-        let out = nmf_seq(
+        let out = factorize(
             &a,
+            1,
+            Algo::Sequential,
             &NmfConfig::new(3)
                 .with_max_iters(8)
                 .with_solver(solver)
