@@ -36,9 +36,13 @@
 //! fitted rank on stdout (objective, iterations, stop reason, per-task
 //! compute times — totals, and per iteration the slowest and the fastest
 //! rank — per-collective communication words/messages plus split-phase
-//! posts and overlap/in-flight seconds, and `balance`: how the input was
-//! dealt and what each rank holds) for scripted benchmarking and model
-//! selection.
+//! posts and overlap/in-flight seconds, `balance`: how the input was
+//! dealt and what each rank holds, and `memory`: `input_resident_bytes`,
+//! what the shared input holds resident — its source plus any extracted
+//! sparse blocks; a dense input is its `8·m·n` bytes, since its rank
+//! blocks are views — and `peak_rss_bytes`, the process's peak resident
+//! set so far (`VmHWM`, `null` where `/proc/self/status` cannot be read))
+//! for scripted benchmarking and model selection.
 //!
 //! The HPC scheme always runs its split-phase schedule (see
 //! `docs/comm-overlap.md`); what overlap buys is measured by
@@ -862,8 +866,21 @@ fn print_json(input: &SharedInput, model: &Model, stop: StopReason, wall: Durati
             st.inflight.as_secs_f64()
         ));
     }
-    s.push_str("}}");
+    s.push_str(&format!(
+        "}},\"memory\":{{\"input_resident_bytes\":{},\"peak_rss_bytes\":{}}}}}",
+        input.resident_bytes(),
+        peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string())
+    ));
     println!("{s}");
+}
+
+/// This process's peak resident set in bytes (`VmHWM` in
+/// `/proc/self/status`), where the system reports it.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 #[cfg(test)]

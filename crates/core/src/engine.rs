@@ -17,8 +17,9 @@
 //!
 //! The scheme is the engine's only generic: the data matrix under it is
 //! always a [`SplitBlocks`], the pair of rank-local blocks the two `MM`
-//! products read (one block twice, except under Algorithm 2), cut at the
-//! extents of [`ShardKey::layout`], which also size the schemes' buffers.
+//! products read in place (one block twice, except under Algorithm 2),
+//! cut at the extents of [`ShardKey::layout`], which also size the
+//! schemes' buffers.
 //!
 //! Because the arithmetic is shared, the engine preserves the two
 //! hard-won properties of the drivers it replaced: **bit-identical
@@ -58,11 +59,13 @@ use crate::config::{
 };
 use crate::dist::{Dist1D, RankLayout, ShardKey};
 use crate::grid::Grid;
-use crate::input::LocalMat;
+use crate::input::{BlockRef, LocalMat};
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
-use nmf_matrix::Mat;
+use nmf_matrix::pack::b_scratch_len;
+use nmf_matrix::{matmul_packed_scratch_into, matmul_scratch_into, Mat};
 use nmf_nls::NlsSolver;
+use nmf_sparse::{spmm_at_dense_auto_into, spmm_dense_t_into};
 use nmf_vmpi::{Comm, CommStats, PendingOp};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -71,54 +74,80 @@ use std::time::{Duration, Instant};
 /// through two products (plus its norm), exactly as in the paper ("the
 /// data matrix itself is never communicated"): the row block feeds
 /// `A·Hᵀ`, the column block feeds `Aᵀ·W`. They are Algorithm 2's doubled
-/// storage — the row stripe `Aᵢ` and the column stripe `Aʲ` — and under
-/// Algorithms 1 and 3 the same block twice (`From<&LocalMat>`).
+/// storage — the row stripe `Aᵢ` and the column stripe `Aʲ`,
+/// [`stripes`](Self::stripes) — and under Algorithms 1 and 3 the same
+/// block twice (`From<&LocalMat>`).
+///
+/// Both are borrowed and read in place: a dense block is a row-strided
+/// view (of a matrix shared by every rank, when the session built it
+/// from a [`SharedInput`](crate::SharedInput)), so the engine holds no
+/// copy of `A`, only the `Aᵀ` panels it packs for `Aᵀ·W`.
 #[derive(Clone, Copy)]
 pub struct SplitBlocks<'a> {
-    pub row_block: &'a LocalMat,
-    pub col_block: &'a LocalMat,
+    row: BlockRef<'a>,
+    col: BlockRef<'a>,
 }
 
 impl<'a> From<&'a LocalMat> for SplitBlocks<'a> {
     fn from(block: &'a LocalMat) -> Self {
-        SplitBlocks {
-            row_block: block,
-            col_block: block,
-        }
+        SplitBlocks::new(block.into(), block.into())
     }
 }
 
-impl SplitBlocks<'_> {
-    /// Packs this rank's dense data into microkernel-ready panels
-    /// ([`SessionPack`]) — called once at engine construction, so every
-    /// iteration's `MM` products skip left-operand packing entirely.
-    /// Sparse blocks clear the pack. Also pre-sizes the pack's tile
-    /// scratch for `·×k` right operands so steady-state iterations
-    /// (including the first) allocate nothing.
-    fn pack_session(&self, pack: &mut SessionPack, k: usize) {
-        self.row_block.pack_a_into(&mut pack.a);
-        self.col_block.pack_at_into(&mut pack.at);
-        pack.reserve_scratch(k);
+impl<'a> SplitBlocks<'a> {
+    /// Algorithm 2's pair: the row stripe `row` feeds `A·Hᵀ`, the column
+    /// stripe `col` feeds `Aᵀ·W`.
+    pub fn stripes(row: &'a LocalMat, col: &'a LocalMat) -> Self {
+        SplitBlocks::new(row.into(), col.into())
     }
 
-    /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into `out`,
-    /// reading the session-packed panels when present.
+    pub(crate) fn new(row: BlockRef<'a>, col: BlockRef<'a>) -> Self {
+        SplitBlocks { row, col }
+    }
+
+    /// Packs the dense column block's transpose into microkernel-ready
+    /// panels ([`SessionPack`]) — once, at engine construction, so every
+    /// iteration's `Aᵀ·W` reads only packed panels; `A·Hᵀ` reads the row
+    /// block where it lies and needs no panels. Sparse blocks clear the
+    /// pack. Also pre-sizes the tile scratch for `·×k` right operands of
+    /// both products, so steady-state iterations (including the first)
+    /// allocate nothing.
+    fn pack_session(&self, pack: &mut SessionPack, k: usize) {
+        match self.col {
+            BlockRef::Dense(a) => pack.at.pack_transposed_into(a),
+            BlockRef::Sparse(_) => pack.at.clear(),
+        }
+        let a_ht = match self.row {
+            BlockRef::Dense(a) => b_scratch_len(a.ncols(), k),
+            BlockRef::Sparse(_) => 0,
+        };
+        pack.reserve_scratch(a_ht.max(pack.at.b_scratch_len(k)));
+    }
+
+    /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into `out`.
     fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
-        self.row_block
-            .mm_a_ht_packed_into(&pack.a, ht, out, &mut pack.bpack);
+        match self.row {
+            BlockRef::Dense(a) => matmul_scratch_into(a, ht, out, &mut pack.bpack),
+            BlockRef::Sparse(a) => spmm_dense_t_into(a.csr(), ht, out),
+        }
     }
 
     /// Local `Aᵀ·W`, into `out` (stored transposed, `·×k`), reading the
-    /// session-packed transpose panels when present.
+    /// session-packed transpose panels. Sparse blocks dispatch by output
+    /// size: column-forward off the block's CSC view when `n_loc·k`
+    /// outgrows the last-level cache, the CSR transposed pass
+    /// (bit-identical) otherwise.
     fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
-        self.col_block
-            .mm_at_w_packed_into(&pack.at, w, out, &mut pack.bpack);
+        match self.col {
+            BlockRef::Dense(_) => matmul_packed_scratch_into(&pack.at, w, out, &mut pack.bpack),
+            BlockRef::Sparse(a) => spmm_at_dense_auto_into(a.csr(), a.csc(), w, out),
+        }
     }
 
     /// This rank's contribution to `‖A‖²_F`: the column block's alone,
     /// so each entry is counted exactly once across all ranks.
     fn norm_sq_contrib(&self) -> f64 {
-        self.col_block.fro_norm_sq()
+        self.col.fro_norm_sq()
     }
 }
 
@@ -855,9 +884,10 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
     ) -> Self {
         let data = data.into();
         scheme.size_workspace(&mut ws, config.k);
-        // Once-per-session operand packing: dense data is laid into
-        // microkernel panels here, and every iteration's MM below reads
-        // only packed storage (the ANLS win — A never changes).
+        // Once-per-session operand packing: a dense column block's
+        // transpose is laid into microkernel panels here, and every
+        // iteration's Aᵀ·W reads only those (the ANLS win — A never
+        // changes); A·Hᵀ reads the row block in place.
         data.pack_session(&mut ws.pack, config.k);
         let solver = config.solver.build();
         let norm_a_sq = scheme.reduce_scalar(data.norm_sq_contrib());

@@ -1,9 +1,13 @@
 //! Input matrices: dense or sparse, global or per-rank local blocks.
 //!
-//! The parallel drivers are generic over density through [`LocalMat`]:
-//! the two matrix-multiply kernels (`A·Hᵀ` and `Aᵀ·W`) are the only
-//! operations that touch the data matrix, exactly as in the paper
-//! ("the data matrix itself is never communicated").
+//! The engine is generic over density through one block type: the two
+//! matrix-multiply kernels (`A·Hᵀ` and `Aᵀ·W`) are the only operations
+//! that touch the data matrix, exactly as in the paper ("the data matrix
+//! itself is never communicated"). A dense block is read where it lies —
+//! a view of the matrix it was cut from, which all ranks of a
+//! [`SharedInput`](crate::SharedInput) share — and a sparse block is an
+//! extracted [`SpBlock`]. [`LocalMat`] is the owned block
+//! [`Input::block`] extracts.
 //!
 //! The input also owns one decision: the **order in which its rows and
 //! columns are dealt to ranks** (`Dealing`). Every scheme hands rank
@@ -14,12 +18,10 @@
 //! [`crate::session::Model`] undoes the relabelling where factor rows
 //! enter and leave the ranks, so nothing above the model sees it.
 
-use nmf_matrix::{
-    matmul, matmul_into, matmul_packed_scratch_into, matmul_ta, matmul_ta_into, Mat, PackedPanels,
-};
-use nmf_sparse::{
-    spmm_at_dense, spmm_at_dense_auto_into, spmm_dense_t, spmm_dense_t_into, Csr, SpBlock,
-};
+use crate::dist::Part;
+use nmf_matrix::{matmul, matmul_ta, Mat, MatRef};
+use nmf_sparse::{spmm_at_dense, spmm_dense_t, Csr, SpBlock};
+use std::sync::Arc;
 
 /// A whole input matrix (held by the test/benchmark harness; in a real
 /// MPI deployment each rank would read only its block from disk).
@@ -229,11 +231,14 @@ fn balanced_order(counts: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// One rank's block of the input matrix. Sparse blocks carry both the
-/// CSR and its column view over one shared values ordering
-/// ([`SpBlock`]), so `A_loc·Hᵀ` runs row-major and `A_locᵀ·W` runs the
-/// forward-traversal CSC kernel — bit-identical to the transposed CSR
-/// pass, without its scattered output writes.
+/// One block of the input matrix, extracted into storage of its own
+/// ([`Input::block`]); hand it to an engine directly
+/// ([`AnlsEngine::new`](crate::engine::AnlsEngine::new)) and it is read
+/// in place. Sparse blocks carry both the CSR and its column view over
+/// one shared values ordering ([`SpBlock`]), so `A_loc·Hᵀ` runs
+/// row-major and `A_locᵀ·W` runs the forward-traversal CSC kernel —
+/// bit-identical to the transposed CSR pass, without its scattered
+/// output writes.
 #[derive(Clone, Debug)]
 pub enum LocalMat {
     Dense(Mat),
@@ -268,75 +273,104 @@ impl LocalMat {
             LocalMat::Sparse(a) => a.fro_norm_sq(),
         }
     }
+}
 
-    /// Packs this block into left-operand panels for `A_loc·Hᵀ` (dense;
-    /// sparse blocks clear `p` — the CSR kernels need no packing).
-    pub fn pack_a_into(&self, p: &mut PackedPanels) {
-        match self {
-            LocalMat::Dense(a) => p.pack_into(a),
-            LocalMat::Sparse(_) => p.clear(),
+/// One rank's block of `A` as a sharding holds it. A dense block is a
+/// view — the `Arc`'d matrix it was cut from plus its row and column
+/// [`Part`]s — so cutting it allocates nothing, and every rank (and every
+/// cached sharding) of one dense source reads the same bytes. A sparse
+/// block is extracted, CSR plus CSC view. Cloning is an `Arc` clone.
+#[derive(Clone, Debug)]
+pub(crate) enum Block {
+    Dense {
+        src: Arc<Mat>,
+        rows: Part,
+        cols: Part,
+    },
+    Sparse(Arc<SpBlock>),
+}
+
+impl Block {
+    /// Rows `rows` × columns `cols` of `src`, read in place.
+    pub(crate) fn view_of(src: &Arc<Mat>, rows: Part, cols: Part) -> Block {
+        assert!(
+            rows.end() <= src.nrows() && cols.end() <= src.ncols(),
+            "block out of bounds"
+        );
+        Block::Dense {
+            src: Arc::clone(src),
+            rows,
+            cols,
         }
     }
 
-    /// Packs this block's transpose into left-operand panels for
-    /// `A_locᵀ·W` (dense; sparse blocks clear `p`).
-    pub fn pack_at_into(&self, p: &mut PackedPanels) {
+    /// The block as the engine reads it.
+    pub(crate) fn as_ref(&self) -> BlockRef<'_> {
         match self {
-            LocalMat::Dense(a) => p.pack_transposed_into(a),
-            LocalMat::Sparse(_) => p.clear(),
+            Block::Dense { src, rows, cols } => {
+                BlockRef::Dense(src.view(rows.offset, cols.offset, rows.len, cols.len))
+            }
+            Block::Sparse(a) => BlockRef::Sparse(a),
         }
     }
 
-    /// Local `A_loc·Hᵀ` (the `MM` task of the `W` update) into
-    /// caller-owned `out`, reading session-packed panels when present
-    /// (falls back to pack-per-call if not).
-    pub fn mm_a_ht_packed_into(
-        &self,
-        p: &PackedPanels,
-        ht: &Mat,
-        out: &mut Mat,
-        scratch: &mut Vec<f64>,
-    ) {
+    /// Stored entries (a dense block stores every entry).
+    pub(crate) fn nnz(&self) -> usize {
         match self {
-            LocalMat::Dense(a) if p.is_empty() => matmul_into(a, ht, out),
-            LocalMat::Dense(_) => matmul_packed_scratch_into(p, ht, out, scratch),
-            LocalMat::Sparse(a) => spmm_dense_t_into(a.csr(), ht, out),
+            Block::Dense { rows, cols, .. } => rows.len * cols.len,
+            Block::Sparse(a) => a.nnz(),
         }
     }
 
-    /// Local `A_locᵀ·W` (the `MM` task of the `H` update) into
-    /// caller-owned `out`, reading session-packed transpose panels when
-    /// present (falls back to pack-per-call if not). Sparse blocks
-    /// dispatch by output size: column-forward off the block's CSC view
-    /// when `n_loc·k` outgrows the last-level cache, the CSR transposed
-    /// pass (bit-identical) otherwise.
-    pub fn mm_at_w_packed_into(
-        &self,
-        p: &PackedPanels,
-        w: &Mat,
-        out: &mut Mat,
-        scratch: &mut Vec<f64>,
-    ) {
+    /// Heap bytes the block holds beyond its source: 0 for a view (its
+    /// bytes are the source's), values plus both index structures for a
+    /// sparse block.
+    pub(crate) fn resident_bytes(&self) -> usize {
         match self {
-            LocalMat::Dense(a) if p.is_empty() => matmul_ta_into(a, w, out),
-            LocalMat::Dense(_) => matmul_packed_scratch_into(p, w, out, scratch),
-            LocalMat::Sparse(a) => spmm_at_dense_auto_into(a.csr(), a.csc(), w, out),
+            Block::Dense { .. } => 0,
+            Block::Sparse(a) => a.resident_bytes(),
         }
     }
+}
 
-    /// Flop count of one `MM` call on this block with rank `k`
-    /// (`2·nnz·k`, which for dense equals `2·(m/pr)·(n/pc)·k`).
-    pub fn mm_flops(&self, k: usize) -> f64 {
-        2.0 * self.nnz() as f64 * k as f64
+/// An extracted block, owned by the block that wraps it: a dense block
+/// becomes a view of the whole of its own matrix.
+impl From<LocalMat> for Block {
+    fn from(block: LocalMat) -> Block {
+        match block {
+            LocalMat::Dense(a) => {
+                let (rows, cols) = (a.nrows(), a.ncols());
+                let all = |len| Part { offset: 0, len };
+                Block::view_of(&Arc::new(a), all(rows), all(cols))
+            }
+            LocalMat::Sparse(a) => Block::Sparse(Arc::new(a)),
+        }
     }
+}
 
-    /// Resident heap bytes of this block (values plus, for sparse
-    /// blocks, both index structures) — the input-side currency of the
-    /// serving layer's shared-dataset accounting.
-    pub fn resident_bytes(&self) -> usize {
+/// A borrowed [`Block`] — what the engine's two products read: a dense
+/// block in place (at its source's row stride), or a sparse block.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum BlockRef<'a> {
+    Dense(MatRef<'a>),
+    Sparse(&'a SpBlock),
+}
+
+impl<'a> From<&'a LocalMat> for BlockRef<'a> {
+    fn from(block: &'a LocalMat) -> Self {
+        match block {
+            LocalMat::Dense(a) => BlockRef::Dense(a.into()),
+            LocalMat::Sparse(a) => BlockRef::Sparse(a),
+        }
+    }
+}
+
+impl BlockRef<'_> {
+    /// `‖block‖²_F`, summed in the order an extracted copy would sum it.
+    pub(crate) fn fro_norm_sq(&self) -> f64 {
         match self {
-            LocalMat::Dense(a) => 8 * a.len(),
-            LocalMat::Sparse(a) => a.resident_bytes(),
+            BlockRef::Dense(a) => a.fro_norm_sq(),
+            BlockRef::Sparse(a) => a.fro_norm_sq(),
         }
     }
 }
@@ -449,12 +483,31 @@ mod tests {
     }
 
     #[test]
-    fn mm_flops_counts() {
-        let s = banded(10, 1);
-        let nnz = s.nnz();
-        let lm = LocalMat::Sparse(SpBlock::from_csr(s));
-        assert_eq!(lm.mm_flops(5), (2 * nnz * 5) as f64);
-        let ld = LocalMat::Dense(Mat::zeros(4, 6));
-        assert_eq!(ld.mm_flops(2), (2 * 24 * 2) as f64);
+    fn a_dense_view_reads_what_extraction_copies() {
+        let a = Mat::uniform(9, 7, 4);
+        let src = Arc::new(a.clone());
+        let (rows, cols) = (Part { offset: 2, len: 5 }, Part { offset: 1, len: 4 });
+        let view = Block::view_of(&src, rows, cols);
+        let LocalMat::Dense(copy) = Input::Dense(a).block(2, 1, 5, 4) else {
+            panic!("a dense input extracts dense blocks");
+        };
+        let BlockRef::Dense(v) = view.as_ref() else {
+            panic!("a view is dense");
+        };
+        assert_eq!((v.shape(), v.ld()), ((5, 4), 7));
+        for i in 0..5 {
+            assert_eq!(v.row(i), copy.row(i));
+        }
+        assert_eq!(
+            view.as_ref().fro_norm_sq().to_bits(),
+            copy.fro_norm_sq().to_bits()
+        );
+        assert_eq!((view.nnz(), view.resident_bytes()), (20, 0));
+        // An extracted block wrapped as a view of itself reads the same.
+        let owned = Block::from(LocalMat::Dense(copy.clone()));
+        assert_eq!(
+            owned.as_ref().fro_norm_sq().to_bits(),
+            copy.fro_norm_sq().to_bits()
+        );
     }
 }

@@ -61,14 +61,12 @@ use crate::config::{
     TaskTimes,
 };
 use crate::dist::{Part, RankLayout, ShardKey};
-use crate::engine::{
-    AnlsEngine, ConvergenceState, EngineDyn, Grid2D, LocalScheme, Replicated1D, SplitBlocks,
-};
+use crate::engine::{AnlsEngine, ConvergenceState, EngineDyn, Grid2D, LocalScheme, Replicated1D};
 use crate::error::{grid_fits, NmfError};
 use crate::grid::Grid;
-use crate::input::{Dealing, Input};
+use crate::input::{Block, Dealing, Input};
 use crate::regrid::RegridTarget;
-use crate::shared::{extract_rank_data, RankData, SharedInput};
+use crate::shared::{shard, RankData, Sharding, SharedInput};
 use crate::workspace::IterWorkspace;
 use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
@@ -106,19 +104,22 @@ impl InputSource<'_> {
 
     /// The order the input is dealt in and the per-rank blocks for
     /// `key` cut in that order: decided and freshly extracted for a whole
-    /// matrix (through a relabelled copy when it is skewed), served from
-    /// the shared input — which decided once, when it was made — and its
+    /// matrix (through a relabelled copy when it is skewed; the model
+    /// outlives the borrow, so it owns its blocks), served from the
+    /// shared input — which decided once, when it was made — and its
     /// sharding cache otherwise. Both arms decide with [`Dealing::of`],
     /// so they deal one matrix identically.
-    fn deal(&self, key: ShardKey) -> (Arc<Dealing>, Arc<Vec<RankData>>) {
+    fn deal(&self, key: ShardKey) -> (Arc<Dealing>, Sharding) {
         match self {
             InputSource::Whole(input) => {
                 let (m, n) = input.shape();
                 let dealing = Dealing::of(input);
                 let relabelled = dealing.relabel(input);
                 let dealt = relabelled.as_ref().unwrap_or(input);
-                let blocks =
-                    extract_rank_data(&|r0, c0, nr, nc| dealt.block(r0, c0, nr, nc), key, m, n);
+                let extract = |rows: Part, cols: Part| {
+                    Block::from(dealt.block(rows.offset, cols.offset, rows.len, cols.len))
+                };
+                let blocks = shard(&extract, key, m, n);
                 (Arc::new(dealing), Arc::new(blocks))
             }
             InputSource::Shared(shared) => (Arc::clone(shared.dealing()), shared.rank_data(key)),
@@ -608,10 +609,7 @@ fn build_engine<'a>(
         ht0,
         state,
     } = init;
-    let blocks = SplitBlocks {
-        row_block: &data.row,
-        col_block: &data.col,
-    };
+    let blocks = data.split_blocks();
     let mut engine: Box<dyn EngineDyn + 'a> = match key {
         ShardKey::Seq => Box::new(AnlsEngine::with_workspace(
             LocalScheme::new(dims.0, dims.1),
@@ -650,7 +648,7 @@ fn worker(
     seat: Seat,
     key: ShardKey,
     dims: (usize, usize),
-    data: RankData,
+    data: Arc<RankData>,
     init: EngineInit,
     rx: mpsc::Receiver<Cmd>,
     tx: mpsc::Sender<Reply>,
@@ -783,7 +781,7 @@ impl Model {
         let mut workers = Vec::with_capacity(ranks);
         let mut handles = Vec::with_capacity(ranks);
         for (r, seat) in seats(ranks).into_iter().enumerate() {
-            let data = rank_data[r].clone();
+            let data = Arc::clone(&rank_data[r]);
             let lay = layout[r];
             let init = EngineInit {
                 config,

@@ -12,12 +12,24 @@
 //! [`SharedInput`] fixes the ownership: it holds the source matrix
 //! (resident, or a memory-mapped `NMFS` file that never fully loads)
 //! plus a cache of per-rank block sets keyed by the distribution shape
-//! ([`ShardKey`]). Blocks are `Arc`'d [`LocalMat`]s, so every build that
-//! asks for the same grid shape hands the *same* resident blocks to its
-//! rank threads — cloning an `Arc`, not a matrix. Sparse blocks carry
-//! CSR + CSC views over one values ordering (see [`nmf_sparse::SpBlock`]),
-//! so the one-time extraction also pays the one-time column-view build
-//! that makes `Aᵀ·W` a forward-traversal kernel.
+//! ([`ShardKey`]). Every build that asks for the same grid shape hands
+//! the *same* blocks to its rank threads — cloning an `Arc`, not a
+//! matrix. Sparse blocks are extracted once and carry CSR + CSC views
+//! over one values ordering (see [`nmf_sparse::SpBlock`]), so the
+//! one-time extraction also pays the one-time column-view build that
+//! makes `Aᵀ·W` a forward-traversal kernel.
+//!
+//! A dense source is held behind an `Arc`, and a dense sharding is
+//! *views*: each rank block is that `Arc` plus the block's row and column
+//! extents, read in place by the rank's `A·Hᵀ`. No sharding of a dense
+//! source allocates any bytes of `A` — not the whole-matrix block of
+//! [`ShardKey::Seq`], not [`ShardKey::Naive`]'s row and column stripes,
+//! not a grid — so a rank holds `A` once, as the shared source, plus the
+//! `Aᵀ` panels its engine packs for `Aᵀ·W` (Table 2's `mn/p` words per
+//! rank, where an extracted copy would double it). [`resident_bytes`]
+//! counts a dense source once however many shardings are cached.
+//!
+//! [`resident_bytes`]: SharedInput::resident_bytes
 //!
 //! ```
 //! use hpc_nmf::prelude::*;
@@ -40,8 +52,8 @@
 //! Out-of-core ingest goes through [`SharedInput::open_mmap`]: block
 //! extraction streams bounded row panels of the file (see
 //! [`nmf_sparse::io::MmapCsr`]), so peak memory is the extracted blocks
-//! plus one panel window — the dense whole is never materialized, and
-//! the extracted blocks are bit-identical to what the resident path
+//! plus one panel window — the whole is never materialized, and the
+//! extracted blocks are bit-identical to what the resident path
 //! produces.
 //!
 //! ## Balanced dealing
@@ -60,8 +72,10 @@
 //! are dealt in index order.
 
 use crate::dist::{Part, ShardKey};
+use crate::engine::SplitBlocks;
 use crate::error::NmfError;
-use crate::input::{Balance, Dealing, Input, LocalMat};
+use crate::input::{Balance, Block, Dealing, Input};
+use nmf_matrix::Mat;
 use nmf_sparse::io::{MmError, MmapCsr, DEFAULT_PANEL_BYTES};
 use nmf_sparse::{Csr, SpBlock};
 use std::collections::HashMap;
@@ -69,31 +83,35 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// One rank's share of the input matrix: the block its `A·Hᵀ` reads and
-/// the block its `Aᵀ·W` reads. They are one block (the same `Arc`) except
-/// under [`ShardKey::Naive`], which stores `A` twice, as row stripes and
-/// as column stripes. Cloning is cheap — blocks are behind `Arc`s — which
-/// is what lets a cached sharding fan out to any number of builds.
-#[derive(Clone)]
+/// One rank's share of the input matrix: the block its `A·Hᵀ` reads and,
+/// under [`ShardKey::Naive`], which deals `A` twice (as row stripes and as
+/// column stripes), the other block its `Aᵀ·W` reads. A [`Sharding`]
+/// holds each rank's behind an `Arc`, which is what lets a cached
+/// sharding fan out to any number of builds: a rank thread is handed a
+/// pointer, not blocks.
 pub(crate) struct RankData {
-    pub(crate) row: Arc<LocalMat>,
-    pub(crate) col: Arc<LocalMat>,
+    row: Block,
+    /// The column stripe; `None` where `row` feeds both products.
+    col: Option<Block>,
 }
 
-impl RankData {
-    /// Whether this rank holds `A` twice (two stripes, not one block).
-    fn is_split(&self) -> bool {
-        !Arc::ptr_eq(&self.row, &self.col)
-    }
+/// The per-rank blocks of one sharding, in rank order.
+pub(crate) type Sharding = Arc<Vec<Arc<RankData>>>;
 
+impl RankData {
     /// The distinct blocks held.
-    fn blocks(&self) -> impl Iterator<Item = &LocalMat> {
-        let col = self.is_split().then_some(self.col.as_ref());
-        std::iter::once(self.row.as_ref()).chain(col)
+    fn blocks(&self) -> impl Iterator<Item = &Block> {
+        std::iter::once(&self.row).chain(&self.col)
     }
 
     fn resident_bytes(&self) -> usize {
-        self.blocks().map(LocalMat::resident_bytes).sum()
+        self.blocks().map(Block::resident_bytes).sum()
+    }
+
+    /// The pair the engine reads.
+    pub(crate) fn split_blocks(&self) -> SplitBlocks<'_> {
+        let col = self.col.as_ref().unwrap_or(&self.row);
+        SplitBlocks::new(self.row.as_ref(), col.as_ref())
     }
 }
 
@@ -114,9 +132,11 @@ pub struct RankLoad {
 
 /// The matrix behind a [`SharedInput`].
 enum Source {
-    /// Fully resident, dense or sparse; relabelled when its [`Dealing`]
-    /// says so.
-    Resident(Input),
+    /// Fully resident and dense: every block is a view of it.
+    Dense(Arc<Mat>),
+    /// Fully resident and sparse; relabelled when its [`Dealing`] says
+    /// so.
+    Sparse(Csr),
     /// An `NMFS` file, read in bounded row-panel windows.
     Mmap(MmapCsr),
 }
@@ -132,7 +152,7 @@ pub struct SharedInput {
     norm_a_sq: f64,
     /// The order `source` is dealt in (index order for mmap sources).
     dealing: Arc<Dealing>,
-    cache: Mutex<HashMap<ShardKey, Arc<Vec<RankData>>>>,
+    cache: Mutex<HashMap<ShardKey, Sharding>>,
     /// How many distinct shardings have been extracted (cache misses).
     extractions: AtomicUsize,
 }
@@ -146,9 +166,12 @@ impl SharedInput {
         let (m, n) = input.shape();
         let norm_a_sq = input.fro_norm_sq();
         let dealing = Dealing::of(&input);
-        let relabelled = dealing.relabel(&input);
+        let source = match dealing.relabel(&input).unwrap_or(input) {
+            Input::Dense(a) => Source::Dense(Arc::new(a)),
+            Input::Sparse(a) => Source::Sparse(a),
+        };
         SharedInput {
-            source: Source::Resident(relabelled.unwrap_or(input)),
+            source,
             m,
             n,
             norm_a_sq,
@@ -209,7 +232,8 @@ impl SharedInput {
     /// Stored entries of the source (dense inputs count every entry).
     pub fn nnz(&self) -> usize {
         match &self.source {
-            Source::Resident(input) => input.nnz(),
+            Source::Dense(a) => a.len(),
+            Source::Sparse(a) => a.nnz(),
             Source::Mmap(mm) => mm.nnz(),
         }
     }
@@ -221,10 +245,7 @@ impl SharedInput {
     }
 
     pub fn is_sparse(&self) -> bool {
-        match &self.source {
-            Source::Resident(input) => input.is_sparse(),
-            Source::Mmap(_) => true,
-        }
+        !matches!(self.source, Source::Dense(_))
     }
 
     /// Whether this input streams from an `NMFS` file instead of a
@@ -252,7 +273,7 @@ impl SharedInput {
     /// of a truncated NMFS file): a poisoned lock is recovered, and one
     /// failed extraction does not take the dataset away from every other
     /// tenant.
-    fn cache(&self) -> MutexGuard<'_, HashMap<ShardKey, Arc<Vec<RankData>>>> {
+    fn cache(&self) -> MutexGuard<'_, HashMap<ShardKey, Sharding>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -274,12 +295,12 @@ impl SharedInput {
         let set = self.rank_data(key);
         // Which rows and columns of `A` hold an entry, from the blocks.
         let (mut row_hit, mut col_hit) = (vec![false; m], vec![false; n]);
-        let mut mark = |block: &LocalMat, r0: usize, c0: usize| match block {
-            LocalMat::Dense(a) => {
-                row_hit[r0..r0 + a.nrows()].fill(true);
-                col_hit[c0..c0 + a.ncols()].fill(true);
+        let mut mark = |block: &Block, r0: usize, c0: usize| match block {
+            Block::Dense { rows, cols, .. } => {
+                row_hit[r0..r0 + rows.len].fill(true);
+                col_hit[c0..c0 + cols.len].fill(true);
             }
-            LocalMat::Sparse(a) => {
+            Block::Sparse(a) => {
                 for (i, w) in a.csr().indptr().windows(2).enumerate() {
                     row_hit[r0 + i] |= w[1] > w[0];
                 }
@@ -300,7 +321,7 @@ impl SharedInput {
         set.iter()
             .zip(&layouts)
             .map(|(data, lay)| RankLoad {
-                nnz: data.blocks().map(LocalMat::nnz).sum(),
+                nnz: data.blocks().map(Block::nnz).sum(),
                 non_empty_rows: count(&row_hit[lay.w.offset..lay.w.end()]),
                 non_empty_cols: count(&col_hit[lay.ht.offset..lay.ht.end()]),
             })
@@ -309,12 +330,14 @@ impl SharedInput {
 
     /// Resident heap bytes held by this input: the source matrix (0 for
     /// mmap-backed inputs — the file pages are the kernel's) plus every
-    /// cached sharding's blocks. The serving layer charges these bytes
-    /// once per *dataset*, not once per tenant.
+    /// cached sharding's extracted blocks. A dense sharding is views of
+    /// the source and adds nothing, so a dense input is `8·m·n` bytes
+    /// however many shardings are cached. The serving layer charges these
+    /// bytes once per *dataset*, not once per tenant.
     pub fn resident_bytes(&self) -> usize {
         let source = match &self.source {
-            Source::Resident(Input::Dense(a)) => 8 * a.len(),
-            Source::Resident(Input::Sparse(a)) => {
+            Source::Dense(a) => 8 * a.len(),
+            Source::Sparse(a) => {
                 8 * a.nnz() + std::mem::size_of::<usize>() * (a.indptr().len() + a.indices().len())
             }
             Source::Mmap(_) => 0,
@@ -324,20 +347,20 @@ impl SharedInput {
             + cache
                 .values()
                 .flat_map(|set| set.iter())
-                .map(RankData::resident_bytes)
+                .map(|data| data.resident_bytes())
                 .sum::<usize>()
     }
 
     /// The per-rank blocks for `key`, extracting them on first request
     /// and serving the cached `Arc` afterwards.
-    pub(crate) fn rank_data(&self, key: ShardKey) -> Arc<Vec<RankData>> {
+    pub(crate) fn rank_data(&self, key: ShardKey) -> Sharding {
         let mut cache = self.cache();
         if let Some(hit) = cache.get(&key) {
             return Arc::clone(hit);
         }
         self.extractions.fetch_add(1, Ordering::Relaxed);
-        let set = Arc::new(extract_rank_data(
-            &|r0, c0, nr, nc| self.block(r0, c0, nr, nc),
+        let set = Arc::new(shard(
+            &|rows, cols| self.block(rows, cols),
             key,
             self.m,
             self.n,
@@ -352,12 +375,16 @@ impl SharedInput {
         self.cache().clear();
     }
 
-    /// Extracts one block from the source, streaming row panels when
-    /// the source is mmap-backed.
-    fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> LocalMat {
+    /// One block of the source: a view of a dense source, an extracted
+    /// sparse block otherwise (streaming row panels when the source is
+    /// mmap-backed).
+    fn block(&self, rows: Part, cols: Part) -> Block {
+        let sparse = |a: Csr| Block::Sparse(Arc::new(SpBlock::from_csr(a)));
+        let (r0, c0, nr, nc) = (rows.offset, cols.offset, rows.len, cols.len);
         match &self.source {
-            Source::Resident(input) => input.block(r0, c0, nr, nc),
-            Source::Mmap(mm) => LocalMat::Sparse(SpBlock::from_csr(mmap_block(mm, r0, c0, nr, nc))),
+            Source::Dense(a) => Block::view_of(a, rows, cols),
+            Source::Sparse(a) => sparse(a.block(r0, c0, nr, nc)),
+            Source::Mmap(mm) => sparse(mmap_block(mm, r0, c0, nr, nc)),
         }
     }
 }
@@ -373,25 +400,25 @@ impl std::fmt::Debug for SharedInput {
     }
 }
 
-/// Extracts the per-rank block set of a sharding, pulling blocks through
-/// `block` (which hides resident vs mmap sourcing) at the extents
-/// [`ShardKey::layouts`] gives — the session uses the same function
-/// whether or not the input is shared.
-pub(crate) fn extract_rank_data(
-    block: &dyn Fn(usize, usize, usize, usize) -> LocalMat,
+/// The per-rank block set of a sharding, cutting blocks through `block`
+/// (which hides views vs extraction and resident vs mmap sourcing) at
+/// the extents [`ShardKey::layouts`] gives — the session uses the same
+/// function whether or not the input is shared.
+pub(crate) fn shard(
+    block: &dyn Fn(Part, Part) -> Block,
     key: ShardKey,
     m: usize,
     n: usize,
-) -> Vec<RankData> {
-    let cut =
-        |(rows, cols): (Part, Part)| Arc::new(block(rows.offset, cols.offset, rows.len, cols.len));
+) -> Vec<Arc<RankData>> {
+    let cut = |(rows, cols)| block(rows, cols);
     key.layouts(m, n)
         .iter()
         .map(|lay| {
             let (row_side, col_side) = key.blocks(lay, m, n);
-            let row = cut(row_side);
-            let col = col_side.map_or_else(|| Arc::clone(&row), cut);
-            RankData { row, col }
+            Arc::new(RankData {
+                row: cut(row_side),
+                col: col_side.map(cut),
+            })
         })
         .collect()
 }
@@ -420,33 +447,68 @@ fn mmap_block(mm: &MmapCsr, r0: usize, c0: usize, nr: usize, nc: usize) -> Csr {
 mod tests {
     use super::*;
     use nmf_matrix::rng::Fill;
-    use nmf_matrix::Mat;
     use nmf_sparse::gen::erdos_renyi;
     use nmf_sparse::io::write_csr_binary_path;
 
-    fn block_of(lm: &LocalMat) -> &SpBlock {
-        match lm {
-            LocalMat::Sparse(b) => b,
-            LocalMat::Dense(_) => panic!("expected a sparse block"),
+    fn block_of(block: &Block) -> &SpBlock {
+        match block {
+            Block::Sparse(b) => b,
+            Block::Dense { .. } => panic!("expected a sparse block"),
         }
     }
 
     #[test]
     fn cache_hits_do_not_re_extract() {
-        let shared = SharedInput::new(Input::Dense(Mat::uniform(12, 10, 3)));
+        let shared = SharedInput::new(Input::Sparse(erdos_renyi(12, 10, 0.3, 3)));
         let a = shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 });
         let b = shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 });
         assert_eq!(shared.extractions(), 1);
-        // Same Arc'd blocks, not equal copies.
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!(!x.is_split(), "a grid rank holds one block");
-            assert!(Arc::ptr_eq(&x.row, &y.row) && Arc::ptr_eq(&x.col, &y.col));
-        }
+        // The same Arc'd blocks, not equal copies.
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(
+            a.iter().all(|x| x.col.is_none()),
+            "a grid rank holds one block"
+        );
         shared.rank_data(ShardKey::Seq);
         assert_eq!(shared.extractions(), 2);
         assert_eq!(shared.cached_shardings(), 2);
         shared.clear_cache();
         assert_eq!(shared.cached_shardings(), 0);
+    }
+
+    #[test]
+    fn a_dense_sharding_is_views_of_the_source() {
+        let a = Mat::uniform(12, 10, 3);
+        let shared = SharedInput::new(Input::Dense(a.clone()));
+        let Source::Dense(src) = &shared.source else {
+            panic!("a dense input keeps a dense source");
+        };
+        for key in [
+            ShardKey::Seq,
+            ShardKey::Naive { p: 3 },
+            ShardKey::Grid { pr: 2, pc: 2 },
+        ] {
+            let set = shared.rank_data(key);
+            for (data, lay) in set.iter().zip(key.layouts(12, 10)) {
+                let (row_side, col_side) = key.blocks(&lay, 12, 10);
+                assert_eq!(data.col.is_some(), col_side.is_some(), "{key:?}");
+                let extents = std::iter::once(row_side).chain(col_side);
+                for (block, (rows, cols)) in data.blocks().zip(extents) {
+                    let Block::Dense {
+                        src: of,
+                        rows: r,
+                        cols: c,
+                    } = block
+                    else {
+                        panic!("a dense sharding holds dense blocks");
+                    };
+                    assert!(Arc::ptr_eq(of, src), "{key:?}: a copy, not a view");
+                    assert_eq!((*r, *c), (rows, cols));
+                }
+            }
+        }
+        assert_eq!(shared.extractions(), 3);
+        assert_eq!(shared.resident_bytes(), 8 * a.len(), "the source, once");
     }
 
     #[test]
@@ -470,9 +532,14 @@ mod tests {
             let ms = mapped.rank_data(key);
             assert_eq!(rs.len(), ms.len());
             for (x, y) in rs.iter().zip(ms.iter()) {
-                assert_eq!(x.is_split(), y.is_split(), "sharding shapes must agree");
-                assert_eq!(block_of(&x.row).csr(), block_of(&y.row).csr());
-                assert_eq!(block_of(&x.col).csr(), block_of(&y.col).csr());
+                assert_eq!(
+                    x.col.is_some(),
+                    y.col.is_some(),
+                    "sharding shapes must agree"
+                );
+                for (bx, by) in x.blocks().zip(y.blocks()) {
+                    assert_eq!(block_of(bx).csr(), block_of(by).csr());
+                }
             }
         }
         assert!(mapped.resident_bytes() > 0);

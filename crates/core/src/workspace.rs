@@ -16,50 +16,53 @@
 
 use nmf_matrix::{Mat, PackedPanels};
 
-/// The once-per-session packed form of this rank's data matrix, plus the
-/// `B`-tile scratch the packed GEMM repacks per call.
+/// The once-per-session packed form of this rank's `Aᵀ`, plus the
+/// `B`-tile scratch both dense `MM` products repack per call.
 ///
-/// ANLS structure: the data matrix `A` never changes across iterations,
-/// so its microkernel panels (`a`, feeding `A·Hᵀ`) and its transpose's
-/// (`at`, feeding `Aᵀ·W`) are built **once**, at engine construction
+/// ANLS structure: the data matrix `A` never changes across iterations.
+/// `A·Hᵀ` reads the rank's row block of `A` in place — it is row-major
+/// already, and the microkernel streams its rows as fast as packed panels
+/// — but `Aᵀ·W` needs `Aᵀ`'s rows, so those are packed **once**, at
+/// engine construction
 /// ([`AnlsEngine::with_workspace`](crate::engine::AnlsEngine::with_workspace)),
-/// and every iteration's `MM` reads only packed panels. Sparse inputs leave
-/// both panel sets empty (their `MM` kernels walk the CSR directly).
+/// from the column block's rows, and every iteration's `Aᵀ·W` reads only
+/// packed panels. A dense rank therefore holds `A` once (its block, a
+/// view of the shared source) and `Aᵀ` once (`at`). Sparse inputs leave
+/// `at` empty (their `MM` kernels walk the CSR directly).
 ///
 /// `bpack` is the right-operand tile scratch, pre-sized by
 /// [`reserve_scratch`](SessionPack::reserve_scratch) to the largest
 /// `KC`-deep block either product needs, so even the *first* iteration's
-/// packed GEMMs allocate nothing — the counting-allocator tests assert
+/// GEMMs allocate nothing — the counting-allocator tests assert
 /// iteration-count-independent totals with no warmup.
 #[derive(Clone, Debug, Default)]
 pub struct SessionPack {
-    /// Panels of the local `A` block (left operand of `A·Hᵀ`).
-    pub a: PackedPanels,
     /// Panels of the local `Aᵀ` (left operand of `Aᵀ·W`), packed from
     /// `A`'s rows without materializing the transpose.
     pub at: PackedPanels,
-    /// Per-call `B`-tile scratch shared by both packed products.
+    /// Per-call `B`-tile scratch shared by both dense products.
     pub bpack: Vec<f64>,
 }
 
 impl SessionPack {
     /// Whether no operand is packed (sparse input, or never primed).
     pub fn is_empty(&self) -> bool {
-        self.a.is_empty() && self.at.is_empty()
+        self.at.is_empty()
     }
 
-    /// Grow `bpack` to the bound both packed products need for a `·×k`
-    /// right operand; afterwards steady-state GEMMs never resize it.
-    pub fn reserve_scratch(&mut self, k: usize) {
-        let need = self.a.b_scratch_len(k).max(self.at.b_scratch_len(k));
-        if self.bpack.len() < need {
-            self.bpack.resize(need, 0.0);
+    /// Grow `bpack` to `len` floats (the bound
+    /// [`b_scratch_len`](nmf_matrix::pack::b_scratch_len) gives for the
+    /// larger of the two products); afterwards steady-state GEMMs never
+    /// resize it.
+    pub fn reserve_scratch(&mut self, len: usize) {
+        if self.bpack.len() < len {
+            self.bpack.resize(len, 0.0);
         }
     }
 
-    /// Bytes of packed panel storage currently held (both operands).
+    /// Bytes of packed panel storage currently held.
     pub fn packed_bytes(&self) -> usize {
-        self.a.packed_bytes() + self.at.packed_bytes()
+        self.at.packed_bytes()
     }
 }
 
@@ -81,7 +84,7 @@ impl SessionPack {
 /// | `wta`        | —                   | —                   | `((WᵀA)ⱼ)ᵢ` (rs out)  |
 ///
 /// `pack` is not a per-iteration buffer but the once-per-session
-/// [`SessionPack`]ed form of the data matrix; it lives here so the
+/// [`SessionPack`]ed `Aᵀ` of the data matrix; it lives here so the
 /// warm-restart path
 /// ([`AnlsEngine::with_workspace`](crate::engine::AnlsEngine::with_workspace)
 /// → `take_workspace`) carries the packed panels' storage across

@@ -1,0 +1,119 @@
+//! Table 2's memory column, pinned: a dense rank holds `A` once. The
+//! paper charges each rank `mn/p` words for the data matrix; here every
+//! rank block of a dense [`SharedInput`] is a view of its one source, so
+//! sharding allocates no bytes of `A` and a built model adds only the
+//! `Aᵀ` panels each engine packs for `Aᵀ·W`, plus factor-sized buffers.
+//! The dense twin of `sparse_block_extraction.rs`, on the same
+//! byte-counting allocator.
+
+mod byte_counting;
+
+use byte_counting::bytes_during;
+use hpc_nmf::dist::RankLayout;
+use hpc_nmf::prelude::*;
+use hpc_nmf::ShardKey;
+use nmf_matrix::rng::Fill;
+use nmf_matrix::{simd, Mat};
+use std::sync::Mutex;
+
+/// The tests share one global byte counter; one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+const M: usize = 960;
+const N: usize = 640;
+const K: usize = 4;
+const DENSE_BYTES: u64 = 8 * (M * N) as u64;
+
+fn dense_input() -> SharedInput {
+    SharedInput::new(Input::Dense(Mat::uniform(M, N, 5)))
+}
+
+const KEYS: [ShardKey; 3] = [
+    ShardKey::Seq,
+    ShardKey::Naive { p: 3 },
+    ShardKey::Grid { pr: 2, pc: 2 },
+];
+
+#[test]
+fn dense_sharding_allocates_no_bytes_of_a() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let shared = dense_input();
+    for key in KEYS {
+        // `rank_loads` shards on a cache miss (and counts what each rank
+        // holds, in O(m + n) bytes).
+        let (loads, allocated) = bytes_during(|| shared.rank_loads(key));
+        assert_eq!(loads.len(), key.ranks());
+        assert!(
+            allocated < DENSE_BYTES / 100,
+            "{key:?}: sharding allocated {allocated} bytes of a {DENSE_BYTES}-byte input; \
+             a dense block must be a view of the source, not a copy"
+        );
+    }
+    assert_eq!(shared.extractions(), 3, "one sharding per key");
+    assert_eq!(
+        shared.resident_bytes() as u64,
+        DENSE_BYTES,
+        "three cached dense shardings hold the source once"
+    );
+}
+
+/// `8·⌈n_loc/MR⌉·MR·m_loc` summed over ranks: the `Aᵀ` panels each
+/// rank's engine packs from the block its `Aᵀ·W` reads (Naive's column
+/// stripe `m × n/p`, a grid block otherwise), rows padded to `MR`.
+fn at_panel_bytes(key: ShardKey) -> u64 {
+    let mr = simd::active().mr;
+    let col_block = |lay: &RankLayout| match key {
+        ShardKey::Naive { .. } => (M, lay.cols.len),
+        _ => (lay.rows.len, lay.cols.len),
+    };
+    key.layouts(M, N)
+        .iter()
+        .map(|lay| {
+            let (m_loc, n_loc) = col_block(lay);
+            8 * (n_loc.div_ceil(mr) * mr * m_loc) as u64
+        })
+        .sum()
+}
+
+#[test]
+fn a_dense_model_allocates_only_its_at_panels_beyond_the_factors() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Factors, their gathers and scatters, the workspace, the transport,
+    // `B`-tile scratch and the rank threads' bookkeeping: O((m + n)·k)
+    // words (about 17 of them at p = 4), bounded with room to spare but
+    // well under the 8·m·n bytes an extracted block or packed `A` panels
+    // would add.
+    let factor_terms = 32 * 8 * ((M + N) * K) as u64;
+    assert!(factor_terms < DENSE_BYTES / 2);
+    for (algo, ranks, key) in [
+        (Algo::Sequential, 1, ShardKey::Seq),
+        (Algo::Naive, 3, ShardKey::Naive { p: 3 }),
+        (
+            Algo::HpcGrid(Grid::new(2, 2)),
+            4,
+            ShardKey::Grid { pr: 2, pc: 2 },
+        ),
+    ] {
+        let shared = dense_input();
+        let ((), allocated) = bytes_during(|| {
+            let mut model = Nmf::on_shared(&shared)
+                .rank(K)
+                .ranks(ranks)
+                .algo(algo)
+                .solver(SolverKind::Hals)
+                .max_iters(2)
+                .build()
+                .expect("valid request");
+            assert_eq!(model.shard_key(), key);
+            model.step();
+            model.step();
+        });
+        let panels = at_panel_bytes(key);
+        assert!(
+            allocated <= panels + factor_terms,
+            "{key:?}: build + 2 steps allocated {allocated} bytes; the Aᵀ panels are \
+             {panels} and the factor terms at most {factor_terms}"
+        );
+        assert_eq!(shared.resident_bytes() as u64, DENSE_BYTES);
+    }
+}

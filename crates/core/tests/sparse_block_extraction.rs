@@ -4,40 +4,12 @@
 //! extraction (block CSR + CSC view + scratch) far below the dense
 //! footprint, so a densify regression of any kind trips the cap.
 
+mod byte_counting;
+
+use byte_counting::bytes_during;
 use hpc_nmf::prelude::*;
 use hpc_nmf::LocalMat;
 use nmf_sparse::gen::erdos_renyi;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct ByteCountingAlloc;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: ByteCountingAlloc = ByteCountingAlloc;
-
-fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = BYTES.load(Ordering::Relaxed);
-    let out = f();
-    (out, BYTES.load(Ordering::Relaxed) - before)
-}
 
 #[test]
 fn sparse_block_extraction_never_densifies() {

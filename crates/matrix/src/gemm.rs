@@ -9,15 +9,22 @@
 //!
 //! # Performance notes
 //!
-//! The primary entry points ([`matmul_into`], [`matmul_ta_into`],
-//! [`matmul_packed_into`]) all run the full GotoBLAS decomposition
+//! Every product runs through one driver, the GotoBLAS decomposition
 //! (Goto & van de Geijn, *Anatomy of High-Performance Matrix
 //! Multiplication*):
 //!
-//! 1. **Packing** ([`pack`](crate::pack)): the left operand is packed
-//!    into `MR×KC` depth-major panels, the right operand into `KC×NR`
-//!    tiles, so the microkernel's inner step is two contiguous loads
-//!    with zero-padded edges (no strides, no remainder branches).
+//! 1. **Operands** ([`pack`](crate::pack)): the right operand is packed
+//!    into `KC×NR` tiles per call. The left operand is read in `MR`-row
+//!    panels addressed by a (row stride, depth stride) pair: in place
+//!    when it is a row-major matrix or a [`MatRef`] block of one
+//!    ([`matmul_into`], [`matmul_scratch_into`]; strides `(ld, 1)`), or
+//!    from [`PackedPanels`] ([`matmul_packed_into`]; strides `(1, MR)`).
+//!    A row-major block streams its `MR` rows through the panel as fast
+//!    as packed panels do, so it is packed only where its storage is the
+//!    wrong way round: `C = Aᵀ·B` ([`matmul_ta_into`]) packs `Aᵀ`'s
+//!    panels while reading `A` row-by-row
+//!    ([`PackedPanels::pack_transposed`]), never materializing a
+//!    transpose.
 //! 2. **Microkernel** ([`simd`]): an `MR×NR` register
 //!    block of `C` accumulates across a whole `KC`-deep panel. On
 //!    AVX2+FMA hosts this is a 6×8 intrinsics kernel (twelve `ymm`
@@ -25,17 +32,15 @@
 //!    scalar kernel that LLVM autovectorizes. The choice is made once
 //!    per process (`is_x86_feature_detected!`, cached in a `OnceLock`)
 //!    and can be pinned to the fallback with `NMF_FORCE_SCALAR=1`.
-//! 3. **Amortized packing**: `B` tiles are packed per call into
-//!    thread-local scratch that grows once and is reused; the left
-//!    operand can be packed **once per session** into a
-//!    [`PackedPanels`] and passed to [`matmul_packed_into`] — the ANLS
-//!    win from the paper: the data matrix never changes across
-//!    iterations, so `crates/core` packs it (and its transpose) at
-//!    engine construction and every iteration reads only packed panels.
+//! 3. **Amortized packing**: `B` tiles are packed into scratch that grows
+//!    once and is reused; a left operand that must be packed can be
+//!    packed **once per session** into a [`PackedPanels`] — the ANLS win
+//!    from the paper: the data matrix never changes across iterations,
+//!    so `crates/core` packs `Aᵀ` at engine construction, and reads `A`
+//!    for `A·Hᵀ` in place.
 //!
-//! `C = Aᵀ·B` needs no transpose materialization:
-//! [`PackedPanels::pack_transposed`] emits the same panel format while
-//! reading `A` row-by-row in `MR`-wide contiguous chunks.
+//! Both operand forms give the same bits: each output element is the
+//! same FMA chain over the same `KC` blocks in the same depth order.
 //!
 //! `*_into` variants write into caller-owned storage so per-iteration
 //! workspaces can be reused; the allocating wrappers exist for
@@ -45,8 +50,8 @@
 //! paper: each virtual-MPI rank is one OS thread that calls these
 //! kernels on its local blocks.
 
-use crate::mat::Mat;
-use crate::pack::{pack_b_block, PackedPanels, KC, NR};
+use crate::mat::{Mat, MatRef};
+use crate::pack::{pack_b_block, pack_panel, PackedPanels, KC, NR};
 use crate::simd;
 use std::cell::RefCell;
 
@@ -59,6 +64,7 @@ thread_local! {
 
 #[derive(Default)]
 struct GemmScratch {
+    /// `Aᵀ` panels of [`matmul_ta_into`].
     apack: PackedPanels,
     bpack: Vec<f64>,
 }
@@ -73,9 +79,28 @@ pub fn matmul(a: &Mat, b: &Mat) -> Mat {
     c
 }
 
-/// `C = A·B` into caller-owned `c` (overwritten). Packs both operands
-/// and runs the dispatched SIMD microkernel; see the module docs.
+/// `C = A·B` into caller-owned `c` (overwritten). Reads `A` in place,
+/// packs `B` into thread-local scratch and runs the dispatched SIMD
+/// microkernel; see the module docs.
 pub fn matmul_into(a: &Mat, b: &Mat, c: &mut Mat) {
+    SCRATCH.with(|s| matmul_scratch_into(a, b, c, &mut s.borrow_mut().bpack));
+}
+
+/// `C = A·B` into caller-owned `c` (overwritten) for a left operand read
+/// in place — a [`Mat`] or a [`MatRef`] block of one, such as a rank's
+/// block of a matrix other ranks share — with caller-owned `B`-tile
+/// scratch. Pre-sized via [`b_scratch_len`](crate::pack::b_scratch_len)
+/// for `a.ncols()` and `b.ncols()`, the call allocates nothing.
+///
+/// # Panics
+/// Panics on shape mismatch.
+pub fn matmul_scratch_into<'a>(
+    a: impl Into<MatRef<'a>>,
+    b: &Mat,
+    c: &mut Mat,
+    bpack: &mut Vec<f64>,
+) {
+    let a = a.into();
     assert_eq!(a.ncols(), b.nrows(), "matmul inner dimension mismatch");
     assert_eq!(
         c.shape(),
@@ -83,17 +108,13 @@ pub fn matmul_into(a: &Mat, b: &Mat, c: &mut Mat) {
         "matmul output shape mismatch"
     );
     c.as_mut_slice().fill(0.0);
-    SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        scratch.apack.pack_into(a);
-        gemm_packed(
-            &scratch.apack,
-            b.as_slice(),
-            b.ncols(),
-            c.as_mut_slice(),
-            &mut scratch.bpack,
-        );
-    });
+    gemm(
+        Left::InPlace(a),
+        b.as_slice(),
+        b.ncols(),
+        c.as_mut_slice(),
+        bpack,
+    );
 }
 
 /// `C = P·B` where `P` is a pre-packed left operand (see
@@ -133,28 +154,56 @@ pub fn matmul_packed_scratch_into(p: &PackedPanels, b: &Mat, c: &mut Mat, bpack:
         "packed panels built for a different microkernel geometry"
     );
     c.as_mut_slice().fill(0.0);
-    gemm_packed(p, b.as_slice(), b.ncols(), c.as_mut_slice(), bpack);
+    gemm(
+        Left::Packed(p),
+        b.as_slice(),
+        b.ncols(),
+        c.as_mut_slice(),
+        bpack,
+    );
 }
 
-/// The packed GEMM driver: `c += P·b` where `P` is the packed `m×kdim`
-/// left operand, `b` is `kdim×n` row-major, `c` is `m×n` (leading
-/// dimension `n`, pre-initialized). For each `KC`-deep block, packs the
-/// corresponding `B` rows into `KC×NR` tiles in `bpack`, then sweeps
-/// `MR`-row panels × `NR`-column tiles through the dispatched
-/// microkernel. Accumulators live in registers for the whole block;
-/// edge tiles are handled by the kernels' clipped store phase (the
-/// packed zero-padding makes the extra multiply-adds exact `+0.0`s).
-fn gemm_packed(p: &PackedPanels, b: &[f64], n: usize, c: &mut [f64], bpack: &mut Vec<f64>) {
-    let (m, kdim) = p.shape();
+/// Where the GEMM driver reads its `m×kdim` left operand from.
+#[derive(Clone, Copy)]
+enum Left<'a> {
+    /// Panels packed ahead of time, read at strides `(1, MR)`.
+    Packed(&'a PackedPanels),
+    /// Rows of a row-major block, read in place at strides `(ld, 1)`.
+    InPlace(MatRef<'a>),
+}
+
+impl Left<'_> {
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Left::Packed(p) => p.shape(),
+            Left::InPlace(a) => a.shape(),
+        }
+    }
+}
+
+/// The GEMM driver: `c += A·b` where `A` is the `m×kdim` left operand,
+/// `b` is `kdim×n` row-major, `c` is `m×n` (leading dimension `n`,
+/// pre-initialized). For each `KC`-deep block, packs the corresponding
+/// `B` rows into `KC×NR` tiles in `bpack`, then sweeps `MR`-row panels of
+/// `A` × `NR`-column tiles through the dispatched microkernel, handing it
+/// each panel as a pointer plus its (row stride, depth stride).
+/// Accumulators live in registers for the whole block; edge tiles are
+/// handled by the kernels' clipped store phase. An in-place operand's
+/// last panel, when fewer than `MR` rows are left, is first copied into
+/// a zero-padded panel on the stack, so the kernel never reads a row
+/// outside the block and pad rows never reach a stored element.
+fn gemm(left: Left<'_>, b: &[f64], n: usize, c: &mut [f64], bpack: &mut Vec<f64>) {
+    let (m, kdim) = left.shape();
     debug_assert_eq!(b.len(), kdim * n);
     debug_assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
     let cfg = simd::active();
-    let mr = p.mr();
-    debug_assert_eq!(mr, cfg.mr);
+    let mr = cfg.mr;
     let ntiles = n.div_ceil(NR);
+    let mut edge = [0.0f64; simd::MR_AVX2 * KC];
+    debug_assert!(mr <= simd::MR_AVX2);
     let mut k0 = 0;
     while k0 < kdim {
         let kc = KC.min(kdim - k0);
@@ -162,7 +211,19 @@ fn gemm_packed(p: &PackedPanels, b: &[f64], n: usize, c: &mut [f64], bpack: &mut
         let mut i0 = 0;
         while i0 < m {
             let mr_eff = mr.min(m - i0);
-            let pa = p.panel(k0, kc, i0);
+            let (pa, rs, ds) = match left {
+                Left::Packed(p) => (p.panel(k0, kc, i0), 1, mr),
+                Left::InPlace(a) if mr_eff == mr => (a.tail(i0, k0), a.ld(), 1),
+                Left::InPlace(a) => {
+                    pack_panel(a, (i0, mr_eff), (k0, kc), mr, &mut edge);
+                    (&edge[..mr * kc], 1, mr)
+                }
+            };
+            // What the kernels' reads of `pa` rely on.
+            assert!(
+                pa.len() > (mr - 1) * rs + (kc - 1) * ds,
+                "left-operand panel shorter than its strides"
+            );
             for jt in 0..ntiles {
                 let j0 = jt * NR;
                 let nr_eff = NR.min(n - j0);
@@ -172,13 +233,17 @@ fn gemm_packed(p: &PackedPanels, b: &[f64], n: usize, c: &mut [f64], bpack: &mut
                     simd::KernelPath::Avx2Fma => {
                         // SAFETY: the Avx2Fma path is only selected after
                         // `is_x86_feature_detected!("avx2")`/`("fma")`
-                        // succeed; `pa` is a full `mr*kc` panel, `pbt` a
+                        // succeed; on that path `mr` is `MR_AVX2`, so the
+                        // assert above covers every `pa` read at
+                        // `r*rs + d*ds` (`r < mr`, `d < kc`); `pbt` is a
                         // full `NR*kc` tile, and the `c` tile starting at
                         // `i0*n + j0` is valid for `mr_eff` rows of
                         // `nr_eff` elements at row stride `n`.
                         unsafe {
                             simd::kernel_6x8_avx2(
                                 pa.as_ptr(),
+                                rs,
+                                ds,
                                 pbt.as_ptr(),
                                 kc,
                                 c.as_mut_ptr().add(i0 * n + j0),
@@ -190,6 +255,8 @@ fn gemm_packed(p: &PackedPanels, b: &[f64], n: usize, c: &mut [f64], bpack: &mut
                     }
                     _ => simd::kernel_4x8_scalar(
                         pa,
+                        rs,
+                        ds,
                         pbt,
                         kc,
                         &mut c[i0 * n + j0..],
@@ -213,8 +280,8 @@ pub fn matmul_ta(a: &Mat, b: &Mat) -> Mat {
 }
 
 /// `C = Aᵀ·B` into caller-owned `c` (overwritten). Packs `Aᵀ` directly
-/// from `A`'s rows (no transpose materialization) and runs the same
-/// dispatched packed kernel as [`matmul_into`].
+/// from `A`'s rows (no transpose materialization) into thread-local
+/// scratch and runs the same driver as [`matmul_into`].
 pub fn matmul_ta_into(a: &Mat, b: &Mat, c: &mut Mat) {
     assert_eq!(a.nrows(), b.nrows(), "matmul_ta inner dimension mismatch");
     assert_eq!(
@@ -226,8 +293,8 @@ pub fn matmul_ta_into(a: &Mat, b: &Mat, c: &mut Mat) {
     SCRATCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
         scratch.apack.pack_transposed_into(a);
-        gemm_packed(
-            &scratch.apack,
+        gemm(
+            Left::Packed(&scratch.apack),
             b.as_slice(),
             b.ncols(),
             c.as_mut_slice(),

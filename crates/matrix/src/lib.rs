@@ -6,16 +6,21 @@
 //! Rust so the reproduction has no external native dependencies:
 //!
 //! * [`Mat`] — an owned, row-major, `f64` dense matrix with block extraction
-//!   and in-place arithmetic;
-//! * [`gemm`] — packed GotoBLAS-style matrix-multiply kernels in all
+//!   and in-place arithmetic, and [`MatRef`], a borrowed block of one
+//!   that copies nothing;
+//! * [`gemm`] — GotoBLAS-style matrix-multiply kernels in all
 //!   transpose combinations used by the algorithms (`A·B`, `Aᵀ·B`,
-//!   `A·Bᵀ`), all serial — a rank is a thread, as in the paper;
+//!   `A·Bᵀ`), all serial — a rank is a thread, as in the paper. One
+//!   driver serves them all; it reads a row-major left operand (or a
+//!   [`MatRef`] block) in place and a transposed one from packed panels;
 //! * [`simd`] — the runtime-dispatched `MR×NR` register microkernels
 //!   (AVX2+FMA 6×8 with a portable scalar 4×8 fallback, chosen once per
-//!   process; `NMF_FORCE_SCALAR=1` pins the fallback);
+//!   process; `NMF_FORCE_SCALAR=1` pins the fallback), which read the
+//!   left operand at a (row stride, depth stride) pair so one kernel
+//!   serves both forms;
 //! * [`pack`] — operand packing into microkernel-ready panels, including
 //!   [`PackedPanels`] for left operands packed once and reused across a
-//!   whole ANLS session;
+//!   whole ANLS session (`Aᵀ`, for `Aᵀ·W`);
 //! * [`mod@gram`] — symmetric rank-k products `XᵀX` and `XXᵀ` exploiting
 //!   symmetry;
 //! * [`chol`] — Cholesky factorization and batched multi-right-hand-side
@@ -26,7 +31,7 @@
 //! All kernels are written for the regime the paper targets: `k ≤ ~100`
 //! while `m, n` are large, so matrices are tall-and-skinny or tiny-square.
 //! See `docs/kernels.md` for the kernel-layer design (dispatch, packing
-//! formats, and the once-per-session A-panel cache).
+//! formats, in-place operands and the once-per-session `Aᵀ`-panel cache).
 
 pub mod chol;
 pub mod gemm;
@@ -42,9 +47,9 @@ pub use chol::{
     solve_spd, CholError,
 };
 pub use gemm::{
-    matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_ta, matmul_ta_into,
-    matmul_tb, matmul_tb_into,
+    matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_scratch_into,
+    matmul_ta, matmul_ta_into, matmul_tb, matmul_tb_into,
 };
 pub use gram::{gram, gram_into, outer_gram, outer_gram_into};
-pub use mat::Mat;
+pub use mat::{Mat, MatRef};
 pub use pack::PackedPanels;

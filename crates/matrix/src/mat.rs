@@ -185,6 +185,27 @@ impl Mat {
         }
     }
 
+    /// The sub-block with rows `r0..r0+nr` and columns `c0..c0+nc`, read
+    /// in place: nothing is copied.
+    pub fn view(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatRef<'_> {
+        assert!(
+            r0 + nr <= self.nrows && c0 + nc <= self.ncols,
+            "view out of bounds"
+        );
+        let data = if nr == 0 {
+            &[][..]
+        } else {
+            let start = r0 * self.ncols + c0;
+            &self.data[start..start + (nr - 1) * self.ncols + nc]
+        };
+        MatRef {
+            data,
+            nrows: nr,
+            ncols: nc,
+            ld: self.ncols,
+        }
+    }
+
     /// A newly allocated copy of the sub-block with rows `r0..r0+nr` and
     /// columns `c0..c0+nc`.
     pub fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Mat {
@@ -320,6 +341,74 @@ impl Mat {
     }
 }
 
+/// A borrowed, read-only block of a row-major matrix: `nrows` rows of
+/// `ncols` entries, row `i` starting `i·ld` entries into the storage
+/// (`ld ≥ ncols`; `ld > ncols` for a block narrower than its source).
+/// Made by [`Mat::view`] or, for a whole matrix, `MatRef::from(&mat)`.
+#[derive(Clone, Copy, Debug)]
+pub struct MatRef<'a> {
+    /// From element `(0, 0)` to the last element of the last row.
+    data: &'a [f64],
+    nrows: usize,
+    ncols: usize,
+    ld: usize,
+}
+
+impl<'a> MatRef<'a> {
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// `(nrows, ncols)`.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.nrows, self.ncols)
+    }
+
+    /// Distance in the storage between the starts of consecutive rows.
+    #[inline]
+    pub fn ld(&self) -> usize {
+        self.ld
+    }
+
+    /// Row `i` as a contiguous slice.
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [f64] {
+        debug_assert!(i < self.nrows);
+        &self.data[i * self.ld..i * self.ld + self.ncols]
+    }
+
+    /// The rows, top to bottom.
+    pub fn rows(&self) -> impl Iterator<Item = &'a [f64]> + 'a {
+        let this = *self;
+        (0..this.nrows).map(move |i| this.row(i))
+    }
+
+    /// The storage from element `(i, j)` to the end of the block.
+    #[inline]
+    pub(crate) fn tail(&self, i: usize, j: usize) -> &'a [f64] {
+        &self.data[i * self.ld + j..]
+    }
+
+    /// Squared Frobenius norm, summed in row-major order — the same sum,
+    /// bit for bit, as [`Mat::fro_norm_sq`] of a copy of the block.
+    pub fn fro_norm_sq(&self) -> f64 {
+        self.rows().flatten().map(|x| x * x).sum()
+    }
+}
+
+impl<'a> From<&'a Mat> for MatRef<'a> {
+    fn from(a: &'a Mat) -> Self {
+        a.view(0, 0, a.nrows, a.ncols)
+    }
+}
+
 /// The empty `0×0` matrix — the natural initial state for workspace
 /// buffers that are `resize`d before first use.
 impl Default for Mat {
@@ -420,6 +509,24 @@ mod tests {
         z.set_block(1, 2, &b);
         assert_eq!(z[(2, 4)], 14.0);
         assert_eq!(z[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn view_reads_the_block_in_place() {
+        let m = Mat::from_fn(5, 7, |i, j| (i * 7 + j) as f64 * 0.1 - 1.3);
+        let v = m.view(1, 2, 3, 4);
+        assert_eq!((v.shape(), v.ld()), ((3, 4), 7));
+        let copy = m.block(1, 2, 3, 4);
+        for i in 0..3 {
+            assert_eq!(v.row(i), copy.row(i));
+        }
+        assert_eq!(v.fro_norm_sq().to_bits(), copy.fro_norm_sq().to_bits());
+        let whole = MatRef::from(&m);
+        assert_eq!((whole.shape(), whole.ld()), ((5, 7), 7));
+        assert_eq!(whole.fro_norm_sq().to_bits(), m.fro_norm_sq().to_bits());
+        // Empty extents at the far edges are valid views.
+        assert_eq!(m.view(5, 7, 0, 0).rows().count(), 0);
+        assert!(m.view(0, 7, 5, 0).rows().all(<[f64]>::is_empty));
     }
 
     #[test]

@@ -1,27 +1,31 @@
 //! Operand packing for the GEMM microkernels (GotoBLAS-style).
 //!
-//! The microkernels in [`simd`] read both operands from
-//! *packed* buffers so every inner-product step is a pair of contiguous
-//! loads — no strides, no edge branches:
+//! The microkernels in [`simd`] read the right operand from packed tiles
+//! and the left operand from `MR`-row panels addressed by a (row stride,
+//! depth stride) pair, so the left operand is packed only where packing
+//! pays:
 //!
-//! * **`A` panels** (left operand): the `m×kdim` operand is cut into
-//!   depth-`KC` column blocks, and each block into `MR`-row panels laid
-//!   out depth-major — `panel[d*MR + r] = A[i0+r][k0+d]`. Rows past `m`
-//!   are zero-padded so the microkernel never branches on `mr_eff`
-//!   inside the k-loop (the padding contributes exact `+0.0` terms that
-//!   are simply not stored).
+//! * **`A` panels** (left operand, optional): the `m×kdim` operand is
+//!   cut into depth-`KC` column blocks, and each block into `MR`-row
+//!   panels laid out depth-major — `panel[d*MR + r] = A[i0+r][k0+d]`,
+//!   strides `(1, MR)`. Rows past `m` are zero-padded so the microkernel
+//!   never branches on `mr_eff` inside the k-loop (the padding
+//!   contributes terms that are simply not stored). A row-major left
+//!   operand is read in place instead, strides `(ld, 1)`; only its last,
+//!   short panel is copied into a zero-padded panel per call.
 //! * **`B` tiles** (right operand): each depth-`KC` row block is cut
 //!   into `NR`-column tiles laid out depth-major —
 //!   `tile[d*NR + t] = B[k0+d][j0+t]`, zero-padded past `n`.
 //!
-//! `B` tiles are packed per GEMM call into a thread-local scratch buffer
-//! (they depend on the right operand, which changes every iteration).
-//! The left operand can instead be packed **once per session** into a
-//! [`PackedPanels`] and reused by every subsequent
-//! [`matmul_packed_into`](crate::gemm::matmul_packed_into) call — the
-//! ANLS structure exploited by `crates/core`: the data matrix `A` never
-//! changes across iterations, so its panels (and its transpose's) are
-//! built at engine construction and amortized over the whole run.
+//! `B` tiles are packed per GEMM call into scratch (they depend on the
+//! right operand, which changes every iteration). A left operand that is
+//! not row-major as it stands — `Aᵀ` of a row-major `A`, the left operand
+//! of `Aᵀ·W` — is packed **once per session** into a [`PackedPanels`] and
+//! reused by every subsequent
+//! [`matmul_packed_into`](crate::gemm::matmul_packed_into) call: the ANLS
+//! structure exploited by `crates/core`, where the data matrix never
+//! changes across iterations. `A` itself, the left operand of `A·Hᵀ`, is
+//! row-major already and is read where it lies.
 //!
 //! The panel height `MR` is a property of the dispatched microkernel
 //! (6 for AVX2+FMA, 4 for the scalar fallback), so [`PackedPanels`]
@@ -29,10 +33,35 @@
 //! the process lifetime, packed operands are always consumed by the
 //! kernel geometry that produced them.
 
-use crate::mat::Mat;
+use crate::mat::MatRef;
 use crate::simd;
 
 pub use crate::simd::{KC, NR};
+
+/// Length (in floats) of the `B`-tile scratch a GEMM with inner
+/// dimension `kdim` needs for a right operand with `n` columns: one
+/// `KC`-deep block of `NR`-wide tiles. Pre-sizing a caller-owned scratch
+/// to this bound makes every subsequent GEMM allocation-free.
+pub fn b_scratch_len(kdim: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * KC.min(kdim)
+}
+
+/// Copies rows `i0..i0+mr_eff`, columns `k0..k0+kc` of `a` into `panel`
+/// in panel order (`panel[d*mr + r]`). Pad rows `mr_eff..mr` are not
+/// written.
+pub(crate) fn pack_panel(
+    a: MatRef<'_>,
+    (i0, mr_eff): (usize, usize),
+    (k0, kc): (usize, usize),
+    mr: usize,
+    panel: &mut [f64],
+) {
+    for r in 0..mr_eff {
+        for (d, &v) in a.row(i0 + r)[k0..k0 + kc].iter().enumerate() {
+            panel[d * mr + r] = v;
+        }
+    }
+}
 
 /// A left GEMM operand packed into microkernel-ready `MR×KC` panels.
 ///
@@ -58,14 +87,14 @@ impl PackedPanels {
     }
 
     /// Convenience constructor: pack `a` into fresh panels.
-    pub fn pack(a: &Mat) -> Self {
+    pub fn pack<'a>(a: impl Into<MatRef<'a>>) -> Self {
         let mut p = Self::new();
         p.pack_into(a);
         p
     }
 
     /// Convenience constructor: pack `aᵀ` into fresh panels.
-    pub fn pack_transposed(a: &Mat) -> Self {
+    pub fn pack_transposed<'a>(a: impl Into<MatRef<'a>>) -> Self {
         let mut p = Self::new();
         p.pack_transposed_into(a);
         p
@@ -100,7 +129,7 @@ impl PackedPanels {
         if self.is_empty() {
             return 0;
         }
-        n.div_ceil(NR) * NR * KC.min(self.kdim)
+        b_scratch_len(self.kdim, n)
     }
 
     /// Drop the packed operand (keeps the allocation for reuse).
@@ -121,11 +150,12 @@ impl PackedPanels {
         rows_padded
     }
 
-    /// Pack the `m×kdim` matrix `a` into panels (row `i` of the packed
-    /// operand is row `i` of `a`).
-    pub fn pack_into(&mut self, a: &Mat) {
+    /// Pack the `m×kdim` matrix `a` (a [`Mat`](crate::Mat) or a
+    /// [`MatRef`] block of one) into panels (row `i` of the packed operand
+    /// is row `i` of `a`).
+    pub fn pack_into<'a>(&mut self, a: impl Into<MatRef<'a>>) {
+        let a = a.into();
         let (m, kdim) = a.shape();
-        let a = a.as_slice();
         let rows_padded = self.reset(m, kdim);
         if self.data.is_empty() {
             return;
@@ -138,23 +168,19 @@ impl PackedPanels {
             let mut i0 = 0;
             while i0 < m {
                 let panel = &mut self.data[kblock_base + i0 * kc..kblock_base + (i0 + mr) * kc];
-                let mr_eff = mr.min(m - i0);
-                for r in 0..mr_eff {
-                    let src = &a[(i0 + r) * kdim + k0..(i0 + r) * kdim + k0 + kc];
-                    for (d, &v) in src.iter().enumerate() {
-                        panel[d * mr + r] = v;
-                    }
-                }
+                pack_panel(a, (i0, mr.min(m - i0)), (k0, kc), mr, panel);
                 i0 += mr;
             }
             k0 += kc;
         }
     }
 
-    /// Pack the transpose of the `kdim×m` matrix `a` into panels (row
+    /// Pack the transpose of the `kdim×m` matrix `a` (a
+    /// [`Mat`](crate::Mat) or a [`MatRef`] block of one) into panels (row
     /// `i` of the packed operand is **column** `i` of `a`), reading `a`
     /// row-by-row in `MR`-wide contiguous chunks.
-    pub fn pack_transposed_into(&mut self, a: &Mat) {
+    pub fn pack_transposed_into<'a>(&mut self, a: impl Into<MatRef<'a>>) {
+        let a = a.into();
         let (kdim, m) = a.shape();
         let rows_padded = self.reset(m, kdim);
         if self.data.is_empty() {
@@ -226,6 +252,7 @@ pub(crate) fn pack_b_block(b: &[f64], n: usize, k0: usize, kc: usize, out: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mat::Mat;
     use crate::rng::Fill;
 
     #[test]

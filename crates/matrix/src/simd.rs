@@ -1,9 +1,12 @@
 //! Runtime-dispatched SIMD microkernels (`std::arch`, AVX2 + FMA).
 //!
-//! The packed GEMM driver in [`gemm`](crate::gemm) is written against an
-//! abstract `MR×NR` register microkernel that consumes *packed* operand
-//! panels (see [`pack`](crate::pack)). This module provides the two
-//! implementations and the once-per-process choice between them:
+//! The GEMM driver in [`gemm`](crate::gemm) is written against an
+//! abstract `MR×NR` register microkernel that consumes a packed `B` tile
+//! (see [`pack`](crate::pack)) and an `MR`-row panel of the left operand
+//! addressed by a pointer plus a (row stride, depth stride) pair: `(1,
+//! MR)` for packed panels, `(ld, 1)` for the rows of a row-major block
+//! read in place. This module provides the two implementations and the
+//! once-per-process choice between them:
 //!
 //! * [`kernel_6x8_avx2`] — a 6×8 `f64` microkernel using 256-bit
 //!   AVX2 + FMA intrinsics: twelve `ymm` accumulators (6 rows × 2
@@ -11,7 +14,7 @@
 //!   per inner-product step. Twelve independent FMA chains keep both
 //!   FMA ports busy past the 4-5-cycle FMA latency.
 //! * [`kernel_4x8_scalar`] — the portable fallback: a plain-Rust 4×8
-//!   register microkernel over the same packed panel format, which LLVM
+//!   register microkernel over the same panel addressing, which LLVM
 //!   autovectorizes to whatever the target baseline offers (SSE2 on
 //!   x86-64).
 //!
@@ -100,26 +103,33 @@ pub fn active_name() -> &'static str {
     }
 }
 
-/// `C[0..mr_eff, 0..nr_eff] += PA · PB` for one packed panel pair:
-/// `pa` is an `MR_AVX2×kc` packed `A` panel (`pa[d*MR + r]`), `pb` a
-/// `kc×NR` packed `B` tile (`pb[d*NR + t]`), `c` the top-left element of
-/// the output tile with row stride `ldc`. Rows ≥ `mr_eff` / columns ≥
-/// `nr_eff` of the register tile are computed (they multiply the packing
-/// zero-padding) but not stored.
+/// `C[0..mr_eff, 0..nr_eff] += A · PB` for one panel pair: `pa` points at
+/// element `(0, 0)` of an `MR_AVX2×kc` panel of the left operand, whose
+/// element `(r, d)` is `pa[r*rs + d*ds]` — `(rs, ds) = (1, MR_AVX2)` for
+/// a [`PackedPanels`](crate::PackedPanels) panel, `(ld, 1)` for rows of a
+/// row-major block read in place. `pb` is a `kc×NR` packed `B` tile
+/// (`pb[d*NR + t]`), `c` the top-left element of the output tile with
+/// row stride `ldc`. Rows ≥ `mr_eff` / columns ≥ `nr_eff` of the register
+/// tile are computed but not stored. The strides change only where each
+/// `A` element is loaded from: every output element's FMA chain is the
+/// same for both operand forms.
 ///
 /// # Safety
 ///
 /// * The caller must have verified AVX2 and FMA support (this function
 ///   is `#[target_feature]`-compiled); call only when
 ///   [`active`]`().path == KernelPath::Avx2Fma`.
-/// * `pa` must hold at least `MR_AVX2*kc` elements, `pb` at least
-///   `NR*kc`.
+/// * `pa` must be valid for reads at `r*rs + d*ds` for all
+///   `r < MR_AVX2`, `d < kc`; `pb` must hold at least `NR*kc` elements.
 /// * `c` must be valid for reads and writes at `r*ldc + t` for all
 ///   `r < mr_eff`, `t < nr_eff`, with `mr_eff ≤ MR_AVX2`, `nr_eff ≤ NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
 pub unsafe fn kernel_6x8_avx2(
     pa: *const f64,
+    rs: usize,
+    ds: usize,
     pb: *const f64,
     kc: usize,
     c: *mut f64,
@@ -141,25 +151,26 @@ pub unsafe fn kernel_6x8_avx2(
         let b0 = _mm256_loadu_pd(pb);
         let b1 = _mm256_loadu_pd(pb.add(4));
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = _mm256_set1_pd(*pa.add(r));
+            let ar = _mm256_set1_pd(*pa.add(r * rs));
             acc_r[0] = _mm256_fmadd_pd(ar, b0, acc_r[0]);
             acc_r[1] = _mm256_fmadd_pd(ar, b1, acc_r[1]);
         }
+        pa = pa.add(ds);
         let c0 = _mm256_loadu_pd(pb.add(NR));
         let c1 = _mm256_loadu_pd(pb.add(NR + 4));
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = _mm256_set1_pd(*pa.add(MR_AVX2 + r));
+            let ar = _mm256_set1_pd(*pa.add(r * rs));
             acc_r[0] = _mm256_fmadd_pd(ar, c0, acc_r[0]);
             acc_r[1] = _mm256_fmadd_pd(ar, c1, acc_r[1]);
         }
-        pa = pa.add(2 * MR_AVX2);
+        pa = pa.add(ds);
         pb = pb.add(2 * NR);
     }
     if kc % 2 == 1 {
         let b0 = _mm256_loadu_pd(pb);
         let b1 = _mm256_loadu_pd(pb.add(4));
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = _mm256_set1_pd(*pa.add(r));
+            let ar = _mm256_set1_pd(*pa.add(r * rs));
             acc_r[0] = _mm256_fmadd_pd(ar, b0, acc_r[0]);
             acc_r[1] = _mm256_fmadd_pd(ar, b1, acc_r[1]);
         }
@@ -187,11 +198,15 @@ pub unsafe fn kernel_6x8_avx2(
 }
 
 /// Portable counterpart of [`kernel_6x8_avx2`] over `MR_SCALAR×kc`
-/// packed panels: a 4×8 register block (32 accumulators — within what
-/// LLVM keeps in the 16 SSE2 registers of baseline x86-64).
+/// panels addressed the same way (element `(r, d)` at `pa[r*rs + d*ds]`):
+/// a 4×8 register block (32 accumulators — within what LLVM keeps in the
+/// 16 SSE2 registers of baseline x86-64).
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn kernel_4x8_scalar(
     pa: &[f64],
+    rs: usize,
+    ds: usize,
     pb: &[f64],
     kc: usize,
     c: &mut [f64],
@@ -199,16 +214,14 @@ pub fn kernel_4x8_scalar(
     mr_eff: usize,
     nr_eff: usize,
 ) {
-    debug_assert!(pa.len() >= MR_SCALAR * kc && pb.len() >= NR * kc);
+    debug_assert!(pb.len() >= NR * kc);
     let mut acc = [[0.0f64; NR]; MR_SCALAR];
     for d in 0..kc {
-        let ad: &[f64; MR_SCALAR] = pa[d * MR_SCALAR..d * MR_SCALAR + MR_SCALAR]
-            .try_into()
-            .expect("MR-wide packed A step");
+        let ad: [f64; MR_SCALAR] = std::array::from_fn(|r| pa[r * rs + d * ds]);
         let bd: &[f64; NR] = pb[d * NR..d * NR + NR]
             .try_into()
             .expect("NR-wide packed B step");
-        for (acc_r, &ar) in acc.iter_mut().zip(ad) {
+        for (acc_r, &ar) in acc.iter_mut().zip(&ad) {
             for (av, &bv) in acc_r.iter_mut().zip(bd) {
                 *av += ar * bv;
             }
@@ -363,7 +376,7 @@ mod tests {
         let pa: Vec<f64> = (0..MR_SCALAR * kc).map(|i| (i % 7) as f64 - 3.0).collect();
         let pb: Vec<f64> = (0..NR * kc).map(|i| (i % 5) as f64 * 0.5).collect();
         let mut c = vec![1.0f64; MR_SCALAR * NR];
-        kernel_4x8_scalar(&pa, &pb, kc, &mut c, NR, MR_SCALAR, NR);
+        kernel_4x8_scalar(&pa, 1, MR_SCALAR, &pb, kc, &mut c, NR, MR_SCALAR, NR);
         for r in 0..MR_SCALAR {
             for t in 0..NR {
                 let mut expect = 1.0;
@@ -373,6 +386,14 @@ mod tests {
                 assert!((c[r * NR + t] - expect).abs() < 1e-12);
             }
         }
+        // The same panel read as rows of a row-major block (stride kc):
+        // bit-identical output.
+        let rows: Vec<f64> = (0..MR_SCALAR * kc)
+            .map(|i| pa[(i % kc) * MR_SCALAR + i / kc])
+            .collect();
+        let mut c_rows = vec![1.0f64; MR_SCALAR * NR];
+        kernel_4x8_scalar(&rows, kc, 1, &pb, kc, &mut c_rows, NR, MR_SCALAR, NR);
+        assert_eq!(c_rows, c);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -389,6 +410,8 @@ mod tests {
             unsafe {
                 kernel_6x8_avx2(
                     pa.as_ptr(),
+                    1,
+                    MR_AVX2,
                     pb.as_ptr(),
                     kc,
                     c.as_mut_ptr(),
@@ -397,6 +420,26 @@ mod tests {
                     nr_eff,
                 );
             }
+            // The same panel read as rows of a row-major block (stride
+            // kc): bit-identical output.
+            let rows: Vec<f64> = (0..MR_AVX2 * kc)
+                .map(|i| pa[(i % kc) * MR_AVX2 + i / kc])
+                .collect();
+            let mut c_rows = vec![0.5f64; MR_AVX2 * NR];
+            unsafe {
+                kernel_6x8_avx2(
+                    rows.as_ptr(),
+                    kc,
+                    1,
+                    pb.as_ptr(),
+                    kc,
+                    c_rows.as_mut_ptr(),
+                    NR,
+                    mr_eff,
+                    nr_eff,
+                );
+            }
+            assert_eq!(c_rows, c);
             for r in 0..MR_AVX2 {
                 for t in 0..NR {
                     let mut expect = 0.5;

@@ -7,7 +7,10 @@
 //! could otherwise race the dispatch cache).
 
 use nmf_matrix::rng::Fill;
-use nmf_matrix::{matmul, matmul_packed_into, matmul_ta, simd, Mat, PackedPanels};
+use nmf_matrix::{
+    matmul, matmul_packed_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta, simd,
+    Mat, PackedPanels,
+};
 
 #[test]
 fn forced_scalar_dispatch_is_pinned_and_correct() {
@@ -56,5 +59,36 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
             matmul_ta(&at, &bt).max_abs_diff(&expect_ta) < 1e-10,
             "forced-scalar matmul_ta wrong at {m}x{kdim}x{n}"
         );
+    }
+
+    // A left operand read in place: a 7×300 block at (2, 3) of a wider
+    // matrix (ld = 305), so it straddles KC and ends in a 3-row edge
+    // panel under MR = 4. The fence around the block is NaN; the edge
+    // panel holds a -0.0 and a NaN. Same bits as the block packed, and
+    // the fence never reaches a stored element.
+    let (m, kdim, n, r0, c0) = (7usize, 300usize, 9usize, 2usize, 3usize);
+    let mut big = Mat::uniform(r0 + m + 1, c0 + kdim + 2, 25);
+    big.row_mut(r0 + m).fill(f64::NAN);
+    for i in r0..r0 + m {
+        big[(i, c0 - 1)] = f64::NAN;
+        big[(i, c0 + kdim)] = f64::NAN;
+    }
+    big[(r0 + 4, c0 + 1)] = -0.0;
+    big[(r0 + m - 1, c0 + 17)] = f64::NAN;
+    let a = big.view(r0, c0, m, kdim);
+    let b = Mat::uniform(kdim, n, 26);
+    let bits = |c: &Mat| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut packed = Mat::zeros(m, n);
+    matmul_packed_scratch_into(&PackedPanels::pack(a), &b, &mut packed, &mut Vec::new());
+    let mut in_place = Mat::zeros(m, n);
+    matmul_scratch_into(a, &b, &mut in_place, &mut Vec::new());
+    assert_eq!(
+        bits(&in_place),
+        bits(&packed),
+        "forced-scalar in-place GEMM"
+    );
+    for i in 0..m {
+        let poisoned = in_place.row(i).iter().any(|x| x.is_nan());
+        assert_eq!(poisoned, i == m - 1, "row {i}: the NaN fence leaked");
     }
 }

@@ -11,12 +11,33 @@
 
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{
-    matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_ta_into, matmul_tb_into,
-    Mat, PackedPanels,
+    matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_scratch_into,
+    matmul_ta_into, matmul_tb_into, simd, Mat, PackedPanels,
 };
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-10;
+
+fn bits(c: &Mat) -> Vec<u64> {
+    c.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// An `m×kdim` block at `(r0, c0)` of a larger matrix whose row stride
+/// exceeds the block's width, fenced by `NaN`s: the row below the block
+/// and the columns on either side of it. The block's last `MR`-row panel
+/// holds a `-0.0` in its first row and a `NaN` in its last row.
+fn fenced_block(m: usize, kdim: usize, (r0, c0): (usize, usize), seed: u64) -> Mat {
+    let mut big = Mat::uniform(r0 + m + 1, c0 + kdim + 2, seed);
+    big.row_mut(r0 + m).fill(f64::NAN);
+    for i in r0..r0 + m {
+        big[(i, c0 - 1)] = f64::NAN;
+        big[(i, c0 + kdim)] = f64::NAN;
+    }
+    let edge = (m - 1) / simd::active().mr * simd::active().mr;
+    big[(r0 + edge, c0)] = -0.0;
+    big[(r0 + m - 1, c0 + kdim - 1)] = f64::NAN;
+    big
+}
 
 fn naive_matmul(a: &Mat, b: &Mat) -> Mat {
     let mut c = Mat::zeros(a.nrows(), b.ncols());
@@ -77,6 +98,42 @@ proptest! {
         let mut scratch = Vec::new();
         matmul_packed_scratch_into(&p, &b, &mut c, &mut scratch);
         prop_assert!(c.max_abs_diff(&expect) < tol, "packed+scratch {m}x{kdim}x{n}");
+    }
+
+    #[test]
+    fn in_place_left_operand_matches_packed_bits(
+        mraw in 0usize..100,
+        kraw in 0usize..100,
+        nraw in 0usize..100,
+        r0 in 0usize..3,
+        c0 in 1usize..4,
+        seed in 0u64..10_000,
+    ) {
+        // A block read where it lies — nonzero offset, row stride wider
+        // than the block — must give the bits of the same block packed.
+        let m = edge_dim(mraw);
+        let kdim = edge_kdim(kraw);
+        let n = edge_dim(nraw);
+        let big = fenced_block(m, kdim, (r0, c0), seed);
+        let a = big.view(r0, c0, m, kdim);
+        let b = Mat::uniform(kdim, n, seed + 1);
+
+        let mut packed = Mat::zeros(m, n);
+        matmul_packed_scratch_into(&PackedPanels::pack(a), &b, &mut packed, &mut Vec::new());
+        let mut in_place = Mat::filled(m, n, 7.0);
+        matmul_scratch_into(a, &b, &mut in_place, &mut Vec::new());
+        prop_assert_eq!(bits(&in_place), bits(&packed), "{}x{}x{} at ({}, {})", m, kdim, n, r0, c0);
+
+        // The fence never reaches a stored element: only the row holding
+        // the planted NaN is NaN.
+        for i in 0..m {
+            let poisoned = in_place.row(i).iter().any(|x| x.is_nan());
+            prop_assert_eq!(poisoned, i == m - 1, "row {} of {}", i, m);
+        }
+        // A contiguous copy of the block, through the thread-local path.
+        let mut copy = Mat::zeros(m, n);
+        matmul_into(&big.block(r0, c0, m, kdim), &b, &mut copy);
+        prop_assert_eq!(bits(&copy), bits(&packed));
     }
 
     #[test]

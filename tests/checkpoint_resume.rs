@@ -121,17 +121,11 @@ fn naive_factors(
         let cols = dist_n.part(r);
         let row_block = input.block(rows.offset, 0, rows.len, n);
         let col_block = input.block(0, cols.offset, m, cols.len);
-        let data = SplitBlocks {
-            row_block: &row_block,
-            col_block: &col_block,
-        };
+        let data = SplitBlocks::stripes(&row_block, &col_block);
         let scheme = Replicated1D::new(comm, (m, n), cfg.k);
         let mut engine = AnlsEngine::new(
             scheme,
-            SplitBlocks {
-                row_block: &row_block,
-                col_block: &col_block,
-            },
+            SplitBlocks::stripes(&row_block, &col_block),
             cfg,
             w0.rows_block(rows.offset, rows.len),
             ht0.rows_block(cols.offset, cols.len),
