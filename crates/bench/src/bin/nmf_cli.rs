@@ -37,12 +37,16 @@
 //! compute times — totals, and per iteration the slowest and the fastest
 //! rank — per-collective communication words/messages plus split-phase
 //! posts and overlap/in-flight seconds, `balance`: how the input was
-//! dealt and what each rank holds, and `memory`: `input_resident_bytes`,
-//! what the shared input holds resident — its source plus any extracted
-//! sparse blocks; a dense input is its `8·m·n` bytes, since its rank
-//! blocks are views — and `peak_rss_bytes`, the process's peak resident
-//! set so far (`VmHWM`, `null` where `/proc/self/status` cannot be read))
-//! for scripted benchmarking and model selection.
+//! dealt and, per rank, what it holds and `at_w`, the kernel its `Aᵀ·W`
+//! runs on (`"dense"` packed panels, the `"csr"` transposed pass or the
+//! `"csc"` column-forward pass — the engine's own dispatch rule), and
+//! `memory`: `input_resident_bytes`, what the shared input holds
+//! resident — its source once, since rank blocks are views of it, plus
+//! the row bounds of sparse windows narrower than the source and the
+//! column views of blocks whose `Aᵀ·W` runs `"csc"`; an `--mmap` input
+//! is its extracted blocks instead — and `peak_rss_bytes`, the process's
+//! peak resident set so far (`VmHWM`, `null` where `/proc/self/status`
+//! cannot be read)) for scripted benchmarking and model selection.
 //!
 //! The HPC scheme always runs its split-phase schedule (see
 //! `docs/comm-overlap.md`); what overlap buys is measured by
@@ -688,14 +692,18 @@ fn drive_and_report(
     }
 
     if args.json {
-        print_json(input, model, stop, wall);
+        print_json(input, model, stop, wall)
     } else {
-        print_human(input, model, stop, wall);
+        print_human(input, model, stop, wall)
     }
-    Ok(())
 }
 
-fn print_human(input: &SharedInput, model: &Model, stop: StopReason, wall: Duration) {
+fn print_human(
+    input: &SharedInput,
+    model: &Model,
+    stop: StopReason,
+    wall: Duration,
+) -> Result<(), NmfError> {
     let iters = model.records().len();
     println!(
         "\n{} iterations in {:.2?} ({:.4} s/iter), stopped: {}",
@@ -714,7 +722,7 @@ fn print_human(input: &SharedInput, model: &Model, stop: StopReason, wall: Durat
     };
     // What each rank holds (the sharding is cached: the model was built
     // from it).
-    let loads = input.rank_loads(model.shard_key());
+    let loads = input.rank_loads(model.shard_key())?;
     let range = |count: fn(&RankLoad) -> usize| {
         let (lo, hi) = loads
             .iter()
@@ -750,6 +758,7 @@ fn print_human(input: &SharedInput, model: &Model, stop: StopReason, wall: Durat
             );
         }
     }
+    Ok(())
 }
 
 /// A float as a JSON token: full-precision scientific for finite values,
@@ -766,7 +775,12 @@ fn jnum(x: f64) -> String {
 /// One JSON object per fitted rank on stdout: everything a benchmark or
 /// model-selection script wants, hand-rolled (the container pulls no
 /// serde).
-fn print_json(input: &SharedInput, model: &Model, stop: StopReason, wall: Duration) {
+fn print_json(
+    input: &SharedInput,
+    model: &Model,
+    stop: StopReason,
+    wall: Duration,
+) -> Result<(), NmfError> {
     let (m, n) = model.shape();
     let grid = model.grid();
     let config = model.config();
@@ -836,13 +850,18 @@ fn print_json(input: &SharedInput, model: &Model, stop: StopReason, wall: Durati
         dim(balance.rows),
         dim(balance.cols)
     ));
-    for (i, load) in input.rank_loads(model.shard_key()).iter().enumerate() {
+    let key = model.shard_key();
+    let at_w = input.at_w(key, config.k)?;
+    for (i, (load, at_w)) in input.rank_loads(key)?.iter().zip(at_w).enumerate() {
         if i > 0 {
             s.push(',');
         }
         s.push_str(&format!(
-            "{{\"nnz\":{},\"non_empty_rows\":{},\"non_empty_cols\":{}}}",
-            load.nnz, load.non_empty_rows, load.non_empty_cols
+            "{{\"nnz\":{},\"non_empty_rows\":{},\"non_empty_cols\":{},\"at_w\":\"{}\"}}",
+            load.nnz,
+            load.non_empty_rows,
+            load.non_empty_cols,
+            at_w.name()
         ));
     }
     s.push_str("]},\"comm\":{");
@@ -872,6 +891,7 @@ fn print_json(input: &SharedInput, model: &Model, stop: StopReason, wall: Durati
         peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string())
     ));
     println!("{s}");
+    Ok(())
 }
 
 /// This process's peak resident set in bytes (`VmHWM` in

@@ -1,7 +1,6 @@
-//! Out-of-core smoke: proves the mmap ingest path factorizes a matrix
-//! whose in-RAM ingest cannot run under the same address-space limit,
-//! and that the factors it produces are bit-identical to an unlimited
-//! resident run.
+//! Out-of-core smoke: proves both ingest paths factorize a 173 MB `NMFS`
+//! file under an address-space limit of 3.5× its size, and that the
+//! factors each produces are bit-identical to an unlimited resident run.
 //!
 //! Three invocations, driven by CI (see `.github/workflows/ci.yml`):
 //!
@@ -10,12 +9,13 @@
 //!    resident copy, and records the reference digest (objective bits +
 //!    an FNV-1a hash over the factor bit patterns).
 //! 2. `ooc_smoke run --mode resident --file A.nmfs --ref ref.txt`
-//!    under `ulimit -v` — expected to DIE: reading the file back plus
-//!    the extracted rank blocks exceeds the limit.
+//!    under `ulimit -v` — must pass: the file is read back once and the
+//!    rank blocks are windows of it, so the matrix is resident once.
 //! 3. `ooc_smoke run --mode mmap --file A.nmfs --ref ref.txt` under the
 //!    same `ulimit -v` — must pass: panels stream through a small
-//!    mapped window, only the rank blocks go resident, and the digest
-//!    must equal the reference exactly.
+//!    mapped window and only the rank blocks go resident.
+//!
+//! Either digest must equal the reference exactly.
 //!
 //! The factorization parameters are fixed so all three runs describe
 //! the same trajectory; any drift shows up as a digest mismatch.
@@ -28,8 +28,9 @@ use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
-// ~10.8M nonzeros: a 173 MB NMFS file whose resident ingest peaks well
-// above the CI rlimit while the mmap ingest stays well below it.
+// ~10.8M nonzeros: a 173 MB NMFS file. Either ingest peaks near 300 MB
+// of address space, half the CI rlimit; a copy of the rank blocks on top
+// of the resident file does not fit under it.
 const M: usize = 90_000;
 const N: usize = 60_000;
 const DENSITY: f64 = 2e-3;

@@ -59,13 +59,13 @@ use crate::config::{
 };
 use crate::dist::{Dist1D, RankLayout, ShardKey};
 use crate::grid::Grid;
-use crate::input::{BlockRef, LocalMat};
+use crate::input::{AtW, BlockRef, LocalMat};
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
 use nmf_matrix::pack::b_scratch_len;
 use nmf_matrix::{matmul_packed_scratch_into, matmul_scratch_into, Mat};
 use nmf_nls::NlsSolver;
-use nmf_sparse::{spmm_at_dense_auto_into, spmm_dense_t_into};
+use nmf_sparse::{spmm_at_dense_csc_into, spmm_at_dense_into, spmm_dense_t_into, CscView};
 use nmf_vmpi::{Comm, CommStats, PendingOp};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -78,14 +78,21 @@ use std::time::{Duration, Instant};
 /// [`stripes`](Self::stripes) — and under Algorithms 1 and 3 the same
 /// block twice (`From<&LocalMat>`).
 ///
-/// Both are borrowed and read in place: a dense block is a row-strided
-/// view (of a matrix shared by every rank, when the session built it
-/// from a [`SharedInput`](crate::SharedInput)), so the engine holds no
-/// copy of `A`, only the `Aᵀ` panels it packs for `Aᵀ·W`.
+/// Both are borrowed and read in place — a dense block as a row-strided
+/// view, a sparse one as a window of its source's rows, of a matrix
+/// shared by every rank when the session built them from a
+/// [`SharedInput`](crate::SharedInput) — so the engine holds no copy of
+/// `A`: only the `Aᵀ` panels it packs for a dense `Aᵀ·W`, or the column
+/// view a sparse one runs on where that is the faster orientation.
 #[derive(Clone, Copy)]
 pub struct SplitBlocks<'a> {
     row: BlockRef<'a>,
     col: BlockRef<'a>,
+    /// The column block's CSC view, where [`pack_session`] routed its
+    /// `Aᵀ·W` to it ([`AtW::Csc`]).
+    ///
+    /// [`pack_session`]: SplitBlocks::pack_session
+    csc: Option<&'a CscView>,
 }
 
 impl<'a> From<&'a LocalMat> for SplitBlocks<'a> {
@@ -102,24 +109,34 @@ impl<'a> SplitBlocks<'a> {
     }
 
     pub(crate) fn new(row: BlockRef<'a>, col: BlockRef<'a>) -> Self {
-        SplitBlocks { row, col }
+        SplitBlocks {
+            row,
+            col,
+            csc: None,
+        }
     }
 
-    /// Packs the dense column block's transpose into microkernel-ready
-    /// panels ([`SessionPack`]) — once, at engine construction, so every
-    /// iteration's `Aᵀ·W` reads only packed panels; `A·Hᵀ` reads the row
-    /// block where it lies and needs no panels. Sparse blocks clear the
-    /// pack. Also pre-sizes the tile scratch for `·×k` right operands of
-    /// both products, so steady-state iterations (including the first)
-    /// allocate nothing.
-    fn pack_session(&self, pack: &mut SessionPack, k: usize) {
-        match self.col {
-            BlockRef::Dense(a) => pack.at.pack_transposed_into(a),
-            BlockRef::Sparse(_) => pack.at.clear(),
+    /// Readies `Aᵀ·W` at rank `k` — once, at engine construction, so
+    /// steady-state iterations (including the first) allocate nothing.
+    /// Picks its kernel ([`BlockRef::at_w`]): a dense column block's
+    /// transpose is packed into microkernel-ready panels
+    /// ([`SessionPack`]), so every iteration's `Aᵀ·W` reads only those; a
+    /// sparse one routed column-forward gets its column view (built here
+    /// if no engine reading the block built it before); a sparse one left
+    /// on the CSR pass needs nothing. `A·Hᵀ` reads the row block where it
+    /// lies. Also pre-sizes the tile scratch for `·×k` right operands of
+    /// both products.
+    fn pack_session(&mut self, pack: &mut SessionPack, k: usize) {
+        pack.at.clear();
+        self.csc = None;
+        match (self.col, self.col.at_w(k)) {
+            (BlockRef::Dense(a), _) => pack.at.pack_transposed_into(a),
+            (_, AtW::Csc) => self.csc = self.col.csc(),
+            _ => {}
         }
         let a_ht = match self.row {
             BlockRef::Dense(a) => b_scratch_len(a.ncols(), k),
-            BlockRef::Sparse(_) => 0,
+            BlockRef::Sparse { .. } => 0,
         };
         pack.reserve_scratch(a_ht.max(pack.at.b_scratch_len(k)));
     }
@@ -128,19 +145,21 @@ impl<'a> SplitBlocks<'a> {
     fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
         match self.row {
             BlockRef::Dense(a) => matmul_scratch_into(a, ht, out, &mut pack.bpack),
-            BlockRef::Sparse(a) => spmm_dense_t_into(a.csr(), ht, out),
+            BlockRef::Sparse { a, .. } => spmm_dense_t_into(a, ht, out),
         }
     }
 
-    /// Local `Aᵀ·W`, into `out` (stored transposed, `·×k`), reading the
-    /// session-packed transpose panels. Sparse blocks dispatch by output
-    /// size: column-forward off the block's CSC view when `n_loc·k`
-    /// outgrows the last-level cache, the CSR transposed pass
-    /// (bit-identical) otherwise.
+    /// Local `Aᵀ·W`, into `out` (stored transposed, `·×k`), on the kernel
+    /// [`pack_session`](Self::pack_session) picked: the session-packed
+    /// transpose panels, the column-forward pass over the CSC view, or
+    /// the CSR transposed pass (bit-identical to the column-forward one).
     fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
-        match self.col {
-            BlockRef::Dense(_) => matmul_packed_scratch_into(&pack.at, w, out, &mut pack.bpack),
-            BlockRef::Sparse(a) => spmm_at_dense_auto_into(a.csr(), a.csc(), w, out),
+        match (self.col, self.csc) {
+            (BlockRef::Dense(_), _) => {
+                matmul_packed_scratch_into(&pack.at, w, out, &mut pack.bpack)
+            }
+            (BlockRef::Sparse { a, .. }, Some(csc)) => spmm_at_dense_csc_into(a, csc, w, out),
+            (BlockRef::Sparse { a, .. }, None) => spmm_at_dense_into(a, w, out),
         }
     }
 
@@ -882,7 +901,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         ht0: Mat,
         mut ws: IterWorkspace,
     ) -> Self {
-        let data = data.into();
+        let mut data = data.into();
         scheme.size_workspace(&mut ws, config.k);
         // Once-per-session operand packing: a dense column block's
         // transpose is laid into microkernel panels here, and every

@@ -3,11 +3,12 @@
 //! The engine is generic over density through one block type: the two
 //! matrix-multiply kernels (`A·Hᵀ` and `Aᵀ·W`) are the only operations
 //! that touch the data matrix, exactly as in the paper ("the data matrix
-//! itself is never communicated"). A dense block is read where it lies —
-//! a view of the matrix it was cut from, which all ranks of a
-//! [`SharedInput`](crate::SharedInput) share — and a sparse block is an
-//! extracted [`SpBlock`]. [`LocalMat`] is the owned block
-//! [`Input::block`] extracts.
+//! itself is never communicated"). Every block is read where it lies — a
+//! view of the matrix it was cut from, which all ranks of a
+//! [`SharedInput`](crate::SharedInput) share: a dense block at its
+//! source's row stride, a sparse one as a window of its source's rows
+//! ([`CsrRef`]). [`LocalMat`] is the owned block [`Input::block`]
+//! extracts.
 //!
 //! The input also owns one decision: the **order in which its rows and
 //! columns are dealt to ranks** (`Dealing`). Every scheme hands rank
@@ -20,8 +21,8 @@
 
 use crate::dist::Part;
 use nmf_matrix::{matmul, matmul_ta, Mat, MatRef};
-use nmf_sparse::{spmm_at_dense, spmm_dense_t, Csr, SpBlock};
-use std::sync::Arc;
+use nmf_sparse::{csc_chosen, spmm_at_dense, spmm_dense_t, CscView, Csr, CsrRef, SpBlock};
+use std::sync::{Arc, OnceLock};
 
 /// A whole input matrix (held by the test/benchmark harness; in a real
 /// MPI deployment each rank would read only its block from disk).
@@ -234,11 +235,10 @@ fn balanced_order(counts: &[usize]) -> Vec<usize> {
 /// One block of the input matrix, extracted into storage of its own
 /// ([`Input::block`]); hand it to an engine directly
 /// ([`AnlsEngine::new`](crate::engine::AnlsEngine::new)) and it is read
-/// in place. Sparse blocks carry both the CSR and its column view over
-/// one shared values ordering ([`SpBlock`]), so `A_loc·Hᵀ` runs
-/// row-major and `A_locᵀ·W` runs the forward-traversal CSC kernel —
-/// bit-identical to the transposed CSR pass, without its scattered
-/// output writes.
+/// in place. A sparse block is a CSR that builds its column view over
+/// the same values ([`SpBlock`]) the first time its `A_locᵀ·W` is routed
+/// to the forward-traversal CSC kernel — bit-identical to the transposed
+/// CSR pass, without its scattered output writes.
 #[derive(Clone, Debug)]
 pub enum LocalMat {
     Dense(Mat),
@@ -275,19 +275,31 @@ impl LocalMat {
     }
 }
 
-/// One rank's block of `A` as a sharding holds it. A dense block is a
-/// view — the `Arc`'d matrix it was cut from plus its row and column
-/// [`Part`]s — so cutting it allocates nothing, and every rank (and every
-/// cached sharding) of one dense source reads the same bytes. A sparse
-/// block is extracted, CSR plus CSC view. Cloning is an `Arc` clone.
-#[derive(Clone, Debug)]
+/// One rank's block of `A` as a sharding holds it: the `Arc`'d matrix it
+/// was cut from plus its row and column [`Part`]s, read in place. Cutting
+/// one copies nothing, so every rank (and every cached sharding) of one
+/// source reads the same bytes.
+///
+/// A dense block is read at its source's row stride. A sparse block is a
+/// window of its source's rows: a full-width one reads the source's row
+/// pointers, a narrower one holds where each of its rows starts and ends
+/// (`bounds`, 16 bytes per row). Its column view (16 bytes per nonzero)
+/// is built the first time an engine routes the block's `Aᵀ·W` to it
+/// ([`AtW::Csc`]) and then serves every engine that reads the block.
+#[derive(Debug)]
 pub(crate) enum Block {
     Dense {
         src: Arc<Mat>,
         rows: Part,
         cols: Part,
     },
-    Sparse(Arc<SpBlock>),
+    Sparse {
+        src: Arc<Csr>,
+        rows: Part,
+        cols: Part,
+        bounds: Option<Box<[usize]>>,
+        csc: OnceLock<CscView>,
+    },
 }
 
 impl Block {
@@ -304,73 +316,165 @@ impl Block {
         }
     }
 
+    /// Rows `rows` × columns `cols` of `src`, read in place.
+    pub(crate) fn window_of(src: &Arc<Csr>, rows: Part, cols: Part) -> Block {
+        Block::Sparse {
+            src: Arc::clone(src),
+            rows,
+            cols,
+            bounds: src.window_bounds(rows.offset, cols.offset, rows.len, cols.len),
+            csc: OnceLock::new(),
+        }
+    }
+
     /// The block as the engine reads it.
     pub(crate) fn as_ref(&self) -> BlockRef<'_> {
         match self {
             Block::Dense { src, rows, cols } => {
                 BlockRef::Dense(src.view(rows.offset, cols.offset, rows.len, cols.len))
             }
-            Block::Sparse(a) => BlockRef::Sparse(a),
+            Block::Sparse {
+                src,
+                rows,
+                cols,
+                bounds,
+                csc,
+            } => BlockRef::Sparse {
+                a: src.window(
+                    rows.offset,
+                    cols.offset,
+                    rows.len,
+                    cols.len,
+                    bounds.as_deref(),
+                ),
+                csc,
+            },
         }
     }
 
     /// Stored entries (a dense block stores every entry).
     pub(crate) fn nnz(&self) -> usize {
-        match self {
-            Block::Dense { rows, cols, .. } => rows.len * cols.len,
-            Block::Sparse(a) => a.nnz(),
+        match self.as_ref() {
+            BlockRef::Dense(a) => a.nrows() * a.ncols(),
+            BlockRef::Sparse { a, .. } => a.nnz(),
         }
     }
 
-    /// Heap bytes the block holds beyond its source: 0 for a view (its
-    /// bytes are the source's), values plus both index structures for a
-    /// sparse block.
+    /// Heap bytes the block holds beyond its source: its row bounds and,
+    /// once built, its column view.
     pub(crate) fn resident_bytes(&self) -> usize {
         match self {
             Block::Dense { .. } => 0,
-            Block::Sparse(a) => a.resident_bytes(),
+            Block::Sparse { bounds, csc, .. } => {
+                std::mem::size_of_val(bounds.as_deref().unwrap_or_default())
+                    + csc.get().map_or(0, CscView::index_bytes)
+            }
+        }
+    }
+
+    /// Heap bytes of the matrix the block reads.
+    pub(crate) fn source_bytes(&self) -> usize {
+        match self {
+            Block::Dense { src, .. } => 8 * src.len(),
+            Block::Sparse { src, .. } => src.heap_bytes(),
         }
     }
 }
 
-/// An extracted block, owned by the block that wraps it: a dense block
-/// becomes a view of the whole of its own matrix.
+/// An extracted block, owned by the block that wraps it: a view of the
+/// whole of its own matrix.
 impl From<LocalMat> for Block {
     fn from(block: LocalMat) -> Block {
+        let all = |len| Part { offset: 0, len };
         match block {
             LocalMat::Dense(a) => {
-                let (rows, cols) = (a.nrows(), a.ncols());
-                let all = |len| Part { offset: 0, len };
-                Block::view_of(&Arc::new(a), all(rows), all(cols))
+                let (rows, cols) = (all(a.nrows()), all(a.ncols()));
+                Block::view_of(&Arc::new(a), rows, cols)
             }
-            LocalMat::Sparse(a) => Block::Sparse(Arc::new(a)),
+            LocalMat::Sparse(a) => {
+                let (rows, cols) = (all(a.nrows()), all(a.ncols()));
+                Block::window_of(&Arc::new(a.into_csr()), rows, cols)
+            }
         }
     }
 }
 
 /// A borrowed [`Block`] — what the engine's two products read: a dense
-/// block in place (at its source's row stride), or a sparse block.
+/// block in place (at its source's row stride), or a sparse window and
+/// the cell its column view is built in.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum BlockRef<'a> {
     Dense(MatRef<'a>),
-    Sparse(&'a SpBlock),
+    Sparse {
+        a: CsrRef<'a>,
+        csc: &'a OnceLock<CscView>,
+    },
 }
 
 impl<'a> From<&'a LocalMat> for BlockRef<'a> {
     fn from(block: &'a LocalMat) -> Self {
         match block {
             LocalMat::Dense(a) => BlockRef::Dense(a.into()),
-            LocalMat::Sparse(a) => BlockRef::Sparse(a),
+            LocalMat::Sparse(a) => BlockRef::Sparse {
+                a: a.csr().into(),
+                csc: a.csc_cell(),
+            },
         }
     }
 }
 
-impl BlockRef<'_> {
+impl<'a> BlockRef<'a> {
     /// `‖block‖²_F`, summed in the order an extracted copy would sum it.
     pub(crate) fn fro_norm_sq(&self) -> f64 {
         match self {
             BlockRef::Dense(a) => a.fro_norm_sq(),
-            BlockRef::Sparse(a) => a.fro_norm_sq(),
+            BlockRef::Sparse { a, .. } => a.fro_norm_sq(),
+        }
+    }
+
+    /// The kernel `Aᵀ·W` runs on this block at rank `k` — the one rule
+    /// both the engine's dispatch and its report ([`SharedInput::at_w`])
+    /// read. A sparse block goes column-forward once the `n_loc×k` output
+    /// outgrows the last-level cache ([`csc_chosen`]).
+    ///
+    /// [`SharedInput::at_w`]: crate::SharedInput::at_w
+    pub(crate) fn at_w(&self, k: usize) -> AtW {
+        match self {
+            BlockRef::Dense(_) => AtW::Dense,
+            BlockRef::Sparse { a, .. } if csc_chosen(a.ncols(), k) => AtW::Csc,
+            BlockRef::Sparse { .. } => AtW::Csr,
+        }
+    }
+
+    /// The column view, for a sparse block whose `Aᵀ·W` runs on it:
+    /// built on the first call for the block, shared afterwards.
+    pub(crate) fn csc(&self) -> Option<&'a CscView> {
+        match *self {
+            BlockRef::Sparse { a, csc } => Some(csc.get_or_init(|| CscView::from_csr(a))),
+            BlockRef::Dense(_) => None,
+        }
+    }
+}
+
+/// Which kernel a rank's `Aᵀ·W` runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AtW {
+    /// Packed `Aᵀ` panels times `W` (a dense block).
+    Dense,
+    /// The transposed pass over the CSR rows (a sparse block whose output
+    /// stays cache-resident).
+    Csr,
+    /// The forward traversal of the block's column view.
+    Csc,
+}
+
+impl AtW {
+    /// Lowercase name (`"dense"`, `"csr"`, `"csc"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            AtW::Dense => "dense",
+            AtW::Csr => "csr",
+            AtW::Csc => "csc",
         }
     }
 }
@@ -480,6 +584,49 @@ mod tests {
                 assert_eq!(dealt.get(p, q), graph.get(i, j));
             }
         }
+    }
+
+    #[test]
+    fn a_sparse_blocks_column_view_is_built_once_and_reads_the_csr_bits() {
+        use nmf_sparse::{spmm_at_dense_csc_into, spmm_at_dense_into};
+        let src = Arc::new(nmf_sparse::gen::erdos_renyi(40, 30, 0.2, 9));
+        let (rows, cols) = (
+            Part { offset: 7, len: 20 },
+            Part {
+                offset: 11,
+                len: 13,
+            },
+        );
+        let block = Block::window_of(&src, rows, cols);
+        assert!(
+            block.as_ref().at_w(8) == AtW::Csr,
+            "a 13x8 output stays in cache"
+        );
+        // Two engines reaching for the view at once get the same one.
+        let barrier = std::sync::Barrier::new(2);
+        let views: Vec<usize> = std::thread::scope(|s| {
+            let reach = || {
+                barrier.wait();
+                block.as_ref().csc().map(|c| c as *const CscView as usize)
+            };
+            let threads = [s.spawn(reach), s.spawn(reach)];
+            threads.map(|t| t.join().unwrap().unwrap()).into()
+        });
+        assert_eq!(views[0], views[1], "one column view per block");
+        let BlockRef::Sparse { a, csc } = block.as_ref() else {
+            panic!("a sparse block");
+        };
+        let csc = csc.get().expect("built above");
+        assert_eq!(block.resident_bytes(), 16 * rows.len + csc.index_bytes());
+        let w = Mat::uniform(rows.len, 8, 3);
+        let (mut by_col, mut by_row) = (Mat::zeros(cols.len, 8), Mat::zeros(cols.len, 8));
+        spmm_at_dense_csc_into(a, csc, &w, &mut by_col);
+        spmm_at_dense_into(a, &w, &mut by_row);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_col), bits(&by_row));
+        let copy = src.block(rows.offset, cols.offset, rows.len, cols.len);
+        assert_eq!(block.nnz(), copy.nnz());
+        assert_eq!(a.fro_norm_sq().to_bits(), copy.fro_norm_sq().to_bits());
     }
 
     #[test]

@@ -108,22 +108,28 @@ impl InputSource<'_> {
     /// outlives the borrow, so it owns its blocks), served from the
     /// shared input — which decided once, when it was made — and its
     /// sharding cache otherwise. Both arms decide with [`Dealing::of`],
-    /// so they deal one matrix identically.
-    fn deal(&self, key: ShardKey) -> (Arc<Dealing>, Sharding) {
-        match self {
+    /// so they deal one matrix identically. Fails only where
+    /// [`SharedInput::rank_data`] does.
+    fn deal(&self, key: ShardKey) -> Result<(Arc<Dealing>, Sharding), NmfError> {
+        Ok(match self {
             InputSource::Whole(input) => {
                 let (m, n) = input.shape();
                 let dealing = Dealing::of(input);
                 let relabelled = dealing.relabel(input);
                 let dealt = relabelled.as_ref().unwrap_or(input);
                 let extract = |rows: Part, cols: Part| {
-                    Block::from(dealt.block(rows.offset, cols.offset, rows.len, cols.len))
+                    Ok(Block::from(dealt.block(
+                        rows.offset,
+                        cols.offset,
+                        rows.len,
+                        cols.len,
+                    )))
                 };
-                let blocks = shard(&extract, key, m, n);
+                let blocks = shard(&extract, key, m, n)?;
                 (Arc::new(dealing), Arc::new(blocks))
             }
-            InputSource::Shared(shared) => (Arc::clone(shared.dealing()), shared.rank_data(key)),
-        }
+            InputSource::Shared(shared) => (Arc::clone(shared.dealing()), shared.rank_data(key)?),
+        })
     }
 }
 
@@ -443,7 +449,7 @@ impl<'a> NmfBuilder<'a> {
             ),
         };
 
-        Ok(Model::spawn(
+        Model::spawn(
             self.input,
             self.config,
             self.algo,
@@ -452,7 +458,7 @@ impl<'a> NmfBuilder<'a> {
             w0,
             ht0,
             self.resume,
-        ))
+        )
     }
 }
 
@@ -759,7 +765,7 @@ impl Model {
         w0: Mat,
         ht0: Mat,
         resume: Option<ConvergenceState>,
-    ) -> Model {
+    ) -> Result<Model, NmfError> {
         let (m, n) = input.shape();
         let norm_a_sq = input.fro_norm_sq();
         let key = ShardKey::of(algo, grid, ranks);
@@ -775,7 +781,7 @@ impl Model {
         // One sharding for the whole universe: a shared input serves
         // (or fills) its cache, a whole input extracts fresh. Either
         // way each worker receives cheap `Arc` clones of its blocks.
-        let (dealing, rank_data) = input.deal(key);
+        let (dealing, rank_data) = input.deal(key)?;
         debug_assert_eq!(rank_data.len(), ranks);
 
         let mut workers = Vec::with_capacity(ranks);
@@ -802,7 +808,7 @@ impl Model {
             handles.push(handle);
         }
 
-        Model {
+        Ok(Model {
             m,
             n,
             norm_a_sq,
@@ -818,7 +824,7 @@ impl Model {
             base_iterations,
             initial_objective,
             stop: None,
-        }
+        })
     }
 
     fn send(&self, r: usize, cmd: Cmd) {

@@ -14,20 +14,24 @@
 //! plus a cache of per-rank block sets keyed by the distribution shape
 //! ([`ShardKey`]). Every build that asks for the same grid shape hands
 //! the *same* blocks to its rank threads — cloning an `Arc`, not a
-//! matrix. Sparse blocks are extracted once and carry CSR + CSC views
-//! over one values ordering (see [`nmf_sparse::SpBlock`]), so the
-//! one-time extraction also pays the one-time column-view build that
-//! makes `Aᵀ·W` a forward-traversal kernel.
+//! matrix.
 //!
-//! A dense source is held behind an `Arc`, and a dense sharding is
+//! A resident source is held behind an `Arc`, and its shardings are
 //! *views*: each rank block is that `Arc` plus the block's row and column
-//! extents, read in place by the rank's `A·Hᵀ`. No sharding of a dense
-//! source allocates any bytes of `A` — not the whole-matrix block of
-//! [`ShardKey::Seq`], not [`ShardKey::Naive`]'s row and column stripes,
-//! not a grid — so a rank holds `A` once, as the shared source, plus the
-//! `Aᵀ` panels its engine packs for `Aᵀ·W` (Table 2's `mn/p` words per
-//! rank, where an extracted copy would double it). [`resident_bytes`]
-//! counts a dense source once however many shardings are cached.
+//! extents, read in place by the rank's kernels — a dense block at the
+//! source's row stride, a sparse one as a window of the source's rows
+//! ([`nmf_sparse::CsrRef`]). No sharding of a resident source copies any
+//! of `A` — not the whole-matrix block of [`ShardKey::Seq`], not
+//! [`ShardKey::Naive`]'s row and column stripes, not a grid — so a rank
+//! holds `A` once, as the shared source (Table 2's `mn/p` words per rank,
+//! where an extracted copy would double it). What a block adds is
+//! per-block bookkeeping: a sparse block narrower than the source holds
+//! where each of its rows starts and ends (16 bytes per row), and a
+//! sparse block whose `Aᵀ·W` runs column-forward
+//! ([`nmf_sparse::csc_chosen`]) a column view of 16 bytes per nonzero,
+//! built by the first engine that needs it and shared by every later
+//! one. A dense engine packs its own `Aᵀ` panels. [`resident_bytes`]
+//! counts a source once however many shardings are cached.
 //!
 //! [`resident_bytes`]: SharedInput::resident_bytes
 //!
@@ -52,9 +56,11 @@
 //! Out-of-core ingest goes through [`SharedInput::open_mmap`]: block
 //! extraction streams bounded row panels of the file (see
 //! [`nmf_sparse::io::MmapCsr`]), so peak memory is the extracted blocks
-//! plus one panel window — the whole is never materialized, and the
-//! extracted blocks are bit-identical to what the resident path
-//! produces.
+//! plus one panel window — the whole is never materialized, and each
+//! extracted block, a whole-matrix window of its own, reads exactly what
+//! the resident path's window reads. A file whose rows turn out
+//! malformed while they are extracted fails the build with
+//! [`NmfError::Corrupt`].
 //!
 //! ## Balanced dealing
 //!
@@ -74,12 +80,12 @@
 use crate::dist::{Part, ShardKey};
 use crate::engine::SplitBlocks;
 use crate::error::NmfError;
-use crate::input::{Balance, Block, Dealing, Input};
+use crate::input::{AtW, Balance, Block, BlockRef, Dealing, Input, LocalMat};
 use nmf_matrix::Mat;
 use nmf_sparse::io::{MmError, MmapCsr, DEFAULT_PANEL_BYTES};
 use nmf_sparse::{Csr, SpBlock};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -104,14 +110,14 @@ impl RankData {
         std::iter::once(&self.row).chain(&self.col)
     }
 
-    fn resident_bytes(&self) -> usize {
-        self.blocks().map(Block::resident_bytes).sum()
+    /// The block `Aᵀ·W` reads.
+    fn col(&self) -> &Block {
+        self.col.as_ref().unwrap_or(&self.row)
     }
 
     /// The pair the engine reads.
     pub(crate) fn split_blocks(&self) -> SplitBlocks<'_> {
-        let col = self.col.as_ref().unwrap_or(&self.row);
-        SplitBlocks::new(self.row.as_ref(), col.as_ref())
+        SplitBlocks::new(self.row.as_ref(), self.col().as_ref())
     }
 }
 
@@ -134,11 +140,12 @@ pub struct RankLoad {
 enum Source {
     /// Fully resident and dense: every block is a view of it.
     Dense(Arc<Mat>),
-    /// Fully resident and sparse; relabelled when its [`Dealing`] says
-    /// so.
-    Sparse(Csr),
-    /// An `NMFS` file, read in bounded row-panel windows.
-    Mmap(MmapCsr),
+    /// Fully resident and sparse, relabelled when its [`Dealing`] says
+    /// so: every block is a window of it.
+    Sparse(Arc<Csr>),
+    /// An `NMFS` file, read in bounded row-panel windows; `path` names it
+    /// in errors.
+    Mmap { mm: MmapCsr, path: PathBuf },
 }
 
 /// A shareable, shard-once input. See the [module docs](self).
@@ -168,7 +175,7 @@ impl SharedInput {
         let dealing = Dealing::of(&input);
         let source = match dealing.relabel(&input).unwrap_or(input) {
             Input::Dense(a) => Source::Dense(Arc::new(a)),
-            Input::Sparse(a) => Source::Sparse(a),
+            Input::Sparse(a) => Source::Sparse(Arc::new(a)),
         };
         SharedInput {
             source,
@@ -193,21 +200,14 @@ impl SharedInput {
     /// resident, would not; the factors agree either way.
     pub fn open_mmap(path: impl AsRef<Path>) -> Result<SharedInput, NmfError> {
         let path = path.as_ref();
-        let wrap = |e: MmError| match e {
-            MmError::Io(source) => NmfError::Io {
-                path: path.to_path_buf(),
-                source,
-            },
-            MmError::Parse(reason) => NmfError::Corrupt {
-                path: path.to_path_buf(),
-                reason,
-            },
-        };
-        let mm = MmapCsr::open(path).map_err(wrap)?;
-        let norm_a_sq = mm.fro_norm_sq().map_err(wrap)?;
+        let mm = MmapCsr::open(path).map_err(|e| file_error(path, e))?;
+        let norm_a_sq = mm.fro_norm_sq().map_err(|e| file_error(path, e))?;
         let (m, n) = mm.shape();
         Ok(SharedInput {
-            source: Source::Mmap(mm),
+            source: Source::Mmap {
+                mm,
+                path: path.to_path_buf(),
+            },
             m,
             n,
             norm_a_sq,
@@ -234,7 +234,7 @@ impl SharedInput {
         match &self.source {
             Source::Dense(a) => a.len(),
             Source::Sparse(a) => a.nnz(),
-            Source::Mmap(mm) => mm.nnz(),
+            Source::Mmap { mm, .. } => mm.nnz(),
         }
     }
 
@@ -251,7 +251,7 @@ impl SharedInput {
     /// Whether this input streams from an `NMFS` file instead of a
     /// resident matrix.
     pub fn is_mmap(&self) -> bool {
-        matches!(self.source, Source::Mmap(_))
+        matches!(self.source, Source::Mmap { .. })
     }
 
     /// How many times a sharding has actually been extracted (cache
@@ -269,10 +269,9 @@ impl SharedInput {
 
     /// The shard cache. The map is only ever changed by inserting a
     /// finished sharding or by clearing it, so it is consistent even if
-    /// an extraction panicked while holding the lock (a failed panel read
-    /// of a truncated NMFS file): a poisoned lock is recovered, and one
-    /// failed extraction does not take the dataset away from every other
-    /// tenant.
+    /// an extraction panicked while holding the lock: a poisoned lock is
+    /// recovered, and one failed extraction does not take the dataset
+    /// away from every other tenant.
     fn cache(&self) -> MutexGuard<'_, HashMap<ShardKey, Sharding>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -290,22 +289,23 @@ impl SharedInput {
 
     /// What each rank of sharding `key` holds (extracting the sharding if
     /// it is not cached yet).
-    pub fn rank_loads(&self, key: ShardKey) -> Vec<RankLoad> {
+    pub fn rank_loads(&self, key: ShardKey) -> Result<Vec<RankLoad>, NmfError> {
         let (m, n) = (self.m, self.n);
-        let set = self.rank_data(key);
+        let set = self.rank_data(key)?;
         // Which rows and columns of `A` hold an entry, from the blocks.
         let (mut row_hit, mut col_hit) = (vec![false; m], vec![false; n]);
-        let mut mark = |block: &Block, r0: usize, c0: usize| match block {
-            Block::Dense { rows, cols, .. } => {
-                row_hit[r0..r0 + rows.len].fill(true);
-                col_hit[c0..c0 + cols.len].fill(true);
+        let mut mark = |block: &Block, r0: usize, c0: usize| match block.as_ref() {
+            BlockRef::Dense(a) => {
+                row_hit[r0..r0 + a.nrows()].fill(true);
+                col_hit[c0..c0 + a.ncols()].fill(true);
             }
-            Block::Sparse(a) => {
-                for (i, w) in a.csr().indptr().windows(2).enumerate() {
-                    row_hit[r0 + i] |= w[1] > w[0];
-                }
-                for &j in a.csr().indices() {
-                    col_hit[c0 + j] = true;
+            BlockRef::Sparse { a, .. } => {
+                for i in 0..a.nrows() {
+                    let cols = a.row(i).0;
+                    row_hit[r0 + i] |= !cols.is_empty();
+                    for &j in cols {
+                        col_hit[c0 + j - a.col_offset()] = true;
+                    }
                 }
             }
         };
@@ -318,55 +318,71 @@ impl SharedInput {
             }
         }
         let count = |hit: &[bool]| hit.iter().filter(|&&h| h).count();
-        set.iter()
+        Ok(set
+            .iter()
             .zip(&layouts)
             .map(|(data, lay)| RankLoad {
                 nnz: data.blocks().map(Block::nnz).sum(),
                 non_empty_rows: count(&row_hit[lay.w.offset..lay.w.end()]),
                 non_empty_cols: count(&col_hit[lay.ht.offset..lay.ht.end()]),
             })
-            .collect()
+            .collect())
     }
 
-    /// Resident heap bytes held by this input: the source matrix (0 for
-    /// mmap-backed inputs — the file pages are the kernel's) plus every
-    /// cached sharding's extracted blocks. A dense sharding is views of
-    /// the source and adds nothing, so a dense input is `8·m·n` bytes
-    /// however many shardings are cached. The serving layer charges these
-    /// bytes once per *dataset*, not once per tenant.
+    /// The kernel each rank's `Aᵀ·W` runs on under sharding `key` at
+    /// factorization rank `k`, in rank order: the rule an engine
+    /// dispatches on (extracting the sharding if it is not cached yet).
+    pub fn at_w(&self, key: ShardKey, k: usize) -> Result<Vec<AtW>, NmfError> {
+        Ok(self
+            .rank_data(key)?
+            .iter()
+            .map(|data| data.col().as_ref().at_w(k))
+            .collect())
+    }
+
+    /// Resident heap bytes held by this input: the source matrix (for an
+    /// mmap-backed input, whose file pages are the kernel's, the matrices
+    /// its blocks were extracted into) plus what every cached sharding's
+    /// blocks hold beyond it — nothing for a dense
+    /// block, row bounds for a sparse window narrower than its source
+    /// and, where an engine built one, its column view. So a resident
+    /// input is its source's bytes plus a few words per block row however
+    /// many shardings are cached. The serving layer charges these bytes
+    /// once per *dataset*, not once per tenant.
     pub fn resident_bytes(&self) -> usize {
-        let source = match &self.source {
-            Source::Dense(a) => 8 * a.len(),
-            Source::Sparse(a) => {
-                8 * a.nnz() + std::mem::size_of::<usize>() * (a.indptr().len() + a.indices().len())
-            }
-            Source::Mmap(_) => 0,
-        };
         let cache = self.cache();
-        source
-            + cache
+        let blocks = || {
+            cache
                 .values()
                 .flat_map(|set| set.iter())
-                .map(|data| data.resident_bytes())
-                .sum::<usize>()
+                .flat_map(|d| d.blocks())
+        };
+        let source = match &self.source {
+            Source::Dense(a) => 8 * a.len(),
+            Source::Sparse(a) => a.heap_bytes(),
+            Source::Mmap { .. } => blocks().map(Block::source_bytes).sum(),
+        };
+        source + blocks().map(Block::resident_bytes).sum::<usize>()
     }
 
     /// The per-rank blocks for `key`, extracting them on first request
-    /// and serving the cached `Arc` afterwards.
-    pub(crate) fn rank_data(&self, key: ShardKey) -> Sharding {
+    /// and serving the cached `Arc` afterwards. Fails only on an
+    /// mmap-backed input whose file cannot be read back, or whose rows
+    /// turn out malformed.
+    pub(crate) fn rank_data(&self, key: ShardKey) -> Result<Sharding, NmfError> {
         let mut cache = self.cache();
         if let Some(hit) = cache.get(&key) {
-            return Arc::clone(hit);
+            return Ok(Arc::clone(hit));
         }
-        self.extractions.fetch_add(1, Ordering::Relaxed);
         let set = Arc::new(shard(
             &|rows, cols| self.block(rows, cols),
             key,
             self.m,
             self.n,
-        ));
+        )?);
+        self.extractions.fetch_add(1, Ordering::Relaxed);
         cache.insert(key, Arc::clone(&set));
-        set
+        Ok(set)
     }
 
     /// Drops all cached shardings (the blocks themselves survive as
@@ -375,17 +391,31 @@ impl SharedInput {
         self.cache().clear();
     }
 
-    /// One block of the source: a view of a dense source, an extracted
-    /// sparse block otherwise (streaming row panels when the source is
-    /// mmap-backed).
-    fn block(&self, rows: Part, cols: Part) -> Block {
-        let sparse = |a: Csr| Block::Sparse(Arc::new(SpBlock::from_csr(a)));
-        let (r0, c0, nr, nc) = (rows.offset, cols.offset, rows.len, cols.len);
-        match &self.source {
+    /// One block of the source: a view of a resident source, an
+    /// extracted block (streaming row panels) of an mmap-backed one.
+    fn block(&self, rows: Part, cols: Part) -> Result<Block, NmfError> {
+        Ok(match &self.source {
             Source::Dense(a) => Block::view_of(a, rows, cols),
-            Source::Sparse(a) => sparse(a.block(r0, c0, nr, nc)),
-            Source::Mmap(mm) => sparse(mmap_block(mm, r0, c0, nr, nc)),
-        }
+            Source::Sparse(a) => Block::window_of(a, rows, cols),
+            Source::Mmap { mm, path } => {
+                let a = mmap_block(mm, rows, cols).map_err(|e| file_error(path, e))?;
+                Block::from(LocalMat::Sparse(SpBlock::from_csr(a)))
+            }
+        })
+    }
+}
+
+/// An `NMFS` read failure as the session API reports it, naming the file.
+fn file_error(path: &Path, e: MmError) -> NmfError {
+    match e {
+        MmError::Io(source) => NmfError::Io {
+            path: path.to_path_buf(),
+            source,
+        },
+        MmError::Parse(reason) => NmfError::Corrupt {
+            path: path.to_path_buf(),
+            reason,
+        },
     }
 }
 
@@ -405,20 +435,20 @@ impl std::fmt::Debug for SharedInput {
 /// the extents [`ShardKey::layouts`] gives — the session uses the same
 /// function whether or not the input is shared.
 pub(crate) fn shard(
-    block: &dyn Fn(Part, Part) -> Block,
+    block: &dyn Fn(Part, Part) -> Result<Block, NmfError>,
     key: ShardKey,
     m: usize,
     n: usize,
-) -> Vec<Arc<RankData>> {
+) -> Result<Vec<Arc<RankData>>, NmfError> {
     let cut = |(rows, cols)| block(rows, cols);
     key.layouts(m, n)
         .iter()
         .map(|lay| {
             let (row_side, col_side) = key.blocks(lay, m, n);
-            Arc::new(RankData {
-                row: cut(row_side),
-                col: col_side.map(cut),
-            })
+            Ok(Arc::new(RankData {
+                row: cut(row_side)?,
+                col: col_side.map(cut).transpose()?,
+            }))
         })
         .collect()
 }
@@ -428,19 +458,16 @@ pub(crate) fn shard(
 /// one panel, never the file. The per-row data is identical to what
 /// `Csr::block` produces on the resident matrix, so the result is
 /// bit-identical.
-fn mmap_block(mm: &MmapCsr, r0: usize, c0: usize, nr: usize, nc: usize) -> Csr {
+fn mmap_block(mm: &MmapCsr, rows: Part, cols: Part) -> Result<Csr, MmError> {
     let step = mm.panel_rows_for_budget(DEFAULT_PANEL_BYTES);
     let mut parts = Vec::new();
-    let mut r = r0;
-    while r < r0 + nr {
-        let h = step.min(r0 + nr - r);
-        let panel = mm
-            .panel(r, h)
-            .unwrap_or_else(|e| panic!("mmap panel read failed: {e}"));
-        parts.push(panel.cols_block(c0, nc));
+    let mut r = rows.offset;
+    while r < rows.end() {
+        let h = step.min(rows.end() - r);
+        parts.push(mm.panel(r, h)?.cols_block(cols.offset, cols.len)?);
         r += h;
     }
-    Csr::vstack(&parts)
+    Ok(Csr::vstack(&parts))
 }
 
 #[cfg(test)]
@@ -450,18 +477,28 @@ mod tests {
     use nmf_sparse::gen::erdos_renyi;
     use nmf_sparse::io::write_csr_binary_path;
 
-    fn block_of(block: &Block) -> &SpBlock {
-        match block {
-            Block::Sparse(b) => b,
-            Block::Dense { .. } => panic!("expected a sparse block"),
-        }
+    /// A sparse block's rows as it reads them: block-local columns and
+    /// value bits.
+    fn rows_of(block: &Block) -> Vec<(Vec<usize>, Vec<u64>)> {
+        let BlockRef::Sparse { a, .. } = block.as_ref() else {
+            panic!("expected a sparse block");
+        };
+        (0..a.nrows())
+            .map(|i| {
+                let (cols, vals) = a.row(i);
+                (
+                    cols.iter().map(|j| j - a.col_offset()).collect(),
+                    vals.iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
     }
 
     #[test]
     fn cache_hits_do_not_re_extract() {
         let shared = SharedInput::new(Input::Sparse(erdos_renyi(12, 10, 0.3, 3)));
-        let a = shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 });
-        let b = shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 });
+        let a = shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 }).unwrap();
+        let b = shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 }).unwrap();
         assert_eq!(shared.extractions(), 1);
         // The same Arc'd blocks, not equal copies.
         assert!(Arc::ptr_eq(&a, &b));
@@ -469,7 +506,7 @@ mod tests {
             a.iter().all(|x| x.col.is_none()),
             "a grid rank holds one block"
         );
-        shared.rank_data(ShardKey::Seq);
+        shared.rank_data(ShardKey::Seq).unwrap();
         assert_eq!(shared.extractions(), 2);
         assert_eq!(shared.cached_shardings(), 2);
         shared.clear_cache();
@@ -477,38 +514,55 @@ mod tests {
     }
 
     #[test]
-    fn a_dense_sharding_is_views_of_the_source() {
-        let a = Mat::uniform(12, 10, 3);
-        let shared = SharedInput::new(Input::Dense(a.clone()));
-        let Source::Dense(src) = &shared.source else {
-            panic!("a dense input keeps a dense source");
-        };
-        for key in [
-            ShardKey::Seq,
-            ShardKey::Naive { p: 3 },
-            ShardKey::Grid { pr: 2, pc: 2 },
+    fn a_resident_sharding_is_views_of_the_source() {
+        let dense = Mat::uniform(12, 10, 3);
+        let sparse = erdos_renyi(12, 10, 0.4, 3);
+        let (dense_bytes, sparse_bytes) = (8 * dense.len(), sparse.heap_bytes());
+        for (input, source_bytes) in [
+            (Input::Dense(dense), dense_bytes),
+            (Input::Sparse(sparse), sparse_bytes),
         ] {
-            let set = shared.rank_data(key);
-            for (data, lay) in set.iter().zip(key.layouts(12, 10)) {
-                let (row_side, col_side) = key.blocks(&lay, 12, 10);
-                assert_eq!(data.col.is_some(), col_side.is_some(), "{key:?}");
-                let extents = std::iter::once(row_side).chain(col_side);
-                for (block, (rows, cols)) in data.blocks().zip(extents) {
-                    let Block::Dense {
-                        src: of,
-                        rows: r,
-                        cols: c,
-                    } = block
-                    else {
-                        panic!("a dense sharding holds dense blocks");
-                    };
-                    assert!(Arc::ptr_eq(of, src), "{key:?}: a copy, not a view");
-                    assert_eq!((*r, *c), (rows, cols));
+            let shared = SharedInput::new(input);
+            let mut bounds = 0;
+            for key in [
+                ShardKey::Seq,
+                ShardKey::Naive { p: 3 },
+                ShardKey::Grid { pr: 2, pc: 2 },
+            ] {
+                let set = shared.rank_data(key).unwrap();
+                for (data, lay) in set.iter().zip(key.layouts(12, 10)) {
+                    let (row_side, col_side) = key.blocks(&lay, 12, 10);
+                    assert_eq!(data.col.is_some(), col_side.is_some(), "{key:?}");
+                    let extents = std::iter::once(row_side).chain(col_side);
+                    for (block, (rows, cols)) in data.blocks().zip(extents) {
+                        let ((r, c), same) = match (block, &shared.source) {
+                            (Block::Dense { src, rows, cols }, Source::Dense(of)) => {
+                                ((rows, cols), Arc::ptr_eq(src, of))
+                            }
+                            (
+                                Block::Sparse {
+                                    src, rows, cols, ..
+                                },
+                                Source::Sparse(of),
+                            ) => ((rows, cols), Arc::ptr_eq(src, of)),
+                            _ => panic!("a sharding holds blocks of its source's kind"),
+                        };
+                        assert!(same, "{key:?}: a copy, not a view");
+                        assert_eq!((*r, *c), (rows, cols));
+                        // A narrower sparse window holds two words per row.
+                        if matches!(block, Block::Sparse { .. }) && cols.len < 10 {
+                            bounds += 16 * rows.len;
+                        }
+                    }
                 }
             }
+            assert_eq!(shared.extractions(), 3);
+            assert_eq!(
+                shared.resident_bytes(),
+                source_bytes + bounds,
+                "the source, once, plus the windows' row bounds"
+            );
         }
-        assert_eq!(shared.extractions(), 3);
-        assert_eq!(shared.resident_bytes(), 8 * a.len(), "the source, once");
     }
 
     #[test]
@@ -528,8 +582,8 @@ mod tests {
             ShardKey::Naive { p: 3 },
             ShardKey::Grid { pr: 3, pc: 2 },
         ] {
-            let rs = resident.rank_data(key);
-            let ms = mapped.rank_data(key);
+            let rs = resident.rank_data(key).unwrap();
+            let ms = mapped.rank_data(key).unwrap();
             assert_eq!(rs.len(), ms.len());
             for (x, y) in rs.iter().zip(ms.iter()) {
                 assert_eq!(
@@ -538,7 +592,7 @@ mod tests {
                     "sharding shapes must agree"
                 );
                 for (bx, by) in x.blocks().zip(y.blocks()) {
-                    assert_eq!(block_of(bx).csr(), block_of(by).csr());
+                    assert_eq!(rows_of(bx), rows_of(by));
                 }
             }
         }
@@ -572,6 +626,23 @@ mod tests {
                 Err(NmfError::Corrupt { .. })
             ));
         }
+        // A sound header over a column index past `ncols`: the file opens
+        // (only its row pointers are read), and fails the build that first
+        // reads its rows.
+        let a = erdos_renyi(6, 5, 0.5, 2);
+        write_csr_binary_path(&a, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first_index = 32 + 8 * (a.nrows() + 1);
+        bytes[first_index..first_index + 8].copy_from_slice(&5u64.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let shared = SharedInput::open_mmap(&path).expect("header and row pointers are sound");
+        let built = crate::session::Nmf::on_shared(&shared).rank(2).build();
+        assert!(matches!(built, Err(NmfError::Corrupt { .. })));
+        assert!(matches!(
+            shared.rank_loads(ShardKey::Naive { p: 2 }),
+            Err(NmfError::Corrupt { .. })
+        ));
+        assert_eq!((shared.extractions(), shared.cached_shardings()), (0, 0));
         std::fs::remove_file(&path).ok();
     }
 
@@ -582,7 +653,7 @@ mod tests {
         // while `rank_data` holds the cache lock.
         let doomed = Arc::clone(&shared);
         let crashed = std::thread::spawn(move || {
-            doomed.rank_data(ShardKey::Naive { p: 0 });
+            let _ = doomed.rank_data(ShardKey::Naive { p: 0 });
         })
         .join();
         assert!(crashed.is_err(), "the extraction must have panicked");
@@ -590,7 +661,8 @@ mod tests {
         let tenant = Arc::clone(&shared);
         let blocks = std::thread::spawn(move || tenant.rank_data(ShardKey::Grid { pr: 2, pc: 2 }))
             .join()
-            .expect("the cache serves other threads after a failed extraction");
+            .expect("the cache serves other threads after a failed extraction")
+            .unwrap();
         assert_eq!(blocks.len(), 4);
         assert_eq!(shared.cached_shardings(), 1);
         assert!(shared.resident_bytes() > 0);
@@ -608,7 +680,7 @@ mod tests {
         }
         let shared = SharedInput::new(Input::Sparse(coo.to_csr()));
         assert_eq!(
-            shared.rank_loads(ShardKey::Seq),
+            shared.rank_loads(ShardKey::Seq).unwrap(),
             [RankLoad {
                 nnz: 4,
                 non_empty_rows: 2,
@@ -617,7 +689,7 @@ mod tests {
         );
         // 2x2 grid: W slices are single rows, H slices are columns
         // {0}, {1,2} (grid column 0, split over 2 grid rows: 2+1) ...
-        let loads = shared.rank_loads(ShardKey::Grid { pr: 2, pc: 2 });
+        let loads = shared.rank_loads(ShardKey::Grid { pr: 2, pc: 2 }).unwrap();
         assert_eq!(
             loads.iter().map(|l| l.nnz).collect::<Vec<_>>(),
             [2, 0, 1, 1]
@@ -632,7 +704,7 @@ mod tests {
             3,
             "H slices partition the columns"
         );
-        let naive = shared.rank_loads(ShardKey::Naive { p: 2 });
+        let naive = shared.rank_loads(ShardKey::Naive { p: 2 }).unwrap();
         assert_eq!(
             naive.iter().map(|l| l.nnz).collect::<Vec<_>>(),
             [2 + 3, 2 + 1]
@@ -649,6 +721,7 @@ mod tests {
         let dense = SharedInput::new(Input::Dense(Mat::uniform(4, 6, 1)));
         assert!(dense
             .rank_loads(ShardKey::Grid { pr: 2, pc: 1 })
+            .unwrap()
             .iter()
             .all(|l| l.nnz == 12 && l.non_empty_rows == 2 && l.non_empty_cols == 3));
         assert_eq!(dense.balance(), Balance::default());
@@ -659,7 +732,7 @@ mod tests {
         let shared = SharedInput::new(Input::Sparse(erdos_renyi(20, 20, 0.1, 1)));
         let base = shared.resident_bytes();
         assert!(base > 0);
-        shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 });
+        shared.rank_data(ShardKey::Grid { pr: 2, pc: 2 }).unwrap();
         assert!(shared.resident_bytes() > base);
     }
 }

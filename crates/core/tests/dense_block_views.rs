@@ -41,7 +41,7 @@ fn dense_sharding_allocates_no_bytes_of_a() {
     for key in KEYS {
         // `rank_loads` shards on a cache miss (and counts what each rank
         // holds, in O(m + n) bytes).
-        let (loads, allocated) = bytes_during(|| shared.rank_loads(key));
+        let (loads, allocated) = bytes_during(|| shared.rank_loads(key).unwrap());
         assert_eq!(loads.len(), key.ranks());
         assert!(
             allocated < DENSE_BYTES / 100,

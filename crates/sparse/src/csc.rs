@@ -11,24 +11,30 @@
 //!
 //! [`CscView`] stores the column structure (`colptr`, `rowind`) plus,
 //! for every CSC-ordered nonzero, the *position* of its value in the
-//! owning CSR's row-major values array — one shared values ordering,
-//! never a second copy of the numerical payload. A rank block keeps
-//! both views over the one buffer ([`SpBlock`]).
+//! source CSR's row-major values array — one shared values ordering,
+//! never a second copy of the numerical payload. It costs `16·nnz` index
+//! bytes, so a block builds it only when its `Aᵀ·W` is routed to the
+//! column kernel ([`crate::spmm::csc_chosen`]): [`SpBlock::csc`] on
+//! first use, and `hpc_nmf`'s shared rank blocks when an engine chooses
+//! it.
 
-use crate::csr::Csr;
+use crate::csr::{Csr, CsrRef};
+use std::sync::OnceLock;
 
-/// The column-major index structure of a CSR matrix, sharing its values.
+/// The column-major index structure of a CSR block, sharing its values.
 ///
 /// `colptr` has length `ncols + 1`; column `j`'s nonzeros live at
 /// `rowind[colptr[j]..colptr[j+1]]` (row indices, strictly increasing)
-/// and their values at `csr.values()[src[p]]` for `p` in the same range.
+/// and their values at `values[src[p]]` for `p` in the same range, where
+/// `values` is the source's whole array ([`CsrRef::values`]) — for a
+/// window of a larger matrix, positions are the source's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CscView {
     nrows: usize,
     ncols: usize,
     colptr: Vec<usize>,
     rowind: Vec<usize>,
-    /// Position in the CSR values array of each CSC-ordered nonzero.
+    /// Position in the source's values array of each CSC-ordered nonzero.
     src: Vec<usize>,
 }
 
@@ -38,26 +44,29 @@ impl CscView {
     /// strictly increasing because CSR rows are scanned in order —
     /// the property that makes the CSC kernel bit-identical to the
     /// CSR transposed pass (same additions, same order).
-    pub fn from_csr(a: &Csr) -> CscView {
+    pub fn from_csr<'a>(a: impl Into<CsrRef<'a>>) -> CscView {
+        let a = a.into();
+        let c0 = a.col_offset();
         let mut counts = vec![0usize; a.ncols() + 1];
-        for &j in a.indices() {
-            counts[j + 1] += 1;
+        for i in 0..a.nrows() {
+            for &j in a.row(i).0 {
+                counts[j - c0 + 1] += 1;
+            }
         }
         for j in 0..a.ncols() {
             counts[j + 1] += counts[j];
         }
         let colptr = counts.clone();
-        let mut rowind = vec![0usize; a.nnz()];
-        let mut src = vec![0usize; a.nnz()];
+        let nnz = colptr[a.ncols()];
+        let mut rowind = vec![0usize; nnz];
+        let mut src = vec![0usize; nnz];
         let mut next = counts;
         for i in 0..a.nrows() {
-            let lo = a.indptr()[i];
-            let hi = a.indptr()[i + 1];
-            for (p, &j) in (lo..hi).zip(&a.indices()[lo..hi]) {
-                let q = next[j];
+            for (p, &j) in a.span(i).zip(a.row(i).0) {
+                let q = next[j - c0];
                 rowind[q] = i;
                 src[q] = p;
-                next[j] += 1;
+                next[j - c0] += 1;
             }
         }
         CscView {
@@ -84,7 +93,7 @@ impl CscView {
         self.rowind.len()
     }
 
-    /// Column `j` as `(row indices, CSR value positions)` slices.
+    /// Column `j` as `(row indices, source value positions)` slices.
     #[inline]
     pub fn col(&self, j: usize) -> (&[usize], &[usize]) {
         let lo = self.colptr[j];
@@ -94,14 +103,15 @@ impl CscView {
 
     /// Whether this view indexes `a` (shape and nonzero count match;
     /// cheap sanity check used by the kernels' debug assertions).
-    pub fn matches(&self, a: &Csr) -> bool {
+    pub fn matches<'a>(&self, a: impl Into<CsrRef<'a>>) -> bool {
+        let a = a.into();
         self.nrows == a.nrows() && self.ncols == a.ncols() && self.nnz() == a.nnz()
     }
 
-    /// Reconstructs the CSR the view was built from, reading values
-    /// through the shared ordering (round-trip test support).
+    /// Reconstructs the block the view was built from, reading values
+    /// through the shared ordering from `values`, the source's array
+    /// (round-trip test support).
     pub fn to_csr(&self, values: &[f64]) -> Csr {
-        assert_eq!(values.len(), self.nnz(), "values length must equal nnz");
         // Transpose the column structure back to rows with the same
         // counting sort; to_csr ∘ from_csr is the identity.
         let mut counts = vec![0usize; self.nrows + 1];
@@ -133,22 +143,29 @@ impl CscView {
     }
 }
 
-/// One rank's sparse block: a CSR and its column view over one shared
-/// values buffer. `A·Hᵀ` runs the row-major kernel off the CSR; `Aᵀ·W`
-/// runs the forward-traversal kernel off the CSC view.
-#[derive(Clone, Debug, PartialEq)]
+/// One extracted sparse block: a CSR, plus its column view over the one
+/// values buffer once something asks for it. `A·Hᵀ` runs the row-major
+/// kernel off the CSR; `Aᵀ·W` runs the forward-traversal kernel off the
+/// CSC view where that is the faster orientation. Equality is the CSR's.
+#[derive(Clone, Debug)]
 pub struct SpBlock {
     csr: Csr,
-    csc: CscView,
+    csc: OnceLock<CscView>,
+}
+
+impl PartialEq for SpBlock {
+    fn eq(&self, other: &SpBlock) -> bool {
+        self.csr == other.csr
+    }
 }
 
 impl SpBlock {
-    /// Wraps a CSR block, building its column view once (the per-shard
-    /// cost that `hpc_nmf`'s `SharedInput` cache amortizes across
-    /// builds).
+    /// Wraps a CSR block; its column view is built on first use.
     pub fn from_csr(csr: Csr) -> SpBlock {
-        let csc = CscView::from_csr(&csr);
-        SpBlock { csr, csc }
+        SpBlock {
+            csr,
+            csc: OnceLock::new(),
+        }
     }
 
     #[inline]
@@ -156,9 +173,20 @@ impl SpBlock {
         &self.csr
     }
 
-    #[inline]
+    /// The column view, built on the first call.
     pub fn csc(&self) -> &CscView {
+        self.csc.get_or_init(|| CscView::from_csr(&self.csr))
+    }
+
+    /// Where the column view lives: empty until [`csc`](Self::csc) (or a
+    /// caller holding the cell) fills it.
+    pub fn csc_cell(&self) -> &OnceLock<CscView> {
         &self.csc
+    }
+
+    /// The CSR, giving up any column view.
+    pub fn into_csr(self) -> Csr {
+        self.csr
     }
 
     #[inline]
@@ -180,12 +208,10 @@ impl SpBlock {
         self.csr.fro_norm_sq()
     }
 
-    /// Resident heap bytes of the block (values + both index sets).
+    /// Resident heap bytes of the block: the CSR, plus the column view's
+    /// indices once built.
     pub fn resident_bytes(&self) -> usize {
-        let usz = std::mem::size_of::<usize>();
-        8 * self.csr.nnz()
-            + usz * (self.csr.indptr().len() + self.csr.indices().len())
-            + self.csc.index_bytes()
+        self.csr.heap_bytes() + self.csc.get().map_or(0, CscView::index_bytes)
     }
 }
 
@@ -242,6 +268,9 @@ mod tests {
     fn block_shares_the_values_buffer() {
         let b = SpBlock::from_csr(sample());
         assert_eq!(b.nnz(), 5);
+        // No column view until one is asked for.
+        assert_eq!(b.resident_bytes(), b.csr().heap_bytes());
+        assert!(b.csc_cell().get().is_none());
         // The view carries positions, not values: every position is a
         // valid index into the one CSR buffer.
         for j in 0..b.ncols() {

@@ -22,7 +22,8 @@ impl Csr {
     ///
     /// # Panics
     /// Panics if `indptr` is malformed, indices are out of bounds, or rows
-    /// are not sorted.
+    /// are not sorted ([`Csr::try_from_parts`] reports the same as an
+    /// error).
     pub fn from_parts(
         nrows: usize,
         ncols: usize,
@@ -30,35 +31,43 @@ impl Csr {
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Self {
-        assert_eq!(indptr.len(), nrows + 1, "indptr length must be nrows+1");
-        assert_eq!(indptr[0], 0, "indptr must start at 0");
-        assert_eq!(
-            *indptr.last().unwrap(),
-            indices.len(),
-            "indptr must end at nnz"
-        );
-        assert_eq!(
-            indices.len(),
-            values.len(),
-            "indices/values length mismatch"
-        );
-        for i in 0..nrows {
-            assert!(indptr[i] <= indptr[i + 1], "indptr must be nondecreasing");
-            let row = &indices[indptr[i]..indptr[i + 1]];
-            for w in row.windows(2) {
-                assert!(w[0] < w[1], "row indices must be strictly increasing");
-            }
-            if let Some(&last) = row.last() {
-                assert!(last < ncols, "column index out of bounds");
-            }
+        Csr::try_from_parts(nrows, ncols, indptr, indices, values).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Csr::from_parts`], with the first broken invariant as the error.
+    pub fn try_from_parts(
+        nrows: usize,
+        ncols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Result<Self, &'static str> {
+        if indptr.len() != nrows + 1 {
+            return Err("indptr length must be nrows+1");
         }
-        Csr {
+        if indptr[0] != 0 {
+            return Err("indptr must start at 0");
+        }
+        if indptr[nrows] != indices.len() {
+            return Err("indptr must end at nnz");
+        }
+        if indices.len() != values.len() {
+            return Err("indices/values length mismatch");
+        }
+        for w in indptr.windows(2) {
+            // A pointer past nnz must come back down before the end.
+            if w[0] > w[1] || w[1] > indices.len() {
+                return Err("indptr must be nondecreasing");
+            }
+            check_row(&indices[w[0]..w[1]], ncols)?;
+        }
+        Ok(Csr {
             nrows,
             ncols,
             indptr,
             indices,
             values,
-        }
+        })
     }
 
     /// An empty matrix with no nonzeros.
@@ -199,16 +208,16 @@ impl Csr {
         }
     }
 
+    /// Heap bytes of the three arrays.
+    pub fn heap_bytes(&self) -> usize {
+        8 * self.nnz() + std::mem::size_of::<usize>() * (self.indptr.len() + self.indices.len())
+    }
+
     /// Extracts the sub-block with rows `r0..r0+nr` and columns
-    /// `c0..c0+nc`, reindexed to local coordinates.
-    ///
-    /// This is how the input matrix is dealt onto the `pr × pc` processor
-    /// grid: rank `(i, j)` owns `A.block(...)` of its row/column ranges.
+    /// `c0..c0+nc`, reindexed to local coordinates: a copy of what
+    /// [`Csr::window`] reads in place.
     pub fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Csr {
-        assert!(
-            r0 + nr <= self.nrows && c0 + nc <= self.ncols,
-            "block out of bounds"
-        );
+        self.check_window(r0, c0, nr, nc);
         let mut indptr = Vec::with_capacity(nr + 1);
         indptr.push(0);
         let mut indices = Vec::new();
@@ -232,6 +241,79 @@ impl Csr {
             indices,
             values,
         }
+    }
+
+    /// Where each row of the window `r0..r0+nr × c0..c0+nc` starts and
+    /// ends in [`indices`](Self::indices) / [`values`](Self::values):
+    /// `nr` starts, then `nr` ends — 16 bytes per row, found by binary
+    /// search within each (sorted) row. `None` for a full-width window,
+    /// whose rows are bounded by the row pointers themselves.
+    pub fn window_bounds(
+        &self,
+        r0: usize,
+        c0: usize,
+        nr: usize,
+        nc: usize,
+    ) -> Option<Box<[usize]>> {
+        self.check_window(r0, c0, nr, nc);
+        if c0 == 0 && nc == self.ncols {
+            return None;
+        }
+        let c1 = c0 + nc;
+        let mut bounds = vec![0usize; 2 * nr].into_boxed_slice();
+        let (lo, hi) = bounds.split_at_mut(nr);
+        for (i, (lo, hi)) in (r0..r0 + nr).zip(lo.iter_mut().zip(hi)) {
+            let (start, cols) = (self.indptr[i], self.row(i).0);
+            *lo = start + cols.partition_point(|&c| c < c0);
+            *hi = start + cols.partition_point(|&c| c < c1);
+        }
+        Some(bounds)
+    }
+
+    /// Rows `r0..r0+nr` × columns `c0..c0+nc`, read in place: nothing is
+    /// copied. `bounds` is what [`Csr::window_bounds`] returns for the
+    /// same window (`None` for a full-width one).
+    ///
+    /// # Panics
+    /// Panics if the window leaves the matrix, or `bounds` cannot be the
+    /// window's.
+    pub fn window<'a>(
+        &'a self,
+        r0: usize,
+        c0: usize,
+        nr: usize,
+        nc: usize,
+        bounds: Option<&'a [usize]>,
+    ) -> CsrRef<'a> {
+        self.check_window(r0, c0, nr, nc);
+        let (lo, hi) = match bounds {
+            Some(bounds) => {
+                assert_eq!(bounds.len(), 2 * nr, "window bounds hold 2 words per row");
+                bounds.split_at(nr)
+            }
+            None => {
+                assert!(
+                    c0 == 0 && nc == self.ncols,
+                    "a column window reads its own bounds"
+                );
+                (&self.indptr[r0..r0 + nr], &self.indptr[r0 + 1..r0 + nr + 1])
+            }
+        };
+        CsrRef {
+            ncols: nc,
+            c0,
+            lo,
+            hi,
+            indices: &self.indices,
+            values: &self.values,
+        }
+    }
+
+    fn check_window(&self, r0: usize, c0: usize, nr: usize, nc: usize) {
+        assert!(
+            r0 + nr <= self.nrows && c0 + nc <= self.ncols,
+            "block out of bounds"
+        );
     }
 
     /// Rows `r0..r0+nr` as a block (all columns).
@@ -379,6 +461,101 @@ impl Csr {
             indices,
             values,
         }
+    }
+}
+
+/// Whether one row's column indices are strictly increasing and below
+/// `ncols` — the row invariant every window and kernel relies on.
+pub(crate) fn check_row(cols: &[usize], ncols: usize) -> Result<(), &'static str> {
+    if cols.windows(2).any(|w| w[0] >= w[1]) {
+        return Err("row indices must be strictly increasing");
+    }
+    if cols.last().is_some_and(|&j| j >= ncols) {
+        return Err("column index out of bounds");
+    }
+    Ok(())
+}
+
+/// A borrowed, read-only block of a [`Csr`]: the sparse counterpart of
+/// `nmf_matrix::MatRef`. Row `i`'s entries sit at positions
+/// `lo[i]..hi[i]` of the source's [`indices`](Csr::indices) and
+/// [`values`](Csr::values), and column `j` of the source is column
+/// `j − c0` of the block. Made by [`Csr::window`] or, for a whole matrix,
+/// `CsrRef::from(&csr)`; the `SpMM` kernels and [`crate::CscView`] take
+/// either.
+#[derive(Clone, Copy, Debug)]
+pub struct CsrRef<'a> {
+    ncols: usize,
+    c0: usize,
+    lo: &'a [usize],
+    hi: &'a [usize],
+    indices: &'a [usize],
+    values: &'a [f64],
+}
+
+impl<'a> CsrRef<'a> {
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.lo.len()
+    }
+
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.nrows(), self.ncols)
+    }
+
+    /// The source column of the block's column 0.
+    #[inline]
+    pub fn col_offset(&self) -> usize {
+        self.c0
+    }
+
+    /// Stored nonzeros of the block (a pass over its row bounds).
+    pub fn nnz(&self) -> usize {
+        self.lo.iter().zip(self.hi).map(|(lo, hi)| hi - lo).sum()
+    }
+
+    /// Positions of row `i`'s entries in the source's arrays.
+    #[inline]
+    pub fn span(&self, i: usize) -> std::ops::Range<usize> {
+        self.lo[i]..self.hi[i]
+    }
+
+    /// Row `i` as `(column indices, values)` slices of the source. The
+    /// indices are the source's: subtract [`col_offset`](Self::col_offset)
+    /// for the block's.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&'a [usize], &'a [f64]) {
+        let span = self.span(i);
+        (&self.indices[span.clone()], &self.values[span])
+    }
+
+    /// The source's whole values array, which [`span`](Self::span)
+    /// positions (and a [`crate::CscView`] built from this block) index.
+    #[inline]
+    pub fn values(&self) -> &'a [f64] {
+        self.values
+    }
+
+    /// Squared Frobenius norm: one left fold over the values in row
+    /// order, so it equals [`Csr::fro_norm_sq`] of the extracted block
+    /// to the bit.
+    pub fn fro_norm_sq(&self) -> f64 {
+        (0..self.nrows())
+            .flat_map(|i| self.row(i).1)
+            .map(|v| v * v)
+            .sum()
+    }
+}
+
+impl<'a> From<&'a Csr> for CsrRef<'a> {
+    fn from(a: &'a Csr) -> Self {
+        a.window(0, 0, a.nrows, a.ncols, None)
     }
 }
 

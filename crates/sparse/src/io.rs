@@ -20,7 +20,7 @@
 //! input layer.
 
 use crate::coo::Coo;
-use crate::csr::Csr;
+use crate::csr::{check_row, Csr};
 use nmf_matrix::Mat;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -358,7 +358,9 @@ fn le_u64(b: &[u8], off: usize) -> u64 {
 
 /// Reads a whole `NMFS` stream into a resident [`Csr`] (the in-RAM
 /// parity path for [`MmapCsr`]; loads everything, so only for matrices
-/// that fit in memory).
+/// that fit in memory). Every invariant of a [`Csr`] is checked: a
+/// malformed header, row pointers, or a row whose column indices are not
+/// strictly increasing and below `ncols` is an [`MmError::Parse`].
 pub fn read_csr_binary(reader: impl Read) -> Result<Csr, MmError> {
     let mut r = BufReader::new(reader);
     let mut head = [0u8; NMFS_HEADER_LEN];
@@ -390,7 +392,8 @@ pub fn read_csr_binary(reader: impl Read) -> Result<Csr, MmError> {
         .iter()
         .map(|&x| f64::from_bits(x))
         .collect();
-    Ok(Csr::from_parts(nrows, ncols, indptr, indices, values))
+    Csr::try_from_parts(nrows, ncols, indptr, indices, values)
+        .map_err(|e| parse_err(format!("NMFS matrix is malformed: {e}")))
 }
 
 fn parse_nmfs_header(head: &[u8; NMFS_HEADER_LEN]) -> Result<(usize, usize, usize), MmError> {
@@ -604,7 +607,7 @@ impl MmapCsr {
     /// mapping only the `nr`-row panel while it works.
     pub fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Result<Csr, MmError> {
         assert!(c0 + nc <= self.ncols, "block out of bounds");
-        Ok(self.panel(r0, nr)?.cols_block(c0, nc))
+        self.panel(r0, nr)?.cols_block(c0, nc)
     }
 
     /// Squared Frobenius norm, streamed over row panels so the whole
@@ -693,14 +696,16 @@ impl CsrPanel<'_> {
     }
 
     /// The whole panel as an owned [`Csr`] (all columns).
-    pub fn to_csr(&self) -> Csr {
+    pub fn to_csr(&self) -> Result<Csr, MmError> {
         self.cols_block(0, self.ncols)
     }
 
     /// Columns `c0 .. c0+nc` of the panel as an owned, locally
     /// reindexed [`Csr`] — bit-identical to `Csr::block` on the
-    /// resident matrix over the same ranges.
-    pub fn cols_block(&self, c0: usize, nc: usize) -> Csr {
+    /// resident matrix over the same ranges. A row whose column indices
+    /// are not strictly increasing or not below the file's column count
+    /// is a parse error: the file is read here for the first time.
+    pub fn cols_block(&self, c0: usize, nc: usize) -> Result<Csr, MmError> {
         assert!(c0 + nc <= self.ncols, "column block out of bounds");
         let c1 = c0 + nc;
         let nr = self.nrows();
@@ -713,6 +718,8 @@ impl CsrPanel<'_> {
             let (cit, vit) = self.row_scratch(i);
             cols.clear();
             cols.extend(cit);
+            check_row(&cols, self.ncols)
+                .map_err(|e| parse_err(format!("NMFS panel row {i}: {e}")))?;
             // Columns are sorted within the row: binary search [c0, c1).
             let lo = cols.partition_point(|&c| c < c0);
             let hi = cols.partition_point(|&c| c < c1);
@@ -720,7 +727,7 @@ impl CsrPanel<'_> {
             values.extend(vit.skip(lo).take(hi - lo));
             indptr.push(indices.len());
         }
-        Csr::from_parts(nr, nc, indptr, indices, values)
+        Ok(Csr::from_parts(nr, nc, indptr, indices, values))
     }
 }
 
@@ -832,7 +839,10 @@ mod tests {
             }
         }
         // Panel-wise reconstruction and streamed norm agree bit-for-bit.
-        assert_eq!(mm.panel(17, 9).unwrap().to_csr(), m.rows_block(17, 9));
+        assert_eq!(
+            mm.panel(17, 9).unwrap().to_csr().unwrap(),
+            m.rows_block(17, 9)
+        );
         assert_eq!(
             mm.fro_norm_sq().unwrap().to_bits(),
             m.fro_norm_sq().to_bits()
@@ -903,6 +913,35 @@ mod tests {
                 matches!(read_csr_binary(bytes.as_slice()), Err(MmError::Parse(_))),
                 "resident: {what}"
             );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_column_indices_are_parse_errors() {
+        let path = tmp_nmfs("columns");
+        for (what, indices) in [
+            ("a column past ncols", [1u64, 4]),
+            ("a repeated column", [2, 2]),
+            ("a row out of order", [3, 1]),
+        ] {
+            // One row of two entries in a 2x4 matrix; the second row empty.
+            let mut bytes = nmfs_bytes(2, 4, 2, &[0, 2, 2], 0);
+            for x in indices.iter().chain(&[0x3ff0_0000_0000_0000; 2]) {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+            assert!(
+                matches!(read_csr_binary(bytes.as_slice()), Err(MmError::Parse(_))),
+                "resident: {what}"
+            );
+            std::fs::write(&path, &bytes).unwrap();
+            let mm = MmapCsr::open(&path).expect("header and row pointers are sound");
+            for (c0, nc) in [(0, 4), (0, 2), (2, 2)] {
+                assert!(
+                    matches!(mm.block(0, c0, 2, nc), Err(MmError::Parse(_))),
+                    "mmap: {what}, columns {c0}+{nc}"
+                );
+            }
         }
         std::fs::remove_file(&path).ok();
     }

@@ -13,23 +13,28 @@
 //!   only reinterpret, never physically transpose.
 //!
 //! Each kernel performs `2·nnz(A)·k` flops, the count the paper uses for
-//! sparse inputs.
+//! sparse inputs. `A` is a [`CsrRef`] — a whole [`Csr`](crate::Csr) (`&Csr` converts)
+//! or a window of one read in place — and every output row sums the same
+//! terms in the same order either way, so a window and the extracted
+//! block give the same bits.
 
 use crate::csc::CscView;
-use crate::csr::Csr;
+use crate::csr::CsrRef;
 use nmf_matrix::gemm::axpy;
 use nmf_matrix::Mat;
 
 /// `V = A·Bᵀ` where `A` is `m×n` sparse and `Bt` is `n×k` dense
 /// (i.e. `B` is `k×n`). Output is `m×k`.
-pub fn spmm_dense_t(a: &Csr, bt: &Mat) -> Mat {
+pub fn spmm_dense_t<'a>(a: impl Into<CsrRef<'a>>, bt: &Mat) -> Mat {
+    let a = a.into();
     let mut v = Mat::zeros(a.nrows(), bt.ncols());
     spmm_dense_t_into(a, bt, &mut v);
     v
 }
 
 /// `V = A·Bᵀ` into caller-owned `v` (overwritten).
-pub fn spmm_dense_t_into(a: &Csr, bt: &Mat, v: &mut Mat) {
+pub fn spmm_dense_t_into<'a>(a: impl Into<CsrRef<'a>>, bt: &Mat, v: &mut Mat) {
+    let a = a.into();
     assert_eq!(
         a.ncols(),
         bt.nrows(),
@@ -41,25 +46,28 @@ pub fn spmm_dense_t_into(a: &Csr, bt: &Mat, v: &mut Mat) {
         "spmm_dense_t output shape mismatch"
     );
     v.as_mut_slice().fill(0.0);
+    let c0 = a.col_offset();
     for i in 0..a.nrows() {
         let (cols, vals) = a.row(i);
         let vrow = v.row_mut(i);
         for (&j, &x) in cols.iter().zip(vals) {
-            axpy(x, bt.row(j), vrow);
+            axpy(x, bt.row(j - c0), vrow);
         }
     }
 }
 
 /// `Y = Aᵀ·W` where `A` is `m×n` sparse and `W` is `m×k` dense.
 /// Output is `n×k` (the transpose of `WᵀA`).
-pub fn spmm_at_dense(a: &Csr, w: &Mat) -> Mat {
+pub fn spmm_at_dense<'a>(a: impl Into<CsrRef<'a>>, w: &Mat) -> Mat {
+    let a = a.into();
     let mut y = Mat::zeros(a.ncols(), w.ncols());
     spmm_at_dense_into(a, w, &mut y);
     y
 }
 
 /// `Y = Aᵀ·W` into caller-owned `y` (overwritten).
-pub fn spmm_at_dense_into(a: &Csr, w: &Mat, y: &mut Mat) {
+pub fn spmm_at_dense_into<'a>(a: impl Into<CsrRef<'a>>, w: &Mat, y: &mut Mat) {
+    let a = a.into();
     assert_eq!(
         a.nrows(),
         w.nrows(),
@@ -71,11 +79,12 @@ pub fn spmm_at_dense_into(a: &Csr, w: &Mat, y: &mut Mat) {
         "spmm_at_dense output shape mismatch"
     );
     y.as_mut_slice().fill(0.0);
-    let k = w.ncols();
+    let (k, c0) = (w.ncols(), a.col_offset());
     for i in 0..a.nrows() {
         let (cols, vals) = a.row(i);
         let wrow = w.row(i);
         for (&j, &x) in cols.iter().zip(vals) {
+            let j = j - c0;
             let yrow = &mut y.as_mut_slice()[j * k..(j + 1) * k];
             axpy(x, wrow, yrow);
         }
@@ -98,7 +107,8 @@ pub fn spmm_at_dense_into(a: &Csr, w: &Mat, y: &mut Mat) {
 /// preserves row order within each column), so every intermediate sum
 /// is the same float — including `-0.0` and NaN propagation. The
 /// property tests in `tests/csc_props.rs` assert this at the bit level.
-pub fn spmm_at_dense_csc_into(a: &Csr, csc: &CscView, w: &Mat, y: &mut Mat) {
+pub fn spmm_at_dense_csc_into<'a>(a: impl Into<CsrRef<'a>>, csc: &CscView, w: &Mat, y: &mut Mat) {
+    let a = a.into();
     assert_eq!(
         a.nrows(),
         w.nrows(),
@@ -109,7 +119,7 @@ pub fn spmm_at_dense_csc_into(a: &Csr, csc: &CscView, w: &Mat, y: &mut Mat) {
         (a.ncols(), w.ncols()),
         "spmm_at_dense_csc output shape mismatch"
     );
-    debug_assert!(csc.matches(a), "CSC view does not index this CSR");
+    debug_assert!(csc.matches(a), "CSC view does not index this block");
     let vals = a.values();
     let (m, k) = w.shape();
     y.as_mut_slice().fill(0.0);
@@ -218,7 +228,8 @@ const PREFETCH_DIST: usize = 8;
 const ACC_WIDTH: usize = 64;
 
 /// Allocating wrapper over [`spmm_at_dense_csc_into`].
-pub fn spmm_at_dense_csc(a: &Csr, csc: &CscView, w: &Mat) -> Mat {
+pub fn spmm_at_dense_csc<'a>(a: impl Into<CsrRef<'a>>, csc: &CscView, w: &Mat) -> Mat {
+    let a = a.into();
     let mut y = Mat::zeros(a.ncols(), w.ncols());
     spmm_at_dense_csc_into(a, csc, w, &mut y);
     y
@@ -235,7 +246,8 @@ pub fn spmm_at_dense_csc(a: &Csr, csc: &CscView, w: &Mat) -> Mat {
 /// accumulator) while its gathers stay panel-local. The crossover is
 /// therefore the LLC size, probed from sysfs (32 MiB when the probe is
 /// unavailable).
-pub fn spmm_at_dense_auto_into(a: &Csr, csc: &CscView, w: &Mat, y: &mut Mat) {
+pub fn spmm_at_dense_auto_into<'a>(a: impl Into<CsrRef<'a>>, csc: &CscView, w: &Mat, y: &mut Mat) {
+    let a = a.into();
     if csc_chosen(a.ncols(), w.ncols()) {
         spmm_at_dense_csc_into(a, csc, w, y);
     } else {
@@ -244,7 +256,8 @@ pub fn spmm_at_dense_auto_into(a: &Csr, csc: &CscView, w: &Mat, y: &mut Mat) {
 }
 
 /// Allocating wrapper over [`spmm_at_dense_auto_into`].
-pub fn spmm_at_dense_auto(a: &Csr, csc: &CscView, w: &Mat) -> Mat {
+pub fn spmm_at_dense_auto<'a>(a: impl Into<CsrRef<'a>>, csc: &CscView, w: &Mat) -> Mat {
+    let a = a.into();
     let mut y = Mat::zeros(a.ncols(), w.ncols());
     spmm_at_dense_auto_into(a, csc, w, &mut y);
     y
@@ -286,6 +299,7 @@ fn cache_bytes(index: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr;
     use nmf_matrix::gemm::{matmul_ta, matmul_tb};
     use nmf_matrix::rng::Fill;
 

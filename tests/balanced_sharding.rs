@@ -188,7 +188,7 @@ fn ranks_of_a_power_law_input_hold_equal_shares() {
             // 7 % of the nonzeros, against a quarter per stripe.
             (ShardKey::Naive { p: 4 }, 0.20),
         ] {
-            let loads = shared.rank_loads(key);
+            let loads = shared.rank_loads(key).unwrap();
             for (name, s, band) in [
                 ("nnz", spread(&loads, |l| l.nnz), nnz_band),
                 ("non-empty rows", spread(&loads, |l| l.non_empty_rows), 0.10),
