@@ -154,7 +154,7 @@ record!(CheckpointMeta as meta => {
     // The factor section is sliced by this triple: refuse one that does
     // not describe a grid of `ranks` ranks before anything is sized by it.
     let fits = match algo {
-        Algo::Sequential => ranks == 1,
+        Algo::Sequential => (ranks, grid.pr, grid.pc) == (1, 1, 1),
         Algo::Naive => ranks >= 1,
         _ => grid.pr.checked_mul(grid.pc) == Some(ranks),
     };

@@ -1,7 +1,9 @@
 //! Distributions: how a run deals `A` onto its ranks and slices `W`, `H`.
 //!
-//! The paper's three algorithms are one ANLS computation over three
-//! distributions of the same matrices (§4–5). A [`ShardKey`] names one —
+//! The paper's three algorithms are one ANLS computation over two
+//! distributions of the same matrices (§4–5): Algorithm 2's stripes and
+//! Algorithm 3's grid, of which Algorithm 1's whole matrix on one rank is
+//! the 1×1 case. A [`ShardKey`] names one —
 //! it is the descriptor of a run, [`ShardKey::of`] an
 //! `(algo, grid, ranks)` request — and [`ShardKey::layout`] is the only
 //! code that says what rank `r` owns under it: block extraction
@@ -99,11 +101,10 @@ impl Dist1D {
 /// sharding.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ShardKey {
-    /// The whole matrix on a single rank (sequential).
-    Seq,
     /// 1D row stripes plus 1D column stripes over `p` ranks (naive).
     Naive { p: usize },
-    /// 2D blocks on a `pr × pc` grid (MPI-FAUN).
+    /// 2D blocks on a `pr × pc` grid (MPI-FAUN); `1 × 1` is the whole
+    /// matrix on a single rank (sequential).
     Grid { pr: usize, pc: usize },
 }
 
@@ -127,10 +128,11 @@ impl ShardKey {
     /// The distribution an `(algo, grid, ranks)` request runs on. Total:
     /// a triple that is not one grid of `ranks` ranks is the caller's to
     /// refuse (the builder and the checkpoint decoder both do), never an
-    /// assertion here.
+    /// assertion here. [`Algo::Sequential`] is the 1×1 grid whatever
+    /// `grid` says.
     pub fn of(algo: Algo, grid: Grid, ranks: usize) -> ShardKey {
         match algo {
-            Algo::Sequential => ShardKey::Seq,
+            Algo::Sequential => ShardKey::Grid { pr: 1, pc: 1 },
             Algo::Naive => ShardKey::Naive { p: ranks },
             Algo::Hpc1D | Algo::Hpc2D | Algo::HpcGrid(_) => ShardKey::Grid {
                 pr: grid.pr,
@@ -142,7 +144,6 @@ impl ShardKey {
     /// Ranks of the run.
     pub fn ranks(self) -> usize {
         match self {
-            ShardKey::Seq => 1,
             ShardKey::Naive { p } => p,
             ShardKey::Grid { pr, pc } => pr * pc,
         }
@@ -152,7 +153,6 @@ impl ShardKey {
     /// coordinates by [`Grid::coords`].
     pub fn layout(self, m: usize, n: usize, r: usize) -> RankLayout {
         let (pr, pc) = match self {
-            ShardKey::Seq => (1, 1),
             ShardKey::Naive { p } => {
                 let (rows, cols) = (Dist1D::new(m, p).part(r), Dist1D::new(n, p).part(r));
                 return RankLayout {
@@ -195,7 +195,7 @@ impl ShardKey {
         let all = |len| Part { offset: 0, len };
         match self {
             ShardKey::Naive { .. } => ((lay.rows, all(n)), Some((all(m), lay.cols))),
-            ShardKey::Seq | ShardKey::Grid { .. } => ((lay.rows, lay.cols), None),
+            ShardKey::Grid { .. } => ((lay.rows, lay.cols), None),
         }
     }
 
@@ -222,7 +222,7 @@ mod tests {
             pr in 1usize..5,
             pc in 1usize..5,
         ) {
-            let mut keys = vec![ShardKey::Seq];
+            let mut keys = vec![ShardKey::Grid { pr: 1, pc: 1 }];
             if p <= m.min(n) {
                 keys.push(ShardKey::Naive { p });
             }

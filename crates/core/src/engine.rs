@@ -7,13 +7,15 @@
 //! sides move between processors. [`AnlsEngine`] encodes that directly:
 //! the loop body — Gram → ridge → NLS solve, twice, then the
 //! Gram-identity objective — exists exactly once ([`AnlsEngine::step`]),
-//! and the three algorithms are three implementations of [`CommScheme`]:
+//! and the algorithms are two implementations of [`CommScheme`]:
 //!
 //! | Scheme | Paper | Sharding | Communication |
 //! |---|---|---|---|
-//! | [`LocalScheme`] | Algorithm 1 | [`ShardKey::Seq`] | none |
 //! | [`Replicated1D`] | Algorithm 2 | [`ShardKey::Naive`] | all-gather whole factors, redundant Grams |
-//! | [`Grid2D`] | Algorithm 3 | [`ShardKey::Grid`] | Gram all-reduce + grid-dimension all-gather + reduce-scatter |
+//! | [`Grid2D`] | Algorithms 1 and 3 | [`ShardKey::Grid`] | Gram all-reduce + grid-dimension all-gather + reduce-scatter |
+//!
+//! Algorithm 1 is Algorithm 3 with `p = 1` and runs as exactly that, a
+//! [`Grid2D`] on a 1×1 grid, whose size-1 grid dimensions move nothing.
 //!
 //! The scheme is the engine's only generic: the data matrix under it is
 //! always a [`SplitBlocks`], the pair of rank-local blocks the two `MM`
@@ -75,8 +77,8 @@ use std::time::{Duration, Instant};
 /// data matrix itself is never communicated"): the row block feeds
 /// `A·Hᵀ`, the column block feeds `Aᵀ·W`. They are Algorithm 2's doubled
 /// storage — the row stripe `Aᵢ` and the column stripe `Aʲ`,
-/// [`stripes`](Self::stripes) — and under Algorithms 1 and 3 the same
-/// block twice (`From<&LocalMat>`).
+/// [`stripes`](Self::stripes) — and under Algorithm 3 (Algorithm 1
+/// included) the same block twice (`From<&LocalMat>`).
 ///
 /// Both are borrowed and read in place — a dense block as a row-strided
 /// view, a sparse one as a window of its source's rows, of a matrix
@@ -173,7 +175,8 @@ impl<'a> SplitBlocks<'a> {
 /// Which buffer holds the factor block a matrix-multiply should read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FactorSource {
-    /// The engine's own local factor slice (nothing was gathered).
+    /// The engine's own local factor slice (nothing was gathered: the
+    /// slice already is the whole block).
     Local,
     /// The workspace gather buffer (`ht_gather` / `w_gather`).
     Gathered,
@@ -190,7 +193,7 @@ pub enum RhsSource {
 }
 
 /// A communication layout for the ANLS iteration: everything that
-/// distinguishes Algorithms 1–3 from each other. [`AnlsEngine::step`]
+/// distinguishes Algorithms 2 and 3 from each other. [`AnlsEngine::step`]
 /// drives the iteration through post/wait pairs in a fixed order — post
 /// H gather, post `HHᵀ` reduction, wait H gather, (engine MM), post W
 /// scatter, wait `HHᵀ`, wait W scatter, (engine solve), then the H-side
@@ -289,67 +292,6 @@ pub trait CommScheme {
     /// not move across the iteration boundary.
     fn prefetch_across_iterations(&self) -> bool {
         false
-    }
-}
-
-/// Algorithm 1: single process, no communication. Every hook is the
-/// identity or a plain local Gram.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalScheme {
-    m: usize,
-    n: usize,
-}
-
-impl LocalScheme {
-    /// Scheme for an `m×n` input on one process.
-    pub fn new(m: usize, n: usize) -> Self {
-        LocalScheme { m, n }
-    }
-}
-
-impl CommScheme for LocalScheme {
-    fn size_workspace(&self, ws: &mut IterWorkspace, k: usize) {
-        ws.size_for_seq(self.m, self.n, k);
-    }
-
-    fn reduce_scalar(&self, x: f64) -> f64 {
-        x
-    }
-
-    fn wait_gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
-        FactorSource::Local
-    }
-
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
-        // HHᵀ goes straight into the solve buffer; nothing reads the
-        // un-ridged Gram later.
-        let t0 = Instant::now();
-        gram_into(ht_local, &mut ws.gram_solve);
-        tt.gram += t0.elapsed();
-    }
-
-    fn wait_reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
-        RhsSource::Mm
-    }
-
-    fn wait_gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
-        FactorSource::Local
-    }
-
-    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
-        let t0 = Instant::now();
-        gram_into(w_local, &mut ws.gram_w);
-        tt.gram += t0.elapsed();
-    }
-
-    fn wait_reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
-        RhsSource::Mm
-    }
-
-    fn reduce_objective_terms(&self, _terms: &mut [f64]) {}
-
-    fn comm_stats(&self) -> CommStats {
-        CommStats::new()
     }
 }
 
@@ -466,8 +408,19 @@ impl CommScheme for Replicated1D<'_> {
 /// products and slicing the result back to the 1D distribution) — giving
 /// the `O(√(mnk²/p))`-word, `O(log p)`-message costs of Table 2. A
 /// `pr×1` grid degenerates to the 1D variant prescribed for
-/// tall-and-skinny inputs. The scheme's methods carry the paper's
-/// Algorithm 3 line-number comments.
+/// tall-and-skinny inputs, and a 1×1 grid to Algorithm 1. The scheme's
+/// methods carry the paper's Algorithm 3 line-number comments.
+///
+/// A grid dimension of one rank is the identity: with `pc = 1` a rank's
+/// `W` slice is its whole `Wᵢ` and its `AᵢⱼHⱼᵀ` its whole right-hand
+/// side, so the W-side gather and reduce-scatter are skipped (nothing
+/// posted, nothing copied, no buffer for them) and the engine reads
+/// `w_local` and `mm_w` where they lie; `pr = 1` does the same for the
+/// H side. Those collectives would send nothing, so words and messages
+/// are unchanged; only the split-phase post count drops, from seven per
+/// iteration to five on a `pr×1` or `1×pc` grid and three on a 1×1 grid
+/// (the two Gram all-reduces and the objective's, which stay on the
+/// world communicator at any `p`).
 ///
 /// # Performance notes: the zero-allocation iteration loop
 ///
@@ -494,6 +447,7 @@ impl CommScheme for Replicated1D<'_> {
 /// would hand those to the NIC).
 pub struct Grid2D<'c> {
     world: &'c Comm,
+    grid: Grid,
     /// Spans this grid row (`pc` ranks, ordered by column index).
     row_comm: Comm,
     /// Spans this grid column (`pr` ranks, ordered by row index).
@@ -559,6 +513,7 @@ impl<'c> Grid2D<'c> {
 
         Grid2D {
             world: comm,
+            grid,
             row_comm,
             col_comm,
             lay,
@@ -631,8 +586,7 @@ impl<'c> Grid2D<'c> {
 impl CommScheme for Grid2D<'_> {
     fn size_workspace(&self, ws: &mut IterWorkspace, k: usize) {
         debug_assert_eq!(k, self.k);
-        let lay = &self.lay;
-        ws.size_for_hpc(lay.rows.len, lay.cols.len, lay.w.len, lay.ht.len, k);
+        ws.size_for_hpc(&self.lay, self.grid, k);
     }
 
     fn prime(&self, ws: &mut IterWorkspace, ht_local: &Mat) {
@@ -652,8 +606,15 @@ impl CommScheme for Grid2D<'_> {
     // overlapped, each collective is posted as soon as its operand
     // exists and waited only when its result is consumed, letting the
     // local MM products run inside the communication windows.
+    //
+    // A grid dimension of one rank is the identity (see the type docs):
+    // `pr = 1` skips the H-side gather and reduce-scatter below, `pc = 1`
+    // the W-side pair.
 
     fn post_gather_h(&self, _ws: &mut IterWorkspace, ht_local: &Mat) {
+        if self.grid.pr == 1 {
+            return;
+        }
         // Line 5: assemble Hⱼ (as Hⱼᵀ, n/pc × k) via all-gather across
         // the processor column.
         self.post(Slot::GatherH, || {
@@ -663,6 +624,9 @@ impl CommScheme for Grid2D<'_> {
     }
 
     fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
+        if self.grid.pr == 1 {
+            return FactorSource::Local;
+        }
         self.complete(Slot::GatherH, ws.ht_gather.as_mut_slice(), |out| {
             self.col_comm
                 .all_gatherv_into(ht_local.as_slice(), &self.h_counts, out)
@@ -689,6 +653,9 @@ impl CommScheme for Grid2D<'_> {
     }
 
     fn post_reduce_scatter_w(&self, ws: &mut IterWorkspace) {
+        if self.grid.pc == 1 {
+            return;
+        }
         // Line 7: (AHᵀ)ᵢ via reduce-scatter across the processor row;
         // this rank keeps ((AHᵀ)ᵢ)ⱼ (m/p × k).
         self.post(Slot::ScatterW, || {
@@ -698,6 +665,9 @@ impl CommScheme for Grid2D<'_> {
     }
 
     fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
+        if self.grid.pc == 1 {
+            return RhsSource::Mm;
+        }
         self.complete(Slot::ScatterW, ws.aht.as_mut_slice(), |out| {
             self.row_comm
                 .reduce_scatter_into(ws.mm_w.as_slice(), &self.w_counts, out)
@@ -706,6 +676,9 @@ impl CommScheme for Grid2D<'_> {
     }
 
     fn post_gather_w(&self, _ws: &mut IterWorkspace, w_local: &Mat) {
+        if self.grid.pc == 1 {
+            return;
+        }
         // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
         // processor row.
         self.post(Slot::GatherW, || {
@@ -715,6 +688,9 @@ impl CommScheme for Grid2D<'_> {
     }
 
     fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
+        if self.grid.pc == 1 {
+            return FactorSource::Local;
+        }
         self.complete(Slot::GatherW, ws.w_gather.as_mut_slice(), |out| {
             self.row_comm
                 .all_gatherv_into(w_local.as_slice(), &self.w_counts, out)
@@ -740,6 +716,9 @@ impl CommScheme for Grid2D<'_> {
     }
 
     fn post_reduce_scatter_h(&self, ws: &mut IterWorkspace) {
+        if self.grid.pr == 1 {
+            return;
+        }
         // Line 13: (WᵀA)ⱼ via reduce-scatter across the processor
         // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed).
         self.post(Slot::ScatterH, || {
@@ -749,6 +728,9 @@ impl CommScheme for Grid2D<'_> {
     }
 
     fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
+        if self.grid.pr == 1 {
+            return RhsSource::Mm;
+        }
         self.complete(Slot::ScatterH, ws.wta.as_mut_slice(), |out| {
             self.col_comm
                 .reduce_scatter_into(ws.mm_h.as_slice(), &self.h_counts, out)
@@ -844,7 +826,7 @@ pub struct AnlsEngine<'a, S: CommScheme> {
     policy: ConvergencePolicy,
     solver: Box<dyn NlsSolver + Send>,
     ws: IterWorkspace,
-    /// This rank's slice of `W` (all of `W` under [`LocalScheme`]).
+    /// This rank's slice of `W` (all of `W` on a 1×1 grid).
     w_local: Mat,
     /// This rank's slice of `H`, stored transposed.
     ht_local: Mat,
@@ -1199,8 +1181,8 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         (out, std::mem::take(&mut self.ws))
     }
 
-    /// Finishes a run whose factors are global (i.e. [`LocalScheme`]):
-    /// assembles the full [`NmfOutput`].
+    /// Finishes a run whose factors are global (a 1×1 grid): assembles
+    /// the full [`NmfOutput`], with the one rank's counters.
     pub fn into_output(self) -> NmfOutput {
         let objective = self.objective();
         let norm_a_sq = self.norm_a_sq;
@@ -1212,7 +1194,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
             iterations: self.iters.len(),
             stop: self.stop.unwrap_or(StopReason::MaxIters),
             iters: self.iters,
-            rank_comm: Vec::new(),
+            rank_comm: vec![self.scheme.comm_stats()],
         }
     }
 }
@@ -1226,7 +1208,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
 /// long-lived handle cannot name those lifetimes — so each session
 /// worker builds its concrete `AnlsEngine<S>` in its own frame and
 /// serves it through this trait, and the controller never learns which
-/// of the three schemes is running. Every method forwards to the
+/// scheme is running. Every method forwards to the
 /// inherent `AnlsEngine` method of the same name, except [`step_dyn`],
 /// which moves the iteration's record out to the caller: the session
 /// keeps one aggregated record per iteration, and a second copy per
@@ -1307,15 +1289,26 @@ mod tests {
     use super::*;
     use crate::input::Input;
     use nmf_matrix::rng::Fill;
+    use nmf_vmpi::universe::seats;
+
+    /// A one-rank world, whose 1×1 grid runs Algorithm 1.
+    fn solo() -> Comm {
+        seats(1).pop().expect("one seat").into_comm()
+    }
+
+    fn one_by_one(comm: &Comm, m: usize, n: usize, k: usize) -> Grid2D<'_> {
+        Grid2D::new(comm, Grid::new(1, 1), (m, n), k)
+    }
 
     #[test]
     fn engine_dyn_erases_the_scheme() {
+        let comm = solo();
         let input = Input::Dense(Mat::uniform(18, 12, 3)).block(0, 0, 18, 12);
         let config = NmfConfig::new(2).with_max_iters(3).with_seed(8);
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
         let mut boxed: Box<dyn EngineDyn + '_> = Box::new(AnlsEngine::new(
-            LocalScheme::new(18, 12),
+            one_by_one(&comm, 18, 12, config.k),
             &input,
             &config,
             w0,
@@ -1334,6 +1327,7 @@ mod tests {
 
     #[test]
     fn session_driven_engine_retains_no_records() {
+        let comm = solo();
         // What a `Model` stores per step: one aggregated record, plus
         // one objective per rank for the windowed policy's look-back.
         let per_step_at_p4 = std::mem::size_of::<IterRecord>() + 4 * std::mem::size_of::<f64>();
@@ -1343,7 +1337,13 @@ mod tests {
         let config = NmfConfig::new(2).with_max_iters(3).with_seed(8);
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
-        let mut engine = AnlsEngine::new(LocalScheme::new(18, 12), &input, &config, w0, ht0);
+        let mut engine = AnlsEngine::new(
+            one_by_one(&comm, 18, 12, config.k),
+            &input,
+            &config,
+            w0,
+            ht0,
+        );
         let direct = engine.step().objective;
         assert_eq!(engine.records().len(), 1);
         let moved = engine.step_dyn();
@@ -1354,12 +1354,19 @@ mod tests {
     }
 
     #[test]
-    fn local_scheme_runs_and_reports() {
+    fn one_by_one_grid_runs_and_reports() {
+        let comm = solo();
         let input = Input::Dense(Mat::uniform(20, 14, 5)).block(0, 0, 20, 14);
         let config = NmfConfig::new(3).with_max_iters(4).with_seed(2);
         let w0 = crate::config::init_w(20, 3, config.seed);
         let ht0 = crate::config::init_ht(14, 3, config.seed);
-        let mut e = AnlsEngine::new(LocalScheme::new(20, 14), &input, &config, w0, ht0);
+        let mut e = AnlsEngine::new(
+            one_by_one(&comm, 20, 14, config.k),
+            &input,
+            &config,
+            w0,
+            ht0,
+        );
         assert_eq!(e.iterations(), 0);
         let first = e.step().objective;
         assert_eq!(e.iterations(), 1);
@@ -1376,11 +1383,18 @@ mod tests {
 
     #[test]
     fn observer_sees_every_iteration() {
+        let comm = solo();
         let input = Input::Dense(Mat::uniform(16, 12, 9)).block(0, 0, 16, 12);
         let config = NmfConfig::new(2).with_max_iters(5).with_seed(3);
         let w0 = crate::config::init_w(16, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
-        let mut e = AnlsEngine::new(LocalScheme::new(16, 12), &input, &config, w0, ht0);
+        let mut e = AnlsEngine::new(
+            one_by_one(&comm, 16, 12, config.k),
+            &input,
+            &config,
+            w0,
+            ht0,
+        );
         let mut seen = Vec::new();
         e.run_observed(|it, rec| seen.push((it, rec.objective)));
         assert_eq!(seen.len(), 5);
@@ -1393,6 +1407,7 @@ mod tests {
 
     #[test]
     fn budget_zero_stops_after_one_iteration() {
+        let comm = solo();
         let input = Input::Dense(Mat::uniform(18, 12, 4)).block(0, 0, 18, 12);
         let config = NmfConfig::new(2).with_max_iters(50).with_convergence(
             ConvergencePolicy::WindowedBudget {
@@ -1403,7 +1418,13 @@ mod tests {
         );
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
-        let mut e = AnlsEngine::new(LocalScheme::new(18, 12), &input, &config, w0, ht0);
+        let mut e = AnlsEngine::new(
+            one_by_one(&comm, 18, 12, config.k),
+            &input,
+            &config,
+            w0,
+            ht0,
+        );
         let reason = e.run();
         assert_eq!(reason, StopReason::BudgetExhausted);
         assert_eq!(
@@ -1415,6 +1436,7 @@ mod tests {
 
     #[test]
     fn infinite_window_tolerance_stops_at_window_plus_one() {
+        let comm = solo();
         let input = Input::Dense(Mat::uniform(18, 12, 4)).block(0, 0, 18, 12);
         let config = NmfConfig::new(2).with_max_iters(50).with_convergence(
             ConvergencePolicy::WindowedBudget {
@@ -1425,7 +1447,13 @@ mod tests {
         );
         let w0 = crate::config::init_w(18, 2, config.seed);
         let ht0 = crate::config::init_ht(12, 2, config.seed);
-        let mut e = AnlsEngine::new(LocalScheme::new(18, 12), &input, &config, w0, ht0);
+        let mut e = AnlsEngine::new(
+            one_by_one(&comm, 18, 12, config.k),
+            &input,
+            &config,
+            w0,
+            ht0,
+        );
         let reason = e.run();
         assert_eq!(reason, StopReason::Converged);
         assert_eq!(
@@ -1437,11 +1465,18 @@ mod tests {
 
     #[test]
     fn convergence_state_round_trips() {
+        let comm = solo();
         let input = Input::Dense(Mat::uniform(16, 10, 6)).block(0, 0, 16, 10);
         let config = NmfConfig::new(2).with_max_iters(6).with_seed(4);
         let w0 = crate::config::init_w(16, 2, config.seed);
         let ht0 = crate::config::init_ht(10, 2, config.seed);
-        let mut e = AnlsEngine::new(LocalScheme::new(16, 10), &input, &config, w0, ht0);
+        let mut e = AnlsEngine::new(
+            one_by_one(&comm, 16, 10, config.k),
+            &input,
+            &config,
+            w0,
+            ht0,
+        );
         e.step();
         e.step();
         let st = e.convergence_state();
@@ -1450,7 +1485,8 @@ mod tests {
         assert!(st.first_objective.is_some());
         let (w, ht) = e.factors();
         let (w, ht) = (w.clone(), ht.clone());
-        let mut resumed = AnlsEngine::new(LocalScheme::new(16, 10), &input, &config, w, ht);
+        let mut resumed =
+            AnlsEngine::new(one_by_one(&comm, 16, 10, config.k), &input, &config, w, ht);
         resumed.restore_convergence_state(st.clone());
         let round_trip = resumed.convergence_state();
         assert_eq!(round_trip.prev_objective, st.prev_objective);

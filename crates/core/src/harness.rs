@@ -11,13 +11,15 @@
 //! instead of this wrapper's historical panics.
 //!
 //! `algo` picks the paper's algorithm — [`Algo::Sequential`] is
-//! Algorithm 1 (the single-process reference), [`Algo::Naive`]
-//! Algorithm 2, the `Hpc*` variants Algorithm 3 — and all three start
-//! from the same seeded initialization and run the same engine, so every
-//! parallel run must reproduce the sequential run's iterates to
-//! floating-point reassociation tolerance: the core correctness property
-//! of the reproduction, mirroring the paper's §6.1.3 protocol
-//! (`tests/parallel_vs_sequential.rs`).
+//! Algorithm 1 (the single-process reference, run as Algorithm 3 on a
+//! 1×1 grid), [`Algo::Naive`] Algorithm 2, the `Hpc*` variants
+//! Algorithm 3 — and all three start from the same seeded initialization
+//! and run the same engine, so every parallel run must reproduce the
+//! sequential run's iterates to floating-point reassociation tolerance:
+//! the core correctness property of the reproduction, mirroring the
+//! paper's §6.1.3 protocol (`tests/parallel_vs_sequential.rs`). The
+//! sequential trajectories themselves are pinned to the bit by
+//! `tests/trajectory_golden.rs`.
 
 use crate::config::{Algo, NmfConfig, NmfOutput};
 use crate::input::Input;
@@ -83,8 +85,6 @@ pub fn total_comm(out: &NmfOutput) -> CommStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{init_ht, init_w};
-    use crate::engine::{AnlsEngine, LocalScheme};
     use nmf_matrix::ops::dense_relative_error;
     use nmf_matrix::rng::Fill;
     use nmf_matrix::{matmul, Mat};
@@ -176,42 +176,5 @@ mod tests {
         let b = sequential(&input, &NmfConfig::new(4).with_max_iters(5).with_seed(7));
         assert_eq!(a.w, b.w);
         assert_eq!(a.h, b.h);
-    }
-
-    #[test]
-    fn sequential_session_is_the_local_engine_on_the_whole_block() {
-        // `Algo::Sequential` through the session (a rank thread, a
-        // sharding of one block) is, bit for bit, Algorithm 1's engine
-        // driven directly on the whole matrix as one block.
-        let inputs = [
-            Input::Dense(Mat::uniform(57, 41, 91)),
-            Input::Sparse(erdos_renyi(83, 61, 0.12, 92)),
-        ];
-        for input in &inputs {
-            let (m, n) = input.shape();
-            let block = input.block(0, 0, m, n);
-            for solver in SolverKind::ALL {
-                let config = NmfConfig::new(5)
-                    .with_solver(solver)
-                    .with_max_iters(6)
-                    .with_seed(9);
-                let session = factorize(input, 1, Algo::Sequential, &config);
-                let mut engine = AnlsEngine::new(
-                    LocalScheme::new(m, n),
-                    &block,
-                    &config,
-                    init_w(m, config.k, config.seed),
-                    init_ht(n, config.k, config.seed),
-                );
-                engine.run();
-                let direct = engine.into_output();
-                assert_eq!(session.w, direct.w, "{solver:?} W");
-                assert_eq!(session.h, direct.h, "{solver:?} H");
-                let bits = |out: &NmfOutput| -> Vec<u64> {
-                    out.history().iter().map(|o| o.to_bits()).collect()
-                };
-                assert_eq!(bits(&session), bits(&direct), "{solver:?} objectives");
-            }
-        }
     }
 }

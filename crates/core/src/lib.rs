@@ -63,11 +63,11 @@
 //!
 //! ## The three algorithms
 //!
-//! | [`Algo`] | Paper | Communication per iteration |
-//! |---|---|---|
-//! | [`Algo::Sequential`] | Algorithm 1 | — (single process) |
-//! | [`Algo::Naive`] | Algorithm 2 | `O((m+n)k)` words |
-//! | [`Algo::Hpc2D`] | Algorithm 3 | `O(min{√(mnk²/p), nk})` words |
+//! | [`Algo`] | Paper | Scheme | Communication per iteration |
+//! |---|---|---|---|
+//! | [`Algo::Sequential`] | Algorithm 1 | [`engine::Grid2D`], 1×1 grid | — (single process) |
+//! | [`Algo::Naive`] | Algorithm 2 | [`engine::Replicated1D`] | `O((m+n)k)` words |
+//! | [`Algo::Hpc2D`] | Algorithm 3 | [`engine::Grid2D`] | `O(min{√(mnk²/p), nk})` words |
 //!
 //! All three support dense and sparse inputs ([`input::Input`]) and any
 //! of the local NLS solvers (BPP, MU, HALS — [`nmf_nls`]), and all start
@@ -77,8 +77,8 @@
 //! Under the session they share one step-wise iteration core,
 //! [`engine::AnlsEngine`]: the ANLS loop body exists once, and the
 //! algorithms differ only in their [`engine::CommScheme`] implementation
-//! ([`engine::LocalScheme`] / [`engine::Replicated1D`] /
-//! [`engine::Grid2D`]) and in how `A`, `W` and `H` are dealt to ranks —
+//! — Algorithm 1 is Algorithm 3 with `p = 1`, so two schemes serve three
+//! algorithms — and in how `A`, `W` and `H` are dealt to ranks —
 //! a [`ShardKey`], whose [`layout`](ShardKey::layout) is the one place
 //! that says what rank `r` owns ([`dist`]). The [`Model`] erases the
 //! scheme generic behind the object-safe [`engine::EngineDyn`] and owns
@@ -111,9 +111,7 @@ pub use config::{
     TaskTimes,
 };
 pub use dist::ShardKey;
-pub use engine::{
-    AnlsEngine, CommScheme, ConvergenceState, EngineDyn, Grid2D, LocalScheme, Replicated1D,
-};
+pub use engine::{AnlsEngine, CommScheme, ConvergenceState, EngineDyn, Grid2D, Replicated1D};
 pub use error::NmfError;
 pub use grid::Grid;
 pub use harness::{factorize, factorize_from, total_comm};

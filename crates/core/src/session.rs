@@ -38,10 +38,9 @@
 //! builds the concrete engine *in its own stack frame* — the scheme its
 //! [`ShardKey`] names — and serves it through the object-safe
 //! [`EngineDyn`], so the controller speaks one protocol regardless of
-//! which of the three communication schemes is running. Iterations
-//! remain collective: every command is broadcast to all ranks and their
-//! replies are aggregated exactly as the batch harness aggregated
-//! per-rank results.
+//! which communication scheme is running. Iterations remain collective:
+//! every command is broadcast to all ranks and their replies are
+//! aggregated exactly as the batch harness aggregated per-rank results.
 //!
 //! ## Pause, persist, resume
 //!
@@ -49,7 +48,7 @@
 //! [`Model::save`] and reconstructed — in a new process, against a
 //! freshly loaded input — with [`Model::load`]; the resumed trajectory
 //! is bit-identical to the uninterrupted one (`tests/checkpoint_resume.rs`
-//! drives this through disk for all three schemes). [`Model::refit`]
+//! drives this through disk for all three algorithms). [`Model::refit`]
 //! restarts the same universe on a new configuration (e.g. the next `k`
 //! of a rank sweep) without respawning threads or re-sharding the data.
 
@@ -61,7 +60,7 @@ use crate::config::{
     TaskTimes,
 };
 use crate::dist::{Part, RankLayout, ShardKey};
-use crate::engine::{AnlsEngine, ConvergenceState, EngineDyn, Grid2D, LocalScheme, Replicated1D};
+use crate::engine::{AnlsEngine, ConvergenceState, EngineDyn, Grid2D, Replicated1D};
 use crate::error::{grid_fits, NmfError};
 use crate::grid::Grid;
 use crate::input::{Block, Dealing, Input};
@@ -617,14 +616,6 @@ fn build_engine<'a>(
     } = init;
     let blocks = data.split_blocks();
     let mut engine: Box<dyn EngineDyn + 'a> = match key {
-        ShardKey::Seq => Box::new(AnlsEngine::with_workspace(
-            LocalScheme::new(dims.0, dims.1),
-            blocks,
-            &config,
-            w0,
-            ht0,
-            ws,
-        )),
         ShardKey::Naive { .. } => Box::new(AnlsEngine::with_workspace(
             Replicated1D::new(comm, dims, config.k),
             blocks,
@@ -1201,24 +1192,15 @@ impl Model {
             iterations: iters.len(),
             stop: self.stop.unwrap_or(StopReason::MaxIters),
             iters,
-            // The sequential driver has no communicator; keep its
-            // historical "no per-rank stats" shape.
-            rank_comm: if matches!(self.algo, Algo::Sequential) {
-                Vec::new()
-            } else {
-                stats
-            },
+            rank_comm: stats,
         }
     }
 
-    /// Per-rank cumulative communication counters (empty for
-    /// [`Algo::Sequential`], which has no communicator). Cheap: unlike
+    /// Per-rank cumulative communication counters (one rank's, all
+    /// zero words and messages, for [`Algo::Sequential`]). Cheap: unlike
     /// [`factors`](Self::factors), this gathers only the counters, not
     /// the factor blocks.
     pub fn rank_comm(&self) -> Vec<CommStats> {
-        if matches!(self.algo, Algo::Sequential) {
-            return Vec::new();
-        }
         for r in 0..self.workers.len() {
             self.send(r, Cmd::Stats);
         }

@@ -21,8 +21,8 @@
 //! extents, read in place by the rank's kernels — a dense block at the
 //! source's row stride, a sparse one as a window of the source's rows
 //! ([`nmf_sparse::CsrRef`]). No sharding of a resident source copies any
-//! of `A` — not the whole-matrix block of [`ShardKey::Seq`], not
-//! [`ShardKey::Naive`]'s row and column stripes, not a grid — so a rank
+//! of `A` — not [`ShardKey::Naive`]'s row and column stripes, not a grid
+//! (the 1×1 grid's whole-matrix block included) — so a rank
 //! holds `A` once, as the shared source (Table 2's `mn/p` words per rank,
 //! where an extracted copy would double it). What a block adds is
 //! per-block bookkeeping: a sparse block narrower than the source holds
@@ -69,7 +69,7 @@
 //! order under which every run of consecutive indices holds an equal
 //! share of them (`Dealing` in [`crate::input`]; the original matrix is
 //! dropped). Blocks are cut from the relabelled matrix, so the cache,
-//! the three communication schemes and the word counts see an ordinary
+//! the communication schemes and the word counts see an ordinary
 //! input; [`Model`](crate::session::Model) maps factor rows back to
 //! original indices at its boundary, so callers do too.
 //! [`SharedInput::balance`] reports the decision and
@@ -506,7 +506,7 @@ mod tests {
             a.iter().all(|x| x.col.is_none()),
             "a grid rank holds one block"
         );
-        shared.rank_data(ShardKey::Seq).unwrap();
+        shared.rank_data(ShardKey::Grid { pr: 1, pc: 1 }).unwrap();
         assert_eq!(shared.extractions(), 2);
         assert_eq!(shared.cached_shardings(), 2);
         shared.clear_cache();
@@ -525,7 +525,7 @@ mod tests {
             let shared = SharedInput::new(input);
             let mut bounds = 0;
             for key in [
-                ShardKey::Seq,
+                ShardKey::Grid { pr: 1, pc: 1 },
                 ShardKey::Naive { p: 3 },
                 ShardKey::Grid { pr: 2, pc: 2 },
             ] {
@@ -578,7 +578,7 @@ mod tests {
             resident.fro_norm_sq().to_bits()
         );
         for key in [
-            ShardKey::Seq,
+            ShardKey::Grid { pr: 1, pc: 1 },
             ShardKey::Naive { p: 3 },
             ShardKey::Grid { pr: 3, pc: 2 },
         ] {
@@ -680,7 +680,7 @@ mod tests {
         }
         let shared = SharedInput::new(Input::Sparse(coo.to_csr()));
         assert_eq!(
-            shared.rank_loads(ShardKey::Seq).unwrap(),
+            shared.rank_loads(ShardKey::Grid { pr: 1, pc: 1 }).unwrap(),
             [RankLoad {
                 nnz: 4,
                 non_empty_rows: 2,

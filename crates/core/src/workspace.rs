@@ -11,9 +11,12 @@
 //! solvers hold their own scratch the same way, and the `_into`
 //! collectives draw staging from the communicator arena).
 //!
-//! One struct serves all three drivers; each constructor sizes exactly
-//! the buffers its driver touches and leaves the rest `0×0`.
+//! One struct serves both communication schemes; each sizing method
+//! sizes exactly the buffers its scheme touches (under HPC-NMF, its
+//! grid) and leaves the rest `0×0`.
 
+use crate::dist::RankLayout;
+use crate::grid::Grid;
 use nmf_matrix::{Mat, PackedPanels};
 
 /// The once-per-session packed form of this rank's `Aᵀ`, plus the
@@ -69,19 +72,20 @@ impl SessionPack {
 /// Owned storage for every per-iteration matrix of an NMF driver.
 ///
 /// Field names follow the update in which the buffer is produced; the
-/// table maps them to the paper's Algorithm 1–3 symbols:
+/// table maps them to the paper's Algorithm 2–3 symbols (Algorithm 1 is
+/// Algorithm 3 on a 1×1 grid):
 ///
-/// | field        | sequential (Alg. 1) | naive (Alg. 2)      | HPC (Alg. 3)          |
-/// |--------------|---------------------|---------------------|-----------------------|
-/// | `gram_w`     | `WᵀW`               | `WᵀW` (redundant)   | `WᵀW` (all-reduced)   |
-/// | `gram_solve` | `HHᵀ`+ridge, then ridged `WᵀW` copy | same | same              |
-/// | `gram_local` | next `HHᵀ`          | local `HHᵀ`         | `Uᵢⱼ` / `Xᵢⱼ`        |
-/// | `ht_gather`  | —                   | assembled `Hᵀ`      | `Hⱼᵀ` (col gather)    |
-/// | `w_gather`   | —                   | assembled `W`       | `Wᵢ` (row gather)     |
-/// | `mm_w`       | `AHᵀ`               | `AᵢHᵀ`              | `Vᵢⱼ = AᵢⱼHⱼᵀ`       |
-/// | `mm_h`       | `AᵀW`               | `(Aʲ)ᵀW`            | `Yᵢⱼ = (Wᵢᵀ Aᵢⱼ)ᵀ`   |
-/// | `aht`        | —                   | —                   | `((AHᵀ)ᵢ)ⱼ` (rs out)  |
-/// | `wta`        | —                   | —                   | `((WᵀA)ⱼ)ᵢ` (rs out)  |
+/// | field        | naive (Alg. 2)      | HPC (Alg. 3)                    |
+/// |--------------|---------------------|---------------------------------|
+/// | `gram_w`     | `WᵀW` (redundant)   | `WᵀW` (all-reduced)             |
+/// | `gram_solve` | `HHᵀ`+ridge, then ridged `WᵀW` copy | same            |
+/// | `gram_local` | local `HHᵀ`         | `Uᵢⱼ` / `Xᵢⱼ`                  |
+/// | `ht_gather`  | assembled `Hᵀ`      | `Hⱼᵀ` (col gather; `pr > 1`)    |
+/// | `w_gather`   | assembled `W`       | `Wᵢ` (row gather; `pc > 1`)     |
+/// | `mm_w`       | `AᵢHᵀ`              | `Vᵢⱼ = AᵢⱼHⱼᵀ`                 |
+/// | `mm_h`       | `(Aʲ)ᵀW`            | `Yᵢⱼ = (Wᵢᵀ Aᵢⱼ)ᵀ`             |
+/// | `aht`        | —                   | `((AHᵀ)ᵢ)ⱼ` (rs out; `pc > 1`)  |
+/// | `wta`        | —                   | `((WᵀA)ⱼ)ᵢ` (rs out; `pr > 1`)  |
 ///
 /// `pack` is not a per-iteration buffer but the once-per-session
 /// [`SessionPack`]ed `Aᵀ` of the data matrix; it lives here so the
@@ -111,16 +115,6 @@ impl IterWorkspace {
         self.gram_local.resize(k, k);
     }
 
-    /// In-place (re)sizing for the sequential driver on an `m×n` input
-    /// at rank `k`; a no-op when already sized. The single source of
-    /// truth for which buffers Algorithm 1 touches — used by both
-    /// [`for_seq`](Self::for_seq) and the engine's `LocalScheme`.
-    pub fn size_for_seq(&mut self, m: usize, n: usize, k: usize) {
-        self.size_grams(k);
-        self.mm_w.resize(m, k);
-        self.mm_h.resize(n, k);
-    }
-
     /// In-place (re)sizing for one rank of the naive driver: `m×n`
     /// global dims, `rows`/`cols` this rank's row-block height and
     /// column-block width (the engine's `Replicated1D`).
@@ -132,46 +126,44 @@ impl IterWorkspace {
         self.mm_h.resize(cols, k);
     }
 
-    /// In-place (re)sizing for one rank of HPC-NMF:
-    /// `block_rows`/`block_cols` the local `Aᵢⱼ` dimensions,
-    /// `w_rows`/`ht_rows` the heights of this rank's 1D factor slices
-    /// (`(Wᵢ)ⱼ` and `(Hⱼ)ᵢ`) — the engine's `Grid2D`.
-    pub fn size_for_hpc(
-        &mut self,
-        block_rows: usize,
-        block_cols: usize,
-        w_rows: usize,
-        ht_rows: usize,
-        k: usize,
-    ) {
+    /// In-place (re)sizing for one rank of HPC-NMF on `grid`, laid out
+    /// as `lay` (its `Aᵢⱼ` block `rows × cols` and its factor slices
+    /// `(Wᵢ)ⱼ` = `w` and `(Hⱼ)ᵢ` = `ht`) — the engine's `Grid2D`. The
+    /// W-side gather and reduce-scatter buffers are sized only when the
+    /// grid row has more than one rank (`pc > 1`), the H-side ones only
+    /// when the grid column does (`pr > 1`): a dimension of one rank
+    /// moves nothing, and the engine reads its local slice and `MM`
+    /// product in place.
+    pub fn size_for_hpc(&mut self, lay: &RankLayout, grid: Grid, k: usize) {
         self.size_grams(k);
-        self.ht_gather.resize(block_cols, k);
-        self.w_gather.resize(block_rows, k);
-        self.mm_w.resize(block_rows, k);
-        self.mm_h.resize(block_cols, k);
-        self.aht.resize(w_rows, k);
-        self.wta.resize(ht_rows, k);
-    }
-
-    /// Workspace for the sequential driver on an `m×n` input at rank `k`.
-    pub fn for_seq(m: usize, n: usize, k: usize) -> Self {
-        let mut ws = Self::default();
-        ws.size_for_seq(m, n, k);
-        ws
+        self.mm_w.resize(lay.rows.len, k);
+        self.mm_h.resize(lay.cols.len, k);
+        if grid.pc > 1 {
+            self.w_gather.resize(lay.rows.len, k);
+            self.aht.resize(lay.w.len, k);
+        }
+        if grid.pr > 1 {
+            self.ht_gather.resize(lay.cols.len, k);
+            self.wta.resize(lay.ht.len, k);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::ShardKey;
 
     #[test]
     fn constructors_size_only_what_each_driver_uses() {
-        let seq = IterWorkspace::for_seq(10, 8, 3);
+        let seq_key = ShardKey::Grid { pr: 1, pc: 1 };
+        let mut seq = IterWorkspace::default();
+        seq.size_for_hpc(&seq_key.layout(10, 8, 0), Grid::new(1, 1), 3);
         assert_eq!(seq.mm_w.shape(), (10, 3));
         assert_eq!(seq.mm_h.shape(), (8, 3));
-        assert_eq!(seq.ht_gather.shape(), (0, 0));
-        assert_eq!(seq.aht.shape(), (0, 0));
+        for unused in [&seq.ht_gather, &seq.w_gather, &seq.aht, &seq.wta] {
+            assert_eq!(unused.shape(), (0, 0));
+        }
 
         let mut naive = IterWorkspace::default();
         naive.size_for_naive(10, 8, 5, 4, 3);
@@ -180,14 +172,27 @@ mod tests {
         assert_eq!(naive.mm_w.shape(), (5, 3));
         assert_eq!(naive.mm_h.shape(), (4, 3));
 
+        // Rank 0 of a 2×2 grid over 12×10: a 6×5 block, 3 rows of W,
+        // 3 columns of H.
+        let lay = ShardKey::Grid { pr: 2, pc: 2 }.layout(12, 10, 0);
         let mut hpc = IterWorkspace::default();
-        hpc.size_for_hpc(6, 5, 3, 2, 4);
+        hpc.size_for_hpc(&lay, Grid::new(2, 2), 4);
         assert_eq!(hpc.ht_gather.shape(), (5, 4));
         assert_eq!(hpc.w_gather.shape(), (6, 4));
         assert_eq!(hpc.mm_w.shape(), (6, 4));
         assert_eq!(hpc.mm_h.shape(), (5, 4));
         assert_eq!(hpc.aht.shape(), (3, 4));
-        assert_eq!(hpc.wta.shape(), (2, 4));
+        assert_eq!(hpc.wta.shape(), (3, 4));
         assert_eq!(hpc.gram_solve.shape(), (4, 4));
+
+        // A 2×1 grid gathers H over its grid column, nothing over its rows.
+        let lay = ShardKey::Grid { pr: 2, pc: 1 }.layout(12, 10, 1);
+        let mut tall = IterWorkspace::default();
+        tall.size_for_hpc(&lay, Grid::new(2, 1), 4);
+        assert_eq!(
+            (tall.ht_gather.shape(), tall.wta.shape()),
+            ((10, 4), (5, 4))
+        );
+        assert_eq!((tall.w_gather.shape(), tall.aht.shape()), ((0, 0), (0, 0)));
     }
 }

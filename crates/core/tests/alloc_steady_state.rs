@@ -12,11 +12,12 @@
 //! right-hand-side chunk) is sized by the problem shape alone, never by
 //! how many distinct passive sets an iteration happens to produce.
 
-use hpc_nmf::engine::{AnlsEngine, LocalScheme};
+use hpc_nmf::engine::{AnlsEngine, Grid2D};
 use hpc_nmf::prelude::*;
 use hpc_nmf::{init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
+use nmf_vmpi::universe::seats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,11 +90,13 @@ fn run_seq(iters: usize, solver: SolverKind) -> u64 {
         .with_max_iters(iters)
         .with_solver(solver)
         .with_seed(3);
-    // Algorithm 1's engine, built and run on this thread (a `Model`
-    // would run it on a rank thread of its own).
+    // Algorithm 1's engine — Algorithm 3 on a 1×1 grid — built and run
+    // on this thread (a `Model` would run it on a rank thread of its own).
     count_on_this_thread(|| {
+        let comm = seats(1).pop().expect("one seat").into_comm();
         let (w0, ht0) = (init_w(m, 5, 3), init_ht(n, 5, 3));
-        let mut engine = AnlsEngine::new(LocalScheme::new(m, n), &block, &config, w0, ht0);
+        let scheme = Grid2D::new(&comm, Grid::new(1, 1), (m, n), 5);
+        let mut engine = AnlsEngine::new(scheme, &block, &config, w0, ht0);
         engine.run();
         engine.into_output()
     })

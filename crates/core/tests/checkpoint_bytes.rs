@@ -276,6 +276,46 @@ fn fuzz_hostile_length_fields_named_cases() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A sequential header is one rank on the 1×1 grid — the distribution
+/// its factor section is sliced by — and decoding refuses any other
+/// grid or rank count, as it refuses any grid that is not `ranks` ranks.
+#[test]
+fn a_sequential_header_on_another_grid_is_refused() {
+    let path = scratch("sequential");
+    let refused = |bytes: &[u8], what: &str| {
+        std::fs::write(&path, bytes).expect("stage");
+        for err in [
+            read_checkpoint(&path).err(),
+            inspect_checkpoint(&path).err(),
+        ] {
+            assert!(matches!(err, Some(NmfError::Corrupt { .. })), "{what}");
+        }
+    };
+    let mut ck = golden_checkpoint();
+    ck.meta.algo = Algo::Sequential;
+    ck.meta.ranks = 1;
+    ck.meta.grid = Grid::new(1, 1);
+    write_checkpoint(&path, &ck).expect("writes");
+    let clean = std::fs::read(&path).expect("reads");
+    assert!(read_checkpoint(&path).is_ok());
+    for (at, value, what) in [
+        (20 + 28, 2u64, "grid 2x1"),
+        (20 + 36, 2, "grid 1x2"),
+        (20 + 16, 2, "2 ranks"),
+    ] {
+        let mut bytes = clean.clone();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        restamp(&mut bytes);
+        refused(&bytes, what);
+    }
+    // The golden file's 2-rank 2×1 run re-tagged as Sequential.
+    let mut bytes = GOLDEN.to_vec();
+    bytes[20 + 24..20 + 28].copy_from_slice(&0u32.to_le_bytes());
+    restamp(&mut bytes);
+    refused(&bytes, "Sequential on 2 ranks");
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #[test]
     fn fuzz_arbitrary_bytes_never_panic_or_over_allocate(

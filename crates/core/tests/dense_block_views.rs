@@ -29,7 +29,7 @@ fn dense_input() -> SharedInput {
 }
 
 const KEYS: [ShardKey; 3] = [
-    ShardKey::Seq,
+    ShardKey::Grid { pr: 1, pc: 1 },
     ShardKey::Naive { p: 3 },
     ShardKey::Grid { pr: 2, pc: 2 },
 ];
@@ -86,7 +86,7 @@ fn a_dense_model_allocates_only_its_at_panels_beyond_the_factors() {
     let factor_terms = 32 * 8 * ((M + N) * K) as u64;
     assert!(factor_terms < DENSE_BYTES / 2);
     for (algo, ranks, key) in [
-        (Algo::Sequential, 1, ShardKey::Seq),
+        (Algo::Sequential, 1, ShardKey::Grid { pr: 1, pc: 1 }),
         (Algo::Naive, 3, ShardKey::Naive { p: 3 }),
         (
             Algo::HpcGrid(Grid::new(2, 2)),

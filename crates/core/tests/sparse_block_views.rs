@@ -34,7 +34,7 @@ fn source_bytes(shared: &SharedInput) -> u64 {
 }
 
 const KEYS: [ShardKey; 4] = [
-    ShardKey::Seq,
+    ShardKey::Grid { pr: 1, pc: 1 },
     ShardKey::Naive { p: 3 },
     ShardKey::Grid { pr: 2, pc: 1 },
     ShardKey::Grid { pr: 2, pc: 2 },
@@ -97,7 +97,7 @@ fn a_sparse_model_builds_no_column_view_its_kernels_do_not_read() {
     // positions alone are 16 bytes per nonzero.
     let factor_terms = 32 * 8 * ((M + N) * K) as u64;
     for (algo, ranks, key) in [
-        (Algo::Sequential, 1, ShardKey::Seq),
+        (Algo::Sequential, 1, ShardKey::Grid { pr: 1, pc: 1 }),
         (Algo::Naive, 3, ShardKey::Naive { p: 3 }),
         (
             Algo::HpcGrid(Grid::new(2, 1)),

@@ -8,7 +8,7 @@ use hpc_nmf::dist::Dist1D;
 use hpc_nmf::engine::RankNmfOutput;
 use hpc_nmf::prelude::*;
 use hpc_nmf::workspace::IterWorkspace;
-use hpc_nmf::{factorize_from, init_ht, init_w, AnlsEngine, Grid2D, LocalMat};
+use hpc_nmf::{factorize_from, init_ht, init_w, AnlsEngine, Grid2D, LocalMat, ShardKey};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use nmf_vmpi::{universe, Comm};
@@ -64,14 +64,12 @@ fn run_hpc_with_ws(
         let ht0_local = ht0.rows_block(cols.offset + hpart.offset, hpart.len);
         // No caller-held workspace: one pre-sized for this rank's shapes.
         let mut ws = make_ws().unwrap_or_else(|| {
+            let key = ShardKey::Grid {
+                pr: grid.pr,
+                pc: grid.pc,
+            };
             let mut ws = IterWorkspace::default();
-            ws.size_for_hpc(
-                local.nrows(),
-                local.ncols(),
-                w0_local.nrows(),
-                ht0_local.nrows(),
-                config.k,
-            );
+            ws.size_for_hpc(&key.layout(m, n, comm.rank()), grid, config.k);
             ws
         });
         let out = run_rank(
@@ -115,7 +113,13 @@ fn caller_held_workspace_matches_internal_workspace() {
     let external = run_hpc_with_ws(&input, grid, &config, || Some(IterWorkspace::default()));
     // A deliberately mis-sized workspace must be resized and still agree.
     let missized = run_hpc_with_ws(&input, grid, &config, || {
-        Some(IterWorkspace::for_seq(7, 5, 2))
+        let mut ws = IterWorkspace::default();
+        ws.size_for_hpc(
+            &ShardKey::Grid { pr: 1, pc: 1 }.layout(7, 5, 0),
+            Grid::new(1, 1),
+            2,
+        );
+        Some(ws)
     });
     for ((a, b), c) in internal.iter().zip(&external).zip(&missized) {
         assert_eq!(a.0, b.0, "caller-held workspace changed W");

@@ -215,16 +215,10 @@ impl PerfModel {
         }
     }
 
-    /// Model for the named algorithm/grid combination.
+    /// Model for the named algorithm/grid combination. Sequential is
+    /// HPC-NMF on its 1×1 grid, where every collective costs nothing.
     pub fn breakdown(&self, w: &Workload, algo: hpc_nmf::Algo, p: usize) -> Breakdown {
         match algo {
-            hpc_nmf::Algo::Sequential => {
-                let mut b = self.hpc(w, Grid::new(1, 1));
-                b.all_gather = 0.0;
-                b.reduce_scatter = 0.0;
-                b.all_reduce = 0.0;
-                b
-            }
             hpc_nmf::Algo::Naive => self.naive(w, p),
             other => self.hpc(w, other.grid(w.m, w.n, p)),
         }

@@ -1,7 +1,7 @@
 //! Checkpoint/resume determinism for the step-wise engine: running `N`
 //! iterations, exporting the factors, and continuing in a *fresh* engine
 //! must reproduce the uninterrupted trajectory **bit-for-bit**, for all
-//! three communication schemes.
+//! three algorithms.
 //!
 //! This is the property that makes the engine a serving substrate:
 //! factors exported mid-run are complete checkpoints (no hidden solver
@@ -10,13 +10,13 @@
 
 use hpc_nmf::checkpoint::read_checkpoint;
 use hpc_nmf::dist::Dist1D;
-use hpc_nmf::engine::{AnlsEngine, Grid2D, LocalScheme, Replicated1D, SplitBlocks};
+use hpc_nmf::engine::{AnlsEngine, Grid2D, Replicated1D, SplitBlocks};
 use hpc_nmf::prelude::*;
 use hpc_nmf::{factorize_from, init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use nmf_sparse::gen::chung_lu_power_law;
-use nmf_vmpi::universe;
+use nmf_vmpi::{universe, Comm};
 use std::path::PathBuf;
 
 const TOTAL: usize = 6;
@@ -30,8 +30,18 @@ fn config() -> NmfConfig {
     NmfConfig::new(4).with_max_iters(TOTAL).with_seed(11)
 }
 
+/// A one-rank world, whose 1×1 grid runs Algorithm 1.
+fn solo() -> Comm {
+    universe::seats(1).pop().expect("one seat").into_comm()
+}
+
+fn one_by_one(comm: &Comm, m: usize, n: usize, k: usize) -> Grid2D<'_> {
+    Grid2D::new(comm, Grid::new(1, 1), (m, n), k)
+}
+
 #[test]
 fn sequential_checkpoint_resume_is_bit_identical() {
+    let comm = solo();
     let input = test_input(33, 26, 5);
     let (m, n) = input.shape();
     let block = input.block(0, 0, m, n);
@@ -41,7 +51,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
 
     // Uninterrupted run.
     let mut full = AnlsEngine::new(
-        LocalScheme::new(m, n),
+        one_by_one(&comm, m, n, cfg.k),
         &block,
         &cfg,
         w0.clone(),
@@ -52,7 +62,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     }
 
     // Interrupted at BREAK_AT: export factors, resume in a fresh engine.
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w0, ht0);
     for _ in 0..BREAK_AT {
         first.step();
     }
@@ -61,7 +71,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
     drop(first);
 
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     for _ in 0..(TOTAL - BREAK_AT) {
         resumed.step();
@@ -82,6 +92,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
 
 #[test]
 fn stepped_engine_matches_run_to_completion_driver() {
+    let comm = solo();
     let input = test_input(28, 21, 9);
     let (m, n) = input.shape();
     let block = input.block(0, 0, m, n);
@@ -90,7 +101,7 @@ fn stepped_engine_matches_run_to_completion_driver() {
     let ht0 = init_ht(n, cfg.k, cfg.seed);
 
     let driver = factorize_from(&input, 1, Algo::Sequential, &cfg, w0.clone(), ht0.clone());
-    let mut engine = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
+    let mut engine = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w0, ht0);
     for _ in 0..TOTAL {
         engine.step();
     }
@@ -242,6 +253,7 @@ fn hpc_checkpoint_resume_is_bit_identical() {
 
 #[test]
 fn resume_preserves_early_stop_decisions() {
+    let comm = solo();
     // With the convergence state restored, a resumed RelTol run stops at
     // the same global iteration as the uninterrupted one.
     let input = test_input(30, 22, 17);
@@ -255,7 +267,7 @@ fn resume_preserves_early_stop_decisions() {
     let ht0 = init_ht(n, cfg.k, cfg.seed);
 
     let mut full = AnlsEngine::new(
-        LocalScheme::new(m, n),
+        one_by_one(&comm, m, n, cfg.k),
         &block,
         &cfg,
         w0.clone(),
@@ -273,14 +285,14 @@ fn resume_preserves_early_stop_decisions() {
     );
 
     let brk = total / 2;
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w0, ht0);
     for _ in 0..brk {
         first.step();
     }
     let state = first.convergence_state();
     let (w_ck, ht_ck) = first.factors();
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     let reason_resumed = resumed.run();
     assert_eq!(reason_resumed, reason_full);
@@ -728,6 +740,7 @@ fn resume_builder_requires_an_input() {
 
 #[test]
 fn windowed_policy_resume_stops_at_same_iteration() {
+    let comm = solo();
     // The windowed look-back and the budget clock live in
     // ConvergenceState, so a resumed WindowedBudget run reproduces the
     // uninterrupted run's stopping decision even when the window spans
@@ -747,7 +760,7 @@ fn windowed_policy_resume_stops_at_same_iteration() {
     let ht0 = init_ht(n, cfg.k, cfg.seed);
 
     let mut full = AnlsEngine::new(
-        LocalScheme::new(m, n),
+        one_by_one(&comm, m, n, cfg.k),
         &block,
         &cfg,
         w0.clone(),
@@ -763,14 +776,14 @@ fn windowed_policy_resume_stops_at_same_iteration() {
     // Break one iteration before the stop, so the window straddles the
     // checkpoint.
     let brk = total - 1;
-    let mut first = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w0, ht0);
+    let mut first = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w0, ht0);
     for _ in 0..brk {
         first.step();
     }
     let state = first.convergence_state();
     let (w_ck, ht_ck) = first.factors();
     let (w_ck, ht_ck) = (w_ck.clone(), ht_ck.clone());
-    let mut resumed = AnlsEngine::new(LocalScheme::new(m, n), &block, &cfg, w_ck, ht_ck);
+    let mut resumed = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w_ck, ht_ck);
     resumed.restore_convergence_state(state);
     let reason_resumed = resumed.run();
     assert_eq!(reason_resumed, reason_full);

@@ -192,6 +192,42 @@ fn overlap_stats_expose_posts_and_a_nonzero_window() {
     }
 }
 
+/// A grid dimension of one rank is the identity: its gather and
+/// reduce-scatter are skipped, never posted. Seven split-phase
+/// collectives per iteration on a 2×2 grid, five on 2×1 and 1×2 (one
+/// side local), three on 1×1 (only the world's two Gram reductions and
+/// the objective's) — and the words and messages are those of the
+/// synchronous schedule, where a size-1 collective would send nothing.
+#[test]
+fn degenerate_grid_dimensions_post_nothing() {
+    let input = test_input(30, 26, 13);
+    let cfg = config();
+    for (grid, posts) in [
+        (Grid::new(2, 2), 7),
+        (Grid::new(2, 1), 5),
+        (Grid::new(1, 2), 5),
+        (Grid::new(1, 1), 3),
+    ] {
+        let sync = grid_run(&input, grid, &cfg, ITERS, false, 0, false);
+        let ovl = grid_run(&input, grid, &cfg, ITERS, true, 0, true);
+        for (rank, (s, o)) in sync.iter().zip(&ovl).enumerate() {
+            let at = format!("{}x{} rank {rank}", grid.pr, grid.pc);
+            assert_eq!(o.2.total_posts(), posts * ITERS as u64, "{at}: posts");
+            assert_eq!(s.2.total_posts(), 0, "{at}: sync posts");
+            for op in nmf_vmpi::Op::ALL {
+                assert_eq!(s.2.op(op).words, o.2.op(op).words, "{at}: {}", op.name());
+                assert_eq!(
+                    s.2.op(op).messages,
+                    o.2.op(op).messages,
+                    "{at}: {}",
+                    op.name()
+                );
+            }
+            assert_eq!((&s.0, &s.1), (&o.0, &o.1), "{at}: factors");
+        }
+    }
+}
+
 #[test]
 fn overlap_mode_can_flip_at_a_resume_boundary() {
     let input = test_input(35, 27, 11);
@@ -237,9 +273,9 @@ fn tmp_ckpt(tag: &str) -> PathBuf {
 }
 
 /// Durable checkpoints written mid-run under the overlapped schedule
-/// resume bit-identically for all three schemes (the sequential and
-/// naive schemes take the defaulted synchronous hooks; HPC runs fully
-/// split-phase).
+/// resume bit-identically for all three algorithms (the naive scheme
+/// takes the defaulted synchronous hooks; HPC, sequential included as
+/// its 1×1 grid, runs split-phase).
 #[test]
 fn disk_checkpoint_resume_through_overlapped_schedule_all_schemes() {
     let input = test_input(34, 26, 19);

@@ -4,6 +4,7 @@
 //! memory profile. See `docs/sharded-input.md`.
 
 use hpc_nmf::prelude::*;
+use hpc_nmf::ShardKey;
 use nmf_data::materialize_nmfs;
 use nmf_data::DatasetKind;
 use nmf_matrix::Mat;
@@ -102,6 +103,37 @@ fn rank_sweep_extracts_exactly_once() {
         1,
         "a rank sweep over one grid shape must shard the input once"
     );
+}
+
+/// Algorithm 1 is Algorithm 3 on a 1×1 grid, so `Sequential` and a
+/// one-rank `Hpc2D` run on one sharding: over an mmap-backed input the
+/// second build extracts nothing, and the two fit the same factors.
+#[test]
+fn sequential_and_one_rank_hpc2d_share_one_sharding() {
+    let path = std::env::temp_dir().join(format!("nmf-shared-seq-{}.nmfs", std::process::id()));
+    materialize_nmfs(DatasetKind::Ssyn, 2400, 5, &path).expect("materialize");
+    let mapped = SharedInput::open_mmap(&path).expect("open NMFS");
+    let fit = |algo: Algo| {
+        let mut model = Nmf::on_shared(&mapped)
+            .config(config(4))
+            .algo(algo)
+            .ranks(1)
+            .build()
+            .expect("valid request");
+        model.run();
+        (model.shard_key(), model.factors())
+    };
+    let (seq_key, (ws, hs)) = fit(Algo::Sequential);
+    let (hpc_key, (wh, hh)) = fit(Algo::Hpc2D);
+    assert_eq!(seq_key, ShardKey::Grid { pr: 1, pc: 1 });
+    assert_eq!(hpc_key, seq_key);
+    assert_eq!(mapped.extractions(), 1);
+    assert_eq!(mapped.cached_shardings(), 1);
+    assert!(
+        bits_equal(&ws, &wh) && bits_equal(&hs, &hh),
+        "one sharding, one computation: the factors must agree"
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 /// An mmap-ingested NMFS file factorizes bit-identically to the same

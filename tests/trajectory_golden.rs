@@ -1,0 +1,104 @@
+//! Pinned trajectories: every objective of a run, to the bit, plus a
+//! digest of its final factors, against `golden/trajectories.<kernel>.txt`
+//! — one file per microkernel family, since the AVX2 and scalar paths
+//! round differently.
+//!
+//! The files were written by the build in which Algorithm 1 still had a
+//! communication scheme of its own, and are committed unedited: the
+//! sequential runs here must stay bit-identical to them now that they
+//! run Algorithm 3 on a 1×1 grid. The `hpc1d` (a 2×1 grid) and `grid1x2`
+//! runs pin the two p = 2 grids that each have one grid dimension of
+//! size 1. A mismatch is a trajectory change, never a reason to
+//! regenerate a file.
+
+use hpc_nmf::prelude::*;
+use nmf_matrix::rng::Fill;
+use nmf_matrix::simd::{self, KernelPath};
+use nmf_matrix::Mat;
+use nmf_sparse::gen::erdos_renyi;
+
+/// FNV-1a over the bits of every entry, row-major.
+fn digest(m: &Mat) -> u64 {
+    m.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// One case as a `name objectives w=… h=…` line.
+fn render(name: &str, input: &Input, algo: Algo, ranks: usize, solver: SolverKind) -> String {
+    let config = NmfConfig::new(5)
+        .with_solver(solver)
+        .with_max_iters(6)
+        .with_seed(9);
+    let mut model = Nmf::on(input)
+        .config(config)
+        .algo(algo)
+        .ranks(ranks)
+        .build()
+        .expect("valid request");
+    model.run();
+    let history: Vec<String> = model
+        .records()
+        .iter()
+        .map(|r| format!("{:016x}", r.objective.to_bits()))
+        .collect();
+    let (w, h) = model.factors();
+    format!(
+        "{name} {} w={:016x} h={:016x}",
+        history.join(","),
+        digest(&w),
+        digest(&h)
+    )
+}
+
+fn rendered() -> Vec<String> {
+    let inputs = [
+        ("dense", Input::Dense(Mat::uniform(57, 41, 91))),
+        ("sparse", Input::Sparse(erdos_renyi(83, 61, 0.12, 92))),
+    ];
+    let runs = [
+        ("seq", Algo::Sequential, 1),
+        ("hpc1d", Algo::Hpc1D, 2),
+        ("grid1x2", Algo::HpcGrid(Grid::new(1, 2)), 2),
+    ];
+    let solvers = [
+        ("bpp", SolverKind::Bpp),
+        ("mu", SolverKind::Mu),
+        ("hals", SolverKind::Hals),
+    ];
+    let mut lines = Vec::new();
+    for (input_name, input) in &inputs {
+        for (run_name, algo, ranks) in runs {
+            for (solver_name, solver) in solvers {
+                let name = format!("{run_name}_{input_name}_{solver_name}");
+                lines.push(render(&name, input, algo, ranks, solver));
+            }
+        }
+    }
+    lines
+}
+
+#[test]
+fn trajectories_match_the_golden_file() {
+    let golden = match simd::active().path {
+        KernelPath::Avx2Fma => include_str!("golden/trajectories.avx2+fma-6x8.txt"),
+        KernelPath::Scalar => include_str!("golden/trajectories.scalar-4x8.txt"),
+    };
+    let want: Vec<&str> = golden.lines().collect();
+    let got = rendered();
+    assert_eq!(
+        want.len(),
+        got.len(),
+        "the {} golden file has {} cases, the test runs {}:\n{}",
+        simd::active_name(),
+        want.len(),
+        got.len(),
+        got.join("\n")
+    );
+    for (want, got) in want.iter().zip(&got) {
+        assert_eq!(want, got);
+    }
+}
