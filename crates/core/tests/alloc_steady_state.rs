@@ -7,16 +7,18 @@
 //! virtual interconnect, which is outside the compute path — with a few
 //! allocations of amortized channel block storage).
 //!
-//! All three shape-static solvers are covered: HALS and MU work in
-//! place, and BPP's scratch (sort keys, the `k×k` factor, the
-//! right-hand-side chunk) is sized by the problem shape alone, never by
-//! how many distinct passive sets an iteration happens to produce.
+//! All three shape-static solvers are covered, sequentially on a dense
+//! and a sparse block: HALS and MU work in place, and BPP's scratch
+//! (sort keys, the `k×k` factor, the right-hand-side chunk) is sized by
+//! the problem shape alone, never by how many distinct passive sets an
+//! iteration happens to produce.
 
 use hpc_nmf::engine::{AnlsEngine, Grid2D};
 use hpc_nmf::prelude::*;
 use hpc_nmf::{init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
+use nmf_sparse::gen::erdos_renyi;
 use nmf_vmpi::universe::seats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,9 +85,9 @@ fn count_on_this_thread<T>(f: impl FnOnce() -> T) -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get) - before
 }
 
-fn run_seq(iters: usize, solver: SolverKind) -> u64 {
-    let (m, n) = (48, 36);
-    let block = Input::Dense(Mat::uniform(m, n, 11)).block(0, 0, m, n);
+fn run_seq(input: &Input, iters: usize, solver: SolverKind) -> u64 {
+    let (m, n) = (input.nrows(), input.ncols());
+    let block = input.block(0, 0, m, n);
     let config = NmfConfig::new(5)
         .with_max_iters(iters)
         .with_solver(solver)
@@ -105,17 +107,24 @@ fn run_seq(iters: usize, solver: SolverKind) -> u64 {
 #[test]
 fn sequential_steady_state_iterations_allocate_nothing() {
     let _guard = serial_guard();
-    for solver in [SolverKind::Hals, SolverKind::Mu, SolverKind::Bpp] {
-        // Warm once: the first run on a thread pays lazy initialization
-        // (kernel dispatch, thread-local packing scratch).
-        let _ = run_seq(2, solver);
-        let base = run_seq(2, solver);
-        let more = run_seq(6, solver);
-        assert_eq!(
-            more, base,
-            "{solver:?}: 4 extra iterations changed the allocation count \
-             ({base} for 2 iters vs {more} for 6) — the steady-state loop allocated"
-        );
+    // The sparse block runs the CSR kernels (`A·Hᵀ` and the `Aᵀ·W` pass;
+    // a block this small never routes to the CSC kernel).
+    let dense = Input::Dense(Mat::uniform(48, 36, 11));
+    let sparse = Input::Sparse(erdos_renyi(48, 36, 0.2, 11));
+    for input in [&dense, &sparse] {
+        for solver in [SolverKind::Hals, SolverKind::Mu, SolverKind::Bpp] {
+            // Warm once: the first run on a thread pays lazy initialization
+            // (kernel dispatch, thread-local packing scratch).
+            let _ = run_seq(input, 2, solver);
+            let base = run_seq(input, 2, solver);
+            let more = run_seq(input, 6, solver);
+            let kind = if input.is_sparse() { "sparse" } else { "dense" };
+            assert_eq!(
+                more, base,
+                "{kind} {solver:?}: 4 extra iterations changed the allocation count \
+                 ({base} for 2 iters vs {more} for 6) — the steady-state loop allocated"
+            );
+        }
     }
 }
 

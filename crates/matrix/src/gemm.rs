@@ -342,15 +342,6 @@ pub fn matmul_tb_into(a: &Mat, b: &Mat, c: &mut Mat) {
     }
 }
 
-/// `y += alpha * x` over equal-length slices.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Minimum slice length before the dispatched dot products reach for
 /// the AVX2 path; below this the call overhead dominates.
 const DOT_SIMD_MIN: usize = 32;

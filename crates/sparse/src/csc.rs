@@ -1,13 +1,13 @@
 //! Compressed sparse column *view* over a CSR matrix.
 //!
 //! The `Aᵀ·W` kernel is the sparse bottleneck of the ANLS iteration:
-//! driven from CSR it scatters one length-`k` axpy into a different
-//! output row per visited nonzero (the "transposed pass"), so the
-//! output is written with no locality. Traversing the same nonzeros
+//! driven from CSR it adds into a different `k`-long output row per
+//! visited nonzero (the "transposed pass"), with no locality once the
+//! output outgrows the cache. Traversing the same nonzeros
 //! column-by-column turns the product into a forward pass — each output
-//! row is accumulated once, start to finish, while only the *reads* of
-//! `W` hop around — which is the cache-friendly orientation when
-//! `k`-rows fit in registers/L1 (see [`crate::spmm::spmm_at_dense_csc_into`]).
+//! row is held in registers while its column streams, and stored once,
+//! while only the *reads* of `W` hop around (see
+//! [`crate::spmm::spmm_at_dense_csc_into`]).
 //!
 //! [`CscView`] stores the column structure (`colptr`, `rowind`) plus,
 //! for every CSC-ordered nonzero, the *position* of its value in the

@@ -3,25 +3,68 @@
 //! The two products the algorithms need are `A·Hᵀ` (for the `W` update)
 //! and `WᵀA` (for the `H` update). Both are computed here with the dense
 //! operand and output held in a "k-contiguous" layout — every logical
-//! column of the k-dimensional factor is a contiguous row — so each
-//! visited nonzero triggers one contiguous axpy of length `k`:
+//! column of the k-dimensional factor is a contiguous row — cut into
+//! column slabs of 32, 16, 8, 4, 2 and 1, widest first, held in registers:
 //!
 //! * [`spmm_dense_t`]: `V = A·Bᵀ` with `B` given as `Bt` (`n×k`), output
-//!   `m×k`. Used as `V = A·Hᵀ` with `Ht`.
+//!   `m×k`. Used as `V = A·Hᵀ` with `Ht`. A slab of output row `i` sums
+//!   row `i`'s gathered `Bt` rows and is stored once.
 //! * [`spmm_at_dense`]: `Y = Aᵀ·W` (`n×k`) for `W` of shape `m×k`. `WᵀA`
 //!   is its transpose; the algorithms keep the `n×k` layout throughout and
-//!   only reinterpret, never physically transpose.
+//!   only reinterpret, never physically transpose. A slab of `W`'s row
+//!   `i` is loaded once and scattered into `Y` by row `i`'s nonzeros.
 //!
-//! Each kernel performs `2·nnz(A)·k` flops, the count the paper uses for
-//! sparse inputs. `A` is a [`CsrRef`] — a whole [`Csr`](crate::Csr) (`&Csr` converts)
-//! or a window of one read in place — and every output row sums the same
-//! terms in the same order either way, so a window and the extracted
-//! block give the same bits.
+//! Each kernel prefetches the row it gathers or scatters eight nonzeros
+//! ahead and performs `2·nnz(A)·k` flops, the count the paper uses for
+//! sparse inputs. `A` is a [`CsrRef`] — a whole [`Csr`](crate::Csr)
+//! (`&Csr` converts) or a window of one read in place — and every output
+//! element sums the same products in nonzero order from `+0.0`, never
+//! fused, so a window and the extracted block, and the portable and AVX2
+//! copies, give the same bits.
 
 use crate::csc::CscView;
 use crate::csr::CsrRef;
-use nmf_matrix::gemm::axpy;
 use nmf_matrix::Mat;
+
+/// Runs `$body` — an `#[inline(always)]` kernel taking the listed
+/// arguments — compiled for AVX2 where the GEMM dispatch chose its AVX2
+/// path (`simd::active`, so `NMF_FORCE_SCALAR=1` pins the portable
+/// copy), and as portable code elsewhere. FMA is not enabled: both
+/// copies multiply and add separately, so they give the same bits.
+macro_rules! on_kernel_path {
+    ($body:ident($($arg:ident: $ty:ty),*)) => {{
+        #[cfg(target_arch = "x86_64")]
+        if nmf_matrix::simd::active().path == nmf_matrix::simd::KernelPath::Avx2Fma {
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            // SAFETY: the `Avx2Fma` path means the detector saw AVX2.
+            return unsafe { avx2($($arg),*) };
+        }
+        $body($($arg),*)
+    }};
+}
+
+/// Calls `$slab::<W>(q0, ..)` on consecutive column slabs `q0..q0 + W`
+/// of `0..$k`, widest first, for `W` in 32, 16, 8, 4, 2 and 1; each
+/// slab function returns its `W`.
+macro_rules! for_each_slab {
+    ($k:expr, $slab:ident($($arg:expr),*)) => {{
+        let k = $k;
+        let mut q0 = 0;
+        while q0 < k {
+            q0 += match k - q0 {
+                32.. => $slab::<32>(q0, $($arg),*),
+                16.. => $slab::<16>(q0, $($arg),*),
+                8.. => $slab::<8>(q0, $($arg),*),
+                4.. => $slab::<4>(q0, $($arg),*),
+                2.. => $slab::<2>(q0, $($arg),*),
+                _ => $slab::<1>(q0, $($arg),*),
+            };
+        }
+    }};
+}
 
 /// `V = A·Bᵀ` where `A` is `m×n` sparse and `Bt` is `n×k` dense
 /// (i.e. `B` is `k×n`). Output is `m×k`.
@@ -46,13 +89,16 @@ pub fn spmm_dense_t_into<'a>(a: impl Into<CsrRef<'a>>, bt: &Mat, v: &mut Mat) {
         "spmm_dense_t output shape mismatch"
     );
     v.as_mut_slice().fill(0.0);
+    on_kernel_path!(a_ht_rows(a: CsrRef<'_>, bt: &Mat, v: &mut Mat));
+}
+
+/// The `A·Hᵀ` body: one [`gather`] per row of `A`.
+#[inline(always)]
+fn a_ht_rows(a: CsrRef<'_>, bt: &Mat, v: &mut Mat) {
     let c0 = a.col_offset();
     for i in 0..a.nrows() {
         let (cols, vals) = a.row(i);
-        let vrow = v.row_mut(i);
-        for (&j, &x) in cols.iter().zip(vals) {
-            axpy(x, bt.row(j - c0), vrow);
-        }
+        gather(v.row_mut(i), bt.as_slice(), cols, c0, |t| vals[t]);
     }
 }
 
@@ -79,27 +125,29 @@ pub fn spmm_at_dense_into<'a>(a: impl Into<CsrRef<'a>>, w: &Mat, y: &mut Mat) {
         "spmm_at_dense output shape mismatch"
     );
     y.as_mut_slice().fill(0.0);
+    on_kernel_path!(at_w_rows(a: CsrRef<'_>, w: &Mat, y: &mut Mat));
+}
+
+/// The `Aᵀ·W` body: row `i` of `A` scatters `W`'s row `i`, slab by slab.
+#[inline(always)]
+fn at_w_rows(a: CsrRef<'_>, w: &Mat, y: &mut Mat) {
     let (k, c0) = (w.ncols(), a.col_offset());
+    let y = y.as_mut_slice();
     for i in 0..a.nrows() {
         let (cols, vals) = a.row(i);
-        let wrow = w.row(i);
-        for (&j, &x) in cols.iter().zip(vals) {
-            let j = j - c0;
-            let yrow = &mut y.as_mut_slice()[j * k..(j + 1) * k];
-            axpy(x, wrow, yrow);
-        }
+        for_each_slab!(k, scatter_slab(y, w.row(i), cols, vals, c0));
     }
 }
 
 /// `Y = Aᵀ·W` via the column view: the forward-traversal kernel.
 ///
-/// The CSR pass above scatters one axpy into a different output row per
-/// visited nonzero; here each output row `y[j]` is accumulated start to
-/// finish while column `j`'s nonzeros stream, so the output is written
-/// with perfect locality and only the `W` reads hop (a gather that the
-/// hardware prefetcher handles far better than scattered read-modify-
-/// write). Values are read through the view's shared-ordering positions
-/// — no second copy of the payload exists.
+/// The CSR pass above scatters into a different output row per visited
+/// nonzero; here each output row `y[j]` is accumulated start to finish
+/// while column `j`'s nonzeros stream — the [`spmm_dense_t_into`] body,
+/// with each value found through `src` — so the output is written with
+/// perfect locality and only the `W` reads hop. Values are read through
+/// the view's shared-ordering positions — no second copy of the payload
+/// exists.
 ///
 /// **Bit-for-bit identical** to [`spmm_at_dense_into`]: for a fixed
 /// output row `j`, both kernels add the contributions of rows
@@ -120,12 +168,17 @@ pub fn spmm_at_dense_csc_into<'a>(a: impl Into<CsrRef<'a>>, csc: &CscView, w: &M
         "spmm_at_dense_csc output shape mismatch"
     );
     debug_assert!(csc.matches(a), "CSC view does not index this block");
-    let vals = a.values();
-    let (m, k) = w.shape();
     y.as_mut_slice().fill(0.0);
-    if k == 0 {
+    if w.ncols() == 0 {
         return;
     }
+    let vals = a.values();
+    on_kernel_path!(csc_panels(csc: &CscView, vals: &[f64], w: &Mat, y: &mut Mat));
+}
+
+/// The CSC body: one [`gather`] per column segment of each row panel.
+#[inline(always)]
+fn csc_panels(csc: &CscView, vals: &[f64], w: &Mat, y: &mut Mat) {
     // Row-panel blocking: restrict each sweep over the columns to the
     // rows of one panel, sized so the panel's slice of `W` (the
     // gathered operand) stays L2-resident. The value gathers then land
@@ -141,91 +194,125 @@ pub fn spmm_at_dense_csc_into<'a>(a: impl Into<CsrRef<'a>>, csc: &CscView, w: &M
     // are visited in ascending row order and rows ascend within each
     // column of a panel, so output row `j` still accumulates rows
     // `i₀ < i₁ < …` in exactly the same order.
+    let (m, k) = w.shape();
     let panel_rows = (csc_panel_bytes() / (8 * k)).max(1);
-    let mut cur = vec![0usize; a.ncols()];
-    let mut acc = [0.0f64; ACC_WIDTH];
+    let mut cur = vec![0usize; csc.ncols()];
     let mut r0 = 0;
     while r0 < m {
         let r1 = (r0 + panel_rows).min(m);
         for (j, t) in cur.iter_mut().enumerate() {
             let (rows, src) = csc.col(j);
-            if *t == rows.len() || rows[*t] >= r1 {
-                continue;
+            let (rows, src) = (&rows[*t..], &src[*t..]);
+            let len = rows.partition_point(|&i| i < r1);
+            if len > 0 {
+                // The values are gathered too (`src` ascends sparsely):
+                // prefetch them the same distance ahead as the `W` rows.
+                let val = |s: usize| {
+                    if let Some(&p) = src.get(s + PREFETCH_DIST) {
+                        prefetch_slab::<1>(vals, p);
+                    }
+                    vals[src[s]]
+                };
+                gather(y.row_mut(j), w.as_slice(), &rows[..len], 0, val);
+                *t += len;
             }
-            let yrow = y.row_mut(j);
-            *t = if k <= ACC_WIDTH {
-                // The output row is fixed for the whole segment, so
-                // accumulate it in an L1-resident stack buffer and
-                // store once — the per-nonzero read-modify-write of a
-                // far-away `y` row is what the CSR pass cannot avoid.
-                // Same `axpy` calls in the same order, so every
-                // intermediate float is unchanged.
-                let dst = &mut acc[..k];
-                dst.copy_from_slice(yrow);
-                let nt = accumulate_segment(rows, src, vals, w, dst, *t, r1);
-                yrow.copy_from_slice(dst);
-                nt
-            } else {
-                accumulate_segment(rows, src, vals, w, yrow, *t, r1)
-            };
         }
         r0 = r1;
     }
 }
 
-/// One column's nonzeros within `[.., r1)` starting at cursor `t`,
-/// accumulated into `dst`; returns the advanced cursor.
+/// `dst[q] += Σₜ val(t) · b[(rows[t] − shift)·k + q]` for every `q`,
+/// with `k = dst.len()`: the `A·Hᵀ` row and the CSC column body.
 #[inline(always)]
-fn accumulate_segment(
-    rows: &[usize],
-    src: &[usize],
-    vals: &[f64],
-    w: &Mat,
+fn gather(dst: &mut [f64], b: &[f64], rows: &[usize], shift: usize, val: impl Fn(usize) -> f64) {
+    for_each_slab!(dst.len(), gather_slab(dst, b, rows, shift, &val));
+}
+
+/// One `W`-wide slab of [`gather`]: the slab's sums stay in registers
+/// across all of the nonzeros, loaded and stored once.
+#[inline(always)]
+fn gather_slab<const W: usize>(
+    q0: usize,
     dst: &mut [f64],
-    mut t: usize,
-    r1: usize,
+    b: &[f64],
+    rows: &[usize],
+    shift: usize,
+    val: &impl Fn(usize) -> f64,
 ) -> usize {
-    while t < rows.len() && rows[t] < r1 {
-        let (i, p) = (rows[t], src[t]);
-        // Both gathered streams ascend sparsely — a stride the
-        // hardware prefetcher does not track — so fetch a few
-        // nonzeros ahead by hand.
-        #[cfg(target_arch = "x86_64")]
-        if let (Some(&ni), Some(&np)) = (rows.get(t + PREFETCH_DIST), src.get(t + PREFETCH_DIST)) {
-            // SAFETY: prefetch has no memory effects; both
-            // addresses lie inside live allocations.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(vals.as_ptr().add(np) as *const i8, _MM_HINT_T0);
-                _mm_prefetch(w.row(ni).as_ptr() as *const i8, _MM_HINT_T0);
-            }
+    let k = dst.len();
+    let out = &mut dst[q0..q0 + W];
+    let mut acc: [f64; W] = (&*out).try_into().expect("a W-wide slab");
+    for (t, &r) in rows.iter().enumerate() {
+        if let Some(&ahead) = rows.get(t + PREFETCH_DIST) {
+            prefetch_slab::<W>(b, (ahead - shift) * k + q0);
         }
-        axpy(vals[p], w.row(i), dst);
-        t += 1;
+        let x = val(t);
+        for (s, &bq) in acc.iter_mut().zip(&b[(r - shift) * k + q0..][..W]) {
+            *s += x * bq;
+        }
     }
-    t
+    out.copy_from_slice(&acc);
+    W
+}
+
+/// One `W`-wide slab of the `Aᵀ·W` row pass: `y[(cols[t] − shift)·k +
+/// q] += vals[t] · wr[q]` for `q` in the slab, with the slab of `W`'s
+/// row `wr` loaded once.
+#[inline(always)]
+fn scatter_slab<const W: usize>(
+    q0: usize,
+    y: &mut [f64],
+    wr: &[f64],
+    cols: &[usize],
+    vals: &[f64],
+    shift: usize,
+) -> usize {
+    let k = wr.len();
+    let w: [f64; W] = wr[q0..q0 + W].try_into().expect("a W-wide slab");
+    for (t, (&j, &x)) in cols.iter().zip(vals).enumerate() {
+        if let Some(&ahead) = cols.get(t + PREFETCH_DIST) {
+            prefetch_slab::<W>(y, (ahead - shift) * k + q0);
+        }
+        for (o, &wq) in y[(j - shift) * k + q0..][..W].iter_mut().zip(&w) {
+            *o += x * wq;
+        }
+    }
+    W
+}
+
+/// Hints the `W`-wide slab at `s[at..]` into L1, one prefetch per
+/// 64-byte line; no-op off x86-64.
+#[inline(always)]
+fn prefetch_slab<const W: usize>(s: &[f64], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    for l in (0..W).step_by(8) {
+        // SAFETY: a prefetch has no memory effects and never faults;
+        // the pointer is only computed (wrapping), not dereferenced.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch(s.as_ptr().wrapping_add(at + l).cast::<i8>(), _MM_HINT_T0);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (s, at);
 }
 
 /// Target footprint of one row panel's `W` slice: half of the probed
 /// L2 (leaving room for the output rows and index streams), or half of
 /// a typical 2 MiB L2 when the probe is unavailable. Resolved once.
-/// Panel height only regroups the accumulation — identical `axpy`s in
-/// identical order — so every float is unchanged under any value (the
-/// bit-identity property tests run regardless of what this returns).
+/// Panel height only regroups the accumulation — identical products
+/// added in identical order — so every float is unchanged under any
+/// value (the bit-identity property tests run regardless of what this
+/// returns).
 fn csc_panel_bytes() -> usize {
     static TARGET: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *TARGET.get_or_init(|| cache_bytes("index2").map_or(1 << 20, |l2| (l2 / 2).max(4 << 10)))
 }
 
-/// How many nonzeros ahead the CSC kernel prefetches its two gathered
-/// streams (the value and the `W` row). At ~10 cycles of axpy work per
-/// nonzero this covers L2/L3 hit latency without thrashing L1.
+/// How many nonzeros ahead the kernels prefetch the row they gather or
+/// scatter. At a few ns of slab work per nonzero this covers L2/L3 hit
+/// latency without thrashing L1.
 const PREFETCH_DIST: usize = 8;
-
-/// Widest factor rank the stack accumulator covers (512 bytes — eight
-/// cache lines, comfortably L1). Wider ranks fall back to accumulating
-/// in the output row directly.
-const ACC_WIDTH: usize = 64;
 
 /// Allocating wrapper over [`spmm_at_dense_csc_into`].
 pub fn spmm_at_dense_csc<'a>(a: impl Into<CsrRef<'a>>, csc: &CscView, w: &Mat) -> Mat {
