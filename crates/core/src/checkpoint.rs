@@ -10,7 +10,7 @@
 //! checkpoint continues the **bit-identical** trajectory of the
 //! uninterrupted run, on any machine with the same float semantics.
 //!
-//! ## Format (version 2)
+//! ## Format (version 3)
 //!
 //! All multi-byte values are **little-endian**; floats are IEEE-754
 //! `f64` bit patterns (so `NaN`/`±inf` round-trip exactly) — the
@@ -23,52 +23,61 @@
 //! In outline:
 //!
 //! ```text
-//! magic "NMFCKPT\0" | version u32 | meta | fingerprint u64
-//!   | convergence state | nblocks u64 | W blocks (rank order)
-//!   | Hᵀ blocks (rank order) | checksum u64
+//! magic "NMFCKPT\0" | version u32 | header_len u64
+//!   | header: meta | fingerprint u64 | convergence state | nblocks u64
+//!             | (nr, nc) of every W block, then every Hᵀ block
+//!   | header_sum u64
+//!   | payload: per block, nr·nc f64s then block_sum u64
 //! ```
 //!
 //! The factors are stored as **per-rank blocks** in the exact layout
-//! [`ShardKey::layouts`] assigns the run. The decoded
-//! [`Checkpoint`] presents assembled factors — reading a file
-//! reassembles the blocks through the [`crate::regrid`] globalizer, the
-//! same path that lets a checkpoint taken on one grid resume on another
-//! (see `docs/elasticity.md`). One version in, one out: a file of any
-//! other version (including the retired version 1, which stored one
-//! assembled pair) is [`NmfError::UnsupportedVersion`].
+//! [`ShardKey::layout`] assigns the run. The decoded [`Checkpoint`]
+//! presents assembled factors: each block is decoded straight into its
+//! rows of the assembled `W` or `Hᵀ`, which is what lets a checkpoint
+//! taken on one grid resume on another ([`crate::regrid`],
+//! `docs/elasticity.md`). One version in, one out: a file of any other
+//! version (including version 2, which guarded the whole file with one
+//! byte-serial hash) is [`NmfError::UnsupportedVersion`].
 //!
-//! Two integrity fields guard two failure classes:
+//! Integrity fields:
 //!
-//! * the trailing **checksum** (FNV-1a over every preceding byte)
-//!   detects corruption and truncation of the file as a whole;
+//! * `header_sum` and each `block_sum` are [`wire::checksum`]s, a
+//!   four-lane word-wise sum that always detects a change confined to
+//!   one word. [`inspect_checkpoint`] reads and verifies the header
+//!   only; [`read_checkpoint`] verifies every block as it decodes it,
+//!   and names the block that fails;
 //! * the **config fingerprint** (FNV-1a over the serialized meta block)
 //!   is also exposed via [`CheckpointMeta::fingerprint`] so callers can
 //!   cheaply compare a checkpoint's configuration against a fresh one
 //!   (e.g. `nmf_cli --resume` rejecting contradictory flags).
 //!
-//! Writes go through a sibling temp file + rename, so a crash mid-write
-//! leaves the previous checkpoint intact rather than a torn file.
+//! Writes stream the blocks from the assembled factors through a
+//! buffered sibling temp file, `fsync` it and rename it into place, so a
+//! crash mid-write leaves the previous checkpoint intact rather than a
+//! torn file.
 
 use crate::config::{Algo, ConvergencePolicy, NmfConfig};
-use crate::dist::{RankLayout, ShardKey};
+use crate::dist::{Part, ShardKey};
 use crate::engine::ConvergenceState;
 use crate::error::NmfError;
 use crate::grid::Grid;
-use crate::regrid::GlobalFactors;
-use crate::wire::{self, put_f64s, Reader, Wire};
+use crate::wire::{self, Reader, Wire};
 use crate::{choice, record};
 use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// File magic: identifies the format before any parsing.
 const MAGIC: &[u8; 8] = b"NMFCKPT\0";
 /// The format version this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 2;
-/// Magic plus version word: what precedes the meta block.
-const HEADER_LEN: usize = MAGIC.len() + 4;
+pub const FORMAT_VERSION: u32 = 3;
+/// Magic, version word and `header_len`: what precedes the header.
+const PREFIX_LEN: usize = MAGIC.len() + 4 + 8;
+/// Payload bytes read at a time: a load never holds an image of the file.
+const CHUNK: usize = 256 << 10;
 
 /// Everything about the run a checkpoint captures besides the factors
 /// and convergence state: the problem shape and the full configuration
@@ -88,11 +97,19 @@ pub struct CheckpointMeta {
     pub config: NmfConfig,
 }
 
+/// The assembled factors a file's blocks are cut from, by index.
+const FACTORS: [&str; 2] = ["W", "H^T"];
+
 impl CheckpointMeta {
-    /// What each rank of the recorded run owns: the slicing of the
-    /// factor section.
-    fn layouts(&self) -> Vec<RankLayout> {
-        ShardKey::of(self.algo, self.grid, self.ranks).layouts(self.m, self.n)
+    /// The file's blocks in order as `(factor, rank, rows)` — every
+    /// rank's rows of `W`, then every rank's rows of `Hᵀ` — as the
+    /// recorded run owns them. Lazy, so a header's rank count sizes
+    /// nothing.
+    fn blocks(&self) -> impl Iterator<Item = (usize, usize, Part)> + '_ {
+        let key = ShardKey::of(self.algo, self.grid, self.ranks);
+        let lay = move |r| key.layout(self.m, self.n, r);
+        let ranks = 0..self.ranks;
+        (ranks.clone().map(move |r| (0, r, lay(r).w))).chain(ranks.map(move |r| (1, r, lay(r).ht)))
     }
 
     /// FNV-1a fingerprint of the serialized configuration — equal iff
@@ -127,7 +144,7 @@ impl CheckpointMeta {
     }
 }
 
-// The meta block (what the fingerprint covers). The v2 header stores
+// The meta block (what the fingerprint covers). The header stores
 // the two enum tags 32 bits wide, and always the grid actually used,
 // whichever variant asked for it.
 record!(CheckpointMeta as meta => {
@@ -240,20 +257,23 @@ pub struct Checkpoint {
     pub ht: Mat,
 }
 
-/// Serializes and writes a checkpoint to `path`, atomically (temp file +
-/// rename in the destination directory).
+/// Serializes and writes a checkpoint to `path`, atomically (temp file,
+/// `fsync`, rename in the destination directory). The blocks stream
+/// from `ck`'s factors; no image of the file is built.
 pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> Result<(), NmfError> {
-    let io = |source| NmfError::Io {
+    let tmp = tmp_sibling(path);
+    let write = || -> std::io::Result<()> {
+        let mut out = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
+        encode(ck, &mut out)?;
+        let f = out.into_inner().map_err(|e| e.into_error())?;
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(&tmp, path)
+    };
+    write().map_err(|source| NmfError::Io {
         path: path.to_path_buf(),
         source,
-    };
-    let bytes = encode(ck);
-    let tmp = tmp_sibling(path);
-    let mut f = std::fs::File::create(&tmp).map_err(io)?;
-    f.write_all(&bytes).map_err(io)?;
-    f.sync_all().map_err(io)?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(io)
+    })
 }
 
 /// [`write_checkpoint`] with rotation: before the new file lands at
@@ -294,8 +314,8 @@ fn rotated_name(path: &Path, generation: usize) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Everything `inspect_checkpoint` learns from a checkpoint's header and
-/// trailer without materializing the factor matrices.
+/// Everything `inspect_checkpoint` learns from a checkpoint's header
+/// without reading the payload.
 #[derive(Clone, Debug)]
 pub struct CheckpointSummary {
     /// Format version of the file.
@@ -312,119 +332,97 @@ pub struct CheckpointSummary {
     /// Wall-clock time recorded by the run so far.
     pub elapsed: Duration,
     /// Assembled shapes of the stored factors (`W`, then `Hᵀ`), from
-    /// the block headers only — the payloads are skipped, not decoded.
-    /// (The file stores per-rank blocks; these are their totals.)
+    /// the header's block table. (The file stores per-rank blocks;
+    /// these are their totals.)
     pub w_shape: (usize, usize),
     pub ht_shape: (usize, usize),
-    /// Per-rank factor blocks in the file (the rank count).
+    /// Per-rank factor blocks in the file (the rank count); the payload
+    /// holds this many `W` blocks and as many `Hᵀ` blocks.
     pub factor_blocks: usize,
-    /// Whether the whole-file checksum verified. `false` means the
-    /// payload is damaged even though the header still parsed; a full
-    /// [`read_checkpoint`] of this file would fail.
-    pub checksum_ok: bool,
     /// Total file size in bytes.
     pub file_bytes: usize,
 }
 
 /// Reads a checkpoint's versioned header — shape, rank `k`, algorithm,
-/// grid, fingerprint, iteration count, checksum status — **without
-/// loading the factors** (their payload bytes are skipped, never parsed
-/// into matrices). This is the cheap pre-flight for tooling: a corrupted
-/// *payload* is reported as `checksum_ok: false` in the summary rather
-/// than an error, so an operator can still see what the damaged file
-/// claimed to be; a header that itself fails to parse is an error.
+/// grid, fingerprint, iteration count, block table — **and nothing
+/// else**: 20 bytes, then `header_len + 8`, however large the payload.
+/// The header's checksum is verified, so a damaged header is an error;
+/// the payload's blocks are verified by [`read_checkpoint`], which names
+/// the block that fails.
 pub fn inspect_checkpoint(path: &Path) -> Result<CheckpointSummary, NmfError> {
-    summarize(&read_file(path)?).map_err(|e| e.at(path))
+    with_file(path, summarize)
 }
 
-fn summarize(bytes: &[u8]) -> Result<CheckpointSummary, DecodeError> {
-    let env = open_envelope(bytes)?;
-    let Header {
-        meta,
-        fingerprint,
-        state,
-        mut r,
-    } = read_header(env.body)?;
+/// Reads and validates a checkpoint from `path`: magic, version, header
+/// checksum, config fingerprint, block table against the recorded
+/// layout, payload length, and every block's checksum.
+pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, NmfError> {
+    with_file(path, decode)
+}
 
-    let factor_blocks = read_block_count(&mut r)?;
-    // Accumulate the assembled totals from the block headers alone: the
-    // W parts (then the Hᵀ parts) tile their global matrix, so the row
-    // counts sum to m (then n).
-    let mut totals = [(0usize, 0usize); 2];
-    for t in &mut totals {
-        for _ in 0..factor_blocks {
-            let Extent { nr, nc } = skip_block(&mut r)?;
-            t.0 = (t.0.checked_add(nr))
-                .ok_or_else(|| r.fail("factor block rows overflow their total"))?;
-            t.1 = t.1.max(nc);
-        }
-    }
+/// Opens the file at `path` and hands it, with its length, to `read`.
+fn with_file<T>(
+    path: &Path,
+    read: impl FnOnce(&mut File, u64) -> Result<T, DecodeError>,
+) -> Result<T, NmfError> {
+    let open = || {
+        let mut f = File::open(path)?;
+        let len = f.metadata()?.len();
+        read(&mut f, len)
+    };
+    open().map_err(|e: DecodeError| e.at(path))
+}
 
+fn summarize(src: &mut impl Read, file_bytes: u64) -> Result<CheckpointSummary, DecodeError> {
+    let (header, _) = read_head(src, file_bytes)?;
+    let [w_shape, ht_shape] = header.shapes;
     Ok(CheckpointSummary {
         version: FORMAT_VERSION,
-        meta,
-        fingerprint,
-        iterations_done: state.iterations_done,
-        objective: state.prev_objective,
-        elapsed: state.elapsed,
-        w_shape: totals[0],
-        ht_shape: totals[1],
-        factor_blocks,
-        checksum_ok: env.checksum_ok,
-        file_bytes: bytes.len(),
+        fingerprint: header.fingerprint,
+        iterations_done: header.state.iterations_done,
+        objective: header.state.prev_objective,
+        elapsed: header.state.elapsed,
+        w_shape,
+        ht_shape,
+        factor_blocks: header.meta.ranks,
+        meta: header.meta,
+        file_bytes: file_bytes as usize,
     })
 }
 
-/// Reads and validates a checkpoint from `path`: magic, version, config
-/// fingerprint, internal shape consistency, and whole-file checksum.
-pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, NmfError> {
-    decode(&read_file(path)?, path).map_err(|e| e.at(path))
-}
-
-fn read_file(path: &Path) -> Result<Vec<u8>, NmfError> {
-    std::fs::read(path).map_err(|source| NmfError::Io {
-        path: path.to_path_buf(),
-        source,
-    })
-}
-
-fn encode(ck: &Checkpoint) -> Vec<u8> {
+/// Writes the prefix, the header and its sum, then every block straight
+/// from the assembled factors, each followed by its sum.
+fn encode(ck: &Checkpoint, out: &mut impl Write) -> std::io::Result<()> {
     let (m, n, k) = (ck.meta.m, ck.meta.n, ck.meta.config.k);
-    debug_assert_eq!(ck.w.shape(), (m, k), "checkpoint W must be assembled m x k");
-    debug_assert_eq!(
-        ck.ht.shape(),
-        (n, k),
-        "checkpoint Ht must be assembled n x k"
-    );
-    let mut out = Vec::with_capacity(256 + 8 * (ck.w.len() + ck.ht.len()));
-    out.extend_from_slice(MAGIC);
-    FORMAT_VERSION.put(&mut out);
-
-    let meta = wire::encode(&ck.meta);
-    meta.len().put(&mut out);
-    out.extend_from_slice(&meta);
-    fnv1a(&meta).put(&mut out);
-    ck.state.put(&mut out);
-
-    // Factor section: the assembled factors sliced into the exact
-    // per-rank blocks the run distributes — W blocks in rank order,
-    // then Hᵀ blocks. Slicing here and reassembling on read are both
-    // plain row copies at the same offsets, so the round trip is
-    // bit-exact.
-    let layouts = ck.meta.layouts();
-    layouts.len().put(&mut out);
-    for lay in &layouts {
-        put_block(&mut out, &ck.w, lay.w.offset, lay.w.len);
+    debug_assert_eq!((ck.w.shape(), ck.ht.shape()), ((m, k), (n, k)));
+    let mut header = wire::encode(&ck.meta);
+    fnv1a(&header).put(&mut header);
+    ck.state.put(&mut header);
+    ck.meta.ranks.put(&mut header);
+    for (_, _, rows) in ck.meta.blocks() {
+        let nr = rows.len;
+        Extent { nr, nc: k }.put(&mut header);
     }
-    for lay in &layouts {
-        put_block(&mut out, &ck.ht, lay.ht.offset, lay.ht.len);
-    }
+    let mut head = Vec::with_capacity(PREFIX_LEN + header.len() + 8);
+    head.extend_from_slice(MAGIC);
+    FORMAT_VERSION.put(&mut head);
+    header.len().put(&mut head);
+    head.extend_from_slice(&header);
+    wire::checksum(&header).put(&mut head);
+    out.write_all(&head)?;
 
-    fnv1a(&out).put(&mut out);
-    out
+    // Slicing here and decoding in place on read are both plain row
+    // copies at the same offsets, so the round trip is bit-exact.
+    for (f, _, rows) in ck.meta.blocks() {
+        let mat = [&ck.w, &ck.ht][f];
+        let sum = wire::write_f64s(out, &mat.as_slice()[rows.offset * k..rows.end() * k])?;
+        out.write_all(&wire::encode(&sum))?;
+    }
+    Ok(())
 }
 
 enum DecodeError {
+    Io(std::io::Error),
     Corrupt(String),
     Version(u32),
     Fingerprint {
@@ -438,6 +436,12 @@ enum DecodeError {
     },
 }
 
+impl From<std::io::Error> for DecodeError {
+    fn from(e: std::io::Error) -> Self {
+        DecodeError::Io(e)
+    }
+}
+
 impl From<wire::Error> for DecodeError {
     fn from(e: wire::Error) -> Self {
         DecodeError::Corrupt(e.to_string())
@@ -449,6 +453,7 @@ impl DecodeError {
     fn at(self, path: &Path) -> NmfError {
         let path = path.to_path_buf();
         match self {
+            DecodeError::Io(source) => NmfError::Io { path, source },
             DecodeError::Corrupt(reason) => NmfError::Corrupt { path, reason },
             DecodeError::Version(found) => NmfError::UnsupportedVersion {
                 path,
@@ -471,57 +476,62 @@ impl DecodeError {
     }
 }
 
-/// The outer frame of a checkpoint file: `body` is every byte before
-/// the trailing checksum. A failed checksum is reported, not judged —
-/// the full reader rejects it, the summary passes it on.
-struct Envelope<'a> {
-    body: &'a [u8],
-    checksum_ok: bool,
-}
-
-fn open_envelope(bytes: &[u8]) -> Result<Envelope<'_>, DecodeError> {
-    let corrupt = |s: &str| DecodeError::Corrupt(s.to_string());
-    if bytes.len() < HEADER_LEN {
-        return Err(corrupt("file shorter than the header"));
-    }
-    let mut r = Reader::new(bytes);
+/// Magic and version, checked, then `header_len`.
+fn read_prefix(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     if r.take(MAGIC.len())? != MAGIC {
-        return Err(corrupt("bad magic (not an NMF checkpoint)"));
+        return Err(DecodeError::Corrupt(
+            "bad magic (not an NMF checkpoint)".to_string(),
+        ));
     }
-    // Version is checked before the checksum so a reader can say
-    // "written by another format version" instead of "corrupt".
-    let version = u32::get(&mut r)?;
+    // Before any checksum, so another version is named, not "corrupt".
+    let version = u32::get(r)?;
     if version != FORMAT_VERSION {
         return Err(DecodeError::Version(version));
     }
-    if r.remaining() < 8 {
-        return Err(corrupt("truncated before the meta block"));
-    }
-    let (body, stored_sum) = bytes.split_at(bytes.len() - 8);
-    Ok(Envelope {
-        body,
-        checksum_ok: fnv1a(body) == wire::decode::<u64>(stored_sum)?,
-    })
+    Ok(usize::get(r)?)
 }
 
-/// Everything between the version word and the factor section, with the
-/// reader `r` left at the factor section's first byte.
-struct Header<'a> {
+/// A verified, decoded header.
+struct Header {
     meta: CheckpointMeta,
     /// The stored config fingerprint (verified against the meta block).
     fingerprint: u64,
     state: ConvergenceState,
-    r: Reader<'a>,
+    /// Totals of the block table: `W`'s rows and width, then `Hᵀ`'s.
+    shapes: [(usize, usize); 2],
 }
 
-fn read_header(body: &[u8]) -> Result<Header<'_>, DecodeError> {
-    let mut r = Reader::new(body);
-    r.take(HEADER_LEN)?; // magic and version: `open_envelope` checked them
-    let meta_len = usize::get(&mut r)?;
-    let meta_bytes = r.take(meta_len)?;
-    let meta = wire::decode(meta_bytes)?;
+/// Reads and verifies the prefix, the header and `header_sum` from the
+/// start of `src`, a file of `file_bytes`: 20 bytes, then
+/// `header_len + 8` or what of them the file holds. Returns the header
+/// and the length of the payload after it.
+fn read_head(src: &mut impl Read, file_bytes: u64) -> Result<(Header, u64), DecodeError> {
+    let mut head = Vec::new();
+    src.by_ref()
+        .take(PREFIX_LEN as u64)
+        .read_to_end(&mut head)?;
+    let header_len = read_prefix(&mut Reader::new(&head))?;
+    let rest = (header_len as u64)
+        .saturating_add(8)
+        .min(file_bytes.saturating_sub(PREFIX_LEN as u64));
+    head.reserve_exact(rest as usize);
+    src.take(rest).read_to_end(&mut head)?;
+    let mut r = Reader::new(&head[PREFIX_LEN..]);
+    let header = r.take(header_len)?;
+    if wire::checksum(header) != u64::get(&mut r)? {
+        return Err(DecodeError::Corrupt(
+            "header checksum mismatch (the header was truncated or altered)".to_string(),
+        ));
+    }
+    let payload = file_bytes.saturating_sub(head.len() as u64);
+    Ok((decode_header(header)?, payload))
+}
+
+fn decode_header(bytes: &[u8]) -> Result<Header, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let meta = CheckpointMeta::get(&mut r)?;
+    let actual_fp = fnv1a(&bytes[..bytes.len() - r.remaining()]);
     let fingerprint = u64::get(&mut r)?;
-    let actual_fp = fnv1a(meta_bytes);
     if fingerprint != actual_fp {
         return Err(DecodeError::Fingerprint {
             expected: actual_fp,
@@ -529,42 +539,7 @@ fn read_header(body: &[u8]) -> Result<Header<'_>, DecodeError> {
         });
     }
     let state = ConvergenceState::get(&mut r)?;
-    Ok(Header {
-        meta,
-        fingerprint,
-        state,
-        r,
-    })
-}
-
-/// The factor section's block count, bounded by the bytes actually
-/// present (each block has a 16-byte header) *before* anything is sized
-/// by it, so a crafted header cannot force a giant allocation.
-fn read_block_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
-    let nblocks = usize::get(r)?;
-    if nblocks == 0 || nblocks > r.remaining() / 16 {
-        return Err(DecodeError::Corrupt(
-            "factor section claims more blocks than fit".to_string(),
-        ));
-    }
-    Ok(nblocks)
-}
-
-fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
-    let corrupt = |s: &str| DecodeError::Corrupt(s.to_string());
-    let env = open_envelope(bytes)?;
-    if !env.checksum_ok {
-        return Err(corrupt(
-            "checksum mismatch (the file was truncated or altered)",
-        ));
-    }
-    let Header {
-        meta, state, mut r, ..
-    } = read_header(env.body)?;
-
-    // Per-rank blocks, reassembled through the regrid globalizer.
-    let (m, n, k) = (meta.m, meta.n, meta.config.k);
-    let nblocks = read_block_count(&mut r)?;
+    let nblocks = usize::get(&mut r)?;
     if nblocks != meta.ranks {
         return Err(DecodeError::Shape {
             field: "factor blocks",
@@ -572,32 +547,69 @@ fn decode(bytes: &[u8], _path: &Path) -> Result<Checkpoint, DecodeError> {
             found: nblocks,
         });
     }
-    // One layout per rank: the meta block's own decoding vouches that
-    // `(algo, grid, ranks)` describe one grid.
-    let layouts = meta.layouts();
-    let mut blocks =
-        || -> Result<Vec<Mat>, wire::Error> { (0..nblocks).map(|_| get_block(&mut r)).collect() };
-    let (w_blocks, ht_blocks) = (blocks()?, blocks()?);
+    // The table must be the recorded layout, extent for extent; each is
+    // read first, so a rank count no bytes back fails at once.
+    let k = meta.config.k;
+    let mut shapes = [(0, 0); 2];
+    for (f, rank, rows) in meta.blocks() {
+        let Extent { nr, nc } = Extent::get(&mut r)?;
+        if (nr, nc) != (rows.len, k) {
+            return Err(DecodeError::Corrupt(format!(
+                "{} block {rank} is {nr}x{nc} in the block table; the layout gives {}x{k}",
+                FACTORS[f], rows.len
+            )));
+        }
+        let total = &mut shapes[f];
+        *total = (total.0 + nr, nc);
+    }
     r.finish()?;
-    let global =
-        GlobalFactors::assemble(m, n, k, &layouts, &w_blocks, &ht_blocks).map_err(|e| {
-            DecodeError::Shape {
-                field: e.field,
-                expected: e.expected,
-                found: e.found,
-            }
-        })?;
-
-    Ok(Checkpoint {
+    Ok(Header {
         meta,
+        fingerprint,
         state,
-        w: global.w,
-        ht: global.ht,
+        shapes,
     })
 }
 
-/* ---- factor blocks: `u64 rows | u64 cols | rows·cols f64s` ---- */
+fn decode(src: &mut impl Read, file_bytes: u64) -> Result<Checkpoint, DecodeError> {
+    let (Header { meta, state, .. }, payload) = read_head(src, file_bytes)?;
+    let (m, n, k) = (meta.m, meta.n, meta.config.k);
+    // The payload must be exactly the blocks the table declares, each
+    // followed by its sum, before `m`, `n` or `k` size anything.
+    let need = meta.blocks().try_fold(0usize, |acc, (_, _, rows)| {
+        (rows.len.checked_mul(k)?.checked_add(1)?.checked_mul(8)?).checked_add(acc)
+    });
+    if need.map(|bytes| bytes as u64) != Some(payload) {
+        return Err(DecodeError::Corrupt(format!(
+            "the payload holds {payload} bytes, not the {} blocks the header declares",
+            2 * meta.ranks
+        )));
+    }
+    // Each block streams through one small buffer straight into its rows
+    // of the assembled factor, and is verified in the same pass.
+    let mut factors = [Mat::zeros(m, k), Mat::zeros(n, k)];
+    let mut buf = vec![0; CHUNK.min(payload as usize)];
+    for (f, rank, rows) in meta.blocks() {
+        let mut sum = wire::Checksum::default();
+        let values = &mut factors[f].as_mut_slice()[rows.offset * k..rows.end() * k];
+        for page in values.chunks_mut(buf.len() / 8) {
+            let bytes = &mut buf[..8 * page.len()];
+            src.read_exact(bytes)?;
+            Reader::new(bytes).f64s_into(page, &mut sum)?;
+        }
+        src.read_exact(&mut buf[..8])?;
+        if sum.finish() != wire::decode::<u64>(&buf[..8])? {
+            return Err(DecodeError::Corrupt(format!(
+                "{} block {rank}: checksum mismatch (the payload was altered)",
+                FACTORS[f]
+            )));
+        }
+    }
+    let [w, ht] = factors;
+    Ok(Checkpoint { meta, state, w, ht })
+}
 
+/// A block's entry in the header's block table.
 struct Extent {
     nr: usize,
     nc: usize,
@@ -605,38 +617,7 @@ struct Extent {
 
 record!(Extent { nr, nc });
 
-/// Rows `[offset, offset + len)` of `mat` as one block, the payload
-/// straight from the matrix's row-major storage.
-fn put_block(out: &mut Vec<u8>, mat: &Mat, offset: usize, len: usize) {
-    let nc = mat.ncols();
-    Extent { nr: len, nc }.put(out);
-    put_f64s(out, &mat.as_slice()[offset * nc..(offset + len) * nc]);
-}
-
-/// A block's extent and its value count. The product is checked, and
-/// the reader bounds it by the bytes actually present before anything
-/// is sized by it — so a crafted extent (with a re-stamped checksum) is
-/// corrupt, not an overflow panic or an absurd reservation.
-fn block_extent(r: &mut Reader<'_>) -> Result<(Extent, usize), wire::Error> {
-    let ext = Extent::get(r)?;
-    let words = (ext.nr.checked_mul(ext.nc))
-        .ok_or_else(|| r.fail(format!("factor block claims {}x{} values", ext.nr, ext.nc)))?;
-    Ok((ext, words))
-}
-
-/// Reads a block's extent and skips its payload: no allocation.
-fn skip_block(r: &mut Reader<'_>) -> Result<Extent, wire::Error> {
-    let (ext, words) = block_extent(r)?;
-    r.f64_bytes(words)?;
-    Ok(ext)
-}
-
-fn get_block(r: &mut Reader<'_>) -> Result<Mat, wire::Error> {
-    let (Extent { nr, nc }, words) = block_extent(r)?;
-    Ok(Mat::from_vec(nr, nc, r.f64s(words)?))
-}
-
-/// 64-bit FNV-1a over `bytes`.
+/// 64-bit FNV-1a over `bytes`: the config fingerprint.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -681,11 +662,36 @@ mod tests {
         }
     }
 
+    fn decode(bytes: &[u8]) -> Result<Checkpoint, DecodeError> {
+        super::decode(&mut &bytes[..], bytes.len() as u64)
+    }
+
+    fn summarize(bytes: &[u8], file_bytes: usize) -> Result<CheckpointSummary, DecodeError> {
+        super::summarize(&mut &bytes[..], file_bytes as u64)
+    }
+
+    fn bytes_of(ck: &Checkpoint) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode(ck, &mut out).expect("a Vec takes every write");
+        out
+    }
+
+    /// Where the header ends (and `header_sum` starts).
+    fn header_end(bytes: &[u8]) -> usize {
+        PREFIX_LEN + wire::decode::<usize>(&bytes[12..PREFIX_LEN]).expect("header_len")
+    }
+
+    /// Re-stamps `header_sum` after a deliberate header edit.
+    fn restamp_header(bytes: &mut [u8]) {
+        let end = header_end(bytes);
+        let sum = wire::checksum(&bytes[PREFIX_LEN..end]);
+        bytes[end..end + 8].copy_from_slice(&wire::encode(&sum));
+    }
+
     #[test]
     fn encode_decode_round_trips_bit_exactly() {
         let ck = sample();
-        let bytes = encode(&ck);
-        let back = decode(&bytes, Path::new("mem")).ok().expect("decodes");
+        let back = decode(&bytes_of(&ck)).ok().expect("decodes");
         assert_eq!(back.w, ck.w);
         assert_eq!(back.ht, ck.ht);
         assert_eq!(back.state, ck.state);
@@ -696,141 +702,122 @@ mod tests {
 
     #[test]
     fn every_truncation_is_detected() {
-        let bytes = encode(&sample());
+        let bytes = bytes_of(&sample());
         for cut in [5, 11, 40, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                decode(&bytes[..cut], Path::new("mem")).is_err(),
+                decode(&bytes[..cut]).is_err(),
                 "truncation at {cut} bytes must not decode"
             );
         }
     }
 
     #[test]
-    fn flipped_payload_byte_fails_checksum() {
-        let mut bytes = encode(&sample());
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        assert!(matches!(
-            decode(&bytes, Path::new("mem")),
-            Err(DecodeError::Corrupt(_))
-        ));
+    fn flipped_payload_byte_names_its_block() {
+        let mut bytes = bytes_of(&sample());
+        let len = bytes.len();
+        bytes[len - 16] ^= 0x40; // inside the last Hᵀ block's values
+        match decode(&bytes) {
+            Err(DecodeError::Corrupt(why)) => assert!(why.contains("H^T block 3"), "{why}"),
+            _ => panic!("a flipped payload byte must be corrupt"),
+        }
     }
 
     #[test]
     fn absurd_factor_extent_is_corrupt_not_a_panic() {
-        // Edit a factor block to claim 2^61 rows and re-stamp the
-        // trailing checksum (FNV is not cryptographic; the format's
-        // contract is a *decode error*, never a panic or giant
-        // allocation). The last Hᵀ block of the sample (2×2 grid on
-        // 12×9, k=3) is 2×3, so its header sits at a fixed offset from
-        // the end: checksum (8) + payload (6 f64s) + header (16).
-        let ck = sample();
-        let mut bytes = encode(&ck);
-        let pos = bytes.len() - 8 - 8 * 6 - 16;
-        assert_eq!(bytes[pos..pos + 8], 2u64.to_le_bytes(), "Hᵀ block rows");
+        // Edit the last Hᵀ entry of the block table to claim 2^61 rows
+        // and re-stamp the header's sum: the contract is a *decode
+        // error*, never a panic or giant allocation.
+        let mut bytes = bytes_of(&sample());
+        let pos = header_end(&bytes) - 16;
+        assert_eq!(wire::decode::<u64>(&bytes[pos..pos + 8]), Ok(2), "Hᵀ rows");
         assert_eq!(
-            bytes[pos + 8..pos + 16],
-            3u64.to_le_bytes(),
-            "Hᵀ block cols"
+            wire::decode::<u64>(&bytes[pos + 8..pos + 16]),
+            Ok(3),
+            "cols"
         );
-        bytes[pos..pos + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
-        let body = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body]);
-        let len = bytes.len();
-        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            decode(&bytes, Path::new("mem")),
-            Err(DecodeError::Corrupt(_))
-        ));
+        bytes[pos..pos + 8].copy_from_slice(&wire::encode(&(1u64 << 61)));
+        restamp_header(&mut bytes);
+        assert!(matches!(decode(&bytes), Err(DecodeError::Corrupt(_))));
     }
 
     #[test]
-    fn version_1_files_are_refused_with_a_typed_error() {
-        // Nothing writes version 1 any more and nothing reads it: the
-        // version word alone decides, before the checksum is looked at.
-        let mut bytes = MAGIC.to_vec();
-        1u32.put(&mut bytes);
-        bytes.extend_from_slice(&[0; 64]);
+    fn older_versions_are_refused_with_a_typed_error() {
+        // Nothing writes versions 1 or 2 any more and nothing reads
+        // them: the version word alone decides, before any checksum.
+        for old in [1u32, 2] {
+            let mut bytes = MAGIC.to_vec();
+            old.put(&mut bytes);
+            bytes.extend_from_slice(&[0; 64]);
+            assert!(matches!(decode(&bytes), Err(DecodeError::Version(v)) if v == old));
+            let summary = summarize(&bytes, bytes.len());
+            assert!(matches!(summary, Err(DecodeError::Version(v)) if v == old));
+        }
         assert!(matches!(
-            decode(&bytes, Path::new("mem")),
-            Err(DecodeError::Version(1))
-        ));
-        assert!(matches!(summarize(&bytes), Err(DecodeError::Version(1))));
-        assert!(matches!(
-            DecodeError::Version(1).at(Path::new("old.ckpt")),
+            DecodeError::Version(2).at(Path::new("old.ckpt")),
             NmfError::UnsupportedVersion {
-                found: 1,
-                supported: 2,
+                found: 2,
+                supported: 3,
                 ..
             }
         ));
     }
 
     #[test]
-    fn v2_stores_one_block_per_rank_and_reassembles_bit_exactly() {
+    fn stores_one_block_per_rank_and_reassembles_bit_exactly() {
         let ck = sample();
-        let bytes = encode(&ck);
-        let s = summarize(&bytes).ok().expect("summarizes");
+        let bytes = bytes_of(&ck);
+        let s = summarize(&bytes, bytes.len()).ok().expect("summarizes");
         assert_eq!(s.version, FORMAT_VERSION);
         assert_eq!(s.factor_blocks, ck.meta.ranks);
-        // Block totals reconstruct the assembled shapes...
+        // The block table's totals are the assembled shapes...
         assert_eq!(s.w_shape, (12, 3));
         assert_eq!(s.ht_shape, (9, 3));
-        // ...and the decode path reassembles through the globalizer to
-        // the exact matrices that were sliced.
-        let back = decode(&bytes, Path::new("mem")).ok().expect("decodes");
+        // ...and the payload is exactly the 8 blocks plus their sums.
+        let payload = bytes.len() - header_end(&bytes) - 8;
+        assert_eq!(payload, 8 * (12 * 3 + 9 * 3) + 8 * 8);
+        let back = decode(&bytes).ok().expect("decodes");
         assert_eq!(back.w, ck.w);
         assert_eq!(back.ht, ck.ht);
     }
 
     #[test]
-    fn v2_block_count_must_match_the_recorded_ranks() {
-        let ck = sample();
-        let mut bytes = encode(&ck);
-        // The nblocks field follows the state section; find it by value
-        // scanning backwards from the first W block header (3×3 at a
-        // known distance: 4 W blocks of 3×3 and 4 Hᵀ blocks totalling
-        // 9×3 plus 8 headers of 16 bytes, then the checksum).
-        let factor_payload = 8 * (12 * 3 + 9 * 3) + 16 * 8;
-        let pos = bytes.len() - 8 - factor_payload - 8;
-        assert_eq!(bytes[pos..pos + 8], 4u64.to_le_bytes(), "nblocks field");
-        bytes[pos..pos + 8].copy_from_slice(&3u64.to_le_bytes());
-        let body = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body]);
-        let len = bytes.len();
-        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+    fn block_count_must_match_the_recorded_ranks() {
+        let mut bytes = bytes_of(&sample());
+        // `nblocks` precedes the table's 8 extents of 16 bytes.
+        let pos = header_end(&bytes) - 16 * 8 - 8;
+        assert_eq!(wire::decode::<u64>(&bytes[pos..pos + 8]), Ok(4), "nblocks");
+        bytes[pos..pos + 8].copy_from_slice(&wire::encode(&3u64));
+        restamp_header(&mut bytes);
         assert!(matches!(
-            decode(&bytes, Path::new("mem")),
-            Err(DecodeError::Shape { .. }) | Err(DecodeError::Corrupt(_))
+            decode(&bytes),
+            Err(DecodeError::Shape {
+                field: "factor blocks",
+                expected: 4,
+                found: 3
+            })
         ));
     }
 
     #[test]
-    fn summary_reads_header_and_flags_payload_damage() {
+    fn summary_reads_the_header_only() {
         let ck = sample();
-        let bytes = encode(&ck);
-        let s = summarize(&bytes).ok().expect("summarizes");
-        assert_eq!(s.version, FORMAT_VERSION);
+        let bytes = bytes_of(&ck);
+        let s = summarize(&bytes, bytes.len()).ok().expect("summarizes");
         assert_eq!((s.meta.m, s.meta.n), (12, 9));
         assert_eq!(s.meta.config.k, 3);
         assert_eq!(s.iterations_done, 3);
-        assert_eq!(s.w_shape, (12, 3));
-        assert_eq!(s.ht_shape, (9, 3));
         assert_eq!(s.fingerprint, ck.meta.fingerprint());
-        assert!(s.checksum_ok);
 
-        // Flip a byte inside the W payload: the header still parses,
-        // the summary reports the damage instead of erroring.
-        let mut damaged = bytes.clone();
-        let off = damaged.len() - 16; // inside Ht payload, before checksum
-        damaged[off] ^= 0x01;
-        let s = summarize(&damaged).ok().expect("header intact");
-        assert!(!s.checksum_ok);
+        // The header and its sum are all a summary needs...
+        let head = &bytes[..header_end(&bytes) + 8];
+        let s = summarize(head, bytes.len()).ok().expect("header intact");
+        assert_eq!((s.w_shape, s.ht_shape), ((12, 3), (9, 3)));
+        assert!(decode(head).is_err(), "...and all a load cannot do without");
 
-        // A damaged *header* (meta block) is an error, not a summary.
+        // A damaged header is an error, not a summary.
         let mut bad_meta = bytes.clone();
-        bad_meta[20] ^= 0xff;
-        assert!(summarize(&bad_meta).is_err());
+        bad_meta[PREFIX_LEN] ^= 0xff;
+        assert!(summarize(&bad_meta, bytes.len()).is_err());
     }
 
     #[test]
@@ -871,9 +858,7 @@ mod tests {
         let mut ck = sample();
         ck.state.prev_objective = f64::INFINITY;
         ck.state.first_objective = None;
-        let back = decode(&encode(&ck), Path::new("mem"))
-            .ok()
-            .expect("decodes");
+        let back = decode(&bytes_of(&ck)).ok().expect("decodes");
         assert_eq!(back.state.prev_objective, f64::INFINITY);
         assert_eq!(back.state.first_objective, None);
     }

@@ -116,7 +116,7 @@ pub use error::NmfError;
 pub use grid::Grid;
 pub use harness::{factorize, factorize_from, total_comm};
 pub use input::{AtW, Balance, DimBalance, Input, LocalMat};
-pub use regrid::{fitting_grids, GlobalFactors, RegridTarget};
+pub use regrid::{fitting_grids, RegridTarget};
 pub use session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};
 pub use shared::{RankLoad, SharedInput};
 pub use workspace::IterWorkspace;

@@ -10,11 +10,11 @@
 //!
 //! The flow has two halves, both exact row copies:
 //!
-//! 1. **Globalize** — a v2 checkpoint stores one factor block per rank
-//!    in [`ShardKey::layouts`](crate::dist::ShardKey::layouts) order;
-//!    `GlobalFactors::assemble` places each block at its global row
-//!    offset, reconstructing the assembled `W` (`m×k`) and `Hᵀ` (`n×k`)
-//!    bit-for-bit (the blocks were sliced from those exact matrices).
+//! 1. **Globalize** — a checkpoint stores one factor block per rank,
+//!    cut at the offsets [`ShardKey::layout`](crate::dist::ShardKey::layout)
+//!    assigns; the reader decodes each block straight into its rows of
+//!    one assembled `W` (`m×k`) and `Hᵀ` (`n×k`), bit-for-bit (the
+//!    blocks were sliced from those exact matrices).
 //! 2. **Reshard** — the session builder's warm start scatters the
 //!    assembled factors along the *target* `(algo, grid, ranks)` layout,
 //!    and the input blocks come from the ordinary [`crate::shared`]
@@ -37,74 +37,8 @@
 
 use crate::checkpoint::CheckpointMeta;
 use crate::config::Algo;
-use crate::dist::RankLayout;
 use crate::error::grid_fits;
 use crate::grid::Grid;
-use nmf_matrix::Mat;
-
-/// Assembled global factors: `w` is `m×k`, `ht` is `n×k` (`H`
-/// transposed) — the globalizer's output and the warm start of any
-/// resumed session.
-#[derive(Clone, Debug)]
-pub struct GlobalFactors {
-    pub w: Mat,
-    pub ht: Mat,
-}
-
-/// A factor block whose shape disagrees with the layout it claims to
-/// occupy (surfaced as a checkpoint shape error by the decoder).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BlockShapeMismatch {
-    pub field: &'static str,
-    pub expected: usize,
-    pub found: usize,
-}
-
-impl GlobalFactors {
-    /// Reassembles the global factors from per-rank blocks laid out by
-    /// `layouts` (one entry per block, rank order). Each
-    /// block's shape is verified against its layout slice before
-    /// anything is allocated; the slices of a layout tile the global
-    /// matrices exactly, so assembly is a permutation of rows —
-    /// bit-exact.
-    pub(crate) fn assemble(
-        m: usize,
-        n: usize,
-        k: usize,
-        layouts: &[RankLayout],
-        w_blocks: &[Mat],
-        ht_blocks: &[Mat],
-    ) -> Result<GlobalFactors, BlockShapeMismatch> {
-        debug_assert_eq!(layouts.len(), w_blocks.len());
-        debug_assert_eq!(layouts.len(), ht_blocks.len());
-        let parts = || layouts.iter().zip(w_blocks.iter().zip(ht_blocks));
-        // Every shape first, so `m`, `n` and `k` (a file's claims) size
-        // nothing until the blocks actually present vouch for them.
-        for (lay, (wb, hb)) in parts() {
-            for (field, expected, found) in [
-                ("W block rows", lay.w.len, wb.nrows()),
-                ("W block cols", k, wb.ncols()),
-                ("H^T block rows", lay.ht.len, hb.nrows()),
-                ("H^T block cols", k, hb.ncols()),
-            ] {
-                if expected != found {
-                    return Err(BlockShapeMismatch {
-                        field,
-                        expected,
-                        found,
-                    });
-                }
-            }
-        }
-        let mut w = Mat::zeros(m, k);
-        let mut ht = Mat::zeros(n, k);
-        for (lay, (wb, hb)) in parts() {
-            w.set_block(lay.w.offset, 0, wb);
-            ht.set_block(lay.ht.offset, 0, hb);
-        }
-        Ok(GlobalFactors { w, ht })
-    }
-}
 
 /// Where a checkpoint should resume: any subset of algorithm, rank
 /// count, and explicit grid may be overridden; whatever is left `None`
@@ -197,8 +131,6 @@ pub fn fitting_grids(m: usize, n: usize, ranks: usize) -> Vec<Grid> {
 mod tests {
     use super::*;
     use crate::config::NmfConfig;
-    use crate::dist::ShardKey;
-    use nmf_matrix::rng::Fill;
 
     fn meta(algo: Algo, grid: Grid, ranks: usize) -> CheckpointMeta {
         CheckpointMeta {
@@ -209,44 +141,6 @@ mod tests {
             grid,
             config: NmfConfig::new(4),
         }
-    }
-
-    #[test]
-    fn assemble_inverts_slicing_for_every_scheme() {
-        let (m, n, k) = (13, 9, 3);
-        let w = Mat::uniform(m, k, 5);
-        let ht = Mat::uniform(n, k, 6);
-        for (algo, grid, ranks) in [
-            (Algo::Sequential, Grid::new(1, 1), 1),
-            (Algo::Naive, Grid::one_dimensional(4), 4),
-            (Algo::Hpc2D, Grid::new(2, 2), 4),
-            (Algo::HpcGrid(Grid::new(1, 4)), Grid::new(1, 4), 4),
-        ] {
-            let layouts = ShardKey::of(algo, grid, ranks).layouts(m, n);
-            let w_blocks: Vec<Mat> = layouts
-                .iter()
-                .map(|l| w.rows_block(l.w.offset, l.w.len))
-                .collect();
-            let ht_blocks: Vec<Mat> = layouts
-                .iter()
-                .map(|l| ht.rows_block(l.ht.offset, l.ht.len))
-                .collect();
-            let g = GlobalFactors::assemble(m, n, k, &layouts, &w_blocks, &ht_blocks)
-                .expect("blocks match their layouts");
-            assert_eq!(g.w, w, "{algo:?} W round trip");
-            assert_eq!(g.ht, ht, "{algo:?} Ht round trip");
-        }
-    }
-
-    #[test]
-    fn assemble_rejects_a_block_of_the_wrong_shape() {
-        let (m, n, k) = (8, 6, 2);
-        let layouts = ShardKey::Naive { p: 2 }.layouts(m, n);
-        let w_blocks = vec![Mat::zeros(4, k), Mat::zeros(3, k)]; // second too short
-        let ht_blocks = vec![Mat::zeros(3, k), Mat::zeros(3, k)];
-        let err = GlobalFactors::assemble(m, n, k, &layouts, &w_blocks, &ht_blocks)
-            .expect_err("shape mismatch");
-        assert_eq!(err.field, "W block rows");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! * **a layout is written once**: [`record!`](crate::record) and
 //!   [`choice!`](crate::choice) take one field list (one tag table) and
 //!   generate both directions of [`Wire`], so they cannot drift apart.
+//!
+//! It also holds the checkpoint's [`checksum`], since summing a stored
+//! block means reading its little-endian words.
 
 use std::fmt;
 
@@ -90,6 +93,21 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
+    /// `dst.len()` consecutive `f64`s decoded into `dst` (bounded as
+    /// [`f64_bytes`](Self::f64_bytes)) and fed to `sum` in the same
+    /// pass: a page of values is decoded, then summed while it is still
+    /// in L1.
+    pub(crate) fn f64s_into(&mut self, dst: &mut [f64], sum: &mut Checksum) -> Result<(), Error> {
+        let raw = self.f64_bytes(dst.len())?;
+        for (page, bytes) in dst.chunks_mut(PAGE).zip(raw.chunks(8 * PAGE)) {
+            for (x, b) in page.iter_mut().zip(bytes.chunks_exact(8)) {
+                *x = f64::from_le_bytes(b.try_into().expect("chunks of 8"));
+            }
+            sum.f64s(page);
+        }
+        Ok(())
+    }
+
     /// Rejects input left over after a complete value.
     pub fn finish(&self) -> Result<(), Error> {
         match self.remaining() {
@@ -127,6 +145,105 @@ pub fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     for x in xs {
         out.extend_from_slice(&x.to_le_bytes());
     }
+}
+
+/// Values per page of [`write_f64s`] and [`Reader::f64s_into`].
+const PAGE: usize = 512;
+
+/// Writes `xs` to `out` as raw little-endian `f64`s, no count, a page at
+/// a time through a stack buffer, and returns the [`Checksum`] of their
+/// words.
+pub(crate) fn write_f64s(out: &mut impl std::io::Write, xs: &[f64]) -> std::io::Result<u64> {
+    let mut buf = [0u8; 8 * PAGE];
+    let mut sum = Checksum::default();
+    for page in xs.chunks(PAGE) {
+        let bytes = &mut buf[..8 * page.len()];
+        for (b, x) in bytes.chunks_exact_mut(8).zip(page) {
+            b.copy_from_slice(&x.to_le_bytes());
+        }
+        sum.f64s(page);
+        out.write_all(bytes)?;
+    }
+    Ok(sum.finish())
+}
+
+/// Multiplier of a checksum lane step: odd, so multiplying by it is a
+/// bijection of `u64`.
+const SUM_K: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Rotation of a checksum lane step.
+const SUM_R: u32 = 29;
+
+/// One lane step. For a fixed `word` it is a bijection of `lane`, and
+/// for a fixed `lane` a bijection of `word`.
+#[inline(always)]
+fn mix(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(SUM_K).rotate_left(SUM_R)
+}
+
+/// The word-wise checksum of a checkpoint's header and of each of its
+/// factor blocks.
+///
+/// Word `i` of the stream goes to lane `i % 4` as
+/// `lane = (lane ^ word)·K rotl R`; [`finish`](Self::finish) folds the
+/// four lanes, one step each, into the word count. Each step is a
+/// bijection of its state for a fixed word, and of the word for a fixed
+/// state, so two streams of the same length that differ in one word
+/// always have different sums — a detection guarantee, not a
+/// probability. The lanes are independent chains, so a core runs them
+/// side by side: about a cycle per 8-byte word.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Checksum {
+    lanes: [u64; 4],
+    words: u64,
+}
+
+impl Checksum {
+    /// Feeds one word.
+    #[inline]
+    fn word(&mut self, word: u64) {
+        let lane = &mut self.lanes[(self.words % 4) as usize];
+        *lane = mix(*lane, word);
+        self.words += 1;
+    }
+
+    /// Feeds the bit patterns of `xs`: the little-endian words a file
+    /// stores them as.
+    pub(crate) fn f64s(&mut self, xs: &[f64]) {
+        let lead = xs.len().min(((4 - self.words % 4) % 4) as usize);
+        let (head, body) = xs.split_at(lead);
+        head.iter().for_each(|x| self.word(x.to_bits()));
+        let mut quads = body.chunks_exact(4);
+        let mut lanes = self.lanes;
+        for quad in &mut quads {
+            for (lane, x) in lanes.iter_mut().zip(quad) {
+                *lane = mix(*lane, x.to_bits());
+            }
+        }
+        self.lanes = lanes;
+        self.words += (body.len() - quads.remainder().len()) as u64;
+        quads
+            .remainder()
+            .iter()
+            .for_each(|x| self.word(x.to_bits()));
+    }
+
+    /// The sum of the words fed so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.lanes.iter().fold(self.words, |h, &lane| mix(h, lane))
+    }
+}
+
+/// The `Checksum` of `bytes` read as little-endian words, a byte tail
+/// zero-padded into one last word. For bytes that spell `f64`s it is
+/// the sum of their bit patterns.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::default();
+    for chunk in bytes.chunks(8) {
+        let mut word = [0; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        sum.word(u64::from_le_bytes(word));
+    }
+    sum.finish()
 }
 
 macro_rules! le_scalar {
@@ -372,5 +489,61 @@ mod tests {
         assert_eq!(r.remaining(), 4, "a refused take consumes nothing");
         // A string length beyond the input.
         assert!(decode::<String>(&[0xFF, 0xFF, 0xFF, 0xFF, b'a']).is_err());
+        let mut r = Reader::new(&[0; 16]);
+        assert!(r
+            .f64s_into(&mut [0.0; 3], &mut Checksum::default())
+            .is_err());
+        assert_eq!(r.remaining(), 16);
+    }
+
+    fn sum_of(xs: &[f64]) -> u64 {
+        let mut sum = Checksum::default();
+        sum.f64s(xs);
+        sum.finish()
+    }
+
+    #[test]
+    fn checksum_detects_every_change_confined_to_one_word() {
+        let xs: Vec<f64> = (0..11).map(|i| f64::from(i) * 0.75 - 2.0).collect();
+        let base = sum_of(&xs);
+        for i in 0..xs.len() {
+            for flip in (0..64)
+                .map(|b| 1u64 << b)
+                .chain([u64::MAX, 0x8000_0000_0000_0001])
+            {
+                let mut ys = xs.clone();
+                ys[i] = f64::from_bits(ys[i].to_bits() ^ flip);
+                assert_ne!(sum_of(&ys), base, "word {i} ^ {flip:#x}");
+            }
+        }
+        // The word count is folded in: a stream is not its zero-extension.
+        assert_ne!(checksum(&[]), checksum(&[0; 8]));
+        assert_ne!(sum_of(&xs[..4]), sum_of(&[&xs[..4], &[0.0]].concat()));
+    }
+
+    #[test]
+    fn checksum_of_bytes_is_the_sum_of_the_f64s_they_spell_fed_in_any_pieces() {
+        let xs: Vec<f64> = (0..1037).map(|i| f64::from(i).sqrt()).collect();
+        let mut bytes = Vec::new();
+        put_f64s(&mut bytes, &xs);
+        let whole = checksum(&bytes);
+        assert_eq!(sum_of(&xs), whole);
+        for cut in [0, 1, 3, 4, 5, 517, 1036] {
+            let mut sum = Checksum::default();
+            sum.f64s(&xs[..cut]);
+            sum.f64s(&xs[cut..]);
+            assert_eq!(sum.finish(), whole, "cut at {cut}");
+        }
+        let mut written = Vec::new();
+        assert_eq!(write_f64s(&mut written, &xs).ok(), Some(whole));
+        assert_eq!(written, bytes);
+        let mut back = vec![0.0; xs.len()];
+        let mut sum = Checksum::default();
+        for (dst, src) in back.chunks_mut(100).zip(bytes.chunks(800)) {
+            assert_eq!(Reader::new(src).f64s_into(dst, &mut sum), Ok(()));
+        }
+        assert_eq!((sum.finish(), back), (whole, xs));
+        // A byte tail is zero-padded into one last word.
+        assert_eq!(checksum(&[1, 2, 3]), checksum(&[1, 2, 3, 0, 0, 0, 0, 0]));
     }
 }

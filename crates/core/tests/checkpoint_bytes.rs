@@ -1,19 +1,24 @@
 //! The checkpoint format against bytes it did not write.
 //!
-//! * **Golden**: `golden/v2_hpc2d_p2.ckpt` was written by the build
-//!   before the codec moved onto [`hpc_nmf::wire`] and is committed
-//!   unedited; this build must write the same value to the same bytes,
-//!   read it back equal, and compute the same fingerprint (files in the
-//!   field carry theirs).
-//! * **Fuzz**: arbitrary bytes, and the golden file under byte flips,
-//!   truncation and hostile length fields (checksum and fingerprint
-//!   re-stamped so the damage reaches the parser), go through
+//! * **Golden**: `golden/v3_hpc2d_p2.ckpt` was written from
+//!   `golden_checkpoint()` by the build that introduced format version 3
+//!   and is committed unedited; this build must write the same value to
+//!   the same bytes, read it back equal, and compute the same
+//!   fingerprint (files in the field carry theirs). The previous
+//!   version's golden, `golden/v2_hpc2d_p2.ckpt`, stays as the case both
+//!   readers refuse.
+//! * **Fuzz**: arbitrary bytes, and the golden file under bit flips,
+//!   truncation and hostile length fields (fingerprint, header sum and
+//!   block sums re-stamped so the damage reaches the parser), go through
 //!   `inspect_checkpoint` and `read_checkpoint`. Neither may panic, and
 //!   — measured with a counting allocator — neither may ask for more
 //!   than `4·len + 4 KiB`: a length field sizes nothing until the bytes
 //!   present vouch for it.
+//! * **Header only**: `inspect_checkpoint` reads the header and its sum,
+//!   never the payload.
 
 use hpc_nmf::checkpoint::{read_checkpoint, write_checkpoint};
+use hpc_nmf::wire::{checksum, Reader, Wire};
 use hpc_nmf::{
     inspect_checkpoint, Algo, Checkpoint, CheckpointMeta, ConvergencePolicy, ConvergenceState,
     Grid, NmfConfig, NmfError,
@@ -27,7 +32,8 @@ use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-const GOLDEN: &[u8] = include_bytes!("golden/v2_hpc2d_p2.ckpt");
+const GOLDEN: &[u8] = include_bytes!("golden/v3_hpc2d_p2.ckpt");
+const GOLDEN_V2: &[u8] = include_bytes!("golden/v2_hpc2d_p2.ckpt");
 const GOLDEN_FINGERPRINT: u64 = 0x4017_2b6b_0458_8b04;
 
 /* ---- bytes requested by the calling thread ---- */
@@ -131,17 +137,85 @@ fn golden_checkpoint_reads_and_rewrites_byte_for_byte() {
 
     let summary = inspect_checkpoint(&path).expect("summarizes");
     assert_eq!(summary.fingerprint, GOLDEN_FINGERPRINT);
-    assert_eq!((summary.version, summary.factor_blocks), (2, 2));
+    assert_eq!((summary.version, summary.factor_blocks), (3, 2));
     assert_eq!((summary.w_shape, summary.ht_shape), ((6, 2), (5, 2)));
-    assert!(summary.checksum_ok);
     assert_eq!(summary.file_bytes, GOLDEN.len());
 
     // Both the value built here and the one just decoded write the
-    // parent's bytes.
+    // golden bytes.
     for ck in [&expect, &back] {
         write_checkpoint(&path, ck).expect("writes");
         assert_eq!(std::fs::read(&path).expect("reads"), GOLDEN);
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn version_2_files_are_refused_by_both_readers() {
+    let path = scratch("v2");
+    std::fs::write(&path, GOLDEN_V2).expect("stage the v2 golden file");
+    for err in [
+        read_checkpoint(&path).err(),
+        inspect_checkpoint(&path).err(),
+    ] {
+        assert!(
+            matches!(
+                err,
+                Some(NmfError::UnsupportedVersion {
+                    found: 2,
+                    supported: 3,
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// `inspect_checkpoint` reads the header and its sum, nothing else: a
+/// file cut right after `header_sum` still summarizes while the full
+/// reader refuses it, and inspecting a 4-rank checkpoint of a 4000×4000
+/// problem asks for no more than `header_len + 4 KiB`.
+#[test]
+fn inspect_reads_the_header_only() {
+    let (m, n, k) = (4000, 4000, 8);
+    let ck = Checkpoint {
+        meta: CheckpointMeta {
+            m,
+            n,
+            ranks: 4,
+            algo: Algo::Hpc2D,
+            grid: Grid::new(2, 2),
+            config: NmfConfig::new(k),
+        },
+        state: golden_checkpoint().state,
+        w: Mat::filled(m, k, 0.5),
+        ht: Mat::filled(n, k, 0.25),
+    };
+    let path = scratch("header-only");
+    write_checkpoint(&path, &ck).expect("writes");
+    let bytes = std::fs::read(&path).expect("reads");
+    let header_len = u64_at(&bytes, 12).expect("header_len") as usize;
+
+    let (summary, asked) = requested_by(|| inspect_checkpoint(&path));
+    assert_eq!(summary.expect("inspects").file_bytes, bytes.len());
+    assert!(
+        asked <= header_len + 4096,
+        "inspect asked for {asked} bytes; the header is {header_len}"
+    );
+
+    std::fs::write(&path, &bytes[..header_len + 28]).expect("truncate");
+    let cut = inspect_checkpoint(&path).expect("the header alone summarizes");
+    assert_eq!(
+        (cut.w_shape, cut.ht_shape, cut.factor_blocks),
+        ((m, k), (n, k), 4)
+    );
+    assert_eq!(cut.fingerprint, ck.meta.fingerprint());
+    assert!(matches!(
+        read_checkpoint(&path),
+        Err(NmfError::Corrupt { .. })
+    ));
     std::fs::remove_file(&path).ok();
 }
 
@@ -158,21 +232,54 @@ fn u64_at(bytes: &[u8], pos: usize) -> Option<u64> {
     Some(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
 }
 
-/// Re-stamps the config fingerprint (when the meta length field still
-/// points inside the file) and the trailing checksum, so a mutation is
-/// judged by the parser, not by the two hashes in front of it.
+/// Re-stamps what stands between a mutation and the parser: the config
+/// fingerprint (when the meta block still decodes), `header_sum` (when
+/// `header_len` still points inside the file), and every `block_sum`
+/// the block table still locates.
 fn restamp(bytes: &mut [u8]) {
-    let len = bytes.len();
-    if let Some(meta_len) = u64_at(bytes, 12).and_then(|l| usize::try_from(l).ok()) {
-        let fp_at = 20usize.saturating_add(meta_len);
-        if fp_at.saturating_add(16) <= len {
+    let Some(end) = u64_at(bytes, 12)
+        .and_then(|l| usize::try_from(l).ok())
+        .and_then(|l| l.checked_add(20))
+        .filter(|&end| end <= bytes.len())
+    else {
+        return;
+    };
+    let mut r = Reader::new(&bytes[20..end]);
+    let mut table = Vec::new();
+    if CheckpointMeta::get(&mut r).is_ok() {
+        let fp_at = end - r.remaining();
+        if fp_at + 8 <= end {
             let fp = fnv1a(&bytes[20..fp_at]);
             bytes[fp_at..fp_at + 8].copy_from_slice(&fp.to_le_bytes());
         }
+        // The rest of the header: fingerprint, state, then the table.
+        let mut r = Reader::new(&bytes[fp_at..end]);
+        let nblocks = u64::get(&mut r)
+            .and_then(|_| ConvergenceState::get(&mut r))
+            .and_then(|_| u64::get(&mut r));
+        if let Ok(nblocks) = nblocks {
+            table = (0..nblocks.saturating_mul(2))
+                .map_while(|_| Some((u64::get(&mut r).ok()?, u64::get(&mut r).ok()?)))
+                .collect();
+        }
     }
-    if len >= 20 {
-        let sum = fnv1a(&bytes[..len - 8]);
-        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+    if end + 8 > bytes.len() {
+        return;
+    }
+    let sum = checksum(&bytes[20..end]);
+    bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+    let mut at = end + 8;
+    for (nr, nc) in table {
+        let Some(stop) = (nr.checked_mul(nc))
+            .and_then(|words| usize::try_from(words).ok()?.checked_mul(8))
+            .and_then(|len| at.checked_add(len))
+            .filter(|&stop| stop.saturating_add(8) <= bytes.len())
+        else {
+            return;
+        };
+        let sum = checksum(&bytes[at..stop]);
+        bytes[stop..stop + 8].copy_from_slice(&sum.to_le_bytes());
+        at = stop + 8;
     }
 }
 
@@ -210,19 +317,53 @@ fn both_readers_survive(bytes: &[u8], path: &Path) {
     }
 }
 
-/// Offsets of the golden file's length and extent fields: meta length,
-/// objective-history length, block count, then each block's rows/cols.
+/// Offsets of the golden file's length and extent fields: `header_len`,
+/// the objective-history length, the block count, then each block's
+/// rows and cols in the block table.
 fn golden_length_fields() -> Vec<usize> {
-    let history = 12 + 8 + 123 + 8 + 8 + 9 + 8;
+    let history = 20 + 123 + 8 + 8 + 9 + 8;
     let nblocks = history + 8 + 3 * 8 + 8;
     let mut fields = vec![12, history, nblocks];
-    let mut at = nblocks + 8;
-    for rows in [3, 3, 3, 2] {
-        fields.extend([at, at + 8]);
-        at += 16 + 8 * rows * 2;
-    }
-    assert_eq!(at + 8, GOLDEN.len(), "the block walk ends at the checksum");
+    fields.extend((0..8).map(|i| nblocks + 8 + 8 * i));
+    let header_end = nblocks + 8 + 4 * 16;
+    assert_eq!(
+        u64_at(GOLDEN, 12),
+        Some(header_end as u64 - 20),
+        "the table ends the header"
+    );
+    let payload: usize = [3, 3, 3, 2].iter().map(|rows| 8 * rows * 2 + 8).sum();
+    assert_eq!(
+        header_end + 8 + payload,
+        GOLDEN.len(),
+        "the blocks end the file"
+    );
     fields
+}
+
+/// Every single-bit flip of the golden file is a typed error from the
+/// full reader, and from `inspect_checkpoint` wherever it lands in the
+/// bytes inspect reads; a flip in the payload leaves inspect unmoved.
+#[test]
+fn fuzz_every_single_bit_flip_of_the_golden_is_refused() {
+    let path = scratch("bitflip");
+    let head = 20 + u64_at(GOLDEN, 12).expect("header_len") as usize + 8;
+    for bit in 0..8 * GOLDEN.len() {
+        let mut bytes = GOLDEN.to_vec();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &bytes).expect("stage");
+        match read_checkpoint(&path) {
+            Err(
+                NmfError::Corrupt { .. }
+                | NmfError::UnsupportedVersion { .. }
+                | NmfError::FingerprintMismatch { .. }
+                | NmfError::CheckpointMismatch { .. },
+            ) => {}
+            other => panic!("flip of bit {bit}: {:?}", other.map(|_| "decoded")),
+        }
+        let inspected = inspect_checkpoint(&path);
+        assert_eq!(inspected.is_err(), bit / 8 < head, "flip of bit {bit}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -324,13 +465,15 @@ proptest! {
     ) {
         let mut bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
         // A third raw, a third behind a valid magic and version, a third
-        // also carrying a valid checksum.
+        // also framed as a header of their own length with a valid sum.
+        if framed == 2 {
+            let len = bytes.len() as u64;
+            bytes.splice(..0, len.to_le_bytes());
+            bytes.extend_from_slice(&[0; 8]);
+        }
         if framed >= 1 {
             bytes.splice(..0, GOLDEN[..12].iter().copied());
-            if framed == 2 {
-                bytes.extend_from_slice(&[0; 8]);
-                restamp(&mut bytes);
-            }
+            restamp(&mut bytes);
         }
         both_readers_survive(&bytes, &scratch("arbitrary"));
     }

@@ -279,3 +279,64 @@ fn full_resume_cycle_over_tcp_loopback() {
     core.join().expect("core");
     std::fs::remove_file(&ckpt).ok();
 }
+
+/// Admission verifies a checkpoint's header only, so a damaged payload
+/// is admitted and fails its own job at promotion, naming the block and
+/// freeing its bytes, while a sibling tenant's job on the same server
+/// finishes exactly as it does alone. A damaged header is still refused
+/// at admission.
+#[test]
+fn a_damaged_payload_fails_the_job_not_the_server() {
+    let ckpt = tmp("damaged.ckpt");
+    let path = ckpt.to_str().expect("utf-8");
+    let sibling = small_spec(21, 6);
+
+    // The sibling's solo factors, and a checkpoint to damage.
+    let (mut client, core) = start(ServerConfig::default());
+    let job = client.submit("zen", &sibling).expect("submit");
+    client.wait_finished("zen", job, 10_000).expect("wait");
+    let solo = client.factors("zen", job).expect("factors");
+    let job = client.submit("acme", &small_spec(3, 3)).expect("submit");
+    client.wait_finished("acme", job, 10_000).expect("wait");
+    client.checkpoint("acme", job, path).expect("save");
+    client.shutdown().expect("shutdown");
+    core.join().expect("core");
+
+    // `header_len` at bytes 12..20; the payload starts after the header
+    // and its 8-byte sum, with the first value of W block 0.
+    let clean = std::fs::read(&ckpt).expect("reads");
+    let header_len = u64::from_le_bytes(clean[12..20].try_into().expect("8 bytes")) as usize;
+    let mut damaged = clean.clone();
+    damaged[20 + header_len + 8 + 3] ^= 0x10;
+    std::fs::write(&ckpt, &damaged).expect("damage the payload");
+
+    let (mut client, core) = start(ServerConfig::default());
+    let zen = client.submit("zen", &sibling).expect("sibling admitted");
+    let (job, _) = client
+        .resume("acme", path, &dense_source(), None, None, Some(6))
+        .expect("admitted: the header is intact");
+    let st = client.wait_finished("acme", job, 10_000).expect("wait");
+    assert_eq!(st.phase, JobPhase::Failed, "{st:?}");
+    let why = st.error.expect("a failed job says why");
+    assert!(why.contains("W block 0"), "{why}");
+    assert_eq!(st.resident_bytes, 0, "a failed job holds no quota");
+
+    let st = client.wait_finished("zen", zen, 10_000).expect("wait");
+    assert_eq!(st.phase, JobPhase::Finished, "{st:?}");
+    let (w, h) = client.factors("zen", zen).expect("factors");
+    assert_eq!((w, h), solo, "the sibling's factors are its solo run's");
+
+    // One flipped header byte (inside the meta block) is refused before
+    // any queue slot is spent.
+    let mut bad_header = clean;
+    bad_header[20 + 5] ^= 0x01;
+    std::fs::write(&ckpt, &bad_header).expect("damage the header");
+    let err = client
+        .resume("acme", path, &dense_source(), None, None, Some(6))
+        .expect_err("a damaged header is refused at admission");
+    assert_eq!(err.code(), ErrorCode::BuildFailed);
+
+    client.shutdown().expect("shutdown");
+    core.join().expect("core");
+    std::fs::remove_file(&ckpt).ok();
+}

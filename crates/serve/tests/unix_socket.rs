@@ -140,7 +140,8 @@ fn checkpoint_written_by_the_server_is_inspectable() {
     assert_eq!((summary.meta.m, summary.meta.n), (16, 10));
     assert_eq!(summary.meta.config.k, 3);
     assert_eq!(summary.iterations_done, 5);
-    assert!(summary.checksum_ok);
+    assert_eq!(summary.factor_blocks, 1);
+    assert_eq!((summary.w_shape, summary.ht_shape), ((16, 3), (10, 3)));
     std::fs::remove_file(&ckpt).ok();
 
     client.shutdown().expect("shutdown");

@@ -423,15 +423,14 @@ fn valid_checkpoint_bytes(tag: &str) -> (Vec<u8>, Input) {
     (bytes, input)
 }
 
-/// FNV-1a 64 (mirrors the checkpoint module's checksum for test-side
-/// re-stamping after deliberate edits).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Re-stamps the header's checksum after a deliberate header edit
+/// (`header_len` sits at bytes 12..20, the header follows it, then its
+/// sum).
+fn restamp_header(bytes: &mut [u8]) {
+    let header_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let end = 20 + header_len;
+    let sum = hpc_nmf::wire::checksum(&bytes[20..end]);
+    bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]
@@ -459,7 +458,7 @@ fn wrong_version_is_rejected_before_the_checksum() {
             err,
             NmfError::UnsupportedVersion {
                 found: 99,
-                supported: 2,
+                supported: 3,
                 ..
             }
         ),
@@ -501,17 +500,15 @@ fn mismatched_input_shape_is_rejected() {
 
 #[test]
 fn edited_k_fails_the_fingerprint_or_shape_check() {
-    // Bump the stored k inside the meta block and re-stamp the trailing
+    // Bump the stored k inside the meta block and re-stamp the header's
     // checksum (simulating a deliberate header edit rather than random
-    // corruption). Layout: magic(8) version(4) meta_len(8), then meta =
+    // corruption). Layout: magic(8) version(4) header_len(8), then meta =
     // m(8) n(8) ranks(8) algo(4) pr(8) pc(8) k(8) at meta offset 44.
     let (mut bytes, input) = valid_checkpoint_bytes("kedit_src");
     let k_off = 8 + 4 + 8 + 44;
     let old_k = u64::from_le_bytes(bytes[k_off..k_off + 8].try_into().unwrap());
     bytes[k_off..k_off + 8].copy_from_slice(&(old_k + 1).to_le_bytes());
-    let body = bytes.len() - 8;
-    let sum = fnv1a(&bytes[..body]);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    restamp_header(&mut bytes);
     let path = write_tmp("kedit", &bytes);
     let err = Model::load(&path, &input).expect_err("edited k must not load");
     assert!(
