@@ -8,7 +8,6 @@
 //! ```
 
 use hpc_nmf::prelude::*;
-use hpc_nmf::total_comm;
 use nmf_bench::paper_workload;
 use nmf_data::{DatasetKind, PerfModel};
 use nmf_matrix::rng::Fill;
@@ -21,7 +20,7 @@ fn divisor_grids(p: usize) -> Vec<Grid> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     let p = 16usize;
     let k = 8usize;
     let iters = 3usize;
@@ -35,13 +34,13 @@ fn main() {
         let optimal = Grid::optimal(m, n, p);
         let mut best: Option<(Grid, u64)> = None;
         for grid in divisor_grids(p) {
-            let out = factorize(
-                &input,
-                p,
-                Algo::HpcGrid(grid),
-                &NmfConfig::new(k).with_max_iters(iters),
-            );
-            let words = total_comm(&out).total_words() / p as u64 / iters as u64;
+            let mut model = Nmf::on(&input)
+                .config(NmfConfig::new(k).with_max_iters(iters))
+                .algo(Algo::HpcGrid(grid))
+                .ranks(p)
+                .build()?;
+            model.run();
+            let words = model.total_comm().total_words() / p as u64 / iters as u64;
             let marker = if grid == optimal {
                 "  <- Grid::optimal"
             } else {
@@ -81,4 +80,5 @@ fn main() {
             b.total()
         );
     }
+    Ok(())
 }

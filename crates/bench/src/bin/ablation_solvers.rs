@@ -12,7 +12,7 @@ use nmf_bench::measured_dataset;
 use nmf_data::DatasetKind;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     let p = 8usize;
     let k = 16usize;
     let iters = 20usize;
@@ -33,12 +33,13 @@ fn main() {
         let mut results = Vec::new();
         for solver in SolverKind::ALL {
             let t0 = Instant::now();
-            let out = factorize(
-                &data.input,
-                p,
-                Algo::Hpc2D,
-                &NmfConfig::new(k).with_max_iters(iters).with_solver(solver),
-            );
+            let mut model = Nmf::on(&data.input)
+                .config(NmfConfig::new(k).with_max_iters(iters).with_solver(solver))
+                .algo(Algo::Hpc2D)
+                .ranks(p)
+                .build()?;
+            model.run();
+            let out = model.into_output();
             let wall = t0.elapsed().as_secs_f64();
             let comm_time: f64 = out
                 .iters
@@ -77,4 +78,5 @@ fn main() {
             100.0 * bpp / best_cheap
         );
     }
+    Ok(())
 }

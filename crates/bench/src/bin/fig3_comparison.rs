@@ -14,7 +14,7 @@ use hpc_nmf::prelude::*;
 use nmf_bench::{measure, measured_dataset, model_row, print_table, Row, PAPER_ALGOS};
 use nmf_data::{DatasetKind, PerfModel};
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     let ks = [10usize, 20, 30, 40, 50];
     let p_measured = 16;
     let iters = 3;
@@ -31,7 +31,7 @@ fn main() {
                 if k >= m.min(n) {
                     continue;
                 }
-                let row = measure(&data.input, p_measured, algo, k, iters);
+                let row = measure(&data.input, p_measured, algo, k, iters)?;
                 rows.push((format!("{:<12} k={k}", algo.name()), row));
             }
         }
@@ -70,4 +70,5 @@ fn main() {
             naive / hpc2d
         );
     }
+    Ok(())
 }

@@ -13,7 +13,7 @@ use hpc_nmf::prelude::*;
 use nmf_bench::{measure, measured_dataset, model_row, print_table, Row, PAPER_ALGOS};
 use nmf_data::{DatasetKind, PerfModel};
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     let k = 50usize;
     let iters = 3;
     let ps_measured = [4usize, 8, 16];
@@ -35,7 +35,7 @@ fn main() {
         let mut rows: Vec<(String, Row)> = Vec::new();
         for algo in PAPER_ALGOS {
             for &p in &ps_measured {
-                let row = measure(&data.input, p, algo, k_used, iters);
+                let row = measure(&data.input, p, algo, k_used, iters)?;
                 rows.push((format!("{:<12} p={p}", algo.name()), row));
             }
         }
@@ -92,4 +92,5 @@ fn main() {
             hpc24 / hpc600,
         );
     }
+    Ok(())
 }

@@ -10,6 +10,7 @@
 //! cargo run --release -p nmf-bench --bin table3
 //! ```
 
+use hpc_nmf::NmfError;
 use nmf_bench::{measure, measured_dataset, model_row, PAPER_ALGOS};
 use nmf_data::{DatasetKind, PerfModel};
 
@@ -20,7 +21,7 @@ const DATASETS: [DatasetKind; 4] = [
     DatasetKind::Webbase,
 ];
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     let k = 50usize;
     let pm = PerfModel::default();
 
@@ -74,7 +75,7 @@ fn main() {
                 let data = measured_dataset(kind, 44);
                 let (m, n) = data.input.shape();
                 let k_used = k.min(m.min(n) / 2).max(2);
-                let row = measure(&data.input, p, algo, k_used, iters);
+                let row = measure(&data.input, p, algo, k_used, iters)?;
                 print!(" {:>13.4}", row.total());
             }
         }
@@ -86,4 +87,5 @@ fn main() {
          implementation vs ~1 s/iteration for HPC-NMF on 24 nodes; every configuration \
          above is orders of magnitude below the Hadoop figure."
     );
+    Ok(())
 }

@@ -48,8 +48,20 @@ impl Row {
 /// Runs `algo` on `p` ranks for `iters` iterations and returns the mean
 /// per-iteration breakdown (critical-path across ranks), skipping the
 /// first iteration as warmup when more than one was run.
-pub fn measure(input: &Input, p: usize, algo: Algo, k: usize, iters: usize) -> Row {
-    let out = factorize(input, p, algo, &NmfConfig::new(k).with_max_iters(iters));
+pub fn measure(
+    input: &Input,
+    p: usize,
+    algo: Algo,
+    k: usize,
+    iters: usize,
+) -> Result<Row, NmfError> {
+    let mut model = Nmf::on(input)
+        .config(NmfConfig::new(k).with_max_iters(iters))
+        .algo(algo)
+        .ranks(p)
+        .build()?;
+    model.run();
+    let out = model.into_output();
     let skip = usize::from(out.iters.len() > 1);
     let used = &out.iters[skip..];
     let denom = used.len().max(1) as f64;
@@ -68,7 +80,7 @@ pub fn measure(input: &Input, p: usize, algo: Algo, k: usize, iters: usize) -> R
     row.all_gather /= denom;
     row.reduce_scatter /= denom;
     row.all_reduce /= denom;
-    row
+    Ok(row)
 }
 
 /// Paper-scale workload of a dataset at rank `k`.
@@ -136,7 +148,7 @@ mod tests {
     #[test]
     fn measure_produces_positive_breakdown() {
         let data = measured_dataset(DatasetKind::Ssyn, 1);
-        let row = measure(&data.input, 4, Algo::Hpc2D, 5, 3);
+        let row = measure(&data.input, 4, Algo::Hpc2D, 5, 3).expect("valid request");
         assert!(row.total() > 0.0);
         assert!(row.mm >= 0.0 && row.nls > 0.0);
     }

@@ -52,9 +52,10 @@
 //!   (e.g. `nmf_cli --resume` rejecting contradictory flags).
 //!
 //! Writes stream the blocks from the assembled factors through a
-//! buffered sibling temp file, `fsync` it and rename it into place, so a
-//! crash mid-write leaves the previous checkpoint intact rather than a
-//! torn file.
+//! buffered sibling temp file, `fsync` it, rename it into place and
+//! `fsync` the directory, so a crash mid-write leaves the previous
+//! checkpoint intact rather than a torn file, and a crash after the
+//! write returns cannot lose the new name.
 
 use crate::config::{Algo, ConvergencePolicy, NmfConfig};
 use crate::dist::{Part, ShardKey};
@@ -257,9 +258,10 @@ pub struct Checkpoint {
     pub ht: Mat,
 }
 
-/// Serializes and writes a checkpoint to `path`, atomically (temp file,
-/// `fsync`, rename in the destination directory). The blocks stream
-/// from `ck`'s factors; no image of the file is built.
+/// Serializes and writes a checkpoint to `path`, atomically and
+/// durably (temp file, `fsync`, rename in the destination directory,
+/// `fsync` of the directory). The blocks stream from `ck`'s factors; no
+/// image of the file is built.
 pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> Result<(), NmfError> {
     let tmp = tmp_sibling(path);
     let write = || -> std::io::Result<()> {
@@ -268,7 +270,7 @@ pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> Result<(), NmfError> {
         let f = out.into_inner().map_err(|e| e.into_error())?;
         f.sync_all()?;
         drop(f);
-        std::fs::rename(&tmp, path)
+        rename_durably(&tmp, path)
     };
     write().map_err(|source| NmfError::Io {
         path: path.to_path_buf(),
@@ -283,9 +285,10 @@ pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> Result<(), NmfError> {
 /// against a run that goes numerically bad *between* checkpoints, where
 /// overwrite-in-place would have destroyed the only good state.
 ///
-/// Every shift is a same-directory rename and the final write is the
-/// usual temp-file + rename, so each generation is atomically either its
-/// old content or its new one; `keep == 0` is plain [`write_checkpoint`].
+/// Every shift is a same-directory rename, made durable like the final
+/// write's, and the final write is the usual temp-file + rename, so each
+/// generation is atomically either its old content or its new one;
+/// `keep == 0` is plain [`write_checkpoint`].
 pub fn write_checkpoint_rotated(path: &Path, ck: &Checkpoint, keep: usize) -> Result<(), NmfError> {
     let io = |p: &Path| {
         let p = p.to_path_buf();
@@ -300,11 +303,22 @@ pub fn write_checkpoint_rotated(path: &Path, ck: &Checkpoint, keep: usize) -> Re
             };
             if from.exists() {
                 let to = rotated_name(path, i);
-                std::fs::rename(&from, &to).map_err(io(&from))?;
+                rename_durably(&from, &to).map_err(io(&from))?;
             }
         }
     }
     write_checkpoint(path, ck)
+}
+
+/// Renames `from` to `to` (same directory) and `fsync`s that directory,
+/// so the new name survives a crash once this returns.
+fn rename_durably(from: &Path, to: &Path) -> std::io::Result<()> {
+    std::fs::rename(from, to)?;
+    let dir = match to.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// `path` with a rotation generation suffix: `run.ckpt` → `run.ckpt.3`.
@@ -851,6 +865,16 @@ mod tests {
         write_checkpoint_rotated(&path, &ck, 0).expect("overwrite");
         assert!(!rotated_name(&path, 1).exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unwritable_target_is_an_io_error() {
+        let dir = std::env::temp_dir().join(format!("nmf-absent-{}", std::process::id()));
+        let path = dir.join("run.ckpt");
+        for keep in [0, 2] {
+            let err = write_checkpoint_rotated(&path, &sample(), keep).expect_err("no such dir");
+            assert!(matches!(err, NmfError::Io { .. }), "got {err:?}");
+        }
     }
 
     #[test]

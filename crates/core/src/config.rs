@@ -463,6 +463,15 @@ impl NmfOutput {
         }
         t
     }
+
+    /// Sum of all ranks' communication counters.
+    pub fn total_comm(&self) -> CommStats {
+        let mut total = CommStats::new();
+        for s in &self.rank_comm {
+            total.merge(s);
+        }
+        total
+    }
 }
 
 #[cfg(test)]

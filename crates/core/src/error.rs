@@ -7,11 +7,6 @@
 //! was violated **and** a concrete value that would satisfy it (e.g. a
 //! grid mismatch lists the grids that do divide the requested rank
 //! count).
-//!
-//! The legacy [`factorize`](crate::harness::factorize) wrappers keep
-//! their historical panic behaviour by construction: they build through
-//! [`NmfBuilder`](crate::session::NmfBuilder) and panic on `Err`, so the
-//! validation logic exists exactly once.
 
 use crate::grid::Grid;
 use nmf_nls::SolverKind;
@@ -26,8 +21,6 @@ pub enum NmfError {
     EmptyInput { m: usize, n: usize },
     /// The builder was never told the factorization rank `k`.
     MissingRank,
-    /// A resume builder was never given a data matrix.
-    MissingInput,
     /// `k` outside `1..=min(m, n)`.
     RankOutOfRange { k: usize, m: usize, n: usize },
     /// The chosen NLS solver cannot handle this `k`.
@@ -136,11 +129,6 @@ impl fmt::Display for NmfError {
             NmfError::MissingRank => write!(
                 f,
                 "no factorization rank set; call .rank(k) (or .config(..)) before .build()"
-            ),
-            NmfError::MissingInput => write!(
-                f,
-                "no input attached to the resume; call .on(&input) or .on_shared(&shared) \
-                 before .build()"
             ),
             NmfError::RankOutOfRange { k, m, n } => write!(
                 f,

@@ -46,17 +46,18 @@
 //!
 //! [`Model::save`] writes a durable, versioned checkpoint (factors +
 //! convergence state + config fingerprint; see `docs/checkpoint-format.md`)
-//! and [`Model::load`] reconstructs the session — the resumed trajectory
-//! is **bit-identical** to the uninterrupted run:
+//! and [`Model::load_shared`] reconstructs the session over the input's
+//! [`SharedInput`] — the resumed trajectory is **bit-identical** to the
+//! uninterrupted run:
 //!
 //! ```no_run
 //! # use hpc_nmf::prelude::*;
 //! # use nmf_matrix::rng::Fill;
-//! # let a = Input::Dense(nmf_matrix::Mat::uniform(60, 40, 7));
-//! # let mut model = Nmf::on(&a).rank(5).build().unwrap();
+//! let a = SharedInput::new(Input::Dense(nmf_matrix::Mat::uniform(60, 40, 7)));
+//! let mut model = Nmf::on_shared(&a).rank(5).build()?;
 //! model.step();
-//! model.save("run.ckpt")?;                    // survive a restart...
-//! let mut resumed = Model::load("run.ckpt", &a)?;  // ...in a new process
+//! model.save("run.ckpt")?;                           // survive a restart...
+//! let mut resumed = Model::load_shared("run.ckpt", &a)?;  // ...in a new process
 //! resumed.run();
 //! # Ok::<(), hpc_nmf::NmfError>(())
 //! ```
@@ -85,9 +86,11 @@
 //! the virtual-MPI universe (one thread per rank), so a handle outlives
 //! any borrow of the communicators.
 //!
-//! The classic batch entry point [`harness::factorize`] remains as the
-//! one batch wrapper over the session (it panics on invalid input where
-//! the builder returns [`NmfError`]).
+//! A batch run is the session driven to its end:
+//! `Nmf::on(&input)…build()?`, then [`Model::run`], then
+//! [`Model::into_output`] for the classic [`NmfOutput`] (factors,
+//! per-iteration records, per-rank communication counters). Every
+//! invalid request is an [`NmfError`], never a panic.
 
 pub mod checkpoint;
 pub mod config;
@@ -95,7 +98,6 @@ pub mod dist;
 pub mod engine;
 pub mod error;
 pub mod grid;
-pub mod harness;
 pub mod input;
 pub mod regrid;
 pub mod session;
@@ -114,7 +116,6 @@ pub use dist::ShardKey;
 pub use engine::{AnlsEngine, CommScheme, ConvergenceState, EngineDyn, Grid2D, Replicated1D};
 pub use error::NmfError;
 pub use grid::Grid;
-pub use harness::{factorize, factorize_from, total_comm};
 pub use input::{AtW, Balance, DimBalance, Input, LocalMat};
 pub use regrid::{fitting_grids, RegridTarget};
 pub use session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};
@@ -126,7 +127,6 @@ pub mod prelude {
     pub use crate::config::{Algo, ConvergencePolicy, NmfConfig, NmfOutput, StopReason};
     pub use crate::error::NmfError;
     pub use crate::grid::Grid;
-    pub use crate::harness::factorize;
     pub use crate::input::Input;
     pub use crate::regrid::{fitting_grids, RegridTarget};
     pub use crate::session::{Model, Nmf, NmfBuilder, ResumeBuilder, StepProgress};

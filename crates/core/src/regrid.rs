@@ -31,8 +31,8 @@
 //! trajectory being continued. See `docs/elasticity.md`.
 //!
 //! Entry points: [`crate::Nmf::resume_from`] (builder-style),
-//! [`crate::Model::load_regrid`] / `load_regrid_shared` (one-shot from
-//! a path), and [`fitting_grids`] (which targets fit a shape — the
+//! [`crate::Model::load_regrid_shared`] (one-shot from a path), and
+//! [`fitting_grids`] (which targets fit a shape — the
 //! `nmf_cli checkpoints inspect` report).
 
 use crate::checkpoint::CheckpointMeta;

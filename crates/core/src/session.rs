@@ -40,15 +40,16 @@
 //! [`EngineDyn`], so the controller speaks one protocol regardless of
 //! which communication scheme is running. Iterations remain collective:
 //! every command is broadcast to all ranks and their replies are
-//! aggregated exactly as the batch harness aggregated per-rank results.
+//! aggregated into one record per iteration.
 //!
 //! ## Pause, persist, resume
 //!
 //! A model can be checkpointed at any iteration boundary with
 //! [`Model::save`] and reconstructed — in a new process, against a
-//! freshly loaded input — with [`Model::load`]; the resumed trajectory
-//! is bit-identical to the uninterrupted one (`tests/checkpoint_resume.rs`
-//! drives this through disk for all three algorithms). [`Model::refit`]
+//! freshly loaded input — with [`Model::load_shared`]; the resumed
+//! trajectory is bit-identical to the uninterrupted one
+//! (`tests/checkpoint_resume.rs` drives this through disk for all three
+//! algorithms). [`Model::refit`]
 //! restarts the same universe on a new configuration (e.g. the next `k`
 //! of a rank sweep) without respawning threads or re-sharding the data.
 
@@ -63,9 +64,9 @@ use crate::dist::{Part, RankLayout, ShardKey};
 use crate::engine::{AnlsEngine, ConvergenceState, EngineDyn, Grid2D, Replicated1D};
 use crate::error::{grid_fits, NmfError};
 use crate::grid::Grid;
-use crate::input::{Block, Dealing, Input};
+use crate::input::{Dealing, Input};
 use crate::regrid::RegridTarget;
-use crate::shared::{shard, RankData, Sharding, SharedInput};
+use crate::shared::{RankData, SharedInput};
 use crate::workspace::IterWorkspace;
 use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
@@ -76,61 +77,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Where a build gets its data: a borrowed whole matrix (blocks are
-/// extracted fresh) or a [`SharedInput`] (blocks come from its sharding
-/// cache).
-#[derive(Clone, Copy)]
-enum InputSource<'a> {
-    Whole(&'a Input),
-    Shared(&'a SharedInput),
-}
-
-impl InputSource<'_> {
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            InputSource::Whole(input) => input.shape(),
-            InputSource::Shared(shared) => shared.shape(),
-        }
-    }
-
-    fn fro_norm_sq(&self) -> f64 {
-        match self {
-            InputSource::Whole(input) => input.fro_norm_sq(),
-            InputSource::Shared(shared) => shared.fro_norm_sq(),
-        }
-    }
-
-    /// The order the input is dealt in and the per-rank blocks for
-    /// `key` cut in that order: decided and freshly extracted for a whole
-    /// matrix (through a relabelled copy when it is skewed; the model
-    /// outlives the borrow, so it owns its blocks), served from the
-    /// shared input — which decided once, when it was made — and its
-    /// sharding cache otherwise. Both arms decide with [`Dealing::of`],
-    /// so they deal one matrix identically. Fails only where
-    /// [`SharedInput::rank_data`] does.
-    fn deal(&self, key: ShardKey) -> Result<(Arc<Dealing>, Sharding), NmfError> {
-        Ok(match self {
-            InputSource::Whole(input) => {
-                let (m, n) = input.shape();
-                let dealing = Dealing::of(input);
-                let relabelled = dealing.relabel(input);
-                let dealt = relabelled.as_ref().unwrap_or(input);
-                let extract = |rows: Part, cols: Part| {
-                    Ok(Block::from(dealt.block(
-                        rows.offset,
-                        cols.offset,
-                        rows.len,
-                        cols.len,
-                    )))
-                };
-                let blocks = shard(&extract, key, m, n)?;
-                (Arc::new(dealing), Arc::new(blocks))
-            }
-            InputSource::Shared(shared) => (Arc::clone(shared.dealing()), shared.rank_data(key)?),
-        })
-    }
-}
 
 /// Rows `part` of a global factor as a rank receives them: positions
 /// `part` of the dealt order, which in index order (`None`) is the
@@ -161,11 +107,11 @@ fn undeal_rows(global: &mut Mat, order: Option<&[usize]>, part: Part, local: &Ma
 pub struct Nmf;
 
 impl Nmf {
-    /// Starts building a factorization of `input`. The builder borrows
-    /// the input only until [`build`](NmfBuilder::build); the resulting
-    /// [`Model`] owns copies of the per-rank blocks and is `'static`.
-    pub fn on(input: &Input) -> NmfBuilder<'_> {
-        Nmf::from_source(InputSource::Whole(input))
+    /// Starts building a factorization of `input`: a copy of it becomes
+    /// the source of a fresh [`SharedInput`], which the resulting
+    /// [`Model`] reads in place, so it is `'static`.
+    pub fn on(input: &Input) -> NmfBuilder {
+        Nmf::on_shared(&SharedInput::new(input.clone()))
     }
 
     /// Starts building a factorization over a [`SharedInput`], reusing
@@ -173,13 +119,9 @@ impl Nmf {
     /// use). Successive builds with the same algorithm shape — a rank
     /// sweep, serving tenants over one dataset — share the resident
     /// blocks instead of re-extracting them.
-    pub fn on_shared(input: &SharedInput) -> NmfBuilder<'_> {
-        Nmf::from_source(InputSource::Shared(input))
-    }
-
-    fn from_source(input: InputSource<'_>) -> NmfBuilder<'_> {
+    pub fn on_shared(input: &SharedInput) -> NmfBuilder {
         NmfBuilder {
-            input,
+            input: input.clone(),
             config: NmfConfig::new(1),
             k_set: false,
             algo: Algo::Sequential,
@@ -190,18 +132,18 @@ impl Nmf {
         }
     }
 
-    /// Starts resuming an already-read [`Checkpoint`] — on its recorded
-    /// grid by default (a pure, bit-identical resume), or *elastically*
-    /// on a different algorithm/grid/rank-count via the builder's
+    /// Starts resuming an already-read [`Checkpoint`] over `input`, the
+    /// data matrix it was taken from (its shape is verified at build; its
+    /// content is the caller's contract — the checkpoint stores factors,
+    /// not data). The resume runs on the checkpoint's recorded grid by
+    /// default (a pure, bit-identical resume), or *elastically* on a
+    /// different algorithm/grid/rank-count via the builder's
     /// [`algo`](ResumeBuilder::algo) / [`grid`](ResumeBuilder::grid) /
     /// [`ranks`](ResumeBuilder::ranks) overrides (see [`crate::regrid`]).
-    /// An input must be attached with [`on`](ResumeBuilder::on) or
-    /// [`on_shared`](ResumeBuilder::on_shared) before
-    /// [`build`](ResumeBuilder::build).
-    pub fn resume_from(ck: Checkpoint) -> ResumeBuilder<'static> {
+    pub fn resume_from(ck: Checkpoint, input: &SharedInput) -> ResumeBuilder {
         ResumeBuilder {
             ck,
-            input: None,
+            input: input.clone(),
             target: RegridTarget::new(),
             max_iters: None,
         }
@@ -209,46 +151,22 @@ impl Nmf {
 }
 
 /// Resumes a checkpoint, optionally on a different grid, scheme, or
-/// rank count. Produced by [`Nmf::resume_from`]; the one-shot wrappers
-/// are [`Model::load_regrid`] and [`Model::load_regrid_shared`].
+/// rank count. Produced by [`Nmf::resume_from`]; the one-shot wrapper is
+/// [`Model::load_regrid_shared`].
 ///
 /// The checkpoint's `k`, solver, seed, and regularization are the
 /// trajectory being continued and cannot be overridden (use
 /// [`Model::refit`] to start a new trajectory); `max_iters` *can* be
 /// raised, since extending a resumed run past its original budget is
 /// the point of resuming.
-pub struct ResumeBuilder<'a> {
+pub struct ResumeBuilder {
     ck: Checkpoint,
-    input: Option<InputSource<'a>>,
+    input: SharedInput,
     target: RegridTarget,
     max_iters: Option<usize>,
 }
 
-impl<'a> ResumeBuilder<'a> {
-    /// Attaches the data matrix the checkpoint was taken from (shape is
-    /// verified at build; content is the caller's contract — the
-    /// checkpoint stores factors, not data).
-    pub fn on<'b>(self, input: &'b Input) -> ResumeBuilder<'b> {
-        ResumeBuilder {
-            ck: self.ck,
-            input: Some(InputSource::Whole(input)),
-            target: self.target,
-            max_iters: self.max_iters,
-        }
-    }
-
-    /// Attaches a [`SharedInput`]: the resumed model draws its blocks
-    /// from the shared sharding cache — the regrid re-sharder path, and
-    /// how an mmap-backed input resumes without loading the matrix.
-    pub fn on_shared<'b>(self, input: &'b SharedInput) -> ResumeBuilder<'b> {
-        ResumeBuilder {
-            ck: self.ck,
-            input: Some(InputSource::Shared(input)),
-            target: self.target,
-            max_iters: self.max_iters,
-        }
-    }
-
+impl ResumeBuilder {
     /// Overrides the algorithm / communication scheme.
     pub fn algo(mut self, algo: Algo) -> Self {
         self.target = self.target.algo(algo);
@@ -268,7 +186,7 @@ impl<'a> ResumeBuilder<'a> {
     }
 
     /// Replaces the whole override set at once (the [`RegridTarget`]
-    /// form used by `Model::load_regrid` and the serving layer).
+    /// form used by [`Model::load_regrid_shared`] and the serving layer).
     pub fn target(mut self, target: RegridTarget) -> Self {
         self.target = target;
         self
@@ -286,15 +204,14 @@ impl<'a> ResumeBuilder<'a> {
     /// [`NmfBuilder::build`] pass, so an unfittable target grid fails
     /// with the usual actionable [`NmfError`].
     pub fn build(self) -> Result<Model, NmfError> {
-        let input = self.input.ok_or(NmfError::MissingInput)?;
-        let (m, n) = input.shape();
+        let (m, n) = self.input.shape();
         self.ck.meta.check_compatible(m, n)?;
         let (algo, ranks, grid_override) = self.target.resolve(&self.ck.meta);
         let mut config = self.ck.meta.config;
         if let Some(iters) = self.max_iters {
             config.max_iters = iters;
         }
-        let mut b = Nmf::from_source(input)
+        let mut b = Nmf::on_shared(&self.input)
             .config(config)
             .algo(algo)
             .ranks(ranks)
@@ -311,8 +228,8 @@ impl<'a> ResumeBuilder<'a> {
 /// [`build`](NmfBuilder::build) performs all validation at once and
 /// reports the first violated constraint as an [`NmfError`] with an
 /// actionable message.
-pub struct NmfBuilder<'a> {
-    input: InputSource<'a>,
+pub struct NmfBuilder {
+    input: SharedInput,
     config: NmfConfig,
     k_set: bool,
     algo: Algo,
@@ -325,7 +242,7 @@ pub struct NmfBuilder<'a> {
     resume: Option<ConvergenceState>,
 }
 
-impl<'a> NmfBuilder<'a> {
+impl NmfBuilder {
     /// Sets the factorization rank `k`. Required (directly or via
     /// [`config`](Self::config)).
     pub fn rank(mut self, k: usize) -> Self {
@@ -449,7 +366,7 @@ impl<'a> NmfBuilder<'a> {
         };
 
         Model::spawn(
-            self.input,
+            &self.input,
             self.config,
             self.algo,
             grid,
@@ -480,7 +397,7 @@ fn validate_run(
     }
     // BPP tracks passive sets in fixed-width bitmasks (see
     // `nmf_nls::bpp`); beyond its limit the solver would assert at the
-    // first iteration, deep inside the harness.
+    // first iteration, deep inside a rank thread.
     const BPP_K_LIMIT: usize = 128;
     if config.solver == SolverKind::Bpp && k > BPP_K_LIMIT {
         return Err(NmfError::SolverRankLimit {
@@ -748,7 +665,7 @@ pub struct Model {
 impl Model {
     #[allow(clippy::too_many_arguments)]
     fn spawn(
-        input: InputSource<'_>,
+        input: &SharedInput,
         config: NmfConfig,
         algo: Algo,
         grid: Grid,
@@ -769,10 +686,11 @@ impl Model {
             .filter(|o| o.is_finite())
             .unwrap_or(norm_a_sq);
 
-        // One sharding for the whole universe: a shared input serves
-        // (or fills) its cache, a whole input extracts fresh. Either
-        // way each worker receives cheap `Arc` clones of its blocks.
-        let (dealing, rank_data) = input.deal(key)?;
+        // One sharding for the whole universe, served from (or filling)
+        // the input's cache: each worker receives cheap `Arc` clones of
+        // its blocks.
+        let dealing = Arc::clone(input.dealing());
+        let rank_data = input.rank_data(key)?;
         debug_assert_eq!(rank_data.len(), ranks);
 
         let mut workers = Vec::with_capacity(ranks);
@@ -1081,53 +999,25 @@ impl Model {
     /// [`save`](Self::save), continuing the **bit-identical** trajectory
     /// of the interrupted run. `input` must be the same data matrix the
     /// checkpoint was taken from (its shape is verified; its content is
-    /// the caller's contract — the checkpoint stores factors, not data).
-    pub fn load(path: impl AsRef<Path>, input: &Input) -> Result<Model, NmfError> {
-        Self::load_from(path, InputSource::Whole(input))
-    }
-
-    /// [`load`](Self::load) against a [`SharedInput`]: the resumed
-    /// model draws its blocks from the shared sharding cache (an
-    /// mmap-backed input resumes without ever loading the whole
-    /// matrix).
+    /// the caller's contract — the checkpoint stores factors, not data);
+    /// the resumed model draws its blocks from the input's sharding
+    /// cache, so an mmap-backed input resumes without ever loading the
+    /// whole matrix.
     pub fn load_shared(path: impl AsRef<Path>, input: &SharedInput) -> Result<Model, NmfError> {
-        Self::load_from(path, InputSource::Shared(input))
+        Self::load_regrid_shared(path, input, RegridTarget::new())
     }
 
-    /// [`load`](Self::load) onto a **different** grid, scheme, or rank
-    /// count: the checkpoint's globalized factors seed a fresh session
-    /// on whatever `target` asks for (an empty target is a pure resume).
-    /// See [`crate::regrid`] for the elasticity rules.
-    pub fn load_regrid(
-        path: impl AsRef<Path>,
-        input: &Input,
-        target: RegridTarget,
-    ) -> Result<Model, NmfError> {
-        let ck = read_checkpoint(path.as_ref())?;
-        Nmf::resume_from(ck).on(input).target(target).build()
-    }
-
-    /// [`load_regrid`](Self::load_regrid) against a [`SharedInput`]:
-    /// the target layout's blocks come from (and populate) the shared
-    /// sharding cache.
+    /// [`load_shared`](Self::load_shared) onto a **different** grid,
+    /// scheme, or rank count: the checkpoint's globalized factors seed a
+    /// fresh session on whatever `target` asks for (an empty target is a
+    /// pure resume). See [`crate::regrid`] for the elasticity rules.
     pub fn load_regrid_shared(
         path: impl AsRef<Path>,
         input: &SharedInput,
         target: RegridTarget,
     ) -> Result<Model, NmfError> {
         let ck = read_checkpoint(path.as_ref())?;
-        Nmf::resume_from(ck).on_shared(input).target(target).build()
-    }
-
-    fn load_from(path: impl AsRef<Path>, input: InputSource<'_>) -> Result<Model, NmfError> {
-        let ck = read_checkpoint(path.as_ref())?;
-        ResumeBuilder {
-            ck,
-            input: Some(input),
-            target: RegridTarget::new(),
-            max_iters: None,
-        }
-        .build()
+        Nmf::resume_from(ck, input).target(target).build()
     }
 
     /// The checkpoint metadata this model would write.
@@ -1178,8 +1068,9 @@ impl Model {
         Ok(())
     }
 
-    /// Finishes the session and assembles the classic [`NmfOutput`]
-    /// (what [`crate::harness::factorize`] returns).
+    /// Finishes the session and assembles the classic [`NmfOutput`]:
+    /// the batch result of `Nmf::on(..).build()?`, then
+    /// [`run`](Self::run), then this.
     pub fn into_output(mut self) -> NmfOutput {
         let (w, ht, _, stats) = self.snapshot();
         let objective = self.objective();
@@ -1212,8 +1103,8 @@ impl Model {
             .collect()
     }
 
-    /// Sum of all ranks' communication counters (the session analogue
-    /// of [`crate::harness::total_comm`]).
+    /// Sum of all ranks' communication counters (the live-session
+    /// analogue of [`NmfOutput::total_comm`]).
     pub fn total_comm(&self) -> CommStats {
         let mut total = CommStats::new();
         for s in self.rank_comm() {
@@ -1300,10 +1191,103 @@ impl Drop for Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nmf_matrix::matmul;
+    use nmf_matrix::ops::dense_relative_error;
     use nmf_matrix::rng::Fill;
+    use nmf_sparse::gen::erdos_renyi;
 
     fn _model_is_send(m: Model) -> impl Send {
         m
+    }
+
+    /// Algorithm 1 on `input`, run to its stopping condition.
+    fn sequential(input: &Input, config: &NmfConfig) -> NmfOutput {
+        let mut model = Nmf::on(input).config(*config).build().expect("valid");
+        model.run();
+        model.into_output()
+    }
+
+    fn low_rank_input(m: usize, n: usize, k: usize, seed: u64) -> Input {
+        let w = Mat::uniform(m, k, seed);
+        let h = Mat::uniform(k, n, seed + 1);
+        Input::Dense(matmul(&w, &h))
+    }
+
+    #[test]
+    fn recovers_exact_low_rank_structure() {
+        // A has exact nonnegative rank 4; BPP-ANLS should drive the
+        // relative error near zero.
+        let input = low_rank_input(40, 30, 4, 81);
+        let out = sequential(&input, &NmfConfig::new(4).with_max_iters(50).with_seed(3));
+        // ANLS converges to a stationary point, not necessarily the
+        // global optimum; <1% on exact rank-4 data demonstrates the
+        // structure is recovered (the initial error is ~30%).
+        assert!(
+            out.rel_error < 1e-2,
+            "rel_error {} too large",
+            out.rel_error
+        );
+        assert!(out.w.all_nonnegative());
+        assert!(out.h.all_nonnegative());
+        if let Input::Dense(a) = &input {
+            let direct = dense_relative_error(a, &out.w, &out.h);
+            assert!(
+                (direct - out.rel_error).abs() < 1e-6 + 0.05 * direct,
+                "Gram-identity error {} vs direct {}",
+                out.rel_error,
+                direct
+            );
+        }
+    }
+
+    #[test]
+    fn objective_decreases_for_every_solver() {
+        let input = low_rank_input(25, 20, 3, 82);
+        for solver in SolverKind::ALL {
+            let out = sequential(
+                &input,
+                &NmfConfig::new(5)
+                    .with_solver(solver)
+                    .with_max_iters(15)
+                    .with_seed(4),
+            );
+            let hist = out.history();
+            for win in hist.windows(2) {
+                assert!(
+                    win[1] <= win[0] * (1.0 + 1e-9) + 1e-9,
+                    "{solver:?} objective increased: {win:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_input_works() {
+        let a = erdos_renyi(60, 50, 0.1, 83);
+        let out = sequential(&Input::Sparse(a), &NmfConfig::new(6).with_max_iters(10));
+        assert!(out.rel_error < 1.0);
+        assert!(out.w.all_nonnegative() && out.h.all_nonnegative());
+        assert_eq!(out.w.shape(), (60, 6));
+        assert_eq!(out.h.shape(), (6, 50));
+    }
+
+    #[test]
+    fn tolerance_stops_early() {
+        let input = low_rank_input(30, 25, 3, 84);
+        let out = sequential(
+            &input,
+            &NmfConfig::new(3).with_max_iters(200).with_tol(1e-6),
+        );
+        assert!(out.iterations < 200, "tolerance should trigger early exit");
+    }
+
+    #[test]
+    fn same_seed_same_result() {
+        let input = low_rank_input(20, 15, 3, 85);
+        let a = sequential(&input, &NmfConfig::new(4).with_max_iters(5).with_seed(7));
+        let b = sequential(&input, &NmfConfig::new(4).with_max_iters(5).with_seed(7));
+        assert_eq!(a.w, b.w);
+        assert_eq!(a.h, b.h);
     }
 
     #[test]

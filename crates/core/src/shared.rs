@@ -2,19 +2,16 @@
 //! everywhere.
 //!
 //! The paper's MPI-FAUN algorithms assume each rank owns its block of
-//! `A` *once* and reuses it every iteration — but a plain
-//! [`Nmf::on`](crate::session::Nmf::on)`(…).build()` re-extracts the
-//! per-rank blocks from the whole resident matrix on every call, so a
-//! rank sweep, a [`refit`](crate::session::Model::refit) after a
-//! checkpoint reload, or ten serving tenants over one dataset all pay
-//! the sharding cost again.
-//!
-//! [`SharedInput`] fixes the ownership: it holds the source matrix
+//! `A` *once* and reuses it every iteration. [`SharedInput`] is the one
+//! input every build and every resume reads: it holds the source matrix
 //! (resident, or a memory-mapped `NMFS` file that never fully loads)
 //! plus a cache of per-rank block sets keyed by the distribution shape
-//! ([`ShardKey`]). Every build that asks for the same grid shape hands
-//! the *same* blocks to its rank threads — cloning an `Arc`, not a
-//! matrix.
+//! ([`ShardKey`]). Every build that asks for the same grid shape — a
+//! rank sweep, a [`refit`](crate::session::Model::refit) after a
+//! checkpoint reload, ten serving tenants over one dataset — hands the
+//! *same* blocks to its rank threads, cloning an `Arc`, not a matrix.
+//! [`Nmf::on`](crate::session::Nmf::on) wraps a copy of its input in a
+//! fresh `SharedInput`, so a one-off build shards the same way.
 //!
 //! A resident source is held behind an `Arc`, and its shardings are
 //! *views*: each rank block is that `Arc` plus the block's row and column
@@ -150,9 +147,15 @@ enum Source {
 
 /// A shareable, shard-once input. See the [module docs](self).
 ///
-/// `SharedInput` is `Send + Sync`; wrap it in an `Arc` to share one
-/// dataset across threads or serving tenants.
-pub struct SharedInput {
+/// `SharedInput` is a handle: cloning it is a reference-count bump, and
+/// every clone reads the same source and the same sharding cache. It is
+/// `Send + Sync`, so clones share one dataset across threads, builders
+/// and serving tenants.
+#[derive(Clone)]
+pub struct SharedInput(Arc<Dataset>);
+
+/// What every clone of a [`SharedInput`] shares.
+struct Dataset {
     source: Source,
     m: usize,
     n: usize,
@@ -177,7 +180,7 @@ impl SharedInput {
             Input::Dense(a) => Source::Dense(Arc::new(a)),
             Input::Sparse(a) => Source::Sparse(Arc::new(a)),
         };
-        SharedInput {
+        SharedInput(Arc::new(Dataset {
             source,
             m,
             n,
@@ -185,7 +188,7 @@ impl SharedInput {
             dealing: Arc::new(dealing),
             cache: Mutex::new(HashMap::new()),
             extractions: AtomicUsize::new(0),
-        }
+        }))
     }
 
     /// Opens an `NMFS` file (see [`nmf_sparse::io::write_csr_binary`])
@@ -203,7 +206,7 @@ impl SharedInput {
         let mm = MmapCsr::open(path).map_err(|e| file_error(path, e))?;
         let norm_a_sq = mm.fro_norm_sq().map_err(|e| file_error(path, e))?;
         let (m, n) = mm.shape();
-        Ok(SharedInput {
+        Ok(SharedInput(Arc::new(Dataset {
             source: Source::Mmap {
                 mm,
                 path: path.to_path_buf(),
@@ -214,24 +217,24 @@ impl SharedInput {
             dealing: Arc::new(Dealing::default()),
             cache: Mutex::new(HashMap::new()),
             extractions: AtomicUsize::new(0),
-        })
+        })))
     }
 
     pub fn nrows(&self) -> usize {
-        self.m
+        self.0.m
     }
 
     pub fn ncols(&self) -> usize {
-        self.n
+        self.0.n
     }
 
     pub fn shape(&self) -> (usize, usize) {
-        (self.m, self.n)
+        (self.0.m, self.0.n)
     }
 
     /// Stored entries of the source (dense inputs count every entry).
     pub fn nnz(&self) -> usize {
-        match &self.source {
+        match &self.0.source {
             Source::Dense(a) => a.len(),
             Source::Sparse(a) => a.nnz(),
             Source::Mmap { mm, .. } => mm.nnz(),
@@ -241,17 +244,17 @@ impl SharedInput {
     /// Squared Frobenius norm of the input (computed once at
     /// construction).
     pub fn fro_norm_sq(&self) -> f64 {
-        self.norm_a_sq
+        self.0.norm_a_sq
     }
 
     pub fn is_sparse(&self) -> bool {
-        !matches!(self.source, Source::Dense(_))
+        !matches!(self.0.source, Source::Dense(_))
     }
 
     /// Whether this input streams from an `NMFS` file instead of a
     /// resident matrix.
     pub fn is_mmap(&self) -> bool {
-        matches!(self.source, Source::Mmap { .. })
+        matches!(self.0.source, Source::Mmap { .. })
     }
 
     /// How many times a sharding has actually been extracted (cache
@@ -259,7 +262,7 @@ impl SharedInput {
     /// leaves this at 1 — the acceptance metric for block-extraction
     /// sharing.
     pub fn extractions(&self) -> usize {
-        self.extractions.load(Ordering::Relaxed)
+        self.0.extractions.load(Ordering::Relaxed)
     }
 
     /// Shardings currently cached.
@@ -273,24 +276,24 @@ impl SharedInput {
     /// recovered, and one failed extraction does not take the dataset
     /// away from every other tenant.
     fn cache(&self) -> MutexGuard<'_, HashMap<ShardKey, Sharding>> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+        self.0.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The order this input's rows and columns are dealt in.
     pub(crate) fn dealing(&self) -> &Arc<Dealing> {
-        &self.dealing
+        &self.0.dealing
     }
 
     /// How this input is dealt, per dimension: its skew and whether it
     /// was relabelled for it.
     pub fn balance(&self) -> Balance {
-        self.dealing.balance()
+        self.0.dealing.balance()
     }
 
     /// What each rank of sharding `key` holds (extracting the sharding if
     /// it is not cached yet).
     pub fn rank_loads(&self, key: ShardKey) -> Result<Vec<RankLoad>, NmfError> {
-        let (m, n) = (self.m, self.n);
+        let (m, n) = (self.0.m, self.0.n);
         let set = self.rank_data(key)?;
         // Which rows and columns of `A` hold an entry, from the blocks.
         let (mut row_hit, mut col_hit) = (vec![false; m], vec![false; n]);
@@ -357,7 +360,7 @@ impl SharedInput {
                 .flat_map(|set| set.iter())
                 .flat_map(|d| d.blocks())
         };
-        let source = match &self.source {
+        let source = match &self.0.source {
             Source::Dense(a) => 8 * a.len(),
             Source::Sparse(a) => a.heap_bytes(),
             Source::Mmap { .. } => blocks().map(Block::source_bytes).sum(),
@@ -374,13 +377,21 @@ impl SharedInput {
         if let Some(hit) = cache.get(&key) {
             return Ok(Arc::clone(hit));
         }
-        let set = Arc::new(shard(
-            &|rows, cols| self.block(rows, cols),
-            key,
-            self.m,
-            self.n,
-        )?);
-        self.extractions.fetch_add(1, Ordering::Relaxed);
+        let (m, n) = self.shape();
+        let cut = |(rows, cols)| self.block(rows, cols);
+        let set: Sharding = Arc::new(
+            key.layouts(m, n)
+                .iter()
+                .map(|lay| {
+                    let (row_side, col_side) = key.blocks(lay, m, n);
+                    Ok(Arc::new(RankData {
+                        row: cut(row_side)?,
+                        col: col_side.map(cut).transpose()?,
+                    }))
+                })
+                .collect::<Result<_, NmfError>>()?,
+        );
+        self.0.extractions.fetch_add(1, Ordering::Relaxed);
         cache.insert(key, Arc::clone(&set));
         Ok(set)
     }
@@ -394,7 +405,7 @@ impl SharedInput {
     /// One block of the source: a view of a resident source, an
     /// extracted block (streaming row panels) of an mmap-backed one.
     fn block(&self, rows: Part, cols: Part) -> Result<Block, NmfError> {
-        Ok(match &self.source {
+        Ok(match &self.0.source {
             Source::Dense(a) => Block::view_of(a, rows, cols),
             Source::Sparse(a) => Block::window_of(a, rows, cols),
             Source::Mmap { mm, path } => {
@@ -422,35 +433,12 @@ fn file_error(path: &Path, e: MmError) -> NmfError {
 impl std::fmt::Debug for SharedInput {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedInput")
-            .field("shape", &(self.m, self.n))
+            .field("shape", &(self.0.m, self.0.n))
             .field("mmap", &self.is_mmap())
             .field("extractions", &self.extractions())
             .field("cached_shardings", &self.cached_shardings())
             .finish_non_exhaustive()
     }
-}
-
-/// The per-rank block set of a sharding, cutting blocks through `block`
-/// (which hides views vs extraction and resident vs mmap sourcing) at
-/// the extents [`ShardKey::layouts`] gives — the session uses the same
-/// function whether or not the input is shared.
-pub(crate) fn shard(
-    block: &dyn Fn(Part, Part) -> Result<Block, NmfError>,
-    key: ShardKey,
-    m: usize,
-    n: usize,
-) -> Result<Vec<Arc<RankData>>, NmfError> {
-    let cut = |(rows, cols)| block(rows, cols);
-    key.layouts(m, n)
-        .iter()
-        .map(|lay| {
-            let (row_side, col_side) = key.blocks(lay, m, n);
-            Ok(Arc::new(RankData {
-                row: cut(row_side)?,
-                col: col_side.map(cut).transpose()?,
-            }))
-        })
-        .collect()
 }
 
 /// `Csr::block` semantics over an mmap-backed file, streaming bounded
@@ -535,7 +523,7 @@ mod tests {
                     assert_eq!(data.col.is_some(), col_side.is_some(), "{key:?}");
                     let extents = std::iter::once(row_side).chain(col_side);
                     for (block, (rows, cols)) in data.blocks().zip(extents) {
-                        let ((r, c), same) = match (block, &shared.source) {
+                        let ((r, c), same) = match (block, &shared.0.source) {
                             (Block::Dense { src, rows, cols }, Source::Dense(of)) => {
                                 ((rows, cols), Arc::ptr_eq(src, of))
                             }
@@ -648,17 +636,17 @@ mod tests {
 
     #[test]
     fn a_panicking_extraction_does_not_poison_the_cache() {
-        let shared = Arc::new(SharedInput::new(Input::Sparse(erdos_renyi(20, 20, 0.2, 1))));
+        let shared = SharedInput::new(Input::Sparse(erdos_renyi(20, 20, 0.2, 1)));
         // Zero ranks trips `ShardKey::layouts`' assertion inside the extraction,
         // while `rank_data` holds the cache lock.
-        let doomed = Arc::clone(&shared);
+        let doomed = shared.clone();
         let crashed = std::thread::spawn(move || {
             let _ = doomed.rank_data(ShardKey::Naive { p: 0 });
         })
         .join();
         assert!(crashed.is_err(), "the extraction must have panicked");
 
-        let tenant = Arc::clone(&shared);
+        let tenant = shared.clone();
         let blocks = std::thread::spawn(move || tenant.rank_data(ShardKey::Grid { pr: 2, pc: 2 }))
             .join()
             .expect("the cache serves other threads after a failed extraction")

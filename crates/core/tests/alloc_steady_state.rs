@@ -134,7 +134,16 @@ fn run_parallel(algo: Algo, p: usize, iters: usize, solver: SolverKind) -> u64 {
         .with_max_iters(iters)
         .with_solver(solver)
         .with_seed(7);
-    count(|| factorize(&input, p, algo, &config))
+    count(|| {
+        let mut model = Nmf::on(&input)
+            .config(config)
+            .algo(algo)
+            .ranks(p)
+            .build()
+            .expect("valid request");
+        model.run();
+        model.into_output()
+    })
 }
 
 #[test]

@@ -3,6 +3,8 @@
 //! rank block of a dense [`SharedInput`] is a view of its one source, so
 //! sharding allocates no bytes of `A` and a built model adds only the
 //! `Aᵀ` panels each engine packs for `Aᵀ·W`, plus factor-sized buffers.
+//! A build on a whole [`Input`] adds one copy of `A`, the source of the
+//! `SharedInput` it wraps, and reads it the same way.
 //! The dense twin of `sparse_block_extraction.rs`, on the same
 //! byte-counting allocator.
 
@@ -33,6 +35,36 @@ const KEYS: [ShardKey; 3] = [
     ShardKey::Naive { p: 3 },
     ShardKey::Grid { pr: 2, pc: 2 },
 ];
+
+/// One run per key of [`KEYS`]: the algorithm and rank count that shard
+/// the input under it.
+const RUNS: [(Algo, usize, ShardKey); 3] = [
+    (Algo::Sequential, 1, KEYS[0]),
+    (Algo::Naive, 3, KEYS[1]),
+    (Algo::HpcGrid(Grid { pr: 2, pc: 2 }), 4, KEYS[2]),
+];
+
+/// Factors, their gathers and scatters, the workspace, the transport,
+/// `B`-tile scratch and the rank threads' bookkeeping: O((m + n)·k)
+/// words (about 17 of them at p = 4), bounded with room to spare but
+/// well under the 8·m·n bytes an extracted block or packed `A` panels
+/// would add.
+const FACTOR_TERMS: u64 = 32 * 8 * ((M + N) * K) as u64;
+
+/// Builds a HALS model for `run` through `builder` and steps it twice.
+fn build_and_step((algo, ranks, key): (Algo, usize, ShardKey), builder: NmfBuilder) {
+    let mut model = builder
+        .rank(K)
+        .ranks(ranks)
+        .algo(algo)
+        .solver(SolverKind::Hals)
+        .max_iters(2)
+        .build()
+        .expect("valid request");
+    assert_eq!(model.shard_key(), key);
+    model.step();
+    model.step();
+}
 
 #[test]
 fn dense_sharding_allocates_no_bytes_of_a() {
@@ -78,36 +110,12 @@ fn at_panel_bytes(key: ShardKey) -> u64 {
 #[test]
 fn a_dense_model_allocates_only_its_at_panels_beyond_the_factors() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Factors, their gathers and scatters, the workspace, the transport,
-    // `B`-tile scratch and the rank threads' bookkeeping: O((m + n)·k)
-    // words (about 17 of them at p = 4), bounded with room to spare but
-    // well under the 8·m·n bytes an extracted block or packed `A` panels
-    // would add.
-    let factor_terms = 32 * 8 * ((M + N) * K) as u64;
+    let factor_terms = FACTOR_TERMS;
     assert!(factor_terms < DENSE_BYTES / 2);
-    for (algo, ranks, key) in [
-        (Algo::Sequential, 1, ShardKey::Grid { pr: 1, pc: 1 }),
-        (Algo::Naive, 3, ShardKey::Naive { p: 3 }),
-        (
-            Algo::HpcGrid(Grid::new(2, 2)),
-            4,
-            ShardKey::Grid { pr: 2, pc: 2 },
-        ),
-    ] {
+    for run in RUNS {
+        let key = run.2;
         let shared = dense_input();
-        let ((), allocated) = bytes_during(|| {
-            let mut model = Nmf::on_shared(&shared)
-                .rank(K)
-                .ranks(ranks)
-                .algo(algo)
-                .solver(SolverKind::Hals)
-                .max_iters(2)
-                .build()
-                .expect("valid request");
-            assert_eq!(model.shard_key(), key);
-            model.step();
-            model.step();
-        });
+        let ((), allocated) = bytes_during(|| build_and_step(run, Nmf::on_shared(&shared)));
         let panels = at_panel_bytes(key);
         assert!(
             allocated <= panels + factor_terms,
@@ -115,5 +123,24 @@ fn a_dense_model_allocates_only_its_at_panels_beyond_the_factors() {
              {panels} and the factor terms at most {factor_terms}"
         );
         assert_eq!(shared.resident_bytes() as u64, DENSE_BYTES);
+    }
+}
+
+/// `Nmf::on(&Input)` copies `A` once, into the source of the
+/// `SharedInput` it wraps, and every sharding is views of that copy: no
+/// key — Naive's row and column stripes included — cuts blocks of its own.
+#[test]
+fn a_dense_model_on_a_whole_input_holds_one_copy_of_a() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let input = Input::Dense(Mat::uniform(M, N, 5));
+    for run in RUNS {
+        let key = run.2;
+        let ((), allocated) = bytes_during(|| build_and_step(run, Nmf::on(&input)));
+        let panels = at_panel_bytes(key);
+        assert!(
+            allocated <= DENSE_BYTES + panels + FACTOR_TERMS,
+            "{key:?}: build + 2 steps allocated {allocated} bytes; one copy of A is \
+             {DENSE_BYTES}, the Aᵀ panels {panels} and the factor terms at most {FACTOR_TERMS}"
+        );
     }
 }

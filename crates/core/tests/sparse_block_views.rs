@@ -143,3 +143,35 @@ fn a_sparse_model_builds_no_column_view_its_kernels_do_not_read() {
         );
     }
 }
+
+/// `Nmf::on(&Input)` copies the CSR once, into the source of the
+/// `SharedInput` it wraps, and Naive's row and column stripes are both
+/// windows of that copy: the build holds one CSR copy, not two.
+#[test]
+fn a_sparse_naive_model_on_a_whole_input_holds_one_copy_of_a() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let factor_terms = 32 * 8 * ((M + N) * K) as u64;
+    let key = ShardKey::Naive { p: 3 };
+    let input = Input::Sparse(erdos_renyi(M, N, 0.3, 5));
+    let one_copy = source_bytes(&SharedInput::new(input.clone()));
+    let bounds = 16 * window_rows(key);
+    assert!(factor_terms + bounds + BOOKKEEPING < one_copy / 2);
+    let ((), allocated) = bytes_during(|| {
+        let mut model = Nmf::on(&input)
+            .rank(K)
+            .ranks(3)
+            .algo(Algo::Naive)
+            .solver(SolverKind::Mu)
+            .max_iters(2)
+            .build()
+            .expect("valid request");
+        assert_eq!(model.shard_key(), key);
+        model.step();
+        model.step();
+    });
+    assert!(
+        allocated <= one_copy + factor_terms + bounds + BOOKKEEPING,
+        "build + 2 steps allocated {allocated} bytes; one copy of A is {one_copy}, the row \
+         bounds {bounds} and the factor terms at most {factor_terms}"
+    );
+}

@@ -8,10 +8,17 @@ use hpc_nmf::dist::Dist1D;
 use hpc_nmf::engine::RankNmfOutput;
 use hpc_nmf::prelude::*;
 use hpc_nmf::workspace::IterWorkspace;
-use hpc_nmf::{factorize_from, init_ht, init_w, AnlsEngine, Grid2D, LocalMat, ShardKey};
+use hpc_nmf::{init_ht, init_w, AnlsEngine, Grid2D, LocalMat, ShardKey};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use nmf_vmpi::{universe, Comm};
+
+/// `builder`'s model run to its stopping condition.
+fn fit(builder: NmfBuilder) -> NmfOutput {
+    let mut model = builder.build().expect("valid request");
+    model.run();
+    model.into_output()
+}
 
 fn test_input(m: usize, n: usize, seed: u64) -> Input {
     Input::Dense(Mat::uniform(m, n, seed))
@@ -200,15 +207,15 @@ fn hpc_workspace_path_matches_sequential_reference() {
     ] {
         let input = test_input(m, n, (m * n) as u64);
         let config = NmfConfig::new(3).with_max_iters(3).with_seed(7);
-        let seq = factorize(&input, 1, Algo::Sequential, &config);
-        let par = factorize_from(
-            &input,
-            p,
-            algo,
-            &config,
-            init_w(m, config.k, config.seed),
-            init_ht(n, config.k, config.seed),
-        );
+        let seq = fit(Nmf::on(&input).config(config));
+        let par = fit(Nmf::on(&input)
+            .config(config)
+            .algo(algo)
+            .ranks(p)
+            .warm_start(
+                init_w(m, config.k, config.seed),
+                init_ht(n, config.k, config.seed),
+            ));
         assert!(
             par.w.max_abs_diff(&seq.w) < 1e-8,
             "{:?} p={p} {m}x{n}: W diverged from sequential",
@@ -228,8 +235,8 @@ fn sparse_input_workspace_path_matches_sequential() {
     let a = erdos_renyi(40, 30, 0.15, 77);
     let input = Input::Sparse(a);
     let config = NmfConfig::new(4).with_max_iters(3).with_seed(21);
-    let seq = factorize(&input, 1, Algo::Sequential, &config);
-    let par = factorize(&input, 4, Algo::Hpc2D, &config);
+    let seq = fit(Nmf::on(&input).config(config));
+    let par = fit(Nmf::on(&input).config(config).algo(Algo::Hpc2D).ranks(4));
     assert!(par.w.max_abs_diff(&seq.w) < 1e-8, "sparse W diverged");
     assert!(par.h.max_abs_diff(&seq.h) < 1e-8, "sparse H diverged");
 }

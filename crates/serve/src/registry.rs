@@ -32,7 +32,6 @@ use nmf_data::DatasetKind;
 use nmf_matrix::Mat;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Identity of a cacheable dataset source: `(kind, scale, seed)`.
 /// Dense inline sources are never cached — they are tenant-provided
@@ -43,7 +42,7 @@ pub(crate) type DatasetKey = (String, usize, u64);
 /// dataset, handed to every job (from any tenant) that names it. The
 /// `SharedInput` in turn caches its per-rank shardings, so ten tenants
 /// factorizing one corpus share both the matrix and its blocks.
-pub(crate) type DatasetCache = HashMap<DatasetKey, Arc<SharedInput>>;
+pub(crate) type DatasetCache = HashMap<DatasetKey, SharedInput>;
 
 /// Per-tenant admission limits.
 #[derive(Clone, Copy, Debug)]
@@ -265,17 +264,16 @@ impl Registry {
     /// Opens (or fetches from the cache) an NMFS file source as a
     /// shared mmap-backed input, keyed `("file:<path>", 0, 0)` in the
     /// dataset cache.
-    fn open_file_source(&mut self, path: &str) -> Result<Arc<SharedInput>, ServeError> {
+    fn open_file_source(&mut self, path: &str) -> Result<SharedInput, ServeError> {
         let key = (format!("file:{path}"), 0usize, 0u64);
         if let Some(s) = self.datasets.get(&key) {
-            return Ok(Arc::clone(s));
+            return Ok(s.clone());
         }
         let shared = SharedInput::open_mmap(path).map_err(|e| ServeError::BuildFailed {
             job: 0,
             reason: format!("cannot open {path}: {e}"),
         })?;
-        let shared = Arc::new(shared);
-        self.datasets.insert(key, Arc::clone(&shared));
+        self.datasets.insert(key, shared.clone());
         Ok(shared)
     }
 
@@ -492,21 +490,23 @@ pub(crate) fn build_input(source: &JobSource) -> Result<Input, String> {
     }
 }
 
-/// Resolves a job source to its shared-cache entry (`None` for inline
-/// dense payloads, which stay per-job). Dataset sources build their
-/// [`SharedInput`] on first use; file sources open the NMFS mmap.
+/// Resolves a job source to the [`SharedInput`] its model reads.
+/// Dataset sources build theirs on first use and file sources open the
+/// NMFS mmap, both kept in `datasets`; an inline dense payload moves
+/// into a fresh one that stays per-job, so its model reads the payload
+/// in place and it is freed with the model.
 fn shared_for_source(
     source: &JobSource,
     datasets: &mut DatasetCache,
-) -> Result<Option<Arc<SharedInput>>, String> {
+) -> Result<SharedInput, String> {
     use std::collections::hash_map::Entry;
     let key = match source {
         JobSource::Dataset { kind, scale, seed } => (kind.clone(), (*scale).max(1), *seed),
         JobSource::File { path } => (format!("file:{path}"), 0, 0),
-        JobSource::Dense { .. } => return Ok(None),
+        JobSource::Dense { .. } => return Ok(SharedInput::new(build_input(source)?)),
     };
     match datasets.entry(key) {
-        Entry::Occupied(e) => Ok(Some(Arc::clone(e.get()))),
+        Entry::Occupied(e) => Ok(e.get().clone()),
         Entry::Vacant(e) => {
             let shared = match source {
                 JobSource::File { path } => {
@@ -514,7 +514,7 @@ fn shared_for_source(
                 }
                 _ => SharedInput::new(build_input(source)?),
             };
-            Ok(Some(Arc::clone(e.insert(Arc::new(shared)))))
+            Ok(e.insert(shared).clone())
         }
     }
 }
@@ -525,19 +525,11 @@ fn shared_for_source(
 /// [`DatasetCache`]: the first job naming a dataset builds its
 /// [`SharedInput`] (and, via the builder, its sharding); later jobs —
 /// any tenant, any rank `k` — reuse the cached blocks through `Arc`
-/// clones. Dense inline sources stay per-job: the input is dropped
-/// after the build and the model owns copies of its per-rank blocks.
+/// clones. An inline dense source gets a `SharedInput` of its own,
+/// which its model's blocks are views of.
 pub(crate) fn build_model(spec: &JobSpec, datasets: &mut DatasetCache) -> Result<Model, String> {
-    let shared = shared_for_source(&spec.source, datasets)?;
-    let resident;
-    let mut b = match &shared {
-        Some(s) => Nmf::on_shared(s),
-        None => {
-            resident = build_input(&spec.source)?;
-            Nmf::on(&resident)
-        }
-    };
-    b = b
+    let input = shared_for_source(&spec.source, datasets)?;
+    let mut b = Nmf::on_shared(&input)
         .rank(spec.k)
         .ranks(spec.ranks)
         .algo(spec.algo)
@@ -553,7 +545,7 @@ pub(crate) fn build_model(spec: &JobSpec, datasets: &mut DatasetCache) -> Result
 /// Builds the model a resume plan describes (the promotion step for
 /// resume jobs): read the checkpoint, globalize its factors, and
 /// re-shard them onto whatever target the plan carries — the serve-side
-/// twin of [`Model::load_regrid`].
+/// twin of [`Model::load_regrid_shared`].
 pub(crate) fn build_resume_model(
     rs: &ResumeSpec,
     datasets: &mut DatasetCache,
@@ -566,15 +558,8 @@ pub(crate) fn build_resume_model(
     if let Some(a) = rs.algo {
         target = target.algo(a);
     }
-    let shared = shared_for_source(&rs.source, datasets)?;
-    let resident;
-    let mut b = match &shared {
-        Some(s) => Nmf::resume_from(ck).on_shared(s).target(target),
-        None => {
-            resident = build_input(&rs.source)?;
-            Nmf::resume_from(ck).on(&resident).target(target)
-        }
-    };
+    let input = shared_for_source(&rs.source, datasets)?;
+    let mut b = Nmf::resume_from(ck, &input).target(target);
     if let Some(iters) = rs.max_iters {
         b = b.max_iters(iters);
     }

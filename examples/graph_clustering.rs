@@ -38,7 +38,7 @@ fn stochastic_block_model(seed: u64) -> (Input, Vec<usize>) {
     (Input::Sparse(coo.to_csr()), labels)
 }
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     let (input, labels) = stochastic_block_model(7);
     let (m, _) = input.shape();
     println!(
@@ -47,14 +47,17 @@ fn main() {
     );
 
     let p = 9;
-    let out = factorize(
-        &input,
-        p,
-        Algo::Hpc2D,
-        &NmfConfig::new(COMMUNITIES)
-            .with_max_iters(40)
-            .with_tol(1e-7),
-    );
+    let mut model = Nmf::on(&input)
+        .config(
+            NmfConfig::new(COMMUNITIES)
+                .with_max_iters(40)
+                .with_tol(1e-7),
+        )
+        .algo(Algo::Hpc2D)
+        .ranks(p)
+        .build()?;
+    model.run();
+    let out = model.into_output();
     println!(
         "factorized on {p} ranks ({} iterations, rel error {:.3})",
         out.iterations, out.rel_error
@@ -102,4 +105,5 @@ fn main() {
     }
     assert!(acc > 0.8, "planted communities should be recoverable");
     println!("OK: communities recovered");
+    Ok(())
 }

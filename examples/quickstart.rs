@@ -6,7 +6,6 @@
 //! ```
 
 use hpc_nmf::prelude::*;
-use hpc_nmf::total_comm;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use nmf_vmpi::Op;
@@ -16,13 +15,15 @@ fn main() {
     let (m, n, k) = (600, 400, 8);
     let planted_w = Mat::uniform(m, k, 11);
     let planted_h = Mat::uniform(k, n, 12);
-    let a = Input::Dense(nmf_matrix::matmul(&planted_w, &planted_h));
+    // Every build and every resume reads a `SharedInput`: the matrix,
+    // held once, and the rank blocks cut from it.
+    let a = SharedInput::new(Input::Dense(nmf_matrix::matmul(&planted_w, &planted_h)));
     println!("input: {}x{} dense, rank-{k} structure planted", m, n);
 
     // Build a session: 8 virtual MPI ranks, communication-optimal 2D
     // grid, BPP solver (the paper's configuration). The builder
     // validates everything up front — errors are values, not panics.
-    let mut model = Nmf::on(&a)
+    let mut model = Nmf::on_shared(&a)
         .rank(k)
         .ranks(8)
         .algo(Algo::Hpc2D)
@@ -59,7 +60,7 @@ fn main() {
     let ckpt = std::env::temp_dir().join("hpc_nmf_quickstart.ckpt");
     model.save(&ckpt).expect("checkpoint writes");
     drop(model);
-    let mut model = Model::load(&ckpt, &a).expect("checkpoint loads");
+    let mut model = Model::load_shared(&ckpt, &a).expect("checkpoint loads");
     println!(
         "resumed from {} at iteration {}",
         ckpt.display(),
@@ -94,7 +95,7 @@ fn main() {
     }
 
     let out = model.into_output();
-    let comm = total_comm(&out);
+    let comm = out.total_comm();
     println!("\ncommunication totals across all ranks:");
     for op in [Op::AllGather, Op::ReduceScatter, Op::AllReduce] {
         let s = comm.op(op);
@@ -111,13 +112,14 @@ fn main() {
     // iteration (the resumed session's counters cover only its own
     // iterations, so raw totals would not be comparable).
     let hpc_iters = out.iterations.max(1) as f64;
-    let naive = factorize(
-        &a,
-        8,
-        Algo::Naive,
-        &NmfConfig::new(k).with_max_iters(30).with_tol(1e-9),
-    );
-    let naive_per_iter = total_comm(&naive).total_words() as f64 / naive.iterations.max(1) as f64;
+    let mut naive = Nmf::on_shared(&a)
+        .config(NmfConfig::new(k).with_max_iters(30).with_tol(1e-9))
+        .algo(Algo::Naive)
+        .ranks(8)
+        .build()
+        .expect("a valid factorization request");
+    naive.run();
+    let naive_per_iter = naive.total_comm().total_words() as f64 / naive.iterations().max(1) as f64;
     let hpc_per_iter = comm.total_words() as f64 / hpc_iters;
     println!(
         "\nNaive (Algorithm 2) moved {naive_per_iter:.0} words/iteration; \

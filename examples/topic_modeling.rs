@@ -60,7 +60,7 @@ fn cosine(a: &[f64], b: &[f64]) -> f64 {
     dot / (na * nb).max(f64::MIN_POSITIVE)
 }
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     let (input, top_terms, doc_topic) = generate(2024);
     let (m, n) = input.shape();
     println!(
@@ -70,12 +70,13 @@ fn main() {
     );
 
     let p = 8;
-    let out = factorize(
-        &input,
-        p,
-        Algo::Hpc2D,
-        &NmfConfig::new(TOPICS).with_max_iters(30),
-    );
+    let mut model = Nmf::on(&input)
+        .config(NmfConfig::new(TOPICS).with_max_iters(30))
+        .algo(Algo::Hpc2D)
+        .ranks(p)
+        .build()?;
+    model.run();
+    let out = model.into_output();
     println!(
         "factorized with k={TOPICS} on {p} ranks: rel error {:.3}",
         out.rel_error
@@ -138,4 +139,5 @@ fn main() {
     );
     assert!(acc > 0.8, "planted topics should be recoverable");
     println!("OK: topics recovered");
+    Ok(())
 }

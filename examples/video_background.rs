@@ -15,7 +15,7 @@ use nmf_data::DatasetKind;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{matmul, Mat};
 
-fn main() {
+fn main() -> Result<(), NmfError> {
     // ~10,134 pixels × 24 frames (paper dims divided by 100; still tall
     // and skinny, the regime the paper's 1D grid targets).
     let data = DatasetKind::Video.build(100, 77);
@@ -36,12 +36,13 @@ fn main() {
     );
 
     // Background model of rank 3 (the planted background rank).
-    let out = factorize(
-        &data.input,
-        p,
-        Algo::Hpc2D,
-        &NmfConfig::new(3).with_max_iters(25),
-    );
+    let mut model = Nmf::on(&data.input)
+        .config(NmfConfig::new(3).with_max_iters(25))
+        .algo(Algo::Hpc2D)
+        .ranks(p)
+        .build()?;
+    model.run();
+    let out = model.into_output();
     println!("background model fit: relative error {:.3}", out.rel_error);
 
     // Foreground = residual. The moving object is the brightest residual
@@ -135,4 +136,5 @@ fn main() {
         refit.iterations() < 25,
         "warm start should converge before the iteration cap"
     );
+    Ok(())
 }

@@ -88,9 +88,10 @@ fn a_relabelled_run_is_the_factorization_of_its_dense_twin() {
     }
 }
 
-/// Whole and shared inputs decide with one function, so they deal — and
-/// factorize — a skewed input identically, bit for bit; one sharding of
-/// the shared input serves a build, a second build and a refit.
+/// `Nmf::on` wraps its input in a fresh `SharedInput`, so a whole and a
+/// shared input deal — and factorize — a skewed input identically, bit
+/// for bit; one sharding of the shared input serves a build, a second
+/// build and a refit.
 #[test]
 fn whole_and_shared_inputs_agree_bit_for_bit() {
     let input = Input::Sparse(power_law());
@@ -148,15 +149,26 @@ fn table_2_word_counts_hold_on_a_relabelled_input() {
     let config = NmfConfig::new(k).with_max_iters(iters);
     let words = |q: usize, total: usize| ((q - 1) * (total / q)) as u64;
 
+    let fit = |algo, ranks| {
+        let mut model = Nmf::on(&input)
+            .config(config)
+            .algo(algo)
+            .ranks(ranks)
+            .build()
+            .expect("valid request");
+        model.run();
+        model.into_output()
+    };
+
     let grid = Grid::new(4, 4);
-    let out = factorize(&input, 16, Algo::HpcGrid(grid), &config);
+    let out = fit(Algo::HpcGrid(grid), 16);
     let per_iter = words(grid.pr, m / grid.pc * k) + words(grid.pc, m / grid.pr * k);
     for s in &out.rank_comm {
         assert_eq!(s.op(Op::AllGather).words, per_iter * iters as u64);
         assert_eq!(s.op(Op::ReduceScatter).words, per_iter * iters as u64);
     }
 
-    let out = factorize(&input, 8, Algo::Naive, &config);
+    let out = fit(Algo::Naive, 8);
     let per_iter = 2 * words(8, m * k);
     for s in &out.rank_comm {
         assert_eq!(s.op(Op::AllGather).words, per_iter * iters as u64);

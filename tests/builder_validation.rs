@@ -15,7 +15,7 @@ fn input(m: usize, n: usize) -> Input {
 
 /// Builds with `f` applied to a baseline-valid builder and returns the
 /// error it must produce.
-fn build_err(a: &Input, f: impl FnOnce(NmfBuilder<'_>) -> NmfBuilder<'_>) -> NmfError {
+fn build_err(a: &Input, f: impl FnOnce(NmfBuilder) -> NmfBuilder) -> NmfError {
     f(Nmf::on(a).rank(3)).build().expect_err("must be invalid")
 }
 
@@ -201,9 +201,9 @@ fn warm_start_values_are_validated() {
 
 #[test]
 fn io_error_carries_the_path_and_source() {
-    let a = input(20, 15);
+    let a = SharedInput::new(input(20, 15));
     let missing = std::env::temp_dir().join("hpc_nmf_definitely_missing.ckpt");
-    let e = Model::load(&missing, &a).expect_err("missing file");
+    let e = Model::load_shared(&missing, &a).expect_err("missing file");
     assert!(matches!(e, NmfError::Io { .. }));
     assert!(e.to_string().contains("hpc_nmf_definitely_missing"), "{e}");
     assert!(
@@ -214,10 +214,10 @@ fn io_error_carries_the_path_and_source() {
 
 #[test]
 fn non_checkpoint_files_are_corrupt_with_the_path_named() {
-    let a = input(20, 15);
+    let a = SharedInput::new(input(20, 15));
     let path = std::env::temp_dir().join(format!("hpc_nmf_not_a_ckpt_{}.bin", std::process::id()));
     std::fs::write(&path, b"definitely not a checkpoint").expect("writes");
-    let e = Model::load(&path, &a).expect_err("garbage file");
+    let e = Model::load_shared(&path, &a).expect_err("garbage file");
     assert!(matches!(e, NmfError::Corrupt { .. }));
     assert!(e.to_string().contains("magic"), "{e}");
     std::fs::remove_file(&path).ok();

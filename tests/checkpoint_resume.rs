@@ -12,7 +12,7 @@ use hpc_nmf::checkpoint::read_checkpoint;
 use hpc_nmf::dist::Dist1D;
 use hpc_nmf::engine::{AnlsEngine, Grid2D, Replicated1D, SplitBlocks};
 use hpc_nmf::prelude::*;
-use hpc_nmf::{factorize_from, init_ht, init_w};
+use hpc_nmf::{init_ht, init_w};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use nmf_sparse::gen::chung_lu_power_law;
@@ -100,7 +100,13 @@ fn stepped_engine_matches_run_to_completion_driver() {
     let w0 = init_w(m, cfg.k, cfg.seed);
     let ht0 = init_ht(n, cfg.k, cfg.seed);
 
-    let driver = factorize_from(&input, 1, Algo::Sequential, &cfg, w0.clone(), ht0.clone());
+    let mut driver = Nmf::on(&input)
+        .config(cfg)
+        .warm_start(w0.clone(), ht0.clone())
+        .build()
+        .expect("valid request");
+    driver.run();
+    let driver = driver.into_output();
     let mut engine = AnlsEngine::new(one_by_one(&comm, m, n, cfg.k), &block, &cfg, w0, ht0);
     for _ in 0..TOTAL {
         engine.step();
@@ -352,7 +358,8 @@ fn disk_checkpoint_resume_is_bit_identical_for_all_schemes() {
         first.save(&path).expect("checkpoint writes");
         drop(first);
 
-        let mut resumed = Model::load(&path, &input).expect("checkpoint loads");
+        let mut resumed =
+            Model::load_shared(&path, &SharedInput::new(input.clone())).expect("checkpoint loads");
         assert_eq!(
             resumed.iterations(),
             BREAK_AT,
@@ -396,7 +403,8 @@ fn disk_resume_preserves_early_stop_decisions() {
     let path = tmp_ckpt("earlystop");
     first.save(&path).expect("checkpoint writes");
     drop(first);
-    let mut resumed = Model::load(&path, &input).expect("checkpoint loads");
+    let mut resumed =
+        Model::load_shared(&path, &SharedInput::new(input.clone())).expect("checkpoint loads");
     let reason_resumed = resumed.run();
     assert_eq!(reason_resumed, reason_full);
     assert_eq!(resumed.iterations(), total);
@@ -438,7 +446,8 @@ fn truncated_checkpoints_are_rejected() {
     let (bytes, input) = valid_checkpoint_bytes("trunc_src");
     for cut in [0, 7, 11, 30, bytes.len() / 2, bytes.len() - 1] {
         let path = write_tmp("trunc", &bytes[..cut]);
-        let err = Model::load(&path, &input).expect_err("truncation must not load");
+        let err = Model::load_shared(&path, &SharedInput::new(input.clone()))
+            .expect_err("truncation must not load");
         assert!(
             matches!(err, NmfError::Corrupt { .. }),
             "cut at {cut}: expected Corrupt, got {err:?}"
@@ -452,7 +461,8 @@ fn wrong_version_is_rejected_before_the_checksum() {
     let (mut bytes, input) = valid_checkpoint_bytes("ver_src");
     bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
     let path = write_tmp("ver", &bytes);
-    let err = Model::load(&path, &input).expect_err("future version must not load");
+    let err = Model::load_shared(&path, &SharedInput::new(input.clone()))
+        .expect_err("future version must not load");
     assert!(
         matches!(
             err,
@@ -473,7 +483,8 @@ fn flipped_byte_fails_the_checksum() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
     let path = write_tmp("flip", &bytes);
-    let err = Model::load(&path, &input).expect_err("corruption must not load");
+    let err = Model::load_shared(&path, &SharedInput::new(input.clone()))
+        .expect_err("corruption must not load");
     assert!(matches!(err, NmfError::Corrupt { .. }), "got {err:?}");
     std::fs::remove_file(&path).ok();
 }
@@ -484,13 +495,15 @@ fn mismatched_input_shape_is_rejected() {
     let path = write_tmp("shape", &bytes);
     // Same k, different m and n.
     let other = test_input(30, 20, 9);
-    let err = Model::load(&path, &other).expect_err("wrong shape must not load");
+    let err = Model::load_shared(&path, &SharedInput::new(other.clone()))
+        .expect_err("wrong shape must not load");
     assert!(
         matches!(err, NmfError::CheckpointMismatch { .. }),
         "got {err:?}"
     );
     let other_n = test_input(28, 22, 9);
-    let err = Model::load(&path, &other_n).expect_err("wrong n must not load");
+    let err = Model::load_shared(&path, &SharedInput::new(other_n.clone()))
+        .expect_err("wrong n must not load");
     assert!(
         matches!(err, NmfError::CheckpointMismatch { .. }),
         "got {err:?}"
@@ -510,7 +523,8 @@ fn edited_k_fails_the_fingerprint_or_shape_check() {
     bytes[k_off..k_off + 8].copy_from_slice(&(old_k + 1).to_le_bytes());
     restamp_header(&mut bytes);
     let path = write_tmp("kedit", &bytes);
-    let err = Model::load(&path, &input).expect_err("edited k must not load");
+    let err = Model::load_shared(&path, &SharedInput::new(input.clone()))
+        .expect_err("edited k must not load");
     assert!(
         matches!(
             err,
@@ -574,8 +588,9 @@ fn regridded_factors_globalize_bit_identically() {
         // ...and every regrid target re-shards them without losing a
         // bit: the resumed session's assembled factors are identical.
         for (ttag, target) in regrid_targets() {
-            let resumed = Model::load_regrid(&path, &input, target)
-                .unwrap_or_else(|e| panic!("{stag}->{ttag}: {e}"));
+            let resumed =
+                Model::load_regrid_shared(&path, &SharedInput::new(input.clone()), target)
+                    .unwrap_or_else(|e| panic!("{stag}->{ttag}: {e}"));
             assert_eq!(
                 resumed.iterations(),
                 BREAK_AT,
@@ -609,8 +624,9 @@ fn regridded_resume_reaches_the_same_objective() {
         drop(first);
 
         for (ttag, target) in regrid_targets() {
-            let mut resumed = Model::load_regrid(&path, &input, target)
-                .unwrap_or_else(|e| panic!("{stag}->{ttag}: {e}"));
+            let mut resumed =
+                Model::load_regrid_shared(&path, &SharedInput::new(input.clone()), target)
+                    .unwrap_or_else(|e| panic!("{stag}->{ttag}: {e}"));
             for _ in 0..(TOTAL - BREAK_AT) {
                 resumed.step();
             }
@@ -629,7 +645,7 @@ fn regridded_resume_reaches_the_same_objective() {
 #[test]
 fn pure_resume_through_the_regrid_path_stays_bit_identical() {
     // An empty target replays the recorded grid: the regrid entry
-    // points continue the exact trajectory, same as Model::load.
+    // points continue the exact trajectory, same as Model::load_shared.
     let input = test_input(28, 20, 31);
     let cfg = config();
     let mut full = session(&input, Algo::Hpc2D, 4, &cfg);
@@ -647,7 +663,9 @@ fn pure_resume_through_the_regrid_path_stays_bit_identical() {
     drop(first);
 
     let ck = read_checkpoint(&path).expect("checkpoint reads");
-    let mut resumed = Nmf::resume_from(ck).on(&input).build().expect("builds");
+    let mut resumed = Nmf::resume_from(ck, &SharedInput::new(input.clone()))
+        .build()
+        .expect("builds");
     assert_eq!(resumed.algo(), Algo::Hpc2D);
     assert_eq!(resumed.ranks(), 4);
     for _ in 0..(TOTAL - BREAK_AT) {
@@ -671,7 +689,8 @@ fn regrid_keeps_the_recorded_k_and_solver() {
     src.save(&path).expect("checkpoint writes");
     drop(src);
     for (_, target) in regrid_targets() {
-        let resumed = Model::load_regrid(&path, &input, target).expect("loads");
+        let resumed = Model::load_regrid_shared(&path, &SharedInput::new(input.clone()), target)
+            .expect("loads");
         assert_eq!(resumed.config().k, cfg.k);
         assert_eq!(resumed.config().solver, cfg.solver);
         assert_eq!(resumed.config().seed, cfg.seed);
@@ -690,8 +709,12 @@ fn regrid_rejects_a_mismatched_input_shape() {
     // The relaxed compatibility contract still pins the input shape:
     // the factors are meaningless against a different matrix.
     for other in [test_input(30, 20, 9), test_input(28, 22, 9)] {
-        let err = Model::load_regrid(&path, &other, RegridTarget::new().grid(Grid::new(2, 2)))
-            .expect_err("wrong shape must not regrid");
+        let err = Model::load_regrid_shared(
+            &path,
+            &SharedInput::new(other.clone()),
+            RegridTarget::new().grid(Grid::new(2, 2)),
+        )
+        .expect_err("wrong shape must not regrid");
         assert!(
             matches!(err, NmfError::CheckpointMismatch { .. }),
             "got {err:?}"
@@ -711,27 +734,17 @@ fn regrid_rejects_an_unfittable_target_grid() {
     // 16x16 over 28x20 leaves ranks without factor rows; the resume
     // builder runs the full build validation, so the usual actionable
     // error comes back instead of a bad session.
-    let err = Model::load_regrid(&path, &input, RegridTarget::new().grid(Grid::new(16, 16)))
-        .expect_err("unfittable grid must not build");
+    let err = Model::load_regrid_shared(
+        &path,
+        &SharedInput::new(input.clone()),
+        RegridTarget::new().grid(Grid::new(16, 16)),
+    )
+    .expect_err("unfittable grid must not build");
     assert!(matches!(err, NmfError::GridTooLarge { .. }), "got {err:?}");
     assert!(
         !fitting_grids(28, 20, 256).contains(&Grid::new(16, 16)),
         "fitting_grids must agree with the builder"
     );
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn resume_builder_requires_an_input() {
-    let input = test_input(28, 20, 31);
-    let mut src = session(&input, Algo::Hpc2D, 4, &config());
-    src.step();
-    let path = tmp_ckpt("regrid_noinput");
-    src.save(&path).expect("checkpoint writes");
-    drop(src);
-    let ck = read_checkpoint(&path).expect("checkpoint reads");
-    let err = Nmf::resume_from(ck).build().expect_err("no input attached");
-    assert!(matches!(err, NmfError::MissingInput), "got {err:?}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -797,8 +810,8 @@ fn windowed_policy_resume_stops_at_same_iteration() {
  * A skewed sparse input is dealt to ranks in a balanced order, not in
  * index order (docs/sharded-input.md, "Balanced dealing"). Checkpoints
  * hold factors in original row order whatever the dealing, so every
- * property above must hold unchanged on such an input — through either
- * input arm, which decide the dealing with one function.
+ * property above must hold unchanged on such an input — whether it is
+ * handed in whole (`Nmf::on` wraps a fresh `SharedInput`) or shared.
  */
 
 /// A power-law digraph whose heavy nodes come first: its rows and
@@ -854,7 +867,7 @@ fn relabelled_input_resumes_bit_identically_through_either_input_arm() {
             let mut resumed = if written_whole {
                 Model::load_shared(&path, &shared)
             } else {
-                Model::load(&path, &input)
+                Model::load_shared(&path, &SharedInput::new(input.clone()))
             }
             .expect("checkpoint loads");
             assert_eq!(resumed.iterations(), BREAK_AT);
@@ -904,8 +917,9 @@ fn regrid_of_a_relabelled_input_globalizes_bit_identically() {
             ("hpc1d-2", RegridTarget::new().algo(Algo::Hpc1D).ranks(2)),
             ("grid1x4", RegridTarget::new().grid(Grid::new(1, 4))),
         ] {
-            let mut resumed = Model::load_regrid(&path, &input, target)
-                .unwrap_or_else(|e| panic!("{stag}->{ttag}: {e}"));
+            let mut resumed =
+                Model::load_regrid_shared(&path, &SharedInput::new(input.clone()), target)
+                    .unwrap_or_else(|e| panic!("{stag}->{ttag}: {e}"));
             let (w_r, h_r) = resumed.factors();
             assert_eq!(w_r, w_src, "{stag}->{ttag}: resharded W lost bits");
             assert_eq!(h_r, h_src, "{stag}->{ttag}: resharded H lost bits");

@@ -15,14 +15,25 @@
 //! * all-reduce sends `2·((q−1)/q)·n` (Rabenseifner).
 
 use hpc_nmf::prelude::*;
-use hpc_nmf::total_comm;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use nmf_vmpi::Op;
 
+/// `algo` on `p` ranks over `input`, run to its stopping condition.
+fn fit(input: &Input, p: usize, algo: Algo, config: &NmfConfig) -> NmfOutput {
+    let mut model = Nmf::on(input)
+        .config(*config)
+        .algo(algo)
+        .ranks(p)
+        .build()
+        .expect("valid request");
+    model.run();
+    model.into_output()
+}
+
 fn run(m: usize, n: usize, k: usize, p: usize, algo: Algo, iters: usize) -> NmfOutput {
     let input = Input::Dense(Mat::uniform(m, n, 42));
-    factorize(&input, p, algo, &NmfConfig::new(k).with_max_iters(iters))
+    fit(&input, p, algo, &NmfConfig::new(k).with_max_iters(iters))
 }
 
 /// Exact per-rank words for an all-gather of `total` words over `q` ranks
@@ -148,8 +159,8 @@ fn hpc_2d_communicates_less_than_naive_squarish() {
     let (m, n, k, p) = (240, 240, 4, 16);
     let naive = run(m, n, k, p, Algo::Naive, 3);
     let hpc2d = run(m, n, k, p, Algo::Hpc2D, 3);
-    let naive_words = total_comm(&naive).total_words();
-    let hpc_words = total_comm(&hpc2d).total_words();
+    let naive_words = naive.total_comm().total_words();
+    let hpc_words = hpc2d.total_comm().total_words();
     assert!(
         (hpc_words as f64) < 0.5 * naive_words as f64,
         "HPC-NMF-2D ({hpc_words} words) should communicate far less than Naive ({naive_words})"
@@ -163,8 +174,8 @@ fn hpc_1d_beats_2d_on_tall_skinny_bandwidth() {
     let (m, n, k, p) = (512, 16, 4, 8);
     let oned = run(m, n, k, p, Algo::Hpc1D, 2);
     let square = run(m, n, k, p, Algo::HpcGrid(Grid::new(4, 2)), 2);
-    let w1 = total_comm(&oned).total_words();
-    let w2 = total_comm(&square).total_words();
+    let w1 = oned.total_comm().total_words();
+    let w2 = square.total_comm().total_words();
     assert!(
         w1 < w2,
         "1D grid ({w1} words) should beat 2D ({w2}) on tall-skinny input"
@@ -179,11 +190,11 @@ fn sparse_and_dense_costs_are_identical() {
     let (m, n, k, p) = (48, 48, 3, 4);
     let dense = {
         let a = Input::Dense(Mat::uniform(m, n, 7));
-        factorize(&a, p, Algo::Hpc2D, &NmfConfig::new(k).with_max_iters(2))
+        fit(&a, p, Algo::Hpc2D, &NmfConfig::new(k).with_max_iters(2))
     };
     let sparse = {
         let a = Input::Sparse(nmf_sparse::gen::erdos_renyi(m, n, 0.1, 7));
-        factorize(&a, p, Algo::Hpc2D, &NmfConfig::new(k).with_max_iters(2))
+        fit(&a, p, Algo::Hpc2D, &NmfConfig::new(k).with_max_iters(2))
     };
     for (d, s) in dense.rank_comm.iter().zip(&sparse.rank_comm) {
         assert_eq!(d.total_words(), s.total_words());
@@ -199,13 +210,13 @@ fn communication_is_independent_of_solver() {
     let input = Input::Dense(Mat::uniform(m, n, 8));
     let mut words = Vec::new();
     for solver in SolverKind::ALL {
-        let out = factorize(
+        let out = fit(
             &input,
             p,
             Algo::Hpc2D,
             &NmfConfig::new(k).with_max_iters(3).with_solver(solver),
         );
-        words.push(total_comm(&out).total_words());
+        words.push(out.total_comm().total_words());
     }
     assert_eq!(words[0], words[1]);
     assert_eq!(words[1], words[2]);

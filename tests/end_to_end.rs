@@ -2,8 +2,19 @@
 //! algorithm combination must run, converge, and produce valid factors.
 
 use hpc_nmf::prelude::*;
-use hpc_nmf::total_comm;
 use nmf_data::DatasetKind;
+
+/// `algo` on `p` ranks over `input`, run to its stopping condition.
+fn fit(input: &Input, p: usize, algo: Algo, config: &NmfConfig) -> NmfOutput {
+    let mut model = Nmf::on(input)
+        .config(*config)
+        .algo(algo)
+        .ranks(p)
+        .build()
+        .expect("valid request");
+    model.run();
+    model.into_output()
+}
 
 fn check_run(kind: DatasetKind, algo: Algo, p: usize, k: usize) -> NmfOutput {
     let scale = match kind {
@@ -13,7 +24,7 @@ fn check_run(kind: DatasetKind, algo: Algo, p: usize, k: usize) -> NmfOutput {
     };
     let data = kind.build(scale, 33);
     let (m, n) = data.input.shape();
-    let out = factorize(&data.input, p, algo, &NmfConfig::new(k).with_max_iters(6));
+    let out = fit(&data.input, p, algo, &NmfConfig::new(k).with_max_iters(6));
     assert_eq!(out.w.shape(), (m, k), "{} {}", kind.name(), algo.name());
     assert_eq!(out.h.shape(), (k, n));
     assert!(out.w.all_nonnegative() && out.h.all_nonnegative());
@@ -53,10 +64,10 @@ fn hpc2d_moves_fewer_words_than_naive_on_squarish_datasets() {
     for kind in [DatasetKind::Ssyn, DatasetKind::Dsyn, DatasetKind::Webbase] {
         let data = kind.build(1200, 5);
         let config = NmfConfig::new(8).with_max_iters(3);
-        let naive = factorize(&data.input, 16, Algo::Naive, &config);
-        let hpc = factorize(&data.input, 16, Algo::Hpc2D, &config);
-        let wn = total_comm(&naive).total_words();
-        let wh = total_comm(&hpc).total_words();
+        let naive = fit(&data.input, 16, Algo::Naive, &config);
+        let hpc = fit(&data.input, 16, Algo::Hpc2D, &config);
+        let wn = naive.total_comm().total_words();
+        let wh = hpc.total_comm().total_words();
         assert!(
             wh < wn,
             "{}: HPC-2D words {wh} should undercut Naive {wn}",
@@ -78,7 +89,7 @@ fn video_grid_selection_is_1d() {
 fn per_iteration_records_are_complete() {
     let data = DatasetKind::Ssyn.build(1500, 6);
     let iters = 4;
-    let out = factorize(
+    let out = fit(
         &data.input,
         6,
         Algo::Hpc2D,
@@ -98,7 +109,7 @@ fn solver_menu_works_on_sparse_dataset() {
     let data = DatasetKind::Webbase.build(2500, 8);
     let mut finals = Vec::new();
     for solver in SolverKind::ALL {
-        let out = factorize(
+        let out = fit(
             &data.input,
             4,
             Algo::Hpc2D,

@@ -304,7 +304,8 @@ fn disk_checkpoint_resume_through_overlapped_schedule_all_schemes() {
         let mid = session(brk);
         let path = tmp_ckpt(tag);
         mid.save(&path).expect("checkpoint write");
-        let mut resumed = Model::load(&path, &input).expect("checkpoint read");
+        let mut resumed =
+            Model::load_shared(&path, &SharedInput::new(input.clone())).expect("checkpoint read");
         for _ in 0..(ITERS - brk) {
             resumed.step();
         }

@@ -8,6 +8,18 @@ use nmf_matrix::rng::Fill;
 use nmf_matrix::{matmul, Mat};
 use nmf_sparse::gen::{banded, erdos_renyi};
 
+/// `algo` on `p` ranks over `input`, run to its stopping condition.
+fn fit(input: &Input, p: usize, algo: Algo, config: &NmfConfig) -> NmfOutput {
+    let mut model = Nmf::on(input)
+        .config(*config)
+        .algo(algo)
+        .ranks(p)
+        .build()
+        .expect("valid request");
+    model.run();
+    model.into_output()
+}
+
 const TOL: f64 = 1e-8;
 
 fn dense_input(m: usize, n: usize, k: usize, seed: u64) -> Input {
@@ -24,8 +36,8 @@ fn dense_input(m: usize, n: usize, k: usize, seed: u64) -> Input {
 }
 
 fn assert_matches_sequential(input: &Input, p: usize, algo: Algo, config: &NmfConfig) {
-    let seq = factorize(input, 1, Algo::Sequential, config);
-    let par = factorize(input, p, algo, config);
+    let seq = fit(input, 1, Algo::Sequential, config);
+    let par = fit(input, p, algo, config);
     let dw = par.w.max_abs_diff(&seq.w);
     let dh = par.h.max_abs_diff(&seq.h);
     assert!(
@@ -127,7 +139,7 @@ fn tall_skinny_prefers_and_supports_1d() {
 fn iterates_are_monotone_in_parallel() {
     let input = dense_input(40, 30, 4, 12);
     for solver in SolverKind::ALL {
-        let out = factorize(
+        let out = fit(
             &input,
             6,
             Algo::Hpc2D,
@@ -146,7 +158,7 @@ fn iterates_are_monotone_in_parallel() {
 #[test]
 fn factors_are_nonnegative_and_shaped() {
     let input = dense_input(33, 27, 5, 13);
-    let out = factorize(&input, 6, Algo::Hpc2D, &NmfConfig::new(5).with_max_iters(4));
+    let out = fit(&input, 6, Algo::Hpc2D, &NmfConfig::new(5).with_max_iters(4));
     assert_eq!(out.w.shape(), (33, 5));
     assert_eq!(out.h.shape(), (5, 27));
     assert!(out.w.all_nonnegative());
@@ -158,8 +170,8 @@ fn factors_are_nonnegative_and_shaped() {
 fn tolerance_early_exit_is_consistent_across_ranks() {
     let input = dense_input(30, 24, 3, 14);
     let config = NmfConfig::new(3).with_max_iters(100).with_tol(1e-7);
-    let seq = factorize(&input, 1, Algo::Sequential, &config);
-    let par = factorize(&input, 4, Algo::Hpc2D, &config);
+    let seq = fit(&input, 1, Algo::Sequential, &config);
+    let par = fit(&input, 4, Algo::Hpc2D, &config);
     assert_eq!(
         seq.iterations, par.iterations,
         "early exit must happen at the same iteration"

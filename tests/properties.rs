@@ -8,6 +8,18 @@ use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 use proptest::prelude::*;
 
+/// `algo` on `p` ranks over `input`, run to its stopping condition.
+fn fit(input: &Input, p: usize, algo: Algo, config: &NmfConfig) -> NmfOutput {
+    let mut model = Nmf::on(input)
+        .config(*config)
+        .algo(algo)
+        .ranks(p)
+        .build()
+        .expect("valid request");
+    model.run();
+    model.into_output()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -63,8 +75,8 @@ proptest! {
         let k = 3usize.min(m.min(n));
         let input = Input::Dense(Mat::uniform(m, n, seed));
         let config = NmfConfig::new(k).with_max_iters(3).with_seed(seed);
-        let seq = factorize(&input, 1, Algo::Sequential, &config);
-        let par = factorize(&input, p, Algo::Hpc2D, &config);
+        let seq = fit(&input, 1, Algo::Sequential, &config);
+        let par = fit(&input, p, Algo::Hpc2D, &config);
         prop_assert!(
             par.w.max_abs_diff(&seq.w) < 1e-8 && par.h.max_abs_diff(&seq.h) < 1e-8,
             "p={p} {}x{} seed={seed} diverged", m, n
@@ -81,7 +93,7 @@ proptest! {
         let solver = SolverKind::ALL[solver_pick];
         let input = Input::Dense(Mat::uniform(m, n, seed));
         let k = 2;
-        let out = factorize(
+        let out = fit(
             &input, 4, Algo::Hpc2D,
             &NmfConfig::new(k).with_max_iters(3).with_solver(solver).with_seed(seed),
         );

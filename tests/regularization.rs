@@ -4,6 +4,18 @@ use hpc_nmf::prelude::*;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::Mat;
 
+/// `algo` on `p` ranks over `input`, run to its stopping condition.
+fn fit(input: &Input, p: usize, algo: Algo, config: &NmfConfig) -> NmfOutput {
+    let mut model = Nmf::on(input)
+        .config(*config)
+        .algo(algo)
+        .ranks(p)
+        .build()
+        .expect("valid request");
+    model.run();
+    model.into_output()
+}
+
 fn input(seed: u64) -> Input {
     Input::Dense(Mat::uniform(40, 30, seed))
 }
@@ -11,13 +23,13 @@ fn input(seed: u64) -> Input {
 #[test]
 fn ridge_shrinks_factor_norms() {
     let a = input(1);
-    let base = factorize(
+    let base = fit(
         &a,
         1,
         Algo::Sequential,
         &NmfConfig::new(4).with_max_iters(15),
     );
-    let reg = factorize(
+    let reg = fit(
         &a,
         1,
         Algo::Sequential,
@@ -41,13 +53,13 @@ fn ridge_shrinks_factor_norms() {
 #[test]
 fn zero_ridge_is_identity() {
     let a = input(2);
-    let base = factorize(
+    let base = fit(
         &a,
         1,
         Algo::Sequential,
         &NmfConfig::new(3).with_max_iters(5),
     );
-    let reg = factorize(
+    let reg = fit(
         &a,
         1,
         Algo::Sequential,
@@ -61,14 +73,14 @@ fn zero_ridge_is_identity() {
 fn regularized_parallel_matches_sequential() {
     let a = input(3);
     let config = NmfConfig::new(3).with_max_iters(5).with_l2(0.5, 0.25);
-    let seq = factorize(&a, 1, Algo::Sequential, &config);
+    let seq = fit(&a, 1, Algo::Sequential, &config);
     for (p, algo) in [
         (4usize, Algo::Hpc2D),
         (6, Algo::Hpc2D),
         (4, Algo::Naive),
         (3, Algo::Hpc1D),
     ] {
-        let par = factorize(&a, p, algo, &config);
+        let par = fit(&a, p, algo, &config);
         assert!(
             par.w.max_abs_diff(&seq.w) < 1e-8,
             "{} p={p}: regularized W diverges",
@@ -82,7 +94,7 @@ fn regularized_parallel_matches_sequential() {
 fn regularization_works_with_every_solver() {
     let a = input(4);
     for solver in SolverKind::ALL {
-        let out = factorize(
+        let out = fit(
             &a,
             1,
             Algo::Sequential,

@@ -2,11 +2,18 @@
 //! video scenario (§6.1.1) — when new data arrives, restarting ANLS from
 //! the previous factors should converge much faster than a cold start.
 
+use hpc_nmf::init_ht;
 use hpc_nmf::prelude::*;
-use hpc_nmf::{factorize_from, init_ht};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{matmul, Mat};
 use nmf_sparse::gen::chung_lu_power_law;
+
+/// `builder`'s model run to its stopping condition.
+fn fit(builder: NmfBuilder) -> NmfOutput {
+    let mut model = builder.build().expect("valid request");
+    model.run();
+    model.into_output()
+}
 
 /// A "video" whose background drifts slightly between two windows.
 fn window(m: usize, n: usize, k: usize, drift: f64, seed: u64) -> Input {
@@ -25,16 +32,18 @@ fn warm_start_converges_faster_than_cold() {
     let (m, n, k) = (60, 40, 4);
     let config = NmfConfig::new(k).with_max_iters(25);
     // Fit window 1 from scratch.
-    let first = factorize(&window(m, n, k, 0.0, 10), 4, Algo::Hpc2D, &config);
+    let hpc2d =
+        |input: &Input, config: NmfConfig| Nmf::on(input).config(config).algo(Algo::Hpc2D).ranks(4);
+    let first = fit(hpc2d(&window(m, n, k, 0.0, 10), config));
 
     // Window 2: same planted structure, small drift.
     let second = window(m, n, k, 0.05, 10);
     let budget = NmfConfig::new(k).with_max_iters(3);
-    let cold = factorize(&second, 4, Algo::Hpc2D, &budget);
+    let cold = fit(hpc2d(&second, budget));
     let mut ht_prev = first.h.transpose();
     // Previous factors may contain exact zeros; keep them valid inits.
     ht_prev.project_nonnegative();
-    let warm = factorize_from(&second, 4, Algo::Hpc2D, &budget, first.w.clone(), ht_prev);
+    let warm = fit(hpc2d(&second, budget).warm_start(first.w.clone(), ht_prev));
     assert!(
         warm.objective < cold.objective,
         "warm start ({}) should beat cold start ({}) on a small budget",
@@ -50,16 +59,15 @@ fn warm_start_is_consistent_across_drivers() {
     let w0 = Mat::uniform(m, k, 21);
     let ht0 = init_ht(n, k, 22);
     let config = NmfConfig::new(k).with_max_iters(4);
-    let seq = factorize_from(
-        &input,
-        1,
-        Algo::Sequential,
-        &config,
-        w0.clone(),
-        ht0.clone(),
-    );
+    let seq = fit(Nmf::on(&input)
+        .config(config)
+        .warm_start(w0.clone(), ht0.clone()));
     for (p, algo) in [(4usize, Algo::Hpc2D), (3, Algo::Naive), (2, Algo::Hpc1D)] {
-        let par = factorize_from(&input, p, algo, &config, w0.clone(), ht0.clone());
+        let par = fit(Nmf::on(&input)
+            .config(config)
+            .algo(algo)
+            .ranks(p)
+            .warm_start(w0.clone(), ht0.clone()));
         assert!(
             par.w.max_abs_diff(&seq.w) < 1e-8 && par.h.max_abs_diff(&seq.h) < 1e-8,
             "{} warm start diverged from sequential",
@@ -69,16 +77,25 @@ fn warm_start_is_consistent_across_drivers() {
 }
 
 #[test]
-#[should_panic(expected = "w0 shape mismatch")]
 fn warm_start_validates_shapes() {
     let input = window(20, 15, 3, 0.0, 30);
-    let _ = factorize_from(
-        &input,
-        2,
-        Algo::Hpc2D,
-        &NmfConfig::new(3),
-        Mat::zeros(5, 3),
-        Mat::zeros(15, 3),
+    let err = Nmf::on(&input)
+        .config(NmfConfig::new(3))
+        .algo(Algo::Hpc2D)
+        .ranks(2)
+        .warm_start(Mat::zeros(5, 3), Mat::zeros(15, 3))
+        .build()
+        .expect_err("a 5-row W for a 20-row input");
+    assert!(
+        matches!(
+            err,
+            NmfError::WarmStartShape {
+                which: "W",
+                expected: (20, 3),
+                got: (5, 3)
+            }
+        ),
+        "got {err:?}"
     );
 }
 
