@@ -4,7 +4,7 @@
 //! (words counted from real runs, plus modeled paper-scale totals).
 //!
 //! ```sh
-//! cargo run --release -p nmf-bench --bin ablation_grid
+//! cargo run --release -p nmf_bench --bin ablation_grid
 //! ```
 
 use hpc_nmf::prelude::*;

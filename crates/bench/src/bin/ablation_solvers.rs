@@ -4,7 +4,7 @@
 //! exactly why communication efficiency matters.
 //!
 //! ```sh
-//! cargo run --release -p nmf-bench --bin ablation_solvers
+//! cargo run --release -p nmf_bench --bin ablation_solvers
 //! ```
 
 use hpc_nmf::prelude::*;

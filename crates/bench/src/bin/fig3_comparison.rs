@@ -7,7 +7,7 @@
 //! α-β-γ model at the paper's p = 600.
 //!
 //! ```sh
-//! cargo run --release -p nmf-bench --bin fig3_comparison
+//! cargo run --release -p nmf_bench --bin fig3_comparison
 //! ```
 
 use hpc_nmf::prelude::*;

@@ -6,7 +6,7 @@
 //! Section B: paper-scale model at the paper's p ∈ {24, 96, 216, 384, 600}.
 //!
 //! ```sh
-//! cargo run --release -p nmf-bench --bin fig3_scaling
+//! cargo run --release -p nmf_bench --bin fig3_scaling
 //! ```
 
 use hpc_nmf::prelude::*;

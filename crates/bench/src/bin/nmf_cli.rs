@@ -52,10 +52,12 @@
 //! `docs/comm-overlap.md`); what overlap buys is measured by
 //! `benchmark/`, which times every collective both ways on each run.
 //!
-//! Argument handling is `Result`-based: every problem found is
-//! accumulated and reported once (as [`NmfError::InvalidArgs`]) together
-//! with the usage text, instead of exiting at the first bad flag.
+//! Flags are declared once, in an `hpc_nmf::flags` table (the request
+//! flags in the part `nmf_serve_client` shares), which also renders
+//! `--help`. Every problem found is accumulated and reported once,
+//! after the help text, instead of exiting at the first bad flag.
 
+use hpc_nmf::flags::{Flags, RequestDefaults, RequestFlags};
 use hpc_nmf::prelude::*;
 use hpc_nmf::{inspect_checkpoint, DimBalance, RankLoad};
 
@@ -69,16 +71,9 @@ use std::time::{Duration, Instant};
 /// `--resume` can detect contradictory flags.
 #[derive(Debug, Default)]
 struct Args {
+    req: RequestFlags,
     input: Option<String>,
-    dataset: Option<String>,
-    scale: Option<usize>,
-    algo: Option<Algo>,
-    ranks: Option<usize>,
-    ks: Option<Vec<usize>>,
-    iters: Option<usize>,
     tol: Option<f64>,
-    solver: Option<SolverKind>,
-    seed: Option<u64>,
     json: bool,
     mmap: bool,
     out: Option<PathBuf>,
@@ -89,16 +84,34 @@ struct Args {
     regrid: Option<Grid>,
 }
 
+impl AsMut<RequestFlags> for Args {
+    fn as_mut(&mut self) -> &mut RequestFlags {
+        &mut self.req
+    }
+}
+
+/// What an unset request flag means here; `--help` prints these.
+const DEFAULTS: RequestDefaults = RequestDefaults {
+    dataset: "ssyn",
+    scale: 200,
+    k: 10,
+    ranks: 4,
+    iters: 20,
+    seed: 42,
+    algo: Algo::Hpc2D,
+    solver: SolverKind::Bpp,
+};
+
 impl Args {
     fn ks(&self) -> Vec<usize> {
-        self.ks.clone().unwrap_or_else(|| vec![10])
+        self.req.k.clone().unwrap_or_else(|| vec![DEFAULTS.k])
     }
 
     fn config(&self, k: usize) -> NmfConfig {
         let mut c = NmfConfig::new(k)
-            .with_max_iters(self.iters.unwrap_or(20))
-            .with_solver(self.solver.unwrap_or(SolverKind::Bpp))
-            .with_seed(self.seed.unwrap_or(42));
+            .with_max_iters(self.req.iters.unwrap_or(DEFAULTS.iters))
+            .with_solver(self.req.solver.unwrap_or(DEFAULTS.solver))
+            .with_seed(self.req.seed.unwrap_or(DEFAULTS.seed));
         if let Some(t) = self.tol {
             c = c.with_tol(t);
         }
@@ -106,131 +119,76 @@ impl Args {
     }
 }
 
+const USAGE: &str = "nmf_cli — distributed NMF on a virtual MPI
+
+usage: nmf_cli (--input FILE | --dataset NAME) [flags]
+       nmf_cli convert (--input FILE.mtx | --dataset NAME) --out FILE.nmfs
+           materialize a sparse input as an NMFS binary for --mmap runs
+       nmf_cli checkpoints inspect FILE [--ranks N]
+           print a checkpoint's header (shape, k, algo, grid, fingerprint,
+           iteration, block table) from the header alone; --ranks N lists
+           the grids a resume onto N ranks could target";
+
+fn flags() -> Flags<Args> {
+    Flags::<Args>::new(USAGE)
+        .text("--input FILE", |a| &mut a.input)
+        .help("Matrix Market file (coordinate or array) or NMFS binary")
+        .switch("--mmap", |a| &mut a.mmap)
+        .help("stream --input FILE.nmfs out of core (never fully loads)")
+        .request(&DEFAULTS)
+        .value("--tol T", |a, v| {
+            let bad = |_| format!("--tol expects a number, got '{}'", v.value);
+            v.value.parse().map(|t| a.tol = Some(t)).map_err(bad)
+        })
+        .help("early-stop tolerance")
+        .switch("--json", |a| &mut a.json)
+        .help("machine-readable summary per k on stdout")
+        .text("--checkpoint FILE", |a| &mut a.checkpoint)
+        .help("write a checkpoint when the run finishes")
+        .positive("--checkpoint-every N", |a| &mut a.checkpoint_every)
+        .help("also write FILE every N iterations")
+        .int("--checkpoint-keep N", |a| &mut a.checkpoint_keep)
+        .help("keep the last N superseded checkpoints as FILE.1 .. FILE.N")
+        .text("--resume FILE", |a| &mut a.resume)
+        .help("continue a run from FILE; --algo, --ranks, --regrid re-target it")
+        .value("--regrid PRxPC", |a, v| {
+            let bad = || format!("--regrid expects PRxPC (e.g. 2x2, 1x8), got '{}'", v.value);
+            parse_grid(v.value)
+                .map(|g| a.regrid = Some(g))
+                .ok_or_else(bad)
+        })
+        .help("target grid for a resumed run (e.g. 2x2, 1x8)")
+        .text("--out FILE.nmfs", |a| &mut a.out)
+        .help("where convert writes the NMFS binary")
+}
+
 /// Parses `argv` (without the program name), accumulating every error
 /// instead of stopping at the first.
 fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
     let mut args = Args::default();
     let mut errors = Vec::new();
-    let mut it = argv.iter().peekable();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str, errors: &mut Vec<String>| -> Option<String> {
-            match it.next() {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("missing value for {name}"));
-                    None
-                }
-            }
-        };
-        match flag.as_str() {
-            "--input" => args.input = val("--input", &mut errors),
-            "--dataset" => args.dataset = val("--dataset", &mut errors),
-            "--scale" => {
-                args.scale = parse_num(val("--scale", &mut errors), "--scale", &mut errors)
-            }
-            "--algo" => {
-                if let Some(v) = val("--algo", &mut errors) {
-                    match v.parse() {
-                        Ok(algo) => args.algo = Some(algo),
-                        Err(e) => errors.push(e),
-                    }
-                }
-            }
-            "--ranks" | "-p" => {
-                args.ranks = parse_num(val("--ranks", &mut errors), "--ranks", &mut errors)
-            }
-            "--k" | "-k" => {
-                if let Some(v) = val("--k", &mut errors) {
-                    let mut ks = Vec::new();
-                    for part in v.split(',') {
-                        match part.trim().parse::<usize>() {
-                            Ok(k) => ks.push(k),
-                            Err(_) => errors.push(format!(
-                                "--k expects an integer or comma list (e.g. 4,8,16), got '{part}'"
-                            )),
-                        }
-                    }
-                    if !ks.is_empty() {
-                        args.ks = Some(ks);
-                    }
-                }
-            }
-            "--iters" => {
-                args.iters = parse_num(val("--iters", &mut errors), "--iters", &mut errors)
-            }
-            "--tol" => {
-                if let Some(v) = val("--tol", &mut errors) {
-                    match v.parse::<f64>() {
-                        Ok(t) => args.tol = Some(t),
-                        Err(_) => errors.push(format!("--tol expects a number, got '{v}'")),
-                    }
-                }
-            }
-            "--solver" => {
-                if let Some(v) = val("--solver", &mut errors) {
-                    match v.parse() {
-                        Ok(solver) => args.solver = Some(solver),
-                        Err(e) => errors.push(e),
-                    }
-                }
-            }
-            "--seed" => {
-                args.seed =
-                    parse_num(val("--seed", &mut errors), "--seed", &mut errors).map(|s| s as u64)
-            }
-            "--json" => args.json = true,
-            "--mmap" => args.mmap = true,
-            "--out" => args.out = val("--out", &mut errors).map(PathBuf::from),
-            "--checkpoint" => args.checkpoint = val("--checkpoint", &mut errors).map(PathBuf::from),
-            "--checkpoint-every" => {
-                args.checkpoint_every = parse_num(
-                    val("--checkpoint-every", &mut errors),
-                    "--checkpoint-every",
-                    &mut errors,
-                )
-            }
-            "--checkpoint-keep" => {
-                args.checkpoint_keep = parse_num(
-                    val("--checkpoint-keep", &mut errors),
-                    "--checkpoint-keep",
-                    &mut errors,
-                )
-            }
-            "--resume" => args.resume = val("--resume", &mut errors).map(PathBuf::from),
-            "--regrid" => {
-                if let Some(v) = val("--regrid", &mut errors) {
-                    match parse_grid(&v) {
-                        Some(g) => args.regrid = Some(g),
-                        None => errors
-                            .push(format!("--regrid expects PRxPC (e.g. 2x2, 1x8), got '{v}'")),
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print_help();
-                exit(0);
-            }
-            other => errors.push(format!("unknown flag {other}")),
-        }
+    for word in flags().parse(argv, &mut args, &mut errors) {
+        errors.push(format!("unexpected argument {word}"));
     }
+    let sweep = args.req.k.as_ref().is_some_and(|ks| ks.len() > 1);
 
     // Cross-flag constraints, still all reported at once.
+    if args.input.is_some() && (args.req.dataset.is_some() || args.req.scale.is_some()) {
+        errors.push("--input and --dataset/--scale name two inputs; give one".into());
+    }
     if args.checkpoint_every.is_some() && args.checkpoint.is_none() && args.resume.is_none() {
         errors.push("--checkpoint-every needs --checkpoint FILE (or --resume FILE)".into());
-    }
-    if args.checkpoint_every == Some(0) {
-        errors.push("--checkpoint-every must be >= 1".into());
     }
     if args.checkpoint_keep.is_some() && args.checkpoint.is_none() && args.resume.is_none() {
         errors.push("--checkpoint-keep needs --checkpoint FILE (or --resume FILE)".into());
     }
-    if args.resume.is_some() && args.ks.as_ref().is_some_and(|ks| ks.len() > 1) {
+    if args.resume.is_some() && sweep {
         errors.push("--resume continues one run; it cannot be combined with a --k sweep".into());
     }
     if args.regrid.is_some() && args.resume.is_none() {
         errors.push("--regrid re-targets a resumed checkpoint; it needs --resume FILE".into());
     }
-    if args.ks.as_ref().is_some_and(|ks| ks.len() > 1) && args.checkpoint.is_some() {
+    if sweep && args.checkpoint.is_some() {
         errors.push(
             "--checkpoint with a --k sweep would overwrite one file per k; run sweeps without it"
                 .into(),
@@ -239,7 +197,7 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
     if args.mmap && args.input.is_none() {
         errors.push("--mmap needs --input FILE.nmfs (an NMFS binary, see `convert`)".into());
     }
-    if let Some(Err(e)) = args.dataset.as_deref().map(DatasetKind::from_name) {
+    if let Some(Err(e)) = args.req.dataset.as_deref().map(DatasetKind::from_name) {
         errors.push(e);
     }
 
@@ -258,62 +216,6 @@ fn parse_grid(v: &str) -> Option<Grid> {
         pc.trim().parse::<usize>().ok()?,
     );
     (pr >= 1 && pc >= 1).then(|| Grid::new(pr, pc))
-}
-
-fn parse_num(v: Option<String>, name: &str, errors: &mut Vec<String>) -> Option<usize> {
-    let v = v?;
-    match v.parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            errors.push(format!("{name} expects an integer, got '{v}'"));
-            None
-        }
-    }
-}
-
-fn print_help() {
-    println!(
-        "nmf_cli — distributed NMF on a virtual MPI\n\
-         \n\
-         input (choose one):\n\
-         \x20 --input FILE.mtx        Matrix Market file (coordinate or array)\n\
-         \x20 --dataset NAME          dsyn | ssyn | video | webbase (generated)\n\
-         \x20 --scale N               divide paper dims by N (default 200)\n\
-         \x20 --mmap                  treat --input FILE as an NMFS binary and\n\
-         \x20                         stream it out of core (never fully loads)\n\
-         \n\
-         options:\n\
-         \x20 --algo A                seq | naive | hpc1d | hpc2d (default hpc2d)\n\
-         \x20 --ranks P               virtual ranks (default 4)\n\
-         \x20 --k K[,K2,...]          low rank, or a comma list to sweep (default 10)\n\
-         \x20 --iters N               max iterations (default 20)\n\
-         \x20 --tol T                 early-stop tolerance\n\
-         \x20 --solver S              bpp | mu | hals | activeset (default bpp)\n\
-         \x20 --seed N                RNG seed (default 42)\n\
-         \x20 --json                  machine-readable summary per k on stdout\n\
-         \n\
-         durability:\n\
-         \x20 --checkpoint FILE       write a checkpoint when the run finishes\n\
-         \x20 --checkpoint-every N    also write FILE every N iterations\n\
-         \x20 --checkpoint-keep N     keep the last N superseded checkpoints as\n\
-         \x20                         FILE.1 .. FILE.N (default 0: overwrite)\n\
-         \x20 --resume FILE           continue an interrupted run from FILE;\n\
-         \x20                         combine with --algo / --ranks / --regrid to\n\
-         \x20                         continue on a different scheme or grid\n\
-         \x20 --regrid PRxPC          target grid for a resumed run (e.g. 2x2, 1x8)\n\
-         \n\
-         tooling:\n\
-         \x20 checkpoints inspect FILE [--ranks N]\n\
-         \x20                            print a checkpoint's versioned header\n\
-         \x20                            (shape, k, algo, grid, fingerprint,\n\
-         \x20                            iteration, block table) from the header\n\
-         \x20                            alone;\n\
-         \x20                            --ranks N lists the grids a resume onto\n\
-         \x20                            N ranks could target\n\
-         \x20 convert ... --out FILE.nmfs  materialize a sparse input (--input\n\
-         \x20                            FILE.mtx or --dataset/--scale/--seed)\n\
-         \x20                            as an NMFS binary for --mmap runs"
-    );
 }
 
 /// Loads the input for a run: out-of-core ([`SharedInput::open_mmap`])
@@ -362,11 +264,11 @@ fn load_resident(args: &Args) -> Result<Input, NmfError> {
     } else {
         // `parse_args` validated the name; a failure here is reported
         // the same way.
-        let kind = DatasetKind::from_name(args.dataset.as_deref().unwrap_or("ssyn"))
+        let req = &args.req;
+        let kind = DatasetKind::from_name(req.dataset.as_deref().unwrap_or(DEFAULTS.dataset))
             .map_err(|e| NmfError::InvalidArgs { errors: vec![e] })?;
-        Ok(kind
-            .build(args.scale.unwrap_or(200), args.seed.unwrap_or(42))
-            .input)
+        let scale = req.scale.unwrap_or(DEFAULTS.scale);
+        Ok(kind.build(scale, req.seed.unwrap_or(DEFAULTS.seed)).input)
     }
 }
 
@@ -375,23 +277,18 @@ fn load_resident(args: &Args) -> Result<Input, NmfError> {
 /// the payload. With `--ranks N`, also lists every grid a resume onto N
 /// ranks could target (see `fitting_grids`).
 fn run_checkpoints(argv: &[String]) -> Result<(), NmfError> {
-    let usage = || NmfError::InvalidArgs {
-        errors: vec!["usage: nmf_cli checkpoints inspect FILE [--ranks N]".into()],
-    };
-    let (path, target_ranks) = match argv {
-        [sub, path] if sub == "inspect" => (path, None),
-        [sub, path, flag, n] if sub == "inspect" && flag == "--ranks" => {
-            let n: usize = n.parse().map_err(|_| NmfError::InvalidArgs {
-                errors: vec![format!("--ranks expects an integer >= 1, got '{n}'")],
-            })?;
-            if n == 0 {
-                return Err(NmfError::InvalidArgs {
-                    errors: vec!["--ranks must be >= 1".into()],
-                });
-            }
-            (path, Some(n))
-        }
-        _ => return Err(usage()),
+    let usage = "usage: nmf_cli checkpoints inspect FILE [--ranks N]";
+    let mut target_ranks = None;
+    let mut errors = Vec::new();
+    let operands = Flags::<Option<usize>>::new(usage)
+        .positive("--ranks N", |r| r)
+        .help("also list the grids a resume onto N ranks could target")
+        .parse(argv, &mut target_ranks, &mut errors);
+    if !matches!(operands.as_slice(), [sub, _] if sub == "inspect") {
+        errors.push(usage.into());
+    }
+    let ([_, path], true) = (operands.as_slice(), errors.is_empty()) else {
+        return Err(NmfError::InvalidArgs { errors });
     };
     let path = Path::new(path);
     let s = inspect_checkpoint(path)?;
@@ -499,14 +396,7 @@ fn main() {
         }
         return;
     }
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(errors) => {
-            print_help();
-            eprintln!("\n{}", NmfError::InvalidArgs { errors });
-            exit(2);
-        }
-    };
+    let args = parse_args(&argv).unwrap_or_else(|errors| flags().fail(&errors));
     if let Err(e) = run(&args) {
         eprintln!("error: {e}");
         exit(2);
@@ -524,10 +414,10 @@ fn run(args: &Args) -> Result<(), NmfError> {
 
     if let Some(path) = &args.resume {
         let mut target = RegridTarget::new();
-        if let Some(a) = args.algo {
+        if let Some(a) = args.req.algo {
             target = target.algo(a);
         }
-        if let Some(p) = args.ranks {
+        if let Some(p) = args.req.ranks {
             target = target.ranks(p);
         }
         if let Some(g) = args.regrid {
@@ -535,7 +425,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
         }
         let mut model = Model::load_regrid_shared(path, &input, target)?;
         check_resume_conflicts(args, &model)?;
-        if let Some(iters) = args.iters {
+        if let Some(iters) = args.req.iters {
             model.set_max_iters(iters);
         }
         if !args.json {
@@ -560,11 +450,11 @@ fn run(args: &Args) -> Result<(), NmfError> {
         let config = args.config(k);
         let mdl = match &mut model {
             None => {
-                let algo = args.algo.unwrap_or(Algo::Hpc2D);
+                let algo = args.req.algo.unwrap_or(DEFAULTS.algo);
                 let ranks = if matches!(algo, Algo::Sequential) {
                     1
                 } else {
-                    args.ranks.unwrap_or(4)
+                    args.req.ranks.unwrap_or(DEFAULTS.ranks)
                 };
                 model = Some(
                     Nmf::on_shared(&input)
@@ -608,7 +498,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
 fn check_resume_conflicts(args: &Args, model: &Model) -> Result<(), NmfError> {
     let mut errors = Vec::new();
     let meta = model.meta();
-    if let Some(ks) = &args.ks {
+    if let Some(ks) = &args.req.k {
         if ks != &[meta.config.k] {
             errors.push(format!(
                 "--k {:?} conflicts with the checkpoint (written with k={})",
@@ -616,7 +506,7 @@ fn check_resume_conflicts(args: &Args, model: &Model) -> Result<(), NmfError> {
             ));
         }
     }
-    if let Some(s) = args.solver {
+    if let Some(s) = args.req.solver {
         if s != meta.config.solver {
             errors.push(format!(
                 "--solver {s:?} conflicts with the checkpoint (written with {:?})",
@@ -624,7 +514,7 @@ fn check_resume_conflicts(args: &Args, model: &Model) -> Result<(), NmfError> {
             ));
         }
     }
-    if let Some(s) = args.seed {
+    if let Some(s) = args.req.seed {
         if s != meta.config.seed {
             errors.push(format!(
                 "--seed {s} conflicts with the checkpoint (written with {})",
@@ -983,5 +873,48 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("sweep")));
         let errs = parse_args(&argv("--k 4,8 --checkpoint f.ckpt")).expect_err("invalid");
         assert!(errs.iter().any(|e| e.contains("sweep")));
+    }
+
+    #[test]
+    fn two_inputs_and_scale_zero_are_errors() {
+        let errs = parse_args(&argv("--input a.mtx --dataset ssyn --scale 0")).expect_err("two");
+        assert_eq!(
+            errs,
+            [
+                "--scale must be >= 1",
+                "--input and --dataset/--scale name two inputs; give one"
+            ]
+        );
+    }
+
+    #[test]
+    fn help_has_one_line_per_accepted_flag() {
+        let accepted = [
+            "--input",
+            "--mmap",
+            "--dataset",
+            "--scale",
+            "--k",
+            "--ranks",
+            "--iters",
+            "--seed",
+            "--algo",
+            "--solver",
+            "--tol",
+            "--json",
+            "--checkpoint",
+            "--checkpoint-every",
+            "--checkpoint-keep",
+            "--resume",
+            "--regrid",
+            "--out",
+            "--help",
+        ];
+        let help = flags().to_string();
+        let lines = help.lines().filter(|l| l.starts_with("  -"));
+        let listed: Vec<&str> = lines
+            .map(|l| l.split([' ', ',']).nth(2).unwrap_or(""))
+            .collect();
+        assert_eq!(listed, accepted, "{help}");
     }
 }

@@ -20,6 +20,7 @@
 //! The factorization parameters are fixed so all three runs describe
 //! the same trajectory; any drift shows up as a digest mismatch.
 
+use hpc_nmf::flags::Flags;
 use hpc_nmf::prelude::*;
 use nmf_sparse::gen::erdos_renyi;
 use nmf_sparse::io::write_csr_binary_path;
@@ -41,18 +42,24 @@ const RANKS: usize = 4;
 const ITERS: usize = 3;
 const FIT_SEED: u64 = 11;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ooc_smoke prepare --file A.nmfs --ref ref.txt\n       \
-         ooc_smoke run --mode mmap|resident --file A.nmfs --ref ref.txt"
-    );
-    ExitCode::from(2)
+#[derive(Default)]
+struct Args {
+    mode: Option<String>,
+    file: Option<String>,
+    refp: Option<String>,
 }
 
-fn flag(argv: &[String], name: &str) -> Option<String> {
-    argv.iter()
-        .position(|a| a == name)
-        .and_then(|i| argv.get(i + 1).cloned())
+fn flags() -> Flags<Args> {
+    Flags::<Args>::new(
+        "usage: ooc_smoke prepare --file A.nmfs --ref ref.txt\n       \
+         ooc_smoke run --mode mmap|resident --file A.nmfs --ref ref.txt",
+    )
+    .text("--mode mmap|resident", |a| &mut a.mode)
+    .help("run: how the file is read")
+    .text("--file A.nmfs", |a| &mut a.file)
+    .help("the NMFS file")
+    .text("--ref ref.txt", |a| &mut a.refp)
+    .help("the reference digest")
 }
 
 /// FNV-1a over the bit patterns of both factors plus the objective —
@@ -97,13 +104,10 @@ fn vm_peak() -> String {
         .unwrap_or_else(|| "VmPeak unknown".into())
 }
 
-fn prepare(argv: &[String]) -> ExitCode {
-    let (Some(file), Some(refp)) = (flag(argv, "--file"), flag(argv, "--ref")) else {
-        return usage();
-    };
+fn prepare(file: &str, refp: &str) -> ExitCode {
     let a = erdos_renyi(M, N, DENSITY, GEN_SEED);
-    write_csr_binary_path(&a, &file).expect("write NMFS");
-    let bytes = std::fs::metadata(&file).expect("stat").len();
+    write_csr_binary_path(&a, file).expect("write NMFS");
+    let bytes = std::fs::metadata(file).expect("stat").len();
     println!(
         "wrote {file}: {}x{}, {} nnz, {bytes} bytes",
         a.nrows(),
@@ -114,31 +118,24 @@ fn prepare(argv: &[String]) -> ExitCode {
     let shared = SharedInput::new(Input::Sparse(a));
     let model = factorize(&shared);
     let d = digest(&model);
-    std::fs::write(&refp, format!("{d}\n")).expect("write ref");
+    std::fs::write(refp, format!("{d}\n")).expect("write ref");
     println!("reference digest {d}  ({})", vm_peak());
     ExitCode::SUCCESS
 }
 
-fn run(argv: &[String]) -> ExitCode {
-    let (Some(mode), Some(file), Some(refp)) = (
-        flag(argv, "--mode"),
-        flag(argv, "--file"),
-        flag(argv, "--ref"),
-    ) else {
-        return usage();
-    };
-    let shared = match mode.as_str() {
-        "mmap" => SharedInput::open_mmap(&file).expect("open NMFS via mmap"),
+fn run(mode: &str, file: &str, refp: &str) -> ExitCode {
+    let shared = match mode {
+        "mmap" => SharedInput::open_mmap(file).expect("open NMFS via mmap"),
         "resident" => {
-            let csr: Csr = read_csr_binary(BufReader::new(File::open(&file).expect("open")))
+            let csr: Csr = read_csr_binary(BufReader::new(File::open(file).expect("open")))
                 .expect("read NMFS resident");
             SharedInput::new(Input::Sparse(csr))
         }
-        _ => return usage(),
+        _ => flags().fail(&[format!("--mode expects mmap or resident, got '{mode}'")]),
     };
     let model = factorize(&shared);
     let got = digest(&model);
-    let want = std::fs::read_to_string(&refp).expect("read ref");
+    let want = std::fs::read_to_string(refp).expect("read ref");
     let want = want.trim();
     println!("{mode} digest {got}  (want {want}, {})", vm_peak());
     if got == want {
@@ -152,9 +149,38 @@ fn run(argv: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("prepare") => prepare(&argv),
-        Some("run") => run(&argv),
-        _ => usage(),
+    let (mut a, mut errors) = (Args::default(), Vec::new());
+    let operands = flags().parse(&argv, &mut a, &mut errors);
+    match (operands.as_slice(), a.mode.as_deref(), &a.file, &a.refp) {
+        ([cmd], _, Some(f), Some(r)) if cmd == "prepare" && errors.is_empty() => prepare(f, r),
+        ([cmd], Some(m), Some(f), Some(r)) if cmd == "run" && errors.is_empty() => run(m, f, r),
+        _ => flags().fail(&errors),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        let argv = ["run", "--mode", "mmap", "--bogus", "--file"].map(String::from);
+        let (mut a, mut errors) = (Args::default(), Vec::new());
+        let operands = flags().parse(&argv, &mut a, &mut errors);
+        assert_eq!(operands, ["run"]);
+        assert_eq!(a.mode.as_deref(), Some("mmap"));
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert_eq!(errors[0], "unknown flag --bogus");
+    }
+
+    #[test]
+    fn help_has_one_line_per_accepted_flag() {
+        let accepted = ["--mode", "--file", "--ref", "--help"];
+        let help = flags().to_string();
+        let lines = help.lines().filter(|l| l.starts_with("  -"));
+        let listed: Vec<&str> = lines
+            .map(|l| l.split([' ', ',']).nth(2).unwrap_or(""))
+            .collect();
+        assert_eq!(listed, accepted, "{help}");
     }
 }

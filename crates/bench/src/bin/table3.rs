@@ -7,7 +7,7 @@
 //! machine at feasible rank counts.
 //!
 //! ```sh
-//! cargo run --release -p nmf-bench --bin table3
+//! cargo run --release -p nmf_bench --bin table3
 //! ```
 
 use hpc_nmf::NmfError;

@@ -61,13 +61,15 @@ pub enum NmfError {
     },
     /// A warm-start factor with negative or non-finite entries.
     WarmStartInvalid { which: &'static str },
-    /// An I/O failure while reading or writing a checkpoint.
+    /// An I/O failure while reading or writing a checkpoint or an input
+    /// file.
     Io {
         path: PathBuf,
         source: std::io::Error,
     },
-    /// A checkpoint file that is not a valid checkpoint (bad magic,
-    /// truncation, or a payload checksum mismatch).
+    /// A checkpoint that is not a valid checkpoint (bad magic,
+    /// truncation, or a payload checksum mismatch), or an input file that
+    /// does not parse.
     Corrupt { path: PathBuf, reason: String },
     /// A checkpoint written by an incompatible format version.
     UnsupportedVersion {
@@ -201,10 +203,10 @@ impl fmt::Display for NmfError {
                  (project with Mat::project_nonnegative first)"
             ),
             NmfError::Io { path, source } => {
-                write!(f, "checkpoint I/O failed for {}: {source}", path.display())
+                write!(f, "I/O failed for {}: {source}", path.display())
             }
             NmfError::Corrupt { path, reason } => {
-                write!(f, "checkpoint {} is corrupt: {reason}", path.display())
+                write!(f, "{} is corrupt: {reason}", path.display())
             }
             NmfError::UnsupportedVersion {
                 path,
@@ -265,6 +267,21 @@ mod tests {
             msg.contains("1x4") && msg.contains("2x2") && msg.contains("4x1"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn file_errors_name_the_path_and_not_what_it_holds() {
+        let path = PathBuf::from("/data/a.mtx");
+        let source = std::io::Error::new(std::io::ErrorKind::NotFound, "no such file");
+        let io = NmfError::Io {
+            path: path.clone(),
+            source,
+        };
+        assert_eq!(io.to_string(), "I/O failed for /data/a.mtx: no such file");
+        let reason = "Matrix Market parse error: bad banner".to_string();
+        let corrupt = NmfError::Corrupt { path, reason };
+        let msg = "/data/a.mtx is corrupt: Matrix Market parse error: bad banner";
+        assert_eq!(corrupt.to_string(), msg);
     }
 
     #[test]

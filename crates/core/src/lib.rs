@@ -97,6 +97,7 @@ pub mod config;
 pub mod dist;
 pub mod engine;
 pub mod error;
+pub mod flags;
 pub mod grid;
 pub mod input;
 pub mod regrid;

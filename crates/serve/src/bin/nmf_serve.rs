@@ -11,6 +11,7 @@
 //! The process runs until a client sends `shutdown` (see
 //! `nmf_serve_client`). Final run counters go to stdout.
 
+use hpc_nmf::flags::Flags;
 use nmf_serve::prelude::*;
 use std::process::exit;
 
@@ -18,72 +19,69 @@ use std::process::exit;
 struct Args {
     socket: Option<String>,
     tcp: Option<String>,
-    max_concurrent: Option<usize>,
-    max_queued: Option<usize>,
-    max_resident_mb: Option<usize>,
-    steps_per_quantum: Option<usize>,
-    grant_steps: Option<usize>,
-    max_ranks: Option<usize>,
+    /// `ServerConfig::default()` with the flags given applied.
+    config: ServerConfig,
+}
+
+fn flags() -> Flags<Args> {
+    let d = ServerConfig::default();
+    let q = d.default_quota;
+    Flags::<Args>::new(
+        "nmf_serve — multi-tenant NMF model serving over a Unix socket or loopback TCP\n\n\
+         usage: nmf_serve (--socket PATH | --tcp ADDR) [flags]",
+    )
+    .text("--socket PATH", |a| &mut a.socket)
+    .help("Unix socket to listen on")
+    .text("--tcp ADDR", |a| &mut a.tcp)
+    .help("TCP address to listen on (loopback only; port 0 = OS pick)")
+    .value("--max-concurrent N", |a, v| {
+        v.positive()
+            .map(|n| a.config.default_quota.max_concurrent_jobs = n)
+    })
+    .help("running jobs per tenant")
+    .default(q.max_concurrent_jobs)
+    .value("--max-queued N", |a, v| {
+        v.int().map(|n| a.config.default_quota.max_queued_jobs = n)
+    })
+    .help("waiting jobs per tenant beyond that")
+    .default(q.max_queued_jobs)
+    .value("--max-resident-mb N", |a, v| {
+        let bytes = v.int::<usize>()?.checked_mul(1 << 20);
+        a.config.default_quota.max_resident_bytes =
+            bytes.ok_or_else(|| format!("{} is too large", v.flag))?;
+        Ok(())
+    })
+    .help("resident factor MiB per tenant")
+    .default(q.max_resident_bytes >> 20)
+    .value("--steps-per-quantum N", |a, v| {
+        v.positive()
+            .map(|n| a.config.default_quota.steps_per_quantum = n)
+    })
+    .help("engine steps per tenant per quantum")
+    .default(q.steps_per_quantum)
+    .value("--grant-steps N", |a, v| {
+        v.positive().map(|n| a.config.scheduler.grant_steps = n)
+    })
+    .help("steps per scheduler grant")
+    .default(d.scheduler.grant_steps)
+    .value("--max-ranks N", |a, v| {
+        v.positive().map(|n| a.config.max_ranks_per_job = n)
+    })
+    .help("virtual-rank cap per job")
+    .default(d.max_ranks_per_job)
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
     let mut args = Args::default();
     let mut errors = Vec::new();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str, errors: &mut Vec<String>| -> Option<String> {
-            match it.next() {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("missing value for {name}"));
-                    None
-                }
-            }
-        };
-        match flag.as_str() {
-            "--socket" => args.socket = val("--socket", &mut errors),
-            "--tcp" => args.tcp = val("--tcp", &mut errors),
-            "--max-concurrent" => {
-                args.max_concurrent = num(val("--max-concurrent", &mut errors), flag, &mut errors)
-            }
-            "--max-queued" => {
-                args.max_queued = num(val("--max-queued", &mut errors), flag, &mut errors)
-            }
-            "--max-resident-mb" => {
-                args.max_resident_mb = num(val("--max-resident-mb", &mut errors), flag, &mut errors)
-            }
-            "--steps-per-quantum" => {
-                args.steps_per_quantum =
-                    num(val("--steps-per-quantum", &mut errors), flag, &mut errors)
-            }
-            "--grant-steps" => {
-                args.grant_steps = num(val("--grant-steps", &mut errors), flag, &mut errors)
-            }
-            "--max-ranks" => {
-                args.max_ranks = num(val("--max-ranks", &mut errors), flag, &mut errors)
-            }
-            "--help" | "-h" => {
-                print_help();
-                exit(0);
-            }
-            other => errors.push(format!("unknown flag {other}")),
-        }
+    for word in flags().parse(argv, &mut args, &mut errors) {
+        errors.push(format!("unexpected argument {word}"));
     }
     match (&args.socket, &args.tcp) {
         (None, None) => errors.push("--socket PATH or --tcp ADDR is required".into()),
         (Some(_), Some(_)) => errors
             .push("--socket and --tcp are mutually exclusive (one listener per server)".into()),
         _ => {}
-    }
-    for (name, v) in [
-        ("--max-concurrent", args.max_concurrent),
-        ("--steps-per-quantum", args.steps_per_quantum),
-        ("--grant-steps", args.grant_steps),
-        ("--max-ranks", args.max_ranks),
-    ] {
-        if v == Some(0) {
-            errors.push(format!("{name} must be >= 1"));
-        }
     }
     if errors.is_empty() {
         Ok(args)
@@ -92,67 +90,9 @@ fn parse_args(argv: &[String]) -> Result<Args, Vec<String>> {
     }
 }
 
-fn num(v: Option<String>, name: &str, errors: &mut Vec<String>) -> Option<usize> {
-    let v = v?;
-    match v.parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            errors.push(format!("{name} expects an integer, got '{v}'"));
-            None
-        }
-    }
-}
-
-fn print_help() {
-    println!(
-        "nmf_serve — multi-tenant NMF model serving over a Unix socket or loopback TCP\n\
-         \n\
-         \x20 --socket PATH           Unix socket to listen on\n\
-         \x20 --tcp ADDR              TCP address to listen on (loopback only; port 0 = OS pick)\n\
-         \x20                         exactly one of --socket / --tcp is required\n\
-         \n\
-         default tenant quota:\n\
-         \x20 --max-concurrent N      running jobs per tenant (default 4)\n\
-         \x20 --max-queued N          waiting jobs beyond that (default 16)\n\
-         \x20 --max-resident-mb N     resident factor MiB per tenant (default 256)\n\
-         \x20 --steps-per-quantum N   engine steps per tenant per quantum (default 16)\n\
-         \n\
-         server policy:\n\
-         \x20 --grant-steps N         steps per scheduler grant (default 4)\n\
-         \x20 --max-ranks N           virtual-rank cap per job (default 8)"
-    );
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(errors) => {
-            print_help();
-            for e in &errors {
-                eprintln!("error: {e}");
-            }
-            exit(2);
-        }
-    };
-
-    let defaults = TenantQuota::default();
-    let config = ServerConfig {
-        default_quota: TenantQuota {
-            max_concurrent_jobs: args.max_concurrent.unwrap_or(defaults.max_concurrent_jobs),
-            max_queued_jobs: args.max_queued.unwrap_or(defaults.max_queued_jobs),
-            max_resident_bytes: args
-                .max_resident_mb
-                .map(|mb| mb << 20)
-                .unwrap_or(defaults.max_resident_bytes),
-            steps_per_quantum: args.steps_per_quantum.unwrap_or(defaults.steps_per_quantum),
-        },
-        max_ranks_per_job: args.max_ranks.unwrap_or(8),
-        scheduler: SchedulerConfig {
-            grant_steps: args.grant_steps.unwrap_or(4),
-        },
-        ..ServerConfig::default()
-    };
+    let args = parse_args(&argv).unwrap_or_else(|errors| flags().fail(&errors));
 
     let listener: Box<dyn Listener> = if let Some(addr) = &args.tcp {
         match TcpSocketListener::bind(addr) {
@@ -181,7 +121,7 @@ fn main() {
         }
     };
 
-    match Server::new(config).run(listener) {
+    match Server::new(args.config).run(listener) {
         Ok(stats) => {
             println!(
                 "served {} requests on {} connections: {} quanta, {} steps, \
@@ -198,5 +138,78 @@ fn main() {
             eprintln!("error: {e}");
             exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(s: &str) -> Result<Args, Vec<String>> {
+        parse_args(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn accumulates_every_error() {
+        let errs = parse("--bogus --max-queued x --max-ranks 0 --grant-steps 0 stray")
+            .expect_err("invalid");
+        assert_eq!(
+            errs,
+            [
+                "unknown flag --bogus",
+                "--max-queued expects an integer, got 'x'",
+                "--max-ranks must be >= 1",
+                "--grant-steps must be >= 1",
+                "unexpected argument stray",
+                "--socket PATH or --tcp ADDR is required",
+            ]
+        );
+    }
+
+    #[test]
+    fn exactly_one_listener() {
+        let errs = parse("--socket s --tcp 127.0.0.1:0").expect_err("two listeners");
+        assert_eq!(
+            errs,
+            ["--socket and --tcp are mutually exclusive (one listener per server)"]
+        );
+        assert!(parse("--tcp 127.0.0.1:0").is_ok());
+    }
+
+    #[test]
+    fn flags_override_the_library_defaults() {
+        let config = parse("--socket s --max-ranks 2 --max-resident-mb 3")
+            .expect("ok")
+            .config;
+        let d = ServerConfig::default();
+        assert_eq!(config.max_ranks_per_job, 2);
+        assert_eq!(config.default_quota.max_resident_bytes, 3 << 20);
+        assert_eq!(config.scheduler.grant_steps, d.scheduler.grant_steps);
+        let q = d.default_quota;
+        assert_eq!(
+            config.default_quota.max_concurrent_jobs,
+            q.max_concurrent_jobs
+        );
+    }
+
+    #[test]
+    fn help_has_one_line_per_accepted_flag() {
+        let accepted = [
+            "--socket",
+            "--tcp",
+            "--max-concurrent",
+            "--max-queued",
+            "--max-resident-mb",
+            "--steps-per-quantum",
+            "--grant-steps",
+            "--max-ranks",
+            "--help",
+        ];
+        let help = flags().to_string();
+        let lines = help.lines().filter(|l| l.starts_with("  -"));
+        let listed: Vec<&str> = lines
+            .map(|l| l.split([' ', ',']).nth(2).unwrap_or(""))
+            .collect();
+        assert_eq!(listed, accepted, "{help}");
     }
 }
