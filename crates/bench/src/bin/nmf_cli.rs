@@ -804,19 +804,22 @@ mod tests {
 
     #[test]
     fn accumulates_every_error() {
-        let errs = parse_args(&argv(
-            "--bogus --k x --solver nope --algo what --checkpoint-every 0",
-        ))
-        .expect_err("invalid");
-        assert!(
-            errs.len() >= 5,
-            "expected all errors reported, got {errs:?}"
-        );
-        assert!(errs.iter().any(|e| e.contains("--bogus")));
-        assert!(errs.iter().any(|e| e.contains("comma list")));
-        assert!(errs.iter().any(|e| e.contains("unknown solver")));
-        assert!(errs.iter().any(|e| e.contains("unknown algorithm")));
-        assert!(errs.iter().any(|e| e.contains("--checkpoint-every")));
+        for solver in ["nope", "activeset"] {
+            let errs = parse_args(&argv(&format!(
+                "--bogus --k x --solver {solver} --algo what --checkpoint-every 0"
+            )))
+            .expect_err("invalid");
+            assert!(
+                errs.len() >= 5,
+                "expected all errors reported, got {errs:?}"
+            );
+            assert!(errs.iter().any(|e| e.contains("--bogus")));
+            assert!(errs.iter().any(|e| e.contains("comma list")));
+            let unknown = format!("unknown solver '{solver}' (expected bpp | mu | hals)");
+            assert!(errs.iter().any(|e| e.contains(&unknown)), "{errs:?}");
+            assert!(errs.iter().any(|e| e.contains("unknown algorithm")));
+            assert!(errs.iter().any(|e| e.contains("--checkpoint-every")));
+        }
     }
 
     #[test]

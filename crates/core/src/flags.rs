@@ -218,7 +218,6 @@ pub struct RequestDefaults {
 }
 
 const ALGOS: [&str; 4] = ["seq", "naive", "hpc1d", "hpc2d"];
-const SOLVERS: [&str; 4] = ["bpp", "mu", "hals", "activeset"];
 
 /// The one of `names` that parses to `v`.
 fn name_of<V: FromStr + PartialEq>(names: &[&'static str], v: V) -> &'static str {
@@ -264,8 +263,8 @@ impl<T: AsMut<RequestFlags> + 'static> Flags<T> {
             .value("--solver S", |t, a| {
                 a.value.parse().map(|v| t.as_mut().solver = Some(v))
             })
-            .help(SOLVERS.join(" | "))
-            .default(name_of(&SOLVERS, d.solver))
+            .help(SolverKind::ALL.map(SolverKind::name).join(" | "))
+            .default(d.solver.name())
     }
 }
 

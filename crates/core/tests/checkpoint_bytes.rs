@@ -219,6 +219,33 @@ fn inspect_reads_the_header_only() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Tag 3 named a solver that is gone; a file carrying it is refused by
+/// both readers with the error any unknown tag gets.
+#[test]
+fn a_retired_solver_tag_is_refused_by_both_readers() {
+    let path = scratch("solver-tag-3");
+    let solver_tag = 20 + 60; // m, n, ranks, algo (u32), grid, k, max_iters
+    assert_eq!(
+        GOLDEN[solver_tag..solver_tag + 4],
+        2u32.to_le_bytes(),
+        "HALS"
+    );
+    let mut bytes = GOLDEN.to_vec();
+    bytes[solver_tag..solver_tag + 4].copy_from_slice(&3u32.to_le_bytes());
+    restamp(&mut bytes);
+    std::fs::write(&path, &bytes).expect("stage");
+    for err in [
+        read_checkpoint(&path).err(),
+        inspect_checkpoint(&path).err(),
+    ] {
+        assert!(
+            matches!(&err, Some(NmfError::Corrupt { reason, .. }) if reason.contains("unknown solver tag 3")),
+            "{err:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /* ---- fuzz ---- */
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -168,10 +168,6 @@ impl NlsSolver for Bpp {
     fn update(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
         self.solve(gram, ctb, x);
     }
-
-    fn name(&self) -> &'static str {
-        "BPP"
-    }
 }
 
 impl Bpp {
@@ -547,8 +543,9 @@ mod tests {
 
     #[test]
     fn matches_exhaustive_reference() {
-        for seed in 0..20 {
-            let k = 2 + (seed as usize % 5); // k in 2..=6
+        // k in 2..=6 over twenty seeds, then one k = 9 instance (512 sets).
+        let cases = (0..20).map(|seed| (2 + seed as usize % 5, seed));
+        for (k, seed) in cases.chain([(9, 300)]) {
             let (g, ctb) = instance(k, 4, 100 + seed);
             let mut x = Mat::zeros(4, k);
             Bpp::default().solve(&g, &ctb, &mut x);

@@ -16,19 +16,13 @@ use crate::NlsSolver;
 use nmf_matrix::gemm::dot;
 use nmf_matrix::Mat;
 
-/// HALS solver (one block-coordinate sweep per call).
-#[derive(Clone, Debug)]
-pub struct Hals {
-    /// Components whose Gram diagonal falls below this are reset to zero
-    /// (a dead component; standard guard).
-    pub eps: f64,
-}
+/// Components whose Gram diagonal falls below this are reset to zero
+/// (a dead component; standard guard).
+const EPS: f64 = 1e-14;
 
-impl Default for Hals {
-    fn default() -> Self {
-        Hals { eps: 1e-14 }
-    }
-}
+/// HALS solver (one block-coordinate sweep per call).
+#[derive(Clone, Debug, Default)]
+pub struct Hals;
 
 impl NlsSolver for Hals {
     fn update(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
@@ -40,7 +34,7 @@ impl NlsSolver for Hals {
             let gjj = gram[(j, j)];
             // Symmetric G: column j equals row j, which is contiguous.
             let gj = gram.row(j);
-            if gjj <= self.eps {
+            if gjj <= EPS {
                 for i in 0..r {
                     x[(i, j)] = 0.0;
                 }
@@ -54,10 +48,6 @@ impl NlsSolver for Hals {
                 xi[j] = v.max(0.0);
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "HALS"
     }
 }
 
@@ -79,7 +69,7 @@ mod tests {
     fn objective_decreases_monotonically() {
         let (g, ctb) = instance(6, 10, 61);
         let mut x = Mat::uniform(10, 6, 62);
-        let mut hals = Hals::default();
+        let mut hals = Hals;
         let mut prev = nls_objective(&g, &ctb, &x);
         for _ in 0..25 {
             hals.update(&g, &ctb, &mut x);
@@ -98,7 +88,7 @@ mod tests {
         // the global NNLS optimum; 200 sweeps on a tiny instance is ample.
         let (g, ctb) = instance(4, 3, 63);
         let mut x = Mat::uniform(3, 4, 64);
-        let mut hals = Hals::default();
+        let mut hals = Hals;
         for _ in 0..200 {
             hals.update(&g, &ctb, &mut x);
         }
@@ -119,7 +109,7 @@ mod tests {
     fn preserves_nonnegativity_and_finiteness() {
         let (g, ctb) = instance(5, 7, 65);
         let mut x = Mat::uniform(7, 5, 66);
-        let mut hals = Hals::default();
+        let mut hals = Hals;
         for _ in 0..10 {
             hals.update(&g, &ctb, &mut x);
             assert!(x.all_nonnegative());
@@ -133,7 +123,7 @@ mod tests {
         g[(2, 2)] = 0.0; // dead component
         let ctb = Mat::filled(4, 3, 1.0);
         let mut x = Mat::filled(4, 3, 0.5);
-        Hals::default().update(&g, &ctb, &mut x);
+        Hals.update(&g, &ctb, &mut x);
         for i in 0..4 {
             assert_eq!(x[(i, 2)], 0.0);
             assert_eq!(x[(i, 0)], 1.0); // identity G: x = ctb

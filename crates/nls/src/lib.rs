@@ -30,7 +30,6 @@
 //! [`reference::exhaustive_nnls`] solves the same problem by enumerating
 //! all `2^k` active sets; tests use it as ground truth for small `k`.
 
-pub mod active_set;
 pub mod bpp;
 pub mod hals;
 pub mod mu;
@@ -39,7 +38,6 @@ pub mod reference;
 use nmf_matrix::gemm::{dot, dot4};
 use nmf_matrix::Mat;
 
-pub use active_set::ActiveSet;
 pub use bpp::{Bpp, BppStats};
 pub use hals::Hals;
 pub use mu::Mu;
@@ -59,9 +57,6 @@ pub trait NlsSolver {
     /// * `ctb`  — `r×k`, row `i` is `Cᵀbᵢ`;
     /// * `x`    — `r×k` current iterate (must be nonnegative on entry).
     fn update(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat);
-
-    /// Short name for reports ("BPP", "MU", "HALS").
-    fn name(&self) -> &'static str;
 }
 
 /// The solver menu exposed by the NMF drivers (paper §4: "the parallel
@@ -70,6 +65,8 @@ pub trait NlsSolver {
 ///
 /// The discriminants are the solver's stable **tag** in every byte
 /// format that names one (serve frames, checkpoints): never renumber.
+/// Tag 3 is retired (a fourth solver, since removed) and must never be
+/// reused: a frame or checkpoint carrying it is refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
     /// Block principal pivoting (exact NLS solve per outer iteration).
@@ -78,8 +75,6 @@ pub enum SolverKind {
     Mu = 1,
     /// Hierarchical alternating least squares.
     Hals = 2,
-    /// Lawson–Hanson active set (exact, single-variable exchanges).
-    ActiveSet = 3,
 }
 
 impl SolverKind {
@@ -88,17 +83,20 @@ impl SolverKind {
         match self {
             SolverKind::Bpp => Box::new(Bpp::default()),
             SolverKind::Mu => Box::new(Mu::default()),
-            SolverKind::Hals => Box::new(Hals::default()),
-            SolverKind::ActiveSet => Box::new(ActiveSet::default()),
+            SolverKind::Hals => Box::new(Hals),
         }
     }
 
-    pub const ALL: [SolverKind; 4] = [
-        SolverKind::Bpp,
-        SolverKind::Mu,
-        SolverKind::Hals,
-        SolverKind::ActiveSet,
-    ];
+    pub const ALL: [SolverKind; 3] = [SolverKind::Bpp, SolverKind::Mu, SolverKind::Hals];
+
+    /// The name command lines use.
+    pub fn name(self) -> &'static str {
+        match self {
+            SolverKind::Bpp => "bpp",
+            SolverKind::Mu => "mu",
+            SolverKind::Hals => "hals",
+        }
+    }
 
     /// The stable numeric tag (see the enum's note).
     pub fn tag(self) -> u8 {
@@ -114,18 +112,12 @@ impl SolverKind {
 impl std::str::FromStr for SolverKind {
     type Err = String;
 
-    /// The names command lines use.
+    /// The solver whose [`name`](SolverKind::name) is `s`.
     fn from_str(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "bpp" => SolverKind::Bpp,
-            "mu" => SolverKind::Mu,
-            "hals" => SolverKind::Hals,
-            "activeset" => SolverKind::ActiveSet,
-            _ => {
-                return Err(format!(
-                    "unknown solver '{s}' (expected bpp | mu | hals | activeset)"
-                ))
-            }
+        let found = SolverKind::ALL.into_iter().find(|k| k.name() == s);
+        found.ok_or_else(|| {
+            let names = SolverKind::ALL.map(SolverKind::name).join(" | ");
+            format!("unknown solver '{s}' (expected {names})")
         })
     }
 }
@@ -241,8 +233,12 @@ mod tests {
     #[test]
     fn solver_kinds_build() {
         for kind in SolverKind::ALL {
-            let s = kind.build();
-            assert!(!s.name().is_empty());
+            let mut s = kind.build();
+            let (g, ctb) = (Mat::eye(2), Mat::filled(1, 2, 1.0));
+            let mut x = Mat::filled(1, 2, 0.5);
+            s.update(&g, &ctb, &mut x);
+            assert_eq!(x, Mat::filled(1, 2, 1.0), "{kind:?}");
+            assert_eq!(kind.name().parse(), Ok(kind));
         }
     }
 }

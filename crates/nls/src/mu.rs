@@ -15,22 +15,14 @@
 use crate::NlsSolver;
 use nmf_matrix::{matmul_tb_into, Mat};
 
+/// Denominator floor guarding division by zero.
+const EPS: f64 = 1e-16;
+
 /// Multiplicative-update solver (one step per call).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Mu {
-    /// Denominator floor guarding division by zero.
-    pub eps: f64,
     /// Reused denominator buffer (`X·G`, r×k); buffer reuse only.
     pub scratch: Mat,
-}
-
-impl Default for Mu {
-    fn default() -> Self {
-        Mu {
-            eps: 1e-16,
-            scratch: Mat::default(),
-        }
-    }
 }
 
 impl NlsSolver for Mu {
@@ -54,12 +46,8 @@ impl NlsSolver for Mu {
             .zip(den.as_slice())
         {
             let n = num.max(0.0);
-            *xv *= n / d.max(self.eps);
+            *xv *= n / d.max(EPS);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "MU"
     }
 }
 

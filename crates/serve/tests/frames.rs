@@ -64,19 +64,27 @@ fn golden_frames_encode_and_decode_byte_for_byte() {
     assert_eq!(golden.len(), cases.len(), "one golden line per case");
     for ((name, frame), (golden_name, bytes)) in cases.iter().zip(&golden) {
         assert_eq!(name, golden_name);
-        assert_eq!(&frame.encode(), bytes, "{name}: encoding moved");
         // Decoding the parent's bytes gives the value back (compared as
         // rendered: two statuses carry NaN, which `==` cannot match).
-        let (back, want) = match frame {
+        let (encoded, back, want) = match frame {
             Frame::Req(want) => {
                 let back = Request::decode(bytes).expect(name);
-                (format!("{back:?}"), format!("{want:?}"))
+                (want.encode(), format!("{back:?}"), format!("{want:?}"))
             }
             Frame::Resp(want) => {
                 let back = Response::decode(bytes).expect(name);
-                (format!("{back:?}"), format!("{want:?}"))
+                (want.encode(), format!("{back:?}"), format!("{want:?}"))
+            }
+            Frame::Refused(reason) => {
+                let err = Request::decode(bytes).expect_err(name);
+                assert!(
+                    matches!(&err, ServeError::BadFrame { reason: r } if r.contains(reason)),
+                    "{name}: {err}"
+                );
+                continue;
             }
         };
+        assert_eq!(&encoded, bytes, "{name}: encoding moved");
         assert_eq!(back, want, "{name}");
     }
     // Every message tag and every enum tag the protocol defines is in
