@@ -300,10 +300,10 @@ fn run_checkpoints(argv: &[String]) -> Result<(), NmfError> {
         meta.m, meta.n, meta.ranks, meta.grid.pr, meta.grid.pc
     );
     println!(
-        "  run:            {} k={} solver {:?} seed {}",
+        "  run:            {} k={} solver {} seed {}",
         meta.algo.name(),
         meta.config.k,
-        meta.config.solver,
+        meta.config.solver.name(),
         meta.config.seed
     );
     println!(
@@ -474,7 +474,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
         if !args.json {
             let grid = mdl.grid();
             println!(
-                "{}x{} ({} nnz), {} on {} ranks (grid {}x{}), k={}, solver {:?}",
+                "{}x{} ({} nnz), {} on {} ranks (grid {}x{}), k={}, solver {}",
                 mdl.shape().0,
                 mdl.shape().1,
                 input.nnz(),
@@ -483,7 +483,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
                 grid.pr,
                 grid.pc,
                 k,
-                mdl.config().solver
+                mdl.config().solver.name()
             );
         }
         drive_and_report(args, &input, mdl, args.checkpoint.as_deref())?;
@@ -509,8 +509,9 @@ fn check_resume_conflicts(args: &Args, model: &Model) -> Result<(), NmfError> {
     if let Some(s) = args.req.solver {
         if s != meta.config.solver {
             errors.push(format!(
-                "--solver {s:?} conflicts with the checkpoint (written with {:?})",
-                meta.config.solver
+                "--solver {} conflicts with the checkpoint (written with {})",
+                s.name(),
+                meta.config.solver.name()
             ));
         }
     }
@@ -576,7 +577,8 @@ fn drive_and_report(
     }
 
     if args.json {
-        print_json(input, model, stop, wall)
+        println!("{}", json_line(input, model, stop, wall)?);
+        Ok(())
     } else {
         print_human(input, model, stop, wall)
     }
@@ -656,15 +658,15 @@ fn jnum(x: f64) -> String {
     }
 }
 
-/// One JSON object per fitted rank on stdout: everything a benchmark or
-/// model-selection script wants, hand-rolled (the container pulls no
-/// serde).
-fn print_json(
+/// The JSON object `--json` prints per fitted rank: everything a
+/// benchmark or model-selection script wants, hand-rolled (the container
+/// pulls no serde).
+fn json_line(
     input: &SharedInput,
     model: &Model,
     stop: StopReason,
     wall: Duration,
-) -> Result<(), NmfError> {
+) -> Result<String, NmfError> {
     let (m, n) = model.shape();
     let grid = model.grid();
     let config = model.config();
@@ -673,14 +675,14 @@ fn print_json(
     let mut s = String::with_capacity(1024);
     s.push('{');
     s.push_str(&format!(
-        "\"algo\":\"{}\",\"m\":{m},\"n\":{n},\"nnz\":{},\"ranks\":{},\"grid\":[{},{}],\"k\":{},\"solver\":\"{:?}\",\"seed\":{},",
+        "\"algo\":\"{}\",\"m\":{m},\"n\":{n},\"nnz\":{},\"ranks\":{},\"grid\":[{},{}],\"k\":{},\"solver\":\"{}\",\"seed\":{},",
         model.algo().name(),
         input.nnz(),
         model.ranks(),
         grid.pr,
         grid.pc,
         config.k,
-        config.solver,
+        config.solver.name(),
         config.seed
     ));
     s.push_str(&format!(
@@ -774,8 +776,7 @@ fn print_json(
         input.resident_bytes(),
         peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string())
     ));
-    println!("{s}");
-    Ok(())
+    Ok(s)
 }
 
 /// This process's peak resident set in bytes (`VmHWM` in
@@ -888,6 +889,23 @@ mod tests {
                 "--input and --dataset/--scale name two inputs; give one"
             ]
         );
+    }
+
+    #[test]
+    fn json_solver_is_a_name_solver_accepts() {
+        let input = SharedInput::new(DatasetKind::Dsyn.build(1000, 1).input);
+        for solver in SolverKind::ALL {
+            let model = Nmf::on_shared(&input)
+                .config(NmfConfig::new(2).with_solver(solver))
+                .algo(Algo::Sequential)
+                .build()
+                .expect("valid request");
+            let line = json_line(&input, &model, StopReason::MaxIters, Duration::ZERO)
+                .expect("a sequential run has rank loads");
+            let field = line.split("\"solver\":\"").nth(1).expect("a solver field");
+            let name = &field[..field.find('"').expect("a closing quote")];
+            assert_eq!(name.parse::<SolverKind>(), Ok(solver), "{line}");
+        }
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl Grid {
         debug_assert!(i < self.pr && j < self.pc);
         i * self.pc + j
     }
-
-    /// Whether this is the degenerate 1D layout.
-    pub fn is_one_dimensional(&self) -> bool {
-        self.pc == 1 || self.pr == 1
-    }
 }
 
 #[cfg(test)]

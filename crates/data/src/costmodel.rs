@@ -311,6 +311,24 @@ mod tests {
     }
 
     #[test]
+    fn grid_optimal_has_the_least_modeled_comm_of_every_grid() {
+        // DSYN at p = 600: 30x20 reads 0.0281 s, its neighbours 25x24
+        // 0.0286 s and 40x15 0.0293 s (MPI-FAUN §5 makes the same case).
+        let pm = PerfModel::default();
+        let w = dsyn();
+        let optimal = Grid::optimal(w.m, w.n, 600);
+        assert_eq!((optimal.pr, optimal.pc), (30, 20));
+        let best = pm.hpc(&w, optimal).comm();
+        for pr in (1..=600).filter(|pr| 600usize.is_multiple_of(*pr)) {
+            let grid = Grid::new(pr, 600 / pr);
+            if grid != optimal {
+                let comm = pm.hpc(&w, grid).comm();
+                assert!(best < comm, "{grid:?} models {comm} s, 30x20 {best} s");
+            }
+        }
+    }
+
+    #[test]
     fn naive_gram_does_not_scale() {
         let pm = PerfModel::default();
         let a = pm.breakdown(&dsyn(), Algo::Naive, 24);

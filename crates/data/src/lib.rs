@@ -18,7 +18,7 @@
 //! [`costmodel`] evaluates the paper's Table 2 cost expressions under the
 //! α-β-γ machine model, with calibratable local-kernel rates; it produces
 //! the paper-scale series for Figure 3 and Table 3 that a single machine
-//! cannot run directly.
+//! cannot run directly, and the `paper` binary of `nmf_bench` prints them.
 
 pub mod costmodel;
 pub mod datasets;

@@ -176,15 +176,6 @@ impl Mat {
             .collect()
     }
 
-    /// Overwrites column `j` with `v`.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) {
-        assert!(j < self.ncols);
-        assert_eq!(v.len(), self.nrows);
-        for (i, &x) in v.iter().enumerate() {
-            self.data[i * self.ncols + j] = x;
-        }
-    }
-
     /// The sub-block with rows `r0..r0+nr` and columns `c0..c0+nc`, read
     /// in place: nothing is copied.
     pub fn view(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatRef<'_> {
@@ -566,14 +557,6 @@ mod tests {
             r2[0] = -1.0;
         }
         assert_eq!(m[(2, 0)], -1.0);
-    }
-
-    #[test]
-    fn set_col_gathers() {
-        let mut m = Mat::zeros(3, 2);
-        m.set_col(1, &[1.0, 2.0, 3.0]);
-        assert_eq!(m.col(1), vec![1.0, 2.0, 3.0]);
-        assert_eq!(m.col(0), vec![0.0; 3]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Element-wise operations, norms, and inner products on [`Mat`].
 //!
-//! These cover the arithmetic MU/HALS updates need (Hadamard product and
-//! quotient, nonnegative projection) and the pieces of the efficient NMF
-//! objective `‖A−WH‖² = ‖A‖² − 2⟨WᵀA, H⟩ + ⟨WᵀW, HHᵀ⟩`.
+//! These cover the nonnegative projection and the pieces of the efficient
+//! NMF objective `‖A−WH‖² = ‖A‖² − 2⟨WᵀA, H⟩ + ⟨WᵀW, HHᵀ⟩`.
 
 use crate::mat::Mat;
 
@@ -50,32 +49,6 @@ impl Mat {
         }
     }
 
-    /// Hadamard (element-wise) product in place: `self ∘= other`.
-    pub fn hadamard_assign(&mut self, other: &Mat) {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a *= b;
-        }
-    }
-
-    /// Element-wise quotient with an epsilon floor on the denominator:
-    /// `selfᵢⱼ ∗= numᵢⱼ / max(denᵢⱼ, eps)`.
-    ///
-    /// This is the multiplicative-update step `W ∘ (AHᵀ) ⊘ (W HHᵀ)`; the
-    /// floor is the standard guard against division by zero.
-    pub fn mu_update(&mut self, num: &Mat, den: &Mat, eps: f64) {
-        assert_eq!(self.shape(), num.shape());
-        assert_eq!(self.shape(), den.shape());
-        for ((a, n), d) in self
-            .as_mut_slice()
-            .iter_mut()
-            .zip(num.as_slice())
-            .zip(den.as_slice())
-        {
-            *a *= n / d.max(eps);
-        }
-    }
-
     /// Projects onto the nonnegative orthant: `selfᵢⱼ = max(selfᵢⱼ, 0)`.
     pub fn project_nonnegative(&mut self) {
         for a in self.as_mut_slice() {
@@ -85,31 +58,9 @@ impl Mat {
         }
     }
 
-    /// Largest entry.
-    pub fn max_entry(&self) -> f64 {
-        self.as_slice()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Smallest entry.
-    pub fn min_entry(&self) -> f64 {
-        self.as_slice()
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Sum of all entries.
     pub fn sum(&self) -> f64 {
         self.as_slice().iter().sum()
-    }
-
-    /// Count of nonzero entries (exact zero test; useful on projected
-    /// factors where zeros are produced exactly).
-    pub fn count_nonzero(&self) -> usize {
-        self.as_slice().iter().filter(|&&x| x != 0.0).count()
     }
 }
 
@@ -154,24 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn mu_update_applies_ratio() {
-        let mut w = Mat::filled(2, 2, 2.0);
-        let num = Mat::filled(2, 2, 6.0);
-        let den = Mat::filled(2, 2, 3.0);
-        w.mu_update(&num, &den, 1e-16);
-        assert!(w.max_abs_diff(&Mat::filled(2, 2, 4.0)) < 1e-15);
-    }
-
-    #[test]
-    fn mu_update_guards_zero_denominator() {
-        let mut w = Mat::filled(1, 1, 1.0);
-        let num = Mat::filled(1, 1, 1.0);
-        let den = Mat::filled(1, 1, 0.0);
-        w.mu_update(&num, &den, 1e-16);
-        assert!(w.all_finite());
-    }
-
-    #[test]
     fn projection_clamps_negatives_only() {
         let mut m = Mat::from_rows(&[&[-1.0, 2.0], &[0.0, -0.5]]);
         m.project_nonnegative();
@@ -179,12 +112,9 @@ mod tests {
     }
 
     #[test]
-    fn extremes_and_sum() {
+    fn sum_adds_every_entry() {
         let m = Mat::from_rows(&[&[1.0, -2.0], &[5.0, 0.0]]);
-        assert_eq!(m.max_entry(), 5.0);
-        assert_eq!(m.min_entry(), -2.0);
         assert_eq!(m.sum(), 4.0);
-        assert_eq!(m.count_nonzero(), 3);
     }
 
     #[test]

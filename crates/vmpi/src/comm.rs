@@ -172,12 +172,6 @@ impl Comm {
         self.core.size()
     }
 
-    /// This rank's world (top-level) rank.
-    #[inline]
-    pub fn world_rank(&self) -> usize {
-        self.core.ep.rank
-    }
-
     /// A snapshot of this rank's cumulative communication counters.
     ///
     /// Counters are shared between a world communicator and all

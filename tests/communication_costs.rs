@@ -183,6 +183,32 @@ fn hpc_1d_beats_2d_on_tall_skinny_bandwidth() {
 }
 
 #[test]
+fn grid_optimal_sends_the_fewest_words_of_every_grid() {
+    // The paper's m/pr ≈ n/pc prescription, checked on counted words:
+    // 4x4 on the squarish input, 16x1 on the tall-skinny one.
+    let (k, p, iters) = (8, 16, 3);
+    for (m, n) in [(320, 240), (2048, 48)] {
+        let words = |grid| {
+            run(m, n, k, p, Algo::HpcGrid(grid), iters)
+                .total_comm()
+                .total_words()
+        };
+        let optimal = Grid::optimal(m, n, p);
+        let best = words(optimal);
+        for pr in (1..=p).filter(|pr| p.is_multiple_of(*pr)) {
+            let grid = Grid::new(pr, p / pr);
+            if grid != optimal {
+                let w = words(grid);
+                assert!(
+                    best < w,
+                    "{m}x{n}: Grid::optimal {optimal:?} sends {best} words, {grid:?} {w}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn sparse_and_dense_costs_are_identical() {
     // §5: "the communication costs of Algorithm 3 are the same for dense
     // and sparse data matrices (the data matrix itself is never
