@@ -16,6 +16,24 @@
 //! the infeasibility count stops decreasing, which guarantees finite
 //! termination.
 //!
+//! ## Warm start
+//!
+//! As in Kim & Park's ANLS, each call starts from the iterate it is
+//! handed: row `i`'s initial passive set is `{j : x_ij > 0}`. Rows with a
+//! nonempty set are solved on it, in one grouped pass, before the first
+//! exchange round; the others start at `x = 0`, `y = −Cᵀb`. Late in an
+//! ANLS run the support barely moves, so most rows are feasible at the
+//! first check and never exchange.
+//!
+//! Where the answer is unique this changes no bit. When `G_FF` is
+//! positive definite and no variable is degenerate (`x_j = y_j = 0`),
+//! exactly one passive set satisfies the KKT conditions, and `x` is
+//! solved from it by the same Cholesky whichever path reached it — so the
+//! result equals a cold start's from `x = 0`. A degenerate row may end on
+//! a different passive set (with or without `j`); both give the same
+//! point in exact arithmetic, not the same rounding, so its bits can
+//! differ.
+//!
 //! ## Cost follows the pivoting rows and their distinct prefixes
 //!
 //! The paper attributes BPP's practicality for NMF to rows sharing a
@@ -99,13 +117,19 @@ impl Default for Bpp {
 }
 
 /// What the last [`Bpp::solve`] did, counted without allocating.
+///
+/// `rounds` counts exchange rounds only; `groups` and `row_solves` also
+/// count the warm-start solve that precedes round 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BppStats {
-    /// Exchange rounds that solved at least one row.
+    /// Exchange rounds that solved at least one row (the warm-start solve
+    /// is not one).
     pub rounds: u64,
-    /// Distinct passive sets solved, summed over rounds.
+    /// Distinct passive sets solved, summed over the warm-start solve and
+    /// the rounds.
     pub groups: u64,
-    /// Single-row passive-set solves, summed over rounds.
+    /// Single-row passive-set solves, summed over the warm-start solve
+    /// and the rounds.
     pub row_solves: u64,
     /// Rows of Cholesky factors computed.
     pub factor_rows_computed: u64,
@@ -214,7 +238,8 @@ impl Bpp {
         self.scratch.stats
     }
 
-    /// The raw cold-start pivoting loop, without the monotonicity guard.
+    /// The pivoting loop, warm-started from the support of the incoming
+    /// `x`, without the monotonicity guard.
     fn pivot(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
         let (r, k) = x.shape();
         let (max_rounds, backup_budget) = (self.max_rounds, self.backup_budget);
@@ -239,21 +264,27 @@ impl Bpp {
         // Factor rows left by an earlier call belong to another `gram`.
         factor.rows = 0;
 
-        // Initial partition: x = 0, y = −Cᵀb, all variables active.
-        // (Kim & Park's standard cold start; warm starting from the
-        // support of the incoming x is possible but changes iterate
-        // trajectories, which would break the paper's same-computations
-        // initialization guarantee, so we keep the cold start.)
-        x.as_mut_slice().fill(0.0);
-        for (yv, &cv) in y.iter_mut().zip(ctb.as_slice()) {
-            *yv = -cv;
-        }
+        // Warm start (module docs): rows with an empty support start at
+        // x = 0, y = −Cᵀb; the others are solved on their support.
         states.clear();
-        states.extend((0..r).map(|_| RowState {
-            passive: 0,
-            best_infeasible: k as u32 + 1,
-            budget: backup_budget,
-        }));
+        keys.clear();
+        for i in 0..r {
+            let passive = support(x.row(i));
+            states.push(RowState {
+                passive,
+                best_infeasible: k as u32 + 1,
+                budget: backup_budget,
+            });
+            if passive == 0 {
+                x.row_mut(i).fill(0.0);
+                for (yv, &cv) in y[i * k..(i + 1) * k].iter_mut().zip(ctb.row(i)) {
+                    *yv = -cv;
+                }
+            } else {
+                keys.push((passive.reverse_bits(), i as u32));
+            }
+        }
+        solve_runs(gram, ctb, x, y, gram_t, factor, keys, rhs, stats);
         pending.clear();
         pending.extend(0..r as u32);
 
@@ -289,53 +320,72 @@ impl Bpp {
                 return;
             }
             stats.rounds += 1;
-            stats.row_solves += keys.len() as u64;
-
-            // Phase 2: solve the unconstrained systems on the passive
-            // sets, one run of equal keys at a time, and refresh x, y.
-            keys.sort_unstable();
-            let (mut start, mut fetched) = (0, 0);
-            while start < keys.len() {
-                let key = keys[start].0;
-                let end = start + keys[start..].iter().take_while(|e| e.0 == key).count();
-                // Sorted by mask, rows come in no memory order and most
-                // runs are one row long: start the loads of the rows a
-                // few entries ahead while this run is being solved.
-                let ahead = (end + PREFETCH_ROWS).min(keys.len());
-                for &(_, row) in &keys[fetched.max(end)..ahead] {
-                    let at = row as usize * k..(row as usize + 1) * k;
-                    prefetch(&ctb.as_slice()[at.clone()]);
-                    prefetch(&x.as_slice()[at.clone()]);
-                    prefetch(&y[at]);
-                }
-                fetched = ahead;
-                stats.groups += 1;
-                let positive_definite = factor.refactor(gram, key.reverse_bits(), stats);
-                let step = if end - start >= BATCH_MIN_ROWS {
-                    RHS_CHUNK
-                } else {
-                    1
-                };
-                for rows in keys[start..end].chunks(step) {
-                    solve_rows(
-                        gram,
-                        ctb,
-                        x,
-                        y,
-                        gram_t,
-                        factor,
-                        positive_definite,
-                        rows,
-                        rhs,
-                    );
-                }
-                start = end;
-            }
+            // Phase 2: solve the unconstrained systems on the new passive
+            // sets and refresh x, y.
+            solve_runs(gram, ctb, x, y, gram_t, factor, keys, rhs, stats);
         }
         // Round cap hit: keep the best-effort solution but make it
         // feasible (nonnegative); callers treat BPP output as a
         // projection anyway.
         x.project_nonnegative();
+    }
+}
+
+/// Solves every row in `keys` on its passive set and refreshes its `x`
+/// and `y` rows. The keys are sorted, so each run of equal masks is one
+/// `refactor` that keeps the rows its predecessor shares, then one
+/// substitution per row or per `RHS_CHUNK` rows.
+#[allow(clippy::too_many_arguments)]
+fn solve_runs(
+    gram: &Mat,
+    ctb: &Mat,
+    x: &mut Mat,
+    y: &mut [f64],
+    gram_t: &[f64],
+    factor: &mut Factor,
+    keys: &mut [(u128, u32)],
+    rhs: &mut [f64],
+    stats: &mut BppStats,
+) {
+    let k = gram.nrows();
+    stats.row_solves += keys.len() as u64;
+    keys.sort_unstable();
+    let (mut start, mut fetched) = (0, 0);
+    while start < keys.len() {
+        let key = keys[start].0;
+        let end = start + keys[start..].iter().take_while(|e| e.0 == key).count();
+        // Sorted by mask, rows come in no memory order and most runs are
+        // one row long: start the loads of the rows a few entries ahead
+        // while this run is being solved.
+        let ahead = (end + PREFETCH_ROWS).min(keys.len());
+        for &(_, row) in &keys[fetched.max(end)..ahead] {
+            let at = row as usize * k..(row as usize + 1) * k;
+            prefetch(&ctb.as_slice()[at.clone()]);
+            prefetch(&x.as_slice()[at.clone()]);
+            prefetch(&y[at]);
+        }
+        fetched = ahead;
+        stats.groups += 1;
+        let positive_definite = factor.refactor(gram, key.reverse_bits(), stats);
+        let step = if end - start >= BATCH_MIN_ROWS {
+            RHS_CHUNK
+        } else {
+            1
+        };
+        for rows in keys[start..end].chunks(step) {
+            solve_rows(
+                gram,
+                ctb,
+                x,
+                y,
+                gram_t,
+                factor,
+                positive_definite,
+                rows,
+                rhs,
+            );
+        }
+        start = end;
     }
 }
 
@@ -376,6 +426,13 @@ impl BppScratch {
         self.factor.free.clear();
         self.factor.free.reserve(k);
     }
+}
+
+/// Bit `j` set ⇔ `x_j > 0`: the passive set a warm start begins from.
+fn support(xi: &[f64]) -> u128 {
+    xi.iter()
+        .enumerate()
+        .fold(0, |mask, (j, &v)| mask | u128::from(v > 0.0) << j)
 }
 
 /// Bit `j` set ⇔ variable `j` is infeasible: negative `x` on the passive
@@ -633,7 +690,8 @@ mod tests {
             }
         }
         let mut solver = Bpp::default();
-        let mut x = Mat::zeros(r, k);
+        let x0 = Mat::zeros(r, k);
+        let mut x = x0.clone();
         solver.solve(&g, &ctb, &mut x);
         let st = solver.last_stats();
         assert!(st.rounds >= 1);
@@ -643,9 +701,22 @@ mod tests {
         assert!(st.factor_rows_computed > 0, "{st:?}");
         assert_eq!(st.semidefinite_fallbacks, 0, "{st:?}");
         assert_eq!(st.guard_fallbacks, 0, "{st:?}");
-        // Counts are per call, not cumulative.
-        solver.solve(&g, &ctb, &mut x);
+        // Counts are per call, not cumulative: the same incoming iterate
+        // gives the same counts and the same bits.
+        let mut again = x0.clone();
+        solver.solve(&g, &ctb, &mut again);
         assert_eq!(solver.last_stats(), st);
+        assert_eq!(bits(&again), bits(&x));
+        // From the optimum, the warm start solves every row on its final
+        // passive set, so no row pivots and the bits come back unchanged.
+        let mut warm = x.clone();
+        solver.solve(&g, &ctb, &mut warm);
+        assert_eq!(solver.last_stats().rounds, 0, "{:?}", solver.last_stats());
+        assert_eq!(bits(&warm), bits(&x));
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -653,15 +724,18 @@ mod tests {
         let (g, ctb) = instance(6, 20, 41);
         let mut x = Mat::zeros(20, 6);
         Bpp::default().solve(&g, &ctb, &mut x);
-        let optimum = x.clone();
-        // With no exchange rounds allowed the pivoting loop returns the
-        // all-zero start, which the optimum handed in beats.
+        // Nudged off zero, the optimum's entries all become passive: the
+        // warm start solves every row unconstrained, and with no exchange
+        // round to repair its negative entries the projection of that is
+        // worse than the nudged iterate handed in.
+        let nudged = Mat::from_fn(20, 6, |i, j| if x[(i, j)] > 0.0 { x[(i, j)] } else { 1e-9 });
+        let mut x = nudged.clone();
         let mut capped = Bpp {
             max_rounds: 0,
             ..Bpp::default()
         };
         capped.solve(&g, &ctb, &mut x);
-        assert_eq!(x, optimum);
+        assert_eq!(bits(&x), bits(&nudged));
         assert_eq!(capped.last_stats().guard_fallbacks, 1);
         assert_eq!(capped.last_stats().rounds, 0);
     }

@@ -7,9 +7,10 @@
 //! its own gathered `G_FF`, its own textbook (column-oriented)
 //! `cholesky_into`, its own single-column solve, and the monotonicity
 //! guard compares objectives computed by the dense `X·Gᵀ` product. The
-//! pivoting rule (block exchange, Kim & Park's backup budget, Murty's
-//! single flip, round cap + projection) and the semidefinite `solve_spd`
-//! fallback are the same.
+//! warm start (each row's passive set is `{j : x_j > 0}` of the incoming
+//! iterate, solved before round 1), the pivoting rule (block exchange,
+//! Kim & Park's backup budget, Murty's single flip, round cap +
+//! projection) and the semidefinite `solve_spd` fallback are the same.
 
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{
@@ -77,13 +78,27 @@ fn oracle_row(gram: &Mat, ctb: &Mat, x: &mut Mat, y: &mut Mat, mask: u128, i: us
     }
 }
 
-fn oracle_solve(gram: &Mat, ctb: &Mat, x: &mut Mat, max_rounds: usize, backup_budget: u32) {
+/// Solves from the incoming `x` and returns the final dual `y`.
+fn oracle_solve(gram: &Mat, ctb: &Mat, x: &mut Mat, max_rounds: usize, backup_budget: u32) -> Mat {
     let (r, k) = x.shape();
     let x_prev = x.clone();
     x.as_mut_slice().fill(0.0);
     let mut y = Mat::from_fn(r, k, |i, j| -ctb[(i, j)]);
-    // (passive, best infeasible count, budget, done)
-    let mut states = vec![(0u128, k as u32 + 1, backup_budget, false); r];
+    // (passive, best infeasible count, budget, done), passive from the
+    // support of the incoming iterate.
+    let mut states: Vec<_> = (0..r)
+        .map(|i| {
+            let passive = (0..k)
+                .filter(|&j| x_prev[(i, j)] > 0.0)
+                .fold(0u128, |m, j| m | 1u128 << j);
+            (passive, k as u32 + 1, backup_budget, false)
+        })
+        .collect();
+    for (i, &(passive, ..)) in states.iter().enumerate() {
+        if passive != 0 {
+            oracle_row(gram, ctb, x, &mut y, passive, i);
+        }
+    }
     let mut converged = false;
     for _ in 0..max_rounds {
         let mut any_pending = false;
@@ -138,6 +153,7 @@ fn oracle_solve(gram: &Mat, ctb: &Mat, x: &mut Mat, max_rounds: usize, backup_bu
     {
         x.copy_from(&x_prev);
     }
+    y
 }
 
 /// Runs both solvers from the same incoming iterate and demands the
@@ -148,18 +164,22 @@ fn assert_matches_oracle(solver: &mut Bpp, g: &Mat, ctb: &Mat, x0: &Mat, what: &
     let mut want = x0.clone();
     oracle_solve(g, ctb, &mut want, solver.max_rounds, solver.backup_budget);
     for i in 0..got.nrows() {
-        let same = got
-            .row(i)
-            .iter()
-            .zip(want.row(i))
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            same,
-            "{what}: row {i} differs\n  solver {:?}\n  oracle {:?}",
-            got.row(i),
-            want.row(i)
-        );
+        assert_same_row(&got, &want, i, what);
     }
+}
+
+fn assert_same_row(got: &Mat, want: &Mat, i: usize, what: &str) {
+    let same = got
+        .row(i)
+        .iter()
+        .zip(want.row(i))
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(
+        same,
+        "{what}: row {i} differs\n  solver {:?}\n  oracle {:?}",
+        got.row(i),
+        want.row(i)
+    );
 }
 
 /// `G = CᵀC + δI` from a tall Gaussian `C`.
@@ -294,6 +314,52 @@ proptest! {
         let ctb = Mat::gaussian(r, k, seed + 1);
         let mut solver = Bpp { max_rounds: cap, backup_budget: 1, ..Bpp::default() };
         assert_matches_oracle(&mut solver, &g, &ctb, &Mat::uniform(r, k, seed + 2), "round cap");
+    }
+
+    #[test]
+    fn warm_from_a_nearby_solve(ki in 0usize..7, want in 0usize..1000, seed in 0u64..10_000) {
+        // The late-ANLS shape: the incoming iterate solved a right-hand
+        // side that has since moved a little, so most rows keep their
+        // support and a few variables cross.
+        let k = KS[ki];
+        let r = rows_for(k, want);
+        let g = spd_gram(k, seed);
+        let ctb = power_law_ctb(r, k, seed + 1);
+        let mut x0 = Mat::zeros(r, k);
+        Bpp::default().solve(&g, &ctb, &mut x0);
+        let noise = Mat::gaussian(r, k, seed + 2);
+        let moved = Mat::from_fn(r, k, |i, j| ctb[(i, j)] + 0.05 * noise[(i, j)]);
+        assert_matches_oracle(&mut Bpp::default(), &g, &moved, &x0, "nearby");
+    }
+
+    #[test]
+    fn warm_and_cold_agree_off_degenerate_rows(
+        ki in 0usize..7,
+        want in 0usize..1000,
+        seed in 0u64..10_000,
+    ) {
+        // Off a degenerate variable (x_j = y_j = 0) the final passive set
+        // is unique and solved by the same Cholesky, so a warm start from
+        // anywhere lands on the cold start's bits.
+        let k = KS[ki];
+        let r = rows_for(k, want);
+        let g = spd_gram(k, seed);
+        let ctb = power_law_ctb(r, k, seed + 1);
+        let mut solver = Bpp::default();
+        let mut got = Mat::uniform(r, k, seed + 2);
+        solver.solve(&g, &ctb, &mut got);
+        let mut cold = Mat::zeros(r, k);
+        let y = oracle_solve(&g, &ctb, &mut cold, solver.max_rounds, solver.backup_budget);
+        let mut compared = 0;
+        for i in 0..r {
+            if (0..k).all(|j| cold[(i, j)] != 0.0 || y[(i, j)] != 0.0) {
+                assert_same_row(&got, &cold, i, "warm vs cold");
+                compared += 1;
+            }
+        }
+        // Every right-hand side entry is nonzero, so exact degeneracy is
+        // rare: the comparison covers most rows.
+        prop_assert!(2 * compared >= r, "{compared} of {r} rows compared");
     }
 }
 
