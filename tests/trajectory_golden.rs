@@ -17,6 +17,12 @@
 //! column 0), Naive on 2 and 3 ranks (ragged blocks), and a
 //! Webbase-like power-law input, which is relabelled before it is dealt
 //! and undealt when the factors come back.
+//!
+//! The BPP cases at k = 32 and k = 33 after those were appended by the
+//! build that still evaluated BPP's monotonicity guard with two dense
+//! `dot4` passes, and are committed unedited too. Every case above them
+//! runs k = 5, below the dispatched dot products' SIMD threshold (32);
+//! these reach the AVX2 reductions and their `k % 4` tail.
 
 use hpc_nmf::prelude::*;
 use nmf_data::DatasetKind;
@@ -36,8 +42,15 @@ fn digest(m: &Mat) -> u64 {
 }
 
 /// One case as a `name objectives w=… h=…` line.
-fn render(name: &str, input: &Input, algo: Algo, ranks: usize, solver: SolverKind) -> String {
-    let config = NmfConfig::new(5)
+fn render(
+    name: &str,
+    input: &Input,
+    algo: Algo,
+    ranks: usize,
+    solver: SolverKind,
+    k: usize,
+) -> String {
+    let config = NmfConfig::new(k)
         .with_solver(solver)
         .with_max_iters(6)
         .with_seed(9);
@@ -95,8 +108,16 @@ fn rendered() -> Vec<String> {
             for &(run_name, algo, ranks) in runs {
                 for (solver_name, solver) in solvers {
                     let name = format!("{run_name}_{input_name}_{solver_name}");
-                    lines.push(render(&name, input, algo, ranks, solver));
+                    lines.push(render(&name, input, algo, ranks, solver, 5));
                 }
+            }
+        }
+    }
+    for k in [32, 33] {
+        for (input_name, input) in &inputs {
+            for &(run_name, algo, ranks) in [&runs[0], &runs[3]] {
+                let name = format!("{run_name}_{input_name}_bpp_k{k}");
+                lines.push(render(&name, input, algo, ranks, SolverKind::Bpp, k));
             }
         }
     }
