@@ -346,13 +346,24 @@ pub fn matmul_tb_into(a: &Mat, b: &Mat, c: &mut Mat) {
 /// the AVX2 path; below this the call overhead dominates.
 const DOT_SIMD_MIN: usize = 32;
 
+/// Whether [`dot`] and [`dot4`] of slices of length `len` take the
+/// AVX2+FMA reductions ([`simd::dot_avx2`], [`simd::dot4_avx2`]) rather
+/// than the unfused scalar loops. Code that reproduces their rounding
+/// term by term branches on this.
+#[inline]
+pub fn dot_is_fused(len: usize) -> bool {
+    cfg!(target_arch = "x86_64")
+        && len >= DOT_SIMD_MIN
+        && simd::active().path == simd::KernelPath::Avx2Fma
+}
+
 /// Dot product of two equal-length slices. Dispatches to the AVX2+FMA
 /// reduction for long slices; otherwise 4-way unrolled scalar.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     #[cfg(target_arch = "x86_64")]
-    if x.len() >= DOT_SIMD_MIN && simd::active().path == simd::KernelPath::Avx2Fma {
+    if dot_is_fused(x.len()) {
         // SAFETY: the Avx2Fma path implies the detector observed AVX2
         // and FMA support on this CPU.
         return unsafe { simd::dot_avx2(x, y) };
@@ -382,7 +393,7 @@ pub fn dot4(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> (f64, 
         x.len() == y0.len() && x.len() == y1.len() && x.len() == y2.len() && x.len() == y3.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if x.len() >= DOT_SIMD_MIN && simd::active().path == simd::KernelPath::Avx2Fma {
+    if dot_is_fused(x.len()) {
         // SAFETY: the Avx2Fma path implies the detector observed AVX2
         // and FMA support on this CPU.
         return unsafe { simd::dot4_avx2(x, y0, y1, y2, y3) };

@@ -71,8 +71,15 @@
 //! positive definite goes through the shifted [`solve_spd`], which
 //! allocates its operands) — counted in [`BppStats`].
 
-use crate::{objective_rows, NlsSolver};
+use crate::objective::{scan_row, RowObjective};
+use crate::NlsSolver;
 use nmf_matrix::{cholesky_solve_slices, solve_spd, Mat};
+
+/// Rows whose warm-start passive set has at most this many variables are
+/// solved by pass 1 where they lie (a fresh `f×f` factor is a few dozen
+/// flops); wider ones go to the sorted solve, whose factor keeps the
+/// leading rows neighbouring passive sets share.
+const STREAM_MAX: usize = 8;
 
 /// Groups with at least this many rows take the batched (8-wide)
 /// substitution; smaller ones are substituted row by row, which skips
@@ -118,26 +125,32 @@ impl Default for Bpp {
 
 /// What the last [`Bpp::solve`] did, counted without allocating.
 ///
-/// `rounds` counts exchange rounds only; `groups` and `row_solves` also
-/// count the warm-start solve that precedes round 1.
+/// Pass 1 settles a row itself (`rows_streamed`) or hands it to the
+/// sorted solve; `groups`, `row_solves` and the factor-row counts cover
+/// the sorted solves only — pass 1's wide rows and every exchange round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BppStats {
-    /// Exchange rounds that solved at least one row (the warm-start solve
-    /// is not one).
+    /// Rows pass 1 settled where they lie: an empty support (`x = 0`) or
+    /// a solve on the spot. Each is finished there or handed on to the
+    /// exchange rounds.
+    pub rows_streamed: u64,
+    /// Exchange rounds that solved at least one row (pass 1 is not one).
     pub rounds: u64,
-    /// Distinct passive sets solved, summed over the warm-start solve and
-    /// the rounds.
+    /// Distinct passive sets solved by the sorted solve, summed over
+    /// pass 1's wide rows and the rounds.
     pub groups: u64,
-    /// Single-row passive-set solves, summed over the warm-start solve
+    /// Rows solved by the sorted solve, summed over pass 1's wide rows
     /// and the rounds.
     pub row_solves: u64,
-    /// Rows of Cholesky factors computed.
+    /// Rows of the sorted solve's Cholesky factors computed.
     pub factor_rows_computed: u64,
-    /// Rows of Cholesky factors kept from the previous passive set.
+    /// Rows of the sorted solve's Cholesky factors kept from the previous
+    /// passive set.
     pub factor_rows_reused: u64,
     /// 1 when the monotonicity guard kept the incoming iterate.
     pub guard_fallbacks: u64,
-    /// Passive sets whose `G_FF` was not positive definite.
+    /// Passive sets whose `G_FF` was not positive definite (a row pass 1
+    /// meets with one goes to the sorted solve, which counts it).
     pub semidefinite_fallbacks: u64,
 }
 
@@ -203,8 +216,9 @@ impl Bpp {
     /// plain BPP can terminate at a point *worse* than the incoming
     /// iterate. Like production ANLS codes, we guard monotonicity: if the
     /// fresh solve does not improve the (nonnegative, feasible) incoming
-    /// `x`, the incoming iterate is kept. Both objectives are evaluated
-    /// in place ([`nls_objective`](crate::nls_objective)'s row kernel).
+    /// `x`, the incoming iterate is kept. The incoming objective is summed
+    /// as pass 1 reads each row, the outgoing one by pass 2, both with
+    /// [`nls_objective`](crate::nls_objective)'s row kernel.
     pub fn solve(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
         let k = gram.nrows();
         assert_eq!(gram.ncols(), k, "gram must be square");
@@ -218,15 +232,16 @@ impl Bpp {
             return;
         }
         self.scratch.fit(r, k);
-        self.scratch.x_prev[..r * k].copy_from_slice(x.as_slice());
-        self.pivot(gram, ctb, x);
-        let scr = &mut self.scratch;
-        let x_prev = &scr.x_prev[..r * k];
-        if x_prev.iter().all(|&v| v >= 0.0) {
-            let f_new = objective_rows(gram, ctb.as_slice(), x.as_slice());
-            let f_in = objective_rows(gram, ctb.as_slice(), x_prev);
+        let objective = RowObjective::new(gram);
+        let f_in = self.pivot(gram, ctb, x, &objective);
+        // Pass 2: the outgoing objective, when the incoming iterate is a
+        // feasible point to fall back to.
+        if let Some(f_in) = f_in {
+            let scr = &mut self.scratch;
+            let states = &scr.states;
+            let f_new = objective.sum(ctb.as_slice(), x.as_slice(), |i, _| states[i].passive);
             if f_new > f_in {
-                x.as_mut_slice().copy_from_slice(x_prev);
+                x.as_mut_slice().copy_from_slice(&scr.x_prev[..r * k]);
                 scr.stats.guard_fallbacks = 1;
             }
         }
@@ -238,11 +253,19 @@ impl Bpp {
         self.scratch.stats
     }
 
-    /// The pivoting loop, warm-started from the support of the incoming
-    /// `x`, without the monotonicity guard.
-    fn pivot(&mut self, gram: &Mat, ctb: &Mat, x: &mut Mat) {
+    /// Pass 1 and the exchange rounds: everything but the guard's
+    /// decision. Returns the incoming objective when the incoming `x` is
+    /// nonnegative (the guard's precondition).
+    fn pivot(
+        &mut self,
+        gram: &Mat,
+        ctb: &Mat,
+        x: &mut Mat,
+        objective: &RowObjective,
+    ) -> Option<f64> {
         let (r, k) = x.shape();
         let (max_rounds, backup_budget) = (self.max_rounds, self.backup_budget);
+        let f_in = self.scratch.stream(gram, ctb, x, objective, backup_budget);
         let BppScratch {
             y,
             states,
@@ -255,38 +278,9 @@ impl Bpp {
             ..
         } = &mut self.scratch;
         let y = &mut y[..r * k];
-        let gram_t = &mut gram_t[..k * k];
-        for (j, col) in gram_t.chunks_exact_mut(k).enumerate() {
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = gram[(i, j)];
-            }
-        }
-        // Factor rows left by an earlier call belong to another `gram`.
-        factor.rows = 0;
-
-        // Warm start (module docs): rows with an empty support start at
-        // x = 0, y = −Cᵀb; the others are solved on their support.
-        states.clear();
-        keys.clear();
-        for i in 0..r {
-            let passive = support(x.row(i));
-            states.push(RowState {
-                passive,
-                best_infeasible: k as u32 + 1,
-                budget: backup_budget,
-            });
-            if passive == 0 {
-                x.row_mut(i).fill(0.0);
-                for (yv, &cv) in y[i * k..(i + 1) * k].iter_mut().zip(ctb.row(i)) {
-                    *yv = -cv;
-                }
-            } else {
-                keys.push((passive.reverse_bits(), i as u32));
-            }
-        }
+        let gram_t = &gram_t[..k * k];
+        // Pass 1's wide rows, by sorted passive set.
         solve_runs(gram, ctb, x, y, gram_t, factor, keys, rhs, stats);
-        pending.clear();
-        pending.extend(0..r as u32);
 
         for _round in 0..max_rounds {
             // Phase 1: infeasibility detection and set exchange on the
@@ -317,7 +311,7 @@ impl Bpp {
                 true
             });
             if keys.is_empty() {
-                return;
+                return f_in;
             }
             stats.rounds += 1;
             // Phase 2: solve the unconstrained systems on the new passive
@@ -328,6 +322,7 @@ impl Bpp {
         // feasible (nonnegative); callers treat BPP output as a
         // projection anyway.
         x.project_nonnegative();
+        f_in
     }
 }
 
@@ -406,6 +401,111 @@ fn prefetch(row: &[f64]) {
 }
 
 impl BppScratch {
+    /// Pass 1, in row order (module docs): keeps each row for the guard
+    /// and adds its incoming objective, then starts it from its support —
+    /// `x = 0`, `y = −Cᵀb` for an empty one, a solve on the spot for a
+    /// small one, the sorted solve (`keys`) for the rest. A row not known
+    /// to be feasible goes on the pending list. Returns the incoming
+    /// objective when the incoming `x` is nonnegative.
+    fn stream(
+        &mut self,
+        gram: &Mat,
+        ctb: &Mat,
+        x: &mut Mat,
+        objective: &RowObjective,
+        backup_budget: u32,
+    ) -> Option<f64> {
+        let (r, k) = x.shape();
+        let BppScratch {
+            y,
+            x_prev,
+            states,
+            pending,
+            keys,
+            gram_t,
+            factor,
+            stats,
+            ..
+        } = self;
+        let gram_t = &mut gram_t[..k * k];
+        for (j, col) in gram_t.chunks_exact_mut(k).enumerate() {
+            for (i, v) in col.iter_mut().enumerate() {
+                *v = gram[(i, j)];
+            }
+        }
+        // Factor rows left by an earlier call belong to another `gram`.
+        factor.rows = 0;
+        states.clear();
+        keys.clear();
+        pending.clear();
+        let mut f_in = Some(0.0);
+        let mut y_row = [0.0f64; 128];
+        for i in 0..r {
+            let at = i * k..(i + 1) * k;
+            x_prev[at.clone()].copy_from_slice(x.row(i));
+            let scan = scan_row(x.row(i));
+            if !scan.nonneg {
+                f_in = None;
+            }
+            if let Some(f) = f_in.as_mut() {
+                objective.add_row(f, x.row(i), ctb.row(i), scan.support);
+            }
+            // Nonnegative, the nonzeros are the positive entries.
+            let passive = if scan.nonneg {
+                scan.support
+            } else {
+                positive(x.row(i))
+            };
+            states.push(RowState {
+                passive,
+                best_infeasible: k as u32 + 1,
+                budget: backup_budget,
+            });
+            // y is written only for a row that stays on the pending
+            // list: nothing reads a finished row's dual.
+            let yi = &mut y[at];
+            let settled = if passive == 0 {
+                // x = 0: only entries with the sign bit set (-0.0, or a
+                // negative in a row that was not nonnegative) change.
+                let xi = x.row_mut(i);
+                if xi.iter().any(|v| v.is_sign_negative()) {
+                    xi.fill(0.0);
+                }
+                let bi = ctb.row(i);
+                let done = !bi.iter().fold(false, |up, &c| up | (c > 0.0));
+                if !done {
+                    for (yv, &cv) in yi.iter_mut().zip(bi) {
+                        *yv = -cv;
+                    }
+                }
+                Some(done)
+            } else if passive.count_ones() as usize <= STREAM_MAX {
+                let y_row = &mut y_row[..k];
+                let done =
+                    solve_on_the_spot(gram, gram_t, ctb.row(i), x.row_mut(i), y_row, passive);
+                if done == Some(false) {
+                    yi.copy_from_slice(y_row);
+                }
+                done
+            } else {
+                None
+            };
+            match settled {
+                Some(done) => {
+                    stats.rows_streamed += 1;
+                    if !done {
+                        pending.push(i as u32);
+                    }
+                }
+                None => {
+                    keys.push((passive.reverse_bits(), i as u32));
+                    pending.push(i as u32);
+                }
+            }
+        }
+        f_in
+    }
+
     /// Grows the buffers to hold an `r×k` problem (never shrinks, so a
     /// solver alternating between two shapes settles after one of each).
     fn fit(&mut self, r: usize, k: usize) {
@@ -428,11 +528,19 @@ impl BppScratch {
     }
 }
 
-/// Bit `j` set ⇔ `x_j > 0`: the passive set a warm start begins from.
-fn support(xi: &[f64]) -> u128 {
+/// Bit `j` set ⇔ `x_j > 0`: the passive set a warm start begins from,
+/// for a row with a negative entry (otherwise its nonzeros).
+fn positive(xi: &[f64]) -> u128 {
     xi.iter()
         .enumerate()
         .fold(0, |mask, (j, &v)| mask | u128::from(v > 0.0) << j)
+}
+
+/// No variable of the row is infeasible: [`infeasible_mask`] is empty.
+fn feasible(xi: &[f64], yi: &[f64]) -> bool {
+    !xi.iter()
+        .zip(yi)
+        .fold(false, |bad, (&xv, &yv)| bad | (xv < 0.0) | (yv < 0.0))
 }
 
 /// Bit `j` set ⇔ variable `j` is infeasible: negative `x` on the passive
@@ -553,27 +661,96 @@ fn solve_rows(
 
     for (col, &(_, row)) in rows.iter().enumerate() {
         let i = row as usize;
-        // x_F = solution, x elsewhere = 0.
-        let xi = x.row_mut(i);
-        xi.fill(0.0);
-        for (a, &ja) in free.iter().enumerate() {
-            xi[ja] = sol[a * nc + col];
-        }
-        // y = G·x − Cᵀb, accumulated over the free indices in ascending
-        // order for every variable at once; exactly 0 on F.
-        let yi = &mut y[i * k..(i + 1) * k];
-        for (v, &c) in yi.iter_mut().zip(ctb.row(i)) {
-            *v = -c;
-        }
-        for (a, &ja) in free.iter().enumerate() {
-            let xa = sol[a * nc + col];
-            for (v, &g) in yi.iter_mut().zip(&gram_t[ja * k..(ja + 1) * k]) {
-                *v += g * xa;
+        let at = i * k..(i + 1) * k;
+        write_row(x.row_mut(i), &mut y[at], ctb.row(i), gram_t, free, |a| {
+            sol[a * nc + col]
+        });
+    }
+}
+
+/// Solves a row whose passive set has at most `STREAM_MAX` variables
+/// where it lies: a fresh factor of `G_FF` in [`Factor::refactor`]'s
+/// order, the single-column substitution, and the `x`, `y` refresh — the
+/// bits the sorted solve would give it. Returns whether the row is
+/// feasible, or `None` (nothing written) when `G_FF` is not positive
+/// definite, for the sorted solve's fallback to take.
+// `!(d > 0.0)` is deliberate: it also catches NaN pivots.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn solve_on_the_spot(
+    gram: &Mat,
+    gram_t: &[f64],
+    bi: &[f64],
+    xi: &mut [f64],
+    yi: &mut [f64],
+    passive: u128,
+) -> Option<bool> {
+    let mut free = [0usize; STREAM_MAX];
+    let mut f = 0;
+    let mut left = passive;
+    while left != 0 {
+        free[f] = left.trailing_zeros() as usize;
+        f += 1;
+        left &= left - 1;
+    }
+    let free = &free[..f];
+    let mut l = [0.0f64; STREAM_MAX * STREAM_MAX];
+    for a in 0..f {
+        let ga = gram.row(free[a]);
+        let (done, la) = l[..(a + 1) * STREAM_MAX].split_at_mut(a * STREAM_MAX);
+        for b in 0..a {
+            let lb = &done[b * STREAM_MAX..b * STREAM_MAX + b + 1];
+            let mut s = ga[free[b]];
+            for (&lat, &lbt) in la[..b].iter().zip(lb) {
+                s -= lat * lbt;
             }
+            la[b] = s / lb[b];
         }
-        for &ja in free {
-            yi[ja] = 0.0;
+        let mut d = ga[free[a]];
+        for &lat in &la[..a] {
+            d -= lat * lat;
         }
+        if !(d > 0.0) {
+            return None;
+        }
+        la[a] = d.sqrt();
+    }
+    let mut sol = [0.0f64; STREAM_MAX];
+    for (v, &j) in sol.iter_mut().zip(free) {
+        *v = bi[j];
+    }
+    cholesky_solve_slices(&l, STREAM_MAX, f, &mut sol[..f], 1);
+    write_row(xi, yi, bi, gram_t, free, |a| sol[a]);
+    Some(feasible(xi, yi))
+}
+
+/// Writes a row solved on the passive set `free`: `x_F` = the solution
+/// (`sol(a)` for free index `free[a]`), `x` = 0 elsewhere, and
+/// `y = G·x − Cᵀb`, accumulated over the free indices in ascending order
+/// for every variable at once and exactly 0 on F.
+fn write_row(
+    xi: &mut [f64],
+    yi: &mut [f64],
+    bi: &[f64],
+    gram_t: &[f64],
+    free: &[usize],
+    sol: impl Fn(usize) -> f64,
+) {
+    let k = xi.len();
+    xi.fill(0.0);
+    for (a, &ja) in free.iter().enumerate() {
+        xi[ja] = sol(a);
+    }
+    for (v, &c) in yi.iter_mut().zip(bi) {
+        *v = -c;
+    }
+    for (a, &ja) in free.iter().enumerate() {
+        let xa = sol(a);
+        for (v, &g) in yi.iter_mut().zip(&gram_t[ja * k..(ja + 1) * k]) {
+            *v += g * xa;
+        }
+    }
+    for &ja in free {
+        yi[ja] = 0.0;
     }
 }
 
@@ -713,6 +890,58 @@ mod tests {
         solver.solve(&g, &ctb, &mut warm);
         assert_eq!(solver.last_stats().rounds, 0, "{:?}", solver.last_stats());
         assert_eq!(bits(&warm), bits(&x));
+    }
+
+    #[test]
+    fn stats_pin_what_each_pass_did() {
+        // G = 2I, so row i's answer is max(Cᵀbᵢ, 0) / 2 on the passive
+        // set {j : (Cᵀbᵢ)_j > 0}. Rows 2..=6 start on exactly that set.
+        let k = 16;
+        let g = Mat::from_fn(k, k, |a, b| if a == b { 2.0 } else { 0.0 });
+        let sets: [&[usize]; 7] = [
+            &[],                                     // empty and feasible
+            &[3, 5],                                 // empty start, one round
+            &[0, 1, 2],                              // solved on the spot
+            &[0, 1, 2, 3, 4, 5, 6, 7],               // STREAM_MAX: on the spot
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8],            // sorted
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], // sorted
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8],            // sorted, row 4's group
+        ];
+        let ctb = Mat::from_fn(7, k, |i, j| {
+            if sets[i].contains(&j) {
+                1.0 + 0.125 * j as f64
+            } else {
+                -1.0
+            }
+        });
+        let x_in = Mat::from_fn(7, k, |i, j| {
+            if i >= 2 && sets[i].contains(&j) {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        let mut x = x_in.clone();
+        let mut solver = Bpp::default();
+        solver.solve(&g, &ctb, &mut x);
+        let want = Mat::from_fn(7, k, |i, j| ctb[(i, j)].max(0.0) / 2.0);
+        assert!(x.max_abs_diff(&want) < 1e-15, "{x:?}");
+        let want = BppStats {
+            // Rows 0 to 3.
+            rows_streamed: 4,
+            // Row 1, whose support {3, 5} pass 1 could not know.
+            rounds: 1,
+            // Rows 4 and 6 share a set, row 5 has its own, then row 1.
+            groups: 3,
+            row_solves: 4,
+            // Nine rows for rows 4 and 6; row 5 keeps them and adds three;
+            // row 1's set shares no leading variable and takes two.
+            factor_rows_computed: 14,
+            factor_rows_reused: 9,
+            guard_fallbacks: 0,
+            semidefinite_fallbacks: 0,
+        };
+        assert_eq!(solver.last_stats(), want);
     }
 
     fn bits(m: &Mat) -> Vec<u64> {

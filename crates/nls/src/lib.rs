@@ -33,10 +33,13 @@
 pub mod bpp;
 pub mod hals;
 pub mod mu;
+mod objective;
 pub mod reference;
 
+#[cfg(doc)]
 use nmf_matrix::gemm::{dot, dot4};
 use nmf_matrix::Mat;
+use objective::RowObjective;
 
 pub use bpp::{Bpp, BppStats};
 pub use hals::Hals;
@@ -135,43 +138,22 @@ pub fn nls_objective(gram: &Mat, ctb: &Mat, x: &Mat) -> f64 {
 /// [`nls_objective`] over row-major `r×k` slices.
 ///
 /// The value is the one the dense form `X·Gᵀ` ([`nmf_matrix::matmul_tb`])
-/// followed by a running sum over `(i, j)` produces, bit for bit, for
-/// finite inputs: each `(G·xᵢ)ⱼ` comes from the same dispatched
-/// [`dot4`]/[`dot`] call that product makes, and the terms enter the sum
-/// in the same order. Only the work is skipped where `xᵢⱼ = 0` makes the
-/// term a signed zero, which leaves a running sum that started at `+0.0`
-/// unchanged — so the cost follows the nonzeros of `x` (a quarter-row of
-/// `G` per four-column block holding one).
+/// followed by a running sum over `(i, j)` produces, bit for bit. A row
+/// with a few nonzeros is summed over its support: each `(G·xᵢ)ⱼ` from the
+/// support's products alone, in the lane order of the [`dot4`]/[`dot`]
+/// reduction the product would call. Every product and term left out is
+/// a signed zero, which cannot change a running sum that started at
+/// `+0.0` — provided `G`, `bᵢ` and `xᵢ` are finite and `xᵢ` is small
+/// enough that no partial sum overflows. A row that fails those tests
+/// (`0·∞` is NaN in the dense form), or whose support is wide, takes the
+/// product's own `dot4` over every 4-column block holding a nonzero. So
+/// the cost follows the nonzeros of `x` — about `|S|²` products for a row
+/// with support `S`.
 pub(crate) fn objective_rows(gram: &Mat, ctb: &[f64], x: &[f64]) -> f64 {
-    let k = gram.nrows();
-    if k == 0 {
+    if gram.nrows() == 0 {
         return 0.0;
     }
-    let k4 = k - k % 4;
-    let mut obj = 0.0;
-    for (xi, bi) in x.chunks_exact(k).zip(ctb.chunks_exact(k)) {
-        for j in (0..k4).step_by(4) {
-            if xi[j..j + 4].iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            let (s0, s1, s2, s3) = dot4(
-                xi,
-                gram.row(j),
-                gram.row(j + 1),
-                gram.row(j + 2),
-                gram.row(j + 3),
-            );
-            for (jj, s) in (j..).zip([s0, s1, s2, s3]) {
-                obj += xi[jj] * s - 2.0 * xi[jj] * bi[jj];
-            }
-        }
-        for jj in k4..k {
-            if xi[jj] != 0.0 {
-                obj += xi[jj] * dot(xi, gram.row(jj)) - 2.0 * xi[jj] * bi[jj];
-            }
-        }
-    }
-    obj
+    RowObjective::new(gram).sum(ctb, x, |_, xi| objective::scan_row(xi).support)
 }
 
 #[cfg(test)]
