@@ -19,11 +19,11 @@
 //! ## Warm start
 //!
 //! As in Kim & Park's ANLS, each call starts from the iterate it is
-//! handed: row `i`'s initial passive set is `{j : x_ij > 0}`. Rows with a
-//! nonempty set are solved on it, in one grouped pass, before the first
-//! exchange round; the others start at `x = 0`, `y = −Cᵀb`. Late in an
-//! ANLS run the support barely moves, so most rows are feasible at the
-//! first check and never exchange.
+//! handed: row `i`'s initial passive set is `{j : x_ij > 0}`. Pass 1
+//! (below) solves each row on that set before the first exchange round;
+//! a row with an empty set starts at `x = 0`, `y = −Cᵀb`. Late in an ANLS
+//! run the support barely moves, so most rows are feasible at the first
+//! check and never exchange.
 //!
 //! Where the answer is unique this changes no bit. When `G_FF` is
 //! positive definite and no variable is degenerate (`x_j = y_j = 0`),
@@ -34,28 +34,45 @@
 //! point in exact arithmetic, not the same rounding, so its bits can
 //! differ.
 //!
-//! ## Cost follows the pivoting rows and their distinct prefixes
+//! ## Two streaming passes
 //!
-//! The paper attributes BPP's practicality for NMF to rows sharing a
-//! passive set being solved with one factorization (`k ≪ min(m,n)`,
-//! thousands of right-hand sides, few distinct supports). On sparse
-//! power-law inputs that premise fails — most passive sets occur once —
-//! so nothing here is paid per *group*:
+//! On sparse power-law inputs most rows hold a handful of `k` variables
+//! and most passive sets occur once, so the work per row is a few hundred
+//! flops and the cost is in touching rows. `solve` reads the rows in
+//! memory order twice, with the exchange rounds in between:
 //!
-//! * an exchange round visits only the rows still pivoting (a pending
-//!   list kept in row order);
-//! * rows are grouped by sorting `(bit-reversed passive mask, row)`
-//!   pairs, so equal masks are adjacent and neighbouring masks agree on
-//!   their low variable indices;
-//! * `G_FF = L·Lᵀ` is factorized row by row (Cholesky–Banachiewicz)
-//!   straight from `gram` into one `k×k` buffer. Row `a` of `L` depends
-//!   only on the free indices `0..=a`, so the leading rows two
-//!   consecutive masks have in common are kept, not recomputed — the
-//!   same bits either way;
-//! * groups of fewer than `BATCH_MIN_ROWS` (4) rows are substituted one
-//!   row at a time, larger ones through the 8-wide batched sweeps, in
-//!   chunks of `RHS_CHUNK` (64) columns. The selection is by the group's
-//!   row count and does not change any row's result.
+//! * **pass 1** reads each row once: copies it for the guard, takes its
+//!   support with four-wide compares, adds its terms of the incoming
+//!   objective to the running sum, and starts it. An empty support is
+//!   `x = 0`, `y = −Cᵀb`; a support of at most `STREAM_MAX` (8)
+//!   variables is solved where it lies (a fresh `G_FF` factor in
+//!   `Factor::refactor`'s order, the single-column substitution, the
+//!   `y` refresh); a wider one waits for the sorted solve. A row found
+//!   feasible is finished, and its `y` is never written; the others go
+//!   on a pending list in row order;
+//! * **the sorted solve** takes pass 1's wide rows, then each exchange
+//!   round's pivoting rows. Rows are grouped by sorting `(bit-reversed
+//!   passive mask, row)` pairs, so equal masks are adjacent and
+//!   neighbouring masks agree on their low variable indices. `G_FF =
+//!   L·Lᵀ` is factorized row by row (Cholesky–Banachiewicz) into one
+//!   `k×k` buffer; row `a` of `L` depends only on the free indices
+//!   `0..=a`, so the leading rows two consecutive masks share are kept.
+//!   Groups of fewer than `BATCH_MIN_ROWS` (4) rows are substituted one
+//!   row at a time, larger ones through the 8-wide batched sweeps in
+//!   chunks of `RHS_CHUNK` (64) columns;
+//! * **pass 2** sums the outgoing objective over each row's final
+//!   passive set, and the guard compares the two sums.
+//!
+//! A row's result depends only on its final passive set and on the order
+//! of its factor's and substitution's arithmetic, which every path
+//! shares; where, in which group and next to which neighbours it is
+//! solved changes no bit (`tests/bpp_oracle.rs` solves every row alone).
+//! Which path a row takes is chosen by its support size, which pass 1
+//! observes anyway: a fresh factor of a small support costs less than
+//! sorting it, while wide supports share long factor prefixes with their
+//! sorted neighbours. Both objectives are bit-identical to the dense
+//! `X·Gᵀ` form ([`nls_objective`](crate::nls_objective)), so the guard
+//! decides as before.
 //!
 //! `docs/kernels.md` ("BPP") has the arguments in full.
 //!
@@ -78,7 +95,9 @@ use nmf_matrix::{cholesky_solve_slices, solve_spd, Mat};
 /// Rows whose warm-start passive set has at most this many variables are
 /// solved by pass 1 where they lie (a fresh `f×f` factor is a few dozen
 /// flops); wider ones go to the sorted solve, whose factor keeps the
-/// leading rows neighbouring passive sets share.
+/// leading rows neighbouring passive sets share. On DSYN/60, whose
+/// supports are wide, a fresh factor per row cost 10.7 ms a call against
+/// 9.5 ms sorted.
 const STREAM_MAX: usize = 8;
 
 /// Groups with at least this many rows take the batched (8-wide)
@@ -447,8 +466,8 @@ impl BppScratch {
             if !scan.nonneg {
                 f_in = None;
             }
-            if let Some(f) = f_in.as_mut() {
-                objective.add_row(f, x.row(i), ctb.row(i), scan.support);
+            if let Some(f) = f_in {
+                f_in = Some(objective.add_row(f, x.row(i), ctb.row(i), scan.support));
             }
             // Nonnegative, the nonzeros are the positive entries.
             let passive = if scan.nonneg {
@@ -465,10 +484,11 @@ impl BppScratch {
             // list: nothing reads a finished row's dual.
             let yi = &mut y[at];
             let settled = if passive == 0 {
-                // x = 0: only entries with the sign bit set (-0.0, or a
-                // negative in a row that was not nonnegative) change.
+                // x = 0, written only where some entry is not +0.0
+                // already (a -0.0, or a negative or NaN in a row that was
+                // not nonnegative).
                 let xi = x.row_mut(i);
-                if xi.iter().any(|v| v.is_sign_negative()) {
+                if xi.iter().any(|v| v.to_bits() != 0) {
                     xi.fill(0.0);
                 }
                 let bi = ctb.row(i);
@@ -479,7 +499,7 @@ impl BppScratch {
                     }
                 }
                 Some(done)
-            } else if passive.count_ones() as usize <= STREAM_MAX {
+            } else if streams(passive.count_ones() as usize, k) {
                 let y_row = &mut y_row[..k];
                 let done =
                     solve_on_the_spot(gram, gram_t, ctb.row(i), x.row_mut(i), y_row, passive);
@@ -567,14 +587,8 @@ impl Factor {
     /// `false` when `G_FF` is not positive definite; the rows before the
     /// failing pivot stay valid for the next set.
     ///
-    /// Row-oriented (Cholesky–Banachiewicz): entry `(a, b)` is
-    /// `(G[f_a][f_b] − Σ_{t<b} L[a][t]·L[b][t]) / L[b][b]`, summed in the
-    /// same order as the column-oriented textbook form, so the factor —
-    /// and the pivot at which a semidefinite `G_FF` fails — are
-    /// bit-identical to it. Row `a` reads only rows `≤ a`, which is why
-    /// a shared prefix of free indices means shared rows.
-    // `!(d > 0.0)` is deliberate: it also catches NaN pivots.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    /// Row by row ([`factor_row`]), so a shared prefix of free indices
+    /// means shared rows.
     fn refactor(&mut self, gram: &Mat, mask: u128, stats: &mut BppStats) -> bool {
         let k = gram.nrows();
         // Variables below the lowest differing bit are shared.
@@ -594,32 +608,50 @@ impl Factor {
         let f = self.free.len();
         stats.factor_rows_reused += keep as u64;
         for a in keep..f {
-            let ga = gram.row(self.free[a]);
-            let (done, la) = self.l[..(a + 1) * k].split_at_mut(a * k);
-            for b in 0..a {
-                let lb = &done[b * k..b * k + b + 1];
-                let mut s = ga[self.free[b]];
-                for (&lat, &lbt) in la[..b].iter().zip(lb) {
-                    s -= lat * lbt;
-                }
-                la[b] = s / lb[b];
-            }
-            let mut d = ga[self.free[a]];
-            for &lat in &la[..a] {
-                d -= lat * lat;
-            }
-            if !(d > 0.0) {
+            if !factor_row(&mut self.l, k, gram, &self.free, a) {
                 self.rows = a;
                 stats.factor_rows_computed += (a - keep) as u64;
                 stats.semidefinite_fallbacks += 1;
                 return false;
             }
-            la[a] = d.sqrt();
         }
         self.rows = f;
         stats.factor_rows_computed += (f - keep) as u64;
         true
     }
+}
+
+/// Computes row `a` of the Cholesky factor of `G_FF` (free indices
+/// `free`) into `l`, whose rows `0..a` already hold the factor, at row
+/// stride `ld`. Row-oriented (Cholesky–Banachiewicz): entry `(a, b)` is
+/// `(G[f_a][f_b] − Σ_{t<b} L[a][t]·L[b][t]) / L[b][b]`, summed in the
+/// same order as the column-oriented textbook form, so the factor — and
+/// the pivot at which a semidefinite `G_FF` fails — are bit-identical to
+/// it. Row `a` reads only rows `≤ a`, so it depends only on `free[..=a]`.
+/// Returns `false` when the pivot is not positive.
+// `!(d > 0.0)` is deliberate: it also catches NaN pivots.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[inline]
+fn factor_row(l: &mut [f64], ld: usize, gram: &Mat, free: &[usize], a: usize) -> bool {
+    let ga = gram.row(free[a]);
+    let (done, la) = l[..a * ld + a + 1].split_at_mut(a * ld);
+    for b in 0..a {
+        let lb = &done[b * ld..b * ld + b + 1];
+        let mut s = ga[free[b]];
+        for (&lat, &lbt) in la[..b].iter().zip(lb) {
+            s -= lat * lbt;
+        }
+        la[b] = s / lb[b];
+    }
+    let mut d = ga[free[a]];
+    for &lat in &la[..a] {
+        d -= lat * lat;
+    }
+    if !(d > 0.0) {
+        return false;
+    }
+    la[a] = d.sqrt();
+    true
 }
 
 /// Solves `rows` (all sharing the passive set held by `factor`) and
@@ -668,14 +700,20 @@ fn solve_rows(
     }
 }
 
+/// Whether pass 1 solves a row with `f` passive variables of `k` where it
+/// lies: at most `STREAM_MAX`, and at most a quarter of `k`. Denser rows
+/// repeat their passive sets, and a shared factor and the batched
+/// substitution beat a fresh factor per row.
+fn streams(f: usize, k: usize) -> bool {
+    f <= STREAM_MAX && 4 * f <= k
+}
+
 /// Solves a row whose passive set has at most `STREAM_MAX` variables
-/// where it lies: a fresh factor of `G_FF` in [`Factor::refactor`]'s
-/// order, the single-column substitution, and the `x`, `y` refresh — the
-/// bits the sorted solve would give it. Returns whether the row is
-/// feasible, or `None` (nothing written) when `G_FF` is not positive
-/// definite, for the sorted solve's fallback to take.
-// `!(d > 0.0)` is deliberate: it also catches NaN pivots.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
+/// where it lies: a fresh factor of `G_FF` by [`factor_row`], the
+/// single-column substitution, and the `x`, `y` refresh — the bits the
+/// sorted solve would give it. Returns whether the row is feasible, or
+/// `None` (nothing written) when `G_FF` is not positive definite, for the
+/// sorted solve's fallback to take.
 fn solve_on_the_spot(
     gram: &Mat,
     gram_t: &[f64],
@@ -694,25 +732,8 @@ fn solve_on_the_spot(
     }
     let free = &free[..f];
     let mut l = [0.0f64; STREAM_MAX * STREAM_MAX];
-    for a in 0..f {
-        let ga = gram.row(free[a]);
-        let (done, la) = l[..(a + 1) * STREAM_MAX].split_at_mut(a * STREAM_MAX);
-        for b in 0..a {
-            let lb = &done[b * STREAM_MAX..b * STREAM_MAX + b + 1];
-            let mut s = ga[free[b]];
-            for (&lat, &lbt) in la[..b].iter().zip(lb) {
-                s -= lat * lbt;
-            }
-            la[b] = s / lb[b];
-        }
-        let mut d = ga[free[a]];
-        for &lat in &la[..a] {
-            d -= lat * lat;
-        }
-        if !(d > 0.0) {
-            return None;
-        }
-        la[a] = d.sqrt();
+    if !(0..f).all(|a| factor_row(&mut l, STREAM_MAX, gram, free, a)) {
+        return None;
     }
     let mut sol = [0.0f64; STREAM_MAX];
     for (v, &j) in sol.iter_mut().zip(free) {
@@ -896,7 +917,9 @@ mod tests {
     fn stats_pin_what_each_pass_did() {
         // G = 2I, so row i's answer is max(Cᵀbᵢ, 0) / 2 on the passive
         // set {j : (Cᵀbᵢ)_j > 0}. Rows 2..=6 start on exactly that set.
-        let k = 16;
+        // At k = 32 pass 1 solves supports of up to STREAM_MAX (8)
+        // variables where they lie.
+        let k = 32;
         let g = Mat::from_fn(k, k, |a, b| if a == b { 2.0 } else { 0.0 });
         let sets: [&[usize]; 7] = [
             &[],                                     // empty and feasible
@@ -942,6 +965,20 @@ mod tests {
             semidefinite_fallbacks: 0,
         };
         assert_eq!(solver.last_stats(), want);
+    }
+
+    #[test]
+    fn empty_supports_come_back_as_positive_zeros() {
+        // Rows with no positive entry start at x = 0: a -0.0, a negative
+        // or a NaN handed in becomes +0.0, and with Cᵀb < 0 it stays.
+        let (g, _) = instance(5, 1, 11);
+        let ctb = Mat::filled(4, 5, -1.0);
+        let mut x = Mat::zeros(4, 5);
+        x.row_mut(1).fill(-0.0);
+        x[(2, 3)] = -0.5;
+        x[(3, 0)] = f64::NAN;
+        Bpp::default().solve(&g, &ctb, &mut x);
+        assert_eq!(bits(&x), vec![0; 20]);
     }
 
     fn bits(m: &Mat) -> Vec<u64> {

@@ -7,33 +7,41 @@
 //! row-major order. A row is computed one of two ways, with the same
 //! bits:
 //!
-//! * **over its support** — for each `j` with `xᵢⱼ ≠ 0`, `(G·xᵢ)ⱼ` from the
-//!   support's terms alone, added in the lane order of the reduction the
-//!   dense form calls: on the AVX2+FMA path (`k ≥ 32`), fused lanes
-//!   `t mod 4` (and `dot_avx2`'s four accumulators for the `k % 4` tail
-//!   columns), reduced as `(l0 + l2) + (l1 + l3)`, then the unfused tail
-//!   `t ≥ k − k % 4`; elsewhere the unfused sequential (`dot4`) or
-//!   four-lane (`dot`) sums. Every term left out — a product with
-//!   `xᵢₜ = 0` inside a reduction, or a whole term with `xᵢⱼ = 0` in the
-//!   running sum — is a signed zero when its other factors are finite.
-//!   Adding a signed zero to a partial sum changes it at most from `-0.0`
-//!   to `+0.0`, and a zero's sign reaches the result only through a term
-//!   that is itself zero; the running sum starts at `+0.0` and can never
-//!   become `-0.0` (a sum of nonzero values that cancels is `+0.0`), so
-//!   the result is unchanged. The other factors are finite when `G` and
-//!   `bᵢ` are, and when `|xᵢₜ| ≤ x_lim = f64::MAX / (2k·max|G|)`, so that
-//!   no product or partial sum of `(G·xᵢ)ⱼ` can overflow;
-//! * **dense** — one [`dot4`] per 4-column block holding a nonzero (and a
-//!   [`dot`] per nonzero tail column), exactly the dense form's calls. A
-//!   row that fails the conditions above takes it (`0·∞` is NaN there),
-//!   and so does a row whose support is wider than `SUPPORT_MAX`, where
-//!   the vector reductions cost less than the support's scalar ones.
+//! * **over its support `S`** (the nonzeros of `xᵢ`, or any superset):
+//!   a term for each `j ∈ S`, with `(G·xᵢ)ⱼ` built from `S` alone in the
+//!   order of the reduction the dense form calls. On the AVX2+FMA path
+//!   (`k ≥ 32`) that is one fused 4-lane step per 4-column block meeting
+//!   `S` (`dot4_avx2`'s single accumulator, or `dot_avx2`'s four for a
+//!   `k % 4` tail column), the horizontal sum `(l0 + l2) + (l1 + l3)`,
+//!   then the unfused tail `t ≥ k − k % 4`; elsewhere the unfused
+//!   sequential (`dot4`) or four-lane (`dot`) sums. Every product and
+//!   term left out has a zero factor `xᵢₜ`, so it is a signed zero when
+//!   its other factors are finite. Adding a signed zero can only flip
+//!   the sign of a zero partial sum, and a zero's sign reaches the total
+//!   only through a term that is itself zero; the running sum starts at
+//!   `+0.0` and never becomes `-0.0` (an exact cancellation rounds to
+//!   `+0.0`), so the total is unchanged. The other factors are finite
+//!   when `G` is, when `bᵢ` is on the blocks meeting `S` and on `S`, and
+//!   when `|xᵢₜ| ≤ f64::MAX / (2k·max|G|)` on `S`, so that no product or
+//!   partial sum of `(G·xᵢ)ⱼ` overflows;
+//! * **dense**: one [`dot4`] per 4-column block holding a nonzero, one
+//!   [`dot`] per nonzero tail column, exactly the dense form's calls (it
+//!   skips only all-zero blocks, whose terms are signed zeros for finite
+//!   inputs). A row that fails the conditions above takes it, since `0·∞`
+//!   is NaN there, and so does a row whose support is wider than
+//!   `SUPPORT_MAX`.
 
 use nmf_matrix::gemm::{dot, dot4, dot_is_fused};
 use nmf_matrix::Mat;
 
 /// Rows whose support has at most this many variables are summed over
-/// it; wider rows take the dense `dot4` blocks.
+/// it; wider rows take the dense `dot4` blocks. The support form takes
+/// `|S|` fused steps per block meeting `S` where the dense one takes `k`,
+/// but it pays a horizontal sum per variable and keeps no four outputs
+/// in flight: on DSYN/60 at `k = 32`, whose rows all hold more than 16
+/// variables, a whole objective took 0.74 ms over the supports and
+/// 0.43 ms dense, while on Webbase/16 (12 % of rows hold 9 to 16) a cut
+/// at 8, 16 or 24 measured the same.
 const SUPPORT_MAX: usize = 16;
 
 /// What one read of a row found.
@@ -46,6 +54,7 @@ pub(crate) struct RowScan {
 }
 
 /// Reads `xi` once, four entries at a time.
+#[inline]
 pub(crate) fn scan_row(xi: &[f64]) -> RowScan {
     let (mut support, mut nonneg) = (0u128, true);
     let mut quads = xi.chunks_exact(4);
@@ -108,27 +117,31 @@ impl<'a> RowObjective<'a> {
         let mut obj = 0.0;
         let rows = x.chunks_exact(k).zip(ctb.chunks_exact(k));
         for (i, (xi, bi)) in rows.enumerate() {
-            self.add_row(&mut obj, xi, bi, support(i, xi));
+            obj = self.add_row(obj, xi, bi, support(i, xi));
         }
         obj
     }
 
-    /// Adds row `xi`'s terms to the running sum `obj`; `support` holds
-    /// every nonzero of `xi` (and may hold zeros).
-    pub(crate) fn add_row(&self, obj: &mut f64, xi: &[f64], bi: &[f64], support: u128) {
+    /// The running sum `obj` with row `xi`'s terms added; `support` holds
+    /// every nonzero of `xi` (and may hold zeros). The sum travels by
+    /// value: it is one dependency chain through every term.
+    #[inline]
+    pub(crate) fn add_row(&self, obj: f64, xi: &[f64], bi: &[f64], support: u128) -> f64 {
         if support == 0 {
-            return;
+            return obj;
         }
-        if support.count_ones() as usize <= SUPPORT_MAX {
-            self.support_terms(obj, xi, bi, support);
+        let f = support.count_ones() as usize;
+        if f <= SUPPORT_MAX && 4 * f <= xi.len() {
+            self.support_terms(obj, xi, bi, support)
         } else {
-            self.dense_terms(obj, xi, bi);
+            self.dense_terms(obj, xi, bi)
         }
     }
 
     /// The dense form's calls: one `dot4` per 4-column block holding a
     /// nonzero, one `dot` per nonzero tail column.
-    fn dense_terms(&self, obj: &mut f64, xi: &[f64], bi: &[f64]) {
+    #[inline]
+    fn dense_terms(&self, mut obj: f64, xi: &[f64], bi: &[f64]) -> f64 {
         let gram = self.gram;
         let k = xi.len();
         let k4 = k - k % 4;
@@ -144,19 +157,20 @@ impl<'a> RowObjective<'a> {
                 gram.row(j + 3),
             );
             for (jj, s) in (j..).zip([s0, s1, s2, s3]) {
-                *obj += xi[jj] * s - 2.0 * xi[jj] * bi[jj];
+                obj += xi[jj] * s - 2.0 * xi[jj] * bi[jj];
             }
         }
         for jj in k4..k {
             if xi[jj] != 0.0 {
-                *obj += xi[jj] * dot(xi, gram.row(jj)) - 2.0 * xi[jj] * bi[jj];
+                obj += xi[jj] * dot(xi, gram.row(jj)) - 2.0 * xi[jj] * bi[jj];
             }
         }
+        obj
     }
 
     /// The support's terms, or the dense ones where a term the support
     /// leaves out could be NaN (module docs).
-    fn support_terms(&self, obj: &mut f64, xi: &[f64], bi: &[f64], support: u128) {
+    fn support_terms(&self, obj: f64, xi: &[f64], bi: &[f64], support: u128) -> f64 {
         let k = xi.len();
         let k4 = k - k % 4;
         // The 4-column blocks holding a support entry: bit `4c` for block `c`.
@@ -180,7 +194,7 @@ impl<'a> RowObjective<'a> {
             // the Avx2Fma path, where AVX2 and FMA support was detected.
             return unsafe { fused_terms(self.gram, obj, xi, bi, at, blocks) };
         }
-        plain_terms(self.gram, obj, xi, bi, at);
+        plain_terms(self.gram, obj, xi, bi, at)
     }
 }
 
@@ -204,12 +218,12 @@ fn fill(out: &mut [usize; SUPPORT_MAX], mask: u128) -> &[usize] {
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fused_terms(
     gram: &Mat,
-    obj: &mut f64,
+    mut obj: f64,
     xi: &[f64],
     bi: &[f64],
     at: &[usize],
     blocks: &[usize],
-) {
+) -> f64 {
     use std::arch::x86_64::*;
     #[inline(always)]
     unsafe fn hsum(v: __m256d) -> f64 {
@@ -249,14 +263,15 @@ unsafe fn fused_terms(
         for &t in tail {
             s += xi[t] * g[t];
         }
-        *obj += xi[j] * s - 2.0 * xi[j] * bi[j];
+        obj += xi[j] * s - 2.0 * xi[j] * bi[j];
     }
+    obj
 }
 
 /// Adds the terms of the support `at`, each `(G·xᵢ)ⱼ` summed as the
 /// scalar `dot4` does (one sequential sum), or `dot` for a `k % 4` tail
 /// column (four lanes, then the tail).
-fn plain_terms(gram: &Mat, obj: &mut f64, xi: &[f64], bi: &[f64], at: &[usize]) {
+fn plain_terms(gram: &Mat, mut obj: f64, xi: &[f64], bi: &[f64], at: &[usize]) -> f64 {
     let k = xi.len();
     let k4 = k - k % 4;
     let split = at.partition_point(|&t| t < k4);
@@ -273,6 +288,7 @@ fn plain_terms(gram: &Mat, obj: &mut f64, xi: &[f64], bi: &[f64], at: &[usize]) 
             tail.iter()
                 .fold(l[0] + l[1] + l[2] + l[3], |s, &t| s + xi[t] * g[t])
         };
-        *obj += xi[j] * s - 2.0 * xi[j] * bi[j];
+        obj += xi[j] * s - 2.0 * xi[j] * bi[j];
     }
+    obj
 }
