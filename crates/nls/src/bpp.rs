@@ -41,13 +41,15 @@
 //! flops and the cost is in touching rows. `solve` reads the rows in
 //! memory order twice, with the exchange rounds in between:
 //!
-//! * **pass 1** reads each row once: copies it for the guard, takes its
+//! * **pass 1** reads each row once: copies it for the guard (an all
+//!   `+0.0` row is restored by a fill instead), takes its
 //!   support with four-wide compares, adds its terms of the incoming
 //!   objective to the running sum, and starts it. An empty support is
 //!   `x = 0`, `y = −Cᵀb`; a support of at most `STREAM_MAX` (8)
-//!   variables is solved where it lies (a fresh `G_FF` factor in
-//!   `Factor::refactor`'s order, the single-column substitution, the
-//!   `y` refresh); a wider one waits for the sorted solve. A row found
+//!   variables and a quarter of `k` is solved where it lies (a fresh
+//!   `G_FF` factor by the sorted solve's own row kernel, the
+//!   single-column substitution, the `y` refresh); a wider one waits for
+//!   the sorted solve. A row found
 //!   feasible is finished, and its `y` is never written; the others go
 //!   on a pending list in row order;
 //! * **the sorted solve** takes pass 1's wide rows, then each exchange
@@ -69,8 +71,8 @@
 //! solved changes no bit (`tests/bpp_oracle.rs` solves every row alone).
 //! Which path a row takes is chosen by its support size, which pass 1
 //! observes anyway: a fresh factor of a small support costs less than
-//! sorting it, while wide supports share long factor prefixes with their
-//! sorted neighbours. Both objectives are bit-identical to the dense
+//! sorting it, while dense rows repeat their passive sets and share
+//! factors and batched substitutions with their sorted neighbours. Both objectives are bit-identical to the dense
 //! `X·Gᵀ` form ([`nls_objective`](crate::nls_objective)), so the guard
 //! decides as before.
 //!
@@ -92,12 +94,9 @@ use crate::objective::{scan_row, RowObjective};
 use crate::NlsSolver;
 use nmf_matrix::{cholesky_solve_slices, solve_spd, Mat};
 
-/// Rows whose warm-start passive set has at most this many variables are
-/// solved by pass 1 where they lie (a fresh `f×f` factor is a few dozen
-/// flops); wider ones go to the sorted solve, whose factor keeps the
-/// leading rows neighbouring passive sets share. On DSYN/60, whose
-/// supports are wide, a fresh factor per row cost 10.7 ms a call against
-/// 9.5 ms sorted.
+/// Rows whose warm-start passive set has at most this many variables (and
+/// at most a quarter of `k`, see `streams`) are solved by pass 1 where
+/// they lie: a fresh `f×f` factor is a few dozen flops.
 const STREAM_MAX: usize = 8;
 
 /// Groups with at least this many rows take the batched (8-wide)
@@ -182,6 +181,8 @@ struct RowState {
     best_infeasible: u32,
     /// Remaining full-exchange moves before the backup rule engages (α).
     budget: u32,
+    /// The incoming row was all `+0.0`, so `x_prev` skipped it.
+    zero_in: bool,
 }
 
 /// Reusable buffers held by a [`Bpp`] solver across calls (see the
@@ -260,7 +261,14 @@ impl Bpp {
             let states = &scr.states;
             let f_new = objective.sum(ctb.as_slice(), x.as_slice(), |i, _| states[i].passive);
             if f_new > f_in {
-                x.as_mut_slice().copy_from_slice(&scr.x_prev[..r * k]);
+                for (i, st) in scr.states.iter().enumerate() {
+                    let xi = x.row_mut(i);
+                    if st.zero_in {
+                        xi.fill(0.0);
+                    } else {
+                        xi.copy_from_slice(&scr.x_prev[i * k..(i + 1) * k]);
+                    }
+                }
                 scr.stats.guard_fallbacks = 1;
             }
         }
@@ -461,12 +469,17 @@ impl BppScratch {
         let mut y_row = [0.0f64; 128];
         for i in 0..r {
             let at = i * k..(i + 1) * k;
-            x_prev[at.clone()].copy_from_slice(x.row(i));
             let scan = scan_row(x.row(i));
             if !scan.nonneg {
                 f_in = None;
             }
+            // Keep the row for the guard, unless it is all +0.0 (restored
+            // by a fill) or the guard is off.
+            let zero_in = scan.support == 0 && x.row(i).iter().all(|v| v.to_bits() == 0);
             if let Some(f) = f_in {
+                if !zero_in {
+                    x_prev[at.clone()].copy_from_slice(x.row(i));
+                }
                 f_in = Some(objective.add_row(f, x.row(i), ctb.row(i), scan.support));
             }
             // Nonnegative, the nonzeros are the positive entries.
@@ -479,17 +492,17 @@ impl BppScratch {
                 passive,
                 best_infeasible: k as u32 + 1,
                 budget: backup_budget,
+                zero_in,
             });
             // y is written only for a row that stays on the pending
             // list: nothing reads a finished row's dual.
             let yi = &mut y[at];
             let settled = if passive == 0 {
-                // x = 0, written only where some entry is not +0.0
-                // already (a -0.0, or a negative or NaN in a row that was
-                // not nonnegative).
-                let xi = x.row_mut(i);
-                if xi.iter().any(|v| v.to_bits() != 0) {
-                    xi.fill(0.0);
+                // x = 0, written unless every entry is +0.0 already (a
+                // row can hold -0.0, or a negative or NaN when it was not
+                // nonnegative).
+                if !zero_in {
+                    x.row_mut(i).fill(0.0);
                 }
                 let bi = ctb.row(i);
                 let done = !bi.iter().fold(false, |up, &c| up | (c > 0.0));
@@ -703,7 +716,9 @@ fn solve_rows(
 /// Whether pass 1 solves a row with `f` passive variables of `k` where it
 /// lies: at most `STREAM_MAX`, and at most a quarter of `k`. Denser rows
 /// repeat their passive sets, and a shared factor and the batched
-/// substitution beat a fresh factor per row.
+/// substitution beat a fresh factor per row: on 256×192 dense inputs at
+/// `k = 8`, where every support has at most 8 variables, solving every
+/// row on the spot made a call about twice as slow.
 fn streams(f: usize, k: usize) -> bool {
     f <= STREAM_MAX && 4 * f <= k
 }
@@ -1004,6 +1019,26 @@ mod tests {
         assert_eq!(bits(&x), bits(&nudged));
         assert_eq!(capped.last_stats().guard_fallbacks, 1);
         assert_eq!(capped.last_stats().rounds, 0);
+    }
+
+    #[test]
+    fn guard_restores_zero_rows_bit_for_bit() {
+        // As above, plus rows of +0.0 (kept by a fill, not a copy) and of
+        // -0.0 (copied): the fallback hands back every incoming bit.
+        let (g, ctb) = instance(6, 20, 41);
+        let mut x = Mat::zeros(20, 6);
+        Bpp::default().solve(&g, &ctb, &mut x);
+        let mut incoming = Mat::from_fn(20, 6, |i, j| x[(i, j)].max(1e-9));
+        incoming.row_mut(3).fill(0.0);
+        incoming.row_mut(7).fill(-0.0);
+        let mut x = incoming.clone();
+        let mut capped = Bpp {
+            max_rounds: 0,
+            ..Bpp::default()
+        };
+        capped.solve(&g, &ctb, &mut x);
+        assert_eq!(capped.last_stats().guard_fallbacks, 1);
+        assert_eq!(bits(&x), bits(&incoming));
     }
 
     #[test]

@@ -150,10 +150,16 @@ pub fn nls_objective(gram: &Mat, ctb: &Mat, x: &Mat) -> f64 {
 /// the cost follows the nonzeros of `x` — about `|S|²` products for a row
 /// with support `S`.
 pub(crate) fn objective_rows(gram: &Mat, ctb: &[f64], x: &[f64]) -> f64 {
-    if gram.nrows() == 0 {
+    let k = gram.nrows();
+    if k == 0 {
         return 0.0;
     }
-    RowObjective::new(gram).sum(ctb, x, |_, xi| objective::scan_row(xi).support)
+    // Rows wider than a `u128` mask are summed dense whatever they hold.
+    let support = |_, xi: &[f64]| match k {
+        ..=128 => objective::scan_row(xi).support,
+        _ => u128::MAX,
+    };
+    RowObjective::new(gram).sum(ctb, x, support)
 }
 
 #[cfg(test)]
@@ -190,7 +196,7 @@ mod tests {
         // Widths on both sides of the dispatched dot products' SIMD
         // threshold (32) and with every `k % 4` tail; `x` sparse enough
         // that whole four-column blocks and whole rows are skipped.
-        for k in [1usize, 3, 4, 8, 31, 32, 33, 64, 65, 127] {
+        for k in [1usize, 3, 4, 8, 31, 32, 33, 64, 65, 127, 130] {
             let r = 37;
             let c = Mat::gaussian(2 * k + 3, k, k as u64);
             let g = gram(&c);

@@ -28,21 +28,26 @@
 //!   [`dot`] per nonzero tail column, exactly the dense form's calls (it
 //!   skips only all-zero blocks, whose terms are signed zeros for finite
 //!   inputs). A row that fails the conditions above takes it, since `0·∞`
-//!   is NaN there, and so does a row whose support is wider than
-//!   `SUPPORT_MAX`.
+//!   is NaN there, and so does a row whose support holds more than a
+//!   quarter of its `k` variables, or with `k > 128` (a support is a
+//!   `u128` mask).
 
 use nmf_matrix::gemm::{dot, dot4, dot_is_fused};
 use nmf_matrix::Mat;
 
-/// Rows whose support has at most this many variables are summed over
-/// it; wider rows take the dense `dot4` blocks. The support form takes
-/// `|S|` fused steps per block meeting `S` where the dense one takes `k`,
-/// but it pays a horizontal sum per variable and keeps no four outputs
-/// in flight: on DSYN/60 at `k = 32`, whose rows all hold more than 16
-/// variables, a whole objective took 0.74 ms over the supports and
-/// 0.43 ms dense, while on Webbase/16 (12 % of rows hold 9 to 16) a cut
-/// at 8, 16 or 24 measured the same.
-const SUPPORT_MAX: usize = 16;
+/// A row is summed over its support when the support holds at most
+/// `1 / SUPPORT_SHARE` of the `k` variables; denser rows take the dense
+/// `dot4` blocks. The support form takes `|S|` fused steps per block
+/// meeting `S` where the dense one takes `k`, but it pays a horizontal
+/// sum and an index per variable and keeps no four outputs in flight: on
+/// DSYN/60 at `k = 32`, whose rows hold 17 to 32 variables, a whole
+/// objective took 0.74 ms over the supports and 0.43 ms dense, and on
+/// 256×192 dense inputs at `k = 8` the dense blocks won too.
+const SUPPORT_SHARE: usize = 4;
+
+/// The widest support summed over: a quarter of the widest row a `u128`
+/// mask holds.
+const SUPPORT_MAX: usize = 128 / SUPPORT_SHARE;
 
 /// What one read of a row found.
 #[derive(Clone, Copy, Debug)]
@@ -123,15 +128,16 @@ impl<'a> RowObjective<'a> {
     }
 
     /// The running sum `obj` with row `xi`'s terms added; `support` holds
-    /// every nonzero of `xi` (and may hold zeros). The sum travels by
+    /// every nonzero of `xi` (and may hold zeros; it is not read when
+    /// `k > 128`). The sum travels by
     /// value: it is one dependency chain through every term.
     #[inline]
     pub(crate) fn add_row(&self, obj: f64, xi: &[f64], bi: &[f64], support: u128) -> f64 {
         if support == 0 {
             return obj;
         }
-        let f = support.count_ones() as usize;
-        if f <= SUPPORT_MAX && 4 * f <= xi.len() {
+        let (f, k) = (support.count_ones() as usize, xi.len());
+        if k <= 128 && SUPPORT_SHARE * f <= k {
             self.support_terms(obj, xi, bi, support)
         } else {
             self.dense_terms(obj, xi, bi)

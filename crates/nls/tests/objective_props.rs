@@ -80,13 +80,13 @@ fn value(rng: &mut StdRng) -> f64 {
     }
 }
 
-/// `r×k` with one kind of row per `i % 7`.
+/// `r×k` with one kind of row per `i % 8`.
 fn rows(r: usize, k: usize, seed: u64) -> Mat {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut x = Mat::zeros(r, k);
     for i in 0..r {
         let row = x.row_mut(i);
-        match i % 7 {
+        match i % 8 {
             0 => {}
             1 => row.fill(-0.0),
             2 => row[rng.gen_range(0..k)] = value(&mut rng),
@@ -106,16 +106,15 @@ fn rows(r: usize, k: usize, seed: u64) -> Mat {
                     }
                 }
             }
-            5 => {
-                // 5 to 16 nonzeros, so that every reduction lane holds
-                // several; the last column (a `k % 4` tail column when
-                // there is one) half the time.
-                for _ in 0..rng.gen_range(5..17) {
+            5 | 6 => {
+                // Up to a quarter of the row (so that it is summed over
+                // its support), every reduction lane holding several
+                // nonzeros, and always the last column: a `k % 4` tail
+                // column when there is one.
+                for _ in 1..rng.gen_range(2..(k / 4).max(2) + 1) {
                     row[rng.gen_range(0..k)] = value(&mut rng);
                 }
-                if rng.gen_range(0..2) == 0 {
-                    row[k - 1] = value(&mut rng);
-                }
+                row[k - 1] = value(&mut rng);
             }
             _ => {
                 // Wide: about two thirds of the entries.
@@ -147,7 +146,7 @@ fn assert_same(got: f64, want: f64, what: &str) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     #[test]
     fn finite_inputs_match_the_dense_form(ki in 0usize..11, r in 1usize..60, seed in 0u64..10_000) {
