@@ -569,13 +569,6 @@ fn positive(xi: &[f64]) -> u128 {
         .fold(0, |mask, (j, &v)| mask | u128::from(v > 0.0) << j)
 }
 
-/// No variable of the row is infeasible: [`infeasible_mask`] is empty.
-fn feasible(xi: &[f64], yi: &[f64]) -> bool {
-    !xi.iter()
-        .zip(yi)
-        .fold(false, |bad, (&xv, &yv)| bad | (xv < 0.0) | (yv < 0.0))
-}
-
 /// Bit `j` set ⇔ variable `j` is infeasible: negative `x` on the passive
 /// set or negative `y` on the active set. `x` is exactly zero on the
 /// active set and `y` exactly zero on the passive set (both are written
@@ -756,7 +749,7 @@ fn solve_on_the_spot(
     }
     cholesky_solve_slices(&l, STREAM_MAX, f, &mut sol[..f], 1);
     write_row(xi, yi, bi, gram_t, free, |a| sol[a]);
-    Some(feasible(xi, yi))
+    Some(infeasible_mask(xi, yi) == 0)
 }
 
 /// Writes a row solved on the passive set `free`: `x_F` = the solution

@@ -145,10 +145,11 @@ pub fn nls_objective(gram: &Mat, ctb: &Mat, x: &Mat) -> f64 {
 /// a signed zero, which cannot change a running sum that started at
 /// `+0.0` — provided `G`, `bᵢ` and `xᵢ` are finite and `xᵢ` is small
 /// enough that no partial sum overflows. A row that fails those tests
-/// (`0·∞` is NaN in the dense form), or whose support is wide, takes the
-/// product's own `dot4` over every 4-column block holding a nonzero. So
-/// the cost follows the nonzeros of `x` — about `|S|²` products for a row
-/// with support `S`.
+/// (`0·∞` is NaN in the dense form), or whose support holds more than a
+/// quarter of the `k` variables, takes the product's own `dot4` over
+/// every 4-column block holding a nonzero. So the cost follows the
+/// nonzeros of `x`: `|S|` fused steps per 4-column block meeting a
+/// support `S`.
 pub(crate) fn objective_rows(gram: &Mat, ctb: &[f64], x: &[f64]) -> f64 {
     let k = gram.nrows();
     if k == 0 {

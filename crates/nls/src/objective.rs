@@ -93,6 +93,7 @@ pub(crate) struct RowObjective<'a> {
 impl<'a> RowObjective<'a> {
     pub(crate) fn new(gram: &'a Mat) -> Self {
         let k = gram.nrows();
+        assert_eq!(gram.ncols(), k, "gram must be square");
         let (mut finite, mut g_max) = (true, 0.0f64);
         for &g in gram.as_slice() {
             finite &= g.is_finite();
@@ -197,7 +198,9 @@ impl<'a> RowObjective<'a> {
         #[cfg(target_arch = "x86_64")]
         if self.fused {
             // SAFETY: `fused` is `dot_is_fused(k)`, which holds only on
-            // the Avx2Fma path, where AVX2 and FMA support was detected.
+            // the Avx2Fma path, where AVX2 and FMA support was detected;
+            // `gram` is k×k, and `blocks` are the 4-column blocks below
+            // `k4` that meet the support.
             return unsafe { fused_terms(self.gram, obj, xi, bi, at, blocks) };
         }
         plain_terms(self.gram, obj, xi, bi, at)
@@ -220,6 +223,12 @@ fn fill(out: &mut [usize; SUPPORT_MAX], mask: u128) -> &[usize] {
 /// step per nonzero 4-column block `blocks`, whose zero entries add
 /// signed zeros, the horizontal sum `(l0 + l2) + (l1 + l3)`, then the
 /// unfused tail.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, `gram` must be `k×k` for
+/// `k = xi.len()`, and every block start must be a multiple of four
+/// below `k − k % 4` (the loads read four entries from it).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fused_terms(
