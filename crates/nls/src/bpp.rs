@@ -711,7 +711,8 @@ fn solve_rows(
 /// repeat their passive sets, and a shared factor and the batched
 /// substitution beat a fresh factor per row: on 256×192 dense inputs at
 /// `k = 8`, where every support has at most 8 variables, solving every
-/// row on the spot made a call about twice as slow.
+/// row on the spot made a call about twice as slow (2-vCPU x86-64,
+/// AVX2 kernels).
 fn streams(f: usize, k: usize) -> bool {
     f <= STREAM_MAX && 4 * f <= k
 }

@@ -42,7 +42,8 @@ use nmf_matrix::Mat;
 /// sum and an index per variable and keeps no four outputs in flight: on
 /// DSYN/60 at `k = 32`, whose rows hold 17 to 32 variables, a whole
 /// objective took 0.74 ms over the supports and 0.43 ms dense, and on
-/// 256×192 dense inputs at `k = 8` the dense blocks won too.
+/// 256×192 dense inputs at `k = 8` the dense blocks won too (2-vCPU
+/// x86-64, AVX2 kernels).
 const SUPPORT_SHARE: usize = 4;
 
 /// The widest support summed over: a quarter of the widest row a `u128`
