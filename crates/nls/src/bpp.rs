@@ -41,8 +41,8 @@
 //! flops and the cost is in touching rows. `solve` reads the rows in
 //! memory order twice, with the exchange rounds in between:
 //!
-//! * **pass 1** reads each row once: copies it for the guard (an all
-//!   `+0.0` row is restored by a fill instead), takes its
+//! * **pass 1** reads each row once: copies it for the guard (while the
+//!   guard is on: every row so far nonnegative), takes its
 //!   support with four-wide compares, adds its terms of the incoming
 //!   objective to the running sum, and starts it. An empty support is
 //!   `x = 0`, `y = −Cᵀb`; a support of at most `STREAM_MAX` (8)
@@ -181,8 +181,6 @@ struct RowState {
     best_infeasible: u32,
     /// Remaining full-exchange moves before the backup rule engages (α).
     budget: u32,
-    /// The incoming row was all `+0.0`, so `x_prev` skipped it.
-    zero_in: bool,
 }
 
 /// Reusable buffers held by a [`Bpp`] solver across calls (see the
@@ -261,14 +259,7 @@ impl Bpp {
             let states = &scr.states;
             let f_new = objective.sum(ctb.as_slice(), x.as_slice(), |i, _| states[i].passive);
             if f_new > f_in {
-                for (i, st) in scr.states.iter().enumerate() {
-                    let xi = x.row_mut(i);
-                    if st.zero_in {
-                        xi.fill(0.0);
-                    } else {
-                        xi.copy_from_slice(&scr.x_prev[i * k..(i + 1) * k]);
-                    }
-                }
+                x.as_mut_slice().copy_from_slice(&scr.x_prev[..r * k]);
                 scr.stats.guard_fallbacks = 1;
             }
         }
@@ -473,13 +464,8 @@ impl BppScratch {
             if !scan.nonneg {
                 f_in = None;
             }
-            // Keep the row for the guard, unless it is all +0.0 (restored
-            // by a fill) or the guard is off.
-            let zero_in = scan.support == 0 && x.row(i).iter().all(|v| v.to_bits() == 0);
             if let Some(f) = f_in {
-                if !zero_in {
-                    x_prev[at.clone()].copy_from_slice(x.row(i));
-                }
+                x_prev[at.clone()].copy_from_slice(x.row(i));
                 f_in = Some(objective.add_row(f, x.row(i), ctb.row(i), scan.support));
             }
             // Nonnegative, the nonzeros are the positive entries.
@@ -492,7 +478,6 @@ impl BppScratch {
                 passive,
                 best_infeasible: k as u32 + 1,
                 budget: backup_budget,
-                zero_in,
             });
             // y is written only for a row that stays on the pending
             // list: nothing reads a finished row's dual.
@@ -501,8 +486,9 @@ impl BppScratch {
                 // x = 0, written unless every entry is +0.0 already (a
                 // row can hold -0.0, or a negative or NaN when it was not
                 // nonnegative).
-                if !zero_in {
-                    x.row_mut(i).fill(0.0);
+                let xi = x.row_mut(i);
+                if xi.iter().any(|v| v.to_bits() != 0) {
+                    xi.fill(0.0);
                 }
                 let bi = ctb.row(i);
                 let done = !bi.iter().fold(false, |up, &c| up | (c > 0.0));
@@ -1017,8 +1003,8 @@ mod tests {
 
     #[test]
     fn guard_restores_zero_rows_bit_for_bit() {
-        // As above, plus rows of +0.0 (kept by a fill, not a copy) and of
-        // -0.0 (copied): the fallback hands back every incoming bit.
+        // As above, plus rows of +0.0 and of -0.0, which pass 1 rewrites
+        // as x = 0: the fallback hands back every incoming bit.
         let (g, ctb) = instance(6, 20, 41);
         let mut x = Mat::zeros(20, 6);
         Bpp::default().solve(&g, &ctb, &mut x);
