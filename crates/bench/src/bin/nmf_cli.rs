@@ -35,8 +35,9 @@
 //! `--json` replaces the human-readable report with one JSON object per
 //! fitted rank on stdout (objective, iterations, stop reason, per-task
 //! compute times — totals, and per iteration the slowest and the fastest
-//! rank — per-collective communication words/messages plus split-phase
-//! posts and overlap/in-flight seconds, `balance`: how the input was
+//! rank — per-collective communication words/messages (its `posts`,
+//! `overlap_seconds` and `inflight_seconds` read zero: every collective
+//! completes where it is called), `balance`: how the input was
 //! dealt and, per rank, what it holds and `at_w`, the kernel its `Aᵀ·W`
 //! runs on (`"dense"` packed panels, the `"csr"` transposed pass or the
 //! `"csc"` column-forward pass — the engine's own dispatch rule), and
@@ -47,10 +48,6 @@
 //! is its extracted blocks instead — and `peak_rss_bytes`, the process's
 //! peak resident set so far (`VmHWM`, `null` where `/proc/self/status`
 //! cannot be read)) for scripted benchmarking and model selection.
-//!
-//! The HPC scheme always runs its split-phase schedule (see
-//! `docs/comm-overlap.md`); what overlap buys is measured by
-//! `benchmark/`, which times every collective both ways on each run.
 //!
 //! Flags are declared once, in an `hpc_nmf::flags` table (the request
 //! flags in the part `nmf_serve_client` shares), which also renders
@@ -634,13 +631,6 @@ fn print_human(
                 op.name(),
                 s.words,
                 s.messages
-            );
-        }
-        if comm.total_posts() > 0 {
-            println!(
-                "  overlap: {} split-phase posts, {:.3?} of compute hidden in flight",
-                comm.total_posts(),
-                comm.total_overlap()
             );
         }
     }

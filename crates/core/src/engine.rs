@@ -68,8 +68,7 @@ use nmf_matrix::pack::b_scratch_len;
 use nmf_matrix::{matmul_packed_scratch_into, matmul_scratch_into, Mat};
 use nmf_nls::NlsSolver;
 use nmf_sparse::{spmm_at_dense_csc_into, spmm_at_dense_into, spmm_dense_t_into, CscView};
-use nmf_vmpi::{Comm, CommStats, PendingOp};
-use std::cell::RefCell;
+use nmf_vmpi::{Comm, CommStats};
 use std::time::{Duration, Instant};
 
 /// The data matrix as one rank sees it. It enters the algorithm only
@@ -194,15 +193,11 @@ pub enum RhsSource {
 
 /// A communication layout for the ANLS iteration: everything that
 /// distinguishes Algorithms 2 and 3 from each other. [`AnlsEngine::step`]
-/// drives the iteration through post/wait pairs in a fixed order — post
-/// H gather, post `HHᵀ` reduction, wait H gather, (engine MM), post W
-/// scatter, wait `HHᵀ`, wait W scatter, (engine solve), then the H-side
-/// mirror, then the objective reduction — so a scheme can put a
-/// collective in flight at the post hook and run the next local product
-/// before completing it at the wait hook. A scheme without split-phase
-/// collectives does its Gram reduction whole at the post hook and
-/// everything else at the wait hook; hooks it has no work for keep the
-/// empty default.
+/// runs the paper's synchronous schedule through one hook per schedule
+/// point and side — assemble H (the gather and the global `HHᵀ`),
+/// (engine MM), reduce the W right-hand side, (engine solve), then the
+/// H-side mirror, then the objective reduction. Every collective a hook
+/// starts has completed when it returns.
 ///
 /// Compute performed inside a hook (the Gram products) is timed into the
 /// caller's [`TaskTimes`]; communication is accounted separately by the
@@ -221,61 +216,31 @@ pub trait CommScheme {
     /// Sums a scalar across ranks (the `‖A‖²` setup reduction).
     fn reduce_scalar(&self, x: f64) -> f64;
 
-    /// Puts the gather assembling the `Hᵀ` block the local `A·Hᵀ` needs
-    /// in flight.
-    fn post_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) {
-        let _ = (ws, ht_local);
-    }
-
-    /// Completes the H assembly (into `ws.ht_gather`) and says where to
-    /// read the block.
-    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource;
-
-    /// Starts the reduction that leaves the *global* Gram `HHᵀ`,
-    /// un-ridged, in `ws.gram_solve`.
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes);
-
-    /// Completes the `HHᵀ` reduction into `ws.gram_solve`.
-    fn wait_reduce_gram_h(&self, ws: &mut IterWorkspace) {
-        let _ = ws;
-    }
-
-    /// Puts the W-side reduce-scatter of `ws.mm_w` in flight.
-    fn post_reduce_scatter_w(&self, ws: &mut IterWorkspace) {
-        let _ = ws;
-    }
+    /// Assembles the `Hᵀ` block the local `A·Hᵀ` needs (into
+    /// `ws.ht_gather`, or nowhere when the local slice already is the
+    /// block), leaves the *global* Gram `HHᵀ`, un-ridged, in
+    /// `ws.gram_solve`, and says where to read the block.
+    fn assemble_h(
+        &self,
+        ws: &mut IterWorkspace,
+        ht_local: &Mat,
+        tt: &mut TaskTimes,
+    ) -> FactorSource;
 
     /// Reduces `ws.mm_w` to this rank's right-hand side for the `W`
     /// solve and says where it landed.
-    fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource;
+    fn reduce_w(&self, ws: &mut IterWorkspace) -> RhsSource;
 
-    /// Puts the gather assembling the `W` block the local `Aᵀ·W` needs
-    /// in flight.
-    fn post_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) {
-        let _ = (ws, w_local);
-    }
-
-    /// Completes the W assembly (into `ws.w_gather`) and says where to
-    /// read the block.
-    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource;
-
-    /// Starts the reduction that leaves the *global* Gram `WᵀW`,
-    /// un-ridged, in `ws.gram_w` (it is also read by the objective).
-    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes);
-
-    /// Completes the `WᵀW` reduction into `ws.gram_w`.
-    fn wait_reduce_gram_w(&self, ws: &mut IterWorkspace) {
-        let _ = ws;
-    }
-
-    /// Puts the H-side reduce-scatter of `ws.mm_h` in flight.
-    fn post_reduce_scatter_h(&self, ws: &mut IterWorkspace) {
-        let _ = ws;
-    }
+    /// Assembles the `W` block the local `Aᵀ·W` needs (into
+    /// `ws.w_gather`, or nowhere), leaves the *global* Gram `WᵀW`,
+    /// un-ridged, in `ws.gram_w` (it is also read by the objective), and
+    /// says where to read the block.
+    fn assemble_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes)
+        -> FactorSource;
 
     /// Reduces `ws.mm_h` to this rank's right-hand side for the `H`
     /// solve and says where it landed.
-    fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource;
+    fn reduce_h(&self, ws: &mut IterWorkspace) -> RhsSource;
 
     /// Sums the objective terms (and, when present, the wall-clock
     /// budget flag) across ranks, in place.
@@ -283,16 +248,6 @@ pub trait CommScheme {
 
     /// Snapshot of this rank's cumulative communication counters.
     fn comm_stats(&self) -> CommStats;
-
-    /// Whether the engine may post the *next* iteration's H-side
-    /// collectives (`post_gather_h` / `post_reduce_gram_h`) before this
-    /// iteration's objective reduction, letting them ride its wake
-    /// chain. Only a scheme whose post hooks return with the collective
-    /// still in flight may say yes: work executed at the post site must
-    /// not move across the iteration boundary.
-    fn prefetch_across_iterations(&self) -> bool {
-        false
-    }
 }
 
 /// Naive-Parallel-NMF (Algorithm 2): the Fairbanks et al. baseline.
@@ -342,7 +297,12 @@ impl CommScheme for Replicated1D<'_> {
         self.comm.all_reduce_scalar(x)
     }
 
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, ht_local: &Mat, tt: &mut TaskTimes) {
+    fn assemble_h(
+        &self,
+        ws: &mut IterWorkspace,
+        ht_local: &Mat,
+        tt: &mut TaskTimes,
+    ) -> FactorSource {
         // Line 3: collect the whole of H on each processor, then the
         // redundant Gram — every rank computes HHᵀ itself, straight into
         // the solve buffer.
@@ -354,21 +314,21 @@ impl CommScheme for Replicated1D<'_> {
         let t0 = Instant::now();
         gram_into(&ws.ht_gather, &mut ws.gram_solve);
         tt.gram += t0.elapsed();
-    }
-
-    fn wait_gather_h(&self, _ws: &mut IterWorkspace, _ht_local: &Mat) -> FactorSource {
-        // Already assembled by `post_reduce_gram_h` (the gather feeds
-        // both the Gram and the MM in Algorithm 2).
         FactorSource::Gathered
     }
 
-    fn wait_reduce_scatter_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn reduce_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
         // Aᵢ is a full row block, so AᵢHᵀ already is this rank's
         // right-hand side.
         RhsSource::Mm
     }
 
-    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
+    fn assemble_w(
+        &self,
+        ws: &mut IterWorkspace,
+        w_local: &Mat,
+        tt: &mut TaskTimes,
+    ) -> FactorSource {
         // Line 5: collect the whole of W, then the redundant Gram.
         self.comm.all_gatherv_into(
             w_local.as_slice(),
@@ -378,13 +338,10 @@ impl CommScheme for Replicated1D<'_> {
         let t0 = Instant::now();
         gram_into(&ws.w_gather, &mut ws.gram_w);
         tt.gram += t0.elapsed();
-    }
-
-    fn wait_gather_w(&self, _ws: &mut IterWorkspace, _w_local: &Mat) -> FactorSource {
         FactorSource::Gathered
     }
 
-    fn wait_reduce_scatter_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn reduce_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
         RhsSource::Mm
     }
 
@@ -414,13 +371,11 @@ impl CommScheme for Replicated1D<'_> {
 /// A grid dimension of one rank is the identity: with `pc = 1` a rank's
 /// `W` slice is its whole `Wᵢ` and its `AᵢⱼHⱼᵀ` its whole right-hand
 /// side, so the W-side gather and reduce-scatter are skipped (nothing
-/// posted, nothing copied, no buffer for them) and the engine reads
+/// called, nothing copied, no buffer for them) and the engine reads
 /// `w_local` and `mm_w` where they lie; `pr = 1` does the same for the
 /// H side. Those collectives would send nothing, so words and messages
-/// are unchanged; only the split-phase post count drops, from seven per
-/// iteration to five on a `pr×1` or `1×pc` grid and three on a 1×1 grid
-/// (the two Gram all-reduces and the objective's, which stay on the
-/// world communicator at any `p`).
+/// are unchanged. The two Gram all-reduces and the objective's stay on
+/// the world communicator at any `p`.
 ///
 /// # Performance notes: the zero-allocation iteration loop
 ///
@@ -432,11 +387,11 @@ impl CommScheme for Replicated1D<'_> {
 ///    allocated once before the loop and overwritten in place each
 ///    iteration ([`nmf_matrix::matmul_into`], `gram_into`,
 ///    `mm_a_ht_into`, …);
-/// 2. the collectives are the `post_*`/`wait` and `_into` forms
-///    ([`Comm::post_all_reduce`](nmf_vmpi::Comm::post_all_reduce),
-///    [`Comm::all_reduce_into`](nmf_vmpi::Comm::all_reduce_into) & co.),
-///    which complete into those workspace buffers and draw their round
-///    staging from a per-rank arena inside the communicator;
+/// 2. the collectives are the `_into` forms
+///    ([`Comm::all_reduce_into`](nmf_vmpi::Comm::all_reduce_into),
+///    [`Comm::all_gatherv_into`](nmf_vmpi::Comm::all_gatherv_into) &
+///    co.), which complete into those workspace buffers and draw their
+///    round staging from a per-rank arena inside the communicator;
 /// 3. the NLS solvers hold their pivoting state and factorization
 ///    buffers in solver-owned scratch reused across iterations.
 ///
@@ -458,31 +413,6 @@ pub struct Grid2D<'c> {
     w_counts: Vec<usize>,
     h_counts: Vec<usize>,
     k: usize,
-    /// Whether collectives go in flight at their post hook. When false
-    /// every slot stays empty and each collective runs whole at its wait
-    /// hook — same words, same tags, no overlap.
-    overlap: bool,
-    /// The collectives currently in flight, indexed by [`Slot`]; all
-    /// empty when overlap is disabled. Interior mutability because the
-    /// `CommScheme` hooks take `&self`.
-    pending: RefCell<[Option<PendingOp>; Slot::COUNT]>,
-}
-
-/// The schedule points of a [`Grid2D`] step that can hold a collective
-/// in flight, in the order the step posts them.
-#[derive(Clone, Copy)]
-enum Slot {
-    GatherH,
-    GramH,
-    ScatterW,
-    GatherW,
-    GramW,
-    ScatterH,
-    Objective,
-}
-
-impl Slot {
-    const COUNT: usize = Slot::Objective as usize + 1;
 }
 
 impl<'c> Grid2D<'c> {
@@ -522,48 +452,6 @@ impl<'c> Grid2D<'c> {
             w_counts: Dist1D::new(lay.rows.len, grid.pc).lens_scaled(k),
             h_counts: Dist1D::new(lay.cols.len, grid.pr).lens_scaled(k),
             k,
-            overlap: true,
-            pending: RefCell::default(),
-        }
-    }
-
-    /// Enables or disables the split-phase overlapped schedule
-    /// (default: enabled). Disabled, the scheme is the synchronous
-    /// reference `tests/overlap_equivalence.rs` compares against. Must
-    /// agree across ranks — the schedule is part of the collective call
-    /// sequence.
-    #[must_use]
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// The one place that chooses the schedule: overlapped, `post` puts
-    /// its collective in flight in `slot`; otherwise the slot stays empty
-    /// and [`complete`](Self::complete) runs the collective whole.
-    fn post(&self, slot: Slot, post: impl FnOnce() -> PendingOp) {
-        if self.overlap {
-            let op = post();
-            self.pending.borrow_mut()[slot as usize] = Some(op);
-        }
-    }
-
-    /// Completes the collective of `slot` into `out`. An in-flight op is
-    /// taken out of its slot and waited, advancing every *other*
-    /// in-flight op whenever the wait would park: with ranks
-    /// oversubscribed onto few cores that batches all arrived rounds of
-    /// all pending collectives into one thread activation instead of
-    /// waking once per round of one op. An empty slot runs `sync`, the
-    /// same collective's synchronous form.
-    fn complete(&self, slot: Slot, out: &mut [f64], sync: impl FnOnce(&mut [f64])) {
-        let taken = self.pending.borrow_mut()[slot as usize].take();
-        match taken {
-            Some(op) => op.wait_with(out, || {
-                for other in self.pending.borrow_mut().iter_mut().flatten() {
-                    other.try_progress();
-                }
-            }),
-            None => sync(out),
         }
     }
 
@@ -599,178 +487,105 @@ impl CommScheme for Grid2D<'_> {
         self.world.all_reduce_scalar(x)
     }
 
-    // Per-communicator collective order is the same with and without
-    // overlap (world: Gram-H, Gram-W, objective; column: gather-H,
-    // scatter-H; row: scatter-W, gather-W), so tags, words, and messages
-    // on the wire are exactly the same — only the *schedule* changes:
-    // overlapped, each collective is posted as soon as its operand
-    // exists and waited only when its result is consumed, letting the
-    // local MM products run inside the communication windows.
+    // Per communicator the collectives run in one order — world: Gram-H,
+    // Gram-W, objective; column: gather-H, scatter-H; row: scatter-W,
+    // gather-W. Each Gram all-reduce runs right after its side's gather,
+    // before the MM: of the two synchronous orders measured, the faster
+    // on `webbase_bpp` (docs/comm-overlap.md).
     //
     // A grid dimension of one rank is the identity (see the type docs):
     // `pr = 1` skips the H-side gather and reduce-scatter below, `pc = 1`
     // the W-side pair.
 
-    fn post_gather_h(&self, _ws: &mut IterWorkspace, ht_local: &Mat) {
-        if self.grid.pr == 1 {
-            return;
-        }
-        // Line 5: assemble Hⱼ (as Hⱼᵀ, n/pc × k) via all-gather across
-        // the processor column.
-        self.post(Slot::GatherH, || {
-            self.col_comm
-                .post_all_gatherv(ht_local.as_slice(), &self.h_counts)
-        });
+    fn assemble_h(
+        &self,
+        ws: &mut IterWorkspace,
+        ht_local: &Mat,
+        _tt: &mut TaskTimes,
+    ) -> FactorSource {
+        let src = if self.grid.pr == 1 {
+            FactorSource::Local
+        } else {
+            // Line 5: assemble Hⱼ (as Hⱼᵀ, n/pc × k) via all-gather
+            // across the processor column.
+            self.col_comm.all_gatherv_into(
+                ht_local.as_slice(),
+                &self.h_counts,
+                ws.ht_gather.as_mut_slice(),
+            );
+            FactorSource::Gathered
+        };
+        // Line 4: HHᵀ = Σᵢⱼ Uᵢⱼ, all-reduce across all ranks, straight
+        // into the solve buffer. The local Gram is already in
+        // `gram_local` (`prime` on the first iteration, the previous
+        // objective evaluation afterwards).
+        ws.gram_solve.copy_from(&ws.gram_local);
+        self.world.all_reduce_into(ws.gram_solve.as_mut_slice());
+        src
     }
 
-    fn wait_gather_h(&self, ws: &mut IterWorkspace, ht_local: &Mat) -> FactorSource {
-        if self.grid.pr == 1 {
-            return FactorSource::Local;
-        }
-        self.complete(Slot::GatherH, ws.ht_gather.as_mut_slice(), |out| {
-            self.col_comm
-                .all_gatherv_into(ht_local.as_slice(), &self.h_counts, out)
-        });
-        FactorSource::Gathered
-    }
-
-    fn post_reduce_gram_h(&self, ws: &mut IterWorkspace, _ht_local: &Mat, _tt: &mut TaskTimes) {
-        // Line 4: HHᵀ = Σᵢⱼ Uᵢⱼ, all-reduce across all ranks. The local
-        // Gram is already in `gram_local` (`prime` on the first
-        // iteration, the previous objective evaluation afterwards) and
-        // is not written again before the wait.
-        self.post(Slot::GramH, || {
-            self.world.post_all_reduce(ws.gram_local.as_slice())
-        });
-    }
-
-    fn wait_reduce_gram_h(&self, ws: &mut IterWorkspace) {
-        // Straight into the solve buffer.
-        self.complete(Slot::GramH, ws.gram_solve.as_mut_slice(), |out| {
-            out.copy_from_slice(ws.gram_local.as_slice());
-            self.world.all_reduce_into(out);
-        });
-    }
-
-    fn post_reduce_scatter_w(&self, ws: &mut IterWorkspace) {
+    fn reduce_w(&self, ws: &mut IterWorkspace) -> RhsSource {
         if self.grid.pc == 1 {
-            return;
+            return RhsSource::Mm;
         }
         // Line 7: (AHᵀ)ᵢ via reduce-scatter across the processor row;
         // this rank keeps ((AHᵀ)ᵢ)ⱼ (m/p × k).
-        self.post(Slot::ScatterW, || {
-            self.row_comm
-                .post_reduce_scatter(ws.mm_w.as_slice(), &self.w_counts)
-        });
-    }
-
-    fn wait_reduce_scatter_w(&self, ws: &mut IterWorkspace) -> RhsSource {
-        if self.grid.pc == 1 {
-            return RhsSource::Mm;
-        }
-        self.complete(Slot::ScatterW, ws.aht.as_mut_slice(), |out| {
-            self.row_comm
-                .reduce_scatter_into(ws.mm_w.as_slice(), &self.w_counts, out)
-        });
+        self.row_comm.reduce_scatter_into(
+            ws.mm_w.as_slice(),
+            &self.w_counts,
+            ws.aht.as_mut_slice(),
+        );
         RhsSource::Scattered
     }
 
-    fn post_gather_w(&self, _ws: &mut IterWorkspace, w_local: &Mat) {
-        if self.grid.pc == 1 {
-            return;
-        }
-        // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
-        // processor row.
-        self.post(Slot::GatherW, || {
-            self.row_comm
-                .post_all_gatherv(w_local.as_slice(), &self.w_counts)
-        });
-    }
-
-    fn wait_gather_w(&self, ws: &mut IterWorkspace, w_local: &Mat) -> FactorSource {
-        if self.grid.pc == 1 {
-            return FactorSource::Local;
-        }
-        self.complete(Slot::GatherW, ws.w_gather.as_mut_slice(), |out| {
-            self.row_comm
-                .all_gatherv_into(w_local.as_slice(), &self.w_counts, out)
-        });
-        FactorSource::Gathered
-    }
-
-    fn post_reduce_gram_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes) {
-        // Line 9: Xᵢⱼ = (Wᵢ)ⱼᵀ(Wᵢ)ⱼ; line 10: WᵀW all-reduce.
+    fn assemble_w(
+        &self,
+        ws: &mut IterWorkspace,
+        w_local: &Mat,
+        tt: &mut TaskTimes,
+    ) -> FactorSource {
+        // Line 9: Xᵢⱼ = (Wᵢ)ⱼᵀ(Wᵢ)ⱼ.
         let t0 = Instant::now();
         gram_into(w_local, &mut ws.gram_local);
         tt.gram += t0.elapsed();
-        self.post(Slot::GramW, || {
-            self.world.post_all_reduce(ws.gram_local.as_slice())
-        });
+        let src = if self.grid.pc == 1 {
+            FactorSource::Local
+        } else {
+            // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
+            // processor row.
+            self.row_comm.all_gatherv_into(
+                w_local.as_slice(),
+                &self.w_counts,
+                ws.w_gather.as_mut_slice(),
+            );
+            FactorSource::Gathered
+        };
+        // Line 10: WᵀW all-reduce.
+        ws.gram_w.copy_from(&ws.gram_local);
+        self.world.all_reduce_into(ws.gram_w.as_mut_slice());
+        src
     }
 
-    fn wait_reduce_gram_w(&self, ws: &mut IterWorkspace) {
-        self.complete(Slot::GramW, ws.gram_w.as_mut_slice(), |out| {
-            out.copy_from_slice(ws.gram_local.as_slice());
-            self.world.all_reduce_into(out);
-        });
-    }
-
-    fn post_reduce_scatter_h(&self, ws: &mut IterWorkspace) {
-        if self.grid.pr == 1 {
-            return;
-        }
-        // Line 13: (WᵀA)ⱼ via reduce-scatter across the processor
-        // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed).
-        self.post(Slot::ScatterH, || {
-            self.col_comm
-                .post_reduce_scatter(ws.mm_h.as_slice(), &self.h_counts)
-        });
-    }
-
-    fn wait_reduce_scatter_h(&self, ws: &mut IterWorkspace) -> RhsSource {
+    fn reduce_h(&self, ws: &mut IterWorkspace) -> RhsSource {
         if self.grid.pr == 1 {
             return RhsSource::Mm;
         }
-        self.complete(Slot::ScatterH, ws.wta.as_mut_slice(), |out| {
-            self.col_comm
-                .reduce_scatter_into(ws.mm_h.as_slice(), &self.h_counts, out)
-        });
+        // Line 13: (WᵀA)ⱼ via reduce-scatter across the processor
+        // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed).
+        self.col_comm.reduce_scatter_into(
+            ws.mm_h.as_slice(),
+            &self.h_counts,
+            ws.wta.as_mut_slice(),
+        );
         RhsSource::Scattered
     }
 
     fn reduce_objective_terms(&self, terms: &mut [f64]) {
-        // Posted and completed back to back: every park of this
-        // latency-bound reduction also advances the prefetched
-        // next-iteration collectives (see the engine's cross-iteration
-        // prefetch).
-        self.post(Slot::Objective, || self.world.post_all_reduce(terms));
-        self.complete(Slot::Objective, terms, |out| {
-            self.world.all_reduce_into(out)
-        });
+        self.world.all_reduce_into(terms);
     }
 
     fn comm_stats(&self) -> CommStats {
         self.world.stats()
-    }
-
-    fn prefetch_across_iterations(&self) -> bool {
-        self.overlap
-    }
-}
-
-impl Drop for Grid2D<'_> {
-    fn drop(&mut self) {
-        // A prefetched collective can still be in flight when an engine
-        // is dropped mid-run. Peers' rounds depend on this rank's sends,
-        // so each op is driven to completion and its result discarded —
-        // leaking it would deadlock the universe silently.
-        if std::thread::panicking() {
-            // Peers may be gone; PendingOp's own Drop copes with this.
-            return;
-        }
-        for op in self.pending.get_mut().iter_mut().filter_map(Option::take) {
-            op.discard();
-        }
     }
 }
 
@@ -851,9 +666,6 @@ pub struct AnlsEngine<'a, S: CommScheme> {
     /// checkpoint); added to `started.elapsed()` for budget decisions.
     prior_elapsed: Duration,
     stop: Option<StopReason>,
-    /// Whether the previous `step` already posted this iteration's
-    /// H-side collectives (the cross-iteration prefetch — see `step`).
-    prefetched: bool,
 }
 
 impl<'a, S: CommScheme> AnlsEngine<'a, S> {
@@ -914,7 +726,6 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
             started: Instant::now(),
             prior_elapsed: Duration::ZERO,
             stop: None,
-            prefetched: false,
         }
     }
 
@@ -932,21 +743,10 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         let ws = &mut self.ws;
 
         /* ---- Compute W given H ----
-         * Split-phase schedule: the H gather and the HHᵀ reduction go in
-         * flight first, then the local A·Hᵀ product runs while the Gram
-         * all-reduce is still on the wire; the W reduce-scatter is posted
-         * the moment its operand exists. A scheme without split-phase
-         * collectives does each one whole inside one hook of the pair
-         * and so executes the classic ordered schedule. */
-        if self.prefetched {
-            // The previous step already put this iteration's H gather
-            // and Gram reduction on the wire (see the prefetch below).
-            self.prefetched = false;
-        } else {
-            self.scheme.post_gather_h(ws, &self.ht_local);
-            self.scheme.post_reduce_gram_h(ws, &self.ht_local, &mut tt);
-        }
-        let h_src = self.scheme.wait_gather_h(ws, &self.ht_local);
+         * The paper's synchronous order: the H gather and the HHᵀ
+         * reduction, the local A·Hᵀ product, then the W reduce-scatter —
+         * each collective complete before the kernel that reads it. */
+        let h_src = self.scheme.assemble_h(ws, &self.ht_local, &mut tt);
         let t0 = Instant::now();
         {
             let hmat = match h_src {
@@ -956,9 +756,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
             self.data.mm_a_ht_into(&mut ws.pack, hmat, &mut ws.mm_w);
         }
         tt.mm += t0.elapsed();
-        self.scheme.post_reduce_scatter_w(ws);
-        self.scheme.wait_reduce_gram_h(ws);
-        let w_rhs = self.scheme.wait_reduce_scatter_w(ws);
+        let w_rhs = self.scheme.reduce_w(ws);
         let t0 = Instant::now();
         apply_ridge(&mut ws.gram_solve, self.config.l2_w);
         {
@@ -971,9 +769,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         tt.nls += t0.elapsed();
 
         /* ---- Compute H given W ---- (mirror of the W side) */
-        self.scheme.post_gather_w(ws, &self.w_local);
-        self.scheme.post_reduce_gram_w(ws, &self.w_local, &mut tt);
-        let w_src = self.scheme.wait_gather_w(ws, &self.w_local);
+        let w_src = self.scheme.assemble_w(ws, &self.w_local, &mut tt);
         let t0 = Instant::now();
         {
             let wmat = match w_src {
@@ -983,9 +779,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
             self.data.mm_at_w_into(&mut ws.pack, wmat, &mut ws.mm_h);
         }
         tt.mm += t0.elapsed();
-        self.scheme.post_reduce_scatter_h(ws);
-        self.scheme.wait_reduce_gram_w(ws);
-        let h_rhs = self.scheme.wait_reduce_scatter_h(ws);
+        let h_rhs = self.scheme.reduce_h(ws);
         let t0 = Instant::now();
         ws.gram_solve.copy_from(&ws.gram_w);
         apply_ridge(&mut ws.gram_solve, self.config.l2_h);
@@ -1026,25 +820,6 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         } else {
             2
         };
-        /* ---- Cross-iteration prefetch ----
-         * Under a fixed-iteration policy the next step is certain to
-         * run, so its H gather and HHᵀ reduction (whose operands —
-         * `ht_local` and the objective's `gram_local` — are final) go on
-         * the wire now and ride the objective reduction's wake chain:
-         * every rank the all-reduce wakes also drains the prefetched
-         * rounds, instead of starting them cold next step. Gated to
-         * split-phase schemes (`prefetch_across_iterations`) because the
-         * others execute work at the post site, and to iterations
-         * that are certain to happen so the total op count — which the
-         * exact communication-cost accounting pins — is unchanged. */
-        if self.scheme.prefetch_across_iterations()
-            && self.policy == ConvergencePolicy::MaxIters
-            && self.iterations_done + 1 < self.config.max_iters
-        {
-            self.scheme.post_gather_h(ws, &self.ht_local);
-            self.scheme.post_reduce_gram_h(ws, &self.ht_local, &mut tt);
-            self.prefetched = true;
-        }
         self.scheme.reduce_objective_terms(&mut terms[..nterms]);
         let objective = self.norm_a_sq - 2.0 * terms[0] + terms[1];
 

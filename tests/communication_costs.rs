@@ -247,3 +247,52 @@ fn communication_is_independent_of_solver() {
     assert_eq!(words[0], words[1]);
     assert_eq!(words[1], words[2]);
 }
+
+#[test]
+fn every_iteration_record_carries_one_iterations_words() {
+    // Each collective completes inside the step that starts it, so a
+    // model's per-iteration records are all alike — on a full grid, on
+    // either one-dimensional grid, and under Naive — and Grid2D's match
+    // Table 2's per-iteration words exactly.
+    let (m, n, k, iters) = (48, 36, 4, 5);
+    let input = Input::Dense(Mat::uniform(m, n, 11));
+    let config = NmfConfig::new(k)
+        .with_max_iters(iters)
+        .with_convergence(ConvergencePolicy::MaxIters);
+    for (algo, p) in [
+        (Algo::HpcGrid(Grid::new(2, 2)), 4),
+        (Algo::HpcGrid(Grid::new(1, 2)), 2),
+        (Algo::HpcGrid(Grid::new(2, 1)), 2),
+        (Algo::Naive, 3),
+    ] {
+        let mut model = Nmf::on(&input)
+            .config(config)
+            .algo(algo)
+            .ranks(p)
+            .build()
+            .expect("valid request");
+        model.run();
+        let records = model.records();
+        assert_eq!(records.len(), iters, "{algo:?}");
+        let first = &records[0].comm;
+        for (i, rec) in records.iter().enumerate() {
+            for op in Op::ALL {
+                let (got, want) = (rec.comm.op(op), first.op(op));
+                assert_eq!(
+                    (got.words, got.messages),
+                    (want.words, want.messages),
+                    "{algo:?} iteration {i}: {} differs from iteration 0",
+                    op.name()
+                );
+            }
+        }
+        if let Algo::HpcGrid(grid) = algo {
+            let over_col = ag_words(grid.pr, n / grid.pc * k);
+            let over_row = ag_words(grid.pc, m / grid.pr * k);
+            for rec in records {
+                assert_eq!(rec.comm.op(Op::AllGather).words, over_col + over_row);
+                assert_eq!(rec.comm.op(Op::ReduceScatter).words, over_row + over_col);
+            }
+        }
+    }
+}
