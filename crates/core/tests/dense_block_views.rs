@@ -14,8 +14,9 @@ use byte_counting::bytes_during;
 use hpc_nmf::dist::RankLayout;
 use hpc_nmf::prelude::*;
 use hpc_nmf::ShardKey;
+use nmf_matrix::pack::MR;
 use nmf_matrix::rng::Fill;
-use nmf_matrix::{simd, Mat};
+use nmf_matrix::Mat;
 use std::sync::Mutex;
 
 /// The tests share one global byte counter; one at a time.
@@ -93,7 +94,6 @@ fn dense_sharding_allocates_no_bytes_of_a() {
 /// rank's engine packs from the block its `Aᵀ·W` reads (Naive's column
 /// stripe `m × n/p`, a grid block otherwise), rows padded to `MR`.
 fn at_panel_bytes(key: ShardKey) -> u64 {
-    let mr = simd::active().mr;
     let col_block = |lay: &RankLayout| match key {
         ShardKey::Naive { .. } => (M, lay.cols.len),
         _ => (lay.rows.len, lay.cols.len),
@@ -102,7 +102,7 @@ fn at_panel_bytes(key: ShardKey) -> u64 {
         .iter()
         .map(|lay| {
             let (m_loc, n_loc) = col_block(lay);
-            8 * (n_loc.div_ceil(mr) * mr * m_loc) as u64
+            8 * (n_loc.div_ceil(MR) * MR * m_loc) as u64
         })
         .sum()
 }

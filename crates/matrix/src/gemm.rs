@@ -25,11 +25,11 @@
 //!    panels while reading `A` row-by-row
 //!    ([`PackedPanels::pack_transposed`]), never materializing a
 //!    transpose.
-//! 2. **Microkernel** ([`simd`]): an `MR×NR` register
-//!    block of `C` accumulates across a whole `KC`-deep panel. On
-//!    AVX2+FMA hosts this is a 6×8 intrinsics kernel (twelve `ymm`
-//!    accumulators saturating both FMA ports); elsewhere a portable 4×8
-//!    scalar kernel that LLVM autovectorizes. The choice is made once
+//! 2. **Microkernel** ([`simd`]): a 6×8 register block of `C`
+//!    accumulates across a whole `KC`-deep panel. On AVX2+FMA hosts
+//!    this is an intrinsics kernel (twelve `ymm` accumulators saturating
+//!    both FMA ports); elsewhere a portable kernel that fuses in the
+//!    same order, so both give the same bits. The choice is made once
 //!    per process (`is_x86_feature_detected!`, cached in a `OnceLock`)
 //!    and can be pinned to the fallback with `NMF_FORCE_SCALAR=1`.
 //! 3. **Amortized packing**: `B` tiles are packed into scratch that grows
@@ -51,7 +51,7 @@
 //! kernels on its local blocks.
 
 use crate::mat::{Mat, MatRef};
-use crate::pack::{pack_b_block, pack_panel, PackedPanels, KC, NR};
+use crate::pack::{pack_b_block, pack_panel, PackedPanels, KC, MR, NR};
 use crate::simd;
 use std::cell::RefCell;
 
@@ -122,9 +122,7 @@ pub fn matmul_scratch_into<'a>(
 /// `P`, only the (cheap, `kdim×n`) `B` tiles are packed per call.
 ///
 /// # Panics
-/// Panics on shape mismatch, or if `p` was packed under a different
-/// kernel dispatch than the currently active one (impossible within one
-/// process — dispatch is cached — but guarded for clarity).
+/// Panics on shape mismatch.
 pub fn matmul_packed_into(p: &PackedPanels, b: &Mat, c: &mut Mat) {
     SCRATCH.with(|s| {
         matmul_packed_scratch_into(p, b, c, &mut s.borrow_mut().bpack);
@@ -147,11 +145,6 @@ pub fn matmul_packed_scratch_into(p: &PackedPanels, b: &Mat, c: &mut Mat, bpack:
         c.shape(),
         (m, b.ncols()),
         "matmul_packed output shape mismatch"
-    );
-    assert_eq!(
-        p.mr(),
-        simd::active().mr,
-        "packed panels built for a different microkernel geometry"
     );
     c.as_mut_slice().fill(0.0);
     gemm(
@@ -199,74 +192,57 @@ fn gemm(left: Left<'_>, b: &[f64], n: usize, c: &mut [f64], bpack: &mut Vec<f64>
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
-    let cfg = simd::active();
-    let mr = cfg.mr;
+    let kernel = match simd::active() {
+        #[cfg(target_arch = "x86_64")]
+        simd::KernelPath::Avx2Fma => simd::kernel_6x8_avx2,
+        _ => simd::kernel_6x8_scalar,
+    };
     let ntiles = n.div_ceil(NR);
-    let mut edge = [0.0f64; simd::MR_AVX2 * KC];
-    debug_assert!(mr <= simd::MR_AVX2);
+    let mut edge = [0.0f64; MR * KC];
     let mut k0 = 0;
     while k0 < kdim {
         let kc = KC.min(kdim - k0);
         pack_b_block(b, n, k0, kc, bpack);
         let mut i0 = 0;
         while i0 < m {
-            let mr_eff = mr.min(m - i0);
+            let mr_eff = MR.min(m - i0);
             let (pa, rs, ds) = match left {
-                Left::Packed(p) => (p.panel(k0, kc, i0), 1, mr),
-                Left::InPlace(a) if mr_eff == mr => (a.tail(i0, k0), a.ld(), 1),
+                Left::Packed(p) => (p.panel(k0, kc, i0), 1, MR),
+                Left::InPlace(a) if mr_eff == MR => (a.tail(i0, k0), a.ld(), 1),
                 Left::InPlace(a) => {
-                    pack_panel(a, (i0, mr_eff), (k0, kc), mr, &mut edge);
-                    (&edge[..mr * kc], 1, mr)
+                    pack_panel(a, (i0, mr_eff), (k0, kc), &mut edge);
+                    (&edge[..MR * kc], 1, MR)
                 }
             };
             // What the kernels' reads of `pa` rely on.
             assert!(
-                pa.len() > (mr - 1) * rs + (kc - 1) * ds,
+                pa.len() > (MR - 1) * rs + (kc - 1) * ds,
                 "left-operand panel shorter than its strides"
             );
             for jt in 0..ntiles {
                 let j0 = jt * NR;
                 let nr_eff = NR.min(n - j0);
                 let pbt = &bpack[jt * NR * kc..(jt + 1) * NR * kc];
-                match cfg.path {
-                    #[cfg(target_arch = "x86_64")]
-                    simd::KernelPath::Avx2Fma => {
-                        // SAFETY: the Avx2Fma path is only selected after
-                        // `is_x86_feature_detected!("avx2")`/`("fma")`
-                        // succeed; on that path `mr` is `MR_AVX2`, so the
-                        // assert above covers every `pa` read at
-                        // `r*rs + d*ds` (`r < mr`, `d < kc`); `pbt` is a
-                        // full `NR*kc` tile, and the `c` tile starting at
-                        // `i0*n + j0` is valid for `mr_eff` rows of
-                        // `nr_eff` elements at row stride `n`.
-                        unsafe {
-                            simd::kernel_6x8_avx2(
-                                pa.as_ptr(),
-                                rs,
-                                ds,
-                                pbt.as_ptr(),
-                                kc,
-                                c.as_mut_ptr().add(i0 * n + j0),
-                                n,
-                                mr_eff,
-                                nr_eff,
-                            );
-                        }
-                    }
-                    _ => simd::kernel_4x8_scalar(
-                        pa,
+                // SAFETY: `kernel_6x8_avx2` is chosen only where AVX2 and FMA
+                // were detected; the assert above covers every `pa` read at
+                // `r*rs + d*ds` (`r < MR`, `d < kc`); `pbt` is a full `NR*kc`
+                // tile; the `c` tile at `i0*n + j0` holds `mr_eff` rows of
+                // `nr_eff` elements at row stride `n`.
+                unsafe {
+                    kernel(
+                        pa.as_ptr(),
                         rs,
                         ds,
-                        pbt,
+                        pbt.as_ptr(),
                         kc,
-                        &mut c[i0 * n + j0..],
+                        c.as_mut_ptr().add(i0 * n + j0),
                         n,
                         mr_eff,
                         nr_eff,
-                    ),
+                    );
                 }
             }
-            i0 += mr;
+            i0 += MR;
         }
         k0 += kc;
     }
@@ -342,31 +318,32 @@ pub fn matmul_tb_into(a: &Mat, b: &Mat, c: &mut Mat) {
     }
 }
 
-/// Minimum slice length before the dispatched dot products reach for
-/// the AVX2 path; below this the call overhead dominates.
+/// Minimum slice length before the dispatched dot products fuse; below
+/// this the call overhead dominates.
 const DOT_SIMD_MIN: usize = 32;
 
-/// Whether [`dot`] and [`dot4`] of slices of length `len` take the
-/// AVX2+FMA reductions ([`simd::dot_avx2`], [`simd::dot4_avx2`]) rather
-/// than the unfused scalar loops. Code that reproduces their rounding
-/// term by term branches on this.
+/// Whether [`dot`] and [`dot4`] of slices of length `len` take the fused
+/// reductions (AVX2 or portable, with the same bits) rather than the
+/// unfused loops. Code that reproduces their rounding branches on this.
 #[inline]
 pub fn dot_is_fused(len: usize) -> bool {
-    cfg!(target_arch = "x86_64")
-        && len >= DOT_SIMD_MIN
-        && simd::active().path == simd::KernelPath::Avx2Fma
+    len >= DOT_SIMD_MIN
 }
 
-/// Dot product of two equal-length slices. Dispatches to the AVX2+FMA
-/// reduction for long slices; otherwise 4-way unrolled scalar.
+/// Dot product of two equal-length slices: the fused reduction for long
+/// slices (AVX2 intrinsics where dispatched), otherwise 4-way unrolled
+/// scalar.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
     if dot_is_fused(x.len()) {
-        // SAFETY: the Avx2Fma path implies the detector observed AVX2
-        // and FMA support on this CPU.
-        return unsafe { simd::dot_avx2(x, y) };
+        #[cfg(target_arch = "x86_64")]
+        if simd::active() == simd::KernelPath::Avx2Fma {
+            // SAFETY: the Avx2Fma path implies the detector observed AVX2
+            // and FMA support on this CPU.
+            return unsafe { simd::dot_avx2(x, y) };
+        }
+        return simd::dot_fused(x, y);
     }
     let chunks = x.len() / 4;
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
@@ -386,17 +363,21 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// Four simultaneous dot products sharing the left operand: returns
 /// `(x·y0, x·y1, x·y2, x·y3)`. `x` streams through cache once; long
-/// slices dispatch to the AVX2+FMA quad reduction.
+/// slices take the fused quad reduction.
 #[inline]
 pub fn dot4(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> (f64, f64, f64, f64) {
     debug_assert!(
         x.len() == y0.len() && x.len() == y1.len() && x.len() == y2.len() && x.len() == y3.len()
     );
-    #[cfg(target_arch = "x86_64")]
     if dot_is_fused(x.len()) {
-        // SAFETY: the Avx2Fma path implies the detector observed AVX2
-        // and FMA support on this CPU.
-        return unsafe { simd::dot4_avx2(x, y0, y1, y2, y3) };
+        #[cfg(target_arch = "x86_64")]
+        if simd::active() == simd::KernelPath::Avx2Fma {
+            // SAFETY: the Avx2Fma path implies the detector observed AVX2
+            // and FMA support on this CPU.
+            return unsafe { simd::dot4_avx2(x, y0, y1, y2, y3) };
+        }
+        let [s0, s1, s2, s3] = simd::dot4_fused(x, [y0, y1, y2, y3]);
+        return (s0, s1, s2, s3);
     }
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
     for i in 0..x.len() {
@@ -438,8 +419,8 @@ mod tests {
 
     #[test]
     fn dispatched_matches_naive_across_edge_shapes() {
-        // Shapes chosen to exercise every remainder path of both MR
-        // geometries (4 and 6) and the NR/KC boundaries.
+        // Shapes chosen to exercise every remainder path of MR = 6 and
+        // the NR/KC boundaries.
         for &(m, kk, n) in &[
             (1usize, 1usize, 1usize),
             (4, 8, 8),
@@ -574,7 +555,7 @@ mod tests {
     fn negative_zero_and_nan_propagate_through_edge_tiles() {
         // Edge tiles must not skip explicit zeros: a NaN in B must
         // poison the product even when the matching A entry is 0.0.
-        let mut a = Mat::zeros(3, 2); // 3 rows → edge tile under both MRs
+        let mut a = Mat::zeros(3, 2); // 3 rows → an MR edge tile
         a[(0, 0)] = 0.0;
         a[(0, 1)] = 1.0;
         let mut b = Mat::zeros(2, 3); // 3 cols → NR edge tile

@@ -14,8 +14,8 @@
 //!   driver serves them all; it reads a row-major left operand (or a
 //!   [`MatRef`] block) in place and a transposed one from packed panels;
 //! * [`simd`] — the runtime-dispatched `MR×NR` register microkernels
-//!   (AVX2+FMA 6×8 with a portable scalar 4×8 fallback, chosen once per
-//!   process; `NMF_FORCE_SCALAR=1` pins the fallback), which read the
+//!   (AVX2+FMA 6×8 and a portable 6×8 fallback with the same bits, chosen
+//!   once per process; `NMF_FORCE_SCALAR=1` pins the fallback), which read the
 //!   left operand at a (row stride, depth stride) pair so one kernel
 //!   serves both forms;
 //! * [`pack`] — operand packing into microkernel-ready panels, including

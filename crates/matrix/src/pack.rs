@@ -1,9 +1,9 @@
 //! Operand packing for the GEMM microkernels (GotoBLAS-style).
 //!
-//! The microkernels in [`simd`] read the right operand from packed tiles
-//! and the left operand from `MR`-row panels addressed by a (row stride,
-//! depth stride) pair, so the left operand is packed only where packing
-//! pays:
+//! The microkernels in [`simd`](crate::simd) read the right operand from
+//! packed tiles and the left operand from `MR`-row panels addressed by a
+//! (row stride, depth stride) pair, so the left operand is packed only
+//! where packing pays:
 //!
 //! * **`A` panels** (left operand, optional): the `m×kdim` operand is
 //!   cut into depth-`KC` column blocks, and each block into `MR`-row
@@ -27,16 +27,12 @@
 //! changes across iterations. `A` itself, the left operand of `A·Hᵀ`, is
 //! row-major already and is read where it lies.
 //!
-//! The panel height `MR` is a property of the dispatched microkernel
-//! (6 for AVX2+FMA, 4 for the scalar fallback), so [`PackedPanels`]
-//! records the `mr` it was packed with; because dispatch is cached for
-//! the process lifetime, packed operands are always consumed by the
-//! kernel geometry that produced them.
+//! The panel height `MR = 6` is the same for both microkernels, so packed
+//! panels do not depend on the dispatched path.
 
 use crate::mat::MatRef;
-use crate::simd;
 
-pub use crate::simd::{KC, NR};
+pub use crate::simd::{KC, MR, NR};
 
 /// Length (in floats) of the `B`-tile scratch a GEMM with inner
 /// dimension `kdim` needs for a right operand with `n` columns: one
@@ -47,18 +43,17 @@ pub fn b_scratch_len(kdim: usize, n: usize) -> usize {
 }
 
 /// Copies rows `i0..i0+mr_eff`, columns `k0..k0+kc` of `a` into `panel`
-/// in panel order (`panel[d*mr + r]`). Pad rows `mr_eff..mr` are not
+/// in panel order (`panel[d*MR + r]`). Pad rows `mr_eff..MR` are not
 /// written.
 pub(crate) fn pack_panel(
     a: MatRef<'_>,
     (i0, mr_eff): (usize, usize),
     (k0, kc): (usize, usize),
-    mr: usize,
     panel: &mut [f64],
 ) {
     for r in 0..mr_eff {
         for (d, &v) in a.row(i0 + r)[k0..k0 + kc].iter().enumerate() {
-            panel[d * mr + r] = v;
+            panel[d * MR + r] = v;
         }
     }
 }
@@ -74,7 +69,6 @@ pub(crate) fn pack_panel(
 /// for the same shape allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct PackedPanels {
-    mr: usize,
     m: usize,
     kdim: usize,
     data: Vec<f64>,
@@ -110,11 +104,6 @@ impl PackedPanels {
         (self.m, self.kdim)
     }
 
-    /// The microkernel panel height these panels were packed for.
-    pub fn mr(&self) -> usize {
-        self.mr
-    }
-
     /// Bytes of packed storage currently held.
     pub fn packed_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f64>()
@@ -140,11 +129,9 @@ impl PackedPanels {
     }
 
     fn reset(&mut self, m: usize, kdim: usize) -> usize {
-        let mr = simd::active().mr;
-        self.mr = mr;
         self.m = m;
         self.kdim = kdim;
-        let rows_padded = m.div_ceil(mr) * mr;
+        let rows_padded = m.div_ceil(MR) * MR;
         self.data.clear();
         self.data.resize(rows_padded * kdim, 0.0);
         rows_padded
@@ -160,16 +147,15 @@ impl PackedPanels {
         if self.data.is_empty() {
             return;
         }
-        let mr = self.mr;
         let mut k0 = 0;
         while k0 < kdim {
             let kc = KC.min(kdim - k0);
             let kblock_base = rows_padded * k0;
             let mut i0 = 0;
             while i0 < m {
-                let panel = &mut self.data[kblock_base + i0 * kc..kblock_base + (i0 + mr) * kc];
-                pack_panel(a, (i0, mr.min(m - i0)), (k0, kc), mr, panel);
-                i0 += mr;
+                let panel = &mut self.data[kblock_base + i0 * kc..kblock_base + (i0 + MR) * kc];
+                pack_panel(a, (i0, MR.min(m - i0)), (k0, kc), panel);
+                i0 += MR;
             }
             k0 += kc;
         }
@@ -186,7 +172,6 @@ impl PackedPanels {
         if self.data.is_empty() {
             return;
         }
-        let mr = self.mr;
         let mut k0 = 0;
         while k0 < kdim {
             let kc = KC.min(kdim - k0);
@@ -195,25 +180,25 @@ impl PackedPanels {
                 let arow = a.row(k0 + d);
                 let mut i0 = 0;
                 while i0 < m {
-                    let mr_eff = mr.min(m - i0);
-                    let dst_at = kblock_base + i0 * kc + d * mr;
+                    let mr_eff = MR.min(m - i0);
+                    let dst_at = kblock_base + i0 * kc + d * MR;
                     self.data[dst_at..dst_at + mr_eff].copy_from_slice(&arow[i0..i0 + mr_eff]);
-                    i0 += mr;
+                    i0 += MR;
                 }
             }
             k0 += kc;
         }
     }
 
-    /// The packed `MR×kc` panel for row block `i0` (a multiple of `mr`)
+    /// The packed `MR×kc` panel for row block `i0` (a multiple of `MR`)
     /// within the depth block starting at `k0` (a multiple of `KC`).
     #[inline]
     pub(crate) fn panel(&self, k0: usize, kc: usize, i0: usize) -> &[f64] {
         debug_assert_eq!(k0 % KC, 0);
-        debug_assert_eq!(i0 % self.mr, 0);
-        let rows_padded = self.m.div_ceil(self.mr) * self.mr;
+        debug_assert_eq!(i0 % MR, 0);
+        let rows_padded = self.m.div_ceil(MR) * MR;
         let base = rows_padded * k0 + i0 * kc;
-        &self.data[base..base + self.mr * kc]
+        &self.data[base..base + MR * kc]
     }
 }
 
@@ -261,7 +246,6 @@ mod tests {
             let a = Mat::uniform(m, kdim, 42);
             let p = PackedPanels::pack(&a);
             assert_eq!(p.shape(), (m, kdim));
-            let mr = p.mr();
             let mut k0 = 0;
             while k0 < kdim {
                 let kc = KC.min(kdim - k0);
@@ -269,12 +253,12 @@ mod tests {
                 while i0 < m {
                     let panel = p.panel(k0, kc, i0);
                     for d in 0..kc {
-                        for r in 0..mr {
+                        for r in 0..MR {
                             let expect = if i0 + r < m { a[(i0 + r, k0 + d)] } else { 0.0 };
-                            assert_eq!(panel[d * mr + r], expect, "({},{})", i0 + r, k0 + d);
+                            assert_eq!(panel[d * MR + r], expect, "({},{})", i0 + r, k0 + d);
                         }
                     }
-                    i0 += mr;
+                    i0 += MR;
                 }
                 k0 += kc;
             }

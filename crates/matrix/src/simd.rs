@@ -5,34 +5,28 @@
 //! (see [`pack`](crate::pack)) and an `MR`-row panel of the left operand
 //! addressed by a pointer plus a (row stride, depth stride) pair: `(1,
 //! MR)` for packed panels, `(ld, 1)` for the rows of a row-major block
-//! read in place. This module provides the two implementations and the
-//! once-per-process choice between them:
+//! read in place. This module provides the two implementations, which
+//! give the same bits, and the once-per-process choice between them:
 //!
 //! * [`kernel_6x8_avx2`] — a 6×8 `f64` microkernel using 256-bit
 //!   AVX2 + FMA intrinsics: twelve `ymm` accumulators (6 rows × 2
 //!   vectors of 4 lanes), two packed-`B` loads and six `A` broadcasts
 //!   per inner-product step. Twelve independent FMA chains keep both
 //!   FMA ports busy past the 4-5-cycle FMA latency.
-//! * [`kernel_4x8_scalar`] — the portable fallback: a plain-Rust 4×8
-//!   register microkernel over the same panel addressing, which LLVM
-//!   autovectorizes to whatever the target baseline offers (SSE2 on
-//!   x86-64).
+//! * [`kernel_6x8_scalar`] — the portable fallback: plain Rust over the
+//!   same 6×8 block, adding each product with `mul_add` in the AVX2
+//!   kernel's order.
 //!
 //! ## Dispatch
 //!
 //! [`active`] detects AVX2 + FMA once (`is_x86_feature_detected!`),
-//! caches the decision in a `OnceLock`, and every GEMM call reads the
-//! cached [`KernelCfg`]. Setting `NMF_FORCE_SCALAR=1` in the environment
-//! before the first kernel call forces the scalar path — the hook the
-//! forced-scalar CI job and the `forced_scalar` integration test use to
-//! exercise the fallback on AVX2 hosts. Because the decision is cached,
-//! the microkernel (and therefore the packed-panel geometry, which
-//! depends on `MR`) never changes mid-process: packed operands built by
-//! one call are always consumed by the same kernel family.
-//!
-//! The module also provides dispatched long-vector reductions
-//! ([`dot`](crate::gemm::dot) / [`dot4`](crate::gemm::dot4) call into
-//! [`dot_avx2`] / [`dot4_avx2`] above a length threshold).
+//! caches the decision in a `OnceLock`, and every GEMM call reads it.
+//! Setting `NMF_FORCE_SCALAR=1` in the environment before the first
+//! kernel call forces the portable path — the hook the forced-scalar CI
+//! job and the `forced_scalar` integration test use to exercise the
+//! fallback on AVX2 hosts. The reductions behind [`dot`](crate::gemm::dot)
+//! and [`dot4`](crate::gemm::dot4) from 32 elements on come in the same
+//! two copies: [`dot_avx2`] / [`dot4_avx2`] and [`dot_fused`] / [`dot4_fused`].
 
 use std::sync::OnceLock;
 
@@ -43,69 +37,68 @@ pub const NR: usize = 8;
 /// `KC×NR` tile of `B` (16 KiB) sits comfortably in L1 while an `MR×KC`
 /// panel of `A` streams beside it.
 pub const KC: usize = 256;
-/// `MR` of the AVX2 microkernel.
-pub const MR_AVX2: usize = 6;
-/// `MR` of the scalar fallback microkernel.
-pub const MR_SCALAR: usize = 4;
+/// Rows of `C` per microkernel call; packed `A` panels are `MR×KC`.
+pub const MR: usize = 6;
 
 /// Which microkernel family the process dispatched to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
-    /// 256-bit AVX2 + FMA 6×8 microkernel.
+    /// 256-bit AVX2 + FMA intrinsics.
     Avx2Fma,
-    /// Portable scalar 4×8 microkernel (autovectorized by LLVM).
+    /// Portable Rust with the same bits.
     Scalar,
 }
 
-/// The cached dispatch decision: kernel path plus the register-block
-/// geometry the packing layer must match.
-#[derive(Clone, Copy, Debug)]
-pub struct KernelCfg {
-    pub path: KernelPath,
-    /// Rows of `C` per microkernel call; packed `A` panels are `MR×KC`.
-    pub mr: usize,
-}
+static ACTIVE: OnceLock<KernelPath> = OnceLock::new();
 
-static ACTIVE: OnceLock<KernelCfg> = OnceLock::new();
-
-fn detect() -> KernelCfg {
-    let forced_scalar = std::env::var("NMF_FORCE_SCALAR")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
+fn detect() -> KernelPath {
+    let forced_scalar = std::env::var("NMF_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
     #[cfg(target_arch = "x86_64")]
     {
         if !forced_scalar && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return KernelCfg {
-                path: KernelPath::Avx2Fma,
-                mr: MR_AVX2,
-            };
+            return KernelPath::Avx2Fma;
         }
     }
     let _ = forced_scalar;
-    KernelCfg {
-        path: KernelPath::Scalar,
-        mr: MR_SCALAR,
-    }
+    KernelPath::Scalar
 }
 
-/// The process-wide kernel configuration (detected once, then cached).
+/// The process-wide kernel path (detected once, then cached).
 #[inline]
-pub fn active() -> KernelCfg {
+pub fn active() -> KernelPath {
     *ACTIVE.get_or_init(detect)
 }
 
 /// Human-readable name of the active microkernel, for benchmark
 /// methodology records and the forced-scalar test.
 pub fn active_name() -> &'static str {
-    match active().path {
+    match active() {
         KernelPath::Avx2Fma => "avx2+fma-6x8",
-        KernelPath::Scalar => "scalar-4x8",
+        KernelPath::Scalar => "scalar-6x8",
     }
 }
 
+/// Runs `$body`, an `#[inline(always)]` portable body, compiled with FMA
+/// where the CPU has it so that `mul_add` is one instruction, and plain
+/// elsewhere, where it is libm's `fma`: the same bits, ~14× slower.
+macro_rules! with_fma {
+    ($body:ident($($arg:ident: $ty:ty),*) -> $ret:ty) => {{
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("fma") {
+            #[target_feature(enable = "fma")]
+            unsafe fn fma($($arg: $ty),*) -> $ret {
+                $body($($arg),*)
+            }
+            // SAFETY: the CPU has FMA; `$body`'s own contract is the caller's.
+            return unsafe { fma($($arg),*) };
+        }
+        $body($($arg),*)
+    }};
+}
+
 /// `C[0..mr_eff, 0..nr_eff] += A · PB` for one panel pair: `pa` points at
-/// element `(0, 0)` of an `MR_AVX2×kc` panel of the left operand, whose
-/// element `(r, d)` is `pa[r*rs + d*ds]` — `(rs, ds) = (1, MR_AVX2)` for
+/// element `(0, 0)` of an `MR×kc` panel of the left operand, whose
+/// element `(r, d)` is `pa[r*rs + d*ds]` — `(rs, ds) = (1, MR)` for
 /// a [`PackedPanels`](crate::PackedPanels) panel, `(ld, 1)` for rows of a
 /// row-major block read in place. `pb` is a `kc×NR` packed `B` tile
 /// (`pb[d*NR + t]`), `c` the top-left element of the output tile with
@@ -118,11 +111,11 @@ pub fn active_name() -> &'static str {
 ///
 /// * The caller must have verified AVX2 and FMA support (this function
 ///   is `#[target_feature]`-compiled); call only when
-///   [`active`]`().path == KernelPath::Avx2Fma`.
+///   [`active`]`() == KernelPath::Avx2Fma`.
 /// * `pa` must be valid for reads at `r*rs + d*ds` for all
-///   `r < MR_AVX2`, `d < kc`; `pb` must hold at least `NR*kc` elements.
+///   `r < MR`, `d < kc`; `pb` must hold at least `NR*kc` elements.
 /// * `c` must be valid for reads and writes at `r*ldc + t` for all
-///   `r < mr_eff`, `t < nr_eff`, with `mr_eff ≤ MR_AVX2`, `nr_eff ≤ NR`.
+///   `r < mr_eff`, `t < nr_eff`, with `mr_eff ≤ MR`, `nr_eff ≤ NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -138,7 +131,7 @@ pub unsafe fn kernel_6x8_avx2(
     nr_eff: usize,
 ) {
     use std::arch::x86_64::*;
-    let mut acc: [[__m256d; 2]; MR_AVX2] = [[_mm256_setzero_pd(); 2]; MR_AVX2];
+    let mut acc: [[__m256d; 2]; MR] = [[_mm256_setzero_pd(); 2]; MR];
     let mut pa = pa;
     let mut pb = pb;
     // Two inner-product steps per trip: halves the loop overhead and
@@ -175,7 +168,7 @@ pub unsafe fn kernel_6x8_avx2(
             acc_r[1] = _mm256_fmadd_pd(ar, b1, acc_r[1]);
         }
     }
-    if mr_eff == MR_AVX2 && nr_eff == NR {
+    if mr_eff == MR && nr_eff == NR {
         for (r, acc_r) in acc.iter().enumerate() {
             let cp = c.add(r * ldc);
             _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), acc_r[0]));
@@ -184,7 +177,7 @@ pub unsafe fn kernel_6x8_avx2(
         }
     } else {
         // Edge tile: spill the register block and add the valid region.
-        let mut tmp = [0.0f64; MR_AVX2 * NR];
+        let mut tmp = [0.0f64; MR * NR];
         for (r, acc_r) in acc.iter().enumerate() {
             _mm256_storeu_pd(tmp.as_mut_ptr().add(r * NR), acc_r[0]);
             _mm256_storeu_pd(tmp.as_mut_ptr().add(r * NR + 4), acc_r[1]);
@@ -197,49 +190,53 @@ pub unsafe fn kernel_6x8_avx2(
     }
 }
 
-/// Portable counterpart of [`kernel_6x8_avx2`] over `MR_SCALAR×kc`
-/// panels addressed the same way (element `(r, d)` at `pa[r*rs + d*ds]`):
-/// a 4×8 register block (32 accumulators — within what LLVM keeps in the
-/// 16 SSE2 registers of baseline x86-64).
-#[inline]
+/// Portable [`kernel_6x8_avx2`], with its bits: each accumulator starts
+/// at zero, adds `a·b` fused in depth order, and is added to `C` once.
+///
+/// # Safety
+/// The pointer contract of [`kernel_6x8_avx2`]; any CPU will do.
 #[allow(clippy::too_many_arguments)]
-pub fn kernel_4x8_scalar(
-    pa: &[f64],
+pub unsafe fn kernel_6x8_scalar(
+    pa: *const f64,
     rs: usize,
     ds: usize,
-    pb: &[f64],
+    pb: *const f64,
     kc: usize,
-    c: &mut [f64],
+    c: *mut f64,
     ldc: usize,
     mr_eff: usize,
     nr_eff: usize,
 ) {
-    debug_assert!(pb.len() >= NR * kc);
-    let mut acc = [[0.0f64; NR]; MR_SCALAR];
+    with_fma!(kernel_6x8_body(pa: *const f64, rs: usize, ds: usize, pb: *const f64,
+        kc: usize, c: *mut f64, ldc: usize, mr_eff: usize, nr_eff: usize) -> ())
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn kernel_6x8_body(
+    pa: *const f64,
+    rs: usize,
+    ds: usize,
+    pb: *const f64,
+    kc: usize,
+    c: *mut f64,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    let mut acc = [[0.0f64; NR]; MR];
     for d in 0..kc {
-        let ad: [f64; MR_SCALAR] = std::array::from_fn(|r| pa[r * rs + d * ds]);
-        let bd: &[f64; NR] = pb[d * NR..d * NR + NR]
-            .try_into()
-            .expect("NR-wide packed B step");
-        for (acc_r, &ar) in acc.iter_mut().zip(&ad) {
+        let bd = &*pb.add(d * NR).cast::<[f64; NR]>();
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let ar = *pa.add(r * rs + d * ds);
             for (av, &bv) in acc_r.iter_mut().zip(bd) {
-                *av += ar * bv;
+                *av = ar.mul_add(bv, *av);
             }
         }
     }
-    if mr_eff == MR_SCALAR && nr_eff == NR {
-        for (r, acc_r) in acc.iter().enumerate() {
-            let crow = &mut c[r * ldc..r * ldc + NR];
-            for (cv, &av) in crow.iter_mut().zip(acc_r) {
-                *cv += av;
-            }
-        }
-    } else {
-        for (r, acc_r) in acc.iter().enumerate().take(mr_eff) {
-            let crow = &mut c[r * ldc..r * ldc + nr_eff];
-            for (cv, &av) in crow.iter_mut().zip(acc_r) {
-                *cv += av;
-            }
+    for (r, acc_r) in acc.iter().enumerate().take(mr_eff) {
+        for (t, &av) in acc_r.iter().enumerate().take(nr_eff) {
+            *c.add(r * ldc + t) += av;
         }
     }
 }
@@ -353,47 +350,123 @@ pub unsafe fn dot4_avx2(
     (s0, s1, s2, s3)
 }
 
+/// Portable [`dot_avx2`], with its bits: four 4-lane accumulators over
+/// 16-wide chunks, the 4-wide steps after them into the first,
+/// `(a0 + a1) + (a2 + a3)`, the horizontal sum, then the unfused tail.
+pub fn dot_fused(x: &[f64], y: &[f64]) -> f64 {
+    with_fma!(dot_body(x: &[f64], y: &[f64]) -> f64)
+}
+
+/// Portable [`dot4_avx2`], with its bits: one 4-lane accumulator per
+/// output over 4-wide steps, the horizontal sum, then the unfused tail.
+pub fn dot4_fused(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4] {
+    with_fma!(dot4_body(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4])
+}
+
+#[inline(always)]
+fn dot_body(x: &[f64], y: &[f64]) -> f64 {
+    let (n, y) = (x.len(), &y[..x.len()]);
+    let (mut a, mut i) = ([[0.0f64; 4]; 4], 0);
+    while i + 16 <= n {
+        for (q, a_q) in a.iter_mut().enumerate() {
+            fma4(a_q, &x[i + 4 * q..], &y[i + 4 * q..]);
+        }
+        i += 16;
+    }
+    while i + 4 <= n {
+        fma4(&mut a[0], &x[i..], &y[i..]);
+        i += 4;
+    }
+    finish(
+        std::array::from_fn(|l| (a[0][l] + a[1][l]) + (a[2][l] + a[3][l])),
+        x,
+        y,
+        i,
+    )
+}
+
+#[inline(always)]
+fn dot4_body(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4] {
+    let (ys, mut a, mut i) = (ys.map(|y| &y[..x.len()]), [[0.0f64; 4]; 4], 0);
+    while i + 4 <= x.len() {
+        for (a_j, y) in a.iter_mut().zip(ys) {
+            fma4(a_j, &x[i..], &y[i..]);
+        }
+        i += 4;
+    }
+    std::array::from_fn(|j| finish(a[j], x, ys[j], i))
+}
+
+/// `acc[l] = x[l]·y[l] + acc[l]`, fused, for the four lanes.
+#[inline(always)]
+fn fma4(acc: &mut [f64; 4], x: &[f64], y: &[f64]) {
+    let (x, y) = (&x[..4], &y[..4]);
+    acc[0] = x[0].mul_add(y[0], acc[0]);
+    acc[1] = x[1].mul_add(y[1], acc[1]);
+    acc[2] = x[2].mul_add(y[2], acc[2]);
+    acc[3] = x[3].mul_add(y[3], acc[3]);
+}
+
+/// The horizontal sum `(l0 + l2) + (l1 + l3)`, then the unfused tail from `i`.
+#[inline(always)]
+fn finish([l0, l1, l2, l3]: [f64; 4], x: &[f64], y: &[f64], i: usize) -> f64 {
+    (i..x.len()).fold((l0 + l2) + (l1 + l3), |s, j| s + x[j] * y[j])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn dispatch_is_cached_and_consistent() {
-        let first = active();
-        let second = active();
-        assert_eq!(first.path, second.path);
-        assert_eq!(first.mr, second.mr);
-        match first.path {
-            KernelPath::Avx2Fma => assert_eq!(first.mr, MR_AVX2),
-            KernelPath::Scalar => assert_eq!(first.mr, MR_SCALAR),
-        }
+        assert_eq!(active(), active());
+        assert_eq!(ACTIVE.get(), Some(&detect()));
+    }
+
+    /// `0.5 + A·B` on an `MR×NR` tile clipped to `clip`, as bits, by the
+    /// AVX2 kernel or the portable one, reading `A` at strides `(rs, ds)`.
+    fn tile(
+        avx2: bool,
+        a: &[f64],
+        (rs, ds): (usize, usize),
+        pb: &[f64],
+        clip: (usize, usize),
+    ) -> Vec<u64> {
+        let (kc, mut c) = (pb.len() / NR, vec![0.5f64; MR * NR]);
+        let kernel = match avx2 {
+            #[cfg(target_arch = "x86_64")]
+            true => kernel_6x8_avx2,
+            _ => kernel_6x8_scalar,
+        };
+        // SAFETY: AVX2 is asked for only where AVX2 and FMA were detected;
+        // `a` holds an MR×kc panel at (rs, ds), `pb` a kc×NR tile.
+        unsafe {
+            kernel(
+                a.as_ptr(),
+                rs,
+                ds,
+                pb.as_ptr(),
+                kc,
+                c.as_mut_ptr(),
+                NR,
+                clip.0,
+                clip.1,
+            )
+        };
+        bits(&c)
     }
 
     #[test]
     fn scalar_kernel_matches_reference_on_packed_panels() {
-        // 4×8 panel over kc=5: pa[d*4+r] = A[r][d], pb[d*8+t] = B[d][t].
+        // 6×8 panel over kc=5: pa[d*6+r] = A[r][d], pb[d*8+t] = B[d][t].
+        // Small multiples of 0.5, so every sum is exact.
         let kc = 5;
-        let pa: Vec<f64> = (0..MR_SCALAR * kc).map(|i| (i % 7) as f64 - 3.0).collect();
+        let pa: Vec<f64> = (0..MR * kc).map(|i| (i % 7) as f64 - 3.0).collect();
         let pb: Vec<f64> = (0..NR * kc).map(|i| (i % 5) as f64 * 0.5).collect();
-        let mut c = vec![1.0f64; MR_SCALAR * NR];
-        kernel_4x8_scalar(&pa, 1, MR_SCALAR, &pb, kc, &mut c, NR, MR_SCALAR, NR);
-        for r in 0..MR_SCALAR {
-            for t in 0..NR {
-                let mut expect = 1.0;
-                for d in 0..kc {
-                    expect += pa[d * MR_SCALAR + r] * pb[d * NR + t];
-                }
-                assert!((c[r * NR + t] - expect).abs() < 1e-12);
-            }
-        }
-        // The same panel read as rows of a row-major block (stride kc):
-        // bit-identical output.
-        let rows: Vec<f64> = (0..MR_SCALAR * kc)
-            .map(|i| pa[(i % kc) * MR_SCALAR + i / kc])
+        let want: Vec<f64> = (0..MR * NR)
+            .map(|i| (0..kc).fold(0.5, |s, d| s + pa[d * MR + i / NR] * pb[d * NR + i % NR]))
             .collect();
-        let mut c_rows = vec![1.0f64; MR_SCALAR * NR];
-        kernel_4x8_scalar(&rows, kc, 1, &pb, kc, &mut c_rows, NR, MR_SCALAR, NR);
-        assert_eq!(c_rows, c);
+        assert_eq!(tile(false, &pa, (1, MR), &pb, (MR, NR)), bits(&want));
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -402,59 +475,26 @@ mod tests {
         if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
             return; // nothing to test on this host
         }
-        let kc = 19;
-        let pa: Vec<f64> = (0..MR_AVX2 * kc).map(|i| (i % 11) as f64 - 5.0).collect();
-        let pb: Vec<f64> = (0..NR * kc).map(|i| (i % 9) as f64 * 0.25).collect();
-        for (mr_eff, nr_eff) in [(MR_AVX2, NR), (3, NR), (MR_AVX2, 5), (2, 3)] {
-            let mut c = vec![0.5f64; MR_AVX2 * NR];
-            unsafe {
-                kernel_6x8_avx2(
-                    pa.as_ptr(),
-                    1,
-                    MR_AVX2,
-                    pb.as_ptr(),
-                    kc,
-                    c.as_mut_ptr(),
-                    NR,
-                    mr_eff,
-                    nr_eff,
-                );
-            }
-            // The same panel read as rows of a row-major block (stride
-            // kc): bit-identical output.
-            let rows: Vec<f64> = (0..MR_AVX2 * kc)
-                .map(|i| pa[(i % kc) * MR_AVX2 + i / kc])
-                .collect();
-            let mut c_rows = vec![0.5f64; MR_AVX2 * NR];
-            unsafe {
-                kernel_6x8_avx2(
-                    rows.as_ptr(),
-                    kc,
-                    1,
-                    pb.as_ptr(),
-                    kc,
-                    c_rows.as_mut_ptr(),
-                    NR,
-                    mr_eff,
-                    nr_eff,
-                );
-            }
-            assert_eq!(c_rows, c);
-            for r in 0..MR_AVX2 {
-                for t in 0..NR {
-                    let mut expect = 0.5;
-                    if r < mr_eff && t < nr_eff {
-                        for d in 0..kc {
-                            expect += pa[d * MR_AVX2 + r] * pb[d * NR + t];
-                        }
-                    }
-                    assert!(
-                        (c[r * NR + t] - expect).abs() < 1e-12,
-                        "mismatch at ({r},{t}) for clip {mr_eff}x{nr_eff}"
+        for kc in [1, 19, 256] {
+            // A panel (strides (1, MR)) and the same panel as the rows of
+            // a row-major block (strides (kc, 1)).
+            let pa: Vec<f64> = (0..MR * kc).map(|i| (i as f64 * 0.37).sin()).collect();
+            let pb: Vec<f64> = (0..NR * kc).map(|i| (i as f64 * 0.91).cos()).collect();
+            let rows: Vec<f64> = (0..MR * kc).map(|i| pa[(i % kc) * MR + i / kc]).collect();
+            for clip in [(MR, NR), (3, NR), (1, NR), (MR, 5), (2, 3)] {
+                for (a, strides) in [(&pa, (1, MR)), (&rows, (kc, 1))] {
+                    assert_eq!(
+                        tile(true, a, strides, &pb, clip),
+                        tile(false, a, strides, &pb, clip),
+                        "kc {kc}, clip {clip:?}, strides {strides:?}"
                     );
                 }
             }
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -463,21 +503,23 @@ mod tests {
         if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
             return;
         }
-        for n in [0usize, 3, 16, 37, 64, 127] {
+        for n in [
+            0usize, 3, 4, 16, 31, 32, 33, 37, 64, 65, 127, 128, 1000, 31_250,
+        ] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
             let ys: Vec<Vec<f64>> = (0..4)
                 .map(|s| (0..n).map(|i| ((i + s) as f64).cos()).collect())
                 .collect();
-            let reference: Vec<f64> = ys
-                .iter()
-                .map(|y| x.iter().zip(y).map(|(a, b)| a * b).sum())
-                .collect();
-            let d = unsafe { dot_avx2(&x, &ys[0]) };
-            assert!((d - reference[0]).abs() < 1e-10 * (n.max(1) as f64));
-            let (s0, s1, s2, s3) = unsafe { dot4_avx2(&x, &ys[0], &ys[1], &ys[2], &ys[3]) };
-            for (got, want) in [s0, s1, s2, s3].iter().zip(&reference) {
-                assert!((got - want).abs() < 1e-10 * (n.max(1) as f64));
-            }
+            let (y0, y1, y2, y3) = (&ys[0], &ys[1], &ys[2], &ys[3]);
+            // SAFETY: AVX2 and FMA were detected above; all lengths are n.
+            let (d, quad) = unsafe { (dot_avx2(&x, y0), dot4_avx2(&x, y0, y1, y2, y3)) };
+            assert_eq!(dot_fused(&x, y0).to_bits(), d.to_bits(), "dot, n = {n}");
+            let portable = dot4_fused(&x, [y0, y1, y2, y3]);
+            assert_eq!(
+                bits(&portable),
+                bits(&<[f64; 4]>::from(quad)),
+                "dot4, n = {n}"
+            );
         }
     }
 }

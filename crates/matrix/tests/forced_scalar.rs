@@ -1,11 +1,12 @@
 //! The `NMF_FORCE_SCALAR` escape hatch: pins kernel dispatch to the
-//! portable scalar microkernel regardless of host CPU features.
+//! portable microkernel regardless of host CPU features.
 //!
 //! Dispatch is decided once per process and cached, so this lives in its
 //! own integration-test binary (its process sets the variable before the
 //! first kernel call) and is a single test function (a sibling test
 //! could otherwise race the dispatch cache).
 
+use nmf_matrix::pack::MR;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{
     matmul, matmul_packed_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta, simd,
@@ -17,11 +18,11 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
     // Must precede any dispatch query in this process.
     std::env::set_var("NMF_FORCE_SCALAR", "1");
 
-    assert_eq!(simd::active_name(), "scalar-4x8");
-    assert_eq!(simd::active().mr, 4);
+    assert_eq!(simd::active_name(), "scalar-6x8");
+    assert_eq!(simd::active(), simd::KernelPath::Scalar);
 
-    // The scalar path must be fully correct, including packed panels
-    // built under the forced 4-row geometry.
+    // The scalar path must be fully correct, including packed panels,
+    // which have the AVX2 kernel's 6-row geometry here too.
     let naive = |a: &Mat, b: &Mat| -> Mat {
         let mut c = Mat::zeros(a.nrows(), b.ncols());
         for i in 0..a.nrows() {
@@ -45,7 +46,11 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
             "forced-scalar matmul wrong at {m}x{kdim}x{n}"
         );
         let p = PackedPanels::pack(&a);
-        assert_eq!(p.mr(), 4, "panels must adopt the forced geometry");
+        assert_eq!(
+            p.packed_bytes(),
+            8 * m.div_ceil(MR) * MR * kdim,
+            "panels are MR = 6 rows on the portable path too"
+        );
         let mut c = Mat::zeros(m, n);
         matmul_packed_into(&p, &b, &mut c);
         assert!(
@@ -62,10 +67,10 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
     }
 
     // A left operand read in place: a 7×300 block at (2, 3) of a wider
-    // matrix (ld = 305), so it straddles KC and ends in a 3-row edge
-    // panel under MR = 4. The fence around the block is NaN; the edge
-    // panel holds a -0.0 and a NaN. Same bits as the block packed, and
-    // the fence never reaches a stored element.
+    // matrix (ld = 305), so it straddles KC and ends in a 1-row edge
+    // panel under MR = 6. The fence around the block is NaN; the full
+    // panel holds a -0.0 and the edge panel a NaN. Same bits as the block
+    // packed, and the fence never reaches a stored element.
     let (m, kdim, n, r0, c0) = (7usize, 300usize, 9usize, 2usize, 3usize);
     let mut big = Mat::uniform(r0 + m + 1, c0 + kdim + 2, 25);
     big.row_mut(r0 + m).fill(f64::NAN);

@@ -1,6 +1,6 @@
 //! Property-based equivalence of every GEMM path against a naive
 //! triple loop, on randomized shapes chosen to straddle the microkernel
-//! geometry boundaries: `MR` (4 scalar / 6 AVX2), `NR = 8`, and the
+//! geometry boundaries: `MR = 6`, `NR = 8`, and the
 //! `KC = 256` depth blocking.
 //!
 //! All paths compute the same sums in different association orders, so
@@ -33,7 +33,7 @@ fn fenced_block(m: usize, kdim: usize, (r0, c0): (usize, usize), seed: u64) -> M
         big[(i, c0 - 1)] = f64::NAN;
         big[(i, c0 + kdim)] = f64::NAN;
     }
-    let edge = (m - 1) / simd::active().mr * simd::active().mr;
+    let edge = (m - 1) / simd::MR * simd::MR;
     big[(r0 + edge, c0)] = -0.0;
     big[(r0 + m - 1, c0 + kdim - 1)] = f64::NAN;
     big

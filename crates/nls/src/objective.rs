@@ -9,21 +9,22 @@
 //!
 //! * **over its support `S`** (the nonzeros of `xᵢ`, or any superset):
 //!   a term for each `j ∈ S`, with `(G·xᵢ)ⱼ` built from `S` alone in the
-//!   order of the reduction the dense form calls. On the AVX2+FMA path
-//!   (`k ≥ 32`) that is one fused 4-lane step per 4-column block meeting
-//!   `S` (`dot4_avx2`'s single accumulator, or `dot_avx2`'s four for a
+//!   order of the reduction the dense form calls: below `k = 32` the
+//!   unfused sequential (`dot4`) or four-lane (`dot`) sums, from 32 on,
+//!   on every host, one fused 4-lane step per 4-column block meeting `S`
+//!   (`dot4_avx2`'s single accumulator, or `dot_avx2`'s four for a
 //!   `k % 4` tail column), the horizontal sum `(l0 + l2) + (l1 + l3)`,
-//!   then the unfused tail `t ≥ k − k % 4`; elsewhere the unfused
-//!   sequential (`dot4`) or four-lane (`dot`) sums. Every product and
-//!   term left out has a zero factor `xᵢₜ`, so it is a signed zero when
-//!   its other factors are finite. Adding a signed zero can only flip
-//!   the sign of a zero partial sum, and a zero's sign reaches the total
-//!   only through a term that is itself zero; the running sum starts at
-//!   `+0.0` and never becomes `-0.0` (an exact cancellation rounds to
-//!   `+0.0`), so the total is unchanged. The other factors are finite
-//!   when `G` is, when `bᵢ` is on the blocks meeting `S` and on `S`, and
-//!   when `|xᵢₜ| ≤ f64::MAX / (2k·max|G|)` on `S`, so that no product or
-//!   partial sum of `(G·xᵢ)ⱼ` overflows;
+//!   then the unfused tail `t ≥ k − k % 4` (only the AVX2 path has this
+//!   support form; the portable one sums such rows dense). Every product
+//!   and term left out has a zero factor `xᵢₜ`, so it is a signed zero
+//!   when its other factors are finite. Adding a signed zero can only
+//!   flip the sign of a zero partial sum, and a zero's sign reaches the
+//!   total only through a term that is itself zero; the running sum
+//!   starts at `+0.0` and never becomes `-0.0` (an exact cancellation
+//!   rounds to `+0.0`), so the total is unchanged. The other factors are
+//!   finite when `G` is, when `bᵢ` is on the blocks meeting `S` and on
+//!   `S`, and when `|xᵢₜ| ≤ f64::MAX / (2k·max|G|)` on `S`, so that no
+//!   product or partial sum of `(G·xᵢ)ⱼ` overflows;
 //! * **dense**: one [`dot4`] per 4-column block holding a nonzero, one
 //!   [`dot`] per nonzero tail column, exactly the dense form's calls (it
 //!   skips only all-zero blocks, whose terms are signed zeros for finite
@@ -33,7 +34,7 @@
 //!   `u128` mask).
 
 use nmf_matrix::gemm::{dot, dot4, dot_is_fused};
-use nmf_matrix::Mat;
+use nmf_matrix::{simd, Mat};
 
 /// A row is summed over its support when the support holds at most
 /// `1 / SUPPORT_SHARE` of the `k` variables; denser rows take the dense
@@ -81,11 +82,12 @@ pub(crate) fn scan_row(xi: &[f64]) -> RowScan {
 }
 
 /// The objective's per-call state: `G`, which reductions the dense form
-/// uses at this `k`, and the bound on `|x|` under which a row may be
-/// summed over its support.
+/// uses at this `k`, whether they have a support form on this path, and
+/// the bound on `|x|` under which a row may be summed over its support.
 pub(crate) struct RowObjective<'a> {
     gram: &'a Mat,
     fused: bool,
+    support_form: bool,
     /// `f64::MAX / (2k·max|G|)` capped at `f64::MAX`; `-1.0` (no row
     /// qualifies) when `G` holds a non-finite entry.
     x_lim: f64,
@@ -105,9 +107,11 @@ impl<'a> RowObjective<'a> {
         } else {
             -1.0
         };
+        let fused = dot_is_fused(k);
         RowObjective {
             gram,
-            fused: dot_is_fused(k),
+            fused,
+            support_form: !fused || simd::active() == simd::KernelPath::Avx2Fma,
             x_lim,
         }
     }
@@ -139,7 +143,7 @@ impl<'a> RowObjective<'a> {
             return obj;
         }
         let (f, k) = (support.count_ones() as usize, xi.len());
-        if k <= 128 && SUPPORT_SHARE * f <= k {
+        if self.support_form && k <= 128 && SUPPORT_SHARE * f <= k {
             self.support_terms(obj, xi, bi, support)
         } else {
             self.dense_terms(obj, xi, bi)
@@ -198,8 +202,8 @@ impl<'a> RowObjective<'a> {
         }
         #[cfg(target_arch = "x86_64")]
         if self.fused {
-            // SAFETY: `fused` is `dot_is_fused(k)`, which holds only on
-            // the Avx2Fma path, where AVX2 and FMA support was detected;
+            // SAFETY: a support is summed over at a fused `k` only on the
+            // Avx2Fma path, where AVX2 and FMA support was detected;
             // `gram` is k×k, and `blocks` are the 4-column blocks below
             // `k4` that meet the support.
             return unsafe { fused_terms(self.gram, obj, xi, bi, at, blocks) };

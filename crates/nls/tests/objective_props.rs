@@ -141,7 +141,7 @@ fn assert_same(got: f64, want: f64, what: &str) {
         got_bits,
         want_bits,
         "{what} ({:?}): got {got:e}, want {want:e}",
-        simd::active().path
+        simd::active()
     );
 }
 
@@ -151,7 +151,7 @@ proptest! {
     #[test]
     fn finite_inputs_match_the_dense_form(ki in 0usize..11, r in 1usize..60, seed in 0u64..10_000) {
         if std::env::var_os("NMF_FORCE_SCALAR").is_some_and(|v| v == "1") {
-            assert_eq!(simd::active().path, KernelPath::Scalar);
+            assert_eq!(simd::active(), KernelPath::Scalar);
         }
         let k = KS[ki];
         let gram = Mat::gaussian(k, k, seed);
@@ -204,7 +204,7 @@ proptest! {
 
 #[test]
 fn portable_reductions_match_too() {
-    if simd::active().path != KernelPath::Avx2Fma {
+    if simd::active() != KernelPath::Avx2Fma {
         return; // this process already runs the portable reductions
     }
     let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))

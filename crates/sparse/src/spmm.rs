@@ -34,7 +34,7 @@ use nmf_matrix::Mat;
 macro_rules! on_kernel_path {
     ($body:ident($($arg:ident: $ty:ty),*)) => {{
         #[cfg(target_arch = "x86_64")]
-        if nmf_matrix::simd::active().path == nmf_matrix::simd::KernelPath::Avx2Fma {
+        if nmf_matrix::simd::active() == nmf_matrix::simd::KernelPath::Avx2Fma {
             #[target_feature(enable = "avx2")]
             fn avx2($($arg: $ty),*) {
                 $body($($arg),*)

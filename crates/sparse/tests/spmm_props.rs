@@ -127,7 +127,7 @@ fn bits(m: &Mat) -> Vec<u64> {
 /// the oracles.
 fn check(a: CsrRef<'_>, k: usize, specials: &[f64], seed: u64, what: &str) {
     let (m, n) = a.shape();
-    let at = format!("{what} ({m}x{n}, k = {k}, {:?})", simd::active().path);
+    let at = format!("{what} ({m}x{n}, k = {k}, {:?})", simd::active());
     let (ht, w) = (
         operand(n, k, specials, seed),
         operand(m, k, specials, seed ^ 1),
@@ -147,7 +147,7 @@ fn check(a: CsrRef<'_>, k: usize, specials: &[f64], seed: u64, what: &str) {
 #[test]
 fn kernels_match_the_axpy_oracle() {
     if std::env::var_os("NMF_FORCE_SCALAR").is_some_and(|v| v == "1") {
-        assert_eq!(simd::active().path, KernelPath::Scalar);
+        assert_eq!(simd::active(), KernelPath::Scalar);
     }
     let (m, n) = (37, 29);
     for (flavour, specials) in [("finite", &FINITE_SPECIALS[..]), ("special", &ALL_SPECIALS)] {
@@ -189,7 +189,7 @@ fn kernels_match_the_axpy_oracle() {
 /// (the kernel dispatch is decided once per process).
 #[test]
 fn portable_copy_matches_the_axpy_oracle_too() {
-    if simd::active().path != KernelPath::Avx2Fma {
+    if simd::active() != KernelPath::Avx2Fma {
         return; // this process already runs the portable copy
     }
     let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))

@@ -14,6 +14,7 @@ use hpc_nmf::engine::{AnlsEngine, Grid2D, Replicated1D, SplitBlocks};
 use hpc_nmf::prelude::*;
 use hpc_nmf::{init_ht, init_w};
 use nmf_matrix::rng::Fill;
+use nmf_matrix::simd::{self, KernelPath};
 use nmf_matrix::Mat;
 use nmf_sparse::gen::chung_lu_power_law;
 use nmf_vmpi::{universe, Comm};
@@ -409,6 +410,67 @@ fn disk_resume_preserves_early_stop_decisions() {
     assert_eq!(reason_resumed, reason_full);
     assert_eq!(resumed.iterations(), total);
     std::fs::remove_file(&path).ok();
+}
+
+/// An elastic resume on another host: a dense run at k = 32 (every GEMM
+/// and dot product fuses) checkpointed on the AVX2 kernels after
+/// `BREAK_AT` and `TOTAL` iterations, then resumed from `BREAK_AT` in a
+/// child pinned to the portable kernels by `NMF_FORCE_SCALAR=1`, reaches
+/// the uninterrupted run's factors. The child finds the checkpoints by
+/// its parent's process id.
+#[cfg(unix)]
+#[test]
+fn a_native_checkpoint_resumes_bit_identically_on_the_portable_kernels() {
+    let ckpts = |writer: u32| {
+        ["break", "total"]
+            .map(|at| std::env::temp_dir().join(format!("hpc_nmf_cross_host_{at}_{writer}.bin")))
+    };
+    let input = test_input(80, 60, 31);
+    if simd::active() == KernelPath::Scalar {
+        let [at_break, at_total] = ckpts(std::os::unix::process::parent_id());
+        if !at_total.exists() {
+            return; // not the child of the AVX2 half
+        }
+        let shared = SharedInput::new(input);
+        let mut resumed = Model::load_shared(&at_break, &shared).expect("checkpoint loads");
+        for _ in BREAK_AT..TOTAL {
+            resumed.step();
+        }
+        let full = Model::load_shared(&at_total, &shared).expect("checkpoint loads");
+        let bits = |(w, h): (Mat, Mat)| {
+            [w, h].map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(
+            bits(resumed.factors()),
+            bits(full.factors()),
+            "left the trajectory"
+        );
+        println!("resumed on the portable kernels");
+        return;
+    }
+    let cfg = NmfConfig::new(32).with_max_iters(TOTAL).with_seed(11);
+    let paths = ckpts(std::process::id());
+    for (steps, path) in [BREAK_AT, TOTAL].into_iter().zip(&paths) {
+        let mut model = session(&input, Algo::Hpc2D, 2, &cfg);
+        for _ in 0..steps {
+            model.step();
+        }
+        model.save(path).expect("checkpoint writes");
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["a_native_checkpoint_resumes", "--nocapture"])
+        .env("NMF_FORCE_SCALAR", "1")
+        .output()
+        .expect("rerun the test binary");
+    for path in &paths {
+        std::fs::remove_file(path).ok();
+    }
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("resumed on the portable kernels"),
+        "portable resume:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// Writes `bytes` to a fresh temp file and returns the path.

@@ -1,28 +1,25 @@
 //! Pinned trajectories: every objective of a run, to the bit, plus a
-//! digest of its final factors, against `golden/trajectories.<kernel>.txt`
-//! — one file per microkernel family, since the AVX2 and scalar paths
-//! round differently.
+//! digest of its final factors, against `golden/trajectories.txt`. The
+//! AVX2 and portable kernels round the same, so one file serves both:
+//! the test reruns itself in a child pinned by `NMF_FORCE_SCALAR=1`
+//! where the process chose the AVX2 kernels. Every line was written by
+//! an earlier build and is committed unedited; a mismatch is a
+//! trajectory change, never a reason to regenerate the file. In order:
 //!
-//! The files were written by the build in which Algorithm 1 still had a
-//! communication scheme of its own, and are committed unedited: the
-//! sequential runs here must stay bit-identical to them now that they
-//! run Algorithm 3 on a 1×1 grid. The `hpc1d` (a 2×1 grid) and `grid1x2`
-//! runs pin the two p = 2 grids that each have one grid dimension of
-//! size 1. A mismatch is a trajectory change, never a reason to
-//! regenerate a file.
-//!
-//! The cases after those first 18 lines were appended by the build that
-//! still cold-started every BPP solve from x = 0, and are committed
-//! unedited too: a 2×2 grid on 4 ranks (column windows that start past
-//! column 0), Naive on 2 and 3 ranks (ragged blocks), and a
-//! Webbase-like power-law input, which is relabelled before it is dealt
-//! and undealt when the factors come back.
-//!
-//! The BPP cases at k = 32 and k = 33 after those were appended by the
-//! build that still evaluated BPP's monotonicity guard with two dense
-//! `dot4` passes, and are committed unedited too. Every case above them
-//! runs k = 5, below the dispatched dot products' SIMD threshold (32);
-//! these reach the AVX2 reductions and their `k % 4` tail.
+//! * 18 lines from the build in which Algorithm 1 still had a
+//!   communication scheme of its own (`seq` now runs Algorithm 3 on a
+//!   1×1 grid; `hpc1d` and `grid1x2` are the two p = 2 grids with a grid
+//!   dimension of size 1);
+//! * 36 from the build that cold-started every BPP solve: a 2×2 grid
+//!   (column windows past column 0), Naive on 2 and 3 ranks (ragged
+//!   blocks), and a Webbase-like input, relabelled before it is dealt;
+//! * 12 BPP lines at k = 32 and 33 from the build whose guard took two
+//!   dense `dot4` passes: the first to reach the fused dot products
+//!   (from 32 elements on) and their `k % 4` tail;
+//! * 16 MU and HALS lines at k = 32 and 33, from the last build whose
+//!   portable dot products summed unfused (written on its AVX2 path; all
+//!   16 failed it under `NMF_FORCE_SCALAR=1`): MU's `X·Gᵀ` and HALS's
+//!   column updates pin the portable `dot4`/`dot` order.
 
 use hpc_nmf::prelude::*;
 use nmf_data::DatasetKind;
@@ -121,27 +118,51 @@ fn rendered() -> Vec<String> {
             }
         }
     }
+    for k in [32, 33] {
+        for (input_name, input) in [&inputs[0], &inputs[2]] {
+            for &(run_name, algo, ranks) in [&runs[0], &runs[3]] {
+                for &(solver_name, solver) in &solvers[1..] {
+                    let name = format!("{run_name}_{input_name}_{solver_name}_k{k}");
+                    lines.push(render(&name, input, algo, ranks, solver, k));
+                }
+            }
+        }
+    }
     lines
 }
 
 #[test]
 fn trajectories_match_the_golden_file() {
-    let golden = match simd::active().path {
-        KernelPath::Avx2Fma => include_str!("golden/trajectories.avx2+fma-6x8.txt"),
-        KernelPath::Scalar => include_str!("golden/trajectories.scalar-4x8.txt"),
-    };
-    let want: Vec<&str> = golden.lines().collect();
+    let want: Vec<&str> = include_str!("golden/trajectories.txt").lines().collect();
     let got = rendered();
     assert_eq!(
         want.len(),
         got.len(),
-        "the {} golden file has {} cases, the test runs {}:\n{}",
-        simd::active_name(),
+        "the golden file has {} cases, the test runs {} ({}):\n{}",
         want.len(),
         got.len(),
+        simd::active_name(),
         got.join("\n")
     );
     for (want, got) in want.iter().zip(&got) {
-        assert_eq!(want, got);
+        assert_eq!(want, got, "{}", simd::active_name());
     }
+}
+
+#[test]
+fn portable_kernels_match_too() {
+    if simd::active() != KernelPath::Avx2Fma {
+        return; // this process already runs the portable kernels
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["trajectories_match_the_golden_file", "--exact"])
+        .env("NMF_FORCE_SCALAR", "1")
+        .output()
+        .expect("rerun the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "portable kernels:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
