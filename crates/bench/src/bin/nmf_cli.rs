@@ -35,7 +35,9 @@
 //! `--json` replaces the human-readable report with one JSON object per
 //! fitted rank on stdout (objective, iterations, stop reason, per-task
 //! compute times — totals, and per iteration the slowest and the fastest
-//! rank — per-collective communication words/messages (its `posts`,
+//! rank — `gemm_kernel`, the dense GEMM microkernel that produced the
+//! `mm` time (`"avx512f-6x16"`, `"fma-6x8"` or `"portable-6x8"`),
+//! per-collective communication words/messages (its `posts`,
 //! `overlap_seconds` and `inflight_seconds` read zero: every collective
 //! completes where it is called), `balance`: how the input was
 //! dealt and, per rank, what it holds and `at_w`, the kernel its `Aᵀ·W`
@@ -685,10 +687,11 @@ fn json_line(
         jnum(model.rel_error())
     ));
     s.push_str(&format!(
-        "\"compute_seconds\":{{\"mm\":{:.6},\"nls\":{:.6},\"gram\":{:.6}}},",
+        "\"compute_seconds\":{{\"mm\":{:.6},\"nls\":{:.6},\"gram\":{:.6}}},\"gemm_kernel\":\"{}\",",
         compute.mm.as_secs_f64(),
         compute.nls.as_secs_f64(),
-        compute.gram.as_secs_f64()
+        compute.gram.as_secs_f64(),
+        nmf_matrix::simd::active_name()
     ));
     s.push_str("\"objective_history\":[");
     for (i, rec) in model.records().iter().enumerate() {

@@ -139,7 +139,7 @@ impl<'a> SplitBlocks<'a> {
             BlockRef::Dense(a) => b_scratch_len(a.ncols(), k),
             BlockRef::Sparse { .. } => 0,
         };
-        pack.reserve_scratch(a_ht.max(pack.at.b_scratch_len(k)));
+        pack.reserve_scratch(a_ht.max(b_scratch_len(pack.at.shape().1, k)));
     }
 
     /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into `out`.

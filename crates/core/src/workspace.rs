@@ -34,8 +34,9 @@ use nmf_matrix::{Mat, PackedPanels};
 /// `at` empty (their `MM` kernels walk the CSR directly).
 ///
 /// `bpack` is the right-operand tile scratch, pre-sized by
-/// [`reserve_scratch`](SessionPack::reserve_scratch) to the largest
-/// `KC`-deep block either product needs, so even the *first* iteration's
+/// [`reserve_scratch`](SessionPack::reserve_scratch) to the larger of the
+/// two products' packed right operands (whole depth, at most `NC`
+/// columns; none at `k = NR`), so even the *first* iteration's
 /// GEMMs allocate nothing — the counting-allocator tests assert
 /// iteration-count-independent totals with no warmup.
 #[derive(Clone, Debug, Default)]

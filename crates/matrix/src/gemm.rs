@@ -14,33 +14,29 @@
 //! Multiplication*):
 //!
 //! 1. **Operands** ([`pack`](crate::pack)): the right operand is packed
-//!    into `KC×NR` tiles per call. The left operand is read in `MR`-row
-//!    panels addressed by a (row stride, depth stride) pair: in place
-//!    when it is a row-major matrix or a [`MatRef`] block of one
-//!    ([`matmul_into`], [`matmul_scratch_into`]; strides `(ld, 1)`), or
-//!    from [`PackedPanels`] ([`matmul_packed_into`]; strides `(1, MR)`).
-//!    A row-major block streams its `MR` rows through the panel as fast
-//!    as packed panels do, so it is packed only where its storage is the
-//!    wrong way round: `C = Aᵀ·B` ([`matmul_ta_into`]) packs `Aᵀ`'s
-//!    panels while reading `A` row-by-row
-//!    ([`PackedPanels::pack_transposed`]), never materializing a
-//!    transpose.
-//! 2. **Microkernel** ([`simd`]): a 6×8 register block of `C`
-//!    accumulates across a whole `KC`-deep panel. On AVX2+FMA hosts
-//!    this is an intrinsics kernel (twelve `ymm` accumulators saturating
-//!    both FMA ports); elsewhere a portable kernel that fuses in the
-//!    same order, so both give the same bits. The choice is made once
-//!    per process (`is_x86_feature_detected!`, cached in a `OnceLock`)
-//!    and can be pinned to the fallback with `NMF_FORCE_SCALAR=1`.
-//! 3. **Amortized packing**: `B` tiles are packed into scratch that grows
-//!    once and is reused; a left operand that must be packed can be
-//!    packed **once per session** into a [`PackedPanels`] — the ANLS win
-//!    from the paper: the data matrix never changes across iterations,
-//!    so `crates/core` packs `Aᵀ` at engine construction, and reads `A`
-//!    for `A·Hᵀ` in place.
+//!    per call into `NR`-column tiles over its whole depth, `NC` columns
+//!    at a time. The left operand is read in `MR`-row panels at a (row
+//!    stride, depth stride) pair: in place when it is a row-major matrix
+//!    or a [`MatRef`] block of one ([`matmul_into`],
+//!    [`matmul_scratch_into`]; `(ld, 1)`), or from [`PackedPanels`]
+//!    ([`matmul_packed_into`]; `(1, MR)`). It is packed only where its
+//!    storage is the wrong way round: `C = Aᵀ·B` ([`matmul_ta_into`])
+//!    packs `Aᵀ`'s panels from `A`'s rows
+//!    ([`PackedPanels::pack_transposed`]), never forming a transpose.
+//! 2. **Loop order**: each `MR`-row panel streams through all of its
+//!    `KC`-deep blocks in order, each against every packed tile; the
+//!    panel's rows are read front to back once, the packed `B` stays in L2.
+//! 3. **Microkernel** ([`simd`]): a 6×16 register block of `C`, one
+//!    portable body compiled 16 lanes wide under `avx512f` and 8 wide
+//!    under `fma` or plain, chosen once per process.
+//! 4. **Amortized packing**: scratch grows once and is reused, and a left
+//!    operand that must be packed is packed **once per session** into a
+//!    [`PackedPanels`] — the data matrix never changes across ANLS
+//!    iterations, so `crates/core` packs `Aᵀ` at engine construction.
 //!
-//! Both operand forms give the same bits: each output element is the
-//! same FMA chain over the same `KC` blocks in the same depth order.
+//! Every build, both operand forms and the loop order give the same bits:
+//! each output element is `+0.0` plus one FMA chain per `KC` block, added
+//! in depth order — what a KC-outer loop computes.
 //!
 //! `*_into` variants write into caller-owned storage so per-iteration
 //! workspaces can be reused; the allocating wrappers exist for
@@ -51,7 +47,7 @@
 //! kernels on its local blocks.
 
 use crate::mat::{Mat, MatRef};
-use crate::pack::{pack_b_block, pack_panel, PackedPanels, KC, MR, NR};
+use crate::pack::{pack_b, pack_panel, PackedPanels, KC, MR, NC, NR};
 use crate::simd;
 use std::cell::RefCell;
 
@@ -80,8 +76,8 @@ pub fn matmul(a: &Mat, b: &Mat) -> Mat {
 }
 
 /// `C = A·B` into caller-owned `c` (overwritten). Reads `A` in place,
-/// packs `B` into thread-local scratch and runs the dispatched SIMD
-/// microkernel; see the module docs.
+/// packs `B` into thread-local scratch and runs the dispatched
+/// microkernel build; see the module docs.
 pub fn matmul_into(a: &Mat, b: &Mat, c: &mut Mat) {
     SCRATCH.with(|s| matmul_scratch_into(a, b, c, &mut s.borrow_mut().bpack));
 }
@@ -133,7 +129,7 @@ pub fn matmul_packed_into(p: &PackedPanels, b: &Mat, c: &mut Mat) {
 /// the thread-local buffer. Hot-loop callers that must not touch any
 /// hidden allocation (the engine's counting-allocator invariant) hold
 /// the scratch in their workspace, pre-sized via
-/// [`PackedPanels::b_scratch_len`], so steady-state calls allocate
+/// [`b_scratch_len`](crate::pack::b_scratch_len), so steady-state calls allocate
 /// nothing — including on the very first iteration.
 ///
 /// # Panics
@@ -165,86 +161,70 @@ enum Left<'a> {
     InPlace(MatRef<'a>),
 }
 
-impl Left<'_> {
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            Left::Packed(p) => p.shape(),
-            Left::InPlace(a) => a.shape(),
-        }
-    }
-}
-
 /// The GEMM driver: `c += A·b` where `A` is the `m×kdim` left operand,
 /// `b` is `kdim×n` row-major, `c` is `m×n` (leading dimension `n`,
-/// pre-initialized). For each `KC`-deep block, packs the corresponding
-/// `B` rows into `KC×NR` tiles in `bpack`, then sweeps `MR`-row panels of
-/// `A` × `NR`-column tiles through the dispatched microkernel, handing it
-/// each panel as a pointer plus its (row stride, depth stride).
-/// Accumulators live in registers for the whole block; edge tiles are
-/// handled by the kernels' clipped store phase. An in-place operand's
-/// last panel, when fewer than `MR` rows are left, is first copied into
-/// a zero-padded panel on the stack, so the kernel never reads a row
-/// outside the block and pad rows never reach a stored element.
+/// pre-initialized). For each `NC`-column block of `b`, packed whole into
+/// `bpack` (or read in place if `b` is one tile wide, see `pack_b`), each
+/// `MR`-row panel of `A` runs its `KC`-deep blocks in order
+/// against every tile; with `kdim ≤ KC` this is the KC-outer loop. An
+/// in-place operand's last panel, when fewer than `MR` rows are left, is
+/// copied into a zero-padded stack panel first, so the kernel never reads
+/// a row outside the block and pad rows never reach a stored element.
 fn gemm(left: Left<'_>, b: &[f64], n: usize, c: &mut [f64], bpack: &mut Vec<f64>) {
-    let (m, kdim) = left.shape();
+    let (m, kdim) = match left {
+        Left::Packed(p) => p.shape(),
+        Left::InPlace(a) => a.shape(),
+    };
     debug_assert_eq!(b.len(), kdim * n);
     debug_assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
-    let kernel = match simd::active() {
-        #[cfg(target_arch = "x86_64")]
-        simd::KernelPath::Avx2Fma => simd::kernel_6x8_avx2,
-        _ => simd::kernel_6x8_scalar,
-    };
-    let ntiles = n.div_ceil(NR);
+    let build = simd::gemm_build();
     let mut edge = [0.0f64; MR * KC];
-    let mut k0 = 0;
-    while k0 < kdim {
-        let kc = KC.min(kdim - k0);
-        pack_b_block(b, n, k0, kc, bpack);
-        let mut i0 = 0;
-        while i0 < m {
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        let tiles = pack_b(b, n, (j0, nc), bpack);
+        for i0 in (0..m).step_by(MR) {
             let mr_eff = MR.min(m - i0);
-            let (pa, rs, ds) = match left {
-                Left::Packed(p) => (p.panel(k0, kc, i0), 1, MR),
-                Left::InPlace(a) if mr_eff == MR => (a.tail(i0, k0), a.ld(), 1),
-                Left::InPlace(a) => {
-                    pack_panel(a, (i0, mr_eff), (k0, kc), &mut edge);
-                    (&edge[..MR * kc], 1, MR)
-                }
-            };
-            // What the kernels' reads of `pa` rely on.
-            assert!(
-                pa.len() > (MR - 1) * rs + (kc - 1) * ds,
-                "left-operand panel shorter than its strides"
-            );
-            for jt in 0..ntiles {
-                let j0 = jt * NR;
-                let nr_eff = NR.min(n - j0);
-                let pbt = &bpack[jt * NR * kc..(jt + 1) * NR * kc];
-                // SAFETY: `kernel_6x8_avx2` is chosen only where AVX2 and FMA
-                // were detected; the assert above covers every `pa` read at
-                // `r*rs + d*ds` (`r < MR`, `d < kc`); `pbt` is a full `NR*kc`
-                // tile; the `c` tile at `i0*n + j0` holds `mr_eff` rows of
-                // `nr_eff` elements at row stride `n`.
-                unsafe {
-                    kernel(
-                        pa.as_ptr(),
+            for k0 in (0..kdim).step_by(KC) {
+                let kc = KC.min(kdim - k0);
+                let (pa, rs, ds) = match left {
+                    Left::Packed(p) => (p.panel(k0, kc, i0), 1, MR),
+                    Left::InPlace(a) if mr_eff == MR => (a.tail(i0, k0), a.ld(), 1),
+                    Left::InPlace(a) => {
+                        pack_panel(a, (i0, mr_eff), (k0, kc), &mut edge);
+                        (&edge[..MR * kc], 1, MR)
+                    }
+                };
+                // What the kernel's reads of `pa` rely on.
+                assert!(
+                    pa.len() > (MR - 1) * rs + (kc - 1) * ds,
+                    "left-operand panel shorter than its strides"
+                );
+                for jt in 0..nc.div_ceil(NR) {
+                    let at = jt * NR * kdim + k0 * NR;
+                    let pbt = &tiles[at..at + NR * kc];
+                    let t = simd::Tile {
+                        pa: pa.as_ptr(),
                         rs,
                         ds,
-                        pbt.as_ptr(),
+                        pb: pbt.as_ptr(),
                         kc,
-                        c.as_mut_ptr().add(i0 * n + j0),
-                        n,
+                        c: c[i0 * n + j0 + jt * NR..].as_mut_ptr(),
+                        ldc: n,
                         mr_eff,
-                        nr_eff,
-                    );
+                        nr_eff: NR.min(nc - jt * NR),
+                    };
+                    // SAFETY: `build` is the detected one; the assert above
+                    // covers every `pa` read at `r*rs + d*ds` (`r < MR`,
+                    // `d < kc`); `pbt` is a full `NR*kc` tile; the `c` tile
+                    // holds `mr_eff` rows of the `nr_eff` elements left in
+                    // the block at row stride `n`.
+                    unsafe { simd::microkernel(build, t) };
                 }
             }
-            i0 += MR;
         }
-        k0 += kc;
     }
 }
 

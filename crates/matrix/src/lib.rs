@@ -13,11 +13,12 @@
 //!   `A·Bᵀ`), all serial — a rank is a thread, as in the paper. One
 //!   driver serves them all; it reads a row-major left operand (or a
 //!   [`MatRef`] block) in place and a transposed one from packed panels;
-//! * [`simd`] — the runtime-dispatched `MR×NR` register microkernels
-//!   (AVX2+FMA 6×8 and a portable 6×8 fallback with the same bits, chosen
-//!   once per process; `NMF_FORCE_SCALAR=1` pins the fallback), which read the
-//!   left operand at a (row stride, depth stride) pair so one kernel
-//!   serves both forms;
+//! * [`simd`] — the `MR×NR` register microkernel: one portable body,
+//!   compiled 16 lanes wide under `avx512f`, 8 wide under `fma` and plain
+//!   elsewhere, all with the same bits (chosen once per process;
+//!   `NMF_FORCE_SCALAR=1` pins the 8-wide build), which reads the left
+//!   operand at a (row stride, depth stride) pair so one kernel serves
+//!   both forms; and the dispatched AVX2 dot products;
 //! * [`pack`] — operand packing into microkernel-ready panels, including
 //!   [`PackedPanels`] for left operands packed once and reused across a
 //!   whole ANLS session (`Aᵀ`, for `Aᵀ·W`);

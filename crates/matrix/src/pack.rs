@@ -1,6 +1,6 @@
-//! Operand packing for the GEMM microkernels (GotoBLAS-style).
+//! Operand packing for the GEMM microkernel (GotoBLAS-style).
 //!
-//! The microkernels in [`simd`](crate::simd) read the right operand from
+//! The microkernel in [`simd`](crate::simd) reads the right operand from
 //! packed tiles and the left operand from `MR`-row panels addressed by a
 //! (row stride, depth stride) pair, so the left operand is packed only
 //! where packing pays:
@@ -13,9 +13,10 @@
 //!   contributes terms that are simply not stored). A row-major left
 //!   operand is read in place instead, strides `(ld, 1)`; only its last,
 //!   short panel is copied into a zero-padded panel per call.
-//! * **`B` tiles** (right operand): each depth-`KC` row block is cut
-//!   into `NR`-column tiles laid out depth-major —
-//!   `tile[d*NR + t] = B[k0+d][j0+t]`, zero-padded past `n`.
+//! * **`B` tiles** (right operand): up to `NC` columns at a time, cut
+//!   into `NR`-column tiles depth-major over the whole inner dimension —
+//!   `tile[d*NR + t] = B[d][j0+t]`, zero-padded past the block — so the
+//!   `KC`-deep piece one microkernel call reads is contiguous.
 //!
 //! `B` tiles are packed per GEMM call into scratch (they depend on the
 //! right operand, which changes every iteration). A left operand that is
@@ -27,19 +28,27 @@
 //! changes across iterations. `A` itself, the left operand of `A·Hᵀ`, is
 //! row-major already and is read where it lies.
 //!
-//! The panel height `MR = 6` is the same for both microkernels, so packed
-//! panels do not depend on the dispatched path.
+//! Neither layout depends on the dispatched build.
 
 use crate::mat::MatRef;
 
 pub use crate::simd::{KC, MR, NR};
 
+/// Columns of `B` packed per pass of the GEMM driver: up to `k = 32` one
+/// pass packs all of an NMF product's `B`, and a few-thousand-deep block
+/// stays L2-sized.
+pub const NC: usize = 2 * NR;
+
 /// Length (in floats) of the `B`-tile scratch a GEMM with inner
-/// dimension `kdim` needs for a right operand with `n` columns: one
-/// `KC`-deep block of `NR`-wide tiles. Pre-sizing a caller-owned scratch
-/// to this bound makes every subsequent GEMM allocation-free.
+/// dimension `kdim` needs for a right operand with `n` columns: at most
+/// `NC` columns over the whole depth, and none for `n = NR` (see
+/// `pack_b`). Pre-sizing a caller-owned scratch to this bound makes
+/// every subsequent GEMM allocation-free.
 pub fn b_scratch_len(kdim: usize, n: usize) -> usize {
-    n.div_ceil(NR) * NR * KC.min(kdim)
+    match n == NR {
+        true => 0,
+        false => n.min(NC).div_ceil(NR) * NR * kdim,
+    }
 }
 
 /// Copies rows `i0..i0+mr_eff`, columns `k0..k0+kc` of `a` into `panel`
@@ -109,18 +118,6 @@ impl PackedPanels {
         self.data.len() * std::mem::size_of::<f64>()
     }
 
-    /// Length (in floats) of the `B`-tile scratch that
-    /// [`matmul_packed_scratch_into`](crate::gemm::matmul_packed_scratch_into)
-    /// needs for a right operand with `n` columns: one `KC`-deep block of
-    /// `NR`-wide tiles. Pre-sizing a caller-owned scratch to this bound
-    /// makes every subsequent packed GEMM allocation-free.
-    pub fn b_scratch_len(&self, n: usize) -> usize {
-        if self.is_empty() {
-            return 0;
-        }
-        b_scratch_len(self.kdim, n)
-    }
-
     /// Drop the packed operand (keeps the allocation for reuse).
     pub fn clear(&mut self) {
         self.m = 0;
@@ -144,20 +141,13 @@ impl PackedPanels {
         let a = a.into();
         let (m, kdim) = a.shape();
         let rows_padded = self.reset(m, kdim);
-        if self.data.is_empty() {
-            return;
-        }
-        let mut k0 = 0;
-        while k0 < kdim {
+        for k0 in (0..kdim).step_by(KC) {
             let kc = KC.min(kdim - k0);
             let kblock_base = rows_padded * k0;
-            let mut i0 = 0;
-            while i0 < m {
+            for i0 in (0..m).step_by(MR) {
                 let panel = &mut self.data[kblock_base + i0 * kc..kblock_base + (i0 + MR) * kc];
                 pack_panel(a, (i0, MR.min(m - i0)), (k0, kc), panel);
-                i0 += MR;
             }
-            k0 += kc;
         }
     }
 
@@ -169,24 +159,17 @@ impl PackedPanels {
         let a = a.into();
         let (kdim, m) = a.shape();
         let rows_padded = self.reset(m, kdim);
-        if self.data.is_empty() {
-            return;
-        }
-        let mut k0 = 0;
-        while k0 < kdim {
+        for k0 in (0..kdim).step_by(KC) {
             let kc = KC.min(kdim - k0);
             let kblock_base = rows_padded * k0;
             for d in 0..kc {
                 let arow = a.row(k0 + d);
-                let mut i0 = 0;
-                while i0 < m {
+                for i0 in (0..m).step_by(MR) {
                     let mr_eff = MR.min(m - i0);
                     let dst_at = kblock_base + i0 * kc + d * MR;
                     self.data[dst_at..dst_at + mr_eff].copy_from_slice(&arow[i0..i0 + mr_eff]);
-                    i0 += MR;
                 }
             }
-            k0 += kc;
         }
     }
 
@@ -202,36 +185,36 @@ impl PackedPanels {
     }
 }
 
-/// Pack the depth-`kc` row block of `b` (an `?×n` row-major slice with
-/// row stride `n`) starting at row `k0` into `NR`-column tiles:
-/// `out[jt*NR*kc + d*NR + t] = b[(k0+d)*n + jt*NR + t]`, zero-padded to
-/// a whole tile past `n`. `out` is resized (capacity is retained across
-/// calls, so steady-state repacking allocates nothing once warm).
-pub(crate) fn pack_b_block(b: &[f64], n: usize, k0: usize, kc: usize, out: &mut Vec<f64>) {
-    let ntiles = n.div_ceil(NR);
-    let needed = ntiles * NR * kc;
+/// Pack columns `j0..j0+nc` of `b` (a `kdim×n` row-major slice) into
+/// `NR`-column tiles over the whole depth, `out[jt*NR*kdim + d*NR + t] =
+/// b[d*n + j0 + jt*NR + t]`, zero-padded to a whole tile past `nc`, and
+/// return the tiles. A `b` exactly one tile wide is already in tile order
+/// and is returned as it is. `out` only grows, so steady-state repacking
+/// allocates nothing once warm.
+pub(crate) fn pack_b<'a>(
+    b: &'a [f64],
+    n: usize,
+    (j0, nc): (usize, usize),
+    out: &'a mut Vec<f64>,
+) -> &'a [f64] {
+    if n == NR {
+        return b;
+    }
+    let kdim = b.len() / n;
+    let needed = b_scratch_len(kdim, nc);
     if out.len() < needed {
         out.resize(needed, 0.0);
     }
-    // Every element of the needed range is written below (full tiles by
-    // the NR-wide copy, the edge tile's pad lanes by the explicit fill),
-    // so no bulk re-zeroing is needed — this keeps the per-call packing
-    // cost at one streaming copy of the block.
-    let full_tiles = n / NR;
-    for d in 0..kc {
-        let brow = &b[(k0 + d) * n..(k0 + d) * n + n];
-        for jt in 0..full_tiles {
-            let dst_at = jt * NR * kc + d * NR;
-            out[dst_at..dst_at + NR].copy_from_slice(&brow[jt * NR..jt * NR + NR]);
-        }
-        if full_tiles < ntiles {
-            let j0 = full_tiles * NR;
-            let w = n - j0;
-            let dst_at = full_tiles * NR * kc + d * NR;
-            out[dst_at..dst_at + w].copy_from_slice(&brow[j0..]);
-            out[dst_at + w..dst_at + NR].fill(0.0);
+    // Every element of the needed range is written below, pad lanes
+    // included, so packing costs one streaming copy and no re-zeroing.
+    for (jt, tile) in out[..needed].chunks_exact_mut(NR * kdim).enumerate() {
+        let (t0, w) = (j0 + jt * NR, NR.min(nc - jt * NR));
+        for (brow, dst) in b.chunks_exact(n).zip(tile.chunks_exact_mut(NR)) {
+            dst[..w].copy_from_slice(&brow[t0..t0 + w]);
+            dst[w..].fill(0.0);
         }
     }
+    &out[..needed]
 }
 
 #[cfg(test)]
@@ -289,21 +272,35 @@ mod tests {
     }
 
     #[test]
-    fn b_block_packing_pads_edge_tiles() {
-        let n = 11; // one full tile + a 3-wide edge tile
-        let kdim = 5;
+    fn b_packing_pads_edge_tiles_over_the_whole_depth() {
+        // Two column blocks: NC columns (whole tiles), then 19 (one full
+        // tile + a 3-wide edge tile), each over the whole depth.
+        let (kdim, n) = (5, NC + 19);
         let b = Mat::uniform(kdim, n, 9);
         let mut out = Vec::new();
-        pack_b_block(b.as_slice(), n, 0, kdim, &mut out);
-        assert_eq!(out.len(), 2 * NR * kdim);
-        for d in 0..kdim {
-            for jt in 0..2 {
-                for t in 0..NR {
-                    let j = jt * NR + t;
-                    let expect = if j < n { b[(d, j)] } else { 0.0 };
-                    assert_eq!(out[jt * NR * kdim + d * NR + t], expect);
+        for (j0, nc) in [(0, NC), (NC, 19)] {
+            let tiles = pack_b(b.as_slice(), n, (j0, nc), &mut out);
+            let ntiles = nc.div_ceil(NR);
+            assert_eq!(tiles.len(), ntiles * NR * kdim);
+            for d in 0..kdim {
+                for jt in 0..ntiles {
+                    for t in 0..NR {
+                        let j = jt * NR + t;
+                        let expect = if j < nc { b[(d, j0 + j)] } else { 0.0 };
+                        assert_eq!(
+                            tiles[jt * NR * kdim + d * NR + t],
+                            expect,
+                            "({d}, {j0} + {j})"
+                        );
+                    }
                 }
             }
+            assert_eq!(out.len(), b_scratch_len(kdim, n));
         }
+        // One tile wide, `b` is already in tile order: read in place.
+        let b = Mat::uniform(kdim, NR, 10);
+        let tiles = pack_b(b.as_slice(), NR, (0, NR), &mut out);
+        assert_eq!(tiles.as_ptr(), b.as_slice().as_ptr());
+        assert_eq!(b_scratch_len(kdim, NR), 0);
     }
 }

@@ -1,46 +1,39 @@
-//! Runtime-dispatched SIMD microkernels (`std::arch`, AVX2 + FMA).
+//! Runtime-dispatched SIMD kernels: one portable GEMM microkernel body,
+//! compiled at the host's widest vector width, and the AVX2 + FMA dots.
 //!
-//! The GEMM driver in [`gemm`](crate::gemm) is written against an
-//! abstract `MR×NR` register microkernel that consumes a packed `B` tile
-//! (see [`pack`](crate::pack)) and an `MR`-row panel of the left operand
-//! addressed by a pointer plus a (row stride, depth stride) pair: `(1,
-//! MR)` for packed panels, `(ld, 1)` for the rows of a row-major block
-//! read in place. This module provides the two implementations, which
-//! give the same bits, and the once-per-process choice between them:
+//! The GEMM driver in [`gemm`](crate::gemm) hands [`microkernel`] one
+//! [`Tile`]: a packed `B` tile (see [`pack`](crate::pack)) and an
+//! `MR`-row panel of the left operand at a (row stride, depth stride)
+//! pair — `(1, MR)` for packed panels, `(ld, 1)` for the rows of a
+//! row-major block read in place. The body is generic over its register
+//! width `W`: `MR×W` accumulators, each from zero adding `a·b` with
+//! `mul_add` in depth order, added to `C` once — a full tile straight
+//! from the accumulators, an edge tile through a stack tile, so runtime
+//! bounds never index (and spill) them. [`GemmBuild`] compiles it three
+//! ways with the same bits: `avx512f-6x16` (`W = 16`; a tile stored at
+//! most 8 wide takes `W = 8`), `fma-6x8` (`W = 8`, a pass per half tile)
+//! and `portable-6x8` (`W = 8` plain, `mul_add` through libm).
 //!
-//! * [`kernel_6x8_avx2`] — a 6×8 `f64` microkernel using 256-bit
-//!   AVX2 + FMA intrinsics: twelve `ymm` accumulators (6 rows × 2
-//!   vectors of 4 lanes), two packed-`B` loads and six `A` broadcasts
-//!   per inner-product step. Twelve independent FMA chains keep both
-//!   FMA ports busy past the 4-5-cycle FMA latency.
-//! * [`kernel_6x8_scalar`] — the portable fallback: plain Rust over the
-//!   same 6×8 block, adding each product with `mul_add` in the AVX2
-//!   kernel's order.
-//!
-//! ## Dispatch
-//!
-//! [`active`] detects AVX2 + FMA once (`is_x86_feature_detected!`),
-//! caches the decision in a `OnceLock`, and every GEMM call reads it.
-//! Setting `NMF_FORCE_SCALAR=1` in the environment before the first
-//! kernel call forces the portable path — the hook the forced-scalar CI
-//! job and the `forced_scalar` integration test use to exercise the
-//! fallback on AVX2 hosts. The reductions behind [`dot`](crate::gemm::dot)
-//! and [`dot4`](crate::gemm::dot4) from 32 elements on come in the same
-//! two copies: [`dot_avx2`] / [`dot4_avx2`] and [`dot_fused`] / [`dot4_fused`].
+//! Both choices are made once per process: [`gemm_build`] for the GEMM,
+//! [`active`] for the dots and SpMM — AVX2 + FMA where the CPU has both,
+//! whatever AVX-512 says. `NMF_FORCE_SCALAR=1`, set before the first
+//! kernel call, forces the portable dots and SpMM and the 8-wide GEMM.
+//! [`dot`](crate::gemm::dot) and [`dot4`](crate::gemm::dot4) from 32
+//! elements on have two copies with the same bits: [`dot_avx2`] /
+//! [`dot4_avx2`] and [`dot_fused`] / [`dot4_fused`].
 
 use std::sync::OnceLock;
 
-/// Columns of `C` produced per microkernel call (shared by both paths;
-/// packed `B` tiles are `KC×NR`).
-pub const NR: usize = 8;
-/// Inner-dimension panel depth shared by packing and the drivers: a
-/// `KC×NR` tile of `B` (16 KiB) sits comfortably in L1 while an `MR×KC`
-/// panel of `A` streams beside it.
+/// Columns of `C` per microkernel call; packed `B` tiles are `KC×NR` on
+/// every host, whatever width the body runs at.
+pub const NR: usize = 16;
+/// Depth of one microkernel call: a `KC×NR` tile of `B` (32 KiB) sits
+/// in L1 while an `MR×KC` panel of `A` streams beside it.
 pub const KC: usize = 256;
 /// Rows of `C` per microkernel call; packed `A` panels are `MR×KC`.
 pub const MR: usize = 6;
 
-/// Which microkernel family the process dispatched to.
+/// Which family the dots and SpMM dispatched to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
     /// 256-bit AVX2 + FMA intrinsics.
@@ -49,33 +42,80 @@ pub enum KernelPath {
     Scalar,
 }
 
-static ACTIVE: OnceLock<KernelPath> = OnceLock::new();
+/// Which build of the GEMM microkernel body runs (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GemmBuild {
+    /// `W = 16` under `avx512f`: `avx512f-6x16`.
+    Avx512f,
+    /// `W = 8` under `fma`, a pass per half tile: `fma-6x8`.
+    Fma,
+    /// `W = 8`, plain code: `portable-6x8`.
+    Portable,
+}
 
-fn detect() -> KernelPath {
-    let forced_scalar = std::env::var("NMF_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if !forced_scalar && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return KernelPath::Avx2Fma;
+impl GemmBuild {
+    /// The name [`active_name`] reports for this build.
+    pub fn name(self) -> &'static str {
+        match self {
+            GemmBuild::Avx512f => "avx512f-6x16",
+            GemmBuild::Fma => "fma-6x8",
+            GemmBuild::Portable => "portable-6x8",
         }
     }
-    let _ = forced_scalar;
-    KernelPath::Scalar
+
+    /// Whether this CPU can run the build.
+    pub fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let (avx512f, fma) = (
+            is_x86_feature_detected!("avx512f"),
+            is_x86_feature_detected!("fma"),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx512f, fma) = (false, false);
+        match self {
+            GemmBuild::Avx512f => avx512f && fma,
+            GemmBuild::Fma => fma,
+            GemmBuild::Portable => true,
+        }
+    }
 }
 
-/// The process-wide kernel path (detected once, then cached).
+static ACTIVE: OnceLock<(KernelPath, GemmBuild)> = OnceLock::new();
+
+fn detect() -> (KernelPath, GemmBuild) {
+    let forced_scalar = std::env::var("NMF_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
+    #[cfg(target_arch = "x86_64")]
+    let avx2_fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2_fma = false;
+    let path = match !forced_scalar && avx2_fma {
+        true => KernelPath::Avx2Fma,
+        false => KernelPath::Scalar,
+    };
+    let gemm = match forced_scalar {
+        false if GemmBuild::Avx512f.supported() => GemmBuild::Avx512f,
+        _ if GemmBuild::Fma.supported() => GemmBuild::Fma,
+        _ => GemmBuild::Portable,
+    };
+    (path, gemm)
+}
+
+/// The process-wide path of the dots and SpMM (detected once, then cached).
 #[inline]
 pub fn active() -> KernelPath {
-    *ACTIVE.get_or_init(detect)
+    ACTIVE.get_or_init(detect).0
 }
 
-/// Human-readable name of the active microkernel, for benchmark
-/// methodology records and the forced-scalar test.
+/// The process-wide GEMM microkernel build (detected once, then cached).
+#[inline]
+pub fn gemm_build() -> GemmBuild {
+    ACTIVE.get_or_init(detect).1
+}
+
+/// Name of the active GEMM microkernel build and register tile, for
+/// benchmark methodology records and `nmf_cli --json`.
 pub fn active_name() -> &'static str {
-    match active() {
-        KernelPath::Avx2Fma => "avx2+fma-6x8",
-        KernelPath::Scalar => "scalar-6x8",
-    }
+    gemm_build().name()
 }
 
 /// Runs `$body`, an `#[inline(always)]` portable body, compiled with FMA
@@ -96,147 +136,110 @@ macro_rules! with_fma {
     }};
 }
 
-/// `C[0..mr_eff, 0..nr_eff] += A · PB` for one panel pair: `pa` points at
-/// element `(0, 0)` of an `MR×kc` panel of the left operand, whose
-/// element `(r, d)` is `pa[r*rs + d*ds]` — `(rs, ds) = (1, MR)` for
-/// a [`PackedPanels`](crate::PackedPanels) panel, `(ld, 1)` for rows of a
-/// row-major block read in place. `pb` is a `kc×NR` packed `B` tile
-/// (`pb[d*NR + t]`), `c` the top-left element of the output tile with
-/// row stride `ldc`. Rows ≥ `mr_eff` / columns ≥ `nr_eff` of the register
-/// tile are computed but not stored. The strides change only where each
-/// `A` element is loaded from: every output element's FMA chain is the
-/// same for both operand forms.
+/// Runs `$body::<W>(t)`, an `#[inline(always)]` body generic over its
+/// register width, as `$build` says: `W = 16` compiled under `avx512f`,
+/// `W = 8` under `fma`, or `W = 8` plain.
+macro_rules! with_build {
+    ($build:expr, $body:ident($t:ident)) => {{
+        #[cfg(target_arch = "x86_64")]
+        match $build {
+            GemmBuild::Avx512f => {
+                #[target_feature(enable = "avx512f", enable = "fma")]
+                unsafe fn avx512f($t: Tile) {
+                    $body::<16>($t)
+                }
+                return avx512f($t);
+            }
+            GemmBuild::Fma => {
+                #[target_feature(enable = "fma")]
+                unsafe fn fma($t: Tile) {
+                    $body::<8>($t)
+                }
+                return fma($t);
+            }
+            GemmBuild::Portable => {}
+        }
+        $body::<8>($t)
+    }};
+}
+
+/// The operands of one microkernel call: `C[0..mr_eff, 0..nr_eff] += A ·
+/// PB`. Element `(r, d)` of the `MR×kc` left panel is `pa[r*rs + d*ds]`;
+/// `pb` is a `kc×NR` packed `B` tile (`pb[d*NR + t]`); `c` is the top-left
+/// element of the output tile, whose rows are `ldc` apart. Rows ≥
+/// `mr_eff` and columns ≥ `nr_eff` of the register tile are computed but
+/// not stored.
+#[derive(Clone, Copy)]
+pub struct Tile {
+    pub pa: *const f64,
+    pub rs: usize,
+    pub ds: usize,
+    pub pb: *const f64,
+    pub kc: usize,
+    pub c: *mut f64,
+    pub ldc: usize,
+    pub mr_eff: usize,
+    pub nr_eff: usize,
+}
+
+/// Runs one [`Tile`] through the body as `build` compiles it. The strides
+/// and the build change only where each element is loaded from and how
+/// many lanes a register holds: every output element's FMA chain is the
+/// same.
 ///
 /// # Safety
 ///
-/// * The caller must have verified AVX2 and FMA support (this function
-///   is `#[target_feature]`-compiled); call only when
-///   [`active`]`() == KernelPath::Avx2Fma`.
-/// * `pa` must be valid for reads at `r*rs + d*ds` for all
-///   `r < MR`, `d < kc`; `pb` must hold at least `NR*kc` elements.
+/// * `build` must be one this CPU runs ([`GemmBuild::supported`]);
+///   [`gemm_build`] always is.
+/// * `pa` must be valid for reads at `r*rs + d*ds` for all `r < MR`,
+///   `d < kc`; `pb` must hold at least `NR*kc` elements.
 /// * `c` must be valid for reads and writes at `r*ldc + t` for all
 ///   `r < mr_eff`, `t < nr_eff`, with `mr_eff ≤ MR`, `nr_eff ≤ NR`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn kernel_6x8_avx2(
-    pa: *const f64,
-    rs: usize,
-    ds: usize,
-    pb: *const f64,
-    kc: usize,
-    c: *mut f64,
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    use std::arch::x86_64::*;
-    let mut acc: [[__m256d; 2]; MR] = [[_mm256_setzero_pd(); 2]; MR];
-    let mut pa = pa;
-    let mut pb = pb;
-    // Two inner-product steps per trip: halves the loop overhead and
-    // gives the prefetcher a longer window on the streamed panels. The
-    // row loops are fully unrolled by LLVM (constant trip count): six
-    // broadcasts feeding twelve independent FMA chains per step.
-    let paired = kc / 2;
-    for _ in 0..paired {
-        _mm_prefetch(pb.cast::<i8>().add(16 * NR), _MM_HINT_T0);
-        let b0 = _mm256_loadu_pd(pb);
-        let b1 = _mm256_loadu_pd(pb.add(4));
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = _mm256_set1_pd(*pa.add(r * rs));
-            acc_r[0] = _mm256_fmadd_pd(ar, b0, acc_r[0]);
-            acc_r[1] = _mm256_fmadd_pd(ar, b1, acc_r[1]);
-        }
-        pa = pa.add(ds);
-        let c0 = _mm256_loadu_pd(pb.add(NR));
-        let c1 = _mm256_loadu_pd(pb.add(NR + 4));
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = _mm256_set1_pd(*pa.add(r * rs));
-            acc_r[0] = _mm256_fmadd_pd(ar, c0, acc_r[0]);
-            acc_r[1] = _mm256_fmadd_pd(ar, c1, acc_r[1]);
-        }
-        pa = pa.add(ds);
-        pb = pb.add(2 * NR);
-    }
-    if kc % 2 == 1 {
-        let b0 = _mm256_loadu_pd(pb);
-        let b1 = _mm256_loadu_pd(pb.add(4));
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = _mm256_set1_pd(*pa.add(r * rs));
-            acc_r[0] = _mm256_fmadd_pd(ar, b0, acc_r[0]);
-            acc_r[1] = _mm256_fmadd_pd(ar, b1, acc_r[1]);
-        }
-    }
-    if mr_eff == MR && nr_eff == NR {
-        for (r, acc_r) in acc.iter().enumerate() {
-            let cp = c.add(r * ldc);
-            _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), acc_r[0]));
-            let cp4 = cp.add(4);
-            _mm256_storeu_pd(cp4, _mm256_add_pd(_mm256_loadu_pd(cp4), acc_r[1]));
-        }
-    } else {
-        // Edge tile: spill the register block and add the valid region.
-        let mut tmp = [0.0f64; MR * NR];
-        for (r, acc_r) in acc.iter().enumerate() {
-            _mm256_storeu_pd(tmp.as_mut_ptr().add(r * NR), acc_r[0]);
-            _mm256_storeu_pd(tmp.as_mut_ptr().add(r * NR + 4), acc_r[1]);
-        }
-        for r in 0..mr_eff {
-            for t in 0..nr_eff {
-                *c.add(r * ldc + t) += tmp[r * NR + t];
-            }
-        }
-    }
+pub unsafe fn microkernel(build: GemmBuild, t: Tile) {
+    with_build!(build, split(t))
 }
 
-/// Portable [`kernel_6x8_avx2`], with its bits: each accumulator starts
-/// at zero, adds `a·b` fused in depth order, and is added to `C` once.
-///
-/// # Safety
-/// The pointer contract of [`kernel_6x8_avx2`]; any CPU will do.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn kernel_6x8_scalar(
-    pa: *const f64,
-    rs: usize,
-    ds: usize,
-    pb: *const f64,
-    kc: usize,
-    c: *mut f64,
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    with_fma!(kernel_6x8_body(pa: *const f64, rs: usize, ds: usize, pb: *const f64,
-        kc: usize, c: *mut f64, ldc: usize, mr_eff: usize, nr_eff: usize) -> ())
-}
-
+/// One pass of the body at `W = NR` where the tile is stored more than
+/// `NR / 2` wide, otherwise an 8-wide pass over each half that is stored.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn kernel_6x8_body(
-    pa: *const f64,
-    rs: usize,
-    ds: usize,
-    pb: *const f64,
-    kc: usize,
-    c: *mut f64,
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for d in 0..kc {
-        let bd = &*pb.add(d * NR).cast::<[f64; NR]>();
+unsafe fn split<const W: usize>(t: Tile) {
+    const HALF: usize = NR / 2;
+    if W == NR && t.nr_eff > HALF {
+        return body::<W>(t);
+    }
+    for j in (0..t.nr_eff).step_by(HALF) {
+        let (pb, c, nr_eff) = (t.pb.add(j), t.c.add(j), HALF.min(t.nr_eff - j));
+        body::<HALF>(Tile { pb, c, nr_eff, ..t });
+    }
+}
+
+/// The body over the first `W` columns of the tile.
+#[inline(always)]
+unsafe fn body<const W: usize>(t: Tile) {
+    let mut acc = [[0.0f64; W]; MR];
+    for d in 0..t.kc {
+        let bd = &*t.pb.add(d * NR).cast::<[f64; W]>();
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = *pa.add(r * rs + d * ds);
+            let ar = *t.pa.add(r * t.rs + d * t.ds);
             for (av, &bv) in acc_r.iter_mut().zip(bd) {
                 *av = ar.mul_add(bv, *av);
             }
         }
     }
-    for (r, acc_r) in acc.iter().enumerate().take(mr_eff) {
-        for (t, &av) in acc_r.iter().enumerate().take(nr_eff) {
-            *c.add(r * ldc + t) += av;
+    if t.mr_eff == MR && t.nr_eff == W {
+        for (r, acc_r) in acc.iter().enumerate() {
+            let cr = &mut *t.c.add(r * t.ldc).cast::<[f64; W]>();
+            for (cv, &av) in cr.iter_mut().zip(acc_r) {
+                *cv += av;
+            }
+        }
+    } else {
+        // Edge tile: spill the accumulators whole, then add the stored region.
+        let spill = acc;
+        for (r, spill_r) in spill.iter().enumerate().take(t.mr_eff) {
+            for (j, &av) in spill_r.iter().enumerate().take(t.nr_eff) {
+                *t.c.add(r * t.ldc + j) += av;
+            }
         }
     }
 }
@@ -419,46 +422,60 @@ mod tests {
 
     #[test]
     fn dispatch_is_cached_and_consistent() {
-        assert_eq!(active(), active());
+        assert_eq!((active(), gemm_build()), (active(), gemm_build()));
         assert_eq!(ACTIVE.get(), Some(&detect()));
+        assert!(gemm_build().supported());
+        assert_eq!(active_name(), gemm_build().name());
+    }
+
+    /// Where the CPU has AVX2 and FMA and nothing is forced, the dots and
+    /// SpMM keep their AVX2 path on an AVX-512 host too: the GEMM's wider
+    /// build must not move them to the portable copies.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_hosts_keep_the_avx2_path_whatever_avx512_says() {
+        let forced = std::env::var("NMF_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
+        if forced || !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
+            return; // the portable path is the right one here
+        }
+        assert_eq!(active(), KernelPath::Avx2Fma);
+        let avx512 = is_x86_feature_detected!("avx512f");
+        let want = [GemmBuild::Fma, GemmBuild::Avx512f][avx512 as usize];
+        assert_eq!(gemm_build(), want);
     }
 
     /// `0.5 + A·B` on an `MR×NR` tile clipped to `clip`, as bits, by the
-    /// AVX2 kernel or the portable one, reading `A` at strides `(rs, ds)`.
-    fn tile(
-        avx2: bool,
+    /// given build, reading `A` at strides `(rs, ds)`.
+    fn run(
+        build: GemmBuild,
         a: &[f64],
         (rs, ds): (usize, usize),
         pb: &[f64],
         clip: (usize, usize),
     ) -> Vec<u64> {
-        let (kc, mut c) = (pb.len() / NR, vec![0.5f64; MR * NR]);
-        let kernel = match avx2 {
-            #[cfg(target_arch = "x86_64")]
-            true => kernel_6x8_avx2,
-            _ => kernel_6x8_scalar,
+        let (kc, mut c, (mr_eff, nr_eff)) = (pb.len() / NR, vec![0.5f64; MR * NR], clip);
+        let (pa, pb, ldc) = (a.as_ptr(), pb.as_ptr(), NR);
+        let t = Tile {
+            pa,
+            rs,
+            ds,
+            pb,
+            kc,
+            c: c.as_mut_ptr(),
+            ldc,
+            mr_eff,
+            nr_eff,
         };
-        // SAFETY: AVX2 is asked for only where AVX2 and FMA were detected;
-        // `a` holds an MR×kc panel at (rs, ds), `pb` a kc×NR tile.
-        unsafe {
-            kernel(
-                a.as_ptr(),
-                rs,
-                ds,
-                pb.as_ptr(),
-                kc,
-                c.as_mut_ptr(),
-                NR,
-                clip.0,
-                clip.1,
-            )
-        };
+        assert!(build.supported());
+        // SAFETY: the build was checked above; `a` holds an MR×kc panel at
+        // (rs, ds), `pb` a kc×NR tile, `c` an MR×NR tile at row stride NR.
+        unsafe { microkernel(build, t) };
         bits(&c)
     }
 
     #[test]
-    fn scalar_kernel_matches_reference_on_packed_panels() {
-        // 6×8 panel over kc=5: pa[d*6+r] = A[r][d], pb[d*8+t] = B[d][t].
+    fn portable_kernel_matches_reference_on_packed_panels() {
+        // 6×16 panel over kc=5: pa[d*6+r] = A[r][d], pb[d*16+t] = B[d][t].
         // Small multiples of 0.5, so every sum is exact.
         let kc = 5;
         let pa: Vec<f64> = (0..MR * kc).map(|i| (i % 7) as f64 - 3.0).collect();
@@ -466,28 +483,46 @@ mod tests {
         let want: Vec<f64> = (0..MR * NR)
             .map(|i| (0..kc).fold(0.5, |s, d| s + pa[d * MR + i / NR] * pb[d * NR + i % NR]))
             .collect();
-        assert_eq!(tile(false, &pa, (1, MR), &pb, (MR, NR)), bits(&want));
+        let got = run(GemmBuild::Portable, &pa, (1, MR), &pb, (MR, NR));
+        assert_eq!(got, bits(&want));
+        // Clipped: the stored region as above, the rest untouched.
+        let got = run(GemmBuild::Portable, &pa, (1, MR), &pb, (4, 11));
+        let want: Vec<f64> = (0..MR * NR)
+            .map(|i| match i / NR < 4 && i % NR < 11 {
+                true => want[i],
+                false => 0.5,
+            })
+            .collect();
+        assert_eq!(got, bits(&want));
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_kernel_matches_scalar_reference() {
-        if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
-            return; // nothing to test on this host
-        }
-        for kc in [1, 19, 256] {
-            // A panel (strides (1, MR)) and the same panel as the rows of
-            // a row-major block (strides (kc, 1)).
-            let pa: Vec<f64> = (0..MR * kc).map(|i| (i as f64 * 0.37).sin()).collect();
-            let pb: Vec<f64> = (0..NR * kc).map(|i| (i as f64 * 0.91).cos()).collect();
-            let rows: Vec<f64> = (0..MR * kc).map(|i| pa[(i % kc) * MR + i / kc]).collect();
-            for clip in [(MR, NR), (3, NR), (1, NR), (MR, 5), (2, 3)] {
-                for (a, strides) in [(&pa, (1, MR)), (&rows, (kc, 1))] {
-                    assert_eq!(
-                        tile(true, a, strides, &pb, clip),
-                        tile(false, a, strides, &pb, clip),
-                        "kc {kc}, clip {clip:?}, strides {strides:?}"
-                    );
+    fn every_build_matches_the_portable_build() {
+        let builds = [GemmBuild::Avx512f, GemmBuild::Fma];
+        for build in builds.into_iter().filter(|b| b.supported()) {
+            for kc in [1, 19, 256] {
+                // A panel (strides (1, MR)) and the same panel as the rows
+                // of a row-major block (strides (kc, 1)).
+                let pa: Vec<f64> = (0..MR * kc).map(|i| (i as f64 * 0.37).sin()).collect();
+                let pb: Vec<f64> = (0..NR * kc).map(|i| (i as f64 * 0.91).cos()).collect();
+                let rows: Vec<f64> = (0..MR * kc).map(|i| pa[(i % kc) * MR + i / kc]).collect();
+                let clips = [
+                    (MR, NR),
+                    (3, NR),
+                    (1, NR),
+                    (MR, 9),
+                    (MR, 8),
+                    (MR, 5),
+                    (2, 3),
+                ];
+                for clip in clips {
+                    for (a, strides) in [(&pa, (1, MR)), (&rows, (kc, 1))] {
+                        assert_eq!(
+                            run(build, a, strides, &pb, clip),
+                            run(GemmBuild::Portable, a, strides, &pb, clip),
+                            "{build:?}, kc {kc}, clip {clip:?}, strides {strides:?}"
+                        );
+                    }
                 }
             }
         }

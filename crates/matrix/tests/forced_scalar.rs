@@ -1,5 +1,6 @@
-//! The `NMF_FORCE_SCALAR` escape hatch: pins kernel dispatch to the
-//! portable microkernel regardless of host CPU features.
+//! The `NMF_FORCE_SCALAR` escape hatch: pins the dots and SpMM to their
+//! portable copies and the GEMM to its 8-wide build, regardless of host
+//! CPU features.
 //!
 //! Dispatch is decided once per process and cached, so this lives in its
 //! own integration-test binary (its process sets the variable before the
@@ -18,11 +19,19 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
     // Must precede any dispatch query in this process.
     std::env::set_var("NMF_FORCE_SCALAR", "1");
 
-    assert_eq!(simd::active_name(), "scalar-6x8");
+    // The dots and SpMM take their portable copies, and the GEMM its
+    // 8-wide body: under FMA where the CPU has it, plain elsewhere.
     assert_eq!(simd::active(), simd::KernelPath::Scalar);
+    let fma = simd::GemmBuild::Fma.supported();
+    let want = [simd::GemmBuild::Portable, simd::GemmBuild::Fma][fma as usize];
+    assert_eq!(simd::gemm_build(), want);
+    assert_eq!(
+        simd::active_name(),
+        ["portable-6x8", "fma-6x8"][fma as usize]
+    );
 
-    // The scalar path must be fully correct, including packed panels,
-    // which have the AVX2 kernel's 6-row geometry here too.
+    // The forced path must be fully correct, including packed panels,
+    // which have the same 6-row geometry on every build.
     let naive = |a: &Mat, b: &Mat| -> Mat {
         let mut c = Mat::zeros(a.nrows(), b.ncols());
         for i in 0..a.nrows() {
@@ -49,7 +58,7 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
         assert_eq!(
             p.packed_bytes(),
             8 * m.div_ceil(MR) * MR * kdim,
-            "panels are MR = 6 rows on the portable path too"
+            "panels are MR = 6 rows on the forced path too"
         );
         let mut c = Mat::zeros(m, n);
         matmul_packed_into(&p, &b, &mut c);
