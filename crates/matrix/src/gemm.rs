@@ -25,7 +25,8 @@
 //!    ([`PackedPanels::pack_transposed`]), never forming a transpose.
 //! 2. **Loop order**: each `MR`-row panel streams through all of its
 //!    `KC`-deep blocks in order, each against every packed tile; the
-//!    panel's rows are read front to back once, the packed `B` stays in L2.
+//!    panel's rows are read front to back once, the packed `B` stays in L2
+//!    (for `kdim` up to a few thousand).
 //! 3. **Microkernel** ([`simd`]): a 6×16 register block of `C`, one
 //!    portable body compiled 16 lanes wide under `avx512f` and 8 wide
 //!    under `fma` or plain, chosen once per process.

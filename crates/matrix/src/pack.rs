@@ -35,8 +35,8 @@ use crate::mat::MatRef;
 pub use crate::simd::{KC, MR, NR};
 
 /// Columns of `B` packed per pass of the GEMM driver: up to `k = 32` one
-/// pass packs all of an NMF product's `B`, and a few-thousand-deep block
-/// stays L2-sized.
+/// pass packs all of an NMF product's `B`. A block is `kdim·NC` floats,
+/// so it fits a 2 MiB L2 only while `kdim` stays under about 8000.
 pub const NC: usize = 2 * NR;
 
 /// Length (in floats) of the `B`-tile scratch a GEMM with inner
@@ -201,7 +201,7 @@ pub(crate) fn pack_b<'a>(
         return b;
     }
     let kdim = b.len() / n;
-    let needed = b_scratch_len(kdim, nc);
+    let needed = nc.div_ceil(NR) * NR * kdim;
     if out.len() < needed {
         out.resize(needed, 0.0);
     }
@@ -273,12 +273,18 @@ mod tests {
 
     #[test]
     fn b_packing_pads_edge_tiles_over_the_whole_depth() {
-        // Two column blocks: NC columns (whole tiles), then 19 (one full
-        // tile + a 3-wide edge tile), each over the whole depth.
-        let (kdim, n) = (5, NC + 19);
-        let b = Mat::uniform(kdim, n, 9);
+        // Two column blocks, each over the whole depth: NC columns (whole
+        // tiles), then 19 (one full tile + a 3-wide edge tile) or exactly
+        // one tile, which is packed like any other block.
+        let kdim = 5;
         let mut out = Vec::new();
-        for (j0, nc) in [(0, NC), (NC, 19)] {
+        for (n, j0, nc) in [
+            (NC + 19, 0, NC),
+            (NC + 19, NC, 19),
+            (NC + NR, 0, NC),
+            (NC + NR, NC, NR),
+        ] {
+            let b = Mat::uniform(kdim, n, 9);
             let tiles = pack_b(b.as_slice(), n, (j0, nc), &mut out);
             let ntiles = nc.div_ceil(NR);
             assert_eq!(tiles.len(), ntiles * NR * kdim);

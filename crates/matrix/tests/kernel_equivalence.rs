@@ -61,8 +61,8 @@ fn naive_matmul(a: &Mat, b: &Mat) -> Mat {
 /// each MR multiple, around the half and whole of NR and around NC,
 /// plus tiny and awkward primes.
 fn edge_dim(raw: usize) -> usize {
-    const EDGES: [usize; 18] = [
-        1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 18, 31, 33,
+    const EDGES: [usize; 21] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 18, 31, 33, 47, 48, 49,
     ];
     EDGES[raw % EDGES.len()]
 }
@@ -100,6 +100,8 @@ fn driver_past_kc_and_nc_matches_a_kc_outer_loop_bit_for_bit() {
         (1, 3 * KC, NC + 1),
         (8, KC, NC + 8),
         (7, KC + 3, NR),
+        (9, KC + 5, NC + NR),
+        (5, 2 * KC, 2 * NC + NR),
     ] {
         let at = format!("{m}x{kdim}x{n}");
         let a = Mat::uniform(m, kdim, 31);
