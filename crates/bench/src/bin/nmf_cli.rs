@@ -33,7 +33,11 @@
 //! ```
 //!
 //! `--json` replaces the human-readable report with one JSON object per
-//! fitted rank on stdout (objective, iterations, stop reason, per-task
+//! fitted rank on stdout (objective, iterations, stop reason,
+//! `setup_seconds` — from making the `SharedInput` (`SharedInput::new`
+//! once the matrix is read or generated, or `open_mmap`) until the model
+//! is built or its checkpoint loaded, or for each later `k` of a sweep
+//! its refit — and `wall_seconds`, the stepping alone, per-task
 //! compute times — totals, and per iteration the slowest and the fastest
 //! rank — `gemm_kernel`, the dense GEMM microkernel that produced the
 //! `mm` time (`"avx512f-6x16"`, `"fma-6x8"` or `"portable-6x8"`),
@@ -220,13 +224,17 @@ fn parse_grid(v: &str) -> Option<Grid> {
 /// Loads the input for a run: out-of-core ([`SharedInput::open_mmap`])
 /// under `--mmap`, otherwise the resident matrix wrapped in a
 /// [`SharedInput`] so a `--k` sweep extracts per-rank blocks exactly
-/// once.
-fn load_input(args: &Args) -> Result<SharedInput, NmfError> {
+/// once. Also returns when set-up began: just before the `SharedInput`
+/// was made, after a resident matrix was read or generated.
+fn load_input(args: &Args) -> Result<(SharedInput, Instant), NmfError> {
     if args.mmap {
         let path = args.input.as_deref().expect("parse_args requires --input");
-        return SharedInput::open_mmap(path);
+        let t0 = Instant::now();
+        return Ok((SharedInput::open_mmap(path)?, t0));
     }
-    load_resident(args).map(SharedInput::new)
+    let matrix = load_resident(args)?;
+    let t0 = Instant::now();
+    Ok((SharedInput::new(matrix), t0))
 }
 
 fn load_resident(args: &Args) -> Result<Input, NmfError> {
@@ -408,7 +416,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
             errors: vec!["--out belongs to the convert subcommand".into()],
         });
     }
-    let input = load_input(args)?;
+    let (input, setup_from) = load_input(args)?;
     let ks = args.ks();
 
     if let Some(path) = &args.resume {
@@ -423,6 +431,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
             target = target.grid(g);
         }
         let mut model = Model::load_regrid_shared(path, &input, target)?;
+        let setup = setup_from.elapsed();
         check_resume_conflicts(args, &model)?;
         if let Some(iters) = args.req.iters {
             model.set_max_iters(iters);
@@ -440,13 +449,20 @@ fn run(args: &Args) -> Result<(), NmfError> {
             );
         }
         let ckpt = args.checkpoint.clone().unwrap_or_else(|| path.clone());
-        drive_and_report(args, &input, &mut model, Some(&ckpt))?;
+        drive_and_report(args, &input, &mut model, Some(&ckpt), setup)?;
         return Ok(());
     }
 
     let mut model: Option<Model> = None;
     for &k in &ks {
         let config = args.config(k);
+        // The first k's set-up began with the input; a later one's is
+        // its refit.
+        let setup_from = if model.is_some() {
+            Instant::now()
+        } else {
+            setup_from
+        };
         let mdl = match &mut model {
             None => {
                 let algo = args.req.algo.unwrap_or(DEFAULTS.algo);
@@ -470,6 +486,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
                 mdl
             }
         };
+        let setup = setup_from.elapsed();
         if !args.json {
             let grid = mdl.grid();
             println!(
@@ -485,7 +502,7 @@ fn run(args: &Args) -> Result<(), NmfError> {
                 mdl.config().solver.name()
             );
         }
-        drive_and_report(args, &input, mdl, args.checkpoint.as_deref())?;
+        drive_and_report(args, &input, mdl, args.checkpoint.as_deref(), setup)?;
     }
     Ok(())
 }
@@ -542,12 +559,14 @@ fn check_resume_conflicts(args: &Args, model: &Model) -> Result<(), NmfError> {
 }
 
 /// Steps the model to its stopping condition, writing checkpoints along
-/// the way when configured, then prints the summary.
+/// the way when configured, then prints the summary. `setup` is how long
+/// the model took to be ready to step.
 fn drive_and_report(
     args: &Args,
     input: &SharedInput,
     model: &mut Model,
     ckpt: Option<&Path>,
+    setup: Duration,
 ) -> Result<(), NmfError> {
     let every = args.checkpoint_every.unwrap_or(0);
     let keep = args.checkpoint_keep.unwrap_or(0);
@@ -576,7 +595,7 @@ fn drive_and_report(
     }
 
     if args.json {
-        println!("{}", json_line(input, model, stop, wall)?);
+        println!("{}", json_line(input, model, stop, setup, wall)?);
         Ok(())
     } else {
         print_human(input, model, stop, wall)
@@ -657,6 +676,7 @@ fn json_line(
     input: &SharedInput,
     model: &Model,
     stop: StopReason,
+    setup: Duration,
     wall: Duration,
 ) -> Result<String, NmfError> {
     let (m, n) = model.shape();
@@ -678,10 +698,11 @@ fn json_line(
         config.seed
     ));
     s.push_str(&format!(
-        "\"iterations\":{},\"total_iterations\":{},\"stop\":\"{}\",\"wall_seconds\":{:.6},\"objective\":{},\"rel_error\":{},",
+        "\"iterations\":{},\"total_iterations\":{},\"stop\":\"{}\",\"setup_seconds\":{:.6},\"wall_seconds\":{:.6},\"objective\":{},\"rel_error\":{},",
         model.records().len(),
         model.iterations(),
         stop.as_str(),
+        setup.as_secs_f64(),
         wall.as_secs_f64(),
         jnum(model.objective()),
         jnum(model.rel_error())
@@ -893,8 +914,14 @@ mod tests {
                 .algo(Algo::Sequential)
                 .build()
                 .expect("valid request");
-            let line = json_line(&input, &model, StopReason::MaxIters, Duration::ZERO)
-                .expect("a sequential run has rank loads");
+            let line = json_line(
+                &input,
+                &model,
+                StopReason::MaxIters,
+                Duration::ZERO,
+                Duration::ZERO,
+            )
+            .expect("a sequential run has rank loads");
             let field = line.split("\"solver\":\"").nth(1).expect("a solver field");
             let name = &field[..field.find('"').expect("a closing quote")];
             assert_eq!(name.parse::<SolverKind>(), Ok(solver), "{line}");

@@ -426,6 +426,12 @@ pub struct IterRecord {
     pub comm: CommStats,
 }
 
+/// Relative error `‖A − WH‖_F / ‖A‖_F` from the objective `‖A − WH‖²_F`
+/// and the `‖A‖²_F` it was computed against.
+pub(crate) fn rel_error(objective: f64, norm_a_sq: f64) -> f64 {
+    objective.max(0.0).sqrt() / norm_a_sq.sqrt().max(f64::MIN_POSITIVE)
+}
+
 /// Result of a factorization.
 #[derive(Debug)]
 pub struct NmfOutput {

@@ -57,11 +57,12 @@
 //! so one slow rank stops everyone.
 
 use crate::config::{
-    apply_ridge, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason, TaskTimes,
+    apply_ridge, rel_error, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason,
+    TaskTimes,
 };
 use crate::dist::{Dist1D, RankLayout, ShardKey};
 use crate::grid::Grid;
-use crate::input::{AtW, BlockRef, LocalMat};
+use crate::input::{AtW, BlockRef, LocalMat, NormCell};
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
 use nmf_matrix::pack::b_scratch_len;
@@ -74,7 +75,8 @@ use std::time::{Duration, Instant};
 /// The data matrix as one rank sees it. It enters the algorithm only
 /// through two products (plus its norm), exactly as in the paper ("the
 /// data matrix itself is never communicated"): the row block feeds
-/// `A·Hᵀ`, the column block feeds `Aᵀ·W`. They are Algorithm 2's doubled
+/// `A·Hᵀ`, the column block feeds `Aᵀ·W`, and the column blocks' norms
+/// sum to `‖A‖²`. They are Algorithm 2's doubled
 /// storage — the row stripe `Aᵢ` and the column stripe `Aʲ`,
 /// [`stripes`](Self::stripes) — and under Algorithm 3 (Algorithm 1
 /// included) the same block twice (`From<&LocalMat>`).
@@ -94,6 +96,10 @@ pub struct SplitBlocks<'a> {
     ///
     /// [`pack_session`]: SplitBlocks::pack_session
     csc: Option<&'a CscView>,
+    /// Where the column block's norm is kept between engines: the
+    /// sharding's cell for blocks a session dealt, none for blocks a
+    /// caller hands the engine directly (folded per engine).
+    norm: Option<&'a NormCell>,
 }
 
 impl<'a> From<&'a LocalMat> for SplitBlocks<'a> {
@@ -114,7 +120,14 @@ impl<'a> SplitBlocks<'a> {
             row,
             col,
             csc: None,
+            norm: None,
         }
+    }
+
+    /// The pair with the cell its column block's norm is folded into.
+    pub(crate) fn with_norm(mut self, norm: &'a NormCell) -> Self {
+        self.norm = Some(norm);
+        self
     }
 
     /// Readies `Aᵀ·W` at rank `k` — once, at engine construction, so
@@ -165,9 +178,14 @@ impl<'a> SplitBlocks<'a> {
     }
 
     /// This rank's contribution to `‖A‖²_F`: the column block's alone,
-    /// so each entry is counted exactly once across all ranks.
+    /// so each entry is counted exactly once across all ranks. Read from
+    /// the block's [`NormCell`] where it has one, so a block is folded
+    /// once per sharding.
     fn norm_sq_contrib(&self) -> f64 {
-        self.col.fro_norm_sq()
+        match self.norm {
+            Some(cell) => cell.get_or_fold(self.col),
+            None => self.col.fro_norm_sq(),
+        }
     }
 }
 
@@ -895,6 +913,12 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         self.objective
     }
 
+    /// `‖A‖²_F`: the ranks' column-block norms, all-reduced at
+    /// construction — the value every objective is computed against.
+    pub fn norm_a_sq(&self) -> f64 {
+        self.norm_a_sq
+    }
+
     /// Why the engine last decided to stop, if it has.
     pub fn stop_reason(&self) -> Option<StopReason> {
         self.stop
@@ -960,12 +984,11 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
     /// the full [`NmfOutput`], with the one rank's counters.
     pub fn into_output(self) -> NmfOutput {
         let objective = self.objective();
-        let norm_a_sq = self.norm_a_sq;
         NmfOutput {
             w: self.w_local,
             h: self.ht_local.transpose(),
             objective,
-            rel_error: objective.max(0.0).sqrt() / norm_a_sq.sqrt().max(f64::MIN_POSITIVE),
+            rel_error: rel_error(objective, self.norm_a_sq),
             iterations: self.iters.len(),
             stop: self.stop.unwrap_or(StopReason::MaxIters),
             iters: self.iters,
@@ -1001,6 +1024,8 @@ pub trait EngineDyn {
     fn iterations(&self) -> usize;
     /// Objective after the latest iteration (`‖A‖²` before the first).
     fn objective(&self) -> f64;
+    /// `‖A‖²_F` as the ranks all-reduced it.
+    fn norm_a_sq(&self) -> f64;
     /// Why the engine last decided to stop, if it has.
     fn stop_reason(&self) -> Option<StopReason>;
     /// Exports the convergence bookkeeping (for checkpointing).
@@ -1032,6 +1057,10 @@ impl<S: CommScheme> EngineDyn for AnlsEngine<'_, S> {
 
     fn objective(&self) -> f64 {
         AnlsEngine::objective(self)
+    }
+
+    fn norm_a_sq(&self) -> f64 {
+        AnlsEngine::norm_a_sq(self)
     }
 
     fn stop_reason(&self) -> Option<StopReason> {

@@ -456,6 +456,30 @@ impl<'a> BlockRef<'a> {
     }
 }
 
+/// A block's `‖·‖²_F`, folded by the first engine that asks for it and
+/// read by every later one: a sharding folds each of its blocks once, on
+/// the rank thread that owns it, however many models, refits and warm
+/// builds run over it.
+#[derive(Debug, Default)]
+pub(crate) struct NormCell {
+    norm_sq: OnceLock<f64>,
+    /// Times the block was folded.
+    #[cfg(test)]
+    pub(crate) folds: std::sync::atomic::AtomicUsize,
+}
+
+impl NormCell {
+    /// `‖block‖²_F`, folded on the first call.
+    pub(crate) fn get_or_fold(&self, block: BlockRef<'_>) -> f64 {
+        *self.norm_sq.get_or_init(|| {
+            #[cfg(test)]
+            self.folds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            block.fro_norm_sq()
+        })
+    }
+}
+
 /// Which kernel a rank's `Aᵀ·W` runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AtW {

@@ -57,8 +57,8 @@ use crate::checkpoint::{
     read_checkpoint, write_checkpoint, write_checkpoint_rotated, Checkpoint, CheckpointMeta,
 };
 use crate::config::{
-    init_ht, init_w, Algo, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput, StopReason,
-    TaskTimes,
+    init_ht, init_w, rel_error, Algo, ConvergencePolicy, IterRecord, NmfConfig, NmfOutput,
+    StopReason, TaskTimes,
 };
 use crate::dist::{Part, RankLayout, ShardKey};
 use crate::engine::{AnlsEngine, ConvergenceState, EngineDyn, Grid2D, Replicated1D};
@@ -72,6 +72,7 @@ use nmf_matrix::Mat;
 use nmf_nls::SolverKind;
 use nmf_vmpi::universe::{seats, Seat};
 use nmf_vmpi::{Comm, CommStats};
+use std::cell::OnceCell;
 use std::path::Path;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -497,8 +498,11 @@ struct EngineInit {
     state: Option<ConvergenceState>,
 }
 
-/// Worker → controller replies.
+/// Worker → controller replies. A worker's first message, sent as
+/// soon as its engine is built, is `Ready` with the engine's `‖A‖²`;
+/// every later one answers a [`Cmd`].
 enum Reply {
+    Ready(f64),
     Step {
         rec: IterRecord,
         stop: Option<StopReason>,
@@ -569,6 +573,9 @@ fn worker(
 ) {
     let comm = seat.into_comm();
     let mut engine = build_engine(&comm, key, dims, &data, init, IterWorkspace::default());
+    if tx.send(Reply::Ready(engine.norm_a_sq())).is_err() {
+        return;
+    }
     while let Ok(cmd) = rx.recv() {
         let reply = match cmd {
             Cmd::Step => {
@@ -634,7 +641,11 @@ pub struct StepProgress {
 pub struct Model {
     m: usize,
     n: usize,
-    norm_a_sq: f64,
+    /// `‖A‖²` as the ranks' engines all-reduced it — the value every
+    /// objective is computed against — taken from the workers' `Ready`
+    /// messages the first time a reply is read (see
+    /// [`norm_a_sq`](Self::norm_a_sq)), so spawning waits for no rank.
+    norm_a_sq: OnceCell<f64>,
     config: NmfConfig,
     algo: Algo,
     grid: Grid,
@@ -657,8 +668,9 @@ pub struct Model {
     /// Iterations executed before this handle existed (checkpoint
     /// resume).
     base_iterations: usize,
-    /// Objective to report before the first post-resume iteration.
-    initial_objective: f64,
+    /// Objective to report before the first post-resume iteration; `‖A‖²`
+    /// where there is none.
+    resumed_objective: Option<f64>,
     stop: Option<StopReason>,
 }
 
@@ -675,16 +687,14 @@ impl Model {
         resume: Option<ConvergenceState>,
     ) -> Result<Model, NmfError> {
         let (m, n) = input.shape();
-        let norm_a_sq = input.fro_norm_sq();
         let key = ShardKey::of(algo, grid, ranks);
         let layout = key.layouts(m, n);
 
         let base_iterations = resume.as_ref().map_or(0, |s| s.iterations_done);
-        let initial_objective = resume
+        let resumed_objective = resume
             .as_ref()
             .map(|s| s.prev_objective)
-            .filter(|o| o.is_finite())
-            .unwrap_or(norm_a_sq);
+            .filter(|o| o.is_finite());
 
         // One sharding for the whole universe, served from (or filling)
         // the input's cache: each worker receives cheap `Arc` clones of
@@ -720,7 +730,7 @@ impl Model {
         Ok(Model {
             m,
             n,
-            norm_a_sq,
+            norm_a_sq: OnceCell::new(),
             config,
             algo,
             grid,
@@ -731,7 +741,7 @@ impl Model {
             handles,
             records: Vec::new(),
             base_iterations,
-            initial_objective,
+            resumed_objective,
             stop: None,
         })
     }
@@ -743,11 +753,38 @@ impl Model {
             .unwrap_or_else(|_| panic!("session worker {r} exited unexpectedly"));
     }
 
+    /// Worker `r`'s reply to the latest command sent to it.
     fn recv(&self, r: usize) -> Reply {
+        self.norm_a_sq(); // drains every worker's `Ready` first
+        self.recv_any(r)
+    }
+
+    fn recv_any(&self, r: usize) -> Reply {
         self.workers[r]
             .reply
             .recv()
             .unwrap_or_else(|_| panic!("session worker {r} died (a rank thread panicked)"))
+    }
+
+    /// `‖A‖²` as the engines all-reduced it: each worker's first message,
+    /// read once (waiting, on the first call, for every rank's engine to
+    /// be built) and kept.
+    fn norm_a_sq(&self) -> f64 {
+        *self.norm_a_sq.get_or_init(|| {
+            let mut norms = (0..self.workers.len()).map(|r| match self.recv_any(r) {
+                Reply::Ready(norm) => norm,
+                _ => panic!("protocol mismatch from session worker {r}"),
+            });
+            let norm = norms.next().expect("at least one rank");
+            for other in norms {
+                debug_assert_eq!(
+                    other.to_bits(),
+                    norm.to_bits(),
+                    "every rank all-reduces the same ‖A‖²"
+                );
+            }
+            norm
+        })
     }
 
     fn expect_acks(&self) {
@@ -907,16 +944,22 @@ impl Model {
     }
 
     /// Objective after the latest iteration (`‖A‖²`, the objective of
-    /// the all-zero factorization, before the first).
+    /// the all-zero factorization, before the first — or, resumed, the
+    /// checkpoint's last objective). Before a fresh model's first step
+    /// this waits for its ranks to build their engines, which report
+    /// `‖A‖²`.
     pub fn objective(&self) -> f64 {
-        self.records
-            .last()
-            .map_or(self.initial_objective, |r| r.objective)
+        match (self.records.last(), self.resumed_objective) {
+            (Some(r), _) => r.objective,
+            (None, Some(resumed)) => resumed,
+            (None, None) => self.norm_a_sq(),
+        }
     }
 
-    /// Relative error `‖A − WH‖_F / ‖A‖_F` as of the latest iteration.
+    /// Relative error `‖A − WH‖_F / ‖A‖_F` as of the latest iteration,
+    /// against the `‖A‖²` every objective was computed with.
     pub fn rel_error(&self) -> f64 {
-        self.objective().max(0.0).sqrt() / self.norm_a_sq.sqrt().max(f64::MIN_POSITIVE)
+        rel_error(self.objective(), self.norm_a_sq())
     }
 
     /// Why the model last decided to stop, if it has.
@@ -1063,7 +1106,7 @@ impl Model {
         self.config = config;
         self.records.clear();
         self.base_iterations = 0;
-        self.initial_objective = self.norm_a_sq;
+        self.resumed_objective = None;
         self.stop = None;
         Ok(())
     }
@@ -1079,7 +1122,7 @@ impl Model {
             w,
             h: ht.transpose(),
             objective,
-            rel_error: objective.max(0.0).sqrt() / self.norm_a_sq.sqrt().max(f64::MIN_POSITIVE),
+            rel_error: rel_error(objective, self.norm_a_sq()),
             iterations: iters.len(),
             stop: self.stop.unwrap_or(StopReason::MaxIters),
             iters,
@@ -1354,6 +1397,146 @@ mod tests {
         assert_eq!(model.factors().0, fresh.factors().0);
         assert_eq!(model.factors().1, fresh.factors().1);
         assert!(model.objective().is_finite() && obj_k3.is_finite());
+    }
+
+    /// `‖A‖²` as the engines of sharding `key` all-reduce it: one
+    /// engine per rank, built on a universe of its own over the input's
+    /// cached blocks.
+    fn engines_norm(shared: &SharedInput, key: ShardKey, config: NmfConfig) -> f64 {
+        let (m, n) = shared.shape();
+        let set = shared.rank_data(key).unwrap();
+        let norms: Vec<f64> = std::thread::scope(|s| {
+            let ranks: Vec<_> = seats(key.ranks())
+                .into_iter()
+                .zip(set.iter())
+                .zip(key.layouts(m, n))
+                .map(|((seat, data), lay)| {
+                    s.spawn(move || {
+                        let comm = seat.into_comm();
+                        let init = EngineInit {
+                            config,
+                            w0: Mat::zeros(lay.w.len, config.k),
+                            ht0: Mat::zeros(lay.ht.len, config.k),
+                            state: None,
+                        };
+                        let ws = IterWorkspace::default();
+                        let engine = build_engine(&comm, key, (m, n), data, init, ws);
+                        engine.norm_a_sq()
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(norms.iter().all(|x| x.to_bits() == norms[0].to_bits()));
+        norms[0]
+    }
+
+    #[test]
+    fn every_report_divides_by_the_engines_norm() {
+        let dense = Input::Dense(Mat::uniform(36, 30, 5));
+        let skewed = Input::Sparse(nmf_sparse::gen::chung_lu_power_law(240, 1400, 2.1, 17));
+        let config = NmfConfig::new(3).with_max_iters(2).with_seed(9);
+        let bits = |x: f64| x.to_bits();
+        // Shardings whose sum differs from the one-rank fold in its last
+        // bits: there a report against another order would show.
+        let mut told_apart = 0;
+        for input in [&dense, &skewed] {
+            let mut one_rank = None;
+            let shared = SharedInput::new(input.clone());
+            assert_eq!(
+                shared.balance().rows.is_some_and(|d| d.relabelled),
+                input.is_sparse()
+            );
+            for (algo, ranks) in [
+                (Algo::Sequential, 1),
+                (Algo::HpcGrid(Grid::new(2, 1)), 2),
+                (Algo::HpcGrid(Grid::new(2, 2)), 4),
+                (Algo::Naive, 3),
+            ] {
+                let mut model = Nmf::on_shared(&shared)
+                    .config(config)
+                    .algo(algo)
+                    .ranks(ranks)
+                    .build()
+                    .unwrap();
+                let norm = engines_norm(&shared, model.shard_key(), config);
+                let one_rank = *one_rank.get_or_insert(norm);
+                told_apart += usize::from(bits(norm) != bits(one_rank));
+                assert_eq!(bits(model.objective()), bits(norm), "{algo:?}");
+                assert_eq!(bits(model.rel_error()), bits(rel_error(norm, norm)));
+                model.run();
+                let objective = model.objective();
+                assert_eq!(
+                    bits(model.rel_error()),
+                    bits(rel_error(objective, norm)),
+                    "{algo:?}"
+                );
+                let out = model.into_output();
+                assert_eq!(bits(out.objective), bits(objective));
+                assert_eq!(bits(out.rel_error), bits(rel_error(objective, norm)));
+            }
+        }
+        assert!(told_apart > 0, "every case summed A in one order");
+    }
+
+    #[test]
+    fn a_one_rank_model_outputs_what_its_engine_does() {
+        let input = Input::Dense(Mat::uniform(28, 21, 6));
+        let (m, n) = input.shape();
+        let config = NmfConfig::new(4).with_max_iters(5).with_seed(8);
+        let mut model = Nmf::on(&input).config(config).build().unwrap();
+        model.run();
+        let out = model.into_output();
+
+        let comm = seats(1).pop().unwrap().into_comm();
+        let block = input.block(0, 0, m, n);
+        let mut engine = AnlsEngine::new(
+            Grid2D::new(&comm, Grid::new(1, 1), (m, n), config.k),
+            &block,
+            &config,
+            init_w(m, config.k, config.seed),
+            init_ht(n, config.k, config.seed),
+        );
+        engine.run();
+        let direct = engine.into_output();
+
+        assert_eq!(out.w, direct.w);
+        assert_eq!(out.h, direct.h);
+        assert_eq!(out.objective.to_bits(), direct.objective.to_bits());
+        assert_eq!(out.rel_error.to_bits(), direct.rel_error.to_bits());
+        assert_eq!((out.iterations, out.stop), (direct.iterations, direct.stop));
+        let history = |o: &NmfOutput| {
+            o.history()
+                .into_iter()
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(history(&out), history(&direct));
+    }
+
+    #[test]
+    fn a_resumed_model_reports_the_checkpoint_objective_first() {
+        let shared = SharedInput::new(Input::Dense(Mat::uniform(30, 24, 3)));
+        let mut model = Nmf::on_shared(&shared)
+            .rank(3)
+            .ranks(2)
+            .algo(Algo::Hpc2D)
+            .max_iters(6)
+            .build()
+            .unwrap();
+        model.step_up_to(3);
+        let path = std::env::temp_dir().join(format!("nmf-resume-obj-{}.ckpt", std::process::id()));
+        model.save(&path).unwrap();
+        let ck = read_checkpoint(&path).unwrap();
+        let resumed = Model::load_shared(&path, &shared).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(ck.state.prev_objective.is_finite());
+        assert_eq!(
+            resumed.objective().to_bits(),
+            ck.state.prev_objective.to_bits()
+        );
+        assert_eq!(resumed.objective().to_bits(), model.objective().to_bits());
+        assert_eq!(resumed.rel_error().to_bits(), model.rel_error().to_bits());
     }
 
     #[test]

@@ -77,7 +77,7 @@
 use crate::dist::{Part, ShardKey};
 use crate::engine::SplitBlocks;
 use crate::error::NmfError;
-use crate::input::{AtW, Balance, Block, BlockRef, Dealing, Input, LocalMat};
+use crate::input::{AtW, Balance, Block, BlockRef, Dealing, Input, LocalMat, NormCell};
 use nmf_matrix::Mat;
 use nmf_sparse::io::{MmError, MmapCsr, DEFAULT_PANEL_BYTES};
 use nmf_sparse::{Csr, SpBlock};
@@ -96,6 +96,10 @@ pub(crate) struct RankData {
     row: Block,
     /// The column stripe; `None` where `row` feeds both products.
     col: Option<Block>,
+    /// The column block's `‖·‖²_F`, this rank's share of `‖A‖²`: folded
+    /// by the first engine built on the sharding, read by every later
+    /// one.
+    norm: NormCell,
 }
 
 /// The per-rank blocks of one sharding, in rank order.
@@ -114,7 +118,7 @@ impl RankData {
 
     /// The pair the engine reads.
     pub(crate) fn split_blocks(&self) -> SplitBlocks<'_> {
-        SplitBlocks::new(self.row.as_ref(), self.col().as_ref())
+        SplitBlocks::new(self.row.as_ref(), self.col().as_ref()).with_norm(&self.norm)
     }
 }
 
@@ -159,7 +163,6 @@ struct Dataset {
     source: Source,
     m: usize,
     n: usize,
-    norm_a_sq: f64,
     /// The order `source` is dealt in (index order for mmap sources).
     dealing: Arc<Dealing>,
     cache: Mutex<HashMap<ShardKey, Sharding>>,
@@ -170,11 +173,11 @@ struct Dataset {
 impl SharedInput {
     /// Wraps a resident input matrix. A sparse input is examined for
     /// skew here and, when skewed, relabelled (see the [module
-    /// docs](self#balanced-dealing)); `‖A‖²_F` is summed in the storage
-    /// order it arrived in.
+    /// docs](self#balanced-dealing)). No value of `A` is summed here:
+    /// `‖A‖²_F` is the ranks' block norms, each folded on the rank
+    /// thread that owns the block and all-reduced by the engines.
     pub fn new(input: Input) -> SharedInput {
         let (m, n) = input.shape();
-        let norm_a_sq = input.fro_norm_sq();
         let dealing = Dealing::of(&input);
         let source = match dealing.relabel(&input).unwrap_or(input) {
             Input::Dense(a) => Source::Dense(Arc::new(a)),
@@ -184,7 +187,6 @@ impl SharedInput {
             source,
             m,
             n,
-            norm_a_sq,
             dealing: Arc::new(dealing),
             cache: Mutex::new(HashMap::new()),
             extractions: AtomicUsize::new(0),
@@ -192,9 +194,10 @@ impl SharedInput {
     }
 
     /// Opens an `NMFS` file (see [`nmf_sparse::io::write_csr_binary`])
-    /// for panel-streamed sharding. Only the header and row pointers
-    /// stay mapped; `‖A‖²_F` is computed here with one bounded streaming
-    /// pass (bit-identical to the resident sum).
+    /// for panel-streamed sharding. Only the header and row pointers are
+    /// mapped; no value of `A` is read until a sharding extracts its
+    /// blocks, each of which the engine that first reads it folds into
+    /// its share of `‖A‖²_F`.
     ///
     /// An mmap-backed input is always dealt in file order: block
     /// extraction streams contiguous row panels, and a relabelled deal
@@ -204,7 +207,6 @@ impl SharedInput {
     pub fn open_mmap(path: impl AsRef<Path>) -> Result<SharedInput, NmfError> {
         let path = path.as_ref();
         let mm = MmapCsr::open(path).map_err(|e| file_error(path, e))?;
-        let norm_a_sq = mm.fro_norm_sq().map_err(|e| file_error(path, e))?;
         let (m, n) = mm.shape();
         Ok(SharedInput(Arc::new(Dataset {
             source: Source::Mmap {
@@ -213,7 +215,6 @@ impl SharedInput {
             },
             m,
             n,
-            norm_a_sq,
             dealing: Arc::new(Dealing::default()),
             cache: Mutex::new(HashMap::new()),
             extractions: AtomicUsize::new(0),
@@ -239,12 +240,6 @@ impl SharedInput {
             Source::Sparse(a) => a.nnz(),
             Source::Mmap { mm, .. } => mm.nnz(),
         }
-    }
-
-    /// Squared Frobenius norm of the input (computed once at
-    /// construction).
-    pub fn fro_norm_sq(&self) -> f64 {
-        self.0.norm_a_sq
     }
 
     pub fn is_sparse(&self) -> bool {
@@ -387,6 +382,7 @@ impl SharedInput {
                     Ok(Arc::new(RankData {
                         row: cut(row_side)?,
                         col: col_side.map(cut).transpose()?,
+                        norm: NormCell::default(),
                     }))
                 })
                 .collect::<Result<_, NmfError>>()?,
@@ -561,10 +557,6 @@ mod tests {
         let resident = SharedInput::new(Input::Sparse(a));
         let mapped = SharedInput::open_mmap(&path).unwrap();
         assert_eq!(mapped.shape(), resident.shape());
-        assert_eq!(
-            mapped.fro_norm_sq().to_bits(),
-            resident.fro_norm_sq().to_bits()
-        );
         for key in [
             ShardKey::Grid { pr: 1, pc: 1 },
             ShardKey::Naive { p: 3 },
@@ -582,10 +574,51 @@ mod tests {
                 for (bx, by) in x.blocks().zip(y.blocks()) {
                     assert_eq!(rows_of(bx), rows_of(by));
                 }
+                // Each rank's share of ‖A‖², as its cell keeps it.
+                assert_eq!(
+                    x.norm.get_or_fold(x.col().as_ref()).to_bits(),
+                    y.norm.get_or_fold(y.col().as_ref()).to_bits(),
+                    "{key:?}"
+                );
             }
         }
         assert!(mapped.resident_bytes() > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_sharding_folds_each_block_once() {
+        use crate::config::{Algo, NmfConfig};
+        use crate::grid::Grid;
+        use crate::session::Nmf;
+        let shared = SharedInput::new(Input::Dense(Mat::uniform(24, 18, 4)));
+        for (algo, ranks) in [(Algo::HpcGrid(Grid::new(2, 2)), 4), (Algo::Naive, 3)] {
+            let on = || Nmf::on_shared(&shared).algo(algo).ranks(ranks).max_iters(4);
+            let mut first = on().rank(3).build().unwrap();
+            first.step();
+            let key = first.shard_key();
+            let folds = || -> Vec<usize> {
+                let set = shared.rank_data(key).unwrap();
+                set.iter()
+                    .map(|d| d.norm.folds.load(Ordering::Relaxed))
+                    .collect()
+            };
+            assert_eq!(folds(), vec![1; ranks], "{key:?}: the first build folds");
+            // A second build, a refit and a warm build over the sharding.
+            let mut second = on().rank(2).build().unwrap();
+            second.step();
+            first.refit(NmfConfig::new(2).with_max_iters(4)).unwrap();
+            first.step();
+            let (w, h) = second.factors();
+            let mut warm = on().rank(2).warm_start(w, h.transpose()).build().unwrap();
+            warm.step();
+            assert_eq!(
+                folds(),
+                vec![1; ranks],
+                "{key:?}: later engines read the cells"
+            );
+        }
+        assert_eq!(shared.extractions(), 2);
     }
 
     #[test]

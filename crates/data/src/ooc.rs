@@ -53,6 +53,7 @@ pub fn materialize_nmfs(
 mod tests {
     use super::*;
     use hpc_nmf::SharedInput;
+    use nmf_sparse::io::MmapCsr;
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("nmf-ooc-{tag}-{}.nmfs", std::process::id()))
@@ -66,8 +67,9 @@ mod tests {
         let mapped = SharedInput::open_mmap(&path).unwrap();
         assert_eq!(mapped.shape(), resident.shape());
         assert_eq!(mapped.nnz(), resident.nnz());
+        let file = MmapCsr::open(&path).unwrap();
         assert_eq!(
-            mapped.fro_norm_sq().to_bits(),
+            file.fro_norm_sq().unwrap().to_bits(),
             resident.fro_norm_sq().to_bits()
         );
         std::fs::remove_file(&path).ok();
