@@ -45,8 +45,9 @@
 //! `overlap_seconds` and `inflight_seconds` read zero: every collective
 //! completes where it is called), `balance`: how the input was
 //! dealt and, per rank, what it holds and `at_w`, the kernel its `Aᵀ·W`
-//! runs on (`"dense"` packed panels, the `"csr"` transposed pass or the
-//! `"csc"` column-forward pass — the engine's own dispatch rule), and
+//! runs on (`"dense"` `(Wᵀ·A)ᵀ` over the block in place, the `"csr"`
+//! transposed pass or the `"csc"` column-forward pass — the engine's own
+//! dispatch rule), and
 //! `memory`: `input_resident_bytes`, what the shared input holds
 //! resident — its source once, since rank blocks are views of it, plus
 //! the row bounds of sparse windows narrower than the source and the

@@ -66,7 +66,7 @@ use crate::input::{AtW, BlockRef, LocalMat, NormCell};
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
 use nmf_matrix::pack::b_scratch_len;
-use nmf_matrix::{matmul_packed_scratch_into, matmul_scratch_into, Mat};
+use nmf_matrix::{matmul_scratch_into, matmul_ta_into, Mat};
 use nmf_nls::NlsSolver;
 use nmf_sparse::{spmm_at_dense_csc_into, spmm_at_dense_into, spmm_dense_t_into, CscView};
 use nmf_vmpi::{Comm, CommStats};
@@ -85,16 +85,18 @@ use std::time::{Duration, Instant};
 /// view, a sparse one as a window of its source's rows, of a matrix
 /// shared by every rank when the session built them from a
 /// [`SharedInput`](crate::SharedInput) — so the engine holds no copy of
-/// `A`: only the `Aᵀ` panels it packs for a dense `Aᵀ·W`, or the column
-/// view a sparse one runs on where that is the faster orientation.
+/// `A`, as the paper's Table 2 charges a rank `mn/p` words for it: a
+/// dense `Aᵀ·W` reads the column block in place too, as `(Wᵀ·A)ᵀ`. Only
+/// a sparse `Aᵀ·W` may add the column view it runs on where that is the
+/// faster orientation.
 #[derive(Clone, Copy)]
 pub struct SplitBlocks<'a> {
     row: BlockRef<'a>,
     col: BlockRef<'a>,
-    /// The column block's CSC view, where [`pack_session`] routed its
+    /// The column block's CSC view, where [`prepare`] routed its
     /// `Aᵀ·W` to it ([`AtW::Csc`]).
     ///
-    /// [`pack_session`]: SplitBlocks::pack_session
+    /// [`prepare`]: SplitBlocks::prepare
     csc: Option<&'a CscView>,
     /// Where the column block's norm is kept between engines: the
     /// sharding's cell for blocks a session dealt, none for blocks a
@@ -130,29 +132,22 @@ impl<'a> SplitBlocks<'a> {
         self
     }
 
-    /// Readies `Aᵀ·W` at rank `k` — once, at engine construction, so
-    /// steady-state iterations (including the first) allocate nothing.
-    /// Picks its kernel ([`BlockRef::at_w`]): a dense column block's
-    /// transpose is packed into microkernel-ready panels
-    /// ([`SessionPack`]), so every iteration's `Aᵀ·W` reads only those; a
-    /// sparse one routed column-forward gets its column view (built here
-    /// if no engine reading the block built it before); a sparse one left
-    /// on the CSR pass needs nothing. `A·Hᵀ` reads the row block where it
-    /// lies. Also pre-sizes the tile scratch for `·×k` right operands of
-    /// both products.
-    fn pack_session(&mut self, pack: &mut SessionPack, k: usize) {
-        pack.at.clear();
-        self.csc = None;
-        match (self.col, self.col.at_w(k)) {
-            (BlockRef::Dense(a), _) => pack.at.pack_transposed_into(a),
-            (_, AtW::Csc) => self.csc = self.col.csc(),
-            _ => {}
-        }
-        let a_ht = match self.row {
-            BlockRef::Dense(a) => b_scratch_len(a.ncols(), k),
-            BlockRef::Sparse { .. } => 0,
+    /// Readies both products at rank `k` — once, at engine construction,
+    /// so steady-state iterations (including the first) allocate nothing.
+    /// Picks the `Aᵀ·W` kernel ([`BlockRef::at_w`]): a dense column block
+    /// needs nothing, since `(Wᵀ·A)ᵀ` reads it where it lies; a sparse
+    /// one routed column-forward gets its column view (built here if no
+    /// engine reading the block built it before); a sparse one left on
+    /// the CSR pass needs nothing. Pre-sizes the `B`-tile scratch of a
+    /// dense `A·Hᵀ`, which reads the row block in place.
+    fn prepare(&mut self, pack: &mut SessionPack, k: usize) {
+        self.csc = match self.col.at_w(k) {
+            AtW::Csc => self.col.csc(),
+            _ => None,
         };
-        pack.reserve_scratch(a_ht.max(b_scratch_len(pack.at.shape().1, k)));
+        if let BlockRef::Dense(a) = self.row {
+            pack.reserve_scratch(b_scratch_len(a.ncols(), k));
+        }
     }
 
     /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into `out`.
@@ -164,14 +159,12 @@ impl<'a> SplitBlocks<'a> {
     }
 
     /// Local `Aᵀ·W`, into `out` (stored transposed, `·×k`), on the kernel
-    /// [`pack_session`](Self::pack_session) picked: the session-packed
-    /// transpose panels, the column-forward pass over the CSC view, or
-    /// the CSR transposed pass (bit-identical to the column-forward one).
-    fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
+    /// [`prepare`](Self::prepare) picked: `(Wᵀ·A)ᵀ` over the dense block
+    /// in place, the column-forward pass over the CSC view, or the CSR
+    /// transposed pass (bit-identical to the column-forward one).
+    fn mm_at_w_into(&self, w: &Mat, out: &mut Mat) {
         match (self.col, self.csc) {
-            (BlockRef::Dense(_), _) => {
-                matmul_packed_scratch_into(&pack.at, w, out, &mut pack.bpack)
-            }
+            (BlockRef::Dense(a), _) => matmul_ta_into(a, w, out),
             (BlockRef::Sparse { a, .. }, Some(csc)) => spmm_at_dense_csc_into(a, csc, w, out),
             (BlockRef::Sparse { a, .. }, None) => spmm_at_dense_into(a, w, out),
         }
@@ -715,11 +708,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
     ) -> Self {
         let mut data = data.into();
         scheme.size_workspace(&mut ws, config.k);
-        // Once-per-session operand packing: a dense column block's
-        // transpose is laid into microkernel panels here, and every
-        // iteration's Aᵀ·W reads only those (the ANLS win — A never
-        // changes); A·Hᵀ reads the row block in place.
-        data.pack_session(&mut ws.pack, config.k);
+        data.prepare(&mut ws.pack, config.k);
         let solver = config.solver.build();
         let norm_a_sq = scheme.reduce_scalar(data.norm_sq_contrib());
         scheme.prime(&mut ws, &ht0);
@@ -794,7 +783,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
                 FactorSource::Local => &self.w_local,
                 FactorSource::Gathered => &ws.w_gather,
             };
-            self.data.mm_at_w_into(&mut ws.pack, wmat, &mut ws.mm_h);
+            self.data.mm_at_w_into(wmat, &mut ws.mm_h);
         }
         tt.mm += t0.elapsed();
         let h_rhs = self.scheme.reduce_h(ws);

@@ -483,7 +483,7 @@ impl NormCell {
 /// Which kernel a rank's `Aᵀ·W` runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AtW {
-    /// Packed `Aᵀ` panels times `W` (a dense block).
+    /// `(Wᵀ·A)ᵀ` over the dense block, read in place.
     Dense,
     /// The transposed pass over the CSR rows (a sparse block whose output
     /// stays cache-resident).

@@ -27,7 +27,8 @@
 //! sparse block whose `Aᵀ·W` runs column-forward
 //! ([`nmf_sparse::csc_chosen`]) a column view of 16 bytes per nonzero,
 //! built by the first engine that needs it and shared by every later
-//! one. A dense engine packs its own `Aᵀ` panels. [`resident_bytes`]
+//! one. A dense engine adds nothing: both its products read the block
+//! where it lies. [`resident_bytes`]
 //! counts a source once however many shardings are cached.
 //!
 //! [`resident_bytes`]: SharedInput::resident_bytes

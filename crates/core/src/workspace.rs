@@ -17,56 +17,35 @@
 
 use crate::dist::RankLayout;
 use crate::grid::Grid;
-use nmf_matrix::{Mat, PackedPanels};
+use nmf_matrix::Mat;
 
-/// The once-per-session packed form of this rank's `Aᵀ`, plus the
-/// `B`-tile scratch both dense `MM` products repack per call.
+/// The `B`-tile scratch a dense `A·Hᵀ` repacks `Hᵀ` into per call.
 ///
-/// ANLS structure: the data matrix `A` never changes across iterations.
-/// `A·Hᵀ` reads the rank's row block of `A` in place — it is row-major
-/// already, and the microkernel streams its rows as fast as packed panels
-/// — but `Aᵀ·W` needs `Aᵀ`'s rows, so those are packed **once**, at
-/// engine construction
-/// ([`AnlsEngine::with_workspace`](crate::engine::AnlsEngine::with_workspace)),
-/// from the column block's rows, and every iteration's `Aᵀ·W` reads only
-/// packed panels. A dense rank therefore holds `A` once (its block, a
-/// view of the shared source) and `Aᵀ` once (`at`). Sparse inputs leave
-/// `at` empty (their `MM` kernels walk the CSR directly).
+/// Both dense products read the rank's block of `A` where it lies: `A·Hᵀ`
+/// as the row-major left operand, `Aᵀ·W` as the right operand of
+/// `(Wᵀ·A)ᵀ`, which packs nothing. So a dense rank holds its block once,
+/// a view of the shared source, as the paper's Table 2 charges it.
 ///
-/// `bpack` is the right-operand tile scratch, pre-sized by
-/// [`reserve_scratch`](SessionPack::reserve_scratch) to the larger of the
-/// two products' packed right operands (whole depth, at most `NC`
-/// columns; none at `k = NR`), so even the *first* iteration's
-/// GEMMs allocate nothing — the counting-allocator tests assert
-/// iteration-count-independent totals with no warmup.
+/// `bpack` is pre-sized by
+/// [`reserve_scratch`](SessionPack::reserve_scratch) to the packed right
+/// operand of `A·Hᵀ` (whole depth, at most `NC` columns; none at
+/// `k = NR`), so even the *first* iteration's GEMMs allocate nothing —
+/// the counting-allocator tests assert iteration-count-independent
+/// totals with no warmup.
 #[derive(Clone, Debug, Default)]
 pub struct SessionPack {
-    /// Panels of the local `Aᵀ` (left operand of `Aᵀ·W`), packed from
-    /// `A`'s rows without materializing the transpose.
-    pub at: PackedPanels,
-    /// Per-call `B`-tile scratch shared by both dense products.
+    /// Per-call `B`-tile scratch of the dense `A·Hᵀ`.
     pub bpack: Vec<f64>,
 }
 
 impl SessionPack {
-    /// Whether no operand is packed (sparse input, or never primed).
-    pub fn is_empty(&self) -> bool {
-        self.at.is_empty()
-    }
-
     /// Grow `bpack` to `len` floats (the bound
-    /// [`b_scratch_len`](nmf_matrix::pack::b_scratch_len) gives for the
-    /// larger of the two products); afterwards steady-state GEMMs never
-    /// resize it.
+    /// [`b_scratch_len`](nmf_matrix::pack::b_scratch_len) gives for
+    /// `A·Hᵀ`); afterwards steady-state GEMMs never resize it.
     pub fn reserve_scratch(&mut self, len: usize) {
         if self.bpack.len() < len {
             self.bpack.resize(len, 0.0);
         }
-    }
-
-    /// Bytes of packed panel storage currently held.
-    pub fn packed_bytes(&self) -> usize {
-        self.at.packed_bytes()
     }
 }
 
@@ -88,12 +67,10 @@ impl SessionPack {
 /// | `aht`        | —                   | `((AHᵀ)ᵢ)ⱼ` (rs out; `pc > 1`)  |
 /// | `wta`        | —                   | `((WᵀA)ⱼ)ᵢ` (rs out; `pr > 1`)  |
 ///
-/// `pack` is not a per-iteration buffer but the once-per-session
-/// [`SessionPack`]ed `Aᵀ` of the data matrix; it lives here so the
-/// warm-restart path
+/// `pack` is the [`SessionPack`] `B`-tile scratch, sized once per
+/// engine; it lives here so the warm-restart path
 /// ([`AnlsEngine::with_workspace`](crate::engine::AnlsEngine::with_workspace)
-/// → `take_workspace`) carries the packed panels' storage across
-/// engines too.
+/// → `take_workspace`) carries its storage across engines too.
 #[derive(Clone, Debug, Default)]
 pub struct IterWorkspace {
     pub gram_w: Mat,

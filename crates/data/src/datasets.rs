@@ -2,7 +2,7 @@
 //! scale.
 
 use hpc_nmf::Input;
-use nmf_matrix::rng::Fill;
+use nmf_matrix::rng::{box_muller, Fill};
 use nmf_matrix::Mat;
 use nmf_sparse::gen::{chung_lu_power_law, erdos_renyi};
 use rand::rngs::StdRng;
@@ -119,12 +119,18 @@ pub struct Dataset {
 
 /// DSYN: "a uniform random matrix ... and add random Gaussian noise"
 /// (noise at 1% of the signal scale, truncated to keep entries
-/// nonnegative — NMF input conventions).
+/// nonnegative — NMF input conventions). The noise is drawn from its own
+/// `seed ^ 0xD5` stream, Box–Muller pair by pair as
+/// [`Fill::gaussian`] draws it, and added in place, so the generator
+/// holds one `m×n` matrix.
 fn dsyn(m: usize, n: usize, seed: u64) -> Mat {
     let mut a = Mat::uniform(m, n, seed);
-    let noise = Mat::gaussian(m, n, seed ^ 0xD5);
-    for (av, nv) in a.as_mut_slice().iter_mut().zip(noise.as_slice()) {
-        *av = (*av + 0.01 * nv).max(0.0);
+    let mut noise = StdRng::seed_from_u64(seed ^ 0xD5);
+    for pair in a.as_mut_slice().chunks_mut(2) {
+        let (z0, z1) = box_muller(&mut noise);
+        for (av, z) in pair.iter_mut().zip([z0, z1]) {
+            *av = (*av + 0.01 * z).max(0.0);
+        }
     }
     a
 }
@@ -205,6 +211,21 @@ mod tests {
         if let Input::Dense(a) = &d.input {
             assert!(a.all_nonnegative());
             assert!(a.all_finite());
+        }
+    }
+
+    /// The in-place generator against the form that draws the noise as a
+    /// second matrix: the same bits, at an even and an odd element count.
+    #[test]
+    fn dsyn_adds_its_noise_in_place_with_the_same_bits() {
+        for (m, n) in [(6, 4), (7, 5)] {
+            let mut want = Mat::uniform(m, n, 3);
+            let noise = Mat::gaussian(m, n, 3 ^ 0xD5);
+            for (av, nv) in want.as_mut_slice().iter_mut().zip(noise.as_slice()) {
+                *av = (*av + 0.01 * nv).max(0.0);
+            }
+            let bits = |a: &Mat| a.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dsyn(m, n, 3)), bits(&want), "{m}x{n}");
         }
     }
 

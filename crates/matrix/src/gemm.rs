@@ -9,35 +9,41 @@
 //!
 //! # Performance notes
 //!
-//! Every product runs through one driver, the GotoBLAS decomposition
-//! (Goto & van de Geijn, *Anatomy of High-Performance Matrix
-//! Multiplication*):
+//! Both products follow the GotoBLAS decomposition (Goto & van de Geijn,
+//! *Anatomy of High-Performance Matrix Multiplication*) and share one
+//! microkernel:
 //!
-//! 1. **Operands** ([`pack`](crate::pack)): the right operand is packed
-//!    per call into `NR`-column tiles over its whole depth, `NC` columns
-//!    at a time. The left operand is read in `MR`-row panels at a (row
-//!    stride, depth stride) pair: in place when it is a row-major matrix
-//!    or a [`MatRef`] block of one ([`matmul_into`],
-//!    [`matmul_scratch_into`]; `(ld, 1)`), or from [`PackedPanels`]
-//!    ([`matmul_packed_into`]; `(1, MR)`). It is packed only where its
-//!    storage is the wrong way round: `C = Aᵀ·B` ([`matmul_ta_into`])
-//!    packs `Aᵀ`'s panels from `A`'s rows
-//!    ([`PackedPanels::pack_transposed`]), never forming a transpose.
-//! 2. **Loop order**: each `MR`-row panel streams through all of its
-//!    `KC`-deep blocks in order, each against every packed tile; the
-//!    panel's rows are read front to back once, the packed `B` stays in L2
-//!    (for `kdim` up to a few thousand).
-//! 3. **Microkernel** ([`simd`]): a 6×16 register block of `C`, one
+//! 1. **`C = A·B`** ([`matmul_into`], [`matmul_scratch_into`]): the right
+//!    operand is packed per call into `NR`-column tiles over its whole
+//!    depth, `NC` columns at a time ([`pack`](crate::pack)). The left
+//!    operand is read in place in `MR`-row panels at strides `(ld, 1)`: a
+//!    row-major matrix or a [`MatRef`] block of one. Each panel streams
+//!    through all of its `KC`-deep blocks in order, each against every
+//!    packed tile; the panel's rows are read front to back once, and the
+//!    packed `B` stays in L2 (for `kdim` up to a few thousand).
+//! 2. **`C = Aᵀ·B`** ([`matmul_ta_into`]) runs as `(Bᵀ·A)ᵀ`, so `A` is
+//!    the *right* operand and is read where it lies: `NR`-wide tiles at
+//!    its row stride, each against every panel of `Bᵀ` (read in place
+//!    from `B`'s rows at strides `(1, k)`), 64 rows at a time with the
+//!    chains held between parts so the rows stay in L1 across panels,
+//!    the next tile prefetched meanwhile; each output tile is stored
+//!    transposed. Neither operand is packed and no transpose is formed,
+//!    so a dense rank holds its block of `A` once.
+//! 3. **Microkernel** ([`simd`]): a 6×16 register block of `C` (8×16 for
+//!    `Bᵀ`'s panels under `avx512f` where that wastes fewer rows), one
 //!    portable body compiled 16 lanes wide under `avx512f` and 8 wide
 //!    under `fma` or plain, chosen once per process.
-//! 4. **Amortized packing**: scratch grows once and is reused, and a left
-//!    operand that must be packed is packed **once per session** into a
-//!    [`PackedPanels`] — the data matrix never changes across ANLS
-//!    iterations, so `crates/core` packs `Aᵀ` at engine construction.
 //!
-//! Every build, both operand forms and the loop order give the same bits:
-//! each output element is `+0.0` plus one FMA chain per `KC` block, added
-//! in depth order — what a KC-outer loop computes.
+//! Every build, operand form and loop order gives the same bits: each
+//! output element is `+0.0` plus one FMA chain per `KC` block, added in
+//! depth order — what a KC-outer loop computes. `fma(w, a, acc)` rounds
+//! as `fma(a, w, acc)` does, so `(Bᵀ·A)ᵀ` has the bits of `Aᵀ·B` from
+//! packed `Aᵀ` panels.
+//!
+//! [`PackedPanels`] and [`matmul_packed_scratch_into`], the left operand
+//! packed ahead of time at strides `(1, MR)`, are no product path: they
+//! stay public only because the `benchmark` package's layer rows link
+//! them, and they go when those rows move to a probe seam.
 //!
 //! `*_into` variants write into caller-owned storage so per-iteration
 //! workspaces can be reused; the allocating wrappers exist for
@@ -50,20 +56,14 @@
 use crate::mat::{Mat, MatRef};
 use crate::pack::{pack_b, pack_panel, PackedPanels, KC, MR, NC, NR};
 use crate::simd;
+use crate::simd::MR_WIDE;
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread packing scratch: grows to the largest operands seen,
-    /// then every subsequent GEMM on this thread packs into the same
-    /// storage — steady-state iterations allocate nothing.
-    static SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::default());
-}
-
-#[derive(Default)]
-struct GemmScratch {
-    /// `Aᵀ` panels of [`matmul_ta_into`].
-    apack: PackedPanels,
-    bpack: Vec<f64>,
+    /// Per-thread `B`-tile scratch of [`matmul_into`]: grows to the largest
+    /// operand seen, then every later product on this thread packs into
+    /// the same storage — steady-state iterations allocate nothing.
+    static BPACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// `C = A·B`, allocating the output.
@@ -80,7 +80,7 @@ pub fn matmul(a: &Mat, b: &Mat) -> Mat {
 /// packs `B` into thread-local scratch and runs the dispatched
 /// microkernel build; see the module docs.
 pub fn matmul_into(a: &Mat, b: &Mat, c: &mut Mat) {
-    SCRATCH.with(|s| matmul_scratch_into(a, b, c, &mut s.borrow_mut().bpack));
+    BPACK.with(|s| matmul_scratch_into(a, b, c, &mut s.borrow_mut()));
 }
 
 /// `C = A·B` into caller-owned `c` (overwritten) for a left operand read
@@ -114,27 +114,16 @@ pub fn matmul_scratch_into<'a>(
     );
 }
 
-/// `C = P·B` where `P` is a pre-packed left operand (see
-/// [`PackedPanels`]): the steady-state entry point — no repacking of
-/// `P`, only the (cheap, `kdim×n`) `B` tiles are packed per call.
+/// `C = P·B` into caller-owned `c` (overwritten), where `P` is a left
+/// operand packed ahead of time into [`PackedPanels`], with caller-owned
+/// `B`-tile scratch (pre-sized via
+/// [`b_scratch_len`](crate::pack::b_scratch_len), the call allocates
+/// nothing). No product path runs it: it stays public only for the
+/// `benchmark` package's layer rows and goes with them (see the module
+/// docs).
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn matmul_packed_into(p: &PackedPanels, b: &Mat, c: &mut Mat) {
-    SCRATCH.with(|s| {
-        matmul_packed_scratch_into(p, b, c, &mut s.borrow_mut().bpack);
-    });
-}
-
-/// [`matmul_packed_into`] with caller-owned `B`-tile scratch instead of
-/// the thread-local buffer. Hot-loop callers that must not touch any
-/// hidden allocation (the engine's counting-allocator invariant) hold
-/// the scratch in their workspace, pre-sized via
-/// [`b_scratch_len`](crate::pack::b_scratch_len), so steady-state calls allocate
-/// nothing — including on the very first iteration.
-///
-/// # Panics
-/// Same contract as [`matmul_packed_into`].
 pub fn matmul_packed_scratch_into(p: &PackedPanels, b: &Mat, c: &mut Mat, bpack: &mut Vec<f64>) {
     let (m, kdim) = p.shape();
     assert_eq!(kdim, b.nrows(), "matmul_packed inner dimension mismatch");
@@ -211,9 +200,14 @@ fn gemm(left: Left<'_>, b: &[f64], n: usize, c: &mut [f64], bpack: &mut Vec<f64>
                         rs,
                         ds,
                         pb: pbt.as_ptr(),
+                        ldb: NR,
+                        pf: std::ptr::null(),
                         kc,
+                        chain: simd::Chain::Whole,
                         c: c[i0 * n + j0 + jt * NR..].as_mut_ptr(),
                         ldc: n,
+                        cs: 1,
+                        rows: MR,
                         mr_eff,
                         nr_eff: NR.min(nc - jt * NR),
                     };
@@ -236,10 +230,15 @@ pub fn matmul_ta(a: &Mat, b: &Mat) -> Mat {
     c
 }
 
-/// `C = Aᵀ·B` into caller-owned `c` (overwritten). Packs `Aᵀ` directly
-/// from `A`'s rows (no transpose materialization) into thread-local
-/// scratch and runs the same driver as [`matmul_into`].
-pub fn matmul_ta_into(a: &Mat, b: &Mat, c: &mut Mat) {
+/// `C = Aᵀ·B` into caller-owned `c` (overwritten), for an `A` read in
+/// place — a [`Mat`] or a [`MatRef`] block of one, such as a rank's block
+/// of a matrix other ranks share. It runs as `(Bᵀ·A)ᵀ`, through the
+/// transposed driver (see the module docs), and allocates nothing.
+///
+/// # Panics
+/// Panics on shape mismatch.
+pub fn matmul_ta_into<'a>(a: impl Into<MatRef<'a>>, b: &Mat, c: &mut Mat) {
+    let a = a.into();
     assert_eq!(a.nrows(), b.nrows(), "matmul_ta inner dimension mismatch");
     assert_eq!(
         c.shape(),
@@ -247,17 +246,137 @@ pub fn matmul_ta_into(a: &Mat, b: &Mat, c: &mut Mat) {
         "matmul_ta output shape mismatch"
     );
     c.as_mut_slice().fill(0.0);
-    SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        scratch.apack.pack_transposed_into(a);
-        gemm(
-            Left::Packed(&scratch.apack),
-            b.as_slice(),
-            b.ncols(),
-            c.as_mut_slice(),
-            &mut scratch.bpack,
-        );
-    });
+    gemm_t(a, b.as_slice(), b.ncols(), c.as_mut_slice());
+}
+
+/// Depth of the part of an `A` tile that the transposed driver runs
+/// against every panel of `Wᵀ` in turn: 64 rows of 128 B stay in L1
+/// between panels, where a whole `KC`-deep tile, its rows a page apart,
+/// would not.
+const PART: usize = 64;
+
+/// Panels of `Wᵀ` whose chains the transposed driver holds at once
+/// (`k ≤ 48` in one group at `MR` rows, `k ≤ 64` at `MR_WIDE`).
+const PANELS: usize = 8;
+
+/// The transposed driver: `c += (Wᵀ·A)ᵀ`, where `A` is the `kdim×n` block
+/// read in place, `w` is `kdim×k` row-major and `c` is `n×k` row-major —
+/// `C = Aᵀ·W` with `A` as the *right* operand, so no transpose of it is
+/// ever formed. For each `KC`-deep block, in depth order, each `NR`-wide
+/// tile of `A` runs against every panel of `Wᵀ`, `PART` rows at a time,
+/// each panel's chains held between parts ([`simd::Chain`]); the first
+/// panel prefetches the next tile's rows into L2.
+///
+/// * `Wᵀ`'s panels are `w`'s columns, read in place at strides `(1, k)`,
+///   [`GemmBuild::rows_for`](simd::GemmBuild::rows_for) rows each (8
+///   under `avx512f` where that wastes fewer rows than 6, as at k = 16);
+///   a last, shorter panel is copied into a zero-padded stack panel once
+///   per depth block, so no read leaves `w`.
+/// * `A`'s tiles are read in place at row stride `ld`; a last tile
+///   narrower than `NR` is copied into a zero-padded stack tile, so no
+///   read leaves the block.
+/// * Each output tile is stored transposed (`ldc = 1`, column stride `k`).
+///
+/// Each element is still `+0.0` plus one fused chain per depth block in
+/// depth order, and `w·a` rounds as `a·w` does, so `C` has the bits of
+/// the `Aᵀ`-panel product [`matmul_packed_scratch_into`] computes.
+fn gemm_t(a: MatRef<'_>, w: &[f64], k: usize, c: &mut [f64]) {
+    let (kdim, n) = a.shape();
+    debug_assert_eq!(w.len(), kdim * k);
+    debug_assert_eq!(c.len(), n * k);
+    if kdim == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let build = simd::gemm_build();
+    // Rows per panel of `Wᵀ`: `MR`, or `MR_WIDE` where that wastes fewer.
+    let mr = build.rows_for(k);
+    let (mut wedge, mut aedge) = ([0.0f64; MR_WIDE * KC], [0.0f64; KC * NR]);
+    let mut held = [0.0f64; PANELS * MR_WIDE * NR];
+    let (short_at, full_cols) = (k / mr * mr, n / NR * NR);
+    for k0 in (0..kdim).step_by(KC) {
+        let kc = KC.min(kdim - k0);
+        if short_at < k {
+            for (d, panel_d) in wedge.chunks_exact_mut(mr).take(kc).enumerate() {
+                let row = &w[(k0 + d) * k..(k0 + d + 1) * k];
+                panel_d[..k - short_at].copy_from_slice(&row[short_at..]);
+            }
+        }
+        // One tile of `A` (`kc` rows of `NR` at stride `ldb`) against every
+        // panel of `Wᵀ`, into the transposed `C` tile at row `j0`.
+        let mut tile = |(pb, ldb): (&[f64], usize), j0: usize, pf: *const f64, c: &mut [f64]| {
+            for p0 in (0..k).step_by(PANELS * mr) {
+                for d0 in (0..kc).step_by(PART) {
+                    let part = PART.min(kc - d0);
+                    let pb = &pb[d0 * ldb..];
+                    // What the kernel's reads of `pb` rely on.
+                    assert!(
+                        pb.len() >= (part - 1) * ldb + NR,
+                        "right-operand tile shorter than its stride"
+                    );
+                    for i0 in (p0..k.min(p0 + PANELS * mr)).step_by(mr) {
+                        let (pa, ds) = match i0 < short_at {
+                            true => (&w[(k0 + d0) * k + i0..], k),
+                            false => (&wedge[d0 * mr..mr * kc], mr),
+                        };
+                        assert!(
+                            pa.len() > (mr - 1) + (part - 1) * ds,
+                            "left-operand panel shorter than its strides"
+                        );
+                        let chain = match part == kc {
+                            true => simd::Chain::Whole,
+                            false => simd::Chain::Part {
+                                buf: held[(i0 - p0) * NR..].as_mut_ptr(),
+                                first: d0 == 0,
+                                last: d0 + part == kc,
+                            },
+                        };
+                        let t = simd::Tile {
+                            pa: pa.as_ptr(),
+                            rs: 1,
+                            ds,
+                            pb: pb.as_ptr(),
+                            ldb,
+                            pf: match i0 == 0 {
+                                true => pf.wrapping_add(d0 * ldb),
+                                false => std::ptr::null(),
+                            },
+                            kc: part,
+                            chain,
+                            c: c[j0 * k + i0..].as_mut_ptr(),
+                            ldc: 1,
+                            cs: k,
+                            rows: mr,
+                            mr_eff: mr.min(k - i0),
+                            nr_eff: NR.min(n - j0),
+                        };
+                        // SAFETY: `build` is the detected one; the asserts
+                        // above cover every `pa` read at `r + d*ds` and every
+                        // `pb` read at `d*ldb + j` (`r < mr`, `d < part`,
+                        // `j < NR`); `held` holds the `mr×NR` tile of every
+                        // panel of the group; `c` holds the `nr_eff` rows of
+                        // `k` elements from row `j0`, of which the tile
+                        // writes `mr_eff` from column `i0`.
+                        unsafe { simd::microkernel(build, t) };
+                    }
+                }
+            }
+        };
+        for j0 in (0..full_cols).step_by(NR) {
+            let next = match j0 + NR < full_cols {
+                true => a.tail(k0, j0 + NR).as_ptr(),
+                false => std::ptr::null(),
+            };
+            tile((a.tail(k0, j0), a.ld()), j0, next, c);
+        }
+        if full_cols < n {
+            for (d, tile_d) in aedge.chunks_exact_mut(NR).take(kc).enumerate() {
+                let row = &a.row(k0 + d)[full_cols..];
+                tile_d[..row.len()].copy_from_slice(row);
+                tile_d[row.len()..].fill(0.0);
+            }
+            tile((&aedge[..kc * NR], NR), full_cols, std::ptr::null(), c);
+        }
+    }
 }
 
 /// `C = A·Bᵀ`, allocating the output. `A` is `m×n`, `B` is `k×n`, `C` is `m×k`.
@@ -432,7 +551,7 @@ mod tests {
             let b = Mat::uniform(kk, n, 78);
             let p = PackedPanels::pack(&a);
             let mut c = Mat::zeros(m, n);
-            matmul_packed_into(&p, &b, &mut c);
+            matmul_packed_scratch_into(&p, &b, &mut c, &mut Vec::new());
             assert!(
                 c.max_abs_diff(&matmul(&a, &b)) < 1e-12,
                 "prepacked GEMM wrong at {m}x{kk}x{n}"
@@ -459,7 +578,7 @@ mod tests {
             );
             let p = PackedPanels::pack_transposed(&a);
             let mut cp = Mat::zeros(k, n);
-            matmul_packed_into(&p, &b, &mut cp);
+            matmul_packed_scratch_into(&p, &b, &mut cp, &mut Vec::new());
             assert!(
                 cp.max_abs_diff(&expect) < 1e-12,
                 "prepacked matmul_ta wrong at {m}x{k}x{n}"

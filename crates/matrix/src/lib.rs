@@ -10,18 +10,20 @@
 //!   that copies nothing;
 //! * [`gemm`] — GotoBLAS-style matrix-multiply kernels in all
 //!   transpose combinations used by the algorithms (`A·B`, `Aᵀ·B`,
-//!   `A·Bᵀ`), all serial — a rank is a thread, as in the paper. One
-//!   driver serves them all; it reads a row-major left operand (or a
-//!   [`MatRef`] block) in place and a transposed one from packed panels;
+//!   `A·Bᵀ`), all serial — a rank is a thread, as in the paper. A
+//!   row-major `A` (or a [`MatRef`] block of one) is read in place in
+//!   every product: as the left operand of `A·B`, and as the right
+//!   operand of `Aᵀ·B`, which runs as `(Bᵀ·A)ᵀ`;
 //! * [`simd`] — the `MR×NR` register microkernel: one portable body,
 //!   compiled 16 lanes wide under `avx512f`, 8 wide under `fma` and plain
 //!   elsewhere, all with the same bits (chosen once per process;
 //!   `NMF_FORCE_SCALAR=1` pins the 8-wide build), which reads the left
-//!   operand at a (row stride, depth stride) pair so one kernel serves
-//!   both forms; and the dispatched AVX2 dot products;
-//! * [`pack`] — operand packing into microkernel-ready panels, including
-//!   [`PackedPanels`] for left operands packed once and reused across a
-//!   whole ANLS session (`Aᵀ`, for `Aᵀ·W`);
+//!   operand at a (row stride, depth stride) pair, the right one at a row
+//!   stride and stores `C` at a (row, column) stride pair, so one kernel
+//!   serves every form; and the dispatched AVX2 dot products;
+//! * [`pack`] — packing of `B` tiles per call, and [`PackedPanels`], a
+//!   left operand packed ahead of time, which no product path uses (kept
+//!   for the `benchmark` package's layer rows);
 //! * [`mod@gram`] — symmetric rank-k products `XᵀX` and `XXᵀ` exploiting
 //!   symmetry;
 //! * [`chol`] — Cholesky factorization and batched multi-right-hand-side
@@ -32,7 +34,7 @@
 //! All kernels are written for the regime the paper targets: `k ≤ ~100`
 //! while `m, n` are large, so matrices are tall-and-skinny or tiny-square.
 //! See `docs/kernels.md` for the kernel-layer design (dispatch, packing
-//! formats, in-place operands and the once-per-session `Aᵀ`-panel cache).
+//! formats and in-place operands).
 
 pub mod chol;
 pub mod gemm;
@@ -48,8 +50,8 @@ pub use chol::{
     solve_spd, CholError,
 };
 pub use gemm::{
-    matmul, matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_scratch_into,
-    matmul_ta, matmul_ta_into, matmul_tb, matmul_tb_into,
+    matmul, matmul_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta,
+    matmul_ta_into, matmul_tb, matmul_tb_into,
 };
 pub use gram::{gram, gram_into, outer_gram, outer_gram_into};
 pub use mat::{Mat, MatRef};

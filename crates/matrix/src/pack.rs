@@ -1,32 +1,28 @@
 //! Operand packing for the GEMM microkernel (GotoBLAS-style).
 //!
-//! The microkernel in [`simd`](crate::simd) reads the right operand from
-//! packed tiles and the left operand from `MR`-row panels addressed by a
-//! (row stride, depth stride) pair, so the left operand is packed only
-//! where packing pays:
+//! The microkernel in [`simd`](crate::simd) reads its left operand in
+//! `MR`-row panels addressed by a (row stride, depth stride) pair and its
+//! right operand in `NR`-wide tiles at a row stride, so an operand is
+//! packed only where packing pays:
 //!
-//! * **`A` panels** (left operand, optional): the `m×kdim` operand is
-//!   cut into depth-`KC` column blocks, and each block into `MR`-row
-//!   panels laid out depth-major — `panel[d*MR + r] = A[i0+r][k0+d]`,
-//!   strides `(1, MR)`. Rows past `m` are zero-padded so the microkernel
-//!   never branches on `mr_eff` inside the k-loop (the padding
-//!   contributes terms that are simply not stored). A row-major left
-//!   operand is read in place instead, strides `(ld, 1)`; only its last,
-//!   short panel is copied into a zero-padded panel per call.
-//! * **`B` tiles** (right operand): up to `NC` columns at a time, cut
-//!   into `NR`-column tiles depth-major over the whole inner dimension —
-//!   `tile[d*NR + t] = B[d][j0+t]`, zero-padded past the block — so the
-//!   `KC`-deep piece one microkernel call reads is contiguous.
-//!
-//! `B` tiles are packed per GEMM call into scratch (they depend on the
-//! right operand, which changes every iteration). A left operand that is
-//! not row-major as it stands — `Aᵀ` of a row-major `A`, the left operand
-//! of `Aᵀ·W` — is packed **once per session** into a [`PackedPanels`] and
-//! reused by every subsequent
-//! [`matmul_packed_into`](crate::gemm::matmul_packed_into) call: the ANLS
-//! structure exploited by `crates/core`, where the data matrix never
-//! changes across iterations. `A` itself, the left operand of `A·Hᵀ`, is
-//! row-major already and is read where it lies.
+//! * **`B` tiles** (right operand of `A·B`): up to `NC` columns at a
+//!   time, cut into `NR`-column tiles depth-major over the whole inner
+//!   dimension — `tile[d*NR + t] = B[d][j0+t]`, zero-padded past the
+//!   block — so the `KC`-deep piece one microkernel call reads is
+//!   contiguous. They are packed per call into scratch (the right operand
+//!   changes every iteration); a `B` exactly one tile wide is read where
+//!   it lies.
+//! * **Read in place, not packed**: a row-major left operand, at strides
+//!   `(ld, 1)`, and both operands of `Aᵀ·B`, which runs as `(Bᵀ·A)ᵀ`:
+//!   `Bᵀ`'s panels at strides `(1, k)`, `A`'s tiles at row stride `ld`.
+//!   Only a short last panel or a narrow last tile is copied, into a
+//!   zero-padded panel or tile per call (`pack_panel` for a left
+//!   operand), so the kernel never reads outside its operand.
+//! * **[`PackedPanels`]**: a left operand packed ahead of time into
+//!   `MR`-row panels laid out depth-major — `panel[d*MR + r] =
+//!   A[i0+r][k0+d]`, strides `(1, MR)`, rows past `m` zero-padded. No
+//!   product path uses them any more; they stay public only because the
+//!   `benchmark` package's layer rows link them, and go with those rows.
 //!
 //! Neither layout depends on the dispatched build.
 
@@ -67,15 +63,20 @@ pub(crate) fn pack_panel(
     }
 }
 
-/// A left GEMM operand packed into microkernel-ready `MR×KC` panels.
+/// A left GEMM operand packed into microkernel-ready `MR×KC` panels, for
+/// [`matmul_packed_scratch_into`](crate::gemm::matmul_packed_scratch_into).
 ///
 /// Logically an `m×kdim` matrix; physically `ceil(m/MR)·MR · kdim`
 /// floats in panel order (see the module docs for the layout). Built
 /// with [`pack_into`](PackedPanels::pack_into) (packs the operand as-is)
 /// or [`pack_transposed_into`](PackedPanels::pack_transposed_into)
-/// (packs the operand's transpose, for `AᵀB` products without forming
-/// `Aᵀ`). Storage is retained across re-packs, so refreshing the panels
-/// for the same shape allocates nothing.
+/// (packs the operand's transpose). Storage is retained across re-packs,
+/// so refreshing the panels for the same shape allocates nothing.
+///
+/// No product path reads these panels: `A·B` reads its left operand in
+/// place and `Aᵀ·B` runs as `(Bᵀ·A)ᵀ`. The type stays public only
+/// because the `benchmark` package's layer rows link it, and goes when
+/// those rows move to a probe seam.
 #[derive(Clone, Debug, Default)]
 pub struct PackedPanels {
     m: usize,
@@ -103,11 +104,6 @@ impl PackedPanels {
         p
     }
 
-    /// Whether any operand is currently packed.
-    pub fn is_empty(&self) -> bool {
-        self.m == 0 || self.kdim == 0
-    }
-
     /// Logical shape `(rows, inner)` of the packed operand.
     pub fn shape(&self) -> (usize, usize) {
         (self.m, self.kdim)
@@ -116,13 +112,6 @@ impl PackedPanels {
     /// Bytes of packed storage currently held.
     pub fn packed_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f64>()
-    }
-
-    /// Drop the packed operand (keeps the allocation for reuse).
-    pub fn clear(&mut self) {
-        self.m = 0;
-        self.kdim = 0;
-        self.data.clear();
     }
 
     fn reset(&mut self, m: usize, kdim: usize) -> usize {

@@ -1,18 +1,24 @@
 //! Runtime-dispatched SIMD kernels: one portable GEMM microkernel body,
 //! compiled at the host's widest vector width, and the AVX2 + FMA dots.
 //!
-//! The GEMM driver in [`gemm`](crate::gemm) hands [`microkernel`] one
-//! [`Tile`]: a packed `B` tile (see [`pack`](crate::pack)) and an
-//! `MR`-row panel of the left operand at a (row stride, depth stride)
-//! pair — `(1, MR)` for packed panels, `(ld, 1)` for the rows of a
-//! row-major block read in place. The body is generic over its register
-//! width `W`: `MR×W` accumulators, each from zero adding `a·b` with
-//! `mul_add` in depth order, added to `C` once — a full tile straight
-//! from the accumulators, an edge tile through a stack tile, so runtime
-//! bounds never index (and spill) them. [`GemmBuild`] compiles it three
-//! ways with the same bits: `avx512f-6x16` (`W = 16`; a tile stored at
-//! most 8 wide takes `W = 8`), `fma-6x8` (`W = 8`, a pass per half tile)
-//! and `portable-6x8` (`W = 8` plain, `mul_add` through libm).
+//! The GEMM drivers in [`gemm`](crate::gemm) hand [`microkernel`] one
+//! [`Tile`]: an `MR`-row panel of the left operand at a (row stride,
+//! depth stride) pair — `(1, MR)` for packed panels, `(ld, 1)` for the
+//! rows of a row-major block read in place, `(1, k)` for `Wᵀ` read from
+//! `W`'s rows — a `KC`-deep, `NR`-wide right tile at a row stride (`NR`
+//! when packed, `ld` for the columns of a block read in place), and an
+//! output tile at a (row, column) stride pair, so `C` may be stored
+//! transposed. The body is generic over its register rows `R` (`MR`, or
+//! `MR_WIDE` for the transposed product's panels where that wastes fewer
+//! rows) and width `W`: `R×W` accumulators, each from zero (or from held
+//! accumulators, see [`Chain`]) adding `a·b` with `mul_add` in depth
+//! order, added to `C` once — a full tile straight from the accumulators
+//! (column by column where `C` is transposed), an edge tile through a
+//! stack tile, so runtime bounds never index (and spill) them.
+//! [`GemmBuild`] compiles it three ways with the same bits:
+//! `avx512f-6x16` (`W = 16`; a tile stored at most 8 wide takes `W = 8`),
+//! `fma-6x8` (`W = 8`, a pass per half tile) and `portable-6x8` (`W = 8`
+//! plain, `mul_add` through libm).
 //!
 //! Both choices are made once per process: [`gemm_build`] for the GEMM,
 //! [`active`] for the dots and SpMM — AVX2 + FMA where the CPU has both,
@@ -32,6 +38,10 @@ pub const NR: usize = 16;
 pub const KC: usize = 256;
 /// Rows of `C` per microkernel call; packed `A` panels are `MR×KC`.
 pub const MR: usize = 6;
+/// Rows of `C` per call of the wider register tile, which the transposed
+/// driver runs where it wastes fewer rows than `MR` and the build has the
+/// registers (see [`GemmBuild::rows_for`]).
+pub const MR_WIDE: usize = 8;
 
 /// Which family the dots and SpMM dispatched to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,6 +70,18 @@ impl GemmBuild {
             GemmBuild::Avx512f => "avx512f-6x16",
             GemmBuild::Fma => "fma-6x8",
             GemmBuild::Portable => "portable-6x8",
+        }
+    }
+
+    /// The register rows — [`MR`] or [`MR_WIDE`] — that cover `k` output
+    /// rows in the fewest rows of work: `MR_WIDE` only under `avx512f`,
+    /// whose 32 registers hold its 16 accumulators (`fma`'s 16 would all
+    /// be accumulators), and only where `⌈k/8⌉·8 ≤ ⌈k/6⌉·6` (`k = 7`, 8,
+    /// 13–16, 19–24, 31, 32, …).
+    pub fn rows_for(self, k: usize) -> usize {
+        match self == GemmBuild::Avx512f && k.div_ceil(MR_WIDE) * MR_WIDE <= k.div_ceil(MR) * MR {
+            true => MR_WIDE,
+            false => MR,
         }
     }
 
@@ -136,50 +158,94 @@ macro_rules! with_fma {
     }};
 }
 
-/// Runs `$body::<W>(t)`, an `#[inline(always)]` body generic over its
-/// register width, as `$build` says: `W = 16` compiled under `avx512f`,
-/// `W = 8` under `fma`, or `W = 8` plain.
+/// Runs `$body::<R, W>(t)`, an `#[inline(always)]` body generic over its
+/// register rows and width, as `$build` says: `W = 16` compiled under
+/// `avx512f`, `W = 8` under `fma`, or `W = 8` plain.
 macro_rules! with_build {
-    ($build:expr, $body:ident($t:ident)) => {{
+    ($build:expr, $body:ident::<$rows:literal>($t:ident)) => {{
         #[cfg(target_arch = "x86_64")]
         match $build {
             GemmBuild::Avx512f => {
                 #[target_feature(enable = "avx512f", enable = "fma")]
                 unsafe fn avx512f($t: Tile) {
-                    $body::<16>($t)
+                    $body::<$rows, 16>($t)
                 }
                 return avx512f($t);
             }
             GemmBuild::Fma => {
                 #[target_feature(enable = "fma")]
                 unsafe fn fma($t: Tile) {
-                    $body::<8>($t)
+                    $body::<$rows, 8>($t)
                 }
                 return fma($t);
             }
             GemmBuild::Portable => {}
         }
-        $body::<8>($t)
+        $body::<$rows, 8>($t)
     }};
 }
 
 /// The operands of one microkernel call: `C[0..mr_eff, 0..nr_eff] += A ·
-/// PB`. Element `(r, d)` of the `MR×kc` left panel is `pa[r*rs + d*ds]`;
-/// `pb` is a `kc×NR` packed `B` tile (`pb[d*NR + t]`); `c` is the top-left
-/// element of the output tile, whose rows are `ldc` apart. Rows ≥
-/// `mr_eff` and columns ≥ `nr_eff` of the register tile are computed but
-/// not stored.
+/// B`. Element `(r, d)` of the `rows×kc` left panel is `pa[r*rs + d*ds]`;
+/// row `d` of the `kc×NR` right tile is `NR` contiguous elements from
+/// `pb[d*ldb]` — `ldb = NR` for a packed tile, the row stride of a block
+/// read in place otherwise; element `(r, j)` of the output tile is
+/// `c[r*ldc + j*cs]` — `cs = 1` for a row-major `C`, `ldc = 1` for a
+/// tile stored transposed. Where `pf` is not null, the body also
+/// prefetches `pf[d*ldb..]` at depth `d`: the same rows of the tile it
+/// will read next. `chain` says where the accumulators start and end.
+/// The register tile is `rows` (`MR` or `MR_WIDE`) by `NR`; its rows ≥
+/// `mr_eff` and columns ≥ `nr_eff` are computed but not stored.
 #[derive(Clone, Copy)]
 pub struct Tile {
     pub pa: *const f64,
     pub rs: usize,
     pub ds: usize,
     pub pb: *const f64,
+    pub ldb: usize,
+    pub pf: *const f64,
     pub kc: usize,
+    pub chain: Chain,
     pub c: *mut f64,
     pub ldc: usize,
+    pub cs: usize,
+    pub rows: usize,
     pub mr_eff: usize,
     pub nr_eff: usize,
+}
+
+/// How one call's FMA chains relate to a `KC`-deep block. A block may run
+/// as several calls over consecutive depth ranges, each continuing the
+/// last one's chains from a `rows×NR` tile of held accumulators (row `r`
+/// at `buf[r*NR..]`): storing and reloading a value is exact, so each
+/// element is still one chain from `+0.0` over the block, added to `C`
+/// once.
+#[derive(Clone, Copy)]
+pub enum Chain {
+    /// The whole block: from `+0.0`, added to `C`.
+    Whole,
+    /// Part of a block: from `+0.0` where `first`, else from `buf`; held
+    /// in `buf` unless `last`, else added to `C`.
+    Part {
+        buf: *mut f64,
+        first: bool,
+        last: bool,
+    },
+}
+
+impl Chain {
+    /// The chain of the columns from `j` on.
+    #[inline(always)]
+    unsafe fn at_col(self, j: usize) -> Chain {
+        match self {
+            Chain::Part { buf, first, last } => Chain::Part {
+                buf: buf.add(j),
+                first,
+                last,
+            },
+            whole => whole,
+        }
+    }
 }
 
 /// Runs one [`Tile`] through the body as `build` compiles it. The strides
@@ -191,57 +257,144 @@ pub struct Tile {
 ///
 /// * `build` must be one this CPU runs ([`GemmBuild::supported`]);
 ///   [`gemm_build`] always is.
-/// * `pa` must be valid for reads at `r*rs + d*ds` for all `r < MR`,
-///   `d < kc`; `pb` must hold at least `NR*kc` elements.
-/// * `c` must be valid for reads and writes at `r*ldc + t` for all
-///   `r < mr_eff`, `t < nr_eff`, with `mr_eff ≤ MR`, `nr_eff ≤ NR`.
+/// * `rows` must be [`MR`] or [`MR_WIDE`].
+/// * `pa` must be valid for reads at `r*rs + d*ds` for all `r < rows`,
+///   `d < kc`; `pb` at `d*ldb + j` for all `d < kc`, `j < NR`. A
+///   non-null `pf` is only prefetched, never read.
+/// * `c` must be valid for reads and writes at `r*ldc + j*cs` for all
+///   `r < mr_eff`, `j < nr_eff`, with `mr_eff ≤ rows`, `nr_eff ≤ NR`; a
+///   [`Chain::Part`]'s `buf` at `r*NR + j` for all `r < rows`, `j < NR`.
 pub unsafe fn microkernel(build: GemmBuild, t: Tile) {
-    with_build!(build, split(t))
+    debug_assert!(t.rows == MR || t.rows == MR_WIDE);
+    match t.rows {
+        MR_WIDE => rows_wide(build, t),
+        _ => rows_mr(build, t),
+    }
+}
+
+/// [`microkernel`] at `MR` register rows.
+unsafe fn rows_mr(build: GemmBuild, t: Tile) {
+    with_build!(build, split::<6>(t))
+}
+
+/// [`microkernel`] at `MR_WIDE` register rows.
+unsafe fn rows_wide(build: GemmBuild, t: Tile) {
+    with_build!(build, split::<8>(t))
 }
 
 /// One pass of the body at `W = NR` where the tile is stored more than
 /// `NR / 2` wide, otherwise an 8-wide pass over each half that is stored.
 #[inline(always)]
-unsafe fn split<const W: usize>(t: Tile) {
+unsafe fn split<const R: usize, const W: usize>(t: Tile) {
     const HALF: usize = NR / 2;
     if W == NR && t.nr_eff > HALF {
-        return body::<W>(t);
+        return body::<R, W>(t);
     }
     for j in (0..t.nr_eff).step_by(HALF) {
-        let (pb, c, nr_eff) = (t.pb.add(j), t.c.add(j), HALF.min(t.nr_eff - j));
-        body::<HALF>(Tile { pb, c, nr_eff, ..t });
+        let (pb, c, nr_eff) = (t.pb.add(j), t.c.add(j * t.cs), HALF.min(t.nr_eff - j));
+        let pf = match t.pf.is_null() {
+            true => t.pf,
+            false => t.pf.wrapping_add(j),
+        };
+        let chain = t.chain.at_col(j);
+        body::<R, HALF>(Tile {
+            pb,
+            pf,
+            chain,
+            c,
+            nr_eff,
+            ..t
+        });
     }
 }
 
-/// The body over the first `W` columns of the tile.
+/// The body over the first `W` columns of the tile, at `R` rows.
 #[inline(always)]
-unsafe fn body<const W: usize>(t: Tile) {
-    let mut acc = [[0.0f64; W]; MR];
-    for d in 0..t.kc {
-        let bd = &*t.pb.add(d * NR).cast::<[f64; W]>();
+unsafe fn body<const R: usize, const W: usize>(t: Tile) {
+    let mut acc = [[0.0f64; W]; R];
+    if let Chain::Part {
+        buf, first: false, ..
+    } = t.chain
+    {
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let ar = *t.pa.add(r * t.rs + d * t.ds);
-            for (av, &bv) in acc_r.iter_mut().zip(bd) {
-                *av = ar.mul_add(bv, *av);
-            }
+            *acc_r = *buf.add(r * NR).cast::<[f64; W]>();
         }
     }
-    if t.mr_eff == MR && t.nr_eff == W {
+    if t.pf.is_null() {
+        for d in 0..t.kc {
+            step(&t, &mut acc, d);
+        }
+    } else {
+        for d in 0..t.kc {
+            let row = t.pf.wrapping_add(d * t.ldb);
+            for j in (0..W).step_by(8) {
+                prefetch(row.wrapping_add(j));
+            }
+            prefetch(row.wrapping_add(W - 1));
+            step(&t, &mut acc, d);
+        }
+    }
+    if let Chain::Part {
+        buf, last: false, ..
+    } = t.chain
+    {
+        for (r, acc_r) in acc.iter().enumerate() {
+            *buf.add(r * NR).cast::<[f64; W]>() = *acc_r;
+        }
+    } else if t.mr_eff == R && t.nr_eff == W && t.cs == 1 {
         for (r, acc_r) in acc.iter().enumerate() {
             let cr = &mut *t.c.add(r * t.ldc).cast::<[f64; W]>();
             for (cv, &av) in cr.iter_mut().zip(acc_r) {
                 *cv += av;
             }
         }
-    } else {
-        // Edge tile: spill the accumulators whole, then add the stored region.
+    } else if t.ldc == 1 && t.mr_eff == R && t.nr_eff == W {
+        // A full tile stored transposed: column `j` is `R` contiguous
+        // elements of `C`.
         let spill = acc;
-        for (r, spill_r) in spill.iter().enumerate().take(t.mr_eff) {
-            for (j, &av) in spill_r.iter().enumerate().take(t.nr_eff) {
-                *t.c.add(r * t.ldc + j) += av;
+        for j in 0..W {
+            let cj = &mut *t.c.add(j * t.cs).cast::<[f64; R]>();
+            for (cv, spill_r) in cj.iter_mut().zip(&spill) {
+                *cv += spill_r[j];
+            }
+        }
+    } else {
+        // Edge tile: spill the accumulators whole, then add the stored
+        // region column by column (contiguous where `C` is transposed).
+        let spill = acc;
+        for j in 0..t.nr_eff {
+            for (r, spill_r) in spill.iter().enumerate().take(t.mr_eff) {
+                *t.c.add(r * t.ldc + j * t.cs) += spill_r[j];
             }
         }
     }
+}
+
+/// Depth step `d` of the body: `acc += A[.., d] · B[d, ..W]`.
+#[inline(always)]
+unsafe fn step<const R: usize, const W: usize>(t: &Tile, acc: &mut [[f64; W]; R], d: usize) {
+    let bd = &*t.pb.add(d * t.ldb).cast::<[f64; W]>();
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        let ar = *t.pa.add(r * t.rs + d * t.ds);
+        for (av, &bv) in acc_r.iter_mut().zip(bd) {
+            *av = ar.mul_add(bv, *av);
+        }
+    }
+}
+
+/// A hint to bring the cache line holding `p` into L2 (an in-place tile's
+/// rows are a page apart, so L1 could not hold them); nothing on targets
+/// without one.
+#[inline(always)]
+fn prefetch(p: *const f64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch reads nothing and faults on no address.
+    unsafe {
+        use std::arch::x86_64::*;
+        _mm_prefetch::<_MM_HINT_T1>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// AVX2 + FMA dot product: four vector accumulators (16 lanes in
@@ -460,9 +613,14 @@ mod tests {
             rs,
             ds,
             pb,
+            ldb: NR,
+            pf: std::ptr::null(),
             kc,
+            chain: Chain::Whole,
             c: c.as_mut_ptr(),
             ldc,
+            cs: 1,
+            rows: MR,
             mr_eff,
             nr_eff,
         };
@@ -530,6 +688,76 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A depth block run as three calls, each continuing the last one's
+    /// chains from the held accumulators, gives the bits of the block run
+    /// in one call: at both register heights, row-major or stored
+    /// transposed, on every build.
+    #[test]
+    fn a_block_run_in_parts_has_the_bits_of_the_whole_block() {
+        let kc = 200;
+        let builds = [GemmBuild::Avx512f, GemmBuild::Fma, GemmBuild::Portable];
+        for build in builds.into_iter().filter(|b| b.supported()) {
+            for rows in [MR, MR_WIDE] {
+                let pa: Vec<f64> = (0..rows * kc).map(|i| (i as f64 * 0.37).sin()).collect();
+                let pb: Vec<f64> = (0..NR * kc).map(|i| (i as f64 * 0.91).cos()).collect();
+                let stores = [((NR, 1), (rows, NR)), ((1, rows), (rows - 2, 11))];
+                for ((ldc, cs), (mr_eff, nr_eff)) in stores {
+                    let tile = |d0: usize, kc: usize, chain: Chain, c: &mut [f64]| Tile {
+                        pa: pa[d0 * rows..].as_ptr(),
+                        rs: 1,
+                        ds: rows,
+                        pb: pb[d0 * NR..].as_ptr(),
+                        ldb: NR,
+                        pf: std::ptr::null(),
+                        kc,
+                        chain,
+                        c: c.as_mut_ptr(),
+                        ldc,
+                        cs,
+                        rows,
+                        mr_eff,
+                        nr_eff,
+                    };
+                    let mut whole = vec![0.5f64; rows * NR];
+                    // SAFETY: the build was checked above; `pa` holds a
+                    // rows×kc panel at (1, rows), `pb` a kc×NR tile, `c`
+                    // rows·NR elements.
+                    unsafe { microkernel(build, tile(0, kc, Chain::Whole, &mut whole)) };
+                    let mut parts = vec![0.5f64; rows * NR];
+                    let mut held = [f64::NAN; MR_WIDE * NR];
+                    let buf = held.as_mut_ptr();
+                    for (d0, d1) in [(0, 64), (64, 128), (128, kc)] {
+                        let (first, last) = (d0 == 0, d1 == kc);
+                        let chain = Chain::Part { buf, first, last };
+                        // SAFETY: as above, over rows d0..d1; `held` holds
+                        // rows×NR.
+                        unsafe { microkernel(build, tile(d0, d1 - d0, chain, &mut parts)) };
+                    }
+                    let at = format!("{build:?}, {rows} rows, store ({ldc}, {cs})");
+                    assert_eq!(bits(&parts), bits(&whole), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_wide_register_tile_is_chosen_where_it_wastes_fewer_rows() {
+        let wide: Vec<usize> = (1..=50)
+            .filter(|&k| GemmBuild::Avx512f.rows_for(k) == MR_WIDE)
+            .collect();
+        assert_eq!(
+            wide,
+            [
+                7, 8, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 31, 32, 37, 38, 39, 40, 43, 44, 45,
+                46, 47, 48
+            ]
+        );
+        for k in 1..=50 {
+            assert_eq!(GemmBuild::Fma.rows_for(k), MR);
+            assert_eq!(GemmBuild::Portable.rows_for(k), MR);
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

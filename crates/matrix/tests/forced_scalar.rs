@@ -10,8 +10,8 @@
 use nmf_matrix::pack::MR;
 use nmf_matrix::rng::Fill;
 use nmf_matrix::{
-    matmul, matmul_packed_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta, simd,
-    Mat, PackedPanels,
+    matmul, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta, matmul_ta_into, simd, Mat,
+    PackedPanels,
 };
 
 #[test]
@@ -61,7 +61,7 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
             "panels are MR = 6 rows on the forced path too"
         );
         let mut c = Mat::zeros(m, n);
-        matmul_packed_into(&p, &b, &mut c);
+        matmul_packed_scratch_into(&p, &b, &mut c, &mut Vec::new());
         assert!(
             c.max_abs_diff(&expect) < 1e-10,
             "forced-scalar prepacked matmul wrong at {m}x{kdim}x{n}"
@@ -104,5 +104,42 @@ fn forced_scalar_dispatch_is_pinned_and_correct() {
     for i in 0..m {
         let poisoned = in_place.row(i).iter().any(|x| x.is_nan());
         assert_eq!(poisoned, i == m - 1, "row {i}: the NaN fence leaked");
+    }
+
+    // `Aᵀ·W` read in place as `(Wᵀ·A)ᵀ`, against the same product over
+    // packed `Aᵀ` panels, bit for bit: the same fenced block, past KC
+    // deep, and wider ones that end in a column tile narrower than 16;
+    // k = 16 and 17 end Wᵀ in a short panel, k = 48 does not. Only the
+    // output row of the column holding the planted NaN is NaN.
+    for (m, kdim, r0, c0) in [
+        (7usize, 300usize, 2usize, 3usize),
+        (300, 83, 1, 2),
+        (513, 33, 0, 1),
+    ] {
+        let mut big = Mat::uniform(r0 + m + 1, c0 + kdim + 2, 27);
+        big.row_mut(r0 + m).fill(f64::NAN);
+        for i in r0..r0 + m {
+            big[(i, c0 - 1)] = f64::NAN;
+            big[(i, c0 + kdim)] = f64::NAN;
+        }
+        big[(r0 + m - 1, c0 + kdim - 1)] = f64::NAN;
+        let a = big.view(r0, c0, m, kdim);
+        for k in [16, 17, 48] {
+            let w = Mat::uniform(m, k, 28);
+            let mut packed = Mat::zeros(kdim, k);
+            let panels = PackedPanels::pack_transposed(a);
+            matmul_packed_scratch_into(&panels, &w, &mut packed, &mut Vec::new());
+            let mut in_place = Mat::filled(kdim, k, 7.0);
+            matmul_ta_into(a, &w, &mut in_place);
+            assert_eq!(
+                bits(&in_place),
+                bits(&packed),
+                "forced-scalar (Wᵀ·A)ᵀ, {m}x{kdim}, k {k}"
+            );
+            for j in 0..kdim {
+                let poisoned = in_place.row(j).iter().any(|x| x.is_nan());
+                assert_eq!(poisoned, j == kdim - 1, "row {j}: the NaN fence leaked");
+            }
+        }
     }
 }

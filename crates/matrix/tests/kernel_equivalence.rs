@@ -2,8 +2,9 @@
 //! triple loop, on randomized shapes chosen to straddle the microkernel
 //! geometry boundaries: `MR = 6`, `NR = 16`, the `NC = 32` column
 //! blocks and the `KC = 256` depth blocking; and, bit for bit, the
-//! microkernel's 16-wide body against its 8-wide one and the driver
-//! against a KC-outer reference loop.
+//! microkernel's 16-wide body against its 8-wide one, the driver against
+//! a KC-outer reference loop, and `Aᵀ·W` read in place as `(Wᵀ·A)ᵀ`
+//! against the same product over packed `Aᵀ` panels.
 //!
 //! The naive loop computes the same sums in a different association
 //! order, so agreement with it is to a tolerance scaled well below the
@@ -13,10 +14,10 @@
 
 use nmf_matrix::pack::{b_scratch_len, KC, MR, NC, NR};
 use nmf_matrix::rng::Fill;
-use nmf_matrix::simd::{microkernel, GemmBuild, Tile};
+use nmf_matrix::simd::{microkernel, Chain, GemmBuild, Tile, MR_WIDE};
 use nmf_matrix::{
-    matmul_into, matmul_packed_into, matmul_packed_scratch_into, matmul_scratch_into,
-    matmul_ta_into, matmul_tb_into, Mat, PackedPanels,
+    matmul_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta_into, matmul_tb_into,
+    Mat, PackedPanels,
 };
 use proptest::prelude::*;
 
@@ -135,53 +136,96 @@ fn driver_past_kc_and_nc_matches_a_kc_outer_loop_bit_for_bit() {
 }
 
 /// The microkernel's 16-wide body (the `avx512f` build) against its
-/// 8-wide one (the `fma` build, two passes per tile), bit for bit, over
-/// every stored shape of a tile and both operand forms.
+/// 8-wide one (the `fma` build, two passes per tile), bit for bit, at both
+/// register heights, over every stored shape of a tile, both left-operand
+/// forms, a right tile packed or read at a wider row stride, and `C`
+/// stored row-major or transposed.
 #[test]
 fn wide_body_matches_narrow_body_bit_for_bit() {
     if !GemmBuild::Avx512f.supported() {
         eprintln!("skipped: no avx512f on this CPU, so only the 8-wide body runs here");
         return;
     }
-    for kc in [1, 19, 256, 257] {
-        // A packed panel (strides (1, MR)) and the same panel as the rows
+    for (rows, kc) in [MR, MR_WIDE]
+        .into_iter()
+        .flat_map(|r| [1, 19, 256, 257].map(|kc| (r, kc)))
+    {
+        // A packed panel (strides (1, rows)) and the same panel as the rows
         // of a row-major block (strides (kc, 1)), with a -0.0 in each.
-        let mut pa: Vec<f64> = (0..MR * kc).map(|i| (i as f64 * 0.37).sin()).collect();
-        pa[MR * kc / 2] = -0.0;
-        let rows: Vec<f64> = (0..MR * kc).map(|i| pa[(i % kc) * MR + i / kc]).collect();
+        let mut pa: Vec<f64> = (0..rows * kc).map(|i| (i as f64 * 0.37).sin()).collect();
+        pa[rows * kc / 2] = -0.0;
+        let by_row: Vec<f64> = (0..rows * kc)
+            .map(|i| pa[(i % kc) * rows + i / kc])
+            .collect();
+        // A packed tile (row stride NR) and the same tile as 16 columns
+        // of a wider block (row stride NR + 5).
         let pb: Vec<f64> = (0..NR * kc).map(|i| (i as f64 * 0.91).cos()).collect();
-        for (a, (rs, ds)) in [(&pa, (1, MR)), (&rows, (kc, 1))] {
-            for mr_eff in 1..=MR {
-                for nr_eff in 1..=NR {
-                    let run = |build: GemmBuild| {
-                        let mut c = Mat::filled(MR, NR, 0.5);
-                        let t = Tile {
-                            pa: a.as_ptr(),
-                            rs,
-                            ds,
-                            pb: pb.as_ptr(),
-                            kc,
-                            c: c.as_mut_slice().as_mut_ptr(),
-                            ldc: NR,
-                            mr_eff,
-                            nr_eff,
+        let ldb = NR + 5;
+        let wide: Vec<f64> = (0..ldb * kc)
+            .map(|i| match i % ldb < NR {
+                true => pb[i / ldb * NR + i % ldb],
+                false => f64::NAN,
+            })
+            .collect();
+        let lefts = [(&pa, (1, rows)), (&by_row, (kc, 1))];
+        let rights = [(&pb, NR), (&wide, ldb)];
+        // Row-major (ldc NR, column stride 1) and transposed (1, rows).
+        let stores = [(NR, 1), (1, rows)];
+        for ((a, (rs, ds)), (b, ldb)) in lefts.into_iter().zip(rights) {
+            for (ldc, cs) in stores {
+                for mr_eff in 1..=rows {
+                    for nr_eff in 1..=NR {
+                        let run = |build: GemmBuild| {
+                            let mut c = Mat::filled(rows, NR, 0.5);
+                            let t = Tile {
+                                pa: a.as_ptr(),
+                                rs,
+                                ds,
+                                pb: b.as_ptr(),
+                                ldb,
+                                pf: b.as_ptr(),
+                                kc,
+                                chain: Chain::Whole,
+                                c: c.as_mut_slice().as_mut_ptr(),
+                                ldc,
+                                cs,
+                                rows,
+                                mr_eff,
+                                nr_eff,
+                            };
+                            assert!(build.supported());
+                            // SAFETY: the build was checked above; `a` holds
+                            // a rows×kc panel at (rs, ds), `b` a kc×NR tile at
+                            // row stride ldb, `c` rows·NR elements, of which
+                            // the tile writes r*ldc + j*cs < rows·NR.
+                            unsafe { microkernel(build, t) };
+                            bits(&c)
                         };
-                        assert!(build.supported());
-                        // SAFETY: the build was checked above; `a` holds an
-                        // MR×kc panel at (rs, ds), `pb` a kc×NR tile, `c` an
-                        // MR×NR tile at row stride NR.
-                        unsafe { microkernel(build, t) };
-                        bits(&c)
-                    };
-                    assert_eq!(
-                        run(GemmBuild::Avx512f),
-                        run(GemmBuild::Fma),
-                        "kc {kc}, {mr_eff}x{nr_eff}, strides ({rs}, {ds})"
-                    );
+                        assert_eq!(
+                            run(GemmBuild::Avx512f),
+                            run(GemmBuild::Fma),
+                            "{rows} rows, kc {kc}, {mr_eff}x{nr_eff}, strides ({rs}, {ds}), \
+                             ldb {ldb}, store ({ldc}, {cs})"
+                        );
+                    }
                 }
             }
         }
     }
+}
+
+/// Columns of `W` straddling the `MR = 6` and `MR_WIDE = 8` panels of
+/// `Wᵀ`, the `NR = 16` tiles of `A·W`'s `B`, and the `NC = 32` blocks.
+fn edge_k(raw: usize) -> usize {
+    const EDGES: [usize; 13] = [1, 2, 5, 6, 7, 12, 16, 17, 31, 32, 33, 47, 48];
+    EDGES[raw % EDGES.len()]
+}
+
+/// Block widths (the columns of `A` that `Aᵀ·W` reads as `NR`-wide
+/// tiles) straddling `NR`, `NC` and their multiples.
+fn edge_width(raw: usize) -> usize {
+    const EDGES: [usize; 14] = [1, 5, 6, 7, 15, 16, 17, 31, 32, 33, 47, 48, 49, 83];
+    EDGES[raw % EDGES.len()]
 }
 
 proptest! {
@@ -207,14 +251,10 @@ proptest! {
         matmul_into(&a, &b, &mut c);
         prop_assert!(c.max_abs_diff(&expect) < tol, "dispatched {m}x{kdim}x{n}");
 
+        // Caller-owned scratch, entered cold to prove the pre-size bound
+        // is merely an optimization.
         let p = PackedPanels::pack(&a);
-        matmul_packed_into(&p, &b, &mut c);
-        prop_assert!(c.max_abs_diff(&expect) < tol, "prepacked {m}x{kdim}x{n}");
-
-        // Caller-owned scratch (the engine's workspace path), entered
-        // cold to prove the pre-size bound is merely an optimization.
-        let mut scratch = Vec::new();
-        matmul_packed_scratch_into(&p, &b, &mut c, &mut scratch);
+        matmul_packed_scratch_into(&p, &b, &mut c, &mut Vec::new());
         prop_assert!(c.max_abs_diff(&expect) < tol, "packed+scratch {m}x{kdim}x{n}");
     }
 
@@ -255,6 +295,47 @@ proptest! {
     }
 
     #[test]
+    fn transposed_in_place_matches_packed_panels_bit_for_bit(
+        draw in 0usize..100,
+        wraw in 0usize..100,
+        kraw in 0usize..100,
+        r0 in 0usize..3,
+        c0 in 1usize..4,
+        seed in 0u64..10_000,
+    ) {
+        // Aᵀ·W with A a block read where it lies — nonzero offset, row
+        // stride wider than the block — run as (Wᵀ·A)ᵀ, against the same
+        // product over A's packed transpose.
+        let depth = edge_kdim(draw);
+        let width = edge_width(wraw);
+        let k = edge_k(kraw);
+        let big = fenced_block(depth, width, (r0, c0), seed);
+        let a = big.view(r0, c0, depth, width);
+        let w = Mat::uniform(depth, k, seed + 1);
+
+        let mut packed = Mat::zeros(width, k);
+        let panels = PackedPanels::pack_transposed(a);
+        matmul_packed_scratch_into(&panels, &w, &mut packed, &mut Vec::new());
+        let mut in_place = Mat::filled(width, k, 7.0);
+        matmul_ta_into(a, &w, &mut in_place);
+        prop_assert_eq!(
+            bits(&in_place), bits(&packed),
+            "{}x{} block at ({}, {}), k {}", depth, width, r0, c0, k
+        );
+
+        // The fence never reaches a stored element: only the output row
+        // of the column holding the planted NaN is NaN.
+        for j in 0..width {
+            let poisoned = in_place.row(j).iter().any(|x| x.is_nan());
+            prop_assert_eq!(poisoned, j == width - 1, "row {} of {}", j, width);
+        }
+        // A contiguous copy of the block gives the same bits.
+        let mut copy = Mat::zeros(width, k);
+        matmul_ta_into(&big.block(r0, c0, depth, width), &w, &mut copy);
+        prop_assert_eq!(bits(&copy), bits(&packed));
+    }
+
+    #[test]
     fn transposed_paths_match_naive(
         mraw in 0usize..100,
         kraw in 0usize..100,
@@ -275,7 +356,7 @@ proptest! {
         prop_assert!(c.max_abs_diff(&expect) < tol, "ta dispatched {m}x{inner}x{n}");
 
         let p = PackedPanels::pack_transposed(&a);
-        matmul_packed_into(&p, &b, &mut c);
+        matmul_packed_scratch_into(&p, &b, &mut c, &mut Vec::new());
         prop_assert!(c.max_abs_diff(&expect) < tol, "ta prepacked {m}x{inner}x{n}");
     }
 

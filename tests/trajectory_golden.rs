@@ -19,7 +19,12 @@
 //! * 16 MU and HALS lines at k = 32 and 33, from the last build whose
 //!   portable dot products summed unfused (written on its AVX2 path; all
 //!   16 failed it under `NMF_FORCE_SCALAR=1`): MU's `X·Gᵀ` and HALS's
-//!   column updates pin the portable `dot4`/`dot` order.
+//!   column updates pin the portable `dot4`/`dot` order;
+//! * 7 MU and HALS lines at k = 16 and one HALS line at k = 48 on a
+//!   613×83 dense input, from the last build whose dense `Aᵀ·W` read
+//!   packed `Aᵀ` panels: every scheme's `Aᵀ·W` block is deeper than one
+//!   `KC = 256` block and ends in a column tile narrower than 16, and
+//!   k = 16 ends `Wᵀ` in a short panel.
 
 use hpc_nmf::prelude::*;
 use nmf_data::DatasetKind;
@@ -128,6 +133,22 @@ fn rendered() -> Vec<String> {
             }
         }
     }
+    let deep = Input::Dense(Mat::uniform(613, 83, 94));
+    for &(run_name, algo, ranks) in [&runs[0], &runs[3], &runs[5]] {
+        for &(solver_name, solver) in &solvers[1..] {
+            let name = format!("{run_name}_deep_{solver_name}_k16");
+            lines.push(render(&name, &deep, algo, ranks, solver, 16));
+        }
+    }
+    let name = "seq_deep_hals_k48";
+    lines.push(render(
+        name,
+        &deep,
+        Algo::Sequential,
+        1,
+        SolverKind::Hals,
+        48,
+    ));
     lines
 }
 
