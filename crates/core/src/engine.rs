@@ -66,7 +66,7 @@ use crate::input::{AtW, BlockRef, LocalMat, NormCell};
 use crate::workspace::{IterWorkspace, SessionPack};
 use nmf_matrix::gram::gram_into;
 use nmf_matrix::pack::b_scratch_len;
-use nmf_matrix::{matmul_scratch_into, matmul_ta_into, Mat};
+use nmf_matrix::{matmul_scratch_into, matmul_ta_scratch_into, ta_scratch_len, Mat};
 use nmf_nls::NlsSolver;
 use nmf_sparse::{spmm_at_dense_csc_into, spmm_at_dense_into, spmm_dense_t_into, CscView};
 use nmf_vmpi::{Comm, CommStats};
@@ -134,12 +134,12 @@ impl<'a> SplitBlocks<'a> {
 
     /// Readies both products at rank `k` — once, at engine construction,
     /// so steady-state iterations (including the first) allocate nothing.
-    /// Picks the `Aᵀ·W` kernel ([`BlockRef::at_w`]): a dense column block
-    /// needs nothing, since `(Wᵀ·A)ᵀ` reads it where it lies; a sparse
-    /// one routed column-forward gets its column view (built here if no
+    /// Picks the `Aᵀ·W` kernel ([`BlockRef::at_w`]): a sparse column block
+    /// routed column-forward gets its column view (built here if no
     /// engine reading the block built it before); a sparse one left on
-    /// the CSR pass needs nothing. Pre-sizes the `B`-tile scratch of a
-    /// dense `A·Hᵀ`, which reads the row block in place.
+    /// the CSR pass needs nothing. Pre-sizes the scratch the dense
+    /// products share: `A·Hᵀ`'s packed `Hᵀ` tiles and `(Wᵀ·A)ᵀ`'s held
+    /// chains; both read their block where it lies.
     fn prepare(&mut self, pack: &mut SessionPack, k: usize) {
         self.csc = match self.col.at_w(k) {
             AtW::Csc => self.col.csc(),
@@ -147,6 +147,9 @@ impl<'a> SplitBlocks<'a> {
         };
         if let BlockRef::Dense(a) = self.row {
             pack.reserve_scratch(b_scratch_len(a.ncols(), k));
+        }
+        if let BlockRef::Dense(a) = self.col {
+            pack.reserve_scratch(ta_scratch_len(a.nrows(), a.ncols(), k));
         }
     }
 
@@ -162,9 +165,9 @@ impl<'a> SplitBlocks<'a> {
     /// [`prepare`](Self::prepare) picked: `(Wᵀ·A)ᵀ` over the dense block
     /// in place, the column-forward pass over the CSC view, or the CSR
     /// transposed pass (bit-identical to the column-forward one).
-    fn mm_at_w_into(&self, w: &Mat, out: &mut Mat) {
+    fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
         match (self.col, self.csc) {
-            (BlockRef::Dense(a), _) => matmul_ta_into(a, w, out),
+            (BlockRef::Dense(a), _) => matmul_ta_scratch_into(a, w, out, &mut pack.bpack),
             (BlockRef::Sparse { a, .. }, Some(csc)) => spmm_at_dense_csc_into(a, csc, w, out),
             (BlockRef::Sparse { a, .. }, None) => spmm_at_dense_into(a, w, out),
         }
@@ -783,7 +786,7 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
                 FactorSource::Local => &self.w_local,
                 FactorSource::Gathered => &ws.w_gather,
             };
-            self.data.mm_at_w_into(wmat, &mut ws.mm_h);
+            self.data.mm_at_w_into(&mut ws.pack, wmat, &mut ws.mm_h);
         }
         tt.mm += t0.elapsed();
         let h_rhs = self.scheme.reduce_h(ws);

@@ -19,7 +19,10 @@ use crate::dist::RankLayout;
 use crate::grid::Grid;
 use nmf_matrix::Mat;
 
-/// The `B`-tile scratch a dense `A·Hᵀ` repacks `Hᵀ` into per call.
+/// The scratch of the dense GEMMs: the `B` tiles `A·Hᵀ` repacks `Hᵀ`
+/// into per call, and the accumulators `(Wᵀ·A)ᵀ` holds between the parts
+/// of a depth block. The two products never run at once, so they share
+/// one buffer.
 ///
 /// Both dense products read the rank's block of `A` where it lies: `A·Hᵀ`
 /// as the row-major left operand, `Aᵀ·W` as the right operand of
@@ -27,21 +30,22 @@ use nmf_matrix::Mat;
 /// a view of the shared source, as the paper's Table 2 charges it.
 ///
 /// `bpack` is pre-sized by
-/// [`reserve_scratch`](SessionPack::reserve_scratch) to the packed right
-/// operand of `A·Hᵀ` (whole depth, at most `NC` columns; none at
-/// `k = NR`), so even the *first* iteration's GEMMs allocate nothing —
+/// [`reserve_scratch`](SessionPack::reserve_scratch) to the larger of the
+/// two products' needs ([`b_scratch_len`](nmf_matrix::pack::b_scratch_len):
+/// whole depth, at most `NC` columns, none at `k = NR`;
+/// [`ta_scratch_len`](nmf_matrix::ta_scratch_len): 256 KiB of held chains
+/// at most), so even the *first* iteration's GEMMs allocate nothing —
 /// the counting-allocator tests assert iteration-count-independent
 /// totals with no warmup.
 #[derive(Clone, Debug, Default)]
 pub struct SessionPack {
-    /// Per-call `B`-tile scratch of the dense `A·Hᵀ`.
+    /// Per-call scratch of the dense `A·Hᵀ` and `(Wᵀ·A)ᵀ`.
     pub bpack: Vec<f64>,
 }
 
 impl SessionPack {
-    /// Grow `bpack` to `len` floats (the bound
-    /// [`b_scratch_len`](nmf_matrix::pack::b_scratch_len) gives for
-    /// `A·Hᵀ`); afterwards steady-state GEMMs never resize it.
+    /// Grow `bpack` to `len` floats (a bound from `b_scratch_len` or
+    /// `ta_scratch_len`); afterwards steady-state GEMMs never resize it.
     pub fn reserve_scratch(&mut self, len: usize) {
         if self.bpack.len() < len {
             self.bpack.resize(len, 0.0);

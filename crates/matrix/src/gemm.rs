@@ -21,16 +21,17 @@
 //!    through all of its `KC`-deep blocks in order, each against every
 //!    packed tile; the panel's rows are read front to back once, and the
 //!    packed `B` stays in L2 (for `kdim` up to a few thousand).
-//! 2. **`C = Aᵀ·B`** ([`matmul_ta_into`]) runs as `(Bᵀ·A)ᵀ`, so `A` is
-//!    the *right* operand and is read where it lies: `NR`-wide tiles at
-//!    its row stride, each against every panel of `Bᵀ` (read in place
-//!    from `B`'s rows at strides `(1, k)`), 64 rows at a time with the
-//!    chains held between parts so the rows stay in L1 across panels,
-//!    the next tile prefetched meanwhile; each output tile is stored
-//!    transposed. Neither operand is packed and no transpose is formed,
-//!    so a dense rank holds its block of `A` once.
+//! 2. **`C = Aᵀ·B`** ([`matmul_ta_into`], [`matmul_ta_scratch_into`])
+//!    runs as `(Bᵀ·A)ᵀ`, so `A` is the *right* operand and is read where
+//!    it lies: `NR`-wide tiles at its row stride, each against every
+//!    panel of `Bᵀ` (read in place from `B`'s rows at strides `(1, k)`).
+//!    Each depth block runs as 32-row parts, and each part walks a whole
+//!    group of tiles, its rows front to back, with the chains held in
+//!    scratch between parts and the tile four on prefetched; each output
+//!    tile is stored transposed. Neither operand is packed and no
+//!    transpose is formed, so a dense rank holds its block of `A` once.
 //! 3. **Microkernel** ([`simd`]): a 6×16 register block of `C` (8×16 for
-//!    `Bᵀ`'s panels under `avx512f` where that wastes fewer rows), one
+//!    `Bᵀ`'s panels under `avx512f`), one
 //!    portable body compiled 16 lanes wide under `avx512f` and 8 wide
 //!    under `fma` or plain, chosen once per process.
 //!
@@ -56,13 +57,13 @@
 use crate::mat::{Mat, MatRef};
 use crate::pack::{pack_b, pack_panel, PackedPanels, KC, MR, NC, NR};
 use crate::simd;
-use crate::simd::MR_WIDE;
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread `B`-tile scratch of [`matmul_into`]: grows to the largest
-    /// operand seen, then every later product on this thread packs into
-    /// the same storage — steady-state iterations allocate nothing.
+    /// Per-thread scratch of [`matmul_into`] (its packed `B` tiles) and
+    /// [`matmul_ta_into`] (its held chains and edge copies): grows to the
+    /// largest product seen, then every later product on this thread
+    /// reuses the same storage — steady-state iterations allocate nothing.
     static BPACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -201,7 +202,6 @@ fn gemm(left: Left<'_>, b: &[f64], n: usize, c: &mut [f64], bpack: &mut Vec<f64>
                         ds,
                         pb: pbt.as_ptr(),
                         ldb: NR,
-                        pf: std::ptr::null(),
                         kc,
                         chain: simd::Chain::Whole,
                         c: c[i0 * n + j0 + jt * NR..].as_mut_ptr(),
@@ -231,13 +231,30 @@ pub fn matmul_ta(a: &Mat, b: &Mat) -> Mat {
 }
 
 /// `C = Aᵀ·B` into caller-owned `c` (overwritten), for an `A` read in
-/// place — a [`Mat`] or a [`MatRef`] block of one, such as a rank's block
-/// of a matrix other ranks share. It runs as `(Bᵀ·A)ᵀ`, through the
-/// transposed driver (see the module docs), and allocates nothing.
+/// place — a [`Mat`] or a [`MatRef`] block of one. It runs as `(Bᵀ·A)ᵀ`
+/// through the transposed driver (see the module docs), with its scratch
+/// in thread-local storage that grows to the largest product seen.
 ///
 /// # Panics
 /// Panics on shape mismatch.
 pub fn matmul_ta_into<'a>(a: impl Into<MatRef<'a>>, b: &Mat, c: &mut Mat) {
+    BPACK.with(|s| matmul_ta_scratch_into(a, b, c, &mut s.borrow_mut()));
+}
+
+/// `C = Aᵀ·B` into caller-owned `c` (overwritten), for an `A` read in
+/// place — a [`Mat`] or a [`MatRef`] block of one, such as a rank's block
+/// of a matrix other ranks share — with caller-owned scratch. Pre-sized
+/// via [`ta_scratch_len`] for `a`'s shape and `b.ncols()`, the call
+/// allocates nothing.
+///
+/// # Panics
+/// Panics on shape mismatch.
+pub fn matmul_ta_scratch_into<'a>(
+    a: impl Into<MatRef<'a>>,
+    b: &Mat,
+    c: &mut Mat,
+    scratch: &mut Vec<f64>,
+) {
     let a = a.into();
     assert_eq!(a.nrows(), b.nrows(), "matmul_ta inner dimension mismatch");
     assert_eq!(
@@ -245,42 +262,101 @@ pub fn matmul_ta_into<'a>(a: impl Into<MatRef<'a>>, b: &Mat, c: &mut Mat) {
         (a.ncols(), b.ncols()),
         "matmul_ta output shape mismatch"
     );
+    let lay = TLayout::new(simd::gemm_build(), a.shape(), b.ncols());
+    if scratch.len() < lay.len() {
+        scratch.resize(lay.len(), 0.0);
+    }
     c.as_mut_slice().fill(0.0);
-    gemm_t(a, b.as_slice(), b.ncols(), c.as_mut_slice());
+    gemm_t(a, b.as_slice(), b.ncols(), c.as_mut_slice(), &lay, scratch);
 }
 
-/// Depth of the part of an `A` tile that the transposed driver runs
-/// against every panel of `Wᵀ` in turn: 64 rows of 128 B stay in L1
-/// between panels, where a whole `KC`-deep tile, its rows a page apart,
-/// would not.
-const PART: usize = 64;
+/// Length (in floats) of the scratch [`matmul_ta_scratch_into`] needs
+/// for a `kdim×n` `A` and a `B` with `k` columns: the chains held between
+/// parts, a short last panel of `Bᵀ` and a narrow last tile of `A`, each
+/// only where the shape has one.
+pub fn ta_scratch_len(kdim: usize, n: usize, k: usize) -> usize {
+    TLayout::new(simd::gemm_build(), (kdim, n), k).len()
+}
 
-/// Panels of `Wᵀ` whose chains the transposed driver holds at once
-/// (`k ≤ 48` in one group at `MR` rows, `k ≤ 64` at `MR_WIDE`).
-const PANELS: usize = 8;
+/// Rows of `A` per part of a depth block in the transposed driver: the
+/// part's rows of every tile of a group are read front to back, as
+/// `PART` concurrent streams, before the next part's.
+const PART: usize = 32;
+
+/// How many tiles ahead of the one running the transposed driver
+/// prefetches the part's rows.
+const AHEAD: usize = 4;
+
+/// Floats of chains the transposed driver holds between parts (256 KiB,
+/// well inside L2); a group is as many tiles of `A` as fit, at least one.
+const HELD: usize = 32 * 1024;
+
+/// The transposed driver's geometry for one shape: the panel height of
+/// `Wᵀ`, the tiles of `A` per group, and where its scratch is split.
+struct TLayout {
+    /// Rows per panel of `Wᵀ`:
+    /// [`GemmBuild::transposed_rows`](simd::GemmBuild::transposed_rows).
+    mr: usize,
+    /// Tiles of `A` per group.
+    group: usize,
+    /// Floats of held chains (none where no block has two parts).
+    held: usize,
+    /// Floats of the short last panel of `Wᵀ`, if `k` ends in one.
+    wedge: usize,
+    /// Floats of the narrow last tile of `A`, if `n` ends in one.
+    aedge: usize,
+}
+
+impl TLayout {
+    fn new(build: simd::GemmBuild, (kdim, n): (usize, usize), k: usize) -> TLayout {
+        let mr = build.transposed_rows();
+        let kpad = k.div_ceil(mr) * mr;
+        let group = (HELD / (kpad * NR).max(1)).clamp(1, n.div_ceil(NR).max(1));
+        let depth = kdim.min(KC);
+        TLayout {
+            mr,
+            group,
+            held: match kdim > PART {
+                true => group * kpad * NR,
+                false => 0,
+            },
+            wedge: match k % mr {
+                0 => 0,
+                _ => mr * depth,
+            },
+            aedge: match n % NR {
+                0 => 0,
+                _ => depth * NR,
+            },
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.held + self.wedge + self.aedge
+    }
+}
 
 /// The transposed driver: `c += (Wᵀ·A)ᵀ`, where `A` is the `kdim×n` block
 /// read in place, `w` is `kdim×k` row-major and `c` is `n×k` row-major —
 /// `C = Aᵀ·W` with `A` as the *right* operand, so no transpose of it is
-/// ever formed. For each `KC`-deep block, in depth order, each `NR`-wide
-/// tile of `A` runs against every panel of `Wᵀ`, `PART` rows at a time,
-/// each panel's chains held between parts ([`simd::Chain`]); the first
-/// panel prefetches the next tile's rows into L2.
+/// ever formed. For each `KC`-deep block, in depth order, and each group
+/// of `NR`-wide tiles of `A`, the block runs as parts of `PART` rows: each
+/// part walks every tile of the group, prefetching the tile `AHEAD` on,
+/// and runs each tile against every panel of `Wᵀ`, the chains held in
+/// `scratch` between parts ([`simd::Chain`]).
 ///
-/// * `Wᵀ`'s panels are `w`'s columns, read in place at strides `(1, k)`,
-///   [`GemmBuild::rows_for`](simd::GemmBuild::rows_for) rows each (8
-///   under `avx512f` where that wastes fewer rows than 6, as at k = 16);
-///   a last, shorter panel is copied into a zero-padded stack panel once
-///   per depth block, so no read leaves `w`.
+/// * `Wᵀ`'s panels are `w`'s columns, read in place at strides `(1, k)`;
+///   a last, shorter panel is copied into a zero-padded scratch panel
+///   once per depth block, so no read leaves `w`.
 /// * `A`'s tiles are read in place at row stride `ld`; a last tile
-///   narrower than `NR` is copied into a zero-padded stack tile, so no
-///   read leaves the block.
+///   narrower than `NR` is copied into a zero-padded scratch tile once
+///   per depth block, so no read leaves the block.
 /// * Each output tile is stored transposed (`ldc = 1`, column stride `k`).
 ///
 /// Each element is still `+0.0` plus one fused chain per depth block in
 /// depth order, and `w·a` rounds as `a·w` does, so `C` has the bits of
 /// the `Aᵀ`-panel product [`matmul_packed_scratch_into`] computes.
-fn gemm_t(a: MatRef<'_>, w: &[f64], k: usize, c: &mut [f64]) {
+fn gemm_t(a: MatRef<'_>, w: &[f64], k: usize, c: &mut [f64], lay: &TLayout, scratch: &mut [f64]) {
     let (kdim, n) = a.shape();
     debug_assert_eq!(w.len(), kdim * k);
     debug_assert_eq!(c.len(), n * k);
@@ -288,32 +364,45 @@ fn gemm_t(a: MatRef<'_>, w: &[f64], k: usize, c: &mut [f64]) {
         return;
     }
     let build = simd::gemm_build();
-    // Rows per panel of `Wᵀ`: `MR`, or `MR_WIDE` where that wastes fewer.
-    let mr = build.rows_for(k);
-    let (mut wedge, mut aedge) = ([0.0f64; MR_WIDE * KC], [0.0f64; KC * NR]);
-    let mut held = [0.0f64; PANELS * MR_WIDE * NR];
+    let (mr, kpad) = (lay.mr, k.div_ceil(lay.mr) * lay.mr);
+    let (held, rest) = scratch.split_at_mut(lay.held);
+    let (wedge, aedge) = rest.split_at_mut(lay.wedge);
     let (short_at, full_cols) = (k / mr * mr, n / NR * NR);
     for k0 in (0..kdim).step_by(KC) {
         let kc = KC.min(kdim - k0);
-        if short_at < k {
-            for (d, panel_d) in wedge.chunks_exact_mut(mr).take(kc).enumerate() {
-                let row = &w[(k0 + d) * k..(k0 + d + 1) * k];
-                panel_d[..k - short_at].copy_from_slice(&row[short_at..]);
-            }
+        for (d, panel_d) in wedge.chunks_exact_mut(mr).take(kc).enumerate() {
+            let row = &w[(k0 + d) * k + short_at..(k0 + d + 1) * k];
+            panel_d[..row.len()].copy_from_slice(row);
+            panel_d[row.len()..].fill(0.0);
         }
-        // One tile of `A` (`kc` rows of `NR` at stride `ldb`) against every
-        // panel of `Wᵀ`, into the transposed `C` tile at row `j0`.
-        let mut tile = |(pb, ldb): (&[f64], usize), j0: usize, pf: *const f64, c: &mut [f64]| {
-            for p0 in (0..k).step_by(PANELS * mr) {
-                for d0 in (0..kc).step_by(PART) {
-                    let part = PART.min(kc - d0);
-                    let pb = &pb[d0 * ldb..];
+        for (d, tile_d) in aedge.chunks_exact_mut(NR).take(kc).enumerate() {
+            let row = &a.row(k0 + d)[full_cols..];
+            tile_d[..row.len()].copy_from_slice(row);
+            tile_d[row.len()..].fill(0.0);
+        }
+        for g0 in (0..n).step_by(lay.group * NR) {
+            let g1 = n.min(g0 + lay.group * NR);
+            for d0 in (0..kc).step_by(PART) {
+                let part = PART.min(kc - d0);
+                for j0 in (g0..g1).step_by(NR) {
+                    let (pb, ldb) = match j0 < full_cols {
+                        true => (a.tail(k0 + d0, j0), a.ld()),
+                        false => (&aedge[d0 * NR..kc * NR], NR),
+                    };
                     // What the kernel's reads of `pb` rely on.
                     assert!(
                         pb.len() >= (part - 1) * ldb + NR,
                         "right-operand tile shorter than its stride"
                     );
-                    for i0 in (p0..k.min(p0 + PANELS * mr)).step_by(mr) {
+                    if j0 + AHEAD * NR < full_cols.min(g1) {
+                        for d in 0..part {
+                            let row = pb.as_ptr().wrapping_add(d * ldb + AHEAD * NR);
+                            prefetch(row);
+                            prefetch(row.wrapping_add(NR / 2));
+                        }
+                    }
+                    let tile = (j0 - g0) / NR;
+                    for i0 in (0..k).step_by(mr) {
                         let (pa, ds) = match i0 < short_at {
                             true => (&w[(k0 + d0) * k + i0..], k),
                             false => (&wedge[d0 * mr..mr * kc], mr),
@@ -325,7 +414,7 @@ fn gemm_t(a: MatRef<'_>, w: &[f64], k: usize, c: &mut [f64]) {
                         let chain = match part == kc {
                             true => simd::Chain::Whole,
                             false => simd::Chain::Part {
-                                buf: held[(i0 - p0) * NR..].as_mut_ptr(),
+                                buf: held[(tile * kpad + i0) * NR..][..mr * NR].as_mut_ptr(),
                                 first: d0 == 0,
                                 last: d0 + part == kc,
                             },
@@ -336,10 +425,6 @@ fn gemm_t(a: MatRef<'_>, w: &[f64], k: usize, c: &mut [f64]) {
                             ds,
                             pb: pb.as_ptr(),
                             ldb,
-                            pf: match i0 == 0 {
-                                true => pf.wrapping_add(d0 * ldb),
-                                false => std::ptr::null(),
-                            },
                             kc: part,
                             chain,
                             c: c[j0 * k + i0..].as_mut_ptr(),
@@ -352,31 +437,31 @@ fn gemm_t(a: MatRef<'_>, w: &[f64], k: usize, c: &mut [f64]) {
                         // SAFETY: `build` is the detected one; the asserts
                         // above cover every `pa` read at `r + d*ds` and every
                         // `pb` read at `d*ldb + j` (`r < mr`, `d < part`,
-                        // `j < NR`); `held` holds the `mr×NR` tile of every
-                        // panel of the group; `c` holds the `nr_eff` rows of
+                        // `j < NR`); the slice of `held` is the `mr×NR` tile
+                        // of this tile's panel; `c` holds the `nr_eff` rows of
                         // `k` elements from row `j0`, of which the tile
                         // writes `mr_eff` from column `i0`.
                         unsafe { simd::microkernel(build, t) };
                     }
                 }
             }
-        };
-        for j0 in (0..full_cols).step_by(NR) {
-            let next = match j0 + NR < full_cols {
-                true => a.tail(k0, j0 + NR).as_ptr(),
-                false => std::ptr::null(),
-            };
-            tile((a.tail(k0, j0), a.ld()), j0, next, c);
-        }
-        if full_cols < n {
-            for (d, tile_d) in aedge.chunks_exact_mut(NR).take(kc).enumerate() {
-                let row = &a.row(k0 + d)[full_cols..];
-                tile_d[..row.len()].copy_from_slice(row);
-                tile_d[row.len()..].fill(0.0);
-            }
-            tile((&aedge[..kc * NR], NR), full_cols, std::ptr::null(), c);
         }
     }
+}
+
+/// A hint to bring the cache line holding `p` into L1; nothing on
+/// targets without one. The in-place tiles' rows are a row stride apart,
+/// a pattern the hardware prefetchers do not follow across so many rows.
+#[inline(always)]
+fn prefetch(p: *const f64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch reads nothing and faults on no address.
+    unsafe {
+        use std::arch::x86_64::*;
+        _mm_prefetch::<_MM_HINT_T0>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// `C = A·Bᵀ`, allocating the output. `A` is `m×n`, `B` is `k×n`, `C` is `m×k`.

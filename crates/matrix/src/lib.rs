@@ -51,7 +51,7 @@ pub use chol::{
 };
 pub use gemm::{
     matmul, matmul_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta,
-    matmul_ta_into, matmul_tb, matmul_tb_into,
+    matmul_ta_into, matmul_ta_scratch_into, matmul_tb, matmul_tb_into, ta_scratch_len,
 };
 pub use gram::{gram, gram_into, outer_gram, outer_gram_into};
 pub use mat::{Mat, MatRef};

@@ -9,8 +9,8 @@
 //! when packed, `ld` for the columns of a block read in place), and an
 //! output tile at a (row, column) stride pair, so `C` may be stored
 //! transposed. The body is generic over its register rows `R` (`MR`, or
-//! `MR_WIDE` for the transposed product's panels where that wastes fewer
-//! rows) and width `W`: `R×W` accumulators, each from zero (or from held
+//! `MR_WIDE` for the transposed product's panels under `avx512f`) and
+//! width `W`: `R×W` accumulators, each from zero (or from held
 //! accumulators, see [`Chain`]) adding `a·b` with `mul_add` in depth
 //! order, added to `C` once — a full tile straight from the accumulators
 //! (column by column where `C` is transposed), an edge tile through a
@@ -39,8 +39,8 @@ pub const KC: usize = 256;
 /// Rows of `C` per microkernel call; packed `A` panels are `MR×KC`.
 pub const MR: usize = 6;
 /// Rows of `C` per call of the wider register tile, which the transposed
-/// driver runs where it wastes fewer rows than `MR` and the build has the
-/// registers (see [`GemmBuild::rows_for`]).
+/// driver runs where the build has the registers (see
+/// [`GemmBuild::transposed_rows`]).
 pub const MR_WIDE: usize = 8;
 
 /// Which family the dots and SpMM dispatched to.
@@ -73,15 +73,13 @@ impl GemmBuild {
         }
     }
 
-    /// The register rows — [`MR`] or [`MR_WIDE`] — that cover `k` output
-    /// rows in the fewest rows of work: `MR_WIDE` only under `avx512f`,
-    /// whose 32 registers hold its 16 accumulators (`fma`'s 16 would all
-    /// be accumulators), and only where `⌈k/8⌉·8 ≤ ⌈k/6⌉·6` (`k = 7`, 8,
-    /// 13–16, 19–24, 31, 32, …).
-    pub fn rows_for(self, k: usize) -> usize {
-        match self == GemmBuild::Avx512f && k.div_ceil(MR_WIDE) * MR_WIDE <= k.div_ceil(MR) * MR {
-            true => MR_WIDE,
-            false => MR,
+    /// The register rows of the transposed driver's panels: [`MR_WIDE`]
+    /// under `avx512f`, whose 32 registers hold its 16 accumulators, and
+    /// [`MR`] otherwise (`fma`'s 16 registers would all be accumulators).
+    pub fn transposed_rows(self) -> usize {
+        match self {
+            GemmBuild::Avx512f => MR_WIDE,
+            _ => MR,
         }
     }
 
@@ -191,9 +189,8 @@ macro_rules! with_build {
 /// `pb[d*ldb]` — `ldb = NR` for a packed tile, the row stride of a block
 /// read in place otherwise; element `(r, j)` of the output tile is
 /// `c[r*ldc + j*cs]` — `cs = 1` for a row-major `C`, `ldc = 1` for a
-/// tile stored transposed. Where `pf` is not null, the body also
-/// prefetches `pf[d*ldb..]` at depth `d`: the same rows of the tile it
-/// will read next. `chain` says where the accumulators start and end.
+/// tile stored transposed. `chain` says where the accumulators start and
+/// end.
 /// The register tile is `rows` (`MR` or `MR_WIDE`) by `NR`; its rows ≥
 /// `mr_eff` and columns ≥ `nr_eff` are computed but not stored.
 #[derive(Clone, Copy)]
@@ -203,7 +200,6 @@ pub struct Tile {
     pub ds: usize,
     pub pb: *const f64,
     pub ldb: usize,
-    pub pf: *const f64,
     pub kc: usize,
     pub chain: Chain,
     pub c: *mut f64,
@@ -259,8 +255,7 @@ impl Chain {
 ///   [`gemm_build`] always is.
 /// * `rows` must be [`MR`] or [`MR_WIDE`].
 /// * `pa` must be valid for reads at `r*rs + d*ds` for all `r < rows`,
-///   `d < kc`; `pb` at `d*ldb + j` for all `d < kc`, `j < NR`. A
-///   non-null `pf` is only prefetched, never read.
+///   `d < kc`; `pb` at `d*ldb + j` for all `d < kc`, `j < NR`.
 /// * `c` must be valid for reads and writes at `r*ldc + j*cs` for all
 ///   `r < mr_eff`, `j < nr_eff`, with `mr_eff ≤ rows`, `nr_eff ≤ NR`; a
 ///   [`Chain::Part`]'s `buf` at `r*NR + j` for all `r < rows`, `j < NR`.
@@ -292,14 +287,9 @@ unsafe fn split<const R: usize, const W: usize>(t: Tile) {
     }
     for j in (0..t.nr_eff).step_by(HALF) {
         let (pb, c, nr_eff) = (t.pb.add(j), t.c.add(j * t.cs), HALF.min(t.nr_eff - j));
-        let pf = match t.pf.is_null() {
-            true => t.pf,
-            false => t.pf.wrapping_add(j),
-        };
         let chain = t.chain.at_col(j);
         body::<R, HALF>(Tile {
             pb,
-            pf,
             chain,
             c,
             nr_eff,
@@ -320,19 +310,8 @@ unsafe fn body<const R: usize, const W: usize>(t: Tile) {
             *acc_r = *buf.add(r * NR).cast::<[f64; W]>();
         }
     }
-    if t.pf.is_null() {
-        for d in 0..t.kc {
-            step(&t, &mut acc, d);
-        }
-    } else {
-        for d in 0..t.kc {
-            let row = t.pf.wrapping_add(d * t.ldb);
-            for j in (0..W).step_by(8) {
-                prefetch(row.wrapping_add(j));
-            }
-            prefetch(row.wrapping_add(W - 1));
-            step(&t, &mut acc, d);
-        }
+    for d in 0..t.kc {
+        step(&t, &mut acc, d);
     }
     if let Chain::Part {
         buf, last: false, ..
@@ -380,21 +359,6 @@ unsafe fn step<const R: usize, const W: usize>(t: &Tile, acc: &mut [[f64; W]; R]
             *av = ar.mul_add(bv, *av);
         }
     }
-}
-
-/// A hint to bring the cache line holding `p` into L2 (an in-place tile's
-/// rows are a page apart, so L1 could not hold them); nothing on targets
-/// without one.
-#[inline(always)]
-fn prefetch(p: *const f64) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch reads nothing and faults on no address.
-    unsafe {
-        use std::arch::x86_64::*;
-        _mm_prefetch::<_MM_HINT_T1>(p.cast())
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 /// AVX2 + FMA dot product: four vector accumulators (16 lanes in
@@ -614,7 +578,6 @@ mod tests {
             ds,
             pb,
             ldb: NR,
-            pf: std::ptr::null(),
             kc,
             chain: Chain::Whole,
             c: c.as_mut_ptr(),
@@ -710,7 +673,6 @@ mod tests {
                         ds: rows,
                         pb: pb[d0 * NR..].as_ptr(),
                         ldb: NR,
-                        pf: std::ptr::null(),
                         kc,
                         chain,
                         c: c.as_mut_ptr(),
@@ -739,24 +701,6 @@ mod tests {
                     assert_eq!(bits(&parts), bits(&whole), "{at}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn the_wide_register_tile_is_chosen_where_it_wastes_fewer_rows() {
-        let wide: Vec<usize> = (1..=50)
-            .filter(|&k| GemmBuild::Avx512f.rows_for(k) == MR_WIDE)
-            .collect();
-        assert_eq!(
-            wide,
-            [
-                7, 8, 13, 14, 15, 16, 19, 20, 21, 22, 23, 24, 31, 32, 37, 38, 39, 40, 43, 44, 45,
-                46, 47, 48
-            ]
-        );
-        for k in 1..=50 {
-            assert_eq!(GemmBuild::Fma.rows_for(k), MR);
-            assert_eq!(GemmBuild::Portable.rows_for(k), MR);
         }
     }
 

@@ -16,8 +16,8 @@ use nmf_matrix::pack::{b_scratch_len, KC, MR, NC, NR};
 use nmf_matrix::rng::Fill;
 use nmf_matrix::simd::{microkernel, Chain, GemmBuild, Tile, MR_WIDE};
 use nmf_matrix::{
-    matmul_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta_into, matmul_tb_into,
-    Mat, PackedPanels,
+    matmul_into, matmul_packed_scratch_into, matmul_scratch_into, matmul_ta_into,
+    matmul_ta_scratch_into, matmul_tb_into, ta_scratch_len, Mat, PackedPanels,
 };
 use proptest::prelude::*;
 
@@ -68,9 +68,10 @@ fn edge_dim(raw: usize) -> usize {
     EDGES[raw % EDGES.len()]
 }
 
-/// Inner dimension straddling the `KC = 256` depth blocking.
+/// Inner dimension straddling the `KC = 256` depth blocking and the
+/// 32-row parts the transposed driver runs a depth block as.
 fn edge_kdim(raw: usize) -> usize {
-    const EDGES: [usize; 10] = [1, 3, 8, 31, 64, 255, 256, 257, 300, 511];
+    const EDGES: [usize; 12] = [1, 3, 8, 31, 32, 33, 64, 255, 256, 257, 300, 511];
     EDGES[raw % EDGES.len()]
 }
 
@@ -91,6 +92,39 @@ fn kc_outer_reference(a: &Mat, b: &Mat) -> Mat {
         }
     }
     c
+}
+
+/// `Aᵀ·W` over blocks wide enough that the transposed driver walks them
+/// as several groups of tiles (as many as 256 KiB of held chains covers:
+/// 128 tiles at `k = 16` and 8-row panels, 113 at 6-row ones; 42 at
+/// `k = 48`; 256 or 341 at `k = 5`), against packed `Aᵀ` panels bit for
+/// bit, including a last group that is one narrow tile. The scratch,
+/// pre-sized, never grows, and only the `NaN`'s output row is poisoned.
+#[test]
+fn transposed_groups_of_tiles_match_packed_panels_bit_for_bit() {
+    for (depth, width, k) in [
+        (300, 2100, 16),
+        (33, 2063, 16),
+        (KC + 40, 700, 48),
+        (70, 5500, 5),
+    ] {
+        let at = format!("{depth}x{width}, k {k}");
+        let big = fenced_block(depth, width, (1, 2), 41);
+        let a = big.view(1, 2, depth, width);
+        let w = Mat::uniform(depth, k, 42);
+        let mut packed = Mat::zeros(width, k);
+        let panels = PackedPanels::pack_transposed(a);
+        matmul_packed_scratch_into(&panels, &w, &mut packed, &mut Vec::new());
+        let mut scratch = vec![0.0; ta_scratch_len(depth, width, k)];
+        let mut in_place = Mat::filled(width, k, 7.0);
+        matmul_ta_scratch_into(a, &w, &mut in_place, &mut scratch);
+        assert_eq!(bits(&in_place), bits(&packed), "{at}");
+        assert_eq!(scratch.len(), ta_scratch_len(depth, width, k), "{at}");
+        for j in 0..width {
+            let poisoned = in_place.row(j).iter().any(|x| x.is_nan());
+            assert_eq!(poisoned, j == width - 1, "row {j} of {at}");
+        }
+    }
 }
 
 #[test]
@@ -183,7 +217,6 @@ fn wide_body_matches_narrow_body_bit_for_bit() {
                                 ds,
                                 pb: b.as_ptr(),
                                 ldb,
-                                pf: b.as_ptr(),
                                 kc,
                                 chain: Chain::Whole,
                                 c: c.as_mut_slice().as_mut_ptr(),

@@ -20,11 +20,13 @@
 //!   portable dot products summed unfused (written on its AVX2 path; all
 //!   16 failed it under `NMF_FORCE_SCALAR=1`): MU's `X·Gᵀ` and HALS's
 //!   column updates pin the portable `dot4`/`dot` order;
-//! * 7 MU and HALS lines at k = 16 and one HALS line at k = 48 on a
-//!   613×83 dense input, from the last build whose dense `Aᵀ·W` read
-//!   packed `Aᵀ` panels: every scheme's `Aᵀ·W` block is deeper than one
-//!   `KC = 256` block and ends in a column tile narrower than 16, and
-//!   k = 16 ends `Wᵀ` in a short panel.
+//! * 6 MU and HALS lines at k = 16 and one HALS line each at k = 48 and
+//!   k = 17 on a 613×83 dense input, from the last build whose dense
+//!   `Aᵀ·W` read packed `Aᵀ` panels: every scheme's `Aᵀ·W` block is
+//!   deeper than one `KC = 256` block and ends in a column tile narrower
+//!   than 16. `Wᵀ` ends in a short panel at k = 16 on the 6-row builds
+//!   (`fma`, portable) and at k = 17 on every build (8 + 8 + 1 rows under
+//!   `avx512f`, 6 + 6 + 5 otherwise).
 
 use hpc_nmf::prelude::*;
 use nmf_data::DatasetKind;
@@ -140,15 +142,16 @@ fn rendered() -> Vec<String> {
             lines.push(render(&name, &deep, algo, ranks, solver, 16));
         }
     }
-    let name = "seq_deep_hals_k48";
-    lines.push(render(
-        name,
-        &deep,
-        Algo::Sequential,
-        1,
-        SolverKind::Hals,
-        48,
-    ));
+    for (name, k) in [("seq_deep_hals_k48", 48), ("seq_deep_hals_k17", 17)] {
+        lines.push(render(
+            name,
+            &deep,
+            Algo::Sequential,
+            1,
+            SolverKind::Hals,
+            k,
+        ));
+    }
     lines
 }
 
