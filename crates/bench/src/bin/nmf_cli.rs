@@ -52,7 +52,10 @@
 //! resident — its source once, since rank blocks are views of it, plus
 //! the row bounds of sparse windows narrower than the source and the
 //! column views of blocks whose `Aᵀ·W` runs `"csc"`; an `--mmap` input
-//! is its extracted blocks instead — and `peak_rss_bytes`, the process's
+//! is its extracted blocks instead — `workspace_bytes`, the rank
+//! engines' iteration workspaces summed over the ranks (three `k×k`
+//! Grams, two `k`-wide slabs and the dense GEMM scratch each) — and
+//! `peak_rss_bytes`, the process's
 //! peak resident set so far (`VmHWM`, `null` where `/proc/self/status`
 //! cannot be read)) for scripted benchmarking and model selection.
 //!
@@ -787,8 +790,9 @@ fn json_line(
         ));
     }
     s.push_str(&format!(
-        "}},\"memory\":{{\"input_resident_bytes\":{},\"peak_rss_bytes\":{}}}}}",
+        "}},\"memory\":{{\"input_resident_bytes\":{},\"workspace_bytes\":{},         \"peak_rss_bytes\":{}}}}}",
         input.resident_bytes(),
+        model.workspace_bytes(),
         peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string())
     ));
     Ok(s)

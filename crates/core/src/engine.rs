@@ -153,23 +153,39 @@ impl<'a> SplitBlocks<'a> {
         }
     }
 
-    /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into `out`.
+    /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into the slab
+    /// `out`, reshaped to the product.
     fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
         match self.row {
-            BlockRef::Dense(a) => matmul_scratch_into(a, ht, out, &mut pack.bpack),
-            BlockRef::Sparse { a, .. } => spmm_dense_t_into(a, ht, out),
+            BlockRef::Dense(a) => {
+                out.reshape(a.nrows(), ht.ncols());
+                matmul_scratch_into(a, ht, out, &mut pack.bpack);
+            }
+            BlockRef::Sparse { a, .. } => {
+                out.reshape(a.nrows(), ht.ncols());
+                spmm_dense_t_into(a, ht, out);
+            }
         }
     }
 
-    /// Local `Aᵀ·W`, into `out` (stored transposed, `·×k`), on the kernel
-    /// [`prepare`](Self::prepare) picked: `(Wᵀ·A)ᵀ` over the dense block
-    /// in place, the column-forward pass over the CSC view, or the CSR
-    /// transposed pass (bit-identical to the column-forward one).
+    /// Local `Aᵀ·W`, into the slab `out` (stored transposed, `·×k`),
+    /// reshaped to the product, on the kernel [`prepare`](Self::prepare)
+    /// picked: `(Wᵀ·A)ᵀ` over the dense block in place, the column-forward
+    /// pass over the CSC view, or the CSR transposed pass (bit-identical
+    /// to the column-forward one).
     fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
         match (self.col, self.csc) {
-            (BlockRef::Dense(a), _) => matmul_ta_scratch_into(a, w, out, &mut pack.bpack),
-            (BlockRef::Sparse { a, .. }, Some(csc)) => spmm_at_dense_csc_into(a, csc, w, out),
-            (BlockRef::Sparse { a, .. }, None) => spmm_at_dense_into(a, w, out),
+            (BlockRef::Dense(a), _) => {
+                out.reshape(a.ncols(), w.ncols());
+                matmul_ta_scratch_into(a, w, out, &mut pack.bpack);
+            }
+            (BlockRef::Sparse { a, .. }, csc) => {
+                out.reshape(a.ncols(), w.ncols());
+                match csc {
+                    Some(csc) => spmm_at_dense_csc_into(a, csc, w, out),
+                    None => spmm_at_dense_into(a, w, out),
+                }
+            }
         }
     }
 
@@ -191,34 +207,38 @@ pub enum FactorSource {
     /// The engine's own local factor slice (nothing was gathered: the
     /// slice already is the whole block).
     Local,
-    /// The workspace gather buffer (`ht_gather` / `w_gather`).
+    /// The slab the side gathers into: `col_slab` for `Hᵀ`, `row_slab`
+    /// for `W` (the slab the product does not write).
     Gathered,
 }
 
-/// Which buffer holds the normal-equation right-hand side after the
+/// Which slab holds the normal-equation right-hand side after the
 /// post-MM reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RhsSource {
-    /// The MM output itself (`mm_w` / `mm_h`); no reduction happened.
+    /// The slab the product wrote (`row_slab` for `W`, `col_slab` for
+    /// `H`); no reduction happened.
     Mm,
-    /// The reduce-scatter output (`aht` / `wta`).
+    /// The other slab, which the reduce-scatter wrote.
     Scattered,
 }
 
 /// A communication layout for the ANLS iteration: everything that
 /// distinguishes Algorithms 2 and 3 from each other. [`AnlsEngine::step`]
 /// runs the paper's synchronous schedule through one hook per schedule
-/// point and side — assemble H (the gather and the global `HHᵀ`),
-/// (engine MM), reduce the W right-hand side, (engine solve), then the
-/// H-side mirror, then the objective reduction. Every collective a hook
-/// starts has completed when it returns.
+/// point and side — assemble H (the gather into `ws.col_slab` and the
+/// global `HHᵀ`), (engine MM, `ws.row_slab`), reduce the W right-hand
+/// side (`row_slab` → `col_slab`), (engine solve), then the H-side
+/// mirror with the slabs swapped, then the objective reduction. Every
+/// collective a hook starts has completed when it returns. The
+/// [`IterWorkspace`] docs tabulate what each slab holds at each line.
 ///
 /// Compute performed inside a hook (the Gram products) is timed into the
 /// caller's [`TaskTimes`]; communication is accounted separately by the
 /// virtual MPI and surfaced through [`CommScheme::comm_stats`].
 pub trait CommScheme {
-    /// Sizes (or re-sizes) the workspace buffers this scheme touches; a
-    /// no-op when already sized.
+    /// Sizes (or grows) the Grams and slabs to this scheme's extents; a
+    /// no-op when already large enough.
     fn size_workspace(&self, ws: &mut IterWorkspace, k: usize);
 
     /// One-time preparation before the first iteration (e.g. HPC-NMF
@@ -231,7 +251,7 @@ pub trait CommScheme {
     fn reduce_scalar(&self, x: f64) -> f64;
 
     /// Assembles the `Hᵀ` block the local `A·Hᵀ` needs (into
-    /// `ws.ht_gather`, or nowhere when the local slice already is the
+    /// `ws.col_slab`, or nowhere when the local slice already is the
     /// block), leaves the *global* Gram `HHᵀ`, un-ridged, in
     /// `ws.gram_solve`, and says where to read the block.
     fn assemble_h(
@@ -241,20 +261,22 @@ pub trait CommScheme {
         tt: &mut TaskTimes,
     ) -> FactorSource;
 
-    /// Reduces `ws.mm_w` to this rank's right-hand side for the `W`
-    /// solve and says where it landed.
-    fn reduce_w(&self, ws: &mut IterWorkspace) -> RhsSource;
+    /// Reduces `v`, the `A·Hᵀ` product in the row slab, to this rank's
+    /// right-hand side for the `W` solve — into `out`, the column slab,
+    /// or nowhere — and says where it landed.
+    fn reduce_w(&self, v: &Mat, out: &mut Mat) -> RhsSource;
 
     /// Assembles the `W` block the local `Aᵀ·W` needs (into
-    /// `ws.w_gather`, or nowhere), leaves the *global* Gram `WᵀW`,
+    /// `ws.row_slab`, or nowhere), leaves the *global* Gram `WᵀW`,
     /// un-ridged, in `ws.gram_w` (it is also read by the objective), and
     /// says where to read the block.
     fn assemble_w(&self, ws: &mut IterWorkspace, w_local: &Mat, tt: &mut TaskTimes)
         -> FactorSource;
 
-    /// Reduces `ws.mm_h` to this rank's right-hand side for the `H`
-    /// solve and says where it landed.
-    fn reduce_h(&self, ws: &mut IterWorkspace) -> RhsSource;
+    /// Reduces `y`, the `Aᵀ·W` product in the column slab, to this
+    /// rank's right-hand side for the `H` solve — into `out`, the row
+    /// slab, or nowhere — and says where it landed.
+    fn reduce_h(&self, y: &Mat, out: &mut Mat) -> RhsSource;
 
     /// Sums the objective terms (and, when present, the wall-clock
     /// budget flag) across ranks, in place.
@@ -320,18 +342,19 @@ impl CommScheme for Replicated1D<'_> {
         // Line 3: collect the whole of H on each processor, then the
         // redundant Gram — every rank computes HHᵀ itself, straight into
         // the solve buffer.
+        ws.col_slab.reshape(self.dims.1, self.k);
         self.comm.all_gatherv_into(
             ht_local.as_slice(),
             &self.h_counts,
-            ws.ht_gather.as_mut_slice(),
+            ws.col_slab.as_mut_slice(),
         );
         let t0 = Instant::now();
-        gram_into(&ws.ht_gather, &mut ws.gram_solve);
+        gram_into(&ws.col_slab, &mut ws.gram_solve);
         tt.gram += t0.elapsed();
         FactorSource::Gathered
     }
 
-    fn reduce_w(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn reduce_w(&self, _v: &Mat, _out: &mut Mat) -> RhsSource {
         // Aᵢ is a full row block, so AᵢHᵀ already is this rank's
         // right-hand side.
         RhsSource::Mm
@@ -344,18 +367,19 @@ impl CommScheme for Replicated1D<'_> {
         tt: &mut TaskTimes,
     ) -> FactorSource {
         // Line 5: collect the whole of W, then the redundant Gram.
+        ws.row_slab.reshape(self.dims.0, self.k);
         self.comm.all_gatherv_into(
             w_local.as_slice(),
             &self.w_counts,
-            ws.w_gather.as_mut_slice(),
+            ws.row_slab.as_mut_slice(),
         );
         let t0 = Instant::now();
-        gram_into(&ws.w_gather, &mut ws.gram_w);
+        gram_into(&ws.row_slab, &mut ws.gram_w);
         tt.gram += t0.elapsed();
         FactorSource::Gathered
     }
 
-    fn reduce_h(&self, _ws: &mut IterWorkspace) -> RhsSource {
+    fn reduce_h(&self, _y: &Mat, _out: &mut Mat) -> RhsSource {
         RhsSource::Mm
     }
 
@@ -385,7 +409,7 @@ impl CommScheme for Replicated1D<'_> {
 /// A grid dimension of one rank is the identity: with `pc = 1` a rank's
 /// `W` slice is its whole `Wᵢ` and its `AᵢⱼHⱼᵀ` its whole right-hand
 /// side, so the W-side gather and reduce-scatter are skipped (nothing
-/// called, nothing copied, no buffer for them) and the engine reads
+/// called, nothing copied, no slab room for them) and the engine reads
 /// `w_local` and `mm_w` where they lie; `pr = 1` does the same for the
 /// H side. Those collectives would send nothing, so words and messages
 /// are unchanged. The two Gram all-reduces and the objective's stay on
@@ -521,11 +545,12 @@ impl CommScheme for Grid2D<'_> {
             FactorSource::Local
         } else {
             // Line 5: assemble Hⱼ (as Hⱼᵀ, n/pc × k) via all-gather
-            // across the processor column.
+            // across the processor column, into the column slab.
+            ws.col_slab.reshape(self.lay.cols.len, self.k);
             self.col_comm.all_gatherv_into(
                 ht_local.as_slice(),
                 &self.h_counts,
-                ws.ht_gather.as_mut_slice(),
+                ws.col_slab.as_mut_slice(),
             );
             FactorSource::Gathered
         };
@@ -538,17 +563,15 @@ impl CommScheme for Grid2D<'_> {
         src
     }
 
-    fn reduce_w(&self, ws: &mut IterWorkspace) -> RhsSource {
+    fn reduce_w(&self, v: &Mat, out: &mut Mat) -> RhsSource {
         if self.grid.pc == 1 {
             return RhsSource::Mm;
         }
         // Line 7: (AHᵀ)ᵢ via reduce-scatter across the processor row;
-        // this rank keeps ((AHᵀ)ᵢ)ⱼ (m/p × k).
-        self.row_comm.reduce_scatter_into(
-            ws.mm_w.as_slice(),
-            &self.w_counts,
-            ws.aht.as_mut_slice(),
-        );
+        // this rank keeps ((AHᵀ)ᵢ)ⱼ (m/p × k), in the column slab.
+        out.reshape(self.lay.w.len, self.k);
+        self.row_comm
+            .reduce_scatter_into(v.as_slice(), &self.w_counts, out.as_mut_slice());
         RhsSource::Scattered
     }
 
@@ -566,11 +589,12 @@ impl CommScheme for Grid2D<'_> {
             FactorSource::Local
         } else {
             // Line 11: assemble Wᵢ (m/pr × k) via all-gather across the
-            // processor row.
+            // processor row, into the row slab.
+            ws.row_slab.reshape(self.lay.rows.len, self.k);
             self.row_comm.all_gatherv_into(
                 w_local.as_slice(),
                 &self.w_counts,
-                ws.w_gather.as_mut_slice(),
+                ws.row_slab.as_mut_slice(),
             );
             FactorSource::Gathered
         };
@@ -580,17 +604,16 @@ impl CommScheme for Grid2D<'_> {
         src
     }
 
-    fn reduce_h(&self, ws: &mut IterWorkspace) -> RhsSource {
+    fn reduce_h(&self, y: &Mat, out: &mut Mat) -> RhsSource {
         if self.grid.pr == 1 {
             return RhsSource::Mm;
         }
         // Line 13: (WᵀA)ⱼ via reduce-scatter across the processor
-        // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed).
-        self.col_comm.reduce_scatter_into(
-            ws.mm_h.as_slice(),
-            &self.h_counts,
-            ws.wta.as_mut_slice(),
-        );
+        // column; this rank keeps ((WᵀA)ⱼ)ᵢ (n/p × k, transposed), in
+        // the row slab.
+        out.reshape(self.lay.ht.len, self.k);
+        self.col_comm
+            .reduce_scatter_into(y.as_slice(), &self.h_counts, out.as_mut_slice());
         RhsSource::Scattered
     }
 
@@ -755,51 +778,55 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         /* ---- Compute W given H ----
          * The paper's synchronous order: the H gather and the HHᵀ
          * reduction, the local A·Hᵀ product, then the W reduce-scatter —
-         * each collective complete before the kernel that reads it. */
+         * each collective complete before the kernel that reads it. Each
+         * phase reads one slab and writes the other: Hᵀ gathered into
+         * the column slab, V = A·Hᵀ into the row slab, its reduce-scatter
+         * back into the column slab. */
         let h_src = self.scheme.assemble_h(ws, &self.ht_local, &mut tt);
         let t0 = Instant::now();
         {
             let hmat = match h_src {
                 FactorSource::Local => &self.ht_local,
-                FactorSource::Gathered => &ws.ht_gather,
+                FactorSource::Gathered => &ws.col_slab,
             };
-            self.data.mm_a_ht_into(&mut ws.pack, hmat, &mut ws.mm_w);
+            self.data.mm_a_ht_into(&mut ws.pack, hmat, &mut ws.row_slab);
         }
         tt.mm += t0.elapsed();
-        let w_rhs = self.scheme.reduce_w(ws);
+        let w_rhs = self.scheme.reduce_w(&ws.row_slab, &mut ws.col_slab);
         let t0 = Instant::now();
         apply_ridge(&mut ws.gram_solve, self.config.l2_w);
         {
             let rhs = match w_rhs {
-                RhsSource::Mm => &ws.mm_w,
-                RhsSource::Scattered => &ws.aht,
+                RhsSource::Mm => &ws.row_slab,
+                RhsSource::Scattered => &ws.col_slab,
             };
             self.solver.update(&ws.gram_solve, rhs, &mut self.w_local);
         }
         tt.nls += t0.elapsed();
 
-        /* ---- Compute H given W ---- (mirror of the W side) */
+        /* ---- Compute H given W ---- (mirror of the W side, the slabs
+         * swapped: W gathered into the row slab, Y = (WᵀA)ᵀ into the
+         * column slab, its reduce-scatter back into the row slab) */
         let w_src = self.scheme.assemble_w(ws, &self.w_local, &mut tt);
         let t0 = Instant::now();
         {
             let wmat = match w_src {
                 FactorSource::Local => &self.w_local,
-                FactorSource::Gathered => &ws.w_gather,
+                FactorSource::Gathered => &ws.row_slab,
             };
-            self.data.mm_at_w_into(&mut ws.pack, wmat, &mut ws.mm_h);
+            self.data.mm_at_w_into(&mut ws.pack, wmat, &mut ws.col_slab);
         }
         tt.mm += t0.elapsed();
-        let h_rhs = self.scheme.reduce_h(ws);
+        let h_rhs = self.scheme.reduce_h(&ws.col_slab, &mut ws.row_slab);
         let t0 = Instant::now();
         ws.gram_solve.copy_from(&ws.gram_w);
         apply_ridge(&mut ws.gram_solve, self.config.l2_h);
-        {
-            let rhs = match h_rhs {
-                RhsSource::Mm => &ws.mm_h,
-                RhsSource::Scattered => &ws.wta,
-            };
-            self.solver.update(&ws.gram_solve, rhs, &mut self.ht_local);
-        }
+        let rhs_h = match h_rhs {
+            RhsSource::Mm => &ws.col_slab,
+            RhsSource::Scattered => &ws.row_slab,
+        };
+        self.solver
+            .update(&ws.gram_solve, rhs_h, &mut self.ht_local);
         tt.nls += t0.elapsed();
 
         /* ---- Objective via the Gram identity ----
@@ -810,10 +837,6 @@ impl<'a, S: CommScheme> AnlsEngine<'a, S> {
         let t0 = Instant::now();
         gram_into(&self.ht_local, &mut ws.gram_local);
         tt.gram += t0.elapsed();
-        let rhs_h = match h_rhs {
-            RhsSource::Mm => &ws.mm_h,
-            RhsSource::Scattered => &ws.wta,
-        };
         let mut terms = [
             rhs_h.fro_dot(&self.ht_local),
             ws.gram_w.fro_dot(&ws.gram_local),
@@ -1031,6 +1054,8 @@ pub trait EngineDyn {
     /// Steals the workspace for reuse in a successor engine (e.g. a
     /// rank-sweep refit); the engine must not be stepped afterwards.
     fn take_workspace(&mut self) -> IterWorkspace;
+    /// Heap bytes of the workspace ([`IterWorkspace::heap_bytes`]).
+    fn workspace_bytes(&self) -> usize;
 }
 
 impl<S: CommScheme> EngineDyn for AnlsEngine<'_, S> {
@@ -1077,6 +1102,10 @@ impl<S: CommScheme> EngineDyn for AnlsEngine<'_, S> {
 
     fn take_workspace(&mut self) -> IterWorkspace {
         std::mem::take(&mut self.ws)
+    }
+
+    fn workspace_bytes(&self) -> usize {
+        self.ws.heap_bytes()
     }
 }
 

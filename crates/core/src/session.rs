@@ -499,10 +499,13 @@ struct EngineInit {
 }
 
 /// Worker → controller replies. A worker's first message, sent as
-/// soon as its engine is built, is `Ready` with the engine's `‖A‖²`;
-/// every later one answers a [`Cmd`].
+/// soon as its engine is built, is `Ready` with the engine's `‖A‖²` and
+/// the heap bytes of its workspace; every later one answers a [`Cmd`].
 enum Reply {
-    Ready(f64),
+    Ready {
+        norm_a_sq: f64,
+        workspace_bytes: usize,
+    },
     Step {
         rec: IterRecord,
         stop: Option<StopReason>,
@@ -515,6 +518,14 @@ enum Reply {
     },
     Stats(CommStats),
     Ack,
+}
+
+/// The session-wide sum of the workers' `Ready` messages.
+struct Ready {
+    /// `‖A‖²`, the same on every rank.
+    norm_a_sq: f64,
+    /// Summed over the ranks.
+    workspace_bytes: usize,
 }
 
 /// Builds the concrete engine for one rank — the scheme `key` names over
@@ -573,7 +584,11 @@ fn worker(
 ) {
     let comm = seat.into_comm();
     let mut engine = build_engine(&comm, key, dims, &data, init, IterWorkspace::default());
-    if tx.send(Reply::Ready(engine.norm_a_sq())).is_err() {
+    let ready = Reply::Ready {
+        norm_a_sq: engine.norm_a_sq(),
+        workspace_bytes: engine.workspace_bytes(),
+    };
+    if tx.send(ready).is_err() {
         return;
     }
     while let Ok(cmd) = rx.recv() {
@@ -641,11 +656,10 @@ pub struct StepProgress {
 pub struct Model {
     m: usize,
     n: usize,
-    /// `‖A‖²` as the ranks' engines all-reduced it — the value every
-    /// objective is computed against — taken from the workers' `Ready`
-    /// messages the first time a reply is read (see
-    /// [`norm_a_sq`](Self::norm_a_sq)), so spawning waits for no rank.
-    norm_a_sq: OnceCell<f64>,
+    /// What the workers' `Ready` messages say, read the first time a
+    /// reply is read (see [`ready`](Self::ready)), so spawning waits for
+    /// no rank.
+    ready: OnceCell<Ready>,
     config: NmfConfig,
     algo: Algo,
     grid: Grid,
@@ -730,7 +744,7 @@ impl Model {
         Ok(Model {
             m,
             n,
-            norm_a_sq: OnceCell::new(),
+            ready: OnceCell::new(),
             config,
             algo,
             grid,
@@ -755,7 +769,7 @@ impl Model {
 
     /// Worker `r`'s reply to the latest command sent to it.
     fn recv(&self, r: usize) -> Reply {
-        self.norm_a_sq(); // drains every worker's `Ready` first
+        self.ready(); // drains every worker's `Ready` first
         self.recv_any(r)
     }
 
@@ -766,25 +780,45 @@ impl Model {
             .unwrap_or_else(|_| panic!("session worker {r} died (a rank thread panicked)"))
     }
 
-    /// `‖A‖²` as the engines all-reduced it: each worker's first message,
-    /// read once (waiting, on the first call, for every rank's engine to
-    /// be built) and kept.
-    fn norm_a_sq(&self) -> f64 {
-        *self.norm_a_sq.get_or_init(|| {
-            let mut norms = (0..self.workers.len()).map(|r| match self.recv_any(r) {
-                Reply::Ready(norm) => norm,
-                _ => panic!("protocol mismatch from session worker {r}"),
-            });
-            let norm = norms.next().expect("at least one rank");
-            for other in norms {
+    /// Every worker's first message, read once (waiting, on the first
+    /// call, for every rank's engine to be built) and kept.
+    fn ready(&self) -> &Ready {
+        self.ready.get_or_init(|| {
+            let mut ready: Option<Ready> = None;
+            for r in 0..self.workers.len() {
+                let Reply::Ready {
+                    norm_a_sq,
+                    workspace_bytes,
+                } = self.recv_any(r)
+                else {
+                    panic!("protocol mismatch from session worker {r}");
+                };
+                let sum = ready.get_or_insert(Ready {
+                    norm_a_sq,
+                    workspace_bytes: 0,
+                });
                 debug_assert_eq!(
-                    other.to_bits(),
-                    norm.to_bits(),
+                    norm_a_sq.to_bits(),
+                    sum.norm_a_sq.to_bits(),
                     "every rank all-reduces the same ‖A‖²"
                 );
+                sum.workspace_bytes += workspace_bytes;
             }
-            norm
+            ready.expect("at least one rank")
         })
+    }
+
+    /// `‖A‖²` as the engines all-reduced it.
+    fn norm_a_sq(&self) -> f64 {
+        self.ready().norm_a_sq
+    }
+
+    /// Heap bytes of the rank engines' iteration workspaces, summed over
+    /// the ranks, as each was built: the Grams, the two slabs and the
+    /// dense GEMM scratch ([`IterWorkspace`]). Waits, on the first call,
+    /// for every rank's engine to be built.
+    pub fn workspace_bytes(&self) -> usize {
+        self.ready().workspace_bytes
     }
 
     fn expect_acks(&self) {

@@ -43,12 +43,12 @@ const RUNS: [(Algo, usize, ShardKey); 3] = [
     (Algo::HpcGrid(Grid { pr: 2, pc: 2 }), 4, KEYS[2]),
 ];
 
-/// Factors, their gathers and scatters, the workspace, the transport,
-/// `B`-tile scratch and the rank threads' bookkeeping: O((m + n)·k)
-/// words (about 17 of them at p = 4), bounded with room to spare but
-/// well under the 8·m·n bytes an extracted block or packed `Aᵀ` panels
-/// would add.
-const FACTOR_TERMS: u64 = 32 * 8 * ((M + N) * K) as u64;
+/// Factors, the workspace's two slabs, the transport, `B`-tile scratch
+/// and the rank threads' bookkeeping: O((m + n)·k) words, measured at
+/// 5.0 (1×1), 15.7 (2×2) and 18.8 (Naive, p = 3) of them on 960×640 at
+/// k = 4, bounded with 6 % to spare and well under the 8·m·n bytes an
+/// extracted block or packed `Aᵀ` panels would add.
+const FACTOR_TERMS: u64 = 20 * 8 * ((M + N) * K) as u64;
 
 /// Builds a HALS model for `run` through `builder` and steps it twice.
 fn build_and_step((algo, ranks, key): (Algo, usize, ShardKey), builder: NmfBuilder) {

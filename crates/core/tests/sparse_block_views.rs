@@ -144,6 +144,70 @@ fn a_sparse_model_builds_no_column_view_its_kernels_do_not_read() {
     }
 }
 
+/// Rank of the slab test: wide enough that the slabs, not the
+/// bookkeeping, set what a build allocates.
+const SLAB_K: usize = 24;
+
+/// The rank threads' bookkeeping beyond what the slab test counts term
+/// by term (communicators, channels, records, the engines' solvers):
+/// measured at about 78 KB, and under the 346 KB the `W` gather and
+/// `W`-side reduce-scatter output would add as buffers of their own.
+const RANK_BOOKKEEPING: u64 = 128 * 1024;
+
+/// Table 2's memory column for a sparse model, term by term: a 1×2 model
+/// built and stepped twice allocates the initial factors and the rows
+/// dealt from them, two `k`-wide slabs and three `k×k` Grams per rank,
+/// MU's denominator, the words its collectives moved (each boxed once)
+/// and the staging of one reduce-scatter input per rank, and nothing
+/// else beyond bookkeeping.
+#[test]
+fn a_sparse_model_allocates_factors_two_slabs_solver_scratch_and_transport() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let key = ShardKey::Grid { pr: 1, pc: 2 };
+    let shared = sparse_input();
+    nmf_sparse::csc_chosen(N, SLAB_K);
+    let ((words, workspace), allocated) = bytes_during(|| {
+        let mut model = Nmf::on_shared(&shared)
+            .rank(SLAB_K)
+            .ranks(2)
+            .algo(Algo::HpcGrid(Grid::new(1, 2)))
+            .solver(SolverKind::Mu)
+            .max_iters(2)
+            .build()
+            .expect("valid request");
+        assert_eq!(model.shard_key(), key);
+        model.step();
+        model.step();
+        (model.total_comm().total_words(), model.workspace_bytes())
+    });
+    let lays = key.layouts(M, N);
+    let words_of = |rows: usize| (8 * rows * SLAB_K) as u64;
+    let factors = 2 * words_of(M + N);
+    // p_r = 1: the row slab holds A·Hᵀ and the W gather, both m/p_r
+    // rows; the column slab Aᵀ·W (n/p_c rows) and the W-side
+    // reduce-scatter output (m/p rows).
+    let slabs: u64 = lays
+        .iter()
+        .map(|l| words_of(l.rows.len + l.cols.len.max(l.w.len)) + (8 * 3 * SLAB_K * SLAB_K) as u64)
+        .sum();
+    assert_eq!(
+        workspace as u64, slabs,
+        "two slabs and three Grams per rank"
+    );
+    let solver: u64 = lays.iter().map(|l| words_of(l.w.len.max(l.ht.len))).sum();
+    let staging: u64 = lays.iter().map(|l| words_of(l.rows.len)).sum();
+    let transport = 8 * words + staging;
+    let six_buffers: u64 = lays.iter().map(|l| words_of(l.rows.len + l.w.len)).sum();
+    assert!(RANK_BOOKKEEPING < six_buffers);
+    let bound = factors + slabs + solver + transport + RANK_BOOKKEEPING;
+    assert!(
+        allocated <= bound,
+        "build + 2 steps allocated {allocated} bytes; factors {factors}, slabs {slabs}, \
+         MU scratch {solver}, transport {transport} and bookkeeping {RANK_BOOKKEEPING} \
+         come to {bound}"
+    );
+}
+
 /// `Nmf::on(&Input)` copies the CSR once, into the source of the
 /// `SharedInput` it wraps, and Naive's row and column stripes are both
 /// windows of that copy: the build holds one CSR copy, not two.

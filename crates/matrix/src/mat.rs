@@ -9,10 +9,17 @@ use std::ops::{Index, IndexMut};
 /// algorithms walks rows of the tall factor matrices (`W`, `AHᵀ`) or rows
 /// of the wide input blocks, and because it makes per-row slicing (used to
 /// scatter/gather blocks between ranks) a contiguous-memory operation.
-#[derive(Clone, PartialEq)]
+///
+/// The storage may hold more entries than the shape uses: a workspace
+/// buffer is sized once by [`reserve`](Self::reserve) and then
+/// [`reshape`](Self::reshape)d in place. Everything that reads the
+/// matrix — [`as_slice`](Self::as_slice), equality, the kernels — sees
+/// only the first `nrows·ncols` entries.
+#[derive(Clone)]
 pub struct Mat {
     nrows: usize,
     ncols: usize,
+    /// At least `nrows·ncols` entries; the matrix is the leading ones.
     data: Vec<f64>,
 }
 
@@ -107,32 +114,74 @@ impl Mat {
         (self.nrows, self.ncols)
     }
 
-    /// Number of stored entries (`nrows * ncols`).
+    /// Number of entries (`nrows * ncols`).
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.nrows * self.ncols
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
-    /// The backing row-major slice.
+    /// The entries, row-major.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        &self.data[..self.len()]
     }
 
-    /// The backing row-major slice, mutably.
+    /// The entries, row-major, mutably.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        let len = self.len();
+        &mut self.data[..len]
     }
 
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<f64> {
+    /// Consumes the matrix, returning its entries as a row-major vector.
+    pub fn into_vec(mut self) -> Vec<f64> {
+        self.data.truncate(self.len());
         self.data
+    }
+
+    /// Entries the storage holds: the largest `nrows·ncols` that
+    /// [`reshape`](Self::reshape) accepts.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Heap bytes the storage occupies.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+    }
+
+    /// Grows the storage to hold at least `len` entries, allocating
+    /// exactly that many; never shrinks it. The shape and its entries are
+    /// kept. The one allocation of a workspace buffer that is
+    /// [`reshape`](Self::reshape)d afterwards.
+    pub fn reserve(&mut self, len: usize) {
+        if len > self.data.len() {
+            self.data.reserve_exact(len - self.data.len());
+            self.data.resize(len, 0.0);
+        }
+    }
+
+    /// Gives the matrix the shape `nrows × ncols` within its storage: no
+    /// allocation, and no entry is written, so the entries are whatever
+    /// the storage held (callers overwrite them). The storage, its
+    /// capacity and its address are unchanged.
+    ///
+    /// # Panics
+    /// Panics if `nrows·ncols` exceeds [`capacity`](Self::capacity).
+    pub fn reshape(&mut self, nrows: usize, ncols: usize) {
+        assert!(
+            nrows * ncols <= self.data.len(),
+            "reshape to {nrows}x{ncols} exceeds the storage of {} entries",
+            self.data.len()
+        );
+        self.nrows = nrows;
+        self.ncols = ncols;
     }
 
     /// Row `i` as a contiguous slice.
@@ -247,7 +296,7 @@ impl Mat {
         let mut data = Vec::with_capacity(nrows * ncols);
         for b in blocks {
             assert_eq!(b.ncols, ncols, "vstack column mismatch");
-            data.extend_from_slice(&b.data);
+            data.extend_from_slice(b.as_slice());
         }
         Mat { nrows, ncols, data }
     }
@@ -271,18 +320,18 @@ impl Mat {
     /// counterpart of `clone()`: no allocation.
     pub fn copy_from(&mut self, src: &Mat) {
         assert_eq!(self.shape(), src.shape(), "copy_from shape mismatch");
-        self.data.copy_from_slice(&src.data);
+        self.as_mut_slice().copy_from_slice(src.as_slice());
     }
 
-    /// Reshapes this matrix to `nrows × ncols`, reusing the backing
-    /// allocation when capacity suffices. For workspace buffers whose
-    /// dimensions vary between calls (e.g. per-group NLS scratch).
+    /// Gives the matrix the shape `nrows × ncols` and **zero-fills** it:
+    /// on any shape change every entry is written (a memset of the whole
+    /// new shape), and the storage is reallocated when it is too small.
+    /// If the shape already matches, the call is a no-op and the entries
+    /// are kept.
     ///
-    /// Contents contract: if the shape actually changes the entries are
-    /// reset to zero; if the shape already matches, the call is a no-op
-    /// and existing entries are **kept** — callers on hot paths fully
-    /// overwrite the buffer after resizing, and skipping the redundant
-    /// memset is the point of reusing a workspace.
+    /// For a buffer whose shape changes often, such as a workspace slab
+    /// that several phases share, [`reserve`](Self::reserve) once and
+    /// [`reshape`](Self::reshape), which writes nothing.
     pub fn resize(&mut self, nrows: usize, ncols: usize) {
         if (self.nrows, self.ncols) == (nrows, ncols) {
             return;
@@ -313,20 +362,20 @@ impl Mat {
 
     /// True if every entry is finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.as_slice().iter().all(|x| x.is_finite())
     }
 
     /// True if every entry is `>= 0`.
     pub fn all_nonnegative(&self) -> bool {
-        self.data.iter().all(|&x| x >= 0.0)
+        self.as_slice().iter().all(|&x| x >= 0.0)
     }
 
     /// Maximum absolute entry-wise difference to `other`.
     pub fn max_abs_diff(&self, other: &Mat) -> f64 {
         assert_eq!(self.shape(), other.shape());
-        self.data
+        self.as_slice()
             .iter()
-            .zip(&other.data)
+            .zip(other.as_slice())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
@@ -405,6 +454,14 @@ impl<'a> From<&'a Mat> for MatRef<'a> {
 impl Default for Mat {
     fn default() -> Self {
         Mat::zeros(0, 0)
+    }
+}
+
+/// Equal shapes and equal entries; storage beyond the shape is not
+/// compared.
+impl PartialEq for Mat {
+    fn eq(&self, other: &Mat) -> bool {
+        self.shape() == other.shape() && self.as_slice() == other.as_slice()
     }
 }
 
@@ -557,6 +614,85 @@ mod tests {
             r2[0] = -1.0;
         }
         assert_eq!(m[(2, 0)], -1.0);
+    }
+
+    #[test]
+    fn reshape_keeps_storage_through_shrink_and_grow_cycles() {
+        let mut m = Mat::default();
+        m.reserve(24);
+        let (ptr, heap) = (m.as_slice().as_ptr(), m.heap_bytes());
+        assert_eq!((m.capacity(), heap), (24, 24 * 8));
+        for (r, c) in [(6, 4), (2, 3), (24, 1), (0, 0), (3, 8), (1, 1), (4, 6)] {
+            m.reshape(r, c);
+            assert_eq!(
+                (m.shape(), m.len(), m.as_slice().len()),
+                ((r, c), r * c, r * c)
+            );
+            assert_eq!(m.capacity(), 24);
+            assert_eq!(m.heap_bytes(), heap);
+            if r * c > 0 {
+                assert_eq!(m.as_slice().as_ptr(), ptr, "{r}x{c} moved the storage");
+            }
+        }
+        // A shape change writes nothing: the storage's entries show through.
+        m.reshape(4, 6);
+        m.as_mut_slice()
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, x)| *x = i as f64);
+        m.reshape(2, 5);
+        assert_eq!(m.row(1), &[5.0, 6.0, 7.0, 8.0, 9.0]);
+        m.reshape(3, 8);
+        assert_eq!(m[(2, 7)], 23.0);
+        // Reserving less than the storage holds changes nothing.
+        m.reserve(10);
+        assert_eq!((m.capacity(), m.shape()), (24, (3, 8)));
+        assert_eq!(m.into_vec().len(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the storage")]
+    fn reshape_beyond_the_storage_panics() {
+        let mut m = Mat::zeros(2, 3);
+        m.reshape(7, 1);
+    }
+
+    #[test]
+    fn equality_and_slices_see_only_the_shape() {
+        let mut slab = Mat::default();
+        slab.reserve(12);
+        slab.reshape(3, 4);
+        slab.as_mut_slice().fill(7.0);
+        slab.reshape(2, 3);
+        slab.as_mut_slice()
+            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let exact = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(slab, exact, "the storage's tail is not part of the matrix");
+        assert_eq!(exact, slab);
+        assert_eq!(slab.as_slice(), exact.as_slice());
+        assert_eq!(slab.clone().into_vec(), exact.clone().into_vec());
+        assert!(slab.all_finite() && slab.all_nonnegative());
+        assert_eq!(slab.max_abs_diff(&exact), 0.0);
+        let mut copy = Mat::zeros(2, 3);
+        copy.copy_from(&slab);
+        assert_eq!(copy, exact);
+        slab.reshape(3, 2);
+        assert_ne!(slab, exact, "same entries, different shape");
+        slab.reshape(2, 3);
+        slab[(1, 2)] = -6.0;
+        assert_ne!(slab, exact);
+    }
+
+    #[test]
+    fn resize_zero_fills_on_a_shape_change() {
+        let mut m = Mat::filled(2, 3, 4.0);
+        m.resize(2, 3);
+        assert!(
+            m.as_slice().iter().all(|&x| x == 4.0),
+            "same shape keeps entries"
+        );
+        m.resize(3, 2);
+        assert!(m.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -31,7 +31,10 @@ impl NlsSolver for Mu {
         assert_eq!(gram.nrows(), x.ncols());
         // Denominator X·G (G symmetric, so X·Gᵀ = X·G); 2rk² flops, the
         // "extra computation" the paper counts for MU.
-        self.scratch.resize(x.nrows(), x.ncols());
+        // The W and H solves alternate shapes: reshape within the storage
+        // (no allocation, no memset); the product writes every entry.
+        self.scratch.reserve(x.len());
+        self.scratch.reshape(x.nrows(), x.ncols());
         let den = &mut self.scratch;
         matmul_tb_into(x, gram, den);
         // MU cannot escape exact zeros; the conventional fix (also in
