@@ -156,15 +156,10 @@ impl<'a> SplitBlocks<'a> {
     /// Local `A·Hᵀ` with `Hᵀ` supplied row-major (`·×k`), into the slab
     /// `out`, reshaped to the product.
     fn mm_a_ht_into(&self, pack: &mut SessionPack, ht: &Mat, out: &mut Mat) {
+        out.reshape(self.row.shape().0, ht.ncols());
         match self.row {
-            BlockRef::Dense(a) => {
-                out.reshape(a.nrows(), ht.ncols());
-                matmul_scratch_into(a, ht, out, &mut pack.bpack);
-            }
-            BlockRef::Sparse { a, .. } => {
-                out.reshape(a.nrows(), ht.ncols());
-                spmm_dense_t_into(a, ht, out);
-            }
+            BlockRef::Dense(a) => matmul_scratch_into(a, ht, out, &mut pack.bpack),
+            BlockRef::Sparse { a, .. } => spmm_dense_t_into(a, ht, out),
         }
     }
 
@@ -174,18 +169,11 @@ impl<'a> SplitBlocks<'a> {
     /// pass over the CSC view, or the CSR transposed pass (bit-identical
     /// to the column-forward one).
     fn mm_at_w_into(&self, pack: &mut SessionPack, w: &Mat, out: &mut Mat) {
+        out.reshape(self.col.shape().1, w.ncols());
         match (self.col, self.csc) {
-            (BlockRef::Dense(a), _) => {
-                out.reshape(a.ncols(), w.ncols());
-                matmul_ta_scratch_into(a, w, out, &mut pack.bpack);
-            }
-            (BlockRef::Sparse { a, .. }, csc) => {
-                out.reshape(a.ncols(), w.ncols());
-                match csc {
-                    Some(csc) => spmm_at_dense_csc_into(a, csc, w, out),
-                    None => spmm_at_dense_into(a, w, out),
-                }
-            }
+            (BlockRef::Dense(a), _) => matmul_ta_scratch_into(a, w, out, &mut pack.bpack),
+            (BlockRef::Sparse { a, .. }, Some(csc)) => spmm_at_dense_csc_into(a, csc, w, out),
+            (BlockRef::Sparse { a, .. }, None) => spmm_at_dense_into(a, w, out),
         }
     }
 
@@ -422,6 +410,7 @@ impl CommScheme for Replicated1D<'_> {
 ///
 /// 1. every per-iteration matrix — Grams, assembled factor blocks, `MM`
 ///    products, reduce-scatter outputs — lives in an [`IterWorkspace`]
+///    (three `k×k` Grams and two `k`-wide slabs the others share)
 ///    allocated once before the loop and overwritten in place each
 ///    iteration ([`nmf_matrix::matmul_into`], `gram_into`,
 ///    `mm_a_ht_into`, …);

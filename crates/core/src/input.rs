@@ -424,6 +424,14 @@ impl<'a> From<&'a LocalMat> for BlockRef<'a> {
 }
 
 impl<'a> BlockRef<'a> {
+    /// `(rows, columns)` of the block.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        match self {
+            BlockRef::Dense(a) => a.shape(),
+            BlockRef::Sparse { a, .. } => a.shape(),
+        }
+    }
+
     /// `‖block‖²_F`, summed in the order an extracted copy would sum it.
     pub(crate) fn fro_norm_sq(&self) -> f64 {
         match self {
