@@ -784,7 +784,10 @@ impl Model {
     /// call, for every rank's engine to be built) and kept.
     fn ready(&self) -> &Ready {
         self.ready.get_or_init(|| {
-            let mut ready: Option<Ready> = None;
+            let mut sum = Ready {
+                norm_a_sq: f64::NAN,
+                workspace_bytes: 0,
+            };
             for r in 0..self.workers.len() {
                 let Reply::Ready {
                     norm_a_sq,
@@ -793,18 +796,14 @@ impl Model {
                 else {
                     panic!("protocol mismatch from session worker {r}");
                 };
-                let sum = ready.get_or_insert(Ready {
-                    norm_a_sq,
-                    workspace_bytes: 0,
-                });
-                debug_assert_eq!(
-                    norm_a_sq.to_bits(),
-                    sum.norm_a_sq.to_bits(),
+                debug_assert!(
+                    r == 0 || norm_a_sq.to_bits() == sum.norm_a_sq.to_bits(),
                     "every rank all-reduces the same ‖A‖²"
                 );
+                sum.norm_a_sq = norm_a_sq;
                 sum.workspace_bytes += workspace_bytes;
             }
-            ready.expect("at least one rank")
+            sum
         })
     }
 
@@ -814,9 +813,11 @@ impl Model {
     }
 
     /// Heap bytes of the rank engines' iteration workspaces, summed over
-    /// the ranks, as each was built: the Grams, the two slabs and the
-    /// dense GEMM scratch ([`IterWorkspace`]). Waits, on the first call,
-    /// for every rank's engine to be built.
+    /// the ranks: the Grams, the two slabs and the dense GEMM scratch
+    /// ([`IterWorkspace`]), as the model's build sized them (a
+    /// [`refit`](Self::refit) reuses them, growing them for a larger
+    /// `k`). Waits, on the first call, for every rank's engine to be
+    /// built.
     pub fn workspace_bytes(&self) -> usize {
         self.ready().workspace_bytes
     }
