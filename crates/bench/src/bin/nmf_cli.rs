@@ -41,13 +41,11 @@
 //! compute times — totals, and per iteration the slowest and the fastest
 //! rank — `gemm_kernel`, the dense GEMM microkernel that produced the
 //! `mm` time (`"avx512f-6x16"`, `"fma-6x8"` or `"portable-6x8"`),
-//! per-collective communication words/messages (its `posts`,
-//! `overlap_seconds` and `inflight_seconds` read zero: every collective
-//! completes where it is called), `balance`: how the input was
-//! dealt and, per rank, what it holds and `at_w`, the kernel its `Aᵀ·W`
-//! runs on (`"dense"` `(Wᵀ·A)ᵀ` over the block in place, the `"csr"`
-//! transposed pass or the `"csc"` column-forward pass — the engine's own
-//! dispatch rule), and
+//! per-collective communication words/messages, `balance`: how the
+//! input was dealt and, per rank, what it holds and `at_w`, the kernel
+//! its `Aᵀ·W` runs on (`"dense"` `(Wᵀ·A)ᵀ` over the block in place,
+//! the `"csr"` transposed pass or the `"csc"` column-forward pass — the
+//! engine's own dispatch rule), and
 //! `memory`: `input_resident_bytes`, what the shared input holds
 //! resident — its source once, since rank blocks are views of it, plus
 //! the row bounds of sparse windows narrower than the source and the
@@ -778,19 +776,15 @@ fn json_line(
         }
         let st = comm.op(op);
         s.push_str(&format!(
-            "\"{}\":{{\"words\":{},\"messages\":{},\"seconds\":{:.6},\
-             \"posts\":{},\"overlap_seconds\":{:.6},\"inflight_seconds\":{:.6}}}",
+            "\"{}\":{{\"words\":{},\"messages\":{},\"seconds\":{:.6}}}",
             op.name(),
             st.words,
             st.messages,
-            st.time.as_secs_f64(),
-            st.posts,
-            st.overlap.as_secs_f64(),
-            st.inflight.as_secs_f64()
+            st.time.as_secs_f64()
         ));
     }
     s.push_str(&format!(
-        "}},\"memory\":{{\"input_resident_bytes\":{},\"workspace_bytes\":{},         \"peak_rss_bytes\":{}}}}}",
+        "}},\"memory\":{{\"input_resident_bytes\":{},\"workspace_bytes\":{},\"peak_rss_bytes\":{}}}}}",
         input.resident_bytes(),
         model.workspace_bytes(),
         peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string())

@@ -518,7 +518,7 @@ impl CommScheme for Grid2D<'_> {
     // Gram-W, objective; column: gather-H, scatter-H; row: scatter-W,
     // gather-W. Each Gram all-reduce runs right after its side's gather,
     // before the MM: of the two synchronous orders measured, the faster
-    // on `webbase_bpp` (docs/comm-overlap.md).
+    // on `webbase_bpp` (docs/schedule.md).
     //
     // A grid dimension of one rank is the identity (see the type docs):
     // `pr = 1` skips the H-side gather and reduce-scatter below, `pc = 1`

@@ -164,6 +164,10 @@ mod tests {
     use super::*;
     use crate::dist::{Dist1D, ShardKey};
 
+    /// Entries each reserved slab holds beyond its capacity, so that it
+    /// can start on a 64-byte cache line ([`Mat::reserve`]).
+    const LINE_PAD: usize = 7;
+
     /// Every rank's slab capacities under `pr × pc` over `m × n`, checked
     /// against Table 2's extents derived from the 1D distributions:
     /// `max(m/p_r, [p_r>1]·n/p)·k` and `max(n/p_c, [p_c>1]·m/p)·k`.
@@ -186,7 +190,7 @@ mod tests {
             assert_eq!(ws.gram_solve.shape(), (k, k));
             assert_eq!(
                 ws.heap_bytes(),
-                8 * (row_slab + col_slab + 3 * k * k),
+                8 * (row_slab + col_slab + 2 * LINE_PAD + 3 * k * k),
                 "{at}: two slabs and three Grams, nothing else"
             );
         }
@@ -214,7 +218,10 @@ mod tests {
             naive.size_for_naive(10, 8, lay.w.len, lay.ht.len, 3);
             assert_eq!(naive.row_slab.capacity(), 10 * 3);
             assert_eq!(naive.col_slab.capacity(), 8 * 3);
-            assert_eq!(naive.heap_bytes(), 8 * ((10 + 8) * 3 + 3 * 9));
+            assert_eq!(
+                naive.heap_bytes(),
+                8 * ((10 + 8) * 3 + 2 * LINE_PAD + 3 * 9)
+            );
         }
     }
 

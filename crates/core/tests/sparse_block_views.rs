@@ -185,10 +185,14 @@ fn a_sparse_model_allocates_factors_two_slabs_solver_scratch_and_transport() {
     let factors = 2 * words_of(M + N);
     // p_r = 1: the row slab holds A·Hᵀ and the W gather, both m/p_r
     // rows; the column slab Aᵀ·W (n/p_c rows) and the W-side
-    // reduce-scatter output (m/p rows).
+    // reduce-scatter output (m/p rows). Each slab also holds 7 entries
+    // of room to start on a cache line.
     let slabs: u64 = lays
         .iter()
-        .map(|l| words_of(l.rows.len + l.cols.len.max(l.w.len)) + (8 * 3 * SLAB_K * SLAB_K) as u64)
+        .map(|l| {
+            words_of(l.rows.len + l.cols.len.max(l.w.len))
+                + (8 * (2 * 7 + 3 * SLAB_K * SLAB_K)) as u64
+        })
         .sum();
     assert_eq!(
         workspace as u64, slabs,

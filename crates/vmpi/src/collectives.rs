@@ -2,9 +2,7 @@
 //!
 //! Implemented *from point-to-point messages* with the classic algorithms
 //! whose costs the paper quotes in §2.3 (following Chan et al. and
-//! Thakur/Rabenseifner/Gropp). The first three are the resumable machines
-//! of [`pending`](crate::pending), which the calls here run to completion
-//! on the spot; the barrier is a plain loop in this file:
+//! Thakur/Rabenseifner/Gropp), each a blocking loop over its rounds:
 //!
 //! * **all-gather** — Bruck's algorithm: `⌈log₂ p⌉` rounds,
 //!   `((p−1)/p)·n` words per rank. Handles any `p` and per-rank block
@@ -26,13 +24,13 @@
 //! `all_gatherv`, `reduce_scatter`) and caller-owned-output `_into`
 //! variants (`all_reduce_into`, `all_gather_into`, `all_gatherv_into`,
 //! `reduce_scatter_into`). The `_into` variants perform **zero heap
-//! allocations in steady state**: the machine they run checks Bruck's
-//! rotated block buffer, the halving accumulator, and all prefix-sum
-//! tables out of the communicator's staging arena (see `comm::Arena`)
-//! and returns them, retaining their capacity between calls. The NMF
-//! iteration loops call only the `_into` and `post_*` forms. (Message
-//! payloads crossing the channel transport are still boxed by the
-//! transport — that is the virtual interconnect, not the compute path.)
+//! allocations in steady state**: Bruck's rotated block buffer, the
+//! halving accumulator, and all prefix-sum tables are checked out of the
+//! communicator's staging arena (see `comm::Arena`) and returned on exit,
+//! retaining their capacity between calls. The NMF iteration loops call
+//! only the `_into` forms. (Message payloads crossing the channel
+//! transport are still boxed by the transport — that is the virtual
+//! interconnect, not the compute path.)
 //!
 //! Equal-block collectives (`all_gather`, `all_gather_into`, any `v`
 //! call whose counts happen to be uniform, and the segment layout inside
@@ -40,7 +38,6 @@
 //! descriptor instead of a prefix table.
 
 use crate::comm::{Comm, Kind};
-use crate::pending::Machine;
 use crate::stats::Op;
 
 /// `⌈log₂ p⌉` (0 for p ≤ 1); the latency factor of every collective here.
@@ -102,7 +99,7 @@ impl Counts<'_> {
 /// number of words in rotated blocks `0..t`. Equal blocks need no table —
 /// the offset is just `t · len` — which is what makes the equal-counts
 /// fast path worthwhile for the gatherv on uniform grids.
-pub(crate) enum RotOff {
+enum RotOff {
     Eq(usize),
     /// Prefix table checked out of the communicator arena.
     Var(Vec<usize>),
@@ -111,12 +108,12 @@ pub(crate) enum RotOff {
 impl RotOff {
     /// Builds offsets for rank `r` of `p`: rotated block `t` is the block
     /// of rank `(r + t) mod p`.
-    pub(crate) fn build(core: &crate::comm::CommCore, counts: Counts<'_>, p: usize) -> RotOff {
+    fn build(comm: &Comm, counts: Counts<'_>, p: usize) -> RotOff {
         match counts {
             Counts::Eq(len) => RotOff::Eq(len),
             Counts::Var(_) => {
-                let r = core.rank;
-                let mut table = core.take_idx();
+                let r = comm.rank();
+                let mut table = comm.take_idx();
                 prefix_sums_into(p, &mut table, |t| counts.get((r + t) % p));
                 RotOff::Var(table)
             }
@@ -124,7 +121,7 @@ impl RotOff {
     }
 
     #[inline]
-    pub(crate) fn at(&self, t: usize) -> usize {
+    fn at(&self, t: usize) -> usize {
         match self {
             RotOff::Eq(len) => len * t,
             RotOff::Var(table) => table[t],
@@ -132,9 +129,9 @@ impl RotOff {
     }
 
     /// Returns any arena scratch held by the offsets.
-    pub(crate) fn release(self, core: &crate::comm::CommCore) {
+    fn release(self, comm: &Comm) {
         if let RotOff::Var(table) = self {
-            core.put_idx(table);
+            comm.put_idx(table);
         }
     }
 }
@@ -143,7 +140,7 @@ impl RotOff {
 /// empty): `out[i] = Σ_{t<i} count_of(t)`, length `n + 1`. One
 /// implementation for every offset table the collectives build (rotated
 /// Bruck blocks, rank segments, virtual fold chunks).
-pub(crate) fn prefix_sums_into(n: usize, out: &mut Vec<usize>, count_of: impl Fn(usize) -> usize) {
+fn prefix_sums_into(n: usize, out: &mut Vec<usize>, count_of: impl Fn(usize) -> usize) {
     debug_assert!(out.is_empty());
     out.push(0);
     for i in 0..n {
@@ -151,7 +148,7 @@ pub(crate) fn prefix_sums_into(n: usize, out: &mut Vec<usize>, count_of: impl Fn
     }
 }
 
-pub(crate) fn add_into(acc: &mut [f64], other: &[f64]) {
+fn add_into(acc: &mut [f64], other: &[f64]) {
     assert_eq!(acc.len(), other.len(), "reduction operand length mismatch");
     for (a, b) in acc.iter_mut().zip(other) {
         *a += b;
@@ -160,7 +157,7 @@ pub(crate) fn add_into(acc: &mut [f64], other: &[f64]) {
 
 /// Copies Bruck's rotated staging back into rank order: output block `j`
 /// is rotated block `(j − r) mod p`.
-pub(crate) fn unrotate(rot: &[f64], rot_off: &RotOff, p: usize, r: usize, out: &mut [f64]) {
+fn unrotate(rot: &[f64], rot_off: &RotOff, p: usize, r: usize, out: &mut [f64]) {
     let mut off = 0;
     for j in 0..p {
         let t = (j + p - r) % p;
@@ -171,11 +168,140 @@ pub(crate) fn unrotate(rot: &[f64], rot_off: &RotOff, p: usize, r: usize, out: &
 }
 
 impl Comm {
-    /// The synchronous form of a machine-backed collective: builds the
-    /// machine, runs it to completion and unstages into `out`, all
-    /// charged to `op`'s timer.
-    fn run_sync(&self, op: Op, out: &mut [f64], machine: impl FnOnce() -> Machine) {
-        self.timed(op, || machine().run_into(&self.core, op, out));
+    /// Bruck all-gather of `send` into `out` (blocks in rank order),
+    /// charged to `op`: `⌈log₂ p⌉` rounds; in round `t` a rank ships the
+    /// `min(2ᵗ, p−2ᵗ)` blocks it holds.
+    ///
+    /// Blocks are staged in *rotated* order (position `t` holds the block
+    /// of rank `(r+t) mod p`): the initial block and every received run
+    /// append contiguously, so each round's send is a prefix of the
+    /// staging buffer and the only data movement beyond the wire is the
+    /// final unrotation into `out`.
+    pub(crate) fn gather_into(&self, send: &[f64], counts: Counts<'_>, op: Op, out: &mut [f64]) {
+        let seq = self.next_seq();
+        let (p, r) = (self.size(), self.rank());
+        assert_eq!(
+            counts.get(r),
+            send.len(),
+            "my block length disagrees with counts"
+        );
+        let rot_off = RotOff::build(self, counts, p);
+        let mut rot = self.take_buf();
+        rot.reserve(rot_off.at(p));
+        rot.extend_from_slice(send);
+        let mut have = 1;
+        let mut round = 0u64;
+        while have < p {
+            let cnt = have.min(p - have);
+            let dst = (r + p - have) % p;
+            let src = (r + have) % p;
+            let tag = self.tag(Kind::AllGather, (seq << 6) | round);
+            let data = self.exchange(dst, src, tag, &rot[..rot_off.at(cnt)], op);
+            assert_eq!(
+                data.len(),
+                rot_off.at(have + cnt) - rot_off.at(have),
+                "all-gather round payload length mismatch"
+            );
+            rot.extend_from_slice(&data);
+            have += cnt;
+            round += 1;
+        }
+        assert_eq!(
+            out.len(),
+            rot_off.at(p),
+            "all-gather output length mismatch"
+        );
+        unrotate(&rot, &rot_off, p, r, out);
+        self.put_buf(rot);
+        rot_off.release(self);
+    }
+
+    /// Recursive-halving reduce-scatter of `data` into `out` (this rank's
+    /// segment), charged to `op`, with a fold step for non-power-of-two
+    /// `p`: the first `2·rem` ranks pair up, evens ship their whole
+    /// vector to their odd neighbour (tag round 0), drop out of the
+    /// halving, and get their finished segment back at the end (tag
+    /// round 40).
+    ///
+    /// Virtual chunk `v` aggregates the real chunks of the rank(s) that
+    /// fold onto surviving rank `v`: `{2v, 2v+1}` for `v < rem`,
+    /// `{v + rem}` otherwise. Virtual chunks are contiguous in the
+    /// accumulator.
+    fn scatter_into(&self, data: &[f64], counts: Counts<'_>, op: Op, out: &mut [f64]) {
+        let seq = self.next_seq();
+        let tag = |round: u64| self.tag(Kind::ReduceScatter, (seq << 6) | round);
+        let (p, r) = (self.size(), self.rank());
+        assert_eq!(
+            data.len(),
+            counts.total(p),
+            "data length must equal sum of counts"
+        );
+        assert_eq!(
+            out.len(),
+            counts.get(r),
+            "reduce-scatter output length mismatch"
+        );
+        let mut buf = self.take_buf();
+        buf.extend_from_slice(data);
+        let mut off = self.take_idx();
+        prefix_sums_into(p, &mut off, |i| counts.get(i));
+        let pof2 = prev_pow2(p);
+        let rem = p - pof2;
+        let mut voff = self.take_idx();
+        prefix_sums_into(pof2, &mut voff, |v| {
+            if v < rem {
+                counts.get(2 * v) + counts.get(2 * v + 1)
+            } else {
+                counts.get(v + rem)
+            }
+        });
+        let start = if r < 2 * rem && r.is_multiple_of(2) {
+            self.send_op(r + 1, tag(0), &buf, op);
+            let seg = self.recv_op(r + 1, tag(40));
+            assert_eq!(seg.len(), out.len());
+            buf[..seg.len()].copy_from_slice(&seg);
+            0
+        } else {
+            let nr = if r < 2 * rem {
+                let other = self.recv_op(r - 1, tag(0));
+                add_into(&mut buf, &other);
+                r / 2
+            } else {
+                r - rem
+            };
+            let real_of = |v: usize| if v < rem { 2 * v + 1 } else { v + rem };
+            let (mut lo, mut hi, mut dist, mut round) = (0, pof2, pof2 / 2, 1);
+            while dist > 0 {
+                let mid = lo + dist;
+                let partner = real_of(nr ^ dist);
+                let (s0, s1, k0, k1) = if nr < mid {
+                    (voff[mid], voff[hi], voff[lo], voff[mid])
+                } else {
+                    (voff[lo], voff[mid], voff[mid], voff[hi])
+                };
+                let recv = self.exchange(partner, partner, tag(round), &buf[s0..s1], op);
+                add_into(&mut buf[k0..k1], &recv);
+                if nr < mid {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+                dist /= 2;
+                round += 1;
+            }
+            debug_assert_eq!((lo, hi), (nr, nr + 1));
+            if nr < rem {
+                let seg = &buf[off[2 * nr]..off[2 * nr + 1]];
+                self.send_op(2 * nr, tag(40), seg, op);
+                off[2 * nr + 1]
+            } else {
+                off[nr + rem]
+            }
+        };
+        out.copy_from_slice(&buf[start..start + out.len()]);
+        self.put_buf(buf);
+        self.put_idx(off);
+        self.put_idx(voff);
     }
 
     // ------------------------------------------------------------------
@@ -198,8 +324,8 @@ impl Comm {
             send.len() * self.size(),
             "all-gather output length mismatch"
         );
-        self.run_sync(Op::AllGather, out, || {
-            Machine::gather(self, send, Counts::Eq(send.len()))
+        self.timed(Op::AllGather, || {
+            self.gather_into(send, Counts::Eq(send.len()), Op::AllGather, out)
         });
     }
 
@@ -227,8 +353,8 @@ impl Comm {
             counts.iter().sum::<usize>(),
             "all-gather output length mismatch"
         );
-        self.run_sync(Op::AllGather, out, || {
-            Machine::gather(self, send, Counts::detect(counts))
+        self.timed(Op::AllGather, || {
+            self.gather_into(send, Counts::detect(counts), Op::AllGather, out)
         });
     }
 
@@ -258,8 +384,8 @@ impl Comm {
             counts[self.rank()],
             "reduce-scatter output length mismatch"
         );
-        self.run_sync(Op::ReduceScatter, out, || {
-            Machine::scatter(self, data, Counts::detect(counts))
+        self.timed(Op::ReduceScatter, || {
+            self.scatter_into(data, Counts::detect(counts), Op::ReduceScatter, out)
         });
     }
 
@@ -278,11 +404,27 @@ impl Comm {
     /// In-place all-reduce: on return every rank's `data` holds the
     /// element-wise sum across ranks. Zero allocations in steady state
     /// (scratch comes from the communicator arena).
+    ///
+    /// Rabenseifner: a reduce-scatter over near-equal segments, then an
+    /// all-gather over the same layout, one sequence number each. `p | n`
+    /// needs no counts table at all.
     pub fn all_reduce_into(&self, data: &mut [f64]) {
-        // `run_sync` spelled out: `data` is staged by `reduce` before it
-        // is borrowed again as the output.
+        let p = self.size();
+        let (base, extra) = (data.len() / p, data.len() % p);
         self.timed(Op::AllReduce, || {
-            Machine::reduce(self, data).run_into(&self.core, Op::AllReduce, data)
+            let mut table = self.take_idx();
+            let counts = if extra == 0 {
+                Counts::Eq(base)
+            } else {
+                table.extend((0..p).map(|r| base + usize::from(r < extra)));
+                Counts::Var(&table)
+            };
+            let mut seg = self.take_buf();
+            seg.resize(counts.get(self.rank()), 0.0);
+            self.scatter_into(data, counts, Op::AllReduce, &mut seg);
+            self.gather_into(&seg, counts, Op::AllReduce, data);
+            self.put_buf(seg);
+            self.put_idx(table);
         });
     }
 

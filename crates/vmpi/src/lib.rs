@@ -7,7 +7,9 @@
 //! are built from those point-to-point messages using the same classic
 //! algorithms (Bruck all-gather, recursive-halving reduce-scatter,
 //! Rabenseifner all-reduce, dissemination barrier) whose cost
-//! expressions the paper quotes in §2.3.
+//! expressions the paper quotes in §2.3. Every collective is blocking,
+//! as in the paper's bulk-synchronous Algorithm 3: one loop over its
+//! rounds, each round a send and a receive.
 //!
 //! Two properties make it a faithful stand-in for the paper's purposes:
 //!
@@ -33,6 +35,7 @@
 pub mod collectives;
 pub mod comm;
 pub mod model;
+#[doc(hidden)]
 pub mod pending;
 pub mod stats;
 mod transport;
@@ -40,6 +43,7 @@ pub mod universe;
 
 pub use comm::Comm;
 pub use model::CostModel;
+#[doc(hidden)]
 pub use pending::PendingOp;
 pub use stats::{CommStats, Op, OpStats};
 pub use universe::{run, RankResult};

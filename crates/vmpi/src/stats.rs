@@ -60,31 +60,23 @@ pub struct OpStats {
     /// `f64` words this rank sent.
     pub words: u64,
     /// Wall-clock time this rank spent inside the operation (including
-    /// blocking on peers). For split-phase ops this is post time plus
-    /// wait time — the overlap window in between is *not* charged.
+    /// blocking on peers).
     pub time: Duration,
-    /// Split-phase (post/wait) invocations of this operation.
-    pub posts: u64,
-    /// Wall-clock between a post returning and its wait starting: the
-    /// window in which compute actually ran while the op was in flight.
+    /// Always zero; goes with `post_*` once the benchmark runner stops reading it.
     pub overlap: Duration,
-    /// Wall-clock from post begin to wait end: total time the op was in
-    /// flight (`time + overlap` for split-phase ops).
+    /// Always zero; goes with `post_*` once the benchmark runner stops reading it.
     pub inflight: Duration,
 }
 
-/// [`OpStats`] as stored: the three durations as whole nanoseconds in a
-/// `u64` (584 years), half the size of a `Duration` each. One
-/// [`CommStats`] is kept per iteration of every run, so its size is
-/// what a long run's records cost.
+/// [`OpStats`] as stored: the time as whole nanoseconds in a `u64`
+/// (584 years), half the size of a `Duration`. One [`CommStats`] is
+/// kept per iteration of every run, so its size is what a long run's
+/// records cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Counters {
     messages: u64,
     words: u64,
-    posts: u64,
     time_ns: u64,
-    overlap_ns: u64,
-    inflight_ns: u64,
 }
 
 fn nanos(t: Duration) -> u64 {
@@ -112,19 +104,6 @@ impl CommStats {
         self.per_op[op.idx()].time_ns += nanos(t);
     }
 
-    /// Charges one split-phase post.
-    pub(crate) fn record_post(&mut self, op: Op) {
-        self.per_op[op.idx()].posts += 1;
-    }
-
-    /// Charges a completed split-phase wait: `overlap` is the post→wait
-    /// window, `inflight` the full post-begin→wait-end span.
-    pub(crate) fn record_split_wait(&mut self, op: Op, overlap: Duration, inflight: Duration) {
-        let s = &mut self.per_op[op.idx()];
-        s.overlap_ns += nanos(overlap);
-        s.inflight_ns += nanos(inflight);
-    }
-
     /// Counters for one operation class.
     pub fn op(&self, op: Op) -> OpStats {
         let s = &self.per_op[op.idx()];
@@ -132,9 +111,7 @@ impl CommStats {
             messages: s.messages,
             words: s.words,
             time: Duration::from_nanos(s.time_ns),
-            posts: s.posts,
-            overlap: Duration::from_nanos(s.overlap_ns),
-            inflight: Duration::from_nanos(s.inflight_ns),
+            ..OpStats::default()
         }
     }
 
@@ -159,10 +136,7 @@ impl CommStats {
         for (a, b) in self.per_op.iter_mut().zip(&other.per_op) {
             a.messages += b.messages;
             a.words += b.words;
-            a.posts += b.posts;
             a.time_ns += b.time_ns;
-            a.overlap_ns += b.overlap_ns;
-            a.inflight_ns += b.inflight_ns;
         }
     }
 
@@ -172,10 +146,7 @@ impl CommStats {
         for (a, b) in self.per_op.iter_mut().zip(&other.per_op) {
             a.messages = a.messages.max(b.messages);
             a.words = a.words.max(b.words);
-            a.posts = a.posts.max(b.posts);
             a.time_ns = a.time_ns.max(b.time_ns);
-            a.overlap_ns = a.overlap_ns.max(b.overlap_ns);
-            a.inflight_ns = a.inflight_ns.max(b.inflight_ns);
         }
     }
 
@@ -187,23 +158,9 @@ impl CommStats {
         for ((o, now), then) in out.per_op.iter_mut().zip(&self.per_op).zip(&earlier.per_op) {
             o.messages = now.messages - then.messages;
             o.words = now.words - then.words;
-            o.posts = now.posts - then.posts;
             o.time_ns = now.time_ns.saturating_sub(then.time_ns);
-            o.overlap_ns = now.overlap_ns.saturating_sub(then.overlap_ns);
-            o.inflight_ns = now.inflight_ns.saturating_sub(then.inflight_ns);
         }
         out
-    }
-
-    /// Total wall-clock of compute hidden behind in-flight split-phase
-    /// collectives (sum of post→wait windows across ops).
-    pub fn total_overlap(&self) -> Duration {
-        Duration::from_nanos(self.per_op.iter().map(|s| s.overlap_ns).sum())
-    }
-
-    /// Total split-phase posts across ops.
-    pub fn total_posts(&self) -> u64 {
-        self.per_op.iter().map(|s| s.posts).sum()
     }
 }
 
@@ -244,20 +201,11 @@ mod tests {
         let mut s = CommStats::new();
         s.record_time(Op::AllGather, Duration::from_nanos(1_500));
         s.record_time(Op::AllGather, Duration::from_micros(2));
-        s.record_post(Op::AllGather);
-        s.record_split_wait(
-            Op::AllGather,
-            Duration::from_nanos(7),
-            Duration::from_secs(3),
-        );
         let op = s.op(Op::AllGather);
         assert_eq!(op.time, Duration::from_nanos(3_500));
-        assert_eq!(op.overlap, Duration::from_nanos(7));
-        assert_eq!(op.inflight, Duration::from_secs(3));
         assert_eq!(s.total_time(), Duration::from_nanos(3_500));
-        assert_eq!(s.total_overlap(), Duration::from_nanos(7));
-        // One record per iteration per run: keep it small.
-        assert!(std::mem::size_of::<CommStats>() <= 384);
+        // One record per iteration per run: three `u64`s per operation.
+        assert!(std::mem::size_of::<CommStats>() <= Op::ALL.len() * 3 * 8);
     }
 
     #[test]
